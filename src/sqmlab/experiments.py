@@ -42,6 +42,13 @@ def _case(key: str, inputs: dict, value, oracle, tol: float, scale: float = 1.0)
     }
 
 
+def _require_positive(params: dict, *keys: str) -> None:
+    """Reject windows, steps, regulators and sizes at or below zero."""
+    for key in keys:
+        if params[key] <= 0:
+            raise ValueError(f"need {key} > 0, got {params[key]!r}")
+
+
 def _finish(cases: list[dict]) -> dict:
     cases = sorted(cases, key=lambda c: c["case"])
     failures = sum(not c["pass"] for c in cases)
@@ -191,6 +198,9 @@ def run_pseudo_entropy(params: dict) -> dict:
 
 
 def run_anomaly_scan(params: dict) -> dict:
+    _require_positive(params, "T")
+    if any(N < 2 for N in params["slice_counts"]):
+        raise ValueError("every slice count needs N >= 2")
     T = params["T"]
     cases = []
     for N in params["slice_counts"]:
@@ -220,6 +230,7 @@ def run_anomaly_scan(params: dict) -> dict:
 
 
 def run_dirac_nogo(params: dict) -> dict:
+    _require_positive(params, "T")
     T = params["T"]
     grid = ModeGrid(
         T=T,
@@ -262,6 +273,7 @@ def run_dirac_nogo(params: dict) -> dict:
 
 
 def run_propagator(params: dict) -> dict:
+    _require_positive(params, "tau", "T", "tau_grid")
     eps_i = params["eps_i"]
     cases = []
 
@@ -407,6 +419,9 @@ def _run_smatrix_order2(params: dict) -> list[dict]:
 def run_smatrix(params: dict) -> dict:
     if params["process"] != "2to2":
         raise ValueError(f"unknown process {params['process']!r}")
+    _require_positive(params, "M_sites", "T", "tau", "eps_i", "T2", "tau2", "eps_i2")
+    if params["sweep_points"] < 2:
+        raise ValueError("need sweep_points >= 2 for the slice-width extrapolation")
     if params["order"] == 1:
         return _finish(_run_smatrix_order1(params))
     if params["order"] == 2:
@@ -559,12 +574,61 @@ RUNNERS: dict[str, Callable[[dict], dict]] = {
 }
 
 
+def _conforms(value, default) -> bool:
+    """Whether value has the type of the DEFAULTS entry it overrides."""
+    if isinstance(default, (bool, str)):
+        return type(value) is type(default)
+    if isinstance(default, int):
+        return isinstance(value, int) and not isinstance(value, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, tuple) and all(_conforms(v, default[0]) for v in value)
+
+
+def _check_params(name: str, params: dict) -> None:
+    """Reject overrides that would be ignored or would make a vacuous verdict.
+
+    Every key must be one of the experiment's DEFAULTS keys, with the
+    same type (a tuple takes the type of its first default element);
+    real numbers must be finite, tolerances (keys starting with "tol")
+    nonnegative, and "cases" at least 1.
+    """
+    defaults = DEFAULTS[name]
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        msg = f"unknown parameter {', '.join(map(repr, unknown))} for experiment {name!r}"
+        if any(key.startswith("tol") for key in unknown):
+            tols = ", ".join(key for key in defaults if key.startswith("tol"))
+            msg += f"; its tolerance keys are {tols}"
+        raise ValueError(msg)
+    for key, value in params.items():
+        default = defaults[key]
+        if not _conforms(value, default):
+            raise ValueError(
+                f"parameter {key!r} of {name!r} must look like {default!r}, got {value!r}"
+            )
+        values = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise ValueError(f"parameter {key!r} must be finite, got {value!r}")
+        if key.startswith("tol") and value < 0:
+            raise ValueError(f"tolerance {key!r} must be nonnegative, got {value!r}")
+    if params.get("cases", 1) < 1:
+        raise ValueError(f"need cases >= 1, got {params['cases']}")
+
+
 def run_experiment(name: str, params: dict | None = None) -> dict:
-    """Execute a registered experiment with defaults overlaid by params."""
+    """Execute a registered experiment with defaults overlaid by params.
+
+    Raises ValueError for a parameter the experiment does not have, of
+    the wrong type or out of range, and for a run that yields no cases.
+    """
     if name not in RUNNERS:
         raise KeyError(f"unknown experiment {name!r}")
-    merged = dict(DEFAULTS[name])
-    merged.update(params or {})
+    params = params or {}
+    _check_params(name, params)
+    merged = {**DEFAULTS[name], **params}
     result = RUNNERS[name](merged)
+    if not result["cases"]:
+        raise ValueError(f"{name} with these parameters yields no cases")
     result["params"] = merged
     return result

@@ -134,18 +134,29 @@ class FermionLayout:
         return t * self.M + m
 
 
+def _jw_map(layout: FermionLayout, leg: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c_leg = Z^{⊗leg} ⊗ s- ⊗ I^{⊗rest} as a signed partial permutation.
+
+    Returns (rows, cols, signs): basis column cols[i] (leg occupied) goes
+    to row rows[i] (leg emptied) with the string sign (-1)^{occupation
+    of the lower legs}; every other column is annihilated.  Leg 0 is the
+    slowest-varying bit of the basis index.
+    """
+    L = layout.legs
+    states = np.arange(layout.dim)
+    bit = 1 << (L - 1 - leg)
+    cols = states[(states & bit) != 0]
+    parity = np.zeros(cols.shape, dtype=np.int64)
+    for lower in range(leg):
+        parity ^= (cols >> (L - 1 - lower)) & 1
+    return cols ^ bit, cols, 1.0 - 2.0 * parity
+
+
 def _jw_matrix(layout: FermionLayout, leg: int) -> np.ndarray:
-    """Annihilator c_leg = Z^{⊗leg} ⊗ s- ⊗ I^{⊗rest} as a dense matrix."""
-    minus = np.array([[0.0, 1.0], [0.0, 0.0]])
-    z = np.array([[1.0, 0.0], [0.0, -1.0]])
-    out = np.array([[1.0]])
-    for j in range(layout.legs):
-        if j < leg:
-            out = np.kron(out, z)
-        elif j == leg:
-            out = np.kron(out, minus)
-        else:
-            out = np.kron(out, np.eye(2))
+    """Annihilator c_leg as a dense matrix, scattered from its index map."""
+    rows, cols, signs = _jw_map(layout, leg)
+    out = np.zeros((layout.dim, layout.dim))
+    out[rows, cols] = signs
     return out
 
 
@@ -161,58 +172,72 @@ def parity_operator(layout: FermionLayout) -> Operator:
     return Operator(np.diag((-1.0) ** pops), layout.leg_dims)
 
 
-def _embedded_fswap(layout: FermionLayout, j: int) -> np.ndarray:
-    """fSWAP on adjacent Jordan-Wigner legs (j, j+1), identity elsewhere.
+# A signed permutation U is kept as (perm, sign): column c of U is
+# sign[c] times basis vector perm[c].
 
-    Adjacency makes the strings cancel, so the two-qubit gate IS the
-    mode-space exchange.
+
+def _compose(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]):
+    """The signed permutation a · b."""
+    (perm_a, sign_a), (perm_b, sign_b) = a, b
+    return perm_a[perm_b], sign_a[perm_b] * sign_b
+
+
+def _fswap_map(layout: FermionLayout, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """fSWAP on adjacent legs (j, j+1) as a signed permutation.
+
+    Adjacency makes the Jordan-Wigner strings cancel, so the two-qubit
+    gate IS the mode-space exchange: |01> -> -|10>, |10> -> |01>.
     """
-    out = np.array([[1.0]])
-    pos = 0
-    while pos < layout.legs:
-        if pos == j:
-            out = np.kron(out, fswap().mat.real)
-            pos += 2
-        else:
-            out = np.kron(out, np.eye(2))
-            pos += 1
-    return out
+    L = layout.legs
+    states = np.arange(layout.dim)
+    hi, lo = 1 << (L - 1 - j), 1 << (L - 2 - j)
+    n0, n1 = (states & hi) != 0, (states & lo) != 0
+    perm = np.where(n0 != n1, states ^ (hi | lo), states)
+    return perm, np.where(n1 & ~n0, -1.0, 1.0)
 
 
 def fermionic_cycle(layout: FermionLayout) -> tuple[Operator, tuple[int, ...]]:
     """Unitary advancing every slice by one step, with its measured signs.
 
     Built as M repetitions of a single-position shift, itself the
-    adjacent-fSWAP network F(0,1) F(1,2) ... F(L-2, L-1).  Conjugation
-    maps c(t, m) to sign * c(t+1 mod N, m); the per-leg signs are
-    measured from the assembled operator (the wraparound leg picks up
-    the Jordan-Wigner boundary sign, interior legs stay +1) and
-    returned alongside.  For N = 1 the cycle is the identity; for
-    N = 2, M = 1 it is exactly the fSWAP matrix.
+    adjacent-fSWAP network F(0,1) F(1,2) ... F(L-2, L-1), composed as
+    signed permutations in O(M·L·2^L).  Conjugation maps c(t, m) to
+    sign * c(t+1 mod N, m); the per-leg signs are measured by
+    conjugating each ladder's index map with the cycle and comparing
+    the result entrywise with the dense target ladder (the wraparound
+    leg picks up the Jordan-Wigner boundary sign, interior legs stay
+    +1), and returned alongside.  For N = 1 the cycle is the identity;
+    for N = 2, M = 1 it is exactly the fSWAP matrix.
     """
-    L = layout.legs
-    U = np.eye(layout.dim)
+    L, dim = layout.legs, layout.dim
+    states = np.arange(dim)
+    U = (states, np.ones(dim))
     if layout.N > 1:
-        shift1 = np.eye(layout.dim)
+        shift1 = U
         for j in range(L - 1):
-            shift1 = shift1 @ _embedded_fswap(layout, j)
+            shift1 = _compose(shift1, _fswap_map(layout, j))
         for _ in range(layout.M):
-            U = U @ shift1
+            U = _compose(U, shift1)
+    perm, sign = U
     signs = []
     for leg in range(L):
         target = (leg + layout.M) % L if layout.N > 1 else leg
-        moved = U @ _jw_matrix(layout, leg) @ U.conj().T
+        # U c U† has entry sign[r] * c[r, c] * sign[c] at (perm[r], perm[c])
+        rows, cols, vals = _jw_map(layout, leg)
+        moved = np.zeros((dim, dim))
+        moved[perm[rows], perm[cols]] = sign[rows] * vals * sign[cols]
         ref = _jw_matrix(layout, target)
-        scale = np.linalg.norm(ref)
-        if np.linalg.norm(moved - ref) <= 1e-12 * scale:
+        if np.array_equal(moved, ref):
             signs.append(1)
-        elif np.linalg.norm(moved + ref) <= 1e-12 * scale:
+        elif np.array_equal(moved, -ref):
             signs.append(-1)
         else:
             raise AssertionError(
                 f"cycle conjugation did not map leg {leg} onto +/- leg {target}"
             )
-    return Operator(U, layout.leg_dims), tuple(signs)
+    mat = np.zeros((dim, dim))
+    mat[perm, states] = sign
+    return Operator(mat, layout.leg_dims), tuple(signs)
 
 
 def quadratic_action(layout: FermionLayout, coeffs: np.ndarray) -> Operator:
@@ -312,6 +337,7 @@ def dirac_propagator_limit(p: Sequence[float], m: float, eps_i: float) -> np.nda
     """
     g = gamma_set()
     m_c = regulated_mass(m, eps_i)
+    slash = g.slash(p)  # rejects anything but a 4-vector
     p = np.asarray(p, dtype=complex)
     p_sq = p[0] ** 2 - np.sum(p[1:] ** 2)
-    return 1j * (g.slash(p) + m_c * np.eye(4)) / (p_sq - m_c**2)
+    return 1j * (slash + m_c * np.eye(4)) / (p_sq - m_c**2)

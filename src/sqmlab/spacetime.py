@@ -22,8 +22,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import Ket, Operator, expm, kron, mpow, partial_trace
-from .timeslab import SliceLayout, build_action, cycle_shift, embed_at_slice
+from .linalg import Ket, Operator, expm, mpow, partial_trace
+from .timeslab import SliceLayout, apply_local, build_action, slice_factors
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def build_R(
     layout = SliceLayout(d=psi0.dim, N=N, eps=eps)
     qa = build_action(layout, H)
     boundary = psi0.outer() @ expm(1j * eps * N * H)
-    raw = embed_at_slice(boundary, 0, layout) @ qa.exp_action
+    raw = Operator(apply_local(layout, qa.exp_action.mat, {0: boundary.mat}), layout.dims)
     tr = raw.trace()
     if abs(tr) < 1e-14:
         raise ValueError("spacetime state has numerically zero trace")
@@ -97,12 +97,12 @@ def marginal(st: SpacetimeState, t: int) -> Operator:
 
 
 def insertion_trace(st: SpacetimeState, inserts: Sequence[tuple[Operator, int]]) -> complex:
-    """Tr[R · prod_t embed(O_t, t)] — the time-ordered correlator form."""
-    layout = st.layout
-    prod = np.eye(layout.total_dim, dtype=complex)
-    for O, t in sorted(inserts, key=lambda item: item[1]):
-        prod = prod @ embed_at_slice(O, t, layout).mat
-    return complex(np.trace(st.R.mat @ prod))
+    """Tr[R · prod_t embed(O_t, t)] — the time-ordered correlator form.
+
+    Evaluated as Tr[prod_t embed(O_t, t) · R], one local factor per slice.
+    """
+    factors = slice_factors(st.layout, inserts)
+    return complex(np.trace(apply_local(st.layout, st.R.mat, factors)))
 
 
 def causality_witness(st: SpacetimeState, A: Operator, B: Operator, t: int = 1) -> complex:
@@ -111,13 +111,15 @@ def causality_witness(st: SpacetimeState, A: Operator, B: Operator, t: int = 1) 
     For hermitian A, B this equals <psi|[B_H(eps t), A]|psi>: the
     difference between the time-ordered and anti-time-ordered pair
     correlators, i.e. a direct witness of causal (non)commutation.
+    Evaluated as Tr[X·R] - conj(Tr[X†·R]) with X = embed(A,0)·embed(B,t)
+    applied to R one slice at a time.
     """
     if not 0 < t < st.N:
         raise ValueError(f"need a strictly later slice 0 < t < {st.N}")
-    layout = st.layout
-    X = (embed_at_slice(A, 0, layout) @ embed_at_slice(B, t, layout)).mat
-    delta = st.R.mat - st.R.mat.conj().T
-    return complex(np.trace(delta @ X))
+    layout, R = st.layout, st.R.mat
+    XR = apply_local(layout, R, {0: A.mat, t: B.mat})
+    XdR = apply_local(layout, R, {0: A.mat.conj().T, t: B.mat.conj().T})
+    return complex(np.trace(XR)) - complex(np.trace(XdR)).conjugate()
 
 
 def causality_witness_oracle(st: SpacetimeState, A: Operator, B: Operator, t: int = 1) -> complex:

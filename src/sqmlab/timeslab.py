@@ -15,18 +15,26 @@ implemented and cross-checked:
 * shift identity — conjugating by E moves an insertion one slice up
   while Heisenberg-rotating it, so the slice-local equation of motion
   holds as an exact operator statement inside traces.
+
+E is never multiplied out on the slab route: it is applied to whole
+D = d^N dimensional columns as one local factor per slice followed by a
+roll of the slice axes (`QuantumAction.apply`), at O(N·d·D) per column.
+The dense matrices `cycle_shift` and `embed_at_slice` are kept as
+references for the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .linalg import Ket, Operator, expm, identity, kron, mpow
+from .linalg import Ket, Operator, expm, identity, kron
 
 DEFAULT_DIM_CAP = 4096
+_COLUMN_BLOCK = 128  # identity columns per pass through E in trace_theorem_lhs
 
 
 @dataclass(frozen=True)
@@ -58,6 +66,8 @@ def cycle_shift(layout: SliceLayout) -> Operator:
 
     For N = 2, d = 2 this is the 4x4 SWAP.  Its N-th power is the
     identity, and conjugation by it advances slice labels by one.
+    Dense reference for the tests; the slab route applies C as a roll
+    of the slice axes.
     """
     d, N = layout.d, layout.N
     size = layout.total_dim
@@ -70,7 +80,7 @@ def cycle_shift(layout: SliceLayout) -> Operator:
 
 
 def embed_at_slice(O: Operator, t: int, layout: SliceLayout) -> Operator:
-    """I^{⊗t} ⊗ O ⊗ I^{⊗(N-1-t)}."""
+    """I^{⊗t} ⊗ O ⊗ I^{⊗(N-1-t)}; dense reference for the tests."""
     if O.dim != layout.d:
         raise ValueError(f"insertion is {O.dim}-dimensional, slices are {layout.d}")
     if not 0 <= t < layout.N:
@@ -81,24 +91,83 @@ def embed_at_slice(O: Operator, t: int, layout: SliceLayout) -> Operator:
     return kron(*factors)
 
 
+def apply_local(
+    layout: SliceLayout, M: np.ndarray, factors: Mapping[int, np.ndarray]
+) -> np.ndarray:
+    """(⊗_t F_t) · M for a (D, k) matrix M, F_t = factors[t] (d x d) or I.
+
+    Each factor acts on its own slice axis of the row index, at
+    O(d·D·k); slices without a factor are left alone.
+    """
+    d = layout.d
+    k = M.shape[1]
+    for t, F in factors.items():
+        M = np.matmul(F, M.reshape(d**t, d, -1)).reshape(-1, k)
+    return M
+
+
+def _cycle_rows(layout: SliceLayout, M: np.ndarray) -> np.ndarray:
+    """C · M: the last slice axis of the row index becomes the first."""
+    k = M.shape[1]
+    return M.reshape(-1, layout.d, k).transpose(1, 0, 2).reshape(-1, k)
+
+
+def slice_factors(
+    layout: SliceLayout, inserts: Sequence[tuple[Operator, int]]
+) -> dict[int, np.ndarray]:
+    """Slice -> product of the operators inserted there, ascending in slice.
+
+    prod_t embed(O_t, t) equals apply_local with these factors; operators
+    sharing a slice multiply in the order given.
+    """
+    factors: dict[int, np.ndarray] = {}
+    for O, t in sorted(inserts, key=lambda item: item[1]):
+        if not 0 <= t < layout.N:
+            raise ValueError(f"slice index {t} out of range [0, {layout.N})")
+        if O.dim != layout.d:
+            raise ValueError("insertion dimension mismatch")
+        factors[t] = factors[t] @ O.mat if t in factors else O.mat
+    return factors
+
+
 @dataclass(frozen=True)
 class QuantumAction:
-    """The action exponential E = cycle_shift · ⊗_t exp(-i eps H)."""
+    """The action exponential E = cycle_shift · ⊗_t exp(-i eps H), kept as its step V."""
 
     layout: SliceLayout
     H: Operator
     V: Operator = field(init=False, repr=False)  # single-slice step
-    exp_action: Operator = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.H.dim != self.layout.d:
             raise ValueError("H must act on a single slice")
         if not self.H.is_hermitian(1e-12):
             raise ValueError("H must be hermitian")
-        V = expm(-1j * self.layout.eps * self.H)
-        W = kron(*([V] * self.layout.N)) if self.layout.N > 1 else V.reshaped(self.layout.dims)
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "exp_action", cycle_shift(self.layout) @ W)
+        object.__setattr__(self, "V", expm(-1j * self.layout.eps * self.H))
+
+    def apply(
+        self, M: np.ndarray, factors: Optional[Mapping[int, np.ndarray]] = None
+    ) -> np.ndarray:
+        """E · (⊗_t factors[t]) · M for a (D, k) matrix M, at O(N·d·D·k).
+
+        Slice t gets the local factor V·factors[t] (V where no factor is
+        given), then the slice axes roll by one to apply C; the D x D
+        permutation is never formed.
+        """
+        layout = self.layout
+        M = np.asarray(M)
+        if M.ndim != 2 or M.shape[0] != layout.total_dim:
+            raise ValueError(f"need a ({layout.total_dim}, k) matrix, got shape {M.shape}")
+        V = self.V.mat
+        factors = factors or {}
+        local = {t: V @ factors[t] if t in factors else V for t in range(layout.N)}
+        return _cycle_rows(layout, apply_local(layout, M, local))
+
+    @cached_property
+    def exp_action(self) -> Operator:
+        """Dense E: the rows of V^{⊗N} permuted by C, with no matrix product."""
+        W = kron(*([self.V] * self.layout.N)).mat
+        return Operator(_cycle_rows(self.layout, W), self.layout.dims)
 
 
 def build_action(layout: SliceLayout, H: Operator) -> QuantumAction:
@@ -118,12 +187,19 @@ def _check_inserts(layout: SliceLayout, inserts: Sequence[tuple[Operator, int]])
 
 
 def trace_theorem_lhs(qa: QuantumAction, inserts: Sequence[tuple[Operator, int]]) -> complex:
-    """Tr[exp_action · prod embed(O_t, t)], inserts multiplied ascending in slice."""
+    """Tr[exp_action · prod embed(O_t, t)]: the trace of E applied to the identity.
+
+    The identity goes through E one block of columns at a time and only
+    each block's diagonal is kept, so the working set stays at D x block.
+    """
     _check_inserts(qa.layout, inserts)
-    prod = np.eye(qa.layout.total_dim, dtype=complex)
-    for O, t in sorted(inserts, key=lambda item: item[1]):
-        prod = prod @ embed_at_slice(O, t, qa.layout).mat
-    return complex(np.trace(qa.exp_action.mat @ prod))
+    factors = slice_factors(qa.layout, inserts)
+    D = qa.layout.total_dim
+    total = 0j
+    for j in range(0, D, _COLUMN_BLOCK):
+        b = min(_COLUMN_BLOCK, D - j)
+        total += np.trace(qa.apply(np.eye(D, b, -j, dtype=complex), factors)[j : j + b])
+    return complex(total)
 
 
 def trace_theorem_rhs(qa: QuantumAction, inserts: Sequence[tuple[Operator, int]]) -> complex:
@@ -154,17 +230,19 @@ def constraint_expectation(
     required; the bracket then reduces to the Heisenberg equation of
     motion V·O_H((t+1)eps)·V† - O_H(t eps) = 0 evaluated inside the
     boundary trace.
+
+    E·X·E† is built by applying E to whole columns twice,
+    E·(E·X)† = (E·X·E†)†, so the shift identity is exercised, not assumed.
     """
     layout = qa.layout
     if boundary is not None and not 0 <= t < layout.N - 1:
         raise ValueError(f"with a boundary need 0 <= t < N-1, got t={t}, N={layout.N}")
     if not 0 <= t < layout.N:
         raise ValueError(f"slice index {t} out of range [0, {layout.N})")
-    E = qa.exp_action.mat
-    X = embed_at_slice(O, t, layout).mat
-    bracket = E @ X @ E.conj().T - X
-    if boundary is None:
-        return complex(np.trace(E @ bracket))
-    q, qp = boundary
-    B = embed_at_slice(q.outer(qp), 0, layout).mat
-    return complex(np.trace(B @ E @ bracket))
+    EX = qa.apply(np.eye(layout.total_dim, dtype=complex), slice_factors(layout, [(O, t)]))
+    shifted = qa.apply(EX.conj().T).conj().T  # E·X·E†
+    bracket = qa.apply(shifted) - EX  # E·(E·X·E† - X)
+    if boundary is not None:
+        q, qp = boundary
+        bracket = apply_local(layout, bracket, {0: q.outer(qp).mat})
+    return complex(np.trace(bracket))

@@ -1,9 +1,15 @@
 """Tests for the command-line entry point and report serialization."""
 
+import contextlib
+import io
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sqmlab.cli import (
     _collect_params,
@@ -200,3 +206,153 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["fswap-cycle", "--config", str(tmp_path / "missing.cfg")]) == 2
     err = capsys.readouterr().err
     assert "sqmlab: error:" in err
+
+
+# ---------------------------------------------------------------------------
+# parameter validation: nothing silently ignored, no vacuous verdict
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("tua2 = 0.05\n")
+    assert main(["smatrix", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "'tua2'" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="tua2"):
+        run_experiment("smatrix", {"tua2": 0.05})
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace-theorem", "--N", "3"],
+    ["dirac-nogo", "--M", "2"],
+    ["propagator", "--process", "2to2"],
+    ["fswap-cycle", "--tau-sweep"],
+])
+def test_flag_for_a_missing_key_exits_2(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert "unknown parameter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["propagator", "smatrix", "dirac-propagator", "anomaly-scan"])
+def test_tol_without_a_tol_key_exits_2(name, tmp_path, capsys):
+    assert main([name, "--tol", "1e-30", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    tol_keys = [key for key in DEFAULTS[name] if key.startswith("tol_")]
+    assert tol_keys and all(key in err for key in tol_keys)
+
+
+@pytest.mark.parametrize("cases", [0, -3])
+def test_nonpositive_cases_exit_2(cases, tmp_path, capsys):
+    cfg = tmp_path / "cases.cfg"
+    cfg.write_text(f"cases = {cases}\n")
+    assert main(["trace-theorem", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "cases" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, line", [
+    ("trace-theorem", "tol = nan"),
+    ("trace-theorem", "tol = inf"),
+    ("trace-theorem", "tol = -1e-3"),
+    ("propagator", "tol_ed = -inf"),
+])
+def test_bad_tolerance_exits_2(name, line, tmp_path, capsys):
+    cfg = tmp_path / "tol.cfg"
+    cfg.write_text(line + "\n")
+    assert main([name, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "sqmlab: error:" in capsys.readouterr().err
+
+
+def test_negative_tol_flag_exits_2(tmp_path, capsys):
+    assert main(["trace-theorem", "--tol", "-1", "--out", str(tmp_path)]) == 2
+    assert "nonnegative" in capsys.readouterr().err
+
+
+def test_mistyped_values_exit_2(tmp_path, capsys):
+    for name, line in [("trace-theorem", "cases = 2.5"), ("trace-theorem", "dims = 2"),
+                       ("fswap-cycle", "N = true"), ("smatrix", "lam = fast")]:
+        cfg = tmp_path / "typed.cfg"
+        cfg.write_text(line + "\n")
+        assert main([name, "--config", str(cfg), "--out", str(tmp_path)]) == 2, line
+    capsys.readouterr()
+
+
+def test_run_without_cases_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("slice_counts = ,\n")
+    assert main(["anomaly-scan", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "no cases" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzz over the DEFAULTS keys of every experiment
+
+FUZZ_EXPERIMENTS = sorted(DEFAULTS)
+# small or degenerate values of every shape a config line can carry; sizes
+# stay small (at most 3 slices, sites or legs per override) so no run is slow
+FUZZ_INTS = st.integers(-2, 3)
+FUZZ_FLOATS = st.sampled_from([0.0, -0.5, 0.05, 0.37, 2.5, math.nan, math.inf, -math.inf])
+FUZZ_STRINGS = st.sampled_from(["2to2", "x"])
+
+
+def _values_like(default):
+    """Values of the default's own type; bool before int, as bool is an int."""
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return FUZZ_INTS
+    if isinstance(default, float):
+        return FUZZ_FLOATS
+    if isinstance(default, str):
+        return FUZZ_STRINGS
+    return st.lists(_values_like(default[0]), max_size=4).map(tuple)
+
+
+FUZZ_ANY = st.one_of(*(_values_like(v) for v in (True, 0, 0.0, "", (0,), (0.0,))))
+
+
+def _config_line(key, value) -> str:
+    if isinstance(value, tuple):
+        return f"{key} = {', '.join(map(repr, value))},"
+    return f"{key} = {str(value).lower() if isinstance(value, bool) else value!r}".replace("'", "")
+
+
+@st.composite
+def _fuzz_runs(draw):
+    name = draw(st.sampled_from(FUZZ_EXPERIMENTS))
+    keys = draw(st.lists(st.sampled_from(sorted(DEFAULTS[name])), min_size=1, max_size=2,
+                         unique=True))
+    params = {key: draw(st.one_of(_values_like(DEFAULTS[name][key]), FUZZ_ANY)) for key in keys}
+    if "cases" in DEFAULTS[name] and "cases" not in params:
+        params["cases"] = 2
+    return name, params
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_fuzz_runs())
+def test_fuzzed_config_exits_cleanly(run):
+    name, params = run
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fuzz.cfg"
+        cfg.write_text("".join(_config_line(k, v) + "\n" for k, v in params.items()))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([name, "--config", str(cfg), "--out", tmp])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            report = json.loads((Path(tmp) / f"{name}.json").read_text())
+            assert report["summary"]["cases"] >= 1
+
+
+@pytest.mark.parametrize("name, line", [
+    ("dirac-nogo", "T = 0"),
+    ("anomaly-scan", "slice_counts = 4, 0"),
+    ("propagator", "tau_grid = 0.0"),
+    ("smatrix", "M_sites = 0"),
+    ("smatrix", "sweep_points = 1"),
+    ("dirac-propagator", "p_moving = 1.0,"),
+])
+def test_degenerate_values_exit_2_without_traceback(name, line, tmp_path, capsys):
+    cfg = tmp_path / "degenerate.cfg"
+    cfg.write_text(line + "\n")
+    assert main([name, "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "sqmlab: error:" in capsys.readouterr().err

@@ -314,3 +314,67 @@ def test_propagator_argument_guards():
     # exactly on shell with no regulator the pair matrix is singular
     with pytest.raises(SingularMatrixError):
         dirac_mode_propagator((1.0, 0.0, 0.0, 0.0), 1.0, 0.01, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# index-map engines against dense kron-chain references
+
+
+def _kron_chain_annihilator(layout, leg):
+    """c_leg = Z^{⊗leg} ⊗ s- ⊗ I^{⊗rest} by an explicit kron chain."""
+    minus = np.array([[0.0, 1.0], [0.0, 0.0]])
+    z = np.array([[1.0, 0.0], [0.0, -1.0]])
+    out = np.array([[1.0]])
+    for j in range(layout.legs):
+        out = np.kron(out, z if j < leg else minus if j == leg else np.eye(2))
+    return out
+
+
+def _embedded_fswap(layout, j):
+    """fSWAP on adjacent Jordan-Wigner legs (j, j+1), identity elsewhere."""
+    out = np.array([[1.0]])
+    pos = 0
+    while pos < layout.legs:
+        if pos == j:
+            out = np.kron(out, fswap().mat.real)
+            pos += 2
+        else:
+            out = np.kron(out, np.eye(2))
+            pos += 1
+    return out
+
+
+def _dense_fswap_network_cycle(layout):
+    """M repetitions of the dense product F(0,1) F(1,2) ... F(L-2, L-1)."""
+    U = np.eye(layout.dim)
+    if layout.N > 1:
+        shift1 = np.eye(layout.dim)
+        for j in range(layout.legs - 1):
+            shift1 = shift1 @ _embedded_fswap(layout, j)
+        for _ in range(layout.M):
+            U = U @ shift1
+    return U
+
+
+CYCLE_LAYOUTS = [(N, M) for N in range(1, 7) for M in range(1, 7) if N * M <= 6]
+
+
+@pytest.mark.parametrize("N, M", CYCLE_LAYOUTS)
+def test_cycle_matches_dense_fswap_network(N, M):
+    layout = FermionLayout(N, M)
+    U, signs = fermionic_cycle(layout)
+    dense = _dense_fswap_network_cycle(layout)
+    assert np.array_equal(U.mat, dense)
+    for leg in range(layout.legs):
+        target = (leg + M) % layout.legs if N > 1 else leg
+        moved = dense @ _kron_chain_annihilator(layout, leg) @ dense.T
+        assert np.array_equal(moved, signs[leg] * _kron_chain_annihilator(layout, target))
+
+
+@pytest.mark.parametrize("N, M", CYCLE_LAYOUTS)
+def test_annihilator_matches_kron_chain(N, M):
+    layout = FermionLayout(N, M)
+    for t in range(N):
+        for m in range(M):
+            expected = _kron_chain_annihilator(layout, layout.leg(t, m))
+            assert np.array_equal(jw_annihilator(layout, t, m).mat, expected)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sqmlab.linalg import rand_hermitian, rand_ket
+from sqmlab.linalg import expm, kron, rand_hermitian, rand_ket
+from sqmlab.timeslab import cycle_shift, embed_at_slice
 from sqmlab.spacetime import (
     build_R,
     causality_witness,
@@ -108,3 +109,39 @@ class TestRegions:
             reduce_to_region(st_state, [])
         with pytest.raises(ValueError):
             reduce_to_region(st_state, [(99, 0)])
+
+
+class TestStructuredAgainstDense:
+    """Slice-local applies against dense traces built from embed_at_slice."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(2, 4), SEEDS)
+    def test_state_witness_and_insertion_trace(self, d, N, seed):
+        rng = np.random.default_rng(seed)
+        psi, H = rand_ket(rng, d), rand_hermitian(rng, d)
+        st_state = build_R(psi, H, 0.33, N)
+        lay, R = st_state.layout, st_state.R.mat
+        V = expm(-1j * 0.33 * H)
+        raw = (embed_at_slice(psi.outer() @ expm(1j * 0.33 * N * H), 0, lay)
+               @ cycle_shift(lay) @ kron(*([V] * N))).mat
+        np.testing.assert_allclose(R, raw / np.trace(raw), atol=1e-12)
+        A, B = rand_hermitian(rng, d), rand_hermitian(rng, d)
+        for t in range(1, N):
+            X = (embed_at_slice(A, 0, lay) @ embed_at_slice(B, t, lay)).mat
+            dense = complex(np.trace((R - R.conj().T) @ X))
+            assert causality_witness(st_state, A, B, t) == pytest.approx(dense, abs=1e-12)
+        inserts = [(rand_hermitian(rng, d), int(t)) for t in rng.choice(N, size=2, replace=False)]
+        prod = np.eye(lay.total_dim)
+        for O, t in sorted(inserts, key=lambda item: item[1]):
+            prod = prod @ embed_at_slice(O, t, lay).mat
+        dense = complex(np.trace(R @ prod))
+        assert insertion_trace(st_state, inserts) == pytest.approx(dense, abs=1e-12)
+
+    def test_repeated_slice_insertions_multiply_in_order(self):
+        rng = np.random.default_rng(9)
+        st_state = _state(9, d=2, N=3)
+        lay = st_state.layout
+        O1, O2 = rand_hermitian(rng, 2), rand_hermitian(rng, 2)
+        dense = complex(np.trace(
+            st_state.R.mat @ embed_at_slice(O1, 1, lay).mat @ embed_at_slice(O2, 1, lay).mat))
+        assert insertion_trace(st_state, [(O1, 1), (O2, 1)]) == pytest.approx(dense, abs=1e-12)

@@ -11,6 +11,7 @@ from sqmlab.timeslab import (
     constraint_expectation,
     cycle_shift,
     embed_at_slice,
+    slice_factors,
     trace_theorem_lhs,
     trace_theorem_rhs,
 )
@@ -121,3 +122,59 @@ class TestConstraintTheorem:
         boundary = (rand_ket(rng, d), rand_ket(rng, d))
         with pytest.raises(ValueError):
             constraint_expectation(qa, O, N - 1, boundary)
+
+
+class TestStructuredAgainstDense:
+    """The structured slab engine against dense products of the references."""
+
+    @staticmethod
+    def _dense_action(qa):
+        V = expm(-1j * qa.layout.eps * qa.H)
+        return (cycle_shift(qa.layout) @ kron(*([V] * qa.layout.N))).mat
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(1, 5), SEEDS)
+    def test_exp_action_matches_shift_times_kron(self, d, N, seed):
+        rng = np.random.default_rng(seed)
+        qa = build_action(SliceLayout(d=d, N=N, eps=0.41), rand_hermitian(rng, d))
+        np.testing.assert_allclose(qa.exp_action.mat, self._dense_action(qa), atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(1, 5), st.integers(0, 3), SEEDS)
+    def test_apply_and_trace_match_dense(self, d, N, n_inserts, seed):
+        rng = np.random.default_rng(seed)
+        lay = SliceLayout(d=d, N=N, eps=0.41)
+        qa = build_action(lay, rand_hermitian(rng, d))
+        slots = rng.choice(N, size=min(n_inserts, N), replace=False)
+        inserts = [(rand_hermitian(rng, d), int(t)) for t in slots]
+        dense = self._dense_action(qa)
+        for O, t in inserts:
+            dense = dense @ embed_at_slice(O, t, lay).mat
+        M = rng.standard_normal((lay.total_dim, 3)) + 1j * rng.standard_normal((lay.total_dim, 3))
+        applied = qa.apply(M, slice_factors(lay, inserts))
+        np.testing.assert_allclose(applied, dense @ M, atol=1e-12 * max(1.0, np.abs(dense @ M).max()))
+        expected = complex(np.trace(dense))
+        assert trace_theorem_lhs(qa, inserts) == pytest.approx(
+            expected, abs=1e-12 * max(1.0, abs(expected)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(2, 5), SEEDS, st.booleans())
+    def test_constraint_expectation_matches_dense(self, d, N, seed, with_boundary):
+        rng = np.random.default_rng(seed)
+        lay = SliceLayout(d=d, N=N, eps=0.37)
+        qa = build_action(lay, rand_hermitian(rng, d))
+        O = rand_hermitian(rng, d)
+        t = int(rng.integers(0, N - 1 if with_boundary else N))
+        E = self._dense_action(qa)
+        X = embed_at_slice(O, t, lay).mat
+        # the conjugation the engine builds from whole-column applies
+        EX = qa.apply(np.eye(lay.total_dim), {t: O.mat})
+        np.testing.assert_allclose(qa.apply(EX.conj().T).conj().T, E @ X @ E.conj().T,
+                                   atol=1e-12)
+        weighted = E @ (E @ X @ E.conj().T - X)
+        boundary = None
+        if with_boundary:
+            boundary = (rand_ket(rng, d), rand_ket(rng, d))
+            weighted = embed_at_slice(boundary[0].outer(boundary[1]), 0, lay).mat @ weighted
+        value = constraint_expectation(qa, O, t, boundary)
+        assert value == pytest.approx(complex(np.trace(weighted)), abs=1e-12)
