@@ -1,13 +1,16 @@
 """Command-line entry point: run a registered experiment, emit a report.
 
     sqmlab <experiment> [--config FILE] [--out DIR] [--seed U64]
-                        [--tol FLOAT] [--json | --csv] [experiment flags]
+                        [--json | --csv] [--KEY VALUE ...]
 
 Reports are deterministic: a fixed seed and config produce a
 byte-identical JSON file (sorted keys, complex numbers as [re, im],
 cases sorted by case key).  The exit status is 0 iff every case
 passed.  Config files are flat key=value lines; values parse as int,
-float, bool, comma list, or string, and CLI flags override them.
+float, bool, comma list, or string.  After the experiment name, every
+further --KEY VALUE pair overrides that key of the experiment's
+DEFAULTS, its value parsed as in a config file, and overrides the
+config file too.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import argparse
 import csv
 import json
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +40,13 @@ def _parse_scalar(text: str):
     return text
 
 
+def _parse_value(text: str):
+    """A config value: commas make a tuple, anything else is one scalar."""
+    if "," in text:
+        return tuple(_parse_scalar(v) for v in text.split(",") if v.strip())
+    return _parse_scalar(text)
+
+
 def parse_config(path: str | Path) -> dict:
     """Flat key=value config; '#' comments; commas make tuples."""
     params: dict = {}
@@ -46,13 +57,7 @@ def parse_config(path: str | Path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        value = value.strip()
-        if "," in value:
-            params[key.strip()] = tuple(
-                _parse_scalar(v) for v in value.split(",") if v.strip()
-            )
-        else:
-            params[key.strip()] = _parse_scalar(value)
+        params[key.strip()] = _parse_value(value)
     return params
 
 
@@ -107,6 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqmlab",
         description="Run a verification experiment and write its report.",
+        epilog="Each further --KEY VALUE overrides that default: --order 2, --N 3 --M 2.",
+        allow_abbrev=False,
     )
     parser.add_argument("experiment", choices=sorted(DEFAULTS), metavar="experiment",
                         help=f"one of: {', '.join(sorted(DEFAULTS))}")
@@ -116,25 +123,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="directory for report files (default: ./reports)")
     parser.add_argument("--seed", type=int, default=None,
                         help="RNG seed override (unsigned 64-bit)")
-    parser.add_argument("--tol", type=float, default=None,
-                        help="override the experiment's primary tolerance")
     fmt = parser.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="write JSON report (default)")
     fmt.add_argument("--csv", action="store_true", help="write CSV case table instead")
-    parser.add_argument("--process", type=str, default=None,
-                        help="scattering process (smatrix: 2to2)")
-    parser.add_argument("--order", type=int, default=None,
-                        help="perturbative order (smatrix: 1 or 2)")
-    parser.add_argument("--tau-sweep", action="store_true",
-                        help="extend the slice-width halving sweep")
-    parser.add_argument("--N", type=int, default=None,
-                        help="number of time slices (fswap-cycle)")
-    parser.add_argument("--M", type=int, default=None,
-                        help="number of spatial sites (fswap-cycle)")
     return parser
 
 
-def _collect_params(args: argparse.Namespace) -> dict:
+def _collect_params(args: argparse.Namespace, overrides: Sequence[str] = ()) -> dict:
+    """Config file, then --seed, then the --KEY VALUE pairs in `overrides`.
+
+    A trailing --KEY with no value reads like the config line `KEY =`.
+    """
     params: dict = {}
     if args.config:
         params.update(parse_config(args.config))
@@ -142,27 +141,18 @@ def _collect_params(args: argparse.Namespace) -> dict:
         if not 0 <= args.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         params["seed"] = args.seed
-    if args.tol is not None:
-        params["tol"] = args.tol
-    if args.process is not None:
-        params["process"] = args.process
-    if args.order is not None:
-        params["order"] = args.order
-    if args.N is not None:
-        params["N"] = args.N
-    if args.M is not None:
-        params["M"] = args.M
-    if args.tau_sweep:
-        base = int(params.get("sweep_points",
-                              DEFAULTS[args.experiment].get("sweep_points", 3)))
-        params["sweep_points"] = max(base, 5)
+    flags, values = overrides[::2], [*overrides[1::2], ""]
+    for flag, value in zip(flags, values):
+        if not flag.startswith("--"):
+            raise ValueError(f"expected --KEY VALUE after the experiment, got {flag!r}")
+        params[flag[2:]] = _parse_value(value)
     return params
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, overrides = build_parser().parse_known_args(argv)
     try:
-        params = _collect_params(args)
+        params = _collect_params(args, overrides)
         report = run_experiment(args.experiment, params)
     except (ValueError, KeyError, OSError) as exc:
         print(f"sqmlab: error: {exc}", file=sys.stderr)

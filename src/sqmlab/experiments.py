@@ -416,17 +416,28 @@ def _run_smatrix_order2(params: dict) -> list[dict]:
     return cases
 
 
+# the keys only one order reads; overriding them at the other order does nothing
+_ORDER_KEYS = {
+    1: ("T", "n_a", "n_b", "eps_i", "tau", "sweep_points", "tol_volume", "tol_tdpt"),
+    2: ("T2", "n_a2", "n_b2", "eps_i2", "tau2", "tol_pair", "tol_stability"),
+}
+
+
 def run_smatrix(params: dict) -> dict:
     if params["process"] != "2to2":
         raise ValueError(f"unknown process {params['process']!r}")
-    _require_positive(params, "M_sites", "T", "tau", "eps_i", "T2", "tau2", "eps_i2")
+    order = params["order"]
+    if order not in _ORDER_KEYS:
+        raise ValueError("order must be 1 or 2")
+    idle = [key for key in _ORDER_KEYS[3 - order]
+            if params[key] != DEFAULTS["smatrix"][key]]
+    if idle:
+        raise ValueError(f"order {order} does not use {', '.join(idle)}")
+    _require_positive(params, "T", "T2")
     if params["sweep_points"] < 2:
         raise ValueError("need sweep_points >= 2 for the slice-width extrapolation")
-    if params["order"] == 1:
-        return _finish(_run_smatrix_order1(params))
-    if params["order"] == 2:
-        return _finish(_run_smatrix_order2(params))
-    raise ValueError("order must be 1 or 2")
+    runner = _run_smatrix_order1 if order == 1 else _run_smatrix_order2
+    return _finish(runner(params))
 
 
 # ---------------------------------------------------------------------------

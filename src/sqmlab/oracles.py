@@ -4,6 +4,11 @@ Everything here is deliberately *separate* from the tower/slab
 machinery: brute-force truncated-Fock sums, dense free-lattice
 Heisenberg evolution, and time-dependent perturbation theory.  Tests
 and experiment reports compare slab-side values against these.
+Nothing here is imported from the slab side, not even the single-mode
+ladder that `fock` also builds.  Second-order perturbation theory is
+one windowed sum over intermediate states, `_windowed_second_order`,
+given the pair vertex by `dyson_pair_channel_amplitudes` and the full
+quartic vertex by `dyson_smatrix_oracle` (a branch no experiment calls).
 """
 
 from __future__ import annotations
@@ -118,15 +123,6 @@ def timeordered_two_point_ed(
     return complex(vac.conj() @ (left @ (u @ (right @ vac))))
 
 
-def continuum_mode_sum_oracle(M: int, energies, dx: int, dt: float) -> complex:
-    """Closed-form free two-point value (1/M) sum_p e^{ip dx} e^{-iE_p|dt|}/(2E_p)."""
-    total = 0.0 + 0.0j
-    for j, E in enumerate(energies):
-        p = 2.0 * math.pi * j / M
-        total += cmath.exp(1j * p * dx) * cmath.exp(-1j * E * abs(dt)) / (2.0 * E)
-    return total / M
-
-
 def _two_particle_state(lat: DenseFockLattice, modes: tuple[int, int]) -> np.ndarray:
     a, b = modes
     if a == b:
@@ -146,6 +142,26 @@ def _windowed_integral(dE: complex, T: float) -> complex:
         return T * T / 2.0 - 1j * dE * T**3 / 6.0
     inner = (np.exp(-1j * dE * T) - 1.0) / (-1j * dE)
     return (T - inner) / (1j * dE)
+
+
+def _windowed_second_order(
+    lat: DenseFockLattice, V: np.ndarray, vec_i: np.ndarray, vec_f: np.ndarray, T: float, widths
+) -> complex:
+    """-sum_n <f|V|n> I(E_n - E_i - i w_n) <n|V|i> over the Fock basis of lat.
+
+    The ordered double time integral of second-order perturbation
+    theory, summed over intermediate occupation states n, with each
+    energy denominator damped by its own width w_n (a scalar applies
+    one width to every state).
+    """
+    h0 = lat.free_hamiltonian()
+    E_levels = np.real(np.diag(h0))
+    E_i = float(np.real(vec_i.conj() @ (h0 @ vec_i)))
+    amps_i = V @ vec_i
+    amps_f = V @ vec_f
+    dE = E_levels - E_i - 1j * widths
+    windows = np.array([_windowed_integral(complex(z), T) for z in dE])
+    return complex(-np.sum(np.conj(amps_f) * windows * amps_i))
 
 
 def pair_channel_vertex(lat: DenseFockLattice, coupling: float) -> np.ndarray:
@@ -172,39 +188,6 @@ def pair_channel_vertex(lat: DenseFockLattice, coupling: float) -> np.ndarray:
                 norm = 16.0 * E[j1] * E[j2] * E[j3] * E[j4]
                 out += (left @ ladders[j3] @ ladders[j4]) / math.sqrt(norm)
     return coupling / (4.0 * M) * out
-
-
-def dyson_pair_channel_second_order(
-    M: int,
-    energies,
-    coupling: float,
-    in_modes: tuple[int, int],
-    out_modes: tuple[int, int],
-    T: float,
-    eta: float,
-) -> complex:
-    """Second-order windowed perturbation term through pair intermediates.
-
-    Restricts the vertex to its particle-conserving 2->2 part, so the
-    intermediate sum runs over two-particle states only — a closed
-    sector with no truncation error.  Every intermediate denominator is
-    damped by the same width 2*eta, one eta per propagating line of the
-    pair, which mirrors a per-line regulator exactly in this channel.
-    """
-    lat = DenseFockLattice(M, tuple(float(E) for E in energies), n_max=2)
-    vp = pair_channel_vertex(lat, coupling)
-    vec_i = _two_particle_state(lat, tuple(in_modes))
-    vec_f = _two_particle_state(lat, tuple(out_modes))
-
-    h0 = lat.free_hamiltonian()
-    E_levels = np.real(np.diag(h0))
-    E_i = float(np.real(vec_i.conj() @ (h0 @ vec_i)))
-
-    amps_i = vp @ vec_i
-    amps_f = vp @ vec_f
-    dE = E_levels - E_i - 2j * eta
-    windows = np.array([_windowed_integral(complex(z), T) for z in dE])
-    return complex(-np.sum(np.conj(amps_f) * windows * amps_i))
 
 
 def dyson_smatrix_oracle(
@@ -235,7 +218,6 @@ def dyson_smatrix_oracle(
     vec_f = _two_particle_state(lat, tuple(out_modes))
 
     h0 = lat.free_hamiltonian()
-    E_levels = np.real(np.diag(h0))
     E_i = float(np.real(vec_i.conj() @ (h0 @ vec_i)))
     E_f = float(np.real(vec_f.conj() @ (h0 @ vec_f)))
     if abs(E_f - E_i) > 1e-9 * max(1.0, abs(E_i)):
@@ -250,11 +232,7 @@ def dyson_smatrix_oracle(
         a = lat.annihilator(p)
         occ += np.real(np.diag(a.conj().T @ a))
 
-    amps_i = V @ vec_i
-    amps_f = V @ vec_f
-    dE = E_levels - E_i - 1j * eps_reg * occ
-    windows = np.array([_windowed_integral(complex(z), T) for z in dE])
-    a2_full = -np.sum(np.conj(amps_f) * windows * amps_i)
+    a2_full = _windowed_second_order(lat, V, vec_i, vec_f, T, eps_reg * occ)
 
     vac = lat.vacuum()
     b1 = -1j * T * complex(vac.conj() @ (V @ vac))
@@ -278,19 +256,16 @@ def dyson_pair_channel_amplitudes(
     coincides with the full quartic vertex element).  Returning both
     amplitudes together makes ratio comparisons cheap: the expensive
     full-Fock oracle is never needed for the pair channel.
+
+    The particle-conserving vertex keeps the second-order intermediate
+    sum inside the two-particle sector, which is closed, so there is no
+    truncation error.  Every intermediate denominator is damped by the
+    same width 2*eta, one eta per propagating line of the pair, which
+    mirrors a per-line regulator exactly in this channel.
     """
     lat = DenseFockLattice(M, tuple(float(E) for E in energies), n_max=2)
     vp = pair_channel_vertex(lat, coupling)
     vec_i = _two_particle_state(lat, tuple(in_modes))
     vec_f = _two_particle_state(lat, tuple(out_modes))
     a1 = -1j * T * complex(vec_f.conj() @ (vp @ vec_i))
-
-    h0 = lat.free_hamiltonian()
-    E_levels = np.real(np.diag(h0))
-    E_i = float(np.real(vec_i.conj() @ (h0 @ vec_i)))
-    amps_i = vp @ vec_i
-    amps_f = vp @ vec_f
-    dE = E_levels - E_i - 2j * eta
-    windows = np.array([_windowed_integral(complex(z), T) for z in dE])
-    a2 = complex(-np.sum(np.conj(amps_f) * windows * amps_i))
-    return a1, a2
+    return a1, _windowed_second_order(lat, vp, vec_i, vec_f, T, 2.0 * eta)

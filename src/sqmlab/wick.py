@@ -1,15 +1,18 @@
-"""Wick-contraction engine and discrete quartic-interaction amplitudes.
+"""Wick pairings and discrete quartic-interaction amplitudes.
 
 The perturbative weight is Gaussian, so every insertion mean value is a
-sum over perfect matchings of two-point kernel values.  The engine is
-deliberately table-driven: a ContractionKernel is an explicit finite
-map from ordered insertion-key pairs to complex values, and
-`wick_evaluate` does nothing but enumerate matchings and multiply
-entries.
+sum over perfect matchings of two-point values.  `enumerate_pairings`
+lists the matchings and `connected_filter` keeps those whose
+contraction graph is connected.  `_order2_buckets` runs the two once
+over the twelve insertions of a 2->2 amplitude at second order (four
+external legs, two four-leg vertices) and reduces the 4032 connected
+pairings to classes with integer multiplicities.  A class's value is
+one lattice difference sum against the closed-form internal-line
+table, so no single pairing is evaluated at run time.
 
-On top of it sits the quartic S-matrix assembly on an N-slice x M-site
-lattice.  Conventions (fixed here, validated end to end against the
-time-dependent perturbation-theory oracle):
+On top of the buckets sits the quartic S-matrix assembly on an
+N-slice x M-site lattice.  Conventions (fixed here, validated end to
+end against the time-dependent perturbation-theory oracle):
 
 * each external leg carries the amputation prefactor
   -i sqrt(2 E tau) (p0 - E + i e_i), which on shell is
@@ -30,11 +33,9 @@ small.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,38 +43,6 @@ from .gaussian import feynman_kernel_closed
 from .grids import ModeGrid
 
 PairingType = tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class Insertion:
-    """One labeled insertion: a free-form kind tag plus a location tuple.
-
-    `group` is the connectedness group (vertex legs share one id;
-    external legs get singleton ids).
-    """
-
-    kind: str
-    where: tuple
-    group: int
-
-    @property
-    def key(self) -> tuple:
-        return (self.kind, self.where)
-
-
-class ContractionKernel:
-    """Finite table of ordered two-point contraction values."""
-
-    def __init__(self, table: dict):
-        self._table = dict(table)
-
-    def value(self, left: Insertion, right: Insertion) -> complex:
-        try:
-            return self._table[(left.key, right.key)]
-        except KeyError:
-            raise KeyError(
-                f"kernel has no entry for ordered pair ({left.key}, {right.key})"
-            ) from None
 
 
 def double_factorial(n: int) -> int:
@@ -102,28 +71,6 @@ def enumerate_pairings(n_insertions: int) -> list[PairingType]:
         return out
 
     return rec(tuple(range(n_insertions)))
-
-
-def wick_evaluate(
-    insertions: Sequence[Insertion],
-    kernel: ContractionKernel,
-    pairings: Optional[Iterable[PairingType]] = None,
-) -> complex:
-    """Sum over pairings of the product of kernel values.
-
-    Within each pair the earlier-listed insertion is the left kernel
-    argument.  `pairings` restricts the sum (e.g. to a connected
-    subset); by default all matchings are used.
-    """
-    if pairings is None:
-        pairings = enumerate_pairings(len(insertions))
-    total = 0.0 + 0.0j
-    for pairing in pairings:
-        prod = 1.0 + 0.0j
-        for i, j in pairing:
-            prod *= kernel.value(insertions[i], insertions[j])
-        total += prod
-    return total
 
 
 def connected_filter(
@@ -274,47 +221,6 @@ def _conservation_deltas(
     return n_tot % N == 0 and j_tot % M == 0
 
 
-def phi4_first_order_2to2(
-    grid: ModeGrid,
-    lam: float,
-    p1: int,
-    p2: int,
-    k1: int,
-    k2: int,
-    tau: float = 1e-3,
-    eps_i: float = 0.05,
-) -> complex:
-    """First-order 2->2 quartic amplitude on the slice/site lattice.
-
-    Assembles the per-leg amputation prefactors, the leg contraction
-    constants, the 4! connected leg assignments, and the lattice vertex
-    sum (an exact integer Kronecker delta for the plane-wave phases):
-
-        A1(tau) = -i lambda delta / (N M) x [a^2 / (4 sinh^2(a/2))]^2
-
-    with a = tau e_i, so A1 -> -i lambda V_lattice as tau -> 0.
-    Momentum- or energy-violating externals return exactly 0.0.
-    """
-    if grid.M_sites is None:
-        raise ValueError("quartic amplitudes need a site lattice (M_sites)")
-    M = grid.M_sites
-    N = _slice_count(grid, tau)
-    legs = [_leg_label(grid, k) for k in (p1, p2, k1, k2)]
-    if len({leg[1] % M for leg in legs}) != 4:
-        raise ValueError("coincident external momenta (externals must be distinct)")
-    if not _conservation_deltas(legs, (1, 1, -1, -1), N, M):
-        return 0.0 + 0.0j
-
-    consts = (
-        _leg_const(tau, eps_i, True) ** 2
-        * _leg_const(tau, eps_i, False) ** 2
-        / (N * M) ** 2
-    )
-    vertex = -1j * (lam / 24.0) * tau**2
-    n_connected = 24  # the 4! leg-to-vertex assignments kept by the filter
-    return vertex * n_connected * consts * (N * M)
-
-
 @lru_cache(maxsize=1)
 def _order2_buckets() -> list[tuple[int, int, tuple[int, ...], int]]:
     """Connected second-order pairing classes, enumerated once.
@@ -377,9 +283,17 @@ def smatrix_element(
 ) -> complex:
     """Connected 2->2 S-matrix element at the requested quartic order.
 
-    Order 1 delegates to phi4_first_order_2to2.  Order 2 sums the
-    connected two-vertex pairing classes — the three bubble channels
-    plus the external-leg tadpole classes — using translation
+    Both orders assemble the per-leg amputation prefactors and leg
+    contraction constants; momentum- or energy-violating externals
+    return exactly 0.0.  Order 1 adds the 4! connected leg assignments
+    and the lattice vertex sum (an exact integer Kronecker delta for
+    the plane-wave phases):
+
+        A1(tau) = -i lambda delta / (N M) x [a^2 / (4 sinh^2(a/2))]^2
+
+    with a = tau e_i, so A1 -> -i lambda V_lattice as tau -> 0.  Order
+    2 sums the connected two-vertex pairing classes — the three bubble
+    channels plus the external-leg tadpole classes — using translation
     invariance: one lattice difference sum per class against the
     closed-form internal-line table.
 
@@ -397,7 +311,12 @@ def smatrix_element(
     intermediate content is exactly one propagating pair; its
     regulator width 2*eps_i maps one-to-one onto a pair-state width,
     which is what an independent windowed perturbation-theory oracle
-    can reproduce without ambiguity.
+    can reproduce without ambiguity.  Order 2 with channel="all" has no
+    oracle: no experiment compares it with anything, so it is
+    unverified.
+
+    Raises ValueError for a grid without at least one site, and for
+    tau <= 0 or eps_i <= 0.
     """
     if order not in (1, 2):
         raise ValueError("perturbative order must be 1 or 2")
@@ -405,14 +324,10 @@ def smatrix_element(
         raise ValueError("channel must be 'all' or 's'")
     if len(in_modes) != 2 or len(out_modes) != 2:
         raise ValueError("only 2->2 processes are supported")
-    if order == 1:
-        return phi4_first_order_2to2(
-            grid, lam, in_modes[0], in_modes[1], out_modes[0], out_modes[1],
-            tau=tau, eps_i=eps_i,
-        )
-
-    if grid.M_sites is None:
-        raise ValueError("quartic amplitudes need a site lattice (M_sites)")
+    if grid.M_sites is None or grid.M_sites < 1:
+        raise ValueError("quartic amplitudes need a site lattice (M_sites >= 1)")
+    if tau <= 0 or eps_i <= 0:
+        raise ValueError(f"need tau > 0 and eps_i > 0, got tau={tau!r}, eps_i={eps_i!r}")
     M = grid.M_sites
     N = _slice_count(grid, tau)
     legs = [_leg_label(grid, k) for k in (*in_modes, *out_modes)]
@@ -428,6 +343,10 @@ def smatrix_element(
         / (N * M) ** 2
     )
     vertex = -1j * (lam / 24.0) * tau**2
+    if order == 1:
+        n_connected = 24  # the 4! leg-to-vertex assignments kept by the filter
+        return vertex * n_connected * consts * (N * M)
+
     table = propagator_table(grid, tau, eps_i)
     p0 = table[0, 0]
 

@@ -107,16 +107,49 @@ def test_write_csv_layout(tmp_path):
 # argument handling
 
 
-def test_tau_sweep_extends_sweep():
-    args = build_parser().parse_args(["propagator", "--tau-sweep"])
-    params = _collect_params(args)
-    assert params["sweep_points"] == 5
-
-
 def test_seed_range_is_validated():
     args = build_parser().parse_args(["fswap-cycle", "--seed", "-1"])
     with pytest.raises(ValueError, match="64-bit"):
         _collect_params(args)
+
+
+def _as_text(value) -> str:
+    """How a user writes a DEFAULTS value on the command line."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(map(_as_text, value)) + ","
+    return str(value)
+
+
+@pytest.mark.parametrize("name, key", [
+    (name, key) for name in sorted(DEFAULTS) for key in sorted(DEFAULTS[name])
+])
+def test_key_flag_overrides_that_key(name, key):
+    default = DEFAULTS[name][key]
+    args, overrides = build_parser().parse_known_args([name, f"--{key}", _as_text(default)])
+    params = _collect_params(args, overrides)
+    assert params == {key: default}
+    assert repr(params[key]) == repr(default)
+
+
+def test_negative_value_parses_as_a_value():
+    args, overrides = build_parser().parse_known_args(["propagator", "--eps_i", "-0.05"])
+    assert _collect_params(args, overrides) == {"eps_i": -0.05}
+
+
+@pytest.mark.parametrize("argv", [
+    ["smatrix", "--order"],
+    ["smatrix", "order", "2"],
+    ["smatrix", "--o", "2"],
+])
+def test_malformed_overrides_exit_2(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out", "reports"]) == 2
+    err = capsys.readouterr().err
+    assert "sqmlab: error:" in err and "Traceback" not in err
+    # `--o` is not an abbreviation of `--out`: no report is written anywhere
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_experiment_exits_with_usage_error(capsys):
@@ -341,6 +374,20 @@ def test_fuzzed_config_exits_cleanly(run):
         if code == 0:
             report = json.loads((Path(tmp) / f"{name}.json").read_text())
             assert report["summary"]["cases"] >= 1
+
+
+@pytest.mark.parametrize("order, key, value", [
+    (2, "T", "30.0"), (2, "n_a", "3"), (2, "n_b", "4"), (2, "eps_i", "0.1"),
+    (2, "tau", "0.1"), (2, "sweep_points", "4"), (2, "tol_volume", "1e-30"),
+    (2, "tol_tdpt", "1e-30"),
+    (1, "T2", "750.0"), (1, "n_a2", "40"), (1, "n_b2", "100"), (1, "eps_i2", "0.01"),
+    (1, "tau2", "0.2"), (1, "tol_pair", "1e-30"), (1, "tol_stability", "1e-30"),
+])
+def test_smatrix_key_of_the_other_order_exits_2(order, key, value, tmp_path, capsys):
+    argv = ["smatrix", "--order", str(order), f"--{key}", value, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "sqmlab: error:" in err and key in err.split()
 
 
 @pytest.mark.parametrize("name, line", [

@@ -10,15 +10,12 @@ from hypothesis import strategies as st
 from sqmlab import oracles, wick
 from sqmlab.grids import ModeGrid
 from sqmlab.wick import (
-    ContractionKernel,
-    Insertion,
     connected_filter,
     double_factorial,
     enumerate_pairings,
     lattice_volume_norm,
     smatrix_element,
     tau_extrapolate,
-    wick_evaluate,
 )
 
 
@@ -75,61 +72,6 @@ def test_double_factorial_values():
     assert [double_factorial(k) for k in (-1, 0, 1, 2, 3, 5, 7)] == [
         1, 1, 1, 2, 3, 15, 105,
     ]
-
-
-# ---------------------------------------------------------------------------
-# table-driven evaluation
-
-
-def _ins(kind, where=(0,), group=None, idx=0):
-    return Insertion(kind, where, idx if group is None else group)
-
-
-def test_evaluate_orders_kernel_arguments():
-    left = Insertion("create", (0,), 0)
-    right = Insertion("annihilate", (1,), 1)
-    kernel = ContractionKernel({
-        (left.key, right.key): 2.0 + 1.0j,
-        (right.key, left.key): -7.0,
-    })
-    # earlier-listed insertion is the left kernel argument
-    assert wick_evaluate([left, right], kernel) == 2.0 + 1.0j
-    assert wick_evaluate([right, left], kernel) == -7.0
-
-
-def test_evaluate_sums_all_three_matchings_of_four():
-    ins = [Insertion("f", (k,), k) for k in range(4)]
-    values = {(0, 1): 2.0, (2, 3): 3.0, (0, 2): 5.0,
-              (1, 3): 7.0, (0, 3): 11.0, (1, 2): 13.0}
-    kernel = ContractionKernel({
-        (ins[i].key, ins[j].key): v for (i, j), v in values.items()
-    })
-    assert wick_evaluate(ins, kernel) == 2 * 3 + 5 * 7 + 11 * 13
-    # explicit pairing restriction
-    assert wick_evaluate(ins, kernel, pairings=[((0, 1), (2, 3))]) == 6.0
-
-
-def test_evaluate_reproduces_thermal_four_point():
-    # <ad ad a a> over a Gaussian single-mode weight is 2 g^2 by matching
-    g = 0.37
-    c = Insertion("create", (0,), 0)
-    a = Insertion("annihilate", (0,), 0)
-    kernel = ContractionKernel({
-        (c.key, c.key): 0.0,
-        (a.key, a.key): 0.0,
-        (c.key, a.key): g,
-        (a.key, c.key): 1.0 + g,
-    })
-    got = wick_evaluate([c, c, a, a], kernel)
-    assert got == pytest.approx(2 * g * g, rel=1e-14)
-
-
-def test_missing_kernel_entry_raises_keyerror():
-    left = Insertion("x", (0,), 0)
-    right = Insertion("y", (1,), 1)
-    kernel = ContractionKernel({})
-    with pytest.raises(KeyError, match="no entry"):
-        wick_evaluate([left, right], kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +219,14 @@ def test_argument_validation():
     nosites = ModeGrid(T=60.0, modes=((5, 1), (2, 2), (2, 0), (5, 3)), m=1.0)
     with pytest.raises(ValueError, match="site lattice"):
         smatrix_element(nosites, (0, 1), (2, 3), 0.3, 1, tau=0.05, eps_i=0.05)
+    # degenerate windows, regulators and lattices, at both orders
+    zero_sites = conserving_grid(M=0)
+    for order in (1, 2):
+        with pytest.raises(ValueError, match="site lattice"):
+            smatrix_element(zero_sites, (0, 1), (2, 3), 0.3, order, tau=0.05, eps_i=0.05)
+        for tau, eps_i in [(0.0, 0.05), (-0.05, 0.05), (0.05, 0.0), (0.05, -0.05)]:
+            with pytest.raises(ValueError, match="tau > 0 and eps_i > 0"):
+                smatrix_element(grid, (0, 1), (2, 3), 0.3, order, tau=tau, eps_i=eps_i)
 
 
 # ---------------------------------------------------------------------------
