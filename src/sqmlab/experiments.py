@@ -433,7 +433,7 @@ def run_smatrix(params: dict) -> dict:
             if params[key] != DEFAULTS["smatrix"][key]]
     if idle:
         raise ValueError(f"order {order} does not use {', '.join(idle)}")
-    _require_positive(params, "T", "T2")
+    _require_positive(params, "T", "tau", "eps_i", "T2", "tau2", "eps_i2")
     if params["sweep_points"] < 2:
         raise ValueError("need sweep_points >= 2 for the slice-width extrapolation")
     runner = _run_smatrix_order1 if order == 1 else _run_smatrix_order2
@@ -596,13 +596,22 @@ def _conforms(value, default) -> bool:
     return isinstance(value, tuple) and all(_conforms(v, default[0]) for v in value)
 
 
-def _check_params(name: str, params: dict) -> None:
+def _as_float(key: str, value) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"parameter {key!r} must be finite, got {value!r}") from None
+
+
+def _check_params(name: str, params: dict) -> dict:
     """Reject overrides that would be ignored or would make a vacuous verdict.
 
     Every key must be one of the experiment's DEFAULTS keys, with the
     same type (a tuple takes the type of its first default element);
     real numbers must be finite, tolerances (keys starting with "tol")
-    nonnegative, and "cases" at least 1.
+    nonnegative, and "cases" at least 1.  Returns the overrides with an
+    int given for a real key made a float, so `tol = 1` and `tol = 1.0`
+    give the same report.
     """
     defaults = DEFAULTS[name]
     unknown = sorted(set(params) - set(defaults))
@@ -612,12 +621,18 @@ def _check_params(name: str, params: dict) -> None:
             tols = ", ".join(key for key in defaults if key.startswith("tol"))
             msg += f"; its tolerance keys are {tols}"
         raise ValueError(msg)
+    checked = {}
     for key, value in params.items():
         default = defaults[key]
         if not _conforms(value, default):
             raise ValueError(
                 f"parameter {key!r} of {name!r} must look like {default!r}, got {value!r}"
             )
+        if isinstance(default, float):
+            value = _as_float(key, value)
+        elif isinstance(default, tuple) and isinstance(default[0], float):
+            value = tuple(_as_float(key, v) for v in value)
+        checked[key] = value
         values = value if isinstance(value, tuple) else (value,)
         if any(isinstance(v, float) and not math.isfinite(v) for v in values):
             raise ValueError(f"parameter {key!r} must be finite, got {value!r}")
@@ -625,6 +640,7 @@ def _check_params(name: str, params: dict) -> None:
             raise ValueError(f"tolerance {key!r} must be nonnegative, got {value!r}")
     if params.get("cases", 1) < 1:
         raise ValueError(f"need cases >= 1, got {params['cases']}")
+    return checked
 
 
 def run_experiment(name: str, params: dict | None = None) -> dict:
@@ -635,9 +651,7 @@ def run_experiment(name: str, params: dict | None = None) -> dict:
     """
     if name not in RUNNERS:
         raise KeyError(f"unknown experiment {name!r}")
-    params = params or {}
-    _check_params(name, params)
-    merged = {**DEFAULTS[name], **params}
+    merged = {**DEFAULTS[name], **_check_params(name, params or {})}
     result = RUNNERS[name](merged)
     if not result["cases"]:
         raise ValueError(f"{name} with these parameters yields no cases")

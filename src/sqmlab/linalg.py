@@ -281,15 +281,21 @@ def inv(A: Operator) -> Operator:
 
 
 def mpow(A: Operator, k: int) -> Operator:
-    """Integer matrix power by repeated squaring; mpow(A, 0) = I."""
+    """Integer matrix power by repeated squaring; mpow(A, 0) = I.
+
+    The result starts from the first power it needs, not from I, so
+    mpow(A, 2) is one product.
+    """
     k = int(k)
     if k < 0:
         raise ValueError("mpow expects a nonnegative exponent")
-    result = np.eye(A.dim, dtype=complex)
+    if k == 0:
+        return Operator(np.eye(A.dim), A.dims)
+    result = None
     base = A.mat
     while k:
         if k & 1:
-            result = result @ base
+            result = base if result is None else result @ base
         k >>= 1
         if k:
             base = base @ base

@@ -13,6 +13,16 @@ normalized to unit trace.  The boundary factor V^{-N} = exp(+i eps N H)
 undoes the net winding of the cycle so that Tr[R · embed(A, s)] equals
 <psi|A_H(eps s)|psi> exactly; with it, all slice marginals are genuine
 pure-state projectors even though R itself is not hermitian.
+
+R is stored dense, because marginals, region reductions and spectra
+need its entries.  Its powers are not multiplied out densely above a
+fixed dimension: since C carries slice N-1 to slice 0, left
+multiplication by R is one slab apply,
+
+    R · M = E · embed(V†·b·V, N-1) · M / Tr,      b = |psi0><psi0| · V^{-N},
+
+at O(N·d·D²) per D x D matrix instead of O(D³), and R^k is built from
+the stored R by k-1 of them.
 """
 
 from __future__ import annotations
@@ -23,7 +33,12 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .linalg import Ket, Operator, expm, mpow, partial_trace
-from .timeslab import SliceLayout, apply_local, build_action, slice_factors
+from .timeslab import QuantumAction, SliceLayout, apply_local, build_action, slice_factors
+
+# Largest D at which power_and_pseudoentropy multiplies R out densely; above
+# it, k-1 slab applies of R beat the dense products (1 BLAS thread: a tie near
+# D = 256, 2-3x faster at D = 512).
+_DENSE_POWER_MAX_DIM = 256
 
 
 @dataclass(frozen=True)
@@ -32,14 +47,24 @@ class SpacetimeState:
 
     `site_dims` optionally factorizes each slice into spatial sites,
     enabling reductions onto spacetime regions of (slice, site) cells.
+    `action` and `boundary` are the slab action E and the slice-0
+    boundary factor b that R was built from, R = embed(b, 0)·E / raw_trace.
     """
 
     R: Operator
-    layout: SliceLayout
+    action: QuantumAction
+    boundary: Operator
     psi0: Ket
-    H: Operator
     raw_trace: complex
     site_dims: Optional[tuple[int, ...]] = None
+
+    @property
+    def layout(self) -> SliceLayout:
+        return self.action.layout
+
+    @property
+    def H(self) -> Operator:
+        return self.action.H
 
     @property
     def N(self) -> int:
@@ -80,7 +105,8 @@ def build_R(
         if int(np.prod(site_dims)) != layout.d:
             raise ValueError("site_dims must factorize the slice dimension")
         R = R.reshaped(site_dims * N)
-    return SpacetimeState(R=R, layout=layout, psi0=psi0, H=H, raw_trace=tr, site_dims=site_dims)
+    return SpacetimeState(R=R, action=qa, boundary=boundary, psi0=psi0, raw_trace=tr,
+                          site_dims=site_dims)
 
 
 def _slice_factors(st: SpacetimeState) -> int:
@@ -131,10 +157,25 @@ def causality_witness_oracle(st: SpacetimeState, A: Operator, B: Operator, t: in
 
 
 def power_and_pseudoentropy(st: SpacetimeState, k: int) -> tuple[Operator, complex]:
-    """(R^k, Tr[R^k]).  For pure unitary provenance Tr[R^k] = 1 for all k."""
+    """(R^k, Tr[R^k]).  For pure unitary provenance Tr[R^k] = 1 for all k.
+
+    Up to D = _DENSE_POWER_MAX_DIM this is the dense matrix power of R.
+    Above it, R^k = R·(R·(...·R)) with the stored R as the rightmost
+    factor and each left multiplication applied through R's slab factors
+    (E with V†·b·V / raw_trace on slice N-1), so a fault in the stored R
+    still shows in the trace.
+    """
     if k < 1:
         raise ValueError("need k >= 1")
-    Rk = mpow(st.R, k)
+    if st.layout.total_dim <= _DENSE_POWER_MAX_DIM:
+        Rk = mpow(st.R, k)
+    else:
+        V = st.action.V.mat
+        last = {st.N - 1: V.conj().T @ st.boundary.mat @ V / st.raw_trace}
+        M = st.R.mat
+        for _ in range(k - 1):
+            M = st.action.apply(M, last)
+        Rk = Operator(M, st.R.dims)
     return Rk, Rk.trace()
 
 

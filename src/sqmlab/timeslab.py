@@ -26,7 +26,6 @@ references for the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -163,9 +162,13 @@ class QuantumAction:
         local = {t: V @ factors[t] if t in factors else V for t in range(layout.N)}
         return _cycle_rows(layout, apply_local(layout, M, local))
 
-    @cached_property
+    @property
     def exp_action(self) -> Operator:
-        """Dense E: the rows of V^{⊗N} permuted by C, with no matrix product."""
+        """Dense E: the rows of V^{⊗N} permuted by C, with no matrix product.
+
+        Built on each access and not kept, so an action held by a
+        spacetime state holds no D x D matrix.
+        """
         W = kron(*([self.V] * self.layout.N)).mat
         return Operator(_cycle_rows(self.layout, W), self.layout.dims)
 

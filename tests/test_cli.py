@@ -286,6 +286,7 @@ def test_nonpositive_cases_exit_2(cases, tmp_path, capsys):
     ("trace-theorem", "tol = inf"),
     ("trace-theorem", "tol = -1e-3"),
     ("propagator", "tol_ed = -inf"),
+    pytest.param("trace-theorem", "tol = 1" + "0" * 400, id="trace-theorem-tol = 10**400"),
 ])
 def test_bad_tolerance_exits_2(name, line, tmp_path, capsys):
     cfg = tmp_path / "tol.cfg"
@@ -306,6 +307,24 @@ def test_mistyped_values_exit_2(tmp_path, capsys):
         cfg.write_text(line + "\n")
         assert main([name, "--config", str(cfg), "--out", str(tmp_path)]) == 2, line
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("name, line, int_flags, float_flags", [
+    ("causality-witness", "tol = 1", ["--tol", "1"], ["--tol", "1.0"]),
+    ("dirac-propagator", "p_moving = 1, 0, 0, 0", ["--p_moving", "1,0,0,0"],
+     ["--p_moving", "1.0,0.0,0.0,0.0"]),
+])
+def test_int_for_a_real_key_gives_the_same_report(name, line, int_flags, float_flags,
+                                                  tmp_path, capsys):
+    cfg = tmp_path / "int.cfg"
+    cfg.write_text(line + "\n")
+    runs = {"int": int_flags, "float": float_flags, "config": ["--config", str(cfg)]}
+    cases = ["--cases", "2"] if "cases" in DEFAULTS[name] else []
+    for label, flags in runs.items():
+        assert main([name, *cases, *flags, "--out", str(tmp_path / label)]) == 0
+    capsys.readouterr()
+    reports = {(tmp_path / label / f"{name}.json").read_bytes() for label in runs}
+    assert len(reports) == 1
 
 
 def test_run_without_cases_exits_2(tmp_path, capsys):
@@ -403,3 +422,10 @@ def test_degenerate_values_exit_2_without_traceback(name, line, tmp_path, capsys
     cfg.write_text(line + "\n")
     assert main([name, "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "sqmlab: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order, key", [(1, "tau"), (1, "eps_i"), (2, "tau2"), (2, "eps_i2")])
+def test_smatrix_degenerate_window_names_its_key(order, key, tmp_path, capsys):
+    argv = ["smatrix", "--order", str(order), f"--{key}", "0.0", "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert f"need {key} > 0," in capsys.readouterr().err

@@ -141,8 +141,12 @@ class TestDecompositions:
     def test_mpow(self):
         rng = np.random.default_rng(13)
         A = Operator(rand_ginibre(rng, 3))
-        np.testing.assert_allclose(mpow(A, 0).mat, np.eye(3))
-        np.testing.assert_allclose(mpow(A, 3).mat, A.mat @ A.mat @ A.mat)
+        expected = np.eye(3)
+        for k in range(6):
+            Ak = mpow(A, k)
+            np.testing.assert_allclose(Ak.mat, expected, rtol=1e-13, atol=1e-13)
+            assert Ak.dims == A.dims
+            expected = expected @ A.mat
 
 
 class TestRandom:

@@ -1,12 +1,16 @@
 """Spacetime density operator: marginals, witnesses, region reductions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sqmlab.linalg import expm, kron, rand_hermitian, rand_ket
+from sqmlab.experiments import DEFAULTS
+from sqmlab.linalg import Operator, expm, kron, mpow, rand_ginibre, rand_hermitian, rand_ket
 from sqmlab.timeslab import cycle_shift, embed_at_slice
 from sqmlab.spacetime import (
+    _DENSE_POWER_MAX_DIM,
     build_R,
     causality_witness,
     causality_witness_oracle,
@@ -20,9 +24,13 @@ from sqmlab.spacetime import (
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
-def _state(seed: int, d: int = 2, N: int = 3, eps: float = 0.29):
+def _state(seed: int, d: int = 2, N: int = 3, eps: float = 0.29, site_dims=None):
     rng = np.random.default_rng(seed)
-    return build_R(rand_ket(rng, d), rand_hermitian(rng, d), eps, N)
+    return build_R(rand_ket(rng, d), rand_hermitian(rng, d), eps, N, site_dims=site_dims)
+
+
+# (d, N, site_dims): two dense-power and two slab-power dimensions
+POWER_STATES = [(2, 3, None), (4, 3, (2, 2)), (2, 9, None), (8, 3, (2, 4))]
 
 
 class TestMarginals:
@@ -41,6 +49,33 @@ class TestMarginals:
         for k in range(1, 7):
             _, tr = power_and_pseudoentropy(st_state, k)
             assert tr == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("d, N, site_dims", POWER_STATES)
+    def test_powers_match_dense_matrix_power(self, d, N, site_dims):
+        st_state = _state(10 + N, d=d, N=N, site_dims=site_dims)
+        for k in range(1, 7):
+            Rk, tr = power_and_pseudoentropy(st_state, k)
+            ref = mpow(st_state.R, k)
+            assert Rk.dims == st_state.R.dims
+            scale = np.max(np.abs(ref.mat))
+            np.testing.assert_allclose(Rk.mat, ref.mat, rtol=0, atol=1e-12 * scale)
+            assert tr == Rk.trace()
+
+    def test_power_states_straddle_the_dense_limit(self):
+        dims = [d**N for d, N, _ in POWER_STATES]
+        assert min(dims) <= _DENSE_POWER_MAX_DIM < 512 <= max(dims)
+
+    @pytest.mark.parametrize("d, N, site_dims", POWER_STATES)
+    def test_perturbed_R_moves_the_trace_powers(self, d, N, site_dims):
+        # the stored R is a factor of every power: a fault in it must show
+        st_state = _state(20 + N, d=d, N=N, site_dims=site_dims)
+        rng = np.random.default_rng(N)
+        G = rand_ginibre(rng, d**N)
+        R_bad = st_state.R.mat + 1e-4 * G / np.linalg.norm(G)
+        bad = dataclasses.replace(st_state, R=Operator(R_bad, st_state.R.dims))
+        tol = DEFAULTS["st-state-marginals"]["tol_trace"]
+        for k in range(1, 7):
+            assert abs(power_and_pseudoentropy(bad, k)[1] - 1.0) > tol
 
     def test_renyi_vanishes(self):
         st_state = _state(2, d=2, N=4)
