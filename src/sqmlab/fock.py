@@ -18,6 +18,10 @@ number of slices at fixed window T.  Two interchangeable state engines
 are provided — a dense truncated-Fock representation, and an exact
 particle-number-sector representation (vacuum/one/two-particle blocks)
 that has no truncation error and scales to the N of the anomaly scans.
+The dense engine applies each single-leg ladder to the state viewed as
+an (n_max+1)^L occupation tensor, on that leg's axis, so a probe costs
+O(D) and no D x D operator is formed; `ladder` stays the dense builder
+for the extended modes, the free action and the tests.
 """
 
 from __future__ import annotations
@@ -91,10 +95,14 @@ def _single_ladder(n_max: int) -> np.ndarray:
     return a
 
 
-def ladder(lf: LatticeFock, t: int, p: int, kind: str) -> Operator:
-    """Dense a(t,p) or a†(t,p) on the full truncated lattice space."""
+def _check_dense_cap(lf: LatticeFock) -> None:
     if lf.dense_dim > DENSE_DIM_CAP:
         raise ValueError(f"dense space of dim {lf.dense_dim} exceeds cap {DENSE_DIM_CAP}")
+
+
+def ladder(lf: LatticeFock, t: int, p: int, kind: str) -> Operator:
+    """Dense a(t,p) or a†(t,p) on the full truncated lattice space."""
+    _check_dense_cap(lf)
     if kind not in ("create", "annihilate"):
         raise ValueError("kind must be 'create' or 'annihilate'")
     a = _single_ladder(lf.n_max)
@@ -107,6 +115,17 @@ def ladder(lf: LatticeFock, t: int, p: int, kind: str) -> Operator:
     if leg < lf.legs - 1:
         factors.append(identity((lf.n_max + 1,) * (lf.legs - 1 - leg)))
     return kron(*factors)
+
+
+def _apply_leg(lf: LatticeFock, op: np.ndarray, leg: int, v: np.ndarray) -> np.ndarray:
+    """Apply the single-leg operator `op` to the dense state v on axis `leg`.
+
+    Equals kron(I, op, I) @ v without forming the D x D operator: v is
+    viewed as an (n_max+1)^L occupation tensor and `op` contracts its
+    leg axis, O(D * (n_max+1)) per call.
+    """
+    psi = np.moveaxis(v.reshape(lf.leg_dims), leg, 0)
+    return np.moveaxis(np.tensordot(op, psi, axes=1), 0, leg).reshape(-1)
 
 
 def vacuum(lf: LatticeFock) -> Ket:
@@ -238,9 +257,10 @@ def _one_particle_history(lf: LatticeFock, p: int, engine: str):
     phases = np.exp(-1j * E * lf.eps * np.arange(lf.N)) / math.sqrt(lf.N)
     if engine == "dense":
         vac = vacuum(lf).vec
-        v = np.zeros_like(vac)
+        adag = _single_ladder(lf.n_max).T
+        v = np.zeros(lf.dense_dim, dtype=complex)
         for t in range(lf.N):
-            v += phases[t] * (ladder(lf, t, p, "create").mat @ vac)
+            v += phases[t] * _apply_leg(lf, adag, lf.leg(t, p), vac)
         return None, v
     sf = SectorFock(lf.legs)
     v = np.zeros(sf.dim, dtype=complex)
@@ -254,6 +274,8 @@ def _choose_engine(lf: LatticeFock, engine: str) -> str:
         return "dense" if lf.dense_dim <= DENSE_DIM_CAP else "sector"
     if engine not in ("dense", "sector"):
         raise ValueError("engine must be 'auto', 'dense' or 'sector'")
+    if engine == "dense":
+        _check_dense_cap(lf)  # before any D-vector is allocated
     return engine
 
 
@@ -276,6 +298,11 @@ def naive_conditioning_check(
     out N+1 against the standard 2: the internal contraction
     <vac|a(t,p)a†(t,p)|vac> = 1 on every slice survives conditioning
     and contributes an extra N-1.
+
+    Both engines evaluate the slab value as a norm, N*||a v||^2 for the
+    normal-ordered probe and N*||a† v||^2 for the other, with the single
+    ladder applied to the state (the dense engine on the leg's axis of
+    the occupation tensor, the sector engine in its pair basis).
     """
     if not 0 <= t < lf.N:
         raise ValueError(f"slice {t} out of range")
@@ -283,18 +310,14 @@ def naive_conditioning_check(
         raise ValueError("non-normal-ordered probe needs n_max >= 2 for the oracle")
     eng = _choose_engine(lf, engine)
     sf, v = _one_particle_history(lf, p, eng)
+    leg = lf.leg(t, p)
     if eng == "dense":
-        adag = ladder(lf, t, p, "create").mat
-        a = adag.conj().T
-        op = adag @ a if normal_ordered else a @ adag
-        slab = complex(lf.N * np.vdot(v, op @ v))
+        a = _single_ladder(lf.n_max)
+        w = _apply_leg(lf, a if normal_ordered else a.T, leg, v)
     else:
-        if normal_ordered:
-            w = sf.annihilate(lf.leg(t, p), v)
-            slab = complex(lf.N * np.vdot(w, w))
-        else:
-            w = sf.create(lf.leg(t, p), v)
-            slab = complex(lf.N * np.vdot(w, w))
+        w = (sf.annihilate if normal_ordered else sf.create)(leg, v)
+    # <v|a†a|v> = ||a v||^2 and <v|a a†|v> = ||a† v||^2
+    slab = complex(lf.N * np.vdot(w, w))
 
     # standard single-mode oracle: |psi(t)> = e^{-iE eps t} |1>
     n_loc = lf.n_max + 1
@@ -316,13 +339,11 @@ def internal_contraction(lf: LatticeFock, t: int = 0, p: int = 0, engine: str = 
     """
     eng = _choose_engine(lf, engine)
     if eng == "dense":
-        vac = vacuum(lf).vec
-        w = ladder(lf, t, p, "create").mat @ vac
-        raw = float(np.real(np.vdot(w, w)))
+        w = _apply_leg(lf, _single_ladder(lf.n_max).T, lf.leg(t, p), vacuum(lf).vec)
     else:
         sf = SectorFock(lf.legs)
         w = sf.create(lf.leg(t, p), sf.vacuum())
-        raw = float(np.real(np.vdot(w, w)))
+    raw = float(np.real(np.vdot(w, w)))
     return raw / lf.eps
 
 

@@ -16,6 +16,12 @@ grid is refined (image terms die like e^{-e_i T}).  The Feynman
 propagator is assembled from two such mode terms via the partial
 fraction i/(p0-E) - i/(p0+E) = 2E i/(p0^2-E^2).
 
+Both routes run on arrays: the tower sums (two_time_contraction,
+feynman_kernel, feynman_propagator_grid) evaluate every mode of a tower
+as one numpy sum, and feynman_kernel_closed takes an integer array of
+time differences, evaluating each power w^r as e^{r z} with
+z = -i tau (E - i e_i), so its rounding does not grow with r.
+
 Signs of tau and e_i are not restricted here: flipping e_i (and tau)
 produces the anti-time-ordered branch, which is exactly the complex
 conjugate — the hermiticity-flip property tests rely on evaluating
@@ -59,10 +65,14 @@ def gaussian_pair_correlator(w: GaussianWeight, k: int, l: int) -> complex:
     return 1.0 / (cmath.exp(lam) - 1.0)
 
 
-def _mode_corr(tau: float, gap: float, eps_i: float) -> complex:
-    """1 / (exp(-i tau (gap + i eps_i)) - 1) — the <a†a>-type mode value."""
-    den = cmath.exp(-1j * tau * (gap + 1j * eps_i)) - 1.0
-    if den == 0:
+def _mode_corr(tau: float, gap, eps_i: float):
+    """1 / (exp(-i tau (gap + i eps_i)) - 1) — the <a†a>-type mode value.
+
+    `gap` may be a scalar or an array of per-mode gaps; the value has
+    its shape.
+    """
+    den = np.exp(-1j * tau * (gap + 1j * eps_i)) - 1.0
+    if np.any(den == 0):
         raise PoleError("mode correlator pole: tau*(gap + i eps_i) = 0 mod 2 pi")
     return 1.0 / den
 
@@ -76,16 +86,21 @@ def tau_mode_correlator(grid: ModeGrid, tau: float, eps_i: float, p: int, k: int
     """
     if p != k:
         return 0.0 + 0.0j
-    return _mode_corr(tau, grid.gap(p), eps_i)
+    return complex(_mode_corr(tau, grid.gap(p), eps_i))
 
 
-def _tower(grid: ModeGrid, sp) -> tuple[list[int], int]:
+def _tower(grid: ModeGrid, sp) -> list[int]:
     groups = tower_slices(grid)
     key = (sp,) if isinstance(sp, int) else tuple(sp)
     if key not in groups:
         raise ValueError(f"grid has no frequency tower at spatial index {key}")
-    idxs = groups[key]
-    return idxs, len(idxs)
+    return groups[key]
+
+
+def _omegas(grid: ModeGrid, idxs: list[int]) -> np.ndarray:
+    """Frequencies 2 pi n0 / T of the listed modes, as one array."""
+    labels = np.array([grid.modes[k][0] for k in idxs])
+    return 2.0 * math.pi * labels / grid.T
 
 
 def two_time_contraction(
@@ -98,13 +113,11 @@ def two_time_contraction(
     e^{-eps_i T} corrections; t < t' is the anti-ordered side and is
     suppressed to 0 at the same rate.
     """
-    idxs, N = _tower(grid, sp)
-    dt = tau * (t - tp)
-    total = 0.0 + 0.0j
-    for k in idxs:
-        w = grid.omega(k)
-        total += cmath.exp(-1j * w * dt) * (1.0 + _mode_corr(tau, grid.gap(k), eps_i))
-    return total / N
+    idxs = _tower(grid, sp)
+    w = _omegas(grid, idxs)
+    gaps = np.array([grid.gap(k) for k in idxs])
+    terms = np.exp(-1j * w * (tau * (t - tp))) * (1.0 + _mode_corr(tau, gaps, eps_i))
+    return complex(np.sum(terms) / len(idxs))
 
 
 def two_time_closed_form(
@@ -119,6 +132,17 @@ def two_time_closed_form(
     return w ** (dt_slices % N) / (1.0 - w**N)
 
 
+def _tower_kernel(grid: ModeGrid, idxs: list[int], tau: float, eps_i: float,
+                  dt_slices: int) -> complex:
+    """The O(N) tower sum of feynman_kernel over the modes `idxs`."""
+    w = _omegas(grid, idxs)
+    E = grid.energy(idxs[0])
+    c_minus = _mode_corr(tau, w - E, eps_i)
+    c_plus = _mode_corr(tau, w + E, -eps_i)
+    terms = np.exp(-1j * w * (tau * dt_slices)) * (c_minus - c_plus)
+    return complex(np.sum(terms) / len(idxs))
+
+
 def feynman_kernel(grid: ModeGrid, tau: float, eps_i: float, dt_slices: int, sp=()) -> complex:
     """Single-tower time-ordered kernel: (1/N) sum_w e^{-i w dt} [corr- - corr+].
 
@@ -127,35 +151,34 @@ def feynman_kernel(grid: ModeGrid, tau: float, eps_i: float, dt_slices: int, sp=
     fraction giving i/(p0^2 - E^2 + i eps_i) * 2E.  The tau -> 0 limit
     at fixed T is theta-ordered e^{-iE|dt|} plus O(e^{-eps_i T}) images;
     the equal-time value is 1 (so the propagator carries 1/(2E) there).
+    The sum runs over the whole tower as one array; it is kept as the
+    explicit mode sum (not the closed form) so that the two can be
+    compared.
     """
-    idxs, N = _tower(grid, sp)
-    dt = tau * dt_slices
-    E = grid.energy(idxs[0])
-    total = 0.0 + 0.0j
-    for k in idxs:
-        w = grid.omega(k)
-        c_minus = _mode_corr(tau, w - E, eps_i)
-        c_plus = _mode_corr(tau, w + E, -eps_i)
-        total += cmath.exp(-1j * w * dt) * (c_minus - c_plus)
-    return total / N
+    return _tower_kernel(grid, _tower(grid, sp), tau, eps_i, dt_slices)
 
 
-def feynman_kernel_closed(
-    N: int, tau: float, eps_i: float, E: float, dt_slices: int
-) -> complex:
+def feynman_kernel_closed(N: int, tau: float, eps_i: float, E: float, dt_slices):
     """Exact geometric resummation of the tower kernel.
 
     Equals feynman_kernel on a full N-tower to machine precision (the
-    property tests pin this); O(1) instead of O(N), which the
-    perturbative lattice sums rely on.  With w = e^{-i tau (E - i e_i)}
-    the two mode series resum to (w^{r} + w^{s}) / (1 - w^N) where
-    r is the smallest positive representative of dt mod N and
-    s = (-dt) mod N.
+    property tests pin this); O(1) per time difference instead of O(N),
+    which the perturbative lattice sums rely on.  With
+    z = -i tau (E - i e_i) and w = e^z the two mode series resum to
+    (w^{r} + w^{s}) / (1 - w^N), where r is the smallest positive
+    representative of dt mod N and s = (-dt) mod N.  Each power is
+    evaluated as e^{r z}: raising the rounded w to an integer power
+    would multiply its rounding error by r.
+
+    `dt_slices` may be an int (the value is a complex) or an integer
+    array (the value is a complex array of its shape).
     """
-    w = cmath.exp(-1j * tau * (E - 1j * eps_i))
-    r = ((dt_slices - 1) % N) + 1
-    s = (-dt_slices) % N
-    return (w**r + w**s) / (1.0 - w**N)
+    z = complex(-tau * eps_i, -tau * E)
+    dt = np.asarray(dt_slices)
+    r = (dt - 1) % N + 1
+    s = (-dt) % N
+    value = (np.exp(r * z) + np.exp(s * z)) / -np.expm1(N * z)
+    return complex(value) if value.ndim == 0 else value
 
 
 def feynman_propagator_grid(
@@ -179,7 +202,7 @@ def feynman_propagator_grid(
     work = grid if m is None else ModeGrid(grid.T, grid.modes, m, grid.M_sites,
                                            grid.energy_override)
     (tx, sx), (ty, sy) = x, y
-    groups = tower_slices(work)
+    groups = tower_slices(work)  # once per call: it checks every tower
     M = work.M_sites
     total = 0.0 + 0.0j
     for sp, idxs in groups.items():
@@ -189,6 +212,6 @@ def feynman_propagator_grid(
         E = work.energy(idxs[0])
         if E <= 0:
             raise ValueError("propagator needs strictly positive mode energies")
-        kern = feynman_kernel(work, tau, eps_i, tx - ty, sp)
+        kern = _tower_kernel(work, idxs, tau, eps_i, tx - ty)
         total += cmath.exp(1j * p * (sx - sy)) / (2.0 * E) * kern
     return total / M

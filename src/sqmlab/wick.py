@@ -3,12 +3,14 @@
 The perturbative weight is Gaussian, so every insertion mean value is a
 sum over perfect matchings of two-point values.  `enumerate_pairings`
 lists the matchings and `connected_filter` keeps those whose
-contraction graph is connected.  `_order2_buckets` runs the two once
-over the twelve insertions of a 2->2 amplitude at second order (four
-external legs, two four-leg vertices) and reduces the 4032 connected
-pairings to classes with integer multiplicities.  A class's value is
-one lattice difference sum against the closed-form internal-line
-table, so no single pairing is evaluated at run time.
+contraction graph is connected.  Run once over the twelve insertions
+of a 2->2 amplitude at second order (four external legs, two four-leg
+vertices), they reduce the 4032 connected pairings to 14 classes of
+288; the classes are pinned as the literal `_ORDER2_BUCKETS`, and the
+tests rebuild it from the enumerator.  A class's value is one lattice
+difference sum against the internal-line table, so no pairing is
+enumerated or evaluated at run time.  The table is one array-valued
+call of the closed-form tower kernel per site-class energy.
 
 On top of the buckets sits the quartic S-matrix assembly on an
 N-slice x M-site lattice.  Conventions (fixed here, validated end to
@@ -34,7 +36,6 @@ small.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -186,7 +187,8 @@ def propagator_table(grid: ModeGrid, tau: float, eps_i: float) -> np.ndarray:
 
     P is the time-ordered pair kernel summed over spatial momenta,
     (1/M) sum_j e^{i p_j dx} K_j(dt) / (2 E_j), built from the exact
-    closed-form tower kernel.
+    closed-form tower kernel: one gaussian.feynman_kernel_closed call
+    per site class, on the whole array dt = 0..N-1.
     """
     if grid.M_sites is None:
         raise ValueError("propagator table needs a site lattice (M_sites)")
@@ -206,7 +208,7 @@ def propagator_table(grid: ModeGrid, tau: float, eps_i: float) -> np.ndarray:
     for j, E in enumerate(energies):
         if E <= 0:
             raise ValueError("internal lines need strictly positive energies")
-        kern = np.array([feynman_kernel_closed(N, tau, eps_i, E, int(dt)) for dt in dts])
+        kern = feynman_kernel_closed(N, tau, eps_i, E, dts)
         phases = np.exp(2j * np.pi * j * np.arange(M) / M)
         table += np.outer(kern, phases) / (2.0 * E)
     return table / M
@@ -221,39 +223,28 @@ def _conservation_deltas(
     return n_tot % N == 0 and j_tot % M == 0
 
 
-@lru_cache(maxsize=1)
-def _order2_buckets() -> list[tuple[int, int, tuple[int, ...], int]]:
-    """Connected second-order pairing classes, enumerated once.
-
-    Insertions: externals 0..3 (singleton groups), vertex-z legs 4..7,
-    vertex-w legs 8..11.  Each surviving pairing reduces to
-    (m crossing lines, s self-loops, externals attached to z) — the
-    value of a pairing depends only on that signature, so the classes
-    carry integer multiplicities.
-    """
-    groups = [0, 1, 2, 3, 4, 4, 4, 4, 5, 5, 5, 5]
-    z_legs = frozenset(range(4, 8))
-    w_legs = frozenset(range(8, 12))
-    counts: dict[tuple[int, int, tuple[int, ...]], int] = {}
-    for pairing in connected_filter(enumerate_pairings(12), groups):
-        m = s = 0
-        at_z: list[int] = []
-        for i, j in pairing:
-            iz, jz = i in z_legs, j in z_legs
-            iw, jw = i in w_legs, j in w_legs
-            if (iz and jw) or (iw and jz):
-                m += 1
-            elif (iz and jz) or (iw and jw):
-                s += 1
-            elif i < 4 and (jz or jw):
-                if jz:
-                    at_z.append(i)
-            elif j < 4 and (iz or iw):
-                if iz:
-                    at_z.append(j)
-        key = (m, s, tuple(sorted(at_z)))
-        counts[key] = counts.get(key, 0) + 1
-    return [(m, s, sz, c) for (m, s, sz), c in sorted(counts.items())]
+# Connected second-order pairing classes (m crossing lines, s self-loops,
+# externals attached to vertex z, multiplicity).  Insertions: externals
+# 0..3 (singleton groups), vertex-z legs 4..7, vertex-w legs 8..11; the
+# value of a pairing depends only on its signature, so the 4032 connected
+# pairings of enumerate_pairings(12) reduce to these classes.
+# tests/test_wick.py rebuilds the table from the enumerator.
+_ORDER2_BUCKETS: tuple[tuple[int, int, tuple[int, ...], int], ...] = (
+    (1, 1, (0,), 288),
+    (1, 1, (0, 1, 2), 288),
+    (1, 1, (0, 1, 3), 288),
+    (1, 1, (0, 2, 3), 288),
+    (1, 1, (1,), 288),
+    (1, 1, (1, 2, 3), 288),
+    (1, 1, (2,), 288),
+    (1, 1, (3,), 288),
+    (2, 0, (0, 1), 288),
+    (2, 0, (0, 2), 288),
+    (2, 0, (0, 3), 288),
+    (2, 0, (1, 2), 288),
+    (2, 0, (1, 3), 288),
+    (2, 0, (2, 3), 288),
+)
 
 
 def _ext_phase_grid(
@@ -352,7 +343,7 @@ def smatrix_element(
 
     pair_signatures = ((2, 0, (0, 1)), (2, 0, (2, 3)))
     total = 0.0 + 0.0j
-    for m, s, sz, count in _order2_buckets():
+    for m, s, sz, count in _ORDER2_BUCKETS:
         if channel == "s" and (m, s, sz) not in pair_signatures:
             continue
         phase = _ext_phase_grid(legs, signs, sz, N, M)

@@ -22,6 +22,7 @@ from sqmlab.fermions import (
     quadratic_action,
     regulated_mass,
 )
+from sqmlab import experiments, fermions
 from sqmlab.linalg import Operator, SingularMatrixError
 
 EYE4 = np.eye(4)
@@ -369,6 +370,39 @@ def test_cycle_matches_dense_fswap_network(N, M):
         target = (leg + M) % layout.legs if N > 1 else leg
         moved = dense @ _kron_chain_annihilator(layout, leg) @ dense.T
         assert np.array_equal(moved, signs[leg] * _kron_chain_annihilator(layout, target))
+
+
+@pytest.mark.parametrize("N, M", [(1, 2), (2, 1), (3, 1), (2, 2), (3, 2)])
+def test_fswap_experiment_matches_dense_products(N, M):
+    params = dict(experiments.DEFAULTS["fswap-cycle"], N=N, M=M)
+    report = experiments.run_fswap_cycle(params)
+    layout = FermionLayout(N, M)
+    U, signs = fermionic_cycle(layout)
+    expected = {}
+    for leg in range(layout.legs):
+        target = (leg + M) % layout.legs if N > 1 else leg
+        moved = U.mat @ _kron_chain_annihilator(layout, leg) @ U.mat.conj().T
+        expected[f"conjugation[leg={leg}]"] = np.max(
+            np.abs(moved - signs[leg] * _kron_chain_annihilator(layout, target)))
+    P = parity_operator(layout).mat
+    expected["parity_commutes"] = np.max(np.abs(U.mat @ P - P @ U.mat))
+    got = {c["case"]: c["abs_err"] for c in report["cases"]}
+    assert {k: got[k] for k in expected} == expected
+    assert report["summary"]["all_pass"]
+
+
+def test_fswap_experiment_fails_a_wrong_cycle(monkeypatch):
+    def bad_cycle(layout):
+        U, signs = fermionic_cycle(layout)
+        mat = U.mat.copy()
+        mat[:, 1] *= -1.0  # one basis state picks up a wrong sign
+        return Operator(mat, U.dims), signs
+
+    monkeypatch.setattr(fermions, "fermionic_cycle", bad_cycle)
+    params = dict(experiments.DEFAULTS["fswap-cycle"], N=3, M=2)
+    report = experiments.run_fswap_cycle(params)
+    failed = {c["case"] for c in report["cases"] if not c["pass"]}
+    assert "conjugation[leg=0]" in failed
 
 
 @pytest.mark.parametrize("N, M", CYCLE_LAYOUTS)

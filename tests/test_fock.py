@@ -21,6 +21,7 @@ from sqmlab.fock import (
     predicted_mismatch_ratio,
     vacuum,
 )
+from sqmlab import fock
 
 
 def _small(N=3, M=1, E=1.5, n_max=2, T=4.0) -> LatticeFock:
@@ -123,6 +124,55 @@ class TestSectorEngine:
         sector = naive_conditioning_check(lf, 0, normal_ordered, engine="sector")
         assert dense[0] == pytest.approx(sector[0], abs=1e-12)
         assert dense[1] == pytest.approx(sector[1], abs=1e-12)
+
+
+def _dense_reference_check(lf, t, normal_ordered, p):
+    """The slab value of naive_conditioning_check from full D x D ladders."""
+    vac = vacuum(lf).vec
+    phases = np.exp(-1j * lf.energies[p] * lf.eps * np.arange(lf.N)) / math.sqrt(lf.N)
+    v = sum(phases[s] * (ladder(lf, s, p, "create").mat @ vac) for s in range(lf.N))
+    adag = ladder(lf, t, p, "create").mat
+    a = adag.conj().T
+    op = adag @ a if normal_ordered else a @ adag
+    return complex(lf.N * np.vdot(v, op @ v))
+
+
+LATTICES = st.tuples(
+    st.integers(1, 5), st.sampled_from([1, 2]), st.sampled_from([2, 3]),
+).filter(lambda c: (c[2] + 1) ** (c[0] * c[1]) <= 1024)
+
+
+class TestDenseStateApply:
+    @settings(max_examples=25, deadline=None)
+    @given(LATTICES, st.integers(0, 9), st.integers(0, 1), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_leg_apply_matches_dense_ladder(self, shape, t, p, create, seed):
+        N, M, n_max = shape
+        lf = LatticeFock(N=N, M=M, energies=(1.3,) * M, n_max=n_max, eps=0.7)
+        t, p = t % N, p % M
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=lf.dense_dim) + 1j * rng.normal(size=lf.dense_dim)
+        a = fock._single_ladder(n_max)
+        got = fock._apply_leg(lf, a.T if create else a, lf.leg(t, p), v)
+        kind = "create" if create else "annihilate"
+        np.testing.assert_allclose(got, ladder(lf, t, p, kind).mat @ v, rtol=0, atol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(LATTICES, st.integers(0, 9), st.integers(0, 1), st.booleans())
+    def test_conditioning_check_matches_dense_products(self, shape, t, p, normal_ordered):
+        N, M, n_max = shape
+        lf = LatticeFock(N=N, M=M, energies=(1.5, 0.8)[:M], n_max=n_max, eps=4.0 / N)
+        t, p = t % N, p % M
+        slab, standard = naive_conditioning_check(lf, t, normal_ordered, p, engine="dense")
+        assert slab == pytest.approx(_dense_reference_check(lf, t, normal_ordered, p),
+                                     abs=1e-12)
+        assert standard == pytest.approx(1.0 if normal_ordered else 2.0, abs=1e-14)
+
+    def test_dense_engine_respects_the_cap(self):
+        lf = LatticeFock(N=13, M=1, energies=(1.0,), n_max=3, eps=0.1)
+        with pytest.raises(ValueError, match="exceeds cap"):
+            naive_conditioning_check(lf, 0, True, engine="dense")
+        with pytest.raises(ValueError, match="exceeds cap"):
+            internal_contraction(lf, engine="dense")
 
 
 class TestAnomaly:

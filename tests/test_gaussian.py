@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sqmlab import wick
+from sqmlab.experiments import DEFAULTS
 from sqmlab.gaussian import (
     GaussianWeight,
     PoleError,
@@ -20,6 +22,27 @@ from sqmlab.gaussian import (
 )
 from sqmlab.grids import ModeGrid, frequency_tower
 from sqmlab.oracles import thermal_pair_bruteforce, timeordered_two_point_ed
+
+def closed_form_pow_reference(N, tau, eps_i, E, dt):
+    """The scalar resummed kernel with the rounded w raised to integer powers."""
+    w = cmath.exp(-1j * tau * (E - 1j * eps_i))
+    r = ((dt - 1) % N) + 1
+    s = (-dt) % N
+    return (w**r + w**s) / (1.0 - w**N)
+
+
+def tower_loop_reference(grid, tau, eps_i, dt):
+    """The tower kernel as an explicit per-mode scalar loop."""
+    N = len(grid)
+    E = grid.energy(0)
+    total = 0.0 + 0.0j
+    for k in range(N):
+        w = grid.omega(k)
+        c_minus = 1.0 / (cmath.exp(-1j * tau * (w - E + 1j * eps_i)) - 1.0)
+        c_plus = 1.0 / (cmath.exp(-1j * tau * (w + E - 1j * eps_i)) - 1.0)
+        total += cmath.exp(-1j * w * tau * dt) * (c_minus - c_plus)
+    return total / N
+
 
 LAMBDAS = st.builds(complex, st.floats(0.5, 4.0), st.floats(-3.0, 3.0))
 
@@ -99,6 +122,73 @@ class TestTowerResummation:
         lhs = feynman_kernel(grid, tau, eps_i, dt)
         rhs = feynman_kernel_closed(N, tau, eps_i, E, dt)
         assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 30000),
+        st.floats(0.02, 0.5),
+        st.floats(0.01, 0.4),
+        st.floats(0.1, 2.5),
+        st.lists(st.integers(-60000, 60000), max_size=5),
+    )
+    def test_array_closed_form_matches_scalar_powers(self, N, tau, eps_i, E, extra):
+        dts = np.array([0, 1, -1, N // 2, -(N // 2), N - 1, *extra])
+        got = feynman_kernel_closed(N, tau, eps_i, E, dts)
+        assert got.shape == dts.shape
+        ref = np.array([closed_form_pow_reference(N, tau, eps_i, E, int(dt)) for dt in dts])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # a scalar time difference gives the same entry as a plain complex
+        scalar = feynman_kernel_closed(N, tau, eps_i, E, int(dts[3]))
+        assert type(scalar) is complex
+        assert scalar == got[3]
+
+    @pytest.mark.parametrize("tau_key_scale", [1.0, 0.5])
+    def test_propagator_table_at_smatrix_defaults(self, tau_key_scale):
+        # the order-2 smatrix run builds the table at tau2 and tau2 / 2
+        p = DEFAULTS["smatrix"]
+        T, M, eps_i = p["T2"], p["M_sites"], p["eps_i2"]
+        tau = p["tau2"] * tau_key_scale
+        e_a = 2 * math.pi * p["n_a2"] / T
+        e_b = 2 * math.pi * p["n_b2"] / T
+        grid = ModeGrid(T=T, modes=((p["n_b2"], 1), (p["n_a2"], 2), (p["n_a2"], 0),
+                                    (p["n_b2"], 3)),
+                        m=1.0, M_sites=M, energy_override=(e_b, e_a, e_a, e_b))
+        table = wick.propagator_table(grid, tau, eps_i)
+        N = round(T / tau)
+        assert table.shape == (N, M)
+        energies = (e_a, e_b, e_a, e_b)  # site classes 0..3
+        kern = np.array([[closed_form_pow_reference(N, tau, eps_i, E, dt)
+                          for E in energies] for dt in range(N)])
+        phases = np.exp(2j * np.pi * np.outer(np.arange(M), np.arange(M)) / M)
+        ref = (kern / (2.0 * np.array(energies))) @ phases / M
+        assert np.max(np.abs(table - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(2, 200),
+        st.floats(0.02, 0.5),
+        st.floats(0.01, 0.4),
+        st.floats(0.1, 2.5),
+        st.integers(-250, 250),
+    )
+    def test_feynman_kernel_matches_scalar_tower_loop(self, N, tau, eps_i, E, dt):
+        grid = frequency_tower(N * tau, tau, energies=[E])
+        got = feynman_kernel(grid, tau, eps_i, dt)
+        ref = tower_loop_reference(grid, tau, eps_i, dt)
+        assert type(got) is complex
+        assert got == pytest.approx(ref, abs=1e-12 * max(1.0, abs(ref)))
+
+    def test_feynman_kernel_pole_on_exact_zero_denominator(self):
+        # a mode exactly on shell with no regulator: w - E == 0.0 exactly
+        N, tau = 8, 0.25
+        T = N * tau
+        grid = frequency_tower(T, tau, energies=[2.0 * math.pi * 1 / T])
+        with pytest.raises(PoleError):
+            feynman_kernel(grid, tau, 0.0, 1)
+        sited = frequency_tower(T, tau, spatial=((0,),), M_sites=1,
+                                energies=[2.0 * math.pi * 1 / T])
+        with pytest.raises(PoleError):
+            feynman_propagator_grid(sited, tau, 0.0, (1, 0), (0, 0))
 
     def test_equal_time_contraction_is_unit(self):
         N, tau, eps_i, E = 400, 0.05, 0.4, 1.3

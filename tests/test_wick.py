@@ -110,8 +110,42 @@ def test_two_vertex_connected_count_is_4032():
     assert len(connected_filter(pairings, groups)) == 4032
 
 
+def _classify_order2_pairings():
+    """Reduce the connected two-vertex pairings to (m, s, at_z, count) classes.
+
+    Insertions: externals 0..3 (singleton groups), vertex-z legs 4..7,
+    vertex-w legs 8..11; m counts z-w lines, s self-loops, at_z lists
+    the externals attached to z.
+    """
+    groups = [0, 1, 2, 3, 4, 4, 4, 4, 5, 5, 5, 5]
+    z_legs = frozenset(range(4, 8))
+    w_legs = frozenset(range(8, 12))
+    counts = {}
+    for pairing in connected_filter(enumerate_pairings(12), groups):
+        m = s = 0
+        at_z = []
+        for i, j in pairing:
+            iz, jz = i in z_legs, j in z_legs
+            iw, jw = i in w_legs, j in w_legs
+            if (iz and jw) or (iw and jz):
+                m += 1
+            elif (iz and jz) or (iw and jw):
+                s += 1
+            elif i < 4 and jz:
+                at_z.append(i)
+            elif j < 4 and iz:
+                at_z.append(j)
+        key = (m, s, tuple(sorted(at_z)))
+        counts[key] = counts.get(key, 0) + 1
+    return tuple((m, s, sz, c) for (m, s, sz), c in sorted(counts.items()))
+
+
+def test_order2_bucket_literal_matches_enumeration():
+    assert wick._ORDER2_BUCKETS == _classify_order2_pairings()
+
+
 def test_second_order_classes_all_carry_288():
-    buckets = wick._order2_buckets()
+    buckets = wick._ORDER2_BUCKETS
     assert len(buckets) == 14
     assert all(count == 288 for _, _, _, count in buckets)
     assert sum(count for _, _, _, count in buckets) == 4032
