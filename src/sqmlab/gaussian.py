@@ -19,8 +19,9 @@ fraction i/(p0-E) - i/(p0+E) = 2E i/(p0^2-E^2).
 Both routes run on arrays: the tower sums (two_time_contraction,
 feynman_kernel, feynman_propagator_grid) evaluate every mode of a tower
 as one numpy sum, and feynman_kernel_closed takes an integer array of
-time differences, evaluating each power w^r as e^{r z} with
-z = -i tau (E - i e_i), so its rounding does not grow with r.
+time differences.  Both closed forms (feynman_kernel_closed and
+two_time_closed_form) evaluate each power w^r as e^{r z} with
+z = -i tau (E - i e_i), so their rounding does not grow with r.
 
 Signs of tau and e_i are not restricted here: flipping e_i (and tau)
 produces the anti-time-ordered branch, which is exactly the complex
@@ -127,9 +128,12 @@ def two_time_closed_form(
 
     Equals two_time_contraction on a full tower to machine precision;
     kept separate as an independent cross-check and for large-N use.
+    With z = -i tau (E - i eps_i) the power w^r is evaluated as e^{r z}
+    and 1 - w^N as -expm1(N z), so the rounding of w is not raised to
+    the power r.
     """
-    w = cmath.exp(-1j * tau * (E - 1j * eps_i))
-    return w ** (dt_slices % N) / (1.0 - w**N)
+    z = complex(-tau * eps_i, -tau * E)
+    return complex(np.exp((dt_slices % N) * z) / -np.expm1(N * z))
 
 
 def _tower_kernel(grid: ModeGrid, idxs: list[int], tau: float, eps_i: float,

@@ -231,7 +231,12 @@ def partial_trace(A: Operator, keep: Iterable[int]) -> Operator:
     Returns
     -------
     Operator
-        dims restricted to `keep`; trace is preserved exactly.
+        dims restricted to `keep`; trace is preserved up to rounding.
+
+    One `np.einsum` over the (row factors, column factors) tensor: a
+    traced factor's column axis carries its row label, so only the
+    diagonal of the traced factors is read and no intermediate of the
+    untraced size is built.
     """
     keep_set = set(int(k) for k in keep)
     n = len(A.dims)
@@ -242,13 +247,9 @@ def partial_trace(A: Operator, keep: Iterable[int]) -> Operator:
     if keep_sorted == list(range(n)):
         return A
 
-    tensor = A.mat.reshape(A.dims + A.dims)
-    # Contract row index n_i with column index n+i for every traced factor.
-    traced = [i for i in range(n) if i not in keep_set]
-    for offset, i in enumerate(traced):
-        j = i - offset  # row-axis position after earlier contractions
-        m = tensor.ndim // 2
-        tensor = np.trace(tensor, axis1=j, axis2=m + j)
+    cols = [n + i if i in keep_set else i for i in range(n)]
+    tensor = np.einsum(A.mat.reshape(A.dims + A.dims), [*range(n), *cols],
+                       [*keep_sorted, *(n + i for i in keep_sorted)])
     new_dims = tuple(A.dims[i] for i in keep_sorted)
     size = math.prod(new_dims) if new_dims else 1
     return Operator(tensor.reshape(size, size), new_dims if new_dims else (1,))

@@ -14,31 +14,34 @@ undoes the net winding of the cycle so that Tr[R · embed(A, s)] equals
 <psi|A_H(eps s)|psi> exactly; with it, all slice marginals are genuine
 pure-state projectors even though R itself is not hermitian.
 
-R is stored dense, because marginals, region reductions and spectra
-need its entries.  Its powers are not multiplied out densely above a
-fixed dimension: since C carries slice N-1 to slice 0, left
-multiplication by R is one slab apply,
+R is stored dense, and each read of it costs what its answer needs.
+Marginals, region reductions and insertion traces touch only the
+diagonal blocks of the traced slices: they are partial traces by one
+einsum that reads the traced factors' diagonal, and an insertion trace
+is then a trace of the inserted operators against the reduced state
+on the inserted slices.  Powers are never multiplied out densely:
+since C carries slice N-1 to slice 0, left multiplication by R is one
+slab apply,
 
     R · M = E · embed(V†·b·V, N-1) · M / Tr,      b = |psi0><psi0| · V^{-N},
 
-at O(N·d·D²) per D x D matrix instead of O(D³), and R^k is built from
-the stored R by k-1 of them.
+at O(N·d·D²) per D x D matrix instead of O(D³), and
+
+    Tr R^k = sum_ij (R^a)_ij (R^b)_ji,      a = ceil(k/2), b = floor(k/2),
+
+with R^a built from the stored R by a-1 such applies and R^b met on
+the way, so Tr R^k costs floor((k-1)/2) applies instead of k-1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import Ket, Operator, expm, mpow, partial_trace
+from .linalg import Ket, Operator, expm, partial_trace
 from .timeslab import QuantumAction, SliceLayout, apply_local, build_action, slice_factors
-
-# Largest D at which power_and_pseudoentropy multiplies R out densely; above
-# it, k-1 slab applies of R beat the dense products (1 BLAS thread: a tie near
-# D = 256, 2-3x faster at D = 512).
-_DENSE_POWER_MAX_DIM = 256
 
 
 @dataclass(frozen=True)
@@ -125,10 +128,20 @@ def marginal(st: SpacetimeState, t: int) -> Operator:
 def insertion_trace(st: SpacetimeState, inserts: Sequence[tuple[Operator, int]]) -> complex:
     """Tr[R · prod_t embed(O_t, t)] — the time-ordered correlator form.
 
-    Evaluated as Tr[prod_t embed(O_t, t) · R], one local factor per slice.
+    Evaluated as Tr[(⊗_t F_t) · R_ins], with F_t the product of the
+    operators inserted at slice t (in the order given) and R_ins the
+    partial trace of R onto the inserted slices, so only the diagonal
+    blocks of the other slices are read.
     """
     factors = slice_factors(st.layout, inserts)
-    return complex(np.trace(apply_local(st.layout, st.R.mat, factors)))
+    slices = sorted(factors)
+    k, m = _slice_factors(st), len(slices)
+    reduced = partial_trace(st.R, [t * k + x for t in slices for x in range(k)]).mat
+    # sum over a, b of prod_s F_s[a_s, b_s] · R_ins[b, a], without forming ⊗_s F_s
+    operands = [reduced.reshape((st.layout.d,) * 2 * m), [*range(m, 2 * m), *range(m)]]
+    for s, t in enumerate(slices):
+        operands += [factors[t], [s, m + s]]
+    return complex(np.einsum(*operands, []))
 
 
 def causality_witness(st: SpacetimeState, A: Operator, B: Operator, t: int = 1) -> complex:
@@ -137,15 +150,14 @@ def causality_witness(st: SpacetimeState, A: Operator, B: Operator, t: int = 1) 
     For hermitian A, B this equals <psi|[B_H(eps t), A]|psi>: the
     difference between the time-ordered and anti-time-ordered pair
     correlators, i.e. a direct witness of causal (non)commutation.
-    Evaluated as Tr[X·R] - conj(Tr[X†·R]) with X = embed(A,0)·embed(B,t)
-    applied to R one slice at a time.
+    Evaluated as Tr[R·X] - conj(Tr[R·X†]) with X = embed(A,0)·embed(B,t),
+    both by insertion_trace, so only R's partial trace onto slices 0
+    and t is formed.
     """
     if not 0 < t < st.N:
         raise ValueError(f"need a strictly later slice 0 < t < {st.N}")
-    layout, R = st.layout, st.R.mat
-    XR = apply_local(layout, R, {0: A.mat, t: B.mat})
-    XdR = apply_local(layout, R, {0: A.mat.conj().T, t: B.mat.conj().T})
-    return complex(np.trace(XR)) - complex(np.trace(XdR)).conjugate()
+    forward = insertion_trace(st, [(A, 0), (B, t)])
+    return forward - insertion_trace(st, [(A.dag(), 0), (B.dag(), t)]).conjugate()
 
 
 def causality_witness_oracle(st: SpacetimeState, A: Operator, B: Operator, t: int = 1) -> complex:
@@ -156,27 +168,38 @@ def causality_witness_oracle(st: SpacetimeState, A: Operator, B: Operator, t: in
     return complex(np.vdot(st.psi0.vec, comm @ st.psi0.vec))
 
 
-def power_and_pseudoentropy(st: SpacetimeState, k: int) -> tuple[Operator, complex]:
-    """(R^k, Tr[R^k]).  For pure unitary provenance Tr[R^k] = 1 for all k.
+def power_and_pseudoentropy(
+    st: SpacetimeState, k: int
+) -> tuple[Callable[[], Operator], complex]:
+    """(R^k on demand, Tr[R^k]).  For pure unitary provenance Tr[R^k] = 1 for all k.
 
-    Up to D = _DENSE_POWER_MAX_DIM this is the dense matrix power of R.
-    Above it, R^k = R·(R·(...·R)) with the stored R as the rightmost
-    factor and each left multiplication applied through R's slab factors
-    (E with V†·b·V / raw_trace on slice N-1), so a fault in the stored R
-    still shows in the trace.
+    R^a, a = ceil(k/2), is R·(R·(...·R)) with the stored R as the
+    rightmost factor and each left multiplication applied through R's
+    slab factors (E with V†·b·V / raw_trace on slice N-1); R^b,
+    b = floor(k/2), is the last or the next-to-last matrix of that loop,
+    and Tr[R^k] = sum_ij (R^a)_ij (R^b)_ji.  The stored R is a factor of
+    both halves, so a fault in it still shows in the trace.  The first
+    element is a zero-argument callable that builds R^k by k-1 of the
+    same applies when called.
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    if st.layout.total_dim <= _DENSE_POWER_MAX_DIM:
-        Rk = mpow(st.R, k)
-    else:
-        V = st.action.V.mat
-        last = {st.N - 1: V.conj().T @ st.boundary.mat @ V / st.raw_trace}
+    V = st.action.V.mat
+    last = {st.N - 1: V.conj().T @ st.boundary.mat @ V / st.raw_trace}
+
+    def power() -> Operator:
         M = st.R.mat
         for _ in range(k - 1):
             M = st.action.apply(M, last)
-        Rk = Operator(M, st.R.dims)
-    return Rk, Rk.trace()
+        return Operator(M, st.R.dims)
+
+    Rb, Ra = None, st.R.mat
+    for _ in range((k - 1) // 2):
+        Rb, Ra = Ra, st.action.apply(Ra, last)
+    if k % 2 == 0:
+        Rb = Ra
+    tr = np.trace(Ra) if Rb is None else np.einsum("ij,ji->", Ra, Rb)
+    return power, complex(tr)
 
 
 def renyi_pseudoentropy(st: SpacetimeState, k: int) -> complex:

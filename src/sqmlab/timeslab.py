@@ -19,8 +19,8 @@ implemented and cross-checked:
 E is never multiplied out on the slab route: it is applied to whole
 D = d^N dimensional columns as one local factor per slice followed by a
 roll of the slice axes (`QuantumAction.apply`), at O(N·d·D) per column.
-The dense matrices `cycle_shift` and `embed_at_slice` are kept as
-references for the tests.
+The dense permutation C and the dense embeddings of slice operators
+live with the tests, as references.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .linalg import Ket, Operator, expm, identity, kron
+from .linalg import Ket, Operator, expm, kron
 
 DEFAULT_DIM_CAP = 4096
 _COLUMN_BLOCK = 128  # identity columns per pass through E in trace_theorem_lhs
@@ -58,36 +58,6 @@ class SliceLayout:
     @property
     def total_dim(self) -> int:
         return self.d**self.N
-
-
-def cycle_shift(layout: SliceLayout) -> Operator:
-    """Permutation unitary sending |i0 i1 ... i_{N-1}> to |i_{N-1} i0 ... i_{N-2}>.
-
-    For N = 2, d = 2 this is the 4x4 SWAP.  Its N-th power is the
-    identity, and conjugation by it advances slice labels by one.
-    Dense reference for the tests; the slab route applies C as a roll
-    of the slice axes.
-    """
-    d, N = layout.d, layout.N
-    size = layout.total_dim
-    cols = np.arange(size)
-    digits = np.array(np.unravel_index(cols, layout.dims))  # shape (N, size)
-    rows = np.ravel_multi_index(tuple(np.roll(digits, 1, axis=0)), layout.dims)
-    mat = np.zeros((size, size))
-    mat[rows, cols] = 1.0
-    return Operator(mat, layout.dims)
-
-
-def embed_at_slice(O: Operator, t: int, layout: SliceLayout) -> Operator:
-    """I^{⊗t} ⊗ O ⊗ I^{⊗(N-1-t)}; dense reference for the tests."""
-    if O.dim != layout.d:
-        raise ValueError(f"insertion is {O.dim}-dimensional, slices are {layout.d}")
-    if not 0 <= t < layout.N:
-        raise ValueError(f"slice index {t} out of range [0, {layout.N})")
-    left = identity((layout.d,) * t) if t else None
-    right = identity((layout.d,) * (layout.N - 1 - t)) if t < layout.N - 1 else None
-    factors = [f for f in (left, O, right) if f is not None]
-    return kron(*factors)
 
 
 def apply_local(
@@ -131,7 +101,7 @@ def slice_factors(
 
 @dataclass(frozen=True)
 class QuantumAction:
-    """The action exponential E = cycle_shift · ⊗_t exp(-i eps H), kept as its step V."""
+    """The action exponential E = C · ⊗_t exp(-i eps H), kept as its step V."""
 
     layout: SliceLayout
     H: Operator

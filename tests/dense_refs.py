@@ -1,0 +1,60 @@
+"""Dense references the tests compare the structured engines against.
+
+None of these is used by the library: the slab route applies the cyclic
+shift as a roll of the slice axes, slice operators as local factors,
+and partial traces as one einsum.  Here each is written out the plain
+way, as a full matrix or a loop.
+"""
+
+import math
+
+import numpy as np
+
+from sqmlab.linalg import Operator, identity, kron
+from sqmlab.timeslab import SliceLayout
+
+
+def cycle_shift(layout: SliceLayout) -> Operator:
+    """Permutation unitary sending |i0 i1 ... i_{N-1}> to |i_{N-1} i0 ... i_{N-2}>.
+
+    For N = 2, d = 2 this is the 4x4 SWAP.  Its N-th power is the
+    identity, and conjugation by it advances slice labels by one.
+    """
+    size = layout.total_dim
+    cols = np.arange(size)
+    digits = np.array(np.unravel_index(cols, layout.dims))  # shape (N, size)
+    rows = np.ravel_multi_index(tuple(np.roll(digits, 1, axis=0)), layout.dims)
+    mat = np.zeros((size, size))
+    mat[rows, cols] = 1.0
+    return Operator(mat, layout.dims)
+
+
+def embed_at_slice(O: Operator, t: int, layout: SliceLayout) -> Operator:
+    """I^{⊗t} ⊗ O ⊗ I^{⊗(N-1-t)}."""
+    if O.dim != layout.d:
+        raise ValueError(f"insertion is {O.dim}-dimensional, slices are {layout.d}")
+    if not 0 <= t < layout.N:
+        raise ValueError(f"slice index {t} out of range [0, {layout.N})")
+    left = identity((layout.d,) * t) if t else None
+    right = identity((layout.d,) * (layout.N - 1 - t)) if t < layout.N - 1 else None
+    factors = [f for f in (left, O, right) if f is not None]
+    return kron(*factors)
+
+
+def partial_trace_loop(A: Operator, keep) -> Operator:
+    """Partial trace by one np.trace per traced factor, in ascending order.
+
+    Each np.trace contracts a row axis with its column axis and builds
+    the whole remaining tensor.
+    """
+    keep_set = set(int(k) for k in keep)
+    n = len(A.dims)
+    tensor = A.mat.reshape(A.dims + A.dims)
+    traced = [i for i in range(n) if i not in keep_set]
+    for offset, i in enumerate(traced):
+        j = i - offset  # row-axis position after earlier contractions
+        m = tensor.ndim // 2
+        tensor = np.trace(tensor, axis1=j, axis2=m + j)
+    new_dims = tuple(A.dims[i] for i in sorted(keep_set)) or (1,)
+    size = math.prod(new_dims)
+    return Operator(tensor.reshape(size, size), new_dims)

@@ -31,6 +31,13 @@ def closed_form_pow_reference(N, tau, eps_i, E, dt):
     return (w**r + w**s) / (1.0 - w**N)
 
 
+def closed_form_longdouble(N, tau, eps_i, E, dt):
+    """exp(r z) / (-expm1(N z)), r = dt mod N, z = -i tau (E - i eps_i), in np.clongdouble."""
+    L = np.longdouble
+    z = np.clongdouble(-L(tau) * L(eps_i)) + np.clongdouble(1j) * (-L(tau) * L(E))
+    return complex(np.exp(L(dt % N) * z) / -np.expm1(L(N) * z))
+
+
 def tower_loop_reference(grid, tau, eps_i, dt):
     """The tower kernel as an explicit per-mode scalar loop."""
     N = len(grid)
@@ -189,6 +196,21 @@ class TestTowerResummation:
                                 energies=[2.0 * math.pi * 1 / T])
         with pytest.raises(PoleError):
             feynman_propagator_grid(sited, tau, 0.0, (1, 0), (0, 0))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="needs an extended-precision long double")
+    @pytest.mark.parametrize("n_key", ["n_a2", "n_b2"])
+    def test_two_time_closed_form_at_large_N(self, n_key):
+        # the order-2 smatrix window at tau2 / 2 has N = 30000 slices; a
+        # rounded w raised to the power r = dt mod N is off by ~r * 1e-16 there
+        p = DEFAULTS["smatrix"]
+        tau = p["tau2"] / 2
+        N = round(p["T2"] / tau)
+        E = 2 * math.pi * p[n_key] / p["T2"]
+        assert N == 30000
+        for dt in (N // 2, N - 1):
+            ref = closed_form_longdouble(N, tau, 1e-3, E, dt)
+            assert abs(two_time_closed_form(N, tau, 1e-3, E, dt) - ref) <= 1e-13 * abs(ref)
 
     def test_equal_time_contraction_is_unit(self):
         N, tau, eps_i, E = 400, 0.05, 0.4, 1.3

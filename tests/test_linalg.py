@@ -22,6 +22,8 @@ from sqmlab.linalg import (
     rand_unitary,
 )
 
+from dense_refs import partial_trace_loop
+
 DIMS = st.integers(min_value=2, max_value=5)
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -113,6 +115,22 @@ class TestPartialTrace:
         A = Operator(rand_ginibre(rng, d1 * d2), dims=(d1, d2))
         for keep in ([0], [1], [0, 1]):
             assert partial_trace(A, keep).trace() == pytest.approx(A.trace())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=4), st.data(), SEEDS)
+    def test_matches_sequential_trace_loop(self, dims, data, seed):
+        n = len(dims)
+        keep = data.draw(st.one_of(
+            st.just([]),  # keep none
+            st.just([*reversed(range(n)), 0]),  # keep all, unsorted, with a duplicate
+            st.lists(st.integers(0, n - 1), max_size=2 * n),  # unsorted, duplicates
+        ))
+        A = Operator(rand_ginibre(np.random.default_rng(seed), int(np.prod(dims))), dims)
+        got, ref = partial_trace(A, keep), partial_trace_loop(A, keep)
+        assert got.dims == ref.dims
+        # the two sum the same diagonal entries in a different order
+        atol = 4 * np.finfo(float).eps * A.dim * np.max(np.abs(A.mat))
+        np.testing.assert_allclose(got.mat, ref.mat, rtol=0, atol=atol)
 
     def test_product_state_factorizes(self):
         rng = np.random.default_rng(7)

@@ -8,9 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sqmlab.experiments import DEFAULTS
 from sqmlab.linalg import Operator, expm, kron, mpow, rand_ginibre, rand_hermitian, rand_ket
-from sqmlab.timeslab import cycle_shift, embed_at_slice
 from sqmlab.spacetime import (
-    _DENSE_POWER_MAX_DIM,
     build_R,
     causality_witness,
     causality_witness_oracle,
@@ -21,6 +19,8 @@ from sqmlab.spacetime import (
     renyi_pseudoentropy,
 )
 
+from dense_refs import cycle_shift, embed_at_slice
+
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
@@ -29,7 +29,7 @@ def _state(seed: int, d: int = 2, N: int = 3, eps: float = 0.29, site_dims=None)
     return build_R(rand_ket(rng, d), rand_hermitian(rng, d), eps, N, site_dims=site_dims)
 
 
-# (d, N, site_dims): two dense-power and two slab-power dimensions
+# (d, N, site_dims): two states at D <= 256 and two at D >= 512
 POWER_STATES = [(2, 3, None), (4, 3, (2, 2)), (2, 9, None), (8, 3, (2, 4))]
 
 
@@ -54,16 +54,29 @@ class TestMarginals:
     def test_powers_match_dense_matrix_power(self, d, N, site_dims):
         st_state = _state(10 + N, d=d, N=N, site_dims=site_dims)
         for k in range(1, 7):
-            Rk, tr = power_and_pseudoentropy(st_state, k)
+            power, tr = power_and_pseudoentropy(st_state, k)
+            Rk = power()
             ref = mpow(st_state.R, k)
             assert Rk.dims == st_state.R.dims
             scale = np.max(np.abs(ref.mat))
             np.testing.assert_allclose(Rk.mat, ref.mat, rtol=0, atol=1e-12 * scale)
-            assert tr == Rk.trace()
+            # the trace sums the half powers' product, not R^k's diagonal
+            assert abs(tr - Rk.trace()) <= 1e-12 * np.max(np.abs(Rk.mat))
 
-    def test_power_states_straddle_the_dense_limit(self):
+    @pytest.mark.parametrize("d, N, site_dims", POWER_STATES)
+    def test_rescaled_state_has_geometric_trace_powers(self, d, N, site_dims):
+        # c·R, both stored and in the slab factors, has Tr (cR)^k = c^k, so a
+        # half power of the wrong order shows as a wrong power of c
+        st_state = _state(30 + N, d=d, N=N, site_dims=site_dims)
+        c = 1.25
+        scaled = dataclasses.replace(st_state, R=c * st_state.R,
+                                     raw_trace=st_state.raw_trace / c)
+        for k in range(1, 7):
+            assert power_and_pseudoentropy(scaled, k)[1] == pytest.approx(c**k, rel=1e-12)
+
+    def test_power_states_span_small_and_large_dims(self):
         dims = [d**N for d, N, _ in POWER_STATES]
-        assert min(dims) <= _DENSE_POWER_MAX_DIM < 512 <= max(dims)
+        assert min(dims) <= 256 and max(dims) >= 512
 
     @pytest.mark.parametrize("d, N, site_dims", POWER_STATES)
     def test_perturbed_R_moves_the_trace_powers(self, d, N, site_dims):
@@ -125,6 +138,7 @@ class TestInsertionTrace:
             val = insertion_trace(st_state, [(O, t)])
             expected = st_state.evolved(t).expectation(O)
             assert val == pytest.approx(expected, abs=1e-12)
+        assert insertion_trace(st_state, []) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestRegions:
@@ -150,11 +164,12 @@ class TestStructuredAgainstDense:
     """Slice-local applies against dense traces built from embed_at_slice."""
 
     @settings(max_examples=30, deadline=None)
-    @given(st.sampled_from([2, 3]), st.integers(2, 4), SEEDS)
-    def test_state_witness_and_insertion_trace(self, d, N, seed):
+    @given(st.sampled_from([(2, None), (3, None), (4, (2, 2))]), st.integers(2, 4), SEEDS)
+    def test_state_witness_and_insertion_trace(self, slice_dims, N, seed):
+        d, site_dims = slice_dims
         rng = np.random.default_rng(seed)
         psi, H = rand_ket(rng, d), rand_hermitian(rng, d)
-        st_state = build_R(psi, H, 0.33, N)
+        st_state = build_R(psi, H, 0.33, N, site_dims=site_dims)
         lay, R = st_state.layout, st_state.R.mat
         V = expm(-1j * 0.33 * H)
         raw = (embed_at_slice(psi.outer() @ expm(1j * 0.33 * N * H), 0, lay)

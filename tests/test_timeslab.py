@@ -9,12 +9,12 @@ from sqmlab.timeslab import (
     SliceLayout,
     build_action,
     constraint_expectation,
-    cycle_shift,
-    embed_at_slice,
     slice_factors,
     trace_theorem_lhs,
     trace_theorem_rhs,
 )
+
+from dense_refs import cycle_shift, embed_at_slice
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
