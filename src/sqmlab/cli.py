@@ -6,11 +6,12 @@
 Reports are deterministic: a fixed seed and config produce a
 byte-identical JSON file (sorted keys, complex numbers as [re, im],
 cases sorted by case key).  The exit status is 0 iff every case
-passed.  Config files are flat key=value lines; values parse as int,
-float, bool, comma list, or string.  After the experiment name, every
-further --KEY VALUE pair overrides that key of the experiment's
-DEFAULTS, its value parsed as in a config file, and overrides the
-config file too.
+passed, 1 if a case failed, and 2 for bad input, including a value
+the run cannot represent (an ArithmeticError).  Config files are flat
+key=value lines; values parse as int, float, bool, comma list, or
+string.  After the experiment name, every further --KEY VALUE pair
+overrides that key of the experiment's DEFAULTS, its value parsed as
+in a config file, and overrides the config file too.
 """
 
 from __future__ import annotations
@@ -154,8 +155,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         params = _collect_params(args, overrides)
         report = run_experiment(args.experiment, params)
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"sqmlab: error: {exc}", file=sys.stderr)
+    except (ValueError, KeyError, OSError, ArithmeticError) as exc:
+        arith = isinstance(exc, ArithmeticError)
+        why = f"parameters out of numeric range ({type(exc).__name__}): " if arith else ""
+        print(f"sqmlab: error: {why}{exc}", file=sys.stderr)
         return 2
 
     report = {"schema": 1, "experiment": args.experiment, **report}

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import Ket, Operator, basis_ket, expm, mpow
+from .linalg import Ket, Operator, expm, mpow
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,12 @@ def _require_positive(params: dict, *keys: str) -> None:
             raise ValueError(f"need {key} > 0, got {params[key]!r}")
 
 
+def _require_at_least(params: dict, key: str, least: int, purpose: str) -> None:
+    """Reject a count below the smallest one that still makes `purpose` run."""
+    if params[key] < least:
+        raise ValueError(f"need {key} >= {least} for {purpose}, got {params[key]!r}")
+
+
 def _finish(cases: list[dict]) -> dict:
     cases = sorted(cases, key=lambda c: c["case"])
     failures = sum(not c["pass"] for c in cases)
@@ -133,6 +139,7 @@ def run_constraint_theorem(params: dict) -> dict:
 
 
 def run_st_state_marginals(params: dict) -> dict:
+    _require_at_least(params, "k_max", 1, "the trace-power cases")
     rng = np.random.default_rng(params["seed"])
     cases = []
     for i in range(params["cases"]):
@@ -275,6 +282,7 @@ def run_dirac_nogo(params: dict) -> dict:
 
 def run_propagator(params: dict) -> dict:
     _require_positive(params, "tau", "T", "tau_grid")
+    _require_at_least(params, "sweep_points", 2, "the order ratio")
     eps_i = params["eps_i"]
     cases = []
 
@@ -425,8 +433,6 @@ _ORDER_KEYS = {
 
 
 def run_smatrix(params: dict) -> dict:
-    if params["process"] != "2to2":
-        raise ValueError(f"unknown process {params['process']!r}")
     order = params["order"]
     if order not in _ORDER_KEYS:
         raise ValueError("order must be 1 or 2")
@@ -434,9 +440,9 @@ def run_smatrix(params: dict) -> dict:
             if params[key] != DEFAULTS["smatrix"][key]]
     if idle:
         raise ValueError(f"order {order} does not use {', '.join(idle)}")
-    _require_positive(params, "T", "tau", "eps_i", "T2", "tau2", "eps_i2")
-    if params["sweep_points"] < 2:
-        raise ValueError("need sweep_points >= 2 for the slice-width extrapolation")
+    # every smatrix tolerance scales with lam: lam = 0 would pass 0 against 0
+    _require_positive(params, "lam", "T", "tau", "eps_i", "T2", "tau2", "eps_i2")
+    _require_at_least(params, "sweep_points", 2, "the slice-width extrapolation")
     runner = _run_smatrix_order1 if order == 1 else _run_smatrix_order2
     return _finish(runner(params))
 
@@ -446,6 +452,7 @@ def run_smatrix(params: dict) -> dict:
 
 
 def run_dirac_propagator(params: dict) -> dict:
+    _require_at_least(params, "sweep_points", 2, "the order ratio")
     m, eps_i = params["mass"], params["eps_i"]
     cases = []
     p_rest = (params["p0_rest"], 0.0, 0.0, 0.0)
@@ -563,7 +570,7 @@ DEFAULTS: dict[str, dict] = {
         "seed": 20260816, "tol_limit": 0.05, "tol_order": 0.05, "tol_ed": 0.02,
     },
     "smatrix": {
-        "process": "2to2", "order": 1, "M_sites": 4, "lam": 0.3,
+        "order": 1, "M_sites": 4, "lam": 0.3,
         "seed": 20260816,
         # first order: short window, tau sweep, exact-zero probes
         "T": 60.0, "n_a": 2, "n_b": 5, "eps_i": 0.05, "tau": 0.05,
@@ -601,8 +608,8 @@ RUNNERS: dict[str, Callable[[dict], dict]] = {
 
 def _conforms(value, default) -> bool:
     """Whether value has the type of the DEFAULTS entry it overrides."""
-    if isinstance(default, (bool, str)):
-        return type(value) is type(default)
+    if isinstance(default, bool):
+        return type(value) is bool
     if isinstance(default, int):
         return isinstance(value, int) and not isinstance(value, bool)
     if isinstance(default, float):
@@ -611,10 +618,14 @@ def _conforms(value, default) -> bool:
 
 
 def _as_float(key: str, value) -> float:
+    """value as a finite float; an int beyond the float range is not finite."""
     try:
-        return float(value)
+        real = float(value)
     except OverflowError:
-        raise ValueError(f"parameter {key!r} must be finite, got {value!r}") from None
+        real = math.inf
+    if not math.isfinite(real):
+        raise ValueError(f"parameter {key!r} must be finite, got {value!r}")
+    return real
 
 
 def _check_params(name: str, params: dict) -> dict:
@@ -647,9 +658,6 @@ def _check_params(name: str, params: dict) -> dict:
         elif isinstance(default, tuple) and isinstance(default[0], float):
             value = tuple(_as_float(key, v) for v in value)
         checked[key] = value
-        values = value if isinstance(value, tuple) else (value,)
-        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-            raise ValueError(f"parameter {key!r} must be finite, got {value!r}")
         if key.startswith("tol") and value < 0:
             raise ValueError(f"tolerance {key!r} must be nonnegative, got {value!r}")
     if params.get("cases", 1) < 1:

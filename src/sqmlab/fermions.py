@@ -26,14 +26,13 @@ legs; mode annihilator maps |1> to |0>.  Dense spaces are capped at
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .linalg import Operator, SingularMatrixError
+from .linalg import Operator, SingularMatrixError, inv
 
 FERMION_DIM_CAP = 4096  # 2**12
 
@@ -290,11 +289,7 @@ def parity_pair_correlator(coeffs: np.ndarray) -> np.ndarray:
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     eA = scipy.linalg.expm(1j * coeffs)
-    mat = np.eye(coeffs.shape[0]) - eA
-    svals = np.linalg.svd(mat, compute_uv=False)
-    if svals[-1] < 1e-13 * max(svals[0], np.finfo(float).tiny):
-        raise SingularMatrixError("I - e^{iA} is numerically singular")
-    return np.linalg.inv(mat)
+    return inv(Operator(np.eye(coeffs.shape[0]) - eA)).mat
 
 
 def regulated_mass(m: float, eps_i: float) -> complex:
@@ -318,13 +313,13 @@ def dirac_mode_propagator(
     g = gamma_set()
     m_c = regulated_mass(m, eps_i)
     K = g.gamma(0) @ (g.slash(p) - m_c * np.eye(4))
-    mat = np.eye(4) - scipy.linalg.expm(1j * tau * K)
-    svals = np.linalg.svd(mat, compute_uv=False)
-    if svals[-1] < 1e-13 * max(svals[0], np.finfo(float).tiny):
+    try:
+        pair = inv(Operator(np.eye(4) - scipy.linalg.expm(1j * tau * K)))
+    except SingularMatrixError as exc:
         raise SingularMatrixError(
             "mode propagator singular: on-shell momentum with vanishing regulator"
-        )
-    return np.linalg.inv(mat) @ g.gamma(0)
+        ) from exc
+    return pair.mat @ g.gamma(0)
 
 
 def dirac_propagator_limit(p: Sequence[float], m: float, eps_i: float) -> np.ndarray:

@@ -14,10 +14,12 @@ The headline computation is the conditioning anomaly: a one-particle,
 on-shell history state reproduces standard expectation values for
 normal-ordered slice observables exactly, while a non-normal-ordered
 probe picks up an internal contraction that grows linearly with the
-number of slices at fixed window T.  Two interchangeable state engines
-are provided — a dense truncated-Fock representation, and an exact
-particle-number-sector representation (vacuum/one/two-particle blocks)
-that has no truncation error and scales to the N of the anomaly scans.
+number of slices at fixed window T.  Each probe takes an `engine`: the
+default "sector", which the anomaly scan runs, is an exact particle-
+number-sector representation (vacuum/one/two-particle blocks) with no
+truncation error, scaling to the N of the anomaly scans; "dense", a
+truncated-Fock representation, is an independent coding of the same
+lattice that the tests and the benchmark compare against it.
 The dense engine applies each single-leg ladder to the state viewed as
 an (n_max+1)^L occupation tensor, on that leg's axis, so a probe costs
 O(D) and no D x D operator is formed; `ladder` stays the dense builder
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -269,14 +270,11 @@ def _one_particle_history(lf: LatticeFock, p: int, engine: str):
     return sf, v
 
 
-def _choose_engine(lf: LatticeFock, engine: str) -> str:
-    if engine == "auto":
-        return "dense" if lf.dense_dim <= DENSE_DIM_CAP else "sector"
+def _check_engine(lf: LatticeFock, engine: str) -> None:
     if engine not in ("dense", "sector"):
-        raise ValueError("engine must be 'auto', 'dense' or 'sector'")
+        raise ValueError("engine must be 'dense' or 'sector'")
     if engine == "dense":
         _check_dense_cap(lf)  # before any D-vector is allocated
-    return engine
 
 
 def naive_conditioning_check(
@@ -284,7 +282,7 @@ def naive_conditioning_check(
     t: int,
     normal_ordered: bool,
     p: int = 0,
-    engine: str = "auto",
+    engine: str = "sector",
 ) -> tuple[complex, complex]:
     """(slab value, standard oracle) for a slice-t number-type probe.
 
@@ -308,10 +306,10 @@ def naive_conditioning_check(
         raise ValueError(f"slice {t} out of range")
     if not normal_ordered and lf.n_max < 2:
         raise ValueError("non-normal-ordered probe needs n_max >= 2 for the oracle")
-    eng = _choose_engine(lf, engine)
-    sf, v = _one_particle_history(lf, p, eng)
+    _check_engine(lf, engine)
+    sf, v = _one_particle_history(lf, p, engine)
     leg = lf.leg(t, p)
-    if eng == "dense":
+    if engine == "dense":
         a = _single_ladder(lf.n_max)
         w = _apply_leg(lf, a if normal_ordered else a.T, leg, v)
     else:
@@ -330,15 +328,15 @@ def naive_conditioning_check(
     return slab, standard
 
 
-def internal_contraction(lf: LatticeFock, t: int = 0, p: int = 0, engine: str = "auto") -> float:
+def internal_contraction(lf: LatticeFock, t: int = 0, p: int = 0, engine: str = "sector") -> float:
     """<vac|a(t,p) a†(t,p)|vac> / eps — the equal-point contraction density.
 
     The raw contraction is exactly 1; dividing by the slice width gives
     1/eps = N/T, the quantity that makes the conditioning anomaly grow
     with slice count at fixed window.
     """
-    eng = _choose_engine(lf, engine)
-    if eng == "dense":
+    _check_engine(lf, engine)
+    if engine == "dense":
         w = _apply_leg(lf, _single_ladder(lf.n_max).T, lf.leg(t, p), vacuum(lf).vec)
     else:
         sf = SectorFock(lf.legs)
@@ -347,7 +345,7 @@ def internal_contraction(lf: LatticeFock, t: int = 0, p: int = 0, engine: str = 
     return raw / lf.eps
 
 
-def anomaly_mismatch(lf: LatticeFock, p: int = 0, engine: str = "auto") -> dict:
+def anomaly_mismatch(lf: LatticeFock, p: int = 0, engine: str = "sector") -> dict:
     """Slab-vs-standard summary for the slice-0 probes of one lattice.
 
     Returns the normal-ordered pair (which must agree), the

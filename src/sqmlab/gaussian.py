@@ -90,12 +90,12 @@ def tau_mode_correlator(grid: ModeGrid, tau: float, eps_i: float, p: int, k: int
     return complex(_mode_corr(tau, grid.gap(p), eps_i))
 
 
-def _tower(grid: ModeGrid, sp) -> list[int]:
+def _tower(grid: ModeGrid) -> list[int]:
+    """The modes of the grid's one tower without a spatial index."""
     groups = tower_slices(grid)
-    key = (sp,) if isinstance(sp, int) else tuple(sp)
-    if key not in groups:
-        raise ValueError(f"grid has no frequency tower at spatial index {key}")
-    return groups[key]
+    if () not in groups:
+        raise ValueError("grid has no frequency tower without a spatial index")
+    return groups[()]
 
 
 def _omegas(grid: ModeGrid, idxs: list[int]) -> np.ndarray:
@@ -104,17 +104,15 @@ def _omegas(grid: ModeGrid, idxs: list[int]) -> np.ndarray:
     return 2.0 * math.pi * labels / grid.T
 
 
-def two_time_contraction(
-    grid: ModeGrid, tau: float, eps_i: float, t: int, tp: int, sp=()
-) -> complex:
-    """<a(t,p) a†(t',p)> on the tower: (1/N) sum_w e^{-i w tau (t-t')}(1 + corr(w)).
+def two_time_contraction(grid: ModeGrid, tau: float, eps_i: float, t: int, tp: int) -> complex:
+    """<a(t) a†(t')> on the tower: (1/N) sum_w e^{-i w tau (t-t')}(1 + corr(w)).
 
     t, t' are slice labels (physical times tau*t).  Equal time follows
     the t -> t'^+ convention (annihilator right), giving 1 up to
     e^{-eps_i T} corrections; t < t' is the anti-ordered side and is
     suppressed to 0 at the same rate.
     """
-    idxs = _tower(grid, sp)
+    idxs = _tower(grid)
     w = _omegas(grid, idxs)
     gaps = np.array([grid.gap(k) for k in idxs])
     terms = np.exp(-1j * w * (tau * (t - tp))) * (1.0 + _mode_corr(tau, gaps, eps_i))
@@ -147,7 +145,7 @@ def _tower_kernel(grid: ModeGrid, idxs: list[int], tau: float, eps_i: float,
     return complex(np.sum(terms) / len(idxs))
 
 
-def feynman_kernel(grid: ModeGrid, tau: float, eps_i: float, dt_slices: int, sp=()) -> complex:
+def feynman_kernel(grid: ModeGrid, tau: float, eps_i: float, dt_slices: int) -> complex:
     """Single-tower time-ordered kernel: (1/N) sum_w e^{-i w dt} [corr- - corr+].
 
     corr- is the mode correlator at gap w - E + i eps_i and corr+ the
@@ -159,7 +157,7 @@ def feynman_kernel(grid: ModeGrid, tau: float, eps_i: float, dt_slices: int, sp=
     explicit mode sum (not the closed form) so that the two can be
     compared.
     """
-    return _tower_kernel(grid, _tower(grid, sp), tau, eps_i, dt_slices)
+    return _tower_kernel(grid, _tower(grid), tau, eps_i, dt_slices)
 
 
 def feynman_kernel_closed(N: int, tau: float, eps_i: float, E: float, dt_slices):
@@ -186,8 +184,7 @@ def feynman_kernel_closed(N: int, tau: float, eps_i: float, E: float, dt_slices)
 
 
 def feynman_propagator_grid(
-    grid: ModeGrid, tau: float, eps_i: float, x: tuple[int, int], y: tuple[int, int],
-    m: float | None = None,
+    grid: ModeGrid, tau: float, eps_i: float, x: tuple[int, int], y: tuple[int, int]
 ) -> complex:
     """Time-ordered two-point value between spacetime lattice points.
 
@@ -196,26 +193,23 @@ def feynman_propagator_grid(
 
         (1/M) sum_p e^{i p (x-y)} (1/(2 E_p)) K_p(t_x - t_y)
 
-    with K_p the tower kernel above; it converges to the standard
-    oracle <0|T phi(x) phi(y)|0> of the free lattice Hamiltonian.  When
-    `m` is given it overrides the grid's dispersion mass for modes
-    without explicit energy overrides.
+    with K_p the tower kernel above and E_p the grid's mode energy; it
+    converges to the standard oracle <0|T phi(x) phi(y)|0> of the free
+    lattice Hamiltonian.
     """
     if grid.M_sites is None:
         raise ValueError("propagator needs a grid with a site lattice (M_sites)")
-    work = grid if m is None else ModeGrid(grid.T, grid.modes, m, grid.M_sites,
-                                           grid.energy_override)
     (tx, sx), (ty, sy) = x, y
-    groups = tower_slices(work)  # once per call: it checks every tower
-    M = work.M_sites
+    groups = tower_slices(grid)  # once per call: it checks every tower
+    M = grid.M_sites
     total = 0.0 + 0.0j
     for sp, idxs in groups.items():
         if len(sp) != 1:
             raise ValueError("site-lattice propagator expects 1-d spatial indices")
         p = 2.0 * math.pi * sp[0] / M
-        E = work.energy(idxs[0])
+        E = grid.energy(idxs[0])
         if E <= 0:
             raise ValueError("propagator needs strictly positive mode energies")
-        kern = _tower_kernel(work, idxs, tau, eps_i, tx - ty)
+        kern = _tower_kernel(grid, idxs, tau, eps_i, tx - ty)
         total += cmath.exp(1j * p * (sx - sy)) / (2.0 * E) * kern
     return total / M

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class ModeGrid:
@@ -116,16 +114,16 @@ def frequency_tower(
     T: float,
     tau: float,
     spatial: Sequence[tuple[int, ...]] = ((),),
-    m: float = 0.0,
     M_sites: Optional[int] = None,
     energies: Optional[Sequence[float]] = None,
 ) -> ModeGrid:
     """Full frequency grid (N = T/tau labels) over each listed spatial index.
 
-    `energies`, if given, lists one energy per *spatial* index and is
-    broadcast across the tower (the frequency label does not change a
-    mode's energy).  This is the grid shape consumed by the two-time
-    contraction, the propagator assembly, and the perturbative engine.
+    The grid is massless (a mode's energy is |p|) unless `energies` lists
+    one energy per *spatial* index, broadcast across the tower (the
+    frequency label does not change a mode's energy).  This is the grid
+    shape consumed by the two-time contraction, the propagator assembly,
+    and the perturbative engine.
     """
     ratio = T / tau
     N = round(ratio)
@@ -141,7 +139,7 @@ def frequency_tower(
             modes.append((n0, *sp))
             if override is not None:
                 override.append(float(energies[j]))
-    return ModeGrid(T, tuple(modes), m, M_sites, tuple(override) if override else None)
+    return ModeGrid(T, tuple(modes), 0.0, M_sites, tuple(override) if override else None)
 
 
 def tower_slices(grid: ModeGrid) -> dict[tuple[int, ...], list[int]]:

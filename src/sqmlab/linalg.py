@@ -79,17 +79,13 @@ class Operator:
     def dag(self) -> "Operator":
         return Operator(self.mat.conj().T, self.dims)
 
-    def norm(self, kind: str = "fro") -> float:
-        """Frobenius ('fro') or spectral ('2') norm of the entries."""
-        return float(np.linalg.norm(self.mat, 2 if kind == "2" else "fro"))
+    def norm(self) -> float:
+        """Frobenius norm of the entries."""
+        return float(np.linalg.norm(self.mat))
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         scale = max(1.0, self.norm())
         return bool(np.linalg.norm(self.mat - self.mat.conj().T) <= tol * scale)
-
-    def reshaped(self, dims: Sequence[int]) -> "Operator":
-        """Same entries, different factorization of the same total dim."""
-        return Operator(self.mat, dims)
 
     # -- arithmetic ----------------------------------------------------
 

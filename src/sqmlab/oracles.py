@@ -5,10 +5,9 @@ machinery: brute-force truncated-Fock sums, dense free-lattice
 Heisenberg evolution, and time-dependent perturbation theory.  Tests
 and experiment reports compare slab-side values against these.
 Nothing here is imported from the slab side, not even the single-mode
-ladder that `fock` also builds.  Second-order perturbation theory is
-one windowed sum over intermediate states, `_windowed_second_order`,
-given the pair vertex by `dyson_pair_channel_amplitudes` and the full
-quartic vertex by `dyson_smatrix_oracle` (a branch no experiment calls).
+ladder that `fock` also builds.  First-order perturbation theory is
+`dyson_smatrix_oracle`; second order is the pair channel only, a
+windowed sum over two-particle states in `dyson_pair_channel_amplitudes`.
 """
 
 from __future__ import annotations
@@ -145,21 +144,19 @@ def _windowed_integral(dE: complex, T: float) -> complex:
 
 
 def _windowed_second_order(
-    lat: DenseFockLattice, V: np.ndarray, vec_i: np.ndarray, vec_f: np.ndarray, T: float, widths
+    lat: DenseFockLattice, V: np.ndarray, vec_i: np.ndarray, vec_f: np.ndarray, T: float, width
 ) -> complex:
-    """-sum_n <f|V|n> I(E_n - E_i - i w_n) <n|V|i> over the Fock basis of lat.
+    """-sum_n <f|V|n> I(E_n - E_i - i width) <n|V|i> over the Fock basis of lat.
 
-    The ordered double time integral of second-order perturbation
-    theory, summed over intermediate occupation states n, with each
-    energy denominator damped by its own width w_n (a scalar applies
-    one width to every state).
+    The ordered double time integral of second-order perturbation theory,
+    summed over intermediate occupation states n, one width on every denominator.
     """
     h0 = lat.free_hamiltonian()
     E_levels = np.real(np.diag(h0))
     E_i = float(np.real(vec_i.conj() @ (h0 @ vec_i)))
     amps_i = V @ vec_i
     amps_f = V @ vec_f
-    dE = E_levels - E_i - 1j * widths
+    dE = E_levels - E_i - 1j * width
     windows = np.array([_windowed_integral(complex(z), T) for z in dE])
     return complex(-np.sum(np.conj(amps_f) * windows * amps_i))
 
@@ -198,20 +195,15 @@ def dyson_smatrix_oracle(
     out_modes: tuple[int, int],
     T: float,
     order: int,
-    eps_reg: float = 0.0,
     n_max: int = 6,
 ) -> complex:
-    """Time-dependent perturbation theory on the dense lattice Hamiltonian.
+    """First-order time-dependent perturbation theory on the dense lattice.
 
-    First order: A1 = -i T <f|V|i> (equal total energies make the time
-    integral trivial).  Second order: the ordered double integral summed
-    over intermediate Fock states, minus the vacuum-persistence product
-    A1 x B1 (the disconnected piece), with each intermediate denominator
-    optionally shifted by -i (particle count) eps_reg to mirror the slab
-    regulator on every internal line.
+    A1 = -i T <f|V|i> for the full quartic vertex V (equal total energies
+    make the time integral trivial); order 2 is dyson_pair_channel_amplitudes.
     """
-    if order not in (1, 2):
-        raise ValueError("oracle implements orders 1 and 2")
+    if order != 1:
+        raise ValueError("order 1 only; second order is dyson_pair_channel_amplitudes")
     lat = DenseFockLattice(M, tuple(float(E) for E in energies), n_max)
     V = lat.quartic_interaction(coupling)
     vec_i = _two_particle_state(lat, tuple(in_modes))
@@ -222,21 +214,7 @@ def dyson_smatrix_oracle(
     E_f = float(np.real(vec_f.conj() @ (h0 @ vec_f)))
     if abs(E_f - E_i) > 1e-9 * max(1.0, abs(E_i)):
         raise ValueError("oracle assumes equal total in/out energies")
-
-    a1 = -1j * T * complex(vec_f.conj() @ (V @ vec_i))
-    if order == 1:
-        return a1
-
-    occ = np.zeros(lat.dim)
-    for p in range(M):
-        a = lat.annihilator(p)
-        occ += np.real(np.diag(a.conj().T @ a))
-
-    a2_full = _windowed_second_order(lat, V, vec_i, vec_f, T, eps_reg * occ)
-
-    vac = lat.vacuum()
-    b1 = -1j * T * complex(vac.conj() @ (V @ vac))
-    return complex(a2_full - a1 * b1)
+    return -1j * T * complex(vec_f.conj() @ (V @ vec_i))
 
 
 def dyson_pair_channel_amplitudes(
@@ -253,9 +231,7 @@ def dyson_pair_channel_amplitudes(
     The first-order amplitude -i T <f|V|i> is a single matrix element
     with no intermediate sum, so the particle-conserving vertex on an
     n_max = 2 lattice computes it exactly (for disjoint in/out pairs it
-    coincides with the full quartic vertex element).  Returning both
-    amplitudes together makes ratio comparisons cheap: the expensive
-    full-Fock oracle is never needed for the pair channel.
+    coincides with the full quartic vertex element).
 
     The particle-conserving vertex keeps the second-order intermediate
     sum inside the two-particle sector, which is closed, so there is no

@@ -93,8 +93,6 @@ def build_R(
     """Assemble and normalize the spacetime state for (psi0, H, eps, N)."""
     if abs(psi0.norm() - 1.0) > 1e-12:
         raise ValueError("psi0 must be normalized")
-    if not H.is_hermitian(1e-12):
-        raise ValueError("H must be hermitian")
     layout = SliceLayout(d=psi0.dim, N=N, eps=eps)
     qa = build_action(layout, H)
     boundary = psi0.outer() @ expm(1j * eps * N * H)
@@ -107,7 +105,7 @@ def build_R(
         site_dims = tuple(int(s) for s in site_dims)
         if int(np.prod(site_dims)) != layout.d:
             raise ValueError("site_dims must factorize the slice dimension")
-        R = R.reshaped(site_dims * N)
+        R = Operator(R.mat, site_dims * N)
     return SpacetimeState(R=R, action=qa, boundary=boundary, psi0=psi0, raw_trace=tr,
                           site_dims=site_dims)
 

@@ -258,6 +258,7 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     ["trace-theorem", "--N", "3"],
     ["dirac-nogo", "--M", "2"],
     ["propagator", "--process", "2to2"],
+    ["smatrix", "--process", "2to2"],
     ["fswap-cycle", "--tau-sweep"],
 ])
 def test_flag_for_a_missing_key_exits_2(argv, tmp_path, capsys):
@@ -416,12 +417,44 @@ def test_smatrix_key_of_the_other_order_exits_2(order, key, value, tmp_path, cap
     ("smatrix", "M_sites = 0"),
     ("smatrix", "sweep_points = 1"),
     ("dirac-propagator", "p_moving = 1.0,"),
+    # every smatrix tolerance scales with lam: 0 against an oracle of 0 at tol 0
+    ("smatrix", "lam = 0.0"),
+    pytest.param("smatrix", "order = 2\nlam = 0.0", id="smatrix-order = 2, lam = 0.0"),
+    # too few sweep points drop the limit or order-ratio cases
+    ("propagator", "sweep_points = 0"),
+    ("propagator", "sweep_points = 1"),
+    ("dirac-propagator", "sweep_points = 0"),
+    ("dirac-propagator", "sweep_points = 1"),
+    ("st-state-marginals", "k_max = 0"),
 ])
 def test_degenerate_values_exit_2_without_traceback(name, line, tmp_path, capsys):
     cfg = tmp_path / "degenerate.cfg"
     cfg.write_text(line + "\n")
     assert main([name, "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "sqmlab: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["propagator", "--gap", "0", "--eps_i", "0"], "ZeroDivisionError"),
+    (["smatrix", "--eps_i", "1e-300"], "ZeroDivisionError"),
+    (["propagator", "--T", "1e300"], "OverflowError"),
+    (["dirac-nogo", "--T", "1e-300"], "OverflowError"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_out_of_range_arithmetic_exits_2(argv, kind, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sqmlab: error: parameters out of numeric range")
+    assert kind in err
+    assert list(tmp_path.iterdir()) == []
+
+
+DEFAULT_RUNS = [[name] for name in sorted(DEFAULTS)] + [["smatrix", "--order", "2"]]
+
+
+@pytest.mark.parametrize("argv", DEFAULT_RUNS, ids=" ".join)
+def test_every_experiment_passes_at_its_defaults(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert " 0 failures" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("order, key", [(1, "tau"), (1, "eps_i"), (2, "tau2"), (2, "eps_i2")])

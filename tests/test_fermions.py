@@ -313,7 +313,8 @@ def test_propagator_argument_guards():
     with pytest.raises(ValueError):
         dirac_mode_propagator((0.35, 0.0, 0.0, 0.0), 1.0, 0.0, 1e-3)
     # exactly on shell with no regulator the pair matrix is singular
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(SingularMatrixError,
+                       match="on-shell momentum with vanishing regulator"):
         dirac_mode_propagator((1.0, 0.0, 0.0, 0.0), 1.0, 0.01, 0.0)
 
 

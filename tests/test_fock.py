@@ -174,6 +174,15 @@ class TestDenseStateApply:
         with pytest.raises(ValueError, match="exceeds cap"):
             internal_contraction(lf, engine="dense")
 
+    @pytest.mark.parametrize("probe", [
+        lambda lf, engine: anomaly_mismatch(lf, engine=engine),
+        lambda lf, engine: naive_conditioning_check(lf, 0, True, engine=engine),
+        lambda lf, engine: internal_contraction(lf, engine=engine),
+    ], ids=["anomaly_mismatch", "naive_conditioning_check", "internal_contraction"])
+    def test_engine_is_dense_or_sector(self, probe):
+        with pytest.raises(ValueError, match="engine must be 'dense' or 'sector'"):
+            probe(_small(), "auto")
+
 
 class TestAnomaly:
     @settings(max_examples=8, deadline=None)

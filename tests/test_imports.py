@@ -1,0 +1,65 @@
+"""Every name a module of the package imports is used in that module.
+
+No linter runs with the tests, so this parses each source file with
+`ast`: an imported name counts as used if it appears as a name in the
+code or inside a quoted annotation.  The relative imports of
+`__init__.py` are the package's re-exports and are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import sqmlab
+
+MODULES = sorted(Path(sqmlab.__file__).parent.glob("*.py"))
+
+
+def _annotation_names(node: ast.AST) -> set[str]:
+    """Names inside an annotation, reading a quoted one as code."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        node = ast.parse(node.value, mode="eval")
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def unused_imports(source: str, reexports: bool = False) -> list[str]:
+    """Imported names never used in `source`, in import order."""
+    tree = ast.parse(source)
+    imported = []
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module != "__future__" and not (reexports and node.level):
+                imported += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            used |= _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            used |= _annotation_names(node.annotation)
+    return [name for name in imported if name not in used]
+
+
+def test_checker_finds_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from typing import Optional, Sequence\n"
+        "from .linalg import Ket\n"
+        "def f(x: 'Optional[int]') -> Sequence[int]:\n"
+        "    return np.zeros(1)\n"
+    )
+    assert unused_imports(source) == ["math", "os", "Ket"]
+    assert unused_imports(source, reexports=True) == ["math", "os"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_only_what_it_uses(path):
+    assert unused_imports(path.read_text(), reexports=path.name == "__init__.py") == []

@@ -29,6 +29,10 @@ class TestLayout:
         with pytest.raises(ValueError):
             SliceLayout(d=3, N=9, eps=0.1)  # 3^9 > 4096
 
+    def test_cap_is_not_a_field(self):
+        with pytest.raises(TypeError):
+            SliceLayout(d=2, N=3, eps=0.1, cap=8)
+
 
 class TestCycleShift:
     def test_two_qubit_shift_is_swap(self):
@@ -87,6 +91,20 @@ class TestTraceTheorem:
         with pytest.raises(ValueError):
             trace_theorem_lhs(qa, [(O, 1), (O, 1)])
 
+    @pytest.mark.parametrize("side", [trace_theorem_lhs, trace_theorem_rhs])
+    @pytest.mark.parametrize("slot, dim, message", [
+        (1, 2, "duplicate insertion at slice 1; one operator per slice"),
+        (3, 2, r"slice index 3 out of range \[0, 3\)"),
+        (-1, 2, r"slice index -1 out of range \[0, 3\)"),
+        (2, 3, "insertion dimension mismatch"),
+    ])
+    def test_both_sides_reject_bad_inserts_alike(self, side, slot, dim, message):
+        rng = np.random.default_rng(2)
+        qa = build_action(SliceLayout(d=2, N=3, eps=0.1), rand_hermitian(rng, 2))
+        inserts = [(rand_hermitian(rng, 2), 1), (rand_hermitian(rng, dim), slot)]
+        with pytest.raises(ValueError, match=message):
+            side(qa, inserts)
+
     def test_exp_action_factorizes(self):
         rng = np.random.default_rng(3)
         d, N, eps = 2, 3, 0.3
@@ -122,6 +140,8 @@ class TestConstraintTheorem:
         boundary = (rand_ket(rng, d), rand_ket(rng, d))
         with pytest.raises(ValueError):
             constraint_expectation(qa, O, N - 1, boundary)
+        with pytest.raises(ValueError, match=r"slice index 3 out of range \[0, 3\)"):
+            constraint_expectation(qa, O, N)
 
 
 class TestStructuredAgainstDense:

@@ -323,6 +323,13 @@ def test_pair_channel_ratio_matches_oracle():
     assert abs(a2h / a1h - ratio) <= 5e-3 * abs(ratio)
 
 
+def test_dyson_oracle_is_first_order_only():
+    E = [1.0, 1.0, 1.0, 1.0]
+    assert oracles.dyson_smatrix_oracle(4, E, 0.3, (1, 2), (0, 3), 10.0, order=1, n_max=2)
+    with pytest.raises(ValueError, match="dyson_pair_channel_amplitudes"):
+        oracles.dyson_smatrix_oracle(4, E, 0.3, (1, 2), (0, 3), 10.0, order=2, n_max=2)
+
+
 def test_full_channel_sum_includes_pair_channel():
     grid = conserving_grid(T=60.0, M=4, n_a=2, n_b=5)
     kw = dict(tau=0.5, eps_i=0.05)
