@@ -7,7 +7,8 @@ Reports are deterministic: a fixed seed and config produce a
 byte-identical JSON file (sorted keys, complex numbers as [re, im],
 cases sorted by case key).  The exit status is 0 iff every case
 passed, 1 if a case failed, and 2 for bad input, including a value
-the run cannot represent (an ArithmeticError).  Config files are flat
+the run cannot represent (an ArithmeticError, whose message lists the
+--KEY VALUE overrides given).  Config files are flat
 key=value lines; values parse as int, float, bool, comma list, or
 string.  After the experiment name, every further --KEY VALUE pair
 overrides that key of the experiment's DEFAULTS, its value parsed as
@@ -62,27 +63,18 @@ def parse_config(path: str | Path) -> dict:
     return params
 
 
-def _jsonable(obj):
-    """Canonical JSON form: complex -> [re, im], numpy -> python."""
+def _json_default(obj):
+    """json's hook for what it cannot encode: complex -> [re, im], numpy -> python."""
     if isinstance(obj, complex):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.complexfloating,)):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(x) for x in obj.tolist()]
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    return obj
+        return [obj.real, obj.imag]
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def render_json(report: dict) -> str:
-    return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+    """The canonical report text: sorted keys, indent 2, trailing newline."""
+    return json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
 
 
 def _csv_cell(x) -> str:
@@ -156,9 +148,12 @@ def main(argv: list[str] | None = None) -> int:
         params = _collect_params(args, overrides)
         report = run_experiment(args.experiment, params)
     except (ValueError, KeyError, OSError, ArithmeticError) as exc:
-        arith = isinstance(exc, ArithmeticError)
-        why = f"parameters out of numeric range ({type(exc).__name__}): " if arith else ""
-        print(f"sqmlab: error: {why}{exc}", file=sys.stderr)
+        why, given = "", ""
+        if isinstance(exc, ArithmeticError):
+            why = f"parameters out of numeric range ({type(exc).__name__}): "
+            pairs = ", ".join(f"{k[2:]}={v}" for k, v in zip(overrides[::2], overrides[1::2]))
+            given = f" [overrides: {pairs or 'none'}]"
+        print(f"sqmlab: error: {why}{exc}{given}", file=sys.stderr)
         return 2
 
     report = {"schema": 1, "experiment": args.experiment, **report}

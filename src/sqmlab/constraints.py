@@ -14,6 +14,10 @@ second-class constraints that Dirac-reduce the pair away entirely
 constraints and keep their canonical bracket.  Equal-time field/momentum
 brackets rebuilt from the surviving modes come out exactly Kronecker.
 
+An observable in the linear span of the symbols is a (2, K) complex
+array over the grid's K modes: row 0 holds the a_k coefficients, row 1
+the a*_k coefficients, so +, - and scalar multiples are numpy's own.
+
 Also here: the residual form of the discrete Hamilton equations for a
 particle action on a periodic time grid with a Fourier derivative.
 """
@@ -32,65 +36,23 @@ ONSHELL_TOL = 1e-12
 CONDITIONING_BAND = 1e-6
 
 
-class LinearObservable:
-    """Finite complex combination of the symbols a_k and a*_k.
+def mode_a(k: int, K: int) -> np.ndarray:
+    """The symbol a_k among K modes: a 1 at row 0, column k of a (2, K) array."""
+    return np.outer([1, 0], np.eye(K, dtype=complex)[k])
 
-    Supports +, -, and scalar multiplication; the bracket engine works
-    on this linear span only.
+
+def mode_astar(k: int, K: int) -> np.ndarray:
+    """The symbol a*_k among K modes: a 1 at row 1, column k of a (2, K) array."""
+    return np.outer([0, 1], np.eye(K, dtype=complex)[k])
+
+
+def poisson_bracket(f: np.ndarray, g: np.ndarray) -> complex:
+    """Bilinear extension of {a_k, a*_k'} = -i delta_{kk'}.
+
+    An observable is a (2, K) complex array: row 0 holds its a_k
+    coefficients, row 1 its a*_k coefficients.
     """
-
-    __slots__ = ("coeff_a", "coeff_s")
-
-    def __init__(self, coeff_a: dict[int, complex] | None = None,
-                 coeff_s: dict[int, complex] | None = None):
-        self.coeff_a = {k: complex(v) for k, v in (coeff_a or {}).items() if v != 0}
-        self.coeff_s = {k: complex(v) for k, v in (coeff_s or {}).items() if v != 0}
-
-    def __add__(self, other: "LinearObservable") -> "LinearObservable":
-        ca = dict(self.coeff_a)
-        cs = dict(self.coeff_s)
-        for k, v in other.coeff_a.items():
-            ca[k] = ca.get(k, 0.0) + v
-        for k, v in other.coeff_s.items():
-            cs[k] = cs.get(k, 0.0) + v
-        return LinearObservable(ca, cs)
-
-    def __sub__(self, other: "LinearObservable") -> "LinearObservable":
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar) -> "LinearObservable":
-        z = complex(scalar)
-        return LinearObservable(
-            {k: z * v for k, v in self.coeff_a.items()},
-            {k: z * v for k, v in self.coeff_s.items()},
-        )
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"LinearObservable(a={self.coeff_a}, a*={self.coeff_s})"
-
-
-def mode_a(k: int) -> LinearObservable:
-    return LinearObservable({k: 1.0}, None)
-
-
-def mode_astar(k: int) -> LinearObservable:
-    return LinearObservable(None, {k: 1.0})
-
-
-def poisson_bracket(f: LinearObservable, g: LinearObservable) -> complex:
-    """Bilinear extension of {a_k, a*_k'} = -i delta_{kk'}."""
-    total = 0.0 + 0.0j
-    for k, fa in f.coeff_a.items():
-        gs = g.coeff_s.get(k)
-        if gs is not None:
-            total += -1j * fa * gs
-    for k, fs in f.coeff_s.items():
-        ga = g.coeff_a.get(k)
-        if ga is not None:
-            total += 1j * fs * ga
-    return complex(total)
+    return complex(-1j * (f[0] @ g[1]) + 1j * (f[1] @ g[0]))
 
 
 @dataclass(frozen=True)
@@ -110,9 +72,10 @@ class ConstraintSet:
         sc = tuple(k for k, d in enumerate(self.gaps) if abs(d) > ONSHELL_TOL)
         object.__setattr__(self, "second_class", sc)
 
-    def phi_pair(self, k: int) -> tuple[LinearObservable, LinearObservable]:
-        d = self.gaps[k]
-        return d * mode_a(k), d * mode_astar(k)
+    def phi_pair(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(gap * a_k, gap * a*_k) over the set's K = len(gaps) modes."""
+        d, K = self.gaps[k], len(self.gaps)
+        return d * mode_a(k, K), d * mode_astar(k, K)
 
     def c_block(self, k: int) -> np.ndarray:
         d2 = self.gaps[k] ** 2
@@ -153,7 +116,7 @@ def classify(cs: ConstraintSet) -> list[ModeClassification]:
     return out
 
 
-def dirac_bracket(f: LinearObservable, g: LinearObservable, cs: ConstraintSet) -> complex:
+def dirac_bracket(f: np.ndarray, g: np.ndarray, cs: ConstraintSet) -> complex:
     """{f,g} - sum_AB {f,phi_A} (C^{-1})_AB {phi_B,g} over second-class blocks."""
     total = poisson_bracket(f, g)
     for k in cs.second_class:
@@ -182,8 +145,8 @@ def _onshell_field_pair(grid: ModeGrid, x: int, t: float, y: int, tp: float):
     spatial = sorted(grid.modes[k][1] % M for k in onshell)
     if spatial != list(range(M)):
         raise ValueError("on-shell modes must cover each spatial momentum exactly once")
-    phi = LinearObservable()
-    pi = LinearObservable()
+    phi = np.zeros((2, len(grid)), dtype=complex)
+    pi = np.zeros((2, len(grid)), dtype=complex)
     for k in onshell:
         E = grid.energy(k)
         if E <= 0:
@@ -193,10 +156,8 @@ def _onshell_field_pair(grid: ModeGrid, x: int, t: float, y: int, tp: float):
         th_y = p * y - E * tp
         cphi = 1.0 / math.sqrt(2.0 * E * M)
         cpi = -1j * math.sqrt(E / (2.0 * M))
-        phi = phi + LinearObservable({k: cphi * np.exp(1j * th_x)},
-                                     {k: cphi * np.exp(-1j * th_x)})
-        pi = pi + LinearObservable({k: cpi * np.exp(1j * th_y)},
-                                   {k: -cpi * np.exp(-1j * th_y)})
+        phi[:, k] = cphi * np.exp(1j * th_x), cphi * np.exp(-1j * th_x)
+        pi[:, k] = cpi * np.exp(1j * th_y), -cpi * np.exp(-1j * th_y)
     return phi, pi
 
 

@@ -253,7 +253,7 @@ def run_dirac_nogo(params: dict) -> dict:
     cases = []
     for k, cls in enumerate(constraints.classify(cs)):
         db = constraints.dirac_bracket(
-            constraints.mode_a(k), constraints.mode_astar(k), cs
+            constraints.mode_a(k, len(grid)), constraints.mode_astar(k, len(grid)), cs
         )
         onshell = cls.kind == "identically-zero"
         oracle = -1j if onshell else 0.0

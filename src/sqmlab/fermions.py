@@ -167,7 +167,7 @@ def jw_annihilator(layout: FermionLayout, t: int, m: int) -> Operator:
 def parity_operator(layout: FermionLayout) -> Operator:
     """(-1)^{N_f}: diagonal, -1 on odd-occupation basis states."""
     idx = np.arange(layout.dim)
-    pops = np.array([bin(i).count("1") for i in idx])
+    pops = sum((idx >> b) & 1 for b in range(layout.legs))
     return Operator(np.diag((-1.0) ** pops), layout.leg_dims)
 
 
@@ -202,11 +202,12 @@ def fermionic_cycle(layout: FermionLayout) -> tuple[Operator, tuple[int, ...]]:
     adjacent-fSWAP network F(0,1) F(1,2) ... F(L-2, L-1), composed as
     signed permutations in O(M·L·2^L).  Conjugation maps c(t, m) to
     sign * c(t+1 mod N, m); the per-leg signs are measured by
-    conjugating each ladder's index map with the cycle and comparing
-    the result entrywise with the dense target ladder (the wraparound
-    leg picks up the Jordan-Wigner boundary sign, interior legs stay
-    +1), and returned alongside.  For N = 1 the cycle is the identity;
-    for N = 2, M = 1 it is exactly the fSWAP matrix.
+    conjugating each ladder's index map with the cycle, sorting it by
+    column and comparing it with the target ladder's own index map,
+    up to an overall sign (the wraparound legs pick up the
+    Jordan-Wigner boundary sign, interior legs stay +1), and returned
+    alongside.  For N = 1 the cycle is the identity; for N = 2, M = 1
+    it is exactly the fSWAP matrix.
     """
     L, dim = layout.legs, layout.dim
     states = np.arange(dim)
@@ -221,14 +222,15 @@ def fermionic_cycle(layout: FermionLayout) -> tuple[Operator, tuple[int, ...]]:
     signs = []
     for leg in range(L):
         target = (leg + layout.M) % L if layout.N > 1 else leg
-        # U c U† has entry sign[r] * c[r, c] * sign[c] at (perm[r], perm[c])
+        # U c U† has sign[r] * c[r, c] * sign[c] at (perm[r], perm[c]); sort by column
         rows, cols, vals = _jw_map(layout, leg)
-        moved = np.zeros((dim, dim))
-        moved[perm[rows], perm[cols]] = sign[rows] * vals * sign[cols]
-        ref = _jw_matrix(layout, target)
-        if np.array_equal(moved, ref):
+        order = np.argsort(perm[cols])
+        moved = perm[rows][order], perm[cols][order], (sign[rows] * vals * sign[cols])[order]
+        ref = _jw_map(layout, target)
+        on_target = np.array_equal(moved[0], ref[0]) and np.array_equal(moved[1], ref[1])
+        if on_target and np.array_equal(moved[2], ref[2]):
             signs.append(1)
-        elif np.array_equal(moved, -ref):
+        elif on_target and np.array_equal(moved[2], -ref[2]):
             signs.append(-1)
         else:
             raise AssertionError(

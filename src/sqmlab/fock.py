@@ -90,10 +90,7 @@ class LatticeFock:
 
 
 def _single_ladder(n_max: int) -> np.ndarray:
-    a = np.zeros((n_max + 1, n_max + 1))
-    for n in range(1, n_max + 1):
-        a[n - 1, n] = math.sqrt(n)
-    return a
+    return np.diag(np.sqrt(np.arange(1, n_max + 1)), 1)
 
 
 def _check_dense_cap(lf: LatticeFock) -> None:

@@ -5,8 +5,8 @@ operators, Wick engines) manipulates operators on a tensor product of
 small local Hilbert spaces.  This module fixes the single global index
 convention — factor 0 is the slowest-varying (leftmost) kron index —
 and supplies the plumbing: kron, partial traces over arbitrary factor
-subsets, matrix exponentials/inverses/powers, and seeded random
-operator ensembles.
+subsets, matrix exponentials and guarded inverses, and seeded random
+operator ensembles.  Integer powers are numpy's `matrix_power`.
 
 Dense storage only; the intended regime is total dimension ≲ 4096.
 """
@@ -275,28 +275,6 @@ def inv(A: Operator) -> Operator:
             f"matrix numerically singular: smallest sv {svals[-1]:.3e} vs norm {svals[0]:.3e}"
         )
     return Operator(np.linalg.inv(A.mat), A.dims)
-
-
-def mpow(A: Operator, k: int) -> Operator:
-    """Integer matrix power by repeated squaring; mpow(A, 0) = I.
-
-    The result starts from the first power it needs, not from I, so
-    mpow(A, 2) is one product.
-    """
-    k = int(k)
-    if k < 0:
-        raise ValueError("mpow expects a nonnegative exponent")
-    if k == 0:
-        return Operator(np.eye(A.dim), A.dims)
-    result = None
-    base = A.mat
-    while k:
-        if k & 1:
-            result = base if result is None else result @ base
-        k >>= 1
-        if k:
-            base = base @ base
-    return Operator(result, A.dims)
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,7 @@ def thermal_pair_bruteforce(lam: complex, n_max: int = 40) -> complex:
 
 
 def _single_ladder(dim: int) -> np.ndarray:
-    a = np.zeros((dim, dim), dtype=complex)
-    for n in range(1, dim):
-        a[n - 1, n] = math.sqrt(n)
-    return a
+    return np.diag(np.sqrt(np.arange(1, dim)), 1)
 
 
 @dataclass(frozen=True)
@@ -195,7 +192,7 @@ def dyson_smatrix_oracle(
     out_modes: tuple[int, int],
     T: float,
     order: int,
-    n_max: int = 6,
+    n_max: int,
 ) -> complex:
     """First-order time-dependent perturbation theory on the dense lattice.
 

@@ -145,7 +145,7 @@ def test_criterion_05_mode_classification_and_brackets():
                      "second-class", "second-class"],
            f"classification came out {kinds}")
     for k, kind in enumerate(kinds):
-        a, astar = constraints.mode_a(k), constraints.mode_astar(k)
+        a, astar = constraints.mode_a(k, len(grid)), constraints.mode_astar(k, len(grid))
         pb = constraints.poisson_bracket(a, astar)
         db = constraints.dirac_bracket(a, astar, cs)
         _check(problems, pb == -1j, f"mode {k}: PB {pb!r} is not exactly -1j")

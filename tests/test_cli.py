@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from sqmlab.cli import (
     _collect_params,
-    _jsonable,
     _parse_scalar,
     build_parser,
     main,
@@ -69,14 +68,26 @@ def test_parse_config_rejects_malformed_line(tmp_path):
 # serialization
 
 
-def test_jsonable_canonical_forms():
-    assert _jsonable(1.5 - 2.0j) == [1.5, -2.0]
-    assert _jsonable(np.complex128(3.0 + 4.0j)) == [3.0, 4.0]
-    assert _jsonable(np.float64(0.25)) == 0.25
-    assert isinstance(_jsonable(np.int64(7)), int)
-    assert _jsonable(np.array([1.0, 2.0])) == [1.0, 2.0]
-    assert _jsonable((1, 2)) == [1, 2]
-    assert _jsonable({"k": (1.0 + 1.0j,)}) == {"k": [[1.0, 1.0]]}
+def _rendered(value):
+    return json.loads(render_json({"v": value}))["v"]
+
+
+def test_render_json_canonical_forms():
+    assert _rendered(1.5 - 2.0j) == [1.5, -2.0]
+    assert _rendered(np.complex128(3.0 + 4.0j)) == [3.0, 4.0]
+    assert _rendered(np.float64(0.25)) == 0.25
+    assert isinstance(_rendered(np.int64(7)), int)
+    assert _rendered(np.bool_(True)) is True
+    assert _rendered(np.array([1.0, 2.0])) == [1.0, 2.0]
+    assert _rendered(np.array([1.0 + 2.0j])) == [[1.0, 2.0]]
+    assert _rendered((1, 2)) == [1, 2]
+    assert _rendered({"k": (1.0 + 1.0j,)}) == {"k": [[1.0, 1.0]]}
+    assert render_json({"x": np.float64(0.1)}) == render_json({"x": 0.1})
+
+
+def test_render_json_rejects_what_it_cannot_encode():
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        render_json({"v": {1, 2}})
 
 
 def test_render_json_is_deterministic_and_sorted():
@@ -434,17 +445,22 @@ def test_degenerate_values_exit_2_without_traceback(name, line, tmp_path, capsys
     assert "sqmlab: error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, kind", [
-    (["propagator", "--gap", "0", "--eps_i", "0"], "ZeroDivisionError"),
-    (["smatrix", "--eps_i", "1e-300"], "ZeroDivisionError"),
-    (["propagator", "--T", "1e300"], "OverflowError"),
-    (["dirac-nogo", "--T", "1e-300"], "OverflowError"),
-], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
-def test_out_of_range_arithmetic_exits_2(argv, kind, tmp_path, capsys):
+OUT_OF_RANGE = [
+    (["propagator", "--gap", "0", "--eps_i", "0"], "ZeroDivisionError", "gap=0, eps_i=0"),
+    (["smatrix", "--eps_i", "1e-300"], "ZeroDivisionError", "eps_i=1e-300"),
+    (["propagator", "--T", "1e300"], "OverflowError", "T=1e300"),
+    (["dirac-nogo", "--T", "1e-300"], "OverflowError", "T=1e-300"),
+]
+
+
+@pytest.mark.parametrize("argv, kind, keys", OUT_OF_RANGE,
+                         ids=[f"{' '.join(argv)}-{kind}" for argv, kind, _ in OUT_OF_RANGE])
+def test_out_of_range_arithmetic_exits_2(argv, kind, keys, tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("sqmlab: error: parameters out of numeric range")
     assert kind in err
+    assert err.rstrip().endswith(f"[overrides: {keys}]")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from sqmlab.constraints import (
     ActionSpec,
-    LinearObservable,
     build_constraints,
     classify,
     dirac_bracket,
@@ -34,31 +33,37 @@ def _mixed_grid(T: float = 7.0) -> ModeGrid:
 
 class TestPoissonBracket:
     def test_canonical_pair(self):
-        assert poisson_bracket(mode_a(0), mode_astar(0)) == pytest.approx(-1j)
-        assert poisson_bracket(mode_astar(0), mode_a(0)) == pytest.approx(1j)
+        assert poisson_bracket(mode_a(0, 2), mode_astar(0, 2)) == pytest.approx(-1j)
+        assert poisson_bracket(mode_astar(0, 2), mode_a(0, 2)) == pytest.approx(1j)
 
     def test_distinct_modes_commute(self):
-        assert poisson_bracket(mode_a(0), mode_astar(1)) == 0.0
-        assert poisson_bracket(mode_a(0), mode_a(1)) == 0.0
+        assert poisson_bracket(mode_a(0, 2), mode_astar(1, 2)) == 0.0
+        assert poisson_bracket(mode_a(0, 2), mode_a(1, 2)) == 0.0
 
     def test_bilinearity(self):
-        f = 2.0 * mode_a(0) + 0.5j * mode_astar(1)
-        g = mode_astar(0) - 3.0 * mode_a(1)
+        f = 2.0 * mode_a(0, 2) + 0.5j * mode_astar(1, 2)
+        g = mode_astar(0, 2) - 3.0 * mode_a(1, 2)
         expected = 2.0 * (-1j) + 0.5j * (-3.0) * (1j)
         assert poisson_bracket(f, g) == pytest.approx(expected)
+
+    def test_mode_symbols_are_coefficient_rows(self):
+        np.testing.assert_array_equal(mode_a(1, 3), [[0, 1, 0], [0, 0, 0]])
+        np.testing.assert_array_equal(mode_astar(1, 3), [[0, 0, 0], [0, 1, 0]])
+        with pytest.raises(IndexError):
+            mode_a(3, 3)
 
 
 class TestDiracBracket:
     def test_offshell_modes_freeze(self):
         cs = build_constraints(_mixed_grid())
         for k in (2, 3):
-            db = dirac_bracket(mode_a(k), mode_astar(k), cs)
+            db = dirac_bracket(mode_a(k, 4), mode_astar(k, 4), cs)
             assert abs(db) <= 1e-12
 
     def test_onshell_modes_keep_canonical_bracket(self):
         cs = build_constraints(_mixed_grid())
         for k in (0, 1):
-            db = dirac_bracket(mode_a(k), mode_astar(k), cs)
+            db = dirac_bracket(mode_a(k, 4), mode_astar(k, 4), cs)
             assert db == -1j  # untouched by the correction: exact
 
     def test_classification(self):

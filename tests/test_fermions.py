@@ -140,6 +140,7 @@ def test_parity_operator_grades_the_algebra():
     layout = FermionLayout(2, 2)
     P = parity_operator(layout).mat
     assert np.array_equal(P @ P, np.eye(layout.dim))
+    assert np.array_equal(np.diag(P), [(-1) ** bin(i).count("1") for i in range(layout.dim)])
     for t in range(2):
         for m in range(2):
             c = jw_annihilator(layout, t, m).mat
@@ -371,6 +372,16 @@ def test_cycle_matches_dense_fswap_network(N, M):
         target = (leg + M) % layout.legs if N > 1 else leg
         moved = dense @ _kron_chain_annihilator(layout, leg) @ dense.T
         assert np.array_equal(moved, signs[leg] * _kron_chain_annihilator(layout, target))
+
+
+@pytest.mark.parametrize("N, M", [(N, M) for N in range(1, 11) for M in range(1, 11) if N * M <= 10])
+def test_cycle_signs_follow_the_wraparound_law(N, M):
+    # closed form: (-1)^(L-1) on the M legs that wrap from the last slice to
+    # slice 0, +1 on every other leg; with one slice nothing moves at all
+    L = N * M
+    _, signs = fermionic_cycle(FermionLayout(N, M))
+    wrap = (-1) ** (L - 1) if N > 1 else 1
+    assert signs == tuple(wrap if leg >= L - M else 1 for leg in range(L))
 
 
 @pytest.mark.parametrize("N, M", [(1, 2), (2, 1), (3, 1), (2, 2), (3, 2)])

@@ -1,12 +1,17 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module,
+and every module-level function or class of the package is used somewhere.
 
 No linter runs with the tests, so this parses each source file with
 `ast`: an imported name counts as used if it appears as a name in the
 code or inside a quoted annotation.  The relative imports of
-`__init__.py` are the package's re-exports and are exempt.
+`__init__.py` are the package's re-exports and are exempt.  A
+module-level definition counts as used if its name is loaded, imported
+or read as an attribute anywhere in the package, the tests or the
+benchmark, outside its own definition.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -14,6 +19,8 @@ import pytest
 import sqmlab
 
 MODULES = sorted(Path(sqmlab.__file__).parent.glob("*.py"))
+REPO = Path(__file__).resolve().parents[1]
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _annotation_names(node: ast.AST) -> set[str]:
@@ -63,3 +70,57 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_only_what_it_uses(path):
     assert unused_imports(path.read_text(), reexports=path.name == "__init__.py") == []
+
+
+def names_used(source: str) -> set[str]:
+    """Names `source` loads, imports or reads as attributes.
+
+    Inside a module-level definition its own name does not count, so
+    recursion alone does not make a function used.
+    """
+    used = set()
+    for top in ast.parse(source).body:
+        here = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                here.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                here.add(node.attr)
+            elif isinstance(node, ast.alias):
+                here.add(node.name.rpartition(".")[2])
+        if isinstance(top, DEFINITIONS):
+            here.discard(top.name)
+        used |= here
+    return used
+
+
+@functools.cache
+def _used_anywhere() -> frozenset[str]:
+    sources = [*MODULES, *(REPO / "tests").glob("*.py"), *(REPO / "perfbench").glob("*.py")]
+    return frozenset().union(*(names_used(path.read_text()) for path in sources))
+
+
+def test_checker_finds_an_unused_definition():
+    source = (
+        "import math\n"
+        "def twice(n):\n"
+        "    return 2 * half(n)\n"
+        "def fact(n):\n"
+        "    return 1 if n < 2 else n * fact(n - 1)\n"
+        "class Box:\n"
+        "    pass\n"
+        "def area(r):\n"
+        "    return math.pi * r * r\n"
+        "def half(n):\n"
+        "    return n / 2\n"
+        "print(area(1.0), Box, twice)\n"
+    )
+    assert {"math", "area", "Box", "print", "half"} <= names_used(source)
+    assert "fact" not in names_used(source)
+    assert "pi" in names_used(source)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_defines_only_what_is_used(path):
+    defined = [n.name for n in ast.parse(path.read_text()).body if isinstance(n, DEFINITIONS)]
+    assert [name for name in defined if name not in _used_anywhere()] == []

@@ -14,7 +14,6 @@ from sqmlab.linalg import (
     inv,
     kron,
     kron_ket,
-    mpow,
     partial_trace,
     rand_ginibre,
     rand_hermitian,
@@ -155,16 +154,6 @@ class TestDecompositions:
         np.testing.assert_allclose((inv(A) @ A).mat, np.eye(4), atol=1e-12)
         with pytest.raises(SingularMatrixError):
             inv(Operator(np.zeros((3, 3))))
-
-    def test_mpow(self):
-        rng = np.random.default_rng(13)
-        A = Operator(rand_ginibre(rng, 3))
-        expected = np.eye(3)
-        for k in range(6):
-            Ak = mpow(A, k)
-            np.testing.assert_allclose(Ak.mat, expected, rtol=1e-13, atol=1e-13)
-            assert Ak.dims == A.dims
-            expected = expected @ A.mat
 
 
 class TestRandom:
