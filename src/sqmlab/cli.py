@@ -8,11 +8,11 @@ byte-identical JSON file (sorted keys, complex numbers as [re, im],
 cases sorted by case key).  The exit status is 0 iff every case
 passed, 1 if a case failed, and 2 for bad input, including a value
 the run cannot represent (an ArithmeticError, whose message lists the
---KEY VALUE overrides given).  Config files are flat
-key=value lines; values parse as int, float, bool, comma list, or
-string.  After the experiment name, every further --KEY VALUE pair
-overrides that key of the experiment's DEFAULTS, its value parsed as
-in a config file, and overrides the config file too.
+parameters given by --config, --seed and --KEY VALUE).  Config files
+are flat key=value lines; values parse as int, float, bool, comma
+list, or string.  After the experiment name, every further --KEY
+VALUE pair overrides that key of the experiment's DEFAULTS, its value
+parsed as in a config file, and overrides the config file too.
 """
 
 from __future__ import annotations
@@ -131,8 +131,6 @@ def _collect_params(args: argparse.Namespace, overrides: Sequence[str] = ()) -> 
     if args.config:
         params.update(parse_config(args.config))
     if args.seed is not None:
-        if not 0 <= args.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
         params["seed"] = args.seed
     flags, values = overrides[::2], [*overrides[1::2], ""]
     for flag, value in zip(flags, values):
@@ -144,6 +142,7 @@ def _collect_params(args: argparse.Namespace, overrides: Sequence[str] = ()) -> 
 
 def main(argv: list[str] | None = None) -> int:
     args, overrides = build_parser().parse_known_args(argv)
+    params: dict = {}
     try:
         params = _collect_params(args, overrides)
         report = run_experiment(args.experiment, params)
@@ -151,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
         why, given = "", ""
         if isinstance(exc, ArithmeticError):
             why = f"parameters out of numeric range ({type(exc).__name__}): "
-            pairs = ", ".join(f"{k[2:]}={v}" for k, v in zip(overrides[::2], overrides[1::2]))
+            pairs = ", ".join(f"{k}={v}" for k, v in params.items())
             given = f" [overrides: {pairs or 'none'}]"
         print(f"sqmlab: error: {why}{exc}{given}", file=sys.stderr)
         return 2

@@ -18,7 +18,6 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
 
 from . import clock, constraints, fermions, fock, gaussian, oracles, spacetime, timeslab, wick
 from .grids import ModeGrid, frequency_tower
@@ -492,38 +491,33 @@ def run_dirac_propagator(params: dict) -> dict:
 def run_fswap_cycle(params: dict) -> dict:
     """Each leg's conjugation by the cycle, and its commutation with parity.
 
-    The products and differences run on sparse copies of the returned
-    dense U, ladders and parity (a signed permutation has one entry per
-    row), so a leg costs O(D) instead of the O(D^3) of dense products;
-    the error is the largest entrywise deviation from the target ladder,
-    as before.  Each dense ladder is built once, as a leg's own ladder
-    and as another leg's target.
+    Runs on the sparse signed maps of `fermions` (one entry per row), so
+    a leg costs O(D).  The target ladder is built by its own index
+    arithmetic and the sign comes from the closed law of cycle_signs,
+    neither read off U, so a wrong U fails a case; the error is the
+    largest entrywise deviation from sign * target.
     """
     layout = fermions.FermionLayout(params["N"], params["M"])
-    U, signs = fermions.fermionic_cycle(layout)
-    U_s = sparse.csr_array(U.mat)
-    U_dag = U_s.conj().T.tocsr()
+    U = fermions.cycle_matrix(layout)
+    signs = fermions.cycle_signs(layout)
     L = layout.legs
-    ladders = [
-        sparse.csr_array(fermions.jw_annihilator(layout, leg // layout.M, leg % layout.M).mat)
-        for leg in range(L)
-    ]
+    ladders = [fermions.jw_ladder(layout, leg) for leg in range(L)]
     cases = []
     for leg in range(L):
         target = (leg + layout.M) % L if layout.N > 1 else leg
-        moved = U_s @ ladders[leg] @ U_dag
+        moved = U @ ladders[leg] @ U.T  # U is real
         cases.append(_case(
             f"conjugation[leg={leg}]", {"leg": leg, "target": target, "sign": signs[leg]},
             abs(moved - signs[leg] * ladders[target]).max(), 0.0, params["tol"],
         ))
-    P = sparse.csr_array(fermions.parity_operator(layout).mat)
+    P = fermions.parity_matrix(layout)
     cases.append(_case(
         "parity_commutes", {"N": layout.N, "M": layout.M},
-        abs(U_s @ P - P @ U_s).max(), 0.0, params["tol"],
+        abs(U @ P - P @ U).max(), 0.0, params["tol"],
     ))
     if layout.N == 2 and layout.M == 1:
         cases.append(_case(
-            "equals_fswap", {}, np.max(np.abs(U.mat - fermions.fswap().mat)), 0.0, 0.0,
+            "equals_fswap", {}, np.max(np.abs(U.toarray() - fermions.fswap().mat)), 0.0, 0.0,
         ))
     return _finish(cases)
 
@@ -634,9 +628,9 @@ def _check_params(name: str, params: dict) -> dict:
     Every key must be one of the experiment's DEFAULTS keys, with the
     same type (a tuple takes the type of its first default element);
     real numbers must be finite, tolerances (keys starting with "tol")
-    nonnegative, and "cases" at least 1.  Returns the overrides with an
-    int given for a real key made a float, so `tol = 1` and `tol = 1.0`
-    give the same report.
+    nonnegative, "cases" at least 1 and "seed" in [0, 2^64).  Returns
+    the overrides with an int given for a real key made a float, so
+    `tol = 1` and `tol = 1.0` give the same report.
     """
     defaults = DEFAULTS[name]
     unknown = sorted(set(params) - set(defaults))
@@ -662,6 +656,8 @@ def _check_params(name: str, params: dict) -> dict:
             raise ValueError(f"tolerance {key!r} must be nonnegative, got {value!r}")
     if params.get("cases", 1) < 1:
         raise ValueError(f"need cases >= 1, got {params['cases']}")
+    if not 0 <= params.get("seed", 0) < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
     return checked
 
 

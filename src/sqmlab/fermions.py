@@ -9,6 +9,10 @@ normalized trace needs the parity operator inserted:
 
     <...> = Tr[P e^{i S_f} ...] / Tr[P e^{i S_f}],   P = (-1)^{N_f}.
 
+Ladders, cycle and P are signed index maps built straight into CSR
+(jw_ladder, cycle_matrix, parity_matrix), with dense views for callers
+that read entries; the cycle's signs are predicted, not read off it.
+
 For a quadratic action S_f = sum_ab A_ab c†_a c_b the pair correlator
 has the closed Gaussian form <c_a c†_b> = [(I - e^{iA})^{-1}]_ab, the
 fermionic counterpart of the bosonic 1/(e^lambda - 1) pair value; per
@@ -19,8 +23,8 @@ per unit tau.
 
 Conventions fixed here: Dirac representation with signature (+,-,-,-);
 Jordan-Wigner ordering slice-major (leg = t*M + m), string over lower
-legs; mode annihilator maps |1> to |0>.  Dense spaces are capped at
-2**12 states.
+legs; mode annihilator maps |1> to |0>.  Layouts are capped at 2**12
+states, the size the dense views can still afford.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy import sparse
 
 from .linalg import Operator, SingularMatrixError, inv
 
@@ -100,7 +105,7 @@ class FermionLayout:
     """N time slices x M fermionic modes under a global Jordan-Wigner chain.
 
     Leg order is slice-major: leg(t, m) = t*M + m; the Jordan-Wigner
-    string of a leg covers all lower legs.  The dense space has 2^(N*M)
+    string of a leg covers all lower legs.  The space has 2^(N*M)
     states, capped at 2**12.
     """
 
@@ -133,50 +138,41 @@ class FermionLayout:
         return t * self.M + m
 
 
-def _jw_map(layout: FermionLayout, leg: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """c_leg = Z^{⊗leg} ⊗ s- ⊗ I^{⊗rest} as a signed partial permutation.
+def jw_ladder(layout: FermionLayout, leg: int) -> sparse.csr_array:
+    """c_leg = Z^{⊗leg} ⊗ s- ⊗ I^{⊗rest} as a sparse signed map.
 
-    Returns (rows, cols, signs): basis column cols[i] (leg occupied) goes
-    to row rows[i] (leg emptied) with the string sign (-1)^{occupation
-    of the lower legs}; every other column is annihilated.  Leg 0 is the
-    slowest-varying bit of the basis index.
+    Basis column c (leg occupied) goes to row c with the leg emptied,
+    with the string sign (-1)^{occupation of the lower legs}; every
+    other column is annihilated.  Leg 0 is the slowest-varying bit of
+    the basis index.
     """
     L = layout.legs
     states = np.arange(layout.dim)
     bit = 1 << (L - 1 - leg)
     cols = states[(states & bit) != 0]
-    parity = np.zeros(cols.shape, dtype=np.int64)
-    for lower in range(leg):
-        parity ^= (cols >> (L - 1 - lower)) & 1
-    return cols ^ bit, cols, 1.0 - 2.0 * parity
-
-
-def _jw_matrix(layout: FermionLayout, leg: int) -> np.ndarray:
-    """Annihilator c_leg as a dense matrix, scattered from its index map."""
-    rows, cols, signs = _jw_map(layout, leg)
-    out = np.zeros((layout.dim, layout.dim))
-    out[rows, cols] = signs
-    return out
+    below = sum(((cols >> (L - 1 - j)) & 1 for j in range(leg)), np.zeros_like(cols))
+    return sparse.csr_array(((-1.0) ** below, (cols ^ bit, cols)), shape=(layout.dim,) * 2)
 
 
 def jw_annihilator(layout: FermionLayout, t: int, m: int) -> Operator:
-    """Dense c(t, m) with the Jordan-Wigner string over lower legs."""
-    return Operator(_jw_matrix(layout, layout.leg(t, m)), layout.leg_dims)
+    """Dense view of jw_ladder: c(t, m) with the string over lower legs."""
+    return Operator(jw_ladder(layout, layout.leg(t, m)).toarray(), layout.leg_dims)
+
+
+def parity_matrix(layout: FermionLayout) -> sparse.csr_array:
+    """(-1)^{N_f} as a sparse diagonal: -1 on odd-occupation basis states."""
+    idx = np.arange(layout.dim)
+    pops = sum((idx >> b) & 1 for b in range(layout.legs))
+    return sparse.csr_array(((-1.0) ** pops, (idx, idx)), shape=(layout.dim,) * 2)
 
 
 def parity_operator(layout: FermionLayout) -> Operator:
-    """(-1)^{N_f}: diagonal, -1 on odd-occupation basis states."""
-    idx = np.arange(layout.dim)
-    pops = sum((idx >> b) & 1 for b in range(layout.legs))
-    return Operator(np.diag((-1.0) ** pops), layout.leg_dims)
-
-
-# A signed permutation U is kept as (perm, sign): column c of U is
-# sign[c] times basis vector perm[c].
+    """Dense view of parity_matrix."""
+    return Operator(parity_matrix(layout).toarray(), layout.leg_dims)
 
 
 def _compose(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]):
-    """The signed permutation a · b."""
+    """a · b for signed permutations (perm, sign): column c is sign[c] e_{perm[c]}."""
     (perm_a, sign_a), (perm_b, sign_b) = a, b
     return perm_a[perm_b], sign_a[perm_b] * sign_b
 
@@ -195,19 +191,13 @@ def _fswap_map(layout: FermionLayout, j: int) -> tuple[np.ndarray, np.ndarray]:
     return perm, np.where(n1 & ~n0, -1.0, 1.0)
 
 
-def fermionic_cycle(layout: FermionLayout) -> tuple[Operator, tuple[int, ...]]:
-    """Unitary advancing every slice by one step, with its measured signs.
+def cycle_matrix(layout: FermionLayout) -> sparse.csr_array:
+    """Unitary advancing every slice by one step, as a sparse signed map.
 
-    Built as M repetitions of a single-position shift, itself the
-    adjacent-fSWAP network F(0,1) F(1,2) ... F(L-2, L-1), composed as
-    signed permutations in O(M·L·2^L).  Conjugation maps c(t, m) to
-    sign * c(t+1 mod N, m); the per-leg signs are measured by
-    conjugating each ladder's index map with the cycle, sorting it by
-    column and comparing it with the target ladder's own index map,
-    up to an overall sign (the wraparound legs pick up the
-    Jordan-Wigner boundary sign, interior legs stay +1), and returned
-    alongside.  For N = 1 the cycle is the identity; for N = 2, M = 1
-    it is exactly the fSWAP matrix.
+    M repetitions of a single-position shift, itself the adjacent-fSWAP
+    network F(0,1) F(1,2) ... F(L-2, L-1), composed as signed
+    permutations in O(M·L·2^L).  For N = 1 it is the identity; for
+    N = 2, M = 1 it is exactly the fSWAP matrix.
     """
     L, dim = layout.legs, layout.dim
     states = np.arange(dim)
@@ -219,42 +209,40 @@ def fermionic_cycle(layout: FermionLayout) -> tuple[Operator, tuple[int, ...]]:
         for _ in range(layout.M):
             U = _compose(U, shift1)
     perm, sign = U
-    signs = []
-    for leg in range(L):
-        target = (leg + layout.M) % L if layout.N > 1 else leg
-        # U c U† has sign[r] * c[r, c] * sign[c] at (perm[r], perm[c]); sort by column
-        rows, cols, vals = _jw_map(layout, leg)
-        order = np.argsort(perm[cols])
-        moved = perm[rows][order], perm[cols][order], (sign[rows] * vals * sign[cols])[order]
-        ref = _jw_map(layout, target)
-        on_target = np.array_equal(moved[0], ref[0]) and np.array_equal(moved[1], ref[1])
-        if on_target and np.array_equal(moved[2], ref[2]):
-            signs.append(1)
-        elif on_target and np.array_equal(moved[2], -ref[2]):
-            signs.append(-1)
-        else:
-            raise AssertionError(
-                f"cycle conjugation did not map leg {leg} onto +/- leg {target}"
-            )
-    mat = np.zeros((dim, dim))
-    mat[perm, states] = sign
-    return Operator(mat, layout.leg_dims), tuple(signs)
+    return sparse.csr_array((sign, (perm, states)), shape=(dim, dim))
+
+
+def cycle_signs(layout: FermionLayout) -> tuple[int, ...]:
+    """Signs of the cycle's conjugation c(t, m) -> sign * c(t+1 mod N, m).
+
+    fSWAP is Gaussian (c0 -> c1, c1 -> -c0), so one single-position
+    shift moves every leg up by one with sign +1, except the last leg,
+    which crosses the L - 1 others to reach leg 0 and picks up one minus
+    sign per fSWAP.  Over M shifts exactly the M wraparound legs
+    (leg >= L - M) cross once: sign (-1)^(L-1) there, +1 elsewhere, and
+    all +1 when N = 1, where nothing moves.
+    """
+    L = layout.legs
+    wrap = (-1) ** (L - 1) if layout.N > 1 else 1
+    return tuple(wrap if leg >= L - layout.M else 1 for leg in range(L))
+
+
+def fermionic_cycle(layout: FermionLayout) -> tuple[Operator, tuple[int, ...]]:
+    """Dense view of cycle_matrix, with the signs of cycle_signs."""
+    return Operator(cycle_matrix(layout).toarray(), layout.leg_dims), cycle_signs(layout)
 
 
 def quadratic_action(layout: FermionLayout, coeffs: np.ndarray) -> Operator:
-    """S_f = sum_ab coeffs[a, b] c†_a c_b on the dense layout space."""
+    """S_f = sum_ab coeffs[a, b] c†_a c_b, summed as sparse products."""
     coeffs = np.asarray(coeffs, dtype=complex)
     L = layout.legs
     if coeffs.shape != (L, L):
         raise ValueError(f"coefficient matrix must be {L}x{L}")
-    ladders = [_jw_matrix(layout, leg) for leg in range(L)]
-    out = np.zeros((layout.dim, layout.dim), dtype=complex)
-    for a in range(L):
-        left = ladders[a].conj().T
-        for b in range(L):
-            if coeffs[a, b] != 0.0:
-                out += coeffs[a, b] * (left @ ladders[b])
-    return Operator(out, layout.leg_dims)
+    ladders = [jw_ladder(layout, leg) for leg in range(L)]  # real: c† is the transpose
+    out = sparse.csr_array((layout.dim, layout.dim), dtype=complex)
+    for a, b in zip(*np.nonzero(coeffs)):
+        out = out + coeffs[a, b] * (ladders[a].T @ ladders[b])
+    return Operator(out.toarray(), layout.leg_dims)
 
 
 def parity_weighted_trace(
@@ -269,7 +257,7 @@ def parity_weighted_trace(
     """
     if S_f.dim != layout.dim:
         raise ValueError("action operator lives on the wrong space")
-    weight = parity_operator(layout).mat @ scipy.linalg.expm(1j * S_f.mat)
+    weight = parity_matrix(layout) @ scipy.linalg.expm(1j * S_f.mat)
     den = complex(np.trace(weight))
     if abs(den) < 1e-13:
         raise ZeroDivisionError("parity-weighted normalization trace vanishes")
@@ -304,7 +292,8 @@ def dirac_mode_propagator(
 ) -> np.ndarray:
     """Matrix-valued mode pair value [I - e^{i tau g0 (p-slash - m)}]^{-1} g0.
 
-    The mass carries the regulator through m^2 -> m^2 - i eps_i.  For
+    The Gaussian law parity_pair_correlator on the block tau g0 (p-slash
+    - m), times g0.  The mass carries the regulator through m^2 -> m^2 - i eps_i.  For
     small tau, tau * result approaches i(p-slash + m)/(p^2 - m^2 + i
     eps_i) with O(tau) error (see dirac_propagator_limit); exactly on
     shell with eps_i = 0 the matrix I - e^{iK} is singular and a
@@ -316,12 +305,12 @@ def dirac_mode_propagator(
     m_c = regulated_mass(m, eps_i)
     K = g.gamma(0) @ (g.slash(p) - m_c * np.eye(4))
     try:
-        pair = inv(Operator(np.eye(4) - scipy.linalg.expm(1j * tau * K)))
+        pair = parity_pair_correlator(tau * K)
     except SingularMatrixError as exc:
         raise SingularMatrixError(
             "mode propagator singular: on-shell momentum with vanishing regulator"
         ) from exc
-    return pair.mat @ g.gamma(0)
+    return pair @ g.gamma(0)
 
 
 def dirac_propagator_limit(p: Sequence[float], m: float, eps_i: float) -> np.ndarray:

@@ -325,8 +325,8 @@ def naive_conditioning_check(
     return slab, standard
 
 
-def internal_contraction(lf: LatticeFock, t: int = 0, p: int = 0, engine: str = "sector") -> float:
-    """<vac|a(t,p) a†(t,p)|vac> / eps — the equal-point contraction density.
+def internal_contraction(lf: LatticeFock, engine: str = "sector") -> float:
+    """<vac|a(0,0) a†(0,0)|vac> / eps — the equal-point contraction density.
 
     The raw contraction is exactly 1; dividing by the slice width gives
     1/eps = N/T, the quantity that makes the conditioning anomaly grow
@@ -334,29 +334,29 @@ def internal_contraction(lf: LatticeFock, t: int = 0, p: int = 0, engine: str = 
     """
     _check_engine(lf, engine)
     if engine == "dense":
-        w = _apply_leg(lf, _single_ladder(lf.n_max).T, lf.leg(t, p), vacuum(lf).vec)
+        w = _apply_leg(lf, _single_ladder(lf.n_max).T, lf.leg(0, 0), vacuum(lf).vec)
     else:
         sf = SectorFock(lf.legs)
-        w = sf.create(lf.leg(t, p), sf.vacuum())
+        w = sf.create(lf.leg(0, 0), sf.vacuum())
     raw = float(np.real(np.vdot(w, w)))
     return raw / lf.eps
 
 
-def anomaly_mismatch(lf: LatticeFock, p: int = 0, engine: str = "sector") -> dict:
-    """Slab-vs-standard summary for the slice-0 probes of one lattice.
+def anomaly_mismatch(lf: LatticeFock, *, engine: str = "sector") -> dict:
+    """Slab-vs-standard summary for the slice-0, mode-0 probes of one lattice.
 
     Returns the normal-ordered pair (which must agree), the
     non-normal-ordered pair, and their mismatch N - 1.
     """
-    ext_n, std_n = naive_conditioning_check(lf, 0, True, p, engine)
-    ext_w, std_w = naive_conditioning_check(lf, 0, False, p, engine)
+    ext_n, std_n = naive_conditioning_check(lf, 0, True, engine=engine)
+    ext_w, std_w = naive_conditioning_check(lf, 0, False, engine=engine)
     return {
         "normal_slab": ext_n,
         "normal_standard": std_n,
         "nonnormal_slab": ext_w,
         "nonnormal_standard": std_w,
         "mismatch": ext_w - std_w,
-        "contraction_density": internal_contraction(lf, 0, p, engine),
+        "contraction_density": internal_contraction(lf, engine),
     }
 
 

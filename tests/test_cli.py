@@ -118,10 +118,16 @@ def test_write_csv_layout(tmp_path):
 # argument handling
 
 
-def test_seed_range_is_validated():
-    args = build_parser().parse_args(["fswap-cycle", "--seed", "-1"])
-    with pytest.raises(ValueError, match="64-bit"):
-        _collect_params(args)
+def test_seed_range_is_validated(tmp_path, capsys):
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="64-bit"):
+            run_experiment("fswap-cycle", {"seed": seed})
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text(f"seed = {seed}\n")
+        for source in (["--seed", str(seed)], ["--config", str(cfg)]):
+            assert main(["fswap-cycle", *source, "--out", str(tmp_path / "reports")]) == 2
+            assert "seed must fit in an unsigned 64-bit integer" in capsys.readouterr().err
+    assert run_experiment("fswap-cycle", {"seed": 2**64 - 1})["summary"]["all_pass"]
 
 
 def _as_text(value) -> str:
@@ -445,23 +451,32 @@ def test_degenerate_values_exit_2_without_traceback(name, line, tmp_path, capsys
     assert "sqmlab: error:" in capsys.readouterr().err
 
 
+# (argv, config file text or None, error kind, parameters named in the message)
 OUT_OF_RANGE = [
-    (["propagator", "--gap", "0", "--eps_i", "0"], "ZeroDivisionError", "gap=0, eps_i=0"),
-    (["smatrix", "--eps_i", "1e-300"], "ZeroDivisionError", "eps_i=1e-300"),
-    (["propagator", "--T", "1e300"], "OverflowError", "T=1e300"),
-    (["dirac-nogo", "--T", "1e-300"], "OverflowError", "T=1e-300"),
+    (["propagator", "--gap", "0", "--eps_i", "0"], None, "ZeroDivisionError", "gap=0, eps_i=0"),
+    (["smatrix", "--eps_i", "1e-300"], None, "ZeroDivisionError", "eps_i=1e-300"),
+    (["propagator", "--T", "1e300"], None, "OverflowError", "T=1e+300"),
+    (["dirac-nogo", "--T", "1e-300"], None, "OverflowError", "T=1e-300"),
+    (["smatrix", "--seed", "7"], "eps_i = 1e-300", "ZeroDivisionError", "eps_i=1e-300, seed=7"),
 ]
 
 
-@pytest.mark.parametrize("argv, kind, keys", OUT_OF_RANGE,
-                         ids=[f"{' '.join(argv)}-{kind}" for argv, kind, _ in OUT_OF_RANGE])
-def test_out_of_range_arithmetic_exits_2(argv, kind, keys, tmp_path, capsys):
-    assert main(argv + ["--out", str(tmp_path)]) == 2
+@pytest.mark.parametrize(
+    "argv, config, kind, keys", OUT_OF_RANGE,
+    ids=[" ".join(argv) + (f" --config [{config}]" if config else "") + f"-{kind}"
+         for argv, config, kind, _ in OUT_OF_RANGE])
+def test_out_of_range_arithmetic_exits_2(argv, config, kind, keys, tmp_path, capsys):
+    out = tmp_path / "reports"
+    if config:
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(config + "\n")
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("sqmlab: error: parameters out of numeric range")
     assert kind in err
     assert err.rstrip().endswith(f"[overrides: {keys}]")
-    assert list(tmp_path.iterdir()) == []
+    assert not out.exists()
 
 
 DEFAULT_RUNS = [[name] for name in sorted(DEFAULTS)] + [["smatrix", "--order", "2"]]

@@ -5,17 +5,21 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from sqmlab.fermions import (
     FERMION_DIM_CAP,
     METRIC,
     FermionLayout,
+    cycle_matrix,
+    cycle_signs,
     dirac_mode_propagator,
     dirac_propagator_limit,
     fermionic_cycle,
     fswap,
     gamma_set,
     jw_annihilator,
+    jw_ladder,
     parity_operator,
     parity_pair_correlator,
     parity_weighted_trace,
@@ -374,14 +378,17 @@ def test_cycle_matches_dense_fswap_network(N, M):
         assert np.array_equal(moved, signs[leg] * _kron_chain_annihilator(layout, target))
 
 
-@pytest.mark.parametrize("N, M", [(N, M) for N in range(1, 11) for M in range(1, 11) if N * M <= 10])
+@pytest.mark.parametrize("N, M", [(N, M) for N in range(1, 13) for M in range(1, 13) if N * M <= 12])
 def test_cycle_signs_follow_the_wraparound_law(N, M):
-    # closed form: (-1)^(L-1) on the M legs that wrap from the last slice to
-    # slice 0, +1 on every other leg; with one slice nothing moves at all
-    L = N * M
-    _, signs = fermionic_cycle(FermionLayout(N, M))
-    wrap = (-1) ** (L - 1) if N > 1 else 1
-    assert signs == tuple(wrap if leg >= L - M else 1 for leg in range(L))
+    # every layout the cap allows: the predicted signs carry each ladder,
+    # conjugated by the fSWAP composition, onto its separately built target
+    layout = FermionLayout(N, M)
+    U, signs = cycle_matrix(layout), cycle_signs(layout)
+    L = layout.legs
+    for leg in range(L):
+        target = (leg + M) % L if N > 1 else leg
+        diff = U @ jw_ladder(layout, leg) @ U.T - signs[leg] * jw_ladder(layout, target)
+        assert abs(diff).max() == 0.0
 
 
 @pytest.mark.parametrize("N, M", [(1, 2), (2, 1), (3, 1), (2, 2), (3, 2)])
@@ -404,17 +411,35 @@ def test_fswap_experiment_matches_dense_products(N, M):
 
 
 def test_fswap_experiment_fails_a_wrong_cycle(monkeypatch):
-    def bad_cycle(layout):
-        U, signs = fermionic_cycle(layout)
-        mat = U.mat.copy()
-        mat[:, 1] *= -1.0  # one basis state picks up a wrong sign
-        return Operator(mat, U.dims), signs
+    build = fermions.cycle_matrix
 
-    monkeypatch.setattr(fermions, "fermionic_cycle", bad_cycle)
+    def bad_cycle(layout):
+        mat = build(layout).toarray()
+        mat[:, 1] *= -1.0  # one basis state picks up a wrong sign
+        return sparse.csr_array(mat)
+
+    monkeypatch.setattr(fermions, "cycle_matrix", bad_cycle)
     params = dict(experiments.DEFAULTS["fswap-cycle"], N=3, M=2)
     report = experiments.run_fswap_cycle(params)
     failed = {c["case"] for c in report["cases"] if not c["pass"]}
     assert "conjugation[leg=0]" in failed
+
+
+def test_fswap_experiment_fails_the_adjoint_fswap(monkeypatch):
+    # fSWAP† carries the minus sign on |10> -> |01> instead of |01> -> |10>;
+    # at three legs it flips the sign of legs 0 and 1, which a sign read off
+    # the cycle would absorb and the predicted one does not
+    fswap_map = fermions._fswap_map
+
+    def adjoint(layout, j):
+        perm, sign = fswap_map(layout, j)
+        return perm, sign[perm]  # perm is an involution: the transpose
+
+    monkeypatch.setattr(fermions, "_fswap_map", adjoint)
+    params = dict(experiments.DEFAULTS["fswap-cycle"], N=3, M=1)
+    report = experiments.run_fswap_cycle(params)
+    failed = {c["case"] for c in report["cases"] if not c["pass"]}
+    assert failed == {"conjugation[leg=0]", "conjugation[leg=1]"}
 
 
 @pytest.mark.parametrize("N, M", CYCLE_LAYOUTS)
