@@ -10,8 +10,9 @@ normalized trace needs the parity operator inserted:
     <...> = Tr[P e^{i S_f} ...] / Tr[P e^{i S_f}],   P = (-1)^{N_f}.
 
 Ladders, cycle and P are signed index maps built straight into CSR
-(jw_ladder, cycle_matrix, parity_matrix), with dense views for callers
-that read entries; the cycle's signs are predicted, not read off it.
+(jw_ladder, cycle_matrix, parity_matrix), with real dense views for
+callers that read entries; the cycle's signs are predicted, not read
+off it.
 
 For a quadratic action S_f = sum_ab A_ab c†_a c_b the pair correlator
 has the closed Gaussian form <c_a c†_b> = [(I - e^{iA})^{-1}]_ab, the
@@ -155,7 +156,7 @@ def jw_ladder(layout: FermionLayout, leg: int) -> sparse.csr_array:
 
 
 def jw_annihilator(layout: FermionLayout, t: int, m: int) -> Operator:
-    """Dense view of jw_ladder: c(t, m) with the string over lower legs."""
+    """Real float64 dense view of jw_ladder: c(t, m) with the string over lower legs."""
     return Operator(jw_ladder(layout, layout.leg(t, m)).toarray(), layout.leg_dims)
 
 
@@ -167,7 +168,7 @@ def parity_matrix(layout: FermionLayout) -> sparse.csr_array:
 
 
 def parity_operator(layout: FermionLayout) -> Operator:
-    """Dense view of parity_matrix."""
+    """Real float64 dense view of parity_matrix."""
     return Operator(parity_matrix(layout).toarray(), layout.leg_dims)
 
 
@@ -228,7 +229,7 @@ def cycle_signs(layout: FermionLayout) -> tuple[int, ...]:
 
 
 def fermionic_cycle(layout: FermionLayout) -> tuple[Operator, tuple[int, ...]]:
-    """Dense view of cycle_matrix, with the signs of cycle_signs."""
+    """Real float64 dense view of cycle_matrix, with the signs of cycle_signs."""
     return Operator(cycle_matrix(layout).toarray(), layout.leg_dims), cycle_signs(layout)
 
 

@@ -1,4 +1,4 @@
-"""Dense complex operators on tensor-product spaces.
+"""Dense operators on tensor-product spaces.
 
 Everything downstream (history states, time slabs, spacetime density
 operators, Wick engines) manipulates operators on a tensor product of
@@ -9,6 +9,9 @@ subsets, matrix exponentials and guarded inverses, and seeded random
 operator ensembles.  Integer powers are numpy's `matrix_power`.
 
 Dense storage only; the intended regime is total dimension ≲ 4096.
+Entries are complex128, except that float64 input stays float64: real
+maps such as the fermionic signed permutations keep real products, and
+arithmetic with complex values promotes as numpy does.
 """
 
 from __future__ import annotations
@@ -24,20 +27,24 @@ class SingularMatrixError(np.linalg.LinAlgError):
     """Raised when a matrix is numerically singular for the requested op."""
 
 
-def _as_complex_matrix(entries) -> np.ndarray:
-    mat = np.asarray(entries, dtype=complex)
+def _as_square_matrix(entries) -> np.ndarray:
+    """float64 entries as they are, any other dtype as complex128, without a copy."""
+    mat = np.asarray(entries)
+    if mat.dtype != np.float64:
+        mat = mat.astype(complex, copy=False)  # the one copy is Operator's own
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"operator entries must be a square matrix, got shape {mat.shape}")
     return mat
 
 
 class Operator:
-    """Square complex matrix with an attached factorization of its index space.
+    """Square matrix with an attached factorization of its index space.
 
     Parameters
     ----------
     entries : array_like
-        Square complex matrix of size (prod(dims), prod(dims)).
+        Square matrix of size (prod(dims), prod(dims)); kept as float64
+        if it is float64, stored as complex128 otherwise.
     dims : sequence of int
         Local dimension of each tensor factor, factor 0 first (slowest
         varying index, i.e. the leftmost factor of a kron product).
@@ -51,7 +58,7 @@ class Operator:
     __slots__ = ("dims", "mat")
 
     def __init__(self, entries, dims: Sequence[int] | None = None):
-        mat = _as_complex_matrix(entries)
+        mat = _as_square_matrix(entries)
         if dims is None:
             dims = (mat.shape[0],)
         dims = tuple(int(d) for d in dims)

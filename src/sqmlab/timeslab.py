@@ -33,7 +33,7 @@ import numpy as np
 from .linalg import Ket, Operator, expm, kron
 
 DEFAULT_DIM_CAP = 4096
-_COLUMN_BLOCK = 128  # identity columns per pass through E in trace_theorem_lhs
+_COLUMN_BLOCK = 128  # identity columns per pass through E in the streamed traces
 
 
 @dataclass(frozen=True)
@@ -201,16 +201,26 @@ def constraint_expectation(
     motion V·O_H((t+1)eps)·V† - O_H(t eps) = 0 evaluated inside the
     boundary trace.
 
-    E·X·E† is built by applying E to whole columns twice,
-    E·(E·X)† = (E·X·E†)†, so the shift identity is exercised, not assumed.
+    The two traces stream: the identity goes through E one block of
+    columns at a time, as in trace_theorem_lhs, and the block's columns
+    j add ⟨E e_j| B·E·E·X |e_j⟩ to the shifted half and ⟨e_j| B·E·X |e_j⟩
+    to the unshifted one, from three applies (E·X, E·(E·X) and E·I); the
+    working set is D x block, not D x D.  The shifted half sums to
+    Tr[E†·B·E·E·X] = Tr[B·E·(E·X·E†)]: E† still acts, through the
+    conjugated columns E·e_j, so the shift identity is exercised, not
+    assumed.
     """
     layout = qa.layout
     if boundary is not None and not 0 <= t < layout.N - 1:
         raise ValueError(f"with a boundary need 0 <= t < N-1, got t={t}, N={layout.N}")
-    EX = qa.apply(np.eye(layout.total_dim, dtype=complex), slice_factors(layout, [(O, t)]))
-    shifted = qa.apply(EX.conj().T).conj().T  # E·X·E†
-    bracket = qa.apply(shifted) - EX  # E·(E·X·E† - X)
-    if boundary is not None:
-        q, qp = boundary
-        bracket = apply_local(layout, bracket, {0: q.outer(qp).mat})
-    return complex(np.trace(bracket))
+    factors = slice_factors(layout, [(O, t)])
+    B = {} if boundary is None else {0: boundary[0].outer(boundary[1]).mat}
+    D = layout.total_dim
+    shifted = unshifted = 0j
+    for j in range(0, D, _COLUMN_BLOCK):
+        b = min(_COLUMN_BLOCK, D - j)
+        I = np.eye(D, b, -j, dtype=complex)
+        EX = qa.apply(I, factors)
+        shifted += np.vdot(qa.apply(I), apply_local(layout, qa.apply(EX), B))
+        unshifted += np.trace(apply_local(layout, EX, B)[j : j + b])
+    return complex(shifted - unshifted)

@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from sqmlab.linalg import Operator, identity, kron
-from sqmlab.timeslab import SliceLayout
+from sqmlab.linalg import Ket, Operator, identity, kron
+from sqmlab.timeslab import QuantumAction, SliceLayout, apply_local, slice_factors
 
 
 def cycle_shift(layout: SliceLayout) -> Operator:
@@ -39,6 +39,24 @@ def embed_at_slice(O: Operator, t: int, layout: SliceLayout) -> Operator:
     right = identity((layout.d,) * (layout.N - 1 - t)) if t < layout.N - 1 else None
     factors = [f for f in (left, O, right) if f is not None]
     return kron(*factors)
+
+
+def constraint_expectation_columns(
+    qa: QuantumAction, O: Operator, t: int, boundary: tuple[Ket, Ket] | None = None
+) -> complex:
+    """Tr[B · E · (E·X·E† - X)], X = embed(O, t), from whole D x D columns.
+
+    E·X·E† is built by applying E to the whole identity twice,
+    E·(E·X)† = (E·X·E†)†, and the bracket is kept as one dense matrix.
+    """
+    layout = qa.layout
+    EX = qa.apply(np.eye(layout.total_dim, dtype=complex), slice_factors(layout, [(O, t)]))
+    shifted = qa.apply(EX.conj().T).conj().T  # E·X·E†
+    bracket = qa.apply(shifted) - EX  # E·(E·X·E† - X)
+    if boundary is not None:
+        q, qp = boundary
+        bracket = apply_local(layout, bracket, {0: q.outer(qp).mat})
+    return complex(np.trace(bracket))
 
 
 def partial_trace_loop(A: Operator, keep) -> Operator:

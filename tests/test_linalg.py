@@ -1,9 +1,12 @@
 """Dense operator/state helpers: algebra, factor maps, decompositions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sqmlab.fermions import FermionLayout, fermionic_cycle, jw_annihilator, parity_operator
 from sqmlab.linalg import (
     Ket,
     Operator,
@@ -36,6 +39,42 @@ class TestOperator:
         A = Operator(np.eye(2))
         with pytest.raises(ValueError):
             A.mat[0, 0] = 5.0
+
+    def test_float64_stays_real_everything_else_becomes_complex(self):
+        assert Operator(np.eye(3)).mat.dtype == np.float64
+        for entries in (np.eye(3, dtype=int), np.eye(3, dtype=bool),
+                        np.eye(3, dtype=np.complex64), np.eye(3, dtype=complex)):
+            A = Operator(entries)
+            assert A.mat.dtype == np.complex128
+            np.testing.assert_array_equal(A.mat, np.eye(3))
+            with pytest.raises(ValueError):
+                A.mat[0, 0] = 5.0
+
+    def test_real_operator_promotes_with_complex_values(self):
+        rng = np.random.default_rng(5)
+        P = Operator(rng.standard_normal((4, 4)))
+        C = rand_hermitian(rng, 4)
+        assert (1j * P).mat.dtype == np.complex128
+        assert (P @ C).mat.dtype == np.complex128
+        np.testing.assert_allclose((P @ C).mat, P.mat @ C.mat)
+        assert expm(-1j * P).mat.dtype == np.complex128
+
+    def test_fermion_dense_views_are_real(self):
+        layout = FermionLayout(3, 2)
+        assert jw_annihilator(layout, 1, 1).mat.dtype == np.float64
+        assert parity_operator(layout).mat.dtype == np.float64
+        assert fermionic_cycle(layout)[0].mat.dtype == np.float64
+
+    def test_complex_entries_are_copied_once(self):
+        X = rand_ginibre(np.random.default_rng(6), 512)
+        tracemalloc.start()
+        try:
+            A = Operator(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not np.shares_memory(A.mat, X)
+        assert peak <= 1.1 * X.nbytes
 
     def test_matmul_add_scalar(self):
         rng = np.random.default_rng(3)

@@ -14,7 +14,7 @@ from sqmlab.timeslab import (
     trace_theorem_rhs,
 )
 
-from dense_refs import cycle_shift, embed_at_slice
+from dense_refs import constraint_expectation_columns, cycle_shift, embed_at_slice
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -131,6 +131,18 @@ class TestConstraintTheorem:
             boundary = None
         value = constraint_expectation(qa, O, t, boundary)
         assert abs(value) <= 1e-10
+
+    @pytest.mark.parametrize("d, N", [(2, 3), (3, 4), (3, 5), (3, 6)])  # D = 8, 81, 243, 729
+    @pytest.mark.parametrize("with_boundary", [False, True])
+    def test_streamed_matches_whole_columns(self, d, N, with_boundary):
+        """Column blocks of 128, the last one ragged, against whole D x D columns."""
+        rng = np.random.default_rng(10 * d + N)
+        qa = build_action(SliceLayout(d=d, N=N, eps=0.37), rand_hermitian(rng, d))
+        O = rand_hermitian(rng, d)
+        boundary = (rand_ket(rng, d), rand_ket(rng, d)) if with_boundary else None
+        for t in range(N - 1 if with_boundary else N):
+            value = constraint_expectation(qa, O, t, boundary)
+            assert abs(value - constraint_expectation_columns(qa, O, t, boundary)) <= 1e-13
 
     def test_boundary_requires_interior_slice(self):
         rng = np.random.default_rng(4)
