@@ -77,13 +77,8 @@ def render_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
 
 
-def _csv_cell(x) -> str:
-    if isinstance(x, complex):
-        return f"{x.real!r}+{x.imag!r}j" if x.imag >= 0 else f"{x.real!r}{x.imag!r}j"
-    return repr(x) if isinstance(x, float) else str(x)
-
-
 def write_csv(report: dict, path: Path) -> None:
+    """One row per case; csv writes a float as str does and None (rel_err) as an empty cell."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -93,11 +88,8 @@ def write_csv(report: dict, path: Path) -> None:
         for case in report["cases"]:
             v, o = case["value"], case["oracle"]
             writer.writerow([
-                case["case"],
-                _csv_cell(v.real), _csv_cell(v.imag),
-                _csv_cell(o.real), _csv_cell(o.imag),
-                _csv_cell(case["abs_err"]), _csv_cell(case["rel_err"]),
-                _csv_cell(case["tol"]), int(case["pass"]),
+                case["case"], v.real, v.imag, o.real, o.imag,
+                case["abs_err"], case["rel_err"], case["tol"], int(case["pass"]),
             ])
 
 

@@ -6,9 +6,7 @@ normalized vector on clock ⊗ system,
     |Psi> = (1/sqrt(N)) sum_t |t> ⊗ U^t |psi0>,   U = exp(-i eps H),
 
 and ordinary Schrödinger expectation values are recovered by
-conditioning on the clock reading.  The residual form of the Heisenberg
-equation of motion holds exactly slice by slice: shifting the clock
-projector by one step is the same as conjugating the observable by U.
+conditioning on the clock reading.
 """
 
 from __future__ import annotations
@@ -84,40 +82,3 @@ def conditioned_expectation(cs: ClockSystem, O: Operator, t: int) -> complex:
     d = cs.system_dim
     psi_t = history_state(cs).vec[t * d : (t + 1) * d]
     return complex(cs.N * np.vdot(psi_t, O.mat @ psi_t))
-
-
-def geometric_heisenberg_residual(cs: ClockSystem, O: Operator, t: int) -> complex:
-    """<Psi|(|t+1><t+1| ⊗ O - |t><t| ⊗ U†OU)|Psi>; identically zero.
-
-    This is the discrete equation of motion in residual form: the
-    observable at the next clock reading equals the Heisenberg-rotated
-    observable at the current one, inside the history expectation.
-    """
-    if not 0 <= t < cs.N - 1:
-        raise ValueError(f"need 0 <= t < N-1, got t={t}, N={cs.N}")
-    d = cs.system_dim
-    psi = history_state(cs).vec
-    nxt = psi[(t + 1) * d : (t + 2) * d]
-    cur = psi[t * d : (t + 1) * d]
-    rotated = cs.U.mat.conj().T @ O.mat @ cs.U.mat
-    return complex(np.vdot(nxt, O.mat @ nxt) - np.vdot(cur, rotated @ cur))
-
-
-def universe_constraint_residual(cs: ClockSystem, periodic: bool = False) -> float:
-    """Norm of (S_clock ⊗ U - I)|Psi> with S_clock the clock step.
-
-    With the open (default) window the single wraparound term at
-    t = N-1 is dropped and the residual is exactly 1/sqrt(N) (the
-    unmatched slice-0 amplitude); with `periodic=True` the clock step
-    wraps and the residual is ||U^N psi0 - psi0||/sqrt(N), vanishing
-    identically whenever U^N acts as identity on the initial state.
-    """
-    d = cs.system_dim
-    psi = history_state(cs).vec.reshape(cs.N, d)
-    shifted = np.zeros_like(psi)
-    for t in range(cs.N):
-        tnext = (t + 1) % cs.N
-        if t == cs.N - 1 and not periodic:
-            continue
-        shifted[tnext] += cs.U.mat @ psi[t]
-    return float(np.linalg.norm(shifted - psi))

@@ -17,16 +17,12 @@ brackets rebuilt from the surviving modes come out exactly Kronecker.
 An observable in the linear span of the symbols is a (2, K) complex
 array over the grid's K modes: row 0 holds the a_k coefficients, row 1
 the a*_k coefficients, so +, - and scalar multiples are numpy's own.
-
-Also here: the residual form of the discrete Hamilton equations for a
-particle action on a periodic time grid with a Fourier derivative.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -172,59 +168,3 @@ def equal_time_bracket_reconstruction(
     """
     phi, pi = _onshell_field_pair(grid, x, t, y, tp)
     return dirac_bracket(phi, pi, build_constraints(grid))
-
-
-# ---------------------------------------------------------------------------
-# discrete Hamilton-equation residuals
-
-
-@dataclass(frozen=True)
-class ActionSpec:
-    """Particle action S = eps*sum_t [p q' - p^2/(2m) - V(q)] on a periodic grid.
-
-    V is polynomial: potential_coeffs[k] multiplies q^k.  The velocity
-    q' is the Fourier discrete derivative on the N-point grid (for even
-    N the single Nyquist label sits at -N/2, as in fftfreq).
-    """
-
-    mass: float
-    potential_coeffs: tuple[float, ...]
-    N: int
-    T: float
-
-    @property
-    def eps(self) -> float:
-        return self.T / self.N
-
-    def vprime(self, q: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(q)
-        for k, c in enumerate(self.potential_coeffs):
-            if k and c:
-                out = out + k * c * q ** (k - 1)
-        return out
-
-    def omegas(self) -> np.ndarray:
-        return 2.0 * math.pi * np.fft.fftfreq(self.N, d=self.eps)
-
-    def derivative_matrix(self) -> np.ndarray:
-        F = np.fft.fft(np.eye(self.N), axis=0)
-        return np.fft.ifft((1j * self.omegas())[:, None] * F, axis=0)
-
-
-def hamilton_constraint_residual(
-    action: ActionSpec, q: Sequence[complex], p: Sequence[complex]
-) -> float:
-    """max_t of |{q_t, S}| and |{p_t, S}| at the supplied trajectory.
-
-    {q_t, S} = eps (q'_t - p_t/m) and {p_t, S} = eps (V'(q_t) - (D^T p)_t);
-    both vanish identically on exact discrete solutions (constant free
-    trajectories, grid-frequency normal modes of the harmonic action).
-    """
-    q = np.asarray(q, dtype=complex)
-    p = np.asarray(p, dtype=complex)
-    if q.shape != (action.N,) or p.shape != (action.N,):
-        raise ValueError(f"trajectory must supply {action.N} (q, p) samples")
-    D = action.derivative_matrix()
-    r_q = action.eps * (D @ q - p / action.mass)
-    r_p = action.eps * (action.vprime(q) - D.T @ p)
-    return float(max(np.max(np.abs(r_q)), np.max(np.abs(r_p))))

@@ -320,11 +320,13 @@ def dirac_propagator_limit(p: Sequence[float], m: float, eps_i: float) -> np.nda
     The regulated mass is used consistently in numerator and
     denominator (m^2 - i eps_i everywhere), which is what the finite-tau
     family converges to at first order in tau; the numerator differs
-    from the bare-mass form by O(eps_i).
+    from the bare-mass form by O(eps_i).  As the oracle of the
+    propagator checks it forms m^2 - i eps_i itself and does not share
+    regulated_mass with the slab route.
     """
     g = gamma_set()
-    m_c = regulated_mass(m, eps_i)
+    m_sq = m * m - 1j * eps_i
     slash = g.slash(p)  # rejects anything but a 4-vector
     p = np.asarray(p, dtype=complex)
     p_sq = p[0] ** 2 - np.sum(p[1:] ** 2)
-    return 1j * (slash + m_c * np.eye(4)) / (p_sq - m_c**2)
+    return 1j * (slash + cmath.sqrt(m_sq) * np.eye(4)) / (p_sq - m_sq)

@@ -2,13 +2,7 @@
 
 One bosonic mode per (time slice t, spatial momentum p), with the
 canonical algebra holding in Kronecker form up to the usual truncation
-edge [a, a†] = I - (n_max+1)|n_max><n_max| per mode.  Frequency modes
-
-    c†(n0, p) = (1/sqrt(N)) sum_t e^{+i w_{n0} eps t} a†(t, p),
-    w_{n0} = 2 pi n0 / T,   T = eps N,
-
-diagonalize the free slab action S = sum (w - E_p) c†c, and the gap
-w - E_p is what separates physical (on-shell) from spurious modes.
+edge [a, a†] = I - (n_max+1)|n_max><n_max| per mode.
 
 The headline computation is the conditioning anomaly: a one-particle,
 on-shell history state reproduces standard expectation values for
@@ -22,8 +16,7 @@ truncated-Fock representation, is an independent coding of the same
 lattice that the tests and the benchmark compare against it.
 The dense engine applies each single-leg ladder to the state viewed as
 an (n_max+1)^L occupation tensor, on that leg's axis, so a probe costs
-O(D) and no D x D operator is formed; `ladder` stays the dense builder
-for the extended modes, the free action and the tests.
+O(D) and no D x D operator is formed.
 """
 
 from __future__ import annotations
@@ -33,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Ket, Operator, identity, kron
+from .linalg import Ket
 
 DENSE_DIM_CAP = 4096
 
@@ -42,9 +35,9 @@ DENSE_DIM_CAP = 4096
 class LatticeFock:
     """N time slices x M spatial modes of truncated bosonic ladders.
 
-    energies[p] is the dispersion value E_p attached to spatial mode p
-    (free to override so that on-shell means exactly on the frequency
-    grid).  Leg order is slice-major: leg index = t*M + p.
+    energies[p] is the energy E_p attached to spatial mode p; the
+    one-particle history carries the phase e^{-i E_p eps t} on slice t.
+    Leg order is slice-major: leg index = t*M + p.
     """
 
     N: int
@@ -59,10 +52,6 @@ class LatticeFock:
             raise ValueError("need one energy per spatial mode")
         if self.n_max < 1 or self.N < 1 or self.M < 1:
             raise ValueError("N, M, n_max must be positive")
-
-    @property
-    def T(self) -> float:
-        return self.eps * self.N
 
     @property
     def legs(self) -> int:
@@ -81,13 +70,6 @@ class LatticeFock:
             raise ValueError(f"mode (t={t}, p={p}) outside the {self.N}x{self.M} lattice")
         return t * self.M + p
 
-    def frequency_indices(self) -> list[int]:
-        """The N integer frequency labels n0 (fftfreq set, ascending)."""
-        return sorted(int(n) for n in np.fft.fftfreq(self.N) * self.N)
-
-    def omega(self, n0: int) -> float:
-        return 2.0 * math.pi * n0 / self.T
-
 
 def _single_ladder(n_max: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, n_max + 1)), 1)
@@ -96,23 +78,6 @@ def _single_ladder(n_max: int) -> np.ndarray:
 def _check_dense_cap(lf: LatticeFock) -> None:
     if lf.dense_dim > DENSE_DIM_CAP:
         raise ValueError(f"dense space of dim {lf.dense_dim} exceeds cap {DENSE_DIM_CAP}")
-
-
-def ladder(lf: LatticeFock, t: int, p: int, kind: str) -> Operator:
-    """Dense a(t,p) or a†(t,p) on the full truncated lattice space."""
-    _check_dense_cap(lf)
-    if kind not in ("create", "annihilate"):
-        raise ValueError("kind must be 'create' or 'annihilate'")
-    a = _single_ladder(lf.n_max)
-    local = Operator(a.T if kind == "create" else a)
-    leg = lf.leg(t, p)
-    factors = []
-    if leg:
-        factors.append(identity((lf.n_max + 1,) * leg))
-    factors.append(local)
-    if leg < lf.legs - 1:
-        factors.append(identity((lf.n_max + 1,) * (lf.legs - 1 - leg)))
-    return kron(*factors)
 
 
 def _apply_leg(lf: LatticeFock, op: np.ndarray, leg: int, v: np.ndarray) -> np.ndarray:
@@ -130,65 +95,6 @@ def vacuum(lf: LatticeFock) -> Ket:
     v = np.zeros(lf.dense_dim)
     v[0] = 1.0
     return Ket(v, lf.leg_dims)
-
-
-@dataclass(frozen=True)
-class ExtendedMode:
-    """Frequency-momentum label (n0, p) with p0 = 2 pi n0 / T.
-
-    On an N-slice lattice, frequency labels are only defined mod N:
-    a label outside the canonical fftfreq window produces the same
-    operator as its alias (e^{i w eps t} is evaluated on integer t).
-    """
-
-    n0: int
-    p: int
-
-
-def extended_creation(lf: LatticeFock, mode: ExtendedMode) -> Operator:
-    """c†(n0,p) = (1/sqrt(N)) sum_t e^{+i w eps t} a†(t,p)."""
-    w = lf.omega(mode.n0)
-    mat = np.zeros((lf.dense_dim, lf.dense_dim), dtype=complex)
-    for t in range(lf.N):
-        mat += np.exp(1j * w * lf.eps * t) * ladder(lf, t, mode.p, "create").mat
-    return Operator(mat / math.sqrt(lf.N), lf.leg_dims)
-
-
-def free_action_operator(lf: LatticeFock) -> Operator:
-    """S = sum over the full frequency grid of (w_{n0} - E_p) c†(n0,p) c(n0,p)."""
-    mat = np.zeros((lf.dense_dim, lf.dense_dim), dtype=complex)
-    for n0 in lf.frequency_indices():
-        for p in range(lf.M):
-            c_dag = extended_creation(lf, ExtendedMode(n0, p)).mat
-            mat += (lf.omega(n0) - lf.energies[p]) * (c_dag @ c_dag.conj().T)
-    return Operator(mat, lf.leg_dims)
-
-
-def _truncation_safe_projector(lf: LatticeFock) -> np.ndarray:
-    """Diagonal mask over basis states with every leg occupation <= n_max - 1."""
-    idx = np.arange(lf.dense_dim)
-    digits = np.array(np.unravel_index(idx, lf.leg_dims))
-    return (digits.max(axis=0) <= lf.n_max - 1).astype(float)
-
-
-def on_shell_commutator_gap(lf: LatticeFock, mode: ExtendedMode, S: Operator) -> complex:
-    """The scalar gamma with [S, c†(mode)] = gamma * c†(mode).
-
-    gamma equals w_{n0} - E_p; it vanishes exactly if and only if the
-    mode is on shell (E_p representable on the frequency grid).  The
-    eigen-relation is verified on the truncation-safe subspace and a
-    ValueError is raised if it fails there.
-    """
-    C = extended_creation(lf, mode).mat
-    comm = S.mat @ C - C @ S.mat
-    vac = vacuum(lf).vec
-    u = C @ vac
-    gamma = complex(np.vdot(u, comm @ vac) / np.vdot(u, u))
-    mask = _truncation_safe_projector(lf)
-    resid = (comm - gamma * C) * mask[np.newaxis, :]
-    if np.linalg.norm(resid) > 1e-10 * max(1.0, np.linalg.norm(C)):
-        raise ValueError("commutator is not proportional to c† on the safe subspace")
-    return gamma
 
 
 # ---------------------------------------------------------------------------

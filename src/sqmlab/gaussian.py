@@ -4,29 +4,26 @@ For a diagonal Gaussian weight e^{-sum_k lambda_k n_k} the only
 nonvanishing pair value is <a†_k a_l> = delta_{kl}/(e^{lambda_k} - 1).
 The slab action weight corresponds to lambda = -i tau (w - E + i e_i)
 per frequency mode, with a small imaginary part e_i > 0 securing
-convergence.  Summing a full frequency tower against these per-mode
-values resums *exactly* into geometric closed forms:
+convergence.  The Feynman kernel is assembled from two such mode terms
+via the partial fraction i/(p0-E) - i/(p0+E) = 2E i/(p0^2-E^2), and
+summing it over a full frequency tower resums *exactly* into a
+geometric closed form,
 
-    <a(t) a†(t')>  = (1/N) sum_w e^{-i w dt} (1 + corr(w))
-                   = w_E^{(t-t') mod N} / (1 - w_E^N),
-    w_E = e^{-i tau (E - i e_i)},
+    K(dt) = (1/N) sum_w e^{-i w tau dt} [corr(w - E + i e_i) - corr(w + E - i e_i)]
+          = (w_E^r + w_E^s) / (1 - w_E^N),    w_E = e^{-i tau (E - i e_i)},
 
-which converges to the time-ordered theta(t-t') e^{-iE(t-t')} as the
-grid is refined (image terms die like e^{-e_i T}).  The Feynman
-propagator is assembled from two such mode terms via the partial
-fraction i/(p0-E) - i/(p0+E) = 2E i/(p0^2-E^2).
+with r the smallest positive representative of dt mod N and
+s = (-dt) mod N.  It converges to the time-ordered e^{-iE|dt|} as the
+grid is refined (image terms die like e^{-e_i T}).
 
-Both routes run on arrays: the tower sums (two_time_contraction,
-feynman_kernel, feynman_propagator_grid) evaluate every mode of a tower
-as one numpy sum, and feynman_kernel_closed takes an integer array of
-time differences.  Both closed forms (feynman_kernel_closed and
-two_time_closed_form) evaluate each power w^r as e^{r z} with
-z = -i tau (E - i e_i), so their rounding does not grow with r.
+Both routes run on arrays: the tower sums (feynman_kernel,
+feynman_propagator_grid) evaluate every mode of a tower as one numpy
+sum, and feynman_kernel_closed takes an integer array of time
+differences and evaluates each power w^r as e^{r z} with
+z = -i tau (E - i e_i), so its rounding does not grow with r.
 
-Signs of tau and e_i are not restricted here: flipping e_i (and tau)
-produces the anti-time-ordered branch, which is exactly the complex
-conjugate — the hermiticity-flip property tests rely on evaluating
-that branch.
+Signs of tau and e_i are not restricted here: the second kernel term
+is the mode value at -e_i, the anti-time-ordered branch.
 """
 
 from __future__ import annotations
@@ -102,36 +99,6 @@ def _omegas(grid: ModeGrid, idxs: list[int]) -> np.ndarray:
     """Frequencies 2 pi n0 / T of the listed modes, as one array."""
     labels = np.array([grid.modes[k][0] for k in idxs])
     return 2.0 * math.pi * labels / grid.T
-
-
-def two_time_contraction(grid: ModeGrid, tau: float, eps_i: float, t: int, tp: int) -> complex:
-    """<a(t) a†(t')> on the tower: (1/N) sum_w e^{-i w tau (t-t')}(1 + corr(w)).
-
-    t, t' are slice labels (physical times tau*t).  Equal time follows
-    the t -> t'^+ convention (annihilator right), giving 1 up to
-    e^{-eps_i T} corrections; t < t' is the anti-ordered side and is
-    suppressed to 0 at the same rate.
-    """
-    idxs = _tower(grid)
-    w = _omegas(grid, idxs)
-    gaps = np.array([grid.gap(k) for k in idxs])
-    terms = np.exp(-1j * w * (tau * (t - tp))) * (1.0 + _mode_corr(tau, gaps, eps_i))
-    return complex(np.sum(terms) / len(idxs))
-
-
-def two_time_closed_form(
-    N: int, tau: float, eps_i: float, E: float, dt_slices: int
-) -> complex:
-    """Exact geometric resummation w^{dt mod N}/(1 - w^N), w = e^{-i tau(E - i eps_i)}.
-
-    Equals two_time_contraction on a full tower to machine precision;
-    kept separate as an independent cross-check and for large-N use.
-    With z = -i tau (E - i eps_i) the power w^r is evaluated as e^{r z}
-    and 1 - w^N as -expm1(N z), so the rounding of w is not raised to
-    the power r.
-    """
-    z = complex(-tau * eps_i, -tau * E)
-    return complex(np.exp((dt_slices % N) * z) / -np.expm1(N * z))
 
 
 def _tower_kernel(grid: ModeGrid, idxs: list[int], tau: float, eps_i: float,

@@ -97,9 +97,6 @@ class ModeGrid:
     def gap(self, k: int) -> float:
         return self.omega(k) - self.energy(k)
 
-    def with_energies(self, energies: Sequence[Optional[float]]) -> "ModeGrid":
-        return ModeGrid(self.T, self.modes, self.m, self.M_sites, tuple(energies))
-
 
 def frequency_window(N: int) -> list[int]:
     """The canonical N-point integer frequency labels (fftfreq set, ascending).
@@ -122,8 +119,7 @@ def frequency_tower(
     The grid is massless (a mode's energy is |p|) unless `energies` lists
     one energy per *spatial* index, broadcast across the tower (the
     frequency label does not change a mode's energy).  This is the grid
-    shape consumed by the two-time contraction, the propagator assembly,
-    and the perturbative engine.
+    shape that gaussian.feynman_propagator_grid sums over.
     """
     ratio = T / tau
     N = round(ratio)

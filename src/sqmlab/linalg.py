@@ -105,23 +105,10 @@ class Operator:
             return Ket(self.mat @ other.vec, self.dims)
         return NotImplemented
 
-    def __add__(self, other):
-        if not isinstance(other, Operator):
-            return NotImplemented
-        return Operator(self.mat + other.mat, self.dims)
-
-    def __sub__(self, other):
-        if not isinstance(other, Operator):
-            return NotImplemented
-        return Operator(self.mat - other.mat, self.dims)
-
     def __mul__(self, scalar):
         return Operator(self.mat * complex(scalar), self.dims)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return Operator(-self.mat, self.dims)
 
     def __repr__(self):
         return f"Operator(dims={self.dims})"
@@ -154,16 +141,6 @@ class Ket:
     def norm(self) -> float:
         return float(np.linalg.norm(self.vec))
 
-    def normalized(self) -> "Ket":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return Ket(self.vec / n, self.dims)
-
-    def dag_dot(self, other: "Ket") -> complex:
-        """⟨self|other⟩."""
-        return complex(np.vdot(self.vec, other.vec))
-
     def expectation(self, A: Operator) -> complex:
         """⟨self|A|self⟩ (no normalization applied)."""
         return complex(np.vdot(self.vec, A.mat @ self.vec))
@@ -181,21 +158,6 @@ class Ket:
 # construction helpers
 
 
-def identity(dims: int | Sequence[int]) -> Operator:
-    if isinstance(dims, int):
-        dims = (dims,)
-    dims = tuple(int(d) for d in dims)
-    return Operator(np.eye(math.prod(dims)), dims)
-
-
-def basis_ket(dim: int, index: int) -> Ket:
-    if not 0 <= index < dim:
-        raise ValueError(f"basis index {index} out of range for dim {dim}")
-    v = np.zeros(dim)
-    v[index] = 1.0
-    return Ket(v)
-
-
 def kron(*ops: Operator) -> Operator:
     """Tensor product; dims concatenate, first factor slowest-varying."""
     if not ops:
@@ -206,15 +168,6 @@ def kron(*ops: Operator) -> Operator:
         mat = np.kron(mat, op.mat)
         dims = dims + op.dims
     return Operator(mat, dims)
-
-
-def kron_ket(*kets: Ket) -> Ket:
-    vec = kets[0].vec
-    dims: tuple[int, ...] = kets[0].dims
-    for k in kets[1:]:
-        vec = np.kron(vec, k.vec)
-        dims = dims + k.dims
-    return Ket(vec, dims)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +241,8 @@ def inv(A: Operator) -> Operator:
 # seeded random ensembles
 #
 # One scheme everywhere: complex Ginibre G = (A + iB)/sqrt(2) with A, B
-# standard normal; hermitian = (G + G†)/2; unitaries from QR of G with
-# phase-fixed diagonal; kets are normalized Ginibre vectors.
+# standard normal; hermitian = (G + G†)/2; kets are normalized Ginibre
+# vectors.
 
 
 def rand_ginibre(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -299,12 +252,6 @@ def rand_ginibre(rng: np.random.Generator, d: int) -> np.ndarray:
 def rand_hermitian(rng: np.random.Generator, d: int) -> Operator:
     g = rand_ginibre(rng, d)
     return Operator((g + g.conj().T) / 2.0)
-
-
-def rand_unitary(rng: np.random.Generator, d: int) -> Operator:
-    q, r = np.linalg.qr(rand_ginibre(rng, d))
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    return Operator(q)
 
 
 def rand_ket(rng: np.random.Generator, d: int) -> Ket:

@@ -1,16 +1,17 @@
 """Wick pairings and discrete quartic-interaction amplitudes.
 
 The perturbative weight is Gaussian, so every insertion mean value is a
-sum over perfect matchings of two-point values.  `enumerate_pairings`
-lists the matchings and `connected_filter` keeps those whose
-contraction graph is connected.  Run once over the twelve insertions
-of a 2->2 amplitude at second order (four external legs, two four-leg
-vertices), they reduce the 4032 connected pairings to 14 classes of
-288; the classes are pinned as the literal `_ORDER2_BUCKETS`, and the
-tests rebuild it from the enumerator.  A class's value is one lattice
-difference sum against the internal-line table, so no pairing is
-enumerated or evaluated at run time.  The table is one array-valued
-call of the closed-form tower kernel per site-class energy.
+sum over perfect matchings of two-point values; `enumerate_pairings`
+lists the matchings.  At second order a 2->2 amplitude has twelve
+insertions (four external legs, two four-leg vertices), and its 4032
+connected pairings fall into 14 classes of 288.  Only the two
+pair-channel classes have an independent oracle, so only they are
+pinned, as the literal `_ORDER2_BUCKETS`; the tests rebuild all 14
+classes from the enumerator and check that the literal is their
+pair-channel part.  A class's value is one lattice difference sum
+against the internal-line table, so no pairing is enumerated or
+evaluated at run time.  The table is one array-valued call of the
+closed-form tower kernel per site-class energy.
 
 On top of the buckets sits the quartic S-matrix assembly on an
 N-slice x M-site lattice.  Conventions (fixed here, validated end to
@@ -36,7 +37,7 @@ small.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -72,45 +73,6 @@ def enumerate_pairings(n_insertions: int) -> list[PairingType]:
         return out
 
     return rec(tuple(range(n_insertions)))
-
-
-def connected_filter(
-    pairings: Iterable[PairingType], groups: Sequence[int]
-) -> list[PairingType]:
-    """Keep pairings whose contraction graph over groups is connected.
-
-    Nodes are the distinct group ids, edges the pairs.  When no group
-    holds more than one insertion (no vertices anywhere), the filter is
-    the identity by convention: a pure product of external two-point
-    functions has no vertex to connect through.
-    """
-    group_ids = sorted(set(groups))
-    sizes = {g: 0 for g in group_ids}
-    for g in groups:
-        sizes[g] += 1
-    if all(s == 1 for s in sizes.values()):
-        return list(pairings)
-
-    index = {g: i for i, g in enumerate(group_ids)}
-    n = len(group_ids)
-    kept = []
-    for pairing in pairings:
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for i, j in pairing:
-            a, b = index[groups[i]], index[groups[j]]
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {0}
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            for nb in adj[node]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if len(seen) == n:
-            kept.append(pairing)
-    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -223,26 +185,16 @@ def _conservation_deltas(
     return n_tot % N == 0 and j_tot % M == 0
 
 
-# Connected second-order pairing classes (m crossing lines, s self-loops,
-# externals attached to vertex z, multiplicity).  Insertions: externals
-# 0..3 (singleton groups), vertex-z legs 4..7, vertex-w legs 8..11; the
-# value of a pairing depends only on its signature, so the 4032 connected
-# pairings of enumerate_pairings(12) reduce to these classes.
-# tests/test_wick.py rebuilds the table from the enumerator.
+# The pair-channel classes of the connected second-order pairings (m
+# crossing lines, s self-loops, externals attached to vertex z,
+# multiplicity): both incoming legs on one vertex, both outgoing on the
+# other, joined by two internal lines.  Insertions: externals 0..3
+# (singleton groups), vertex-z legs 4..7, vertex-w legs 8..11; the value
+# of a pairing depends only on its signature.  tests/test_wick.py
+# classifies all 4032 connected pairings of enumerate_pairings(12) and
+# checks these rows against that classification.
 _ORDER2_BUCKETS: tuple[tuple[int, int, tuple[int, ...], int], ...] = (
-    (1, 1, (0,), 288),
-    (1, 1, (0, 1, 2), 288),
-    (1, 1, (0, 1, 3), 288),
-    (1, 1, (0, 2, 3), 288),
-    (1, 1, (1,), 288),
-    (1, 1, (1, 2, 3), 288),
-    (1, 1, (2,), 288),
-    (1, 1, (3,), 288),
     (2, 0, (0, 1), 288),
-    (2, 0, (0, 2), 288),
-    (2, 0, (0, 3), 288),
-    (2, 0, (1, 2), 288),
-    (2, 0, (1, 3), 288),
     (2, 0, (2, 3), 288),
 )
 
@@ -283,10 +235,9 @@ def smatrix_element(
         A1(tau) = -i lambda delta / (N M) x [a^2 / (4 sinh^2(a/2))]^2
 
     with a = tau e_i, so A1 -> -i lambda V_lattice as tau -> 0.  Order
-    2 sums the connected two-vertex pairing classes — the three bubble
-    channels plus the external-leg tadpole classes — using translation
-    invariance: one lattice difference sum per class against the
-    closed-form internal-line table.
+    2 sums the pair-channel classes of the connected two-vertex
+    pairings using translation invariance: one lattice difference sum
+    per class against the closed-form internal-line table.
 
     The order-2 assembly is normalized to the same external-leg and
     volume conventions as order 1.  In those conventions each vertex
@@ -296,23 +247,23 @@ def smatrix_element(
     single overall 1/tau against the naive table sum.  This keeps the
     ratio (order 2)/(order 1) finite as tau -> 0.
 
-    channel="all" returns the full connected sum.  channel="s"
-    restricts to the two pair-channel classes (both incoming legs on
-    one vertex, both outgoing on the other), the piece whose
-    intermediate content is exactly one propagating pair; its
-    regulator width 2*eps_i maps one-to-one onto a pair-state width,
-    which is what an independent windowed perturbation-theory oracle
-    can reproduce without ambiguity.  Order 2 with channel="all" has no
-    oracle: no experiment compares it with anything, so it is
-    unverified.
+    Order 2 computes the pair channel only and needs channel="s": the
+    two classes with both incoming legs on one vertex and both outgoing
+    on the other, the piece whose intermediate content is exactly one
+    propagating pair.  Its regulator width 2*eps_i maps one-to-one onto
+    a pair-state width, which is what an independent windowed
+    perturbation-theory oracle can reproduce without ambiguity.  Order 1
+    is the whole first-order amplitude for either channel.
 
-    Raises ValueError for a grid without at least one site, and for
-    tau <= 0 or eps_i <= 0.
+    Raises ValueError for order 2 with any channel but "s", for a grid
+    without at least one site, and for tau <= 0 or eps_i <= 0.
     """
     if order not in (1, 2):
         raise ValueError("perturbative order must be 1 or 2")
     if channel not in ("all", "s"):
         raise ValueError("channel must be 'all' or 's'")
+    if order == 2 and channel != "s":
+        raise ValueError("order 2 computes the pair channel only: pass channel='s'")
     if len(in_modes) != 2 or len(out_modes) != 2:
         raise ValueError("only 2->2 processes are supported")
     if grid.M_sites is None or grid.M_sites < 1:
@@ -339,16 +290,10 @@ def smatrix_element(
         return vertex * n_connected * consts * (N * M)
 
     table = propagator_table(grid, tau, eps_i)
-    p0 = table[0, 0]
-
-    pair_signatures = ((2, 0, (0, 1)), (2, 0, (2, 3)))
     total = 0.0 + 0.0j
-    for m, s, sz, count in _ORDER2_BUCKETS:
-        if channel == "s" and (m, s, sz) not in pair_signatures:
-            continue
+    for m, _, sz, count in _ORDER2_BUCKETS:  # no pair-channel class has a self-loop
         phase = _ext_phase_grid(legs, signs, sz, N, M)
-        lattice_sum = np.sum(table**m * phase)
-        total += count * (p0**s) * lattice_sum
+        total += count * np.sum(table**m * phase)
     return 0.5 * vertex**2 * consts * (N * M) * total / tau
 
 

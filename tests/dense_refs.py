@@ -2,16 +2,43 @@
 
 None of these is used by the library: the slab route applies the cyclic
 shift as a roll of the slice axes, slice operators as local factors,
-and partial traces as one einsum.  Here each is written out the plain
+partial traces as one einsum, and the dense Fock engine each ladder on
+one axis of the occupation tensor.  Here each is written out the plain
 way, as a full matrix or a loop.
 """
 
 import math
+from typing import Sequence
 
 import numpy as np
 
-from sqmlab.linalg import Ket, Operator, identity, kron
+from sqmlab import fock
+from sqmlab.linalg import Ket, Operator, kron
 from sqmlab.timeslab import QuantumAction, SliceLayout, apply_local, slice_factors
+
+
+def identity(dims: int | Sequence[int]) -> Operator:
+    if isinstance(dims, int):
+        dims = (dims,)
+    dims = tuple(int(d) for d in dims)
+    return Operator(np.eye(math.prod(dims)), dims)
+
+
+def ladder(lf: fock.LatticeFock, t: int, p: int, kind: str) -> Operator:
+    """Dense a(t,p) or a†(t,p) on the full truncated lattice space, by kron."""
+    fock._check_dense_cap(lf)
+    if kind not in ("create", "annihilate"):
+        raise ValueError("kind must be 'create' or 'annihilate'")
+    a = fock._single_ladder(lf.n_max)
+    local = Operator(a.T if kind == "create" else a)
+    leg = lf.leg(t, p)
+    factors = []
+    if leg:
+        factors.append(identity((lf.n_max + 1,) * leg))
+    factors.append(local)
+    if leg < lf.legs - 1:
+        factors.append(identity((lf.n_max + 1,) * (lf.legs - 1 - leg)))
+    return kron(*factors)
 
 
 def cycle_shift(layout: SliceLayout) -> Operator:

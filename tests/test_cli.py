@@ -20,7 +20,7 @@ from sqmlab.cli import (
     render_json,
     write_csv,
 )
-from sqmlab.experiments import DEFAULTS, run_experiment
+from sqmlab.experiments import DEFAULTS, _case, run_experiment
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +112,33 @@ def test_write_csv_layout(tmp_path):
     assert lines[0] == "case,value_re,value_im,oracle_re,oracle_im,abs_err,rel_err,tol,pass"
     assert lines[1].startswith("k[0],1.0,0.5,1.0,0.0,")
     assert lines[1].endswith(",0")
+
+
+def _strict_json(text: str):
+    """json.loads that refuses the non-JSON tokens NaN, Infinity and -Infinity."""
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_zero_oracle_has_no_relative_error(tmp_path):
+    # abs_err / 1e-300 would be inf, which json.dumps writes as Infinity
+    case = _case("zero[0]", {}, 1e9, 0.0, 1.0)
+    assert case["rel_err"] is None
+    loaded = _strict_json(render_json({"cases": [case]}))
+    assert loaded["cases"][0]["rel_err"] is None
+    assert loaded["cases"][0]["abs_err"] == 1e9
+    assert _case("unit[0]", {}, 1.5, 2.0, 1.0)["rel_err"] == 0.25
+    path = tmp_path / "table.csv"
+    write_csv({"cases": [case]}, path)
+    row = path.read_text().splitlines()[1]
+    assert row == "zero[0],1000000000.0,0.0,0.0,0.0,1000000000.0,,1.0,0"
+
+
+def test_zero_oracle_report_is_strict_json(tmp_path, capsys):
+    assert main(["constraint-theorem", "--cases", "4", "--out", str(tmp_path)]) == 0
+    report = _strict_json((tmp_path / "constraint-theorem.json").read_text())
+    assert [case["rel_err"] for case in report["cases"]] == [None] * 4
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Clock-conditioned evolution: history states, residuals, windows."""
+"""Clock-conditioned evolution: history states and conditioning."""
 
 import math
 
@@ -6,14 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sqmlab.clock import (
-    ClockSystem,
-    conditioned_expectation,
-    geometric_heisenberg_residual,
-    history_state,
-    universe_constraint_residual,
-)
-from sqmlab.linalg import Ket, Operator, basis_ket, rand_hermitian, rand_ket
+from sqmlab.clock import ClockSystem, conditioned_expectation, history_state
+from sqmlab.linalg import Ket, Operator, rand_hermitian, rand_ket
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -70,28 +64,3 @@ class TestConditioning:
         with pytest.raises(ValueError):
             conditioned_expectation(cs, O, cs.N)
 
-
-class TestResiduals:
-    def test_geometric_residual_identically_zero(self):
-        cs = _system(4, N=6)
-        O = rand_hermitian(np.random.default_rng(4), cs.system_dim)
-        for t in range(cs.N - 1):
-            assert geometric_heisenberg_residual(cs, O, t) == pytest.approx(0.0, abs=1e-14)
-
-    def test_open_window_residual_is_inverse_sqrt_slices(self):
-        for N in (2, 5, 9):
-            cs = _system(5, N=N)
-            res = universe_constraint_residual(cs, periodic=False)
-            assert res == pytest.approx(1.0 / math.sqrt(N), abs=1e-13)
-
-    def test_periodic_residual_vanishes_for_commensurate_eigenstate(self):
-        # H eigenstate with eigenvalue chosen so U^N returns the state exactly
-        N = 4
-        eps = 2.0 * math.pi / N
-        H = Operator(np.diag([1.0, 3.0]))
-        cs = ClockSystem(N, eps, H, basis_ket(2, 0))
-        assert universe_constraint_residual(cs, periodic=True) == pytest.approx(0.0, abs=1e-12)
-
-    def test_periodic_residual_positive_generically(self):
-        cs = _system(6, N=5)
-        assert universe_constraint_residual(cs, periodic=True) > 1e-3

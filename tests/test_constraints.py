@@ -1,18 +1,15 @@
-"""Classical brackets: second-class pairs, Dirac reduction, Hamilton residuals."""
+"""Classical brackets: second-class pairs and Dirac reduction."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from sqmlab.constraints import (
-    ActionSpec,
     build_constraints,
     classify,
     dirac_bracket,
     equal_time_bracket_reconstruction,
-    hamilton_constraint_residual,
     mode_a,
     mode_astar,
     poisson_bracket,
@@ -118,41 +115,3 @@ class TestEqualTimeReconstruction:
         with pytest.raises(ValueError):
             equal_time_bracket_reconstruction(grid, 0, 0, 0.0, 0.0)
 
-
-class TestHamiltonResiduals:
-    def test_constant_free_trajectory_is_exact(self):
-        action = ActionSpec(mass=1.0, potential_coeffs=(), N=8, T=4.0)
-        q = np.full(8, 1.37, dtype=complex)
-        p = np.zeros(8, dtype=complex)
-        assert hamilton_constraint_residual(action, q, p) == pytest.approx(0.0, abs=1e-15)
-
-    def test_harmonic_grid_mode_is_exact(self):
-        # odd N: the spectral derivative matrix is exactly antisymmetric
-        N, T, m, n = 25, 5.0, 1.3, 3
-        w0 = 2 * math.pi * n / T
-        action = ActionSpec(mass=m, potential_coeffs=(0.0, 0.0, m * w0**2 / 2.0), N=N, T=T)
-        ts = action.eps * np.arange(N)
-        q = np.cos(w0 * ts).astype(complex)
-        p = -m * w0 * np.sin(w0 * ts).astype(complex)
-        assert hamilton_constraint_residual(action, q, p) <= 1e-12
-
-    def test_wrong_momentum_detected(self):
-        N, T = 16, 4.0
-        action = ActionSpec(mass=1.0, potential_coeffs=(), N=N, T=T)
-        ts = action.eps * np.arange(N)
-        w0 = 2 * math.pi / T
-        q = np.cos(w0 * ts).astype(complex)
-        p = np.zeros(N, dtype=complex)  # inconsistent with q'
-        assert hamilton_constraint_residual(action, q, p) > 1e-3
-
-    def test_shape_validation(self):
-        action = ActionSpec(mass=1.0, potential_coeffs=(), N=4, T=2.0)
-        with pytest.raises(ValueError):
-            hamilton_constraint_residual(action, np.zeros(3), np.zeros(4))
-
-    @settings(max_examples=15, deadline=None)
-    @given(st.integers(3, 12), st.floats(0.3, 2.0))
-    def test_derivative_matrix_kills_constants(self, N, T):
-        action = ActionSpec(mass=1.0, potential_coeffs=(), N=N, T=T)
-        D = action.derivative_matrix()
-        assert np.max(np.abs(D @ np.ones(N))) <= 1e-12

@@ -1,4 +1,4 @@
-"""Extended ladder modes, the number-sector engine, and the anomaly law."""
+"""Truncated ladders, the number-sector engine, and the anomaly law."""
 
 import math
 
@@ -8,20 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 from sqmlab.fock import (
     DENSE_DIM_CAP,
-    ExtendedMode,
     LatticeFock,
     SectorFock,
     anomaly_mismatch,
-    extended_creation,
-    free_action_operator,
     internal_contraction,
-    ladder,
     naive_conditioning_check,
-    on_shell_commutator_gap,
     predicted_mismatch_ratio,
     vacuum,
 )
 from sqmlab import fock
+
+from dense_refs import ladder
 
 
 def _small(N=3, M=1, E=1.5, n_max=2, T=4.0) -> LatticeFock:
@@ -33,7 +30,6 @@ class TestLattice:
         lf = LatticeFock(N=2, M=3, energies=(1.0, 1.1, 1.2), n_max=1, eps=0.5)
         assert lf.legs == 6
         assert lf.leg(1, 2) == 5
-        assert lf.T == pytest.approx(1.0)
         with pytest.raises(ValueError):
             lf.leg(2, 0)
 
@@ -46,10 +42,6 @@ class TestLattice:
         assert lf.dense_dim > DENSE_DIM_CAP
         with pytest.raises(ValueError):
             ladder(lf, 0, 0, "create")
-
-    def test_frequency_indices_are_canonical_window(self):
-        lf = _small(N=4)
-        assert lf.frequency_indices() == [-2, -1, 0, 1]
 
 
 class TestLadders:
@@ -71,29 +63,6 @@ class TestLadders:
         a0 = ladder(lf, 0, 0, "annihilate").mat
         a1_dag = ladder(lf, 1, 0, "create").mat
         np.testing.assert_allclose(a0 @ a1_dag, a1_dag @ a0, atol=1e-14)
-
-    def test_extended_mode_alias(self):
-        lf = _small(N=3)
-        c1 = extended_creation(lf, ExtendedMode(1, 0)).mat
-        c_alias = extended_creation(lf, ExtendedMode(1 + lf.N, 0)).mat
-        np.testing.assert_allclose(c1, c_alias, atol=1e-12)
-
-
-class TestFreeAction:
-    def test_gap_eigenvalue_matches_frequency(self):
-        lf = _small(N=3, E=1.5, T=4.0)
-        S = free_action_operator(lf)
-        for n0 in lf.frequency_indices():
-            gamma = on_shell_commutator_gap(lf, ExtendedMode(n0, 0), S)
-            assert gamma == pytest.approx(lf.omega(n0) - 1.5, abs=1e-10)
-
-    def test_gap_vanishes_exactly_on_shell(self):
-        # pin the energy to a representable frequency: E = 2 pi 1 / T
-        T = 4.0
-        lf = LatticeFock(N=4, M=1, energies=(2 * math.pi / T,), n_max=2, eps=T / 4)
-        S = free_action_operator(lf)
-        gamma = on_shell_commutator_gap(lf, ExtendedMode(1, 0), S)
-        assert gamma == pytest.approx(0.0, abs=1e-12)
 
 
 class TestSectorEngine:

@@ -17,8 +17,6 @@ from sqmlab.gaussian import (
     feynman_propagator_grid,
     gaussian_pair_correlator,
     tau_mode_correlator,
-    two_time_closed_form,
-    two_time_contraction,
 )
 from sqmlab.grids import ModeGrid, frequency_tower
 from sqmlab.oracles import thermal_pair_bruteforce, timeordered_two_point_ed
@@ -32,10 +30,11 @@ def closed_form_pow_reference(N, tau, eps_i, E, dt):
 
 
 def closed_form_longdouble(N, tau, eps_i, E, dt):
-    """exp(r z) / (-expm1(N z)), r = dt mod N, z = -i tau (E - i eps_i), in np.clongdouble."""
+    """(exp(r z) + exp(s z)) / (-expm1(N z)), z = -i tau (E - i eps_i), in np.clongdouble."""
     L = np.longdouble
     z = np.clongdouble(-L(tau) * L(eps_i)) + np.clongdouble(1j) * (-L(tau) * L(E))
-    return complex(np.exp(L(dt % N) * z) / -np.expm1(L(N) * z))
+    r, s = (dt - 1) % N + 1, (-dt) % N
+    return complex((np.exp(L(r) * z) + np.exp(L(s) * z)) / -np.expm1(L(N) * z))
 
 
 def tower_loop_reference(grid, tau, eps_i, dt):
@@ -102,20 +101,6 @@ class TestPairCorrelator:
 
 
 class TestTowerResummation:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.integers(2, 40),
-        st.floats(0.02, 0.5),
-        st.floats(0.01, 0.4),
-        st.floats(0.1, 2.5),
-        st.integers(-45, 45),
-    )
-    def test_two_time_matches_closed_form(self, N, tau, eps_i, E, dt):
-        grid = frequency_tower(N * tau, tau, energies=[E])
-        lhs = two_time_contraction(grid, tau, eps_i, dt, 0)
-        rhs = two_time_closed_form(N, tau, eps_i, E, dt)
-        assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
-
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(2, 40),
@@ -200,7 +185,7 @@ class TestTowerResummation:
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                         reason="needs an extended-precision long double")
     @pytest.mark.parametrize("n_key", ["n_a2", "n_b2"])
-    def test_two_time_closed_form_at_large_N(self, n_key):
+    def test_kernel_closed_form_at_large_N(self, n_key):
         # the order-2 smatrix window at tau2 / 2 has N = 30000 slices; a
         # rounded w raised to the power r = dt mod N is off by ~r * 1e-16 there
         p = DEFAULTS["smatrix"]
@@ -210,18 +195,13 @@ class TestTowerResummation:
         assert N == 30000
         for dt in (N // 2, N - 1):
             ref = closed_form_longdouble(N, tau, 1e-3, E, dt)
-            assert abs(two_time_closed_form(N, tau, 1e-3, E, dt) - ref) <= 1e-13 * abs(ref)
+            assert abs(feynman_kernel_closed(N, tau, 1e-3, E, dt) - ref) <= 1e-13 * abs(ref)
 
-    def test_equal_time_contraction_is_unit(self):
+    def test_equal_time_kernel_is_unit(self):
+        # K(0) = (1 + w^N) / (1 - w^N) with |w^N| = e^{-eps_i N tau}
         N, tau, eps_i, E = 400, 0.05, 0.4, 1.3
-        val = two_time_closed_form(N, tau, eps_i, E, 0)
-        assert val == pytest.approx(1.0, abs=2 * math.exp(-eps_i * N * tau))
-
-    def test_anti_ordered_branch_is_conjugate(self):
-        N, tau, eps_i, E, dt = 24, 0.1, 0.2, 0.9, 5
-        fwd = two_time_closed_form(N, tau, eps_i, E, dt)
-        rev = two_time_closed_form(N, -tau, -eps_i, E, dt)
-        assert rev == pytest.approx(fwd.conjugate(), abs=1e-14)
+        val = feynman_kernel_closed(N, tau, eps_i, E, 0)
+        assert val == pytest.approx(1.0, abs=3 * math.exp(-eps_i * N * tau))
 
     def test_kernel_even_in_time(self):
         N, tau, eps_i, E = 30, 0.08, 0.15, 1.1

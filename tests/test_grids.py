@@ -56,12 +56,6 @@ class TestModeGrid:
         with pytest.raises(ValueError):
             ModeGrid(T=0.0, modes=((1,),))
 
-    def test_with_energies_replaces_override(self):
-        grid = ModeGrid(T=6.0, modes=((1,), (2,)))
-        pinned = grid.with_energies((0.5, 0.7))
-        assert pinned.energy(0) == pytest.approx(0.5)
-        assert pinned.energy(1) == pytest.approx(0.7)
-
 
 class TestFrequencyTower:
     def test_full_window_per_spatial_index(self):

@@ -11,20 +11,16 @@ from sqmlab.linalg import (
     Ket,
     Operator,
     SingularMatrixError,
-    basis_ket,
     expm,
-    identity,
     inv,
     kron,
-    kron_ket,
     partial_trace,
     rand_ginibre,
     rand_hermitian,
     rand_ket,
-    rand_unitary,
 )
 
-from dense_refs import partial_trace_loop
+from dense_refs import identity, partial_trace_loop
 
 DIMS = st.integers(min_value=2, max_value=5)
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -76,14 +72,12 @@ class TestOperator:
         assert not np.shares_memory(A.mat, X)
         assert peak <= 1.1 * X.nbytes
 
-    def test_matmul_add_scalar(self):
+    def test_matmul_and_scalar(self):
         rng = np.random.default_rng(3)
         A, B = rand_hermitian(rng, 3), rand_hermitian(rng, 3)
         np.testing.assert_allclose((A @ B).mat, A.mat @ B.mat)
-        np.testing.assert_allclose((A + B).mat, A.mat + B.mat)
-        np.testing.assert_allclose((A - B).mat, A.mat - B.mat)
         np.testing.assert_allclose((2.5 * A).mat, 2.5 * A.mat)
-        np.testing.assert_allclose((-A).mat, -A.mat)
+        np.testing.assert_allclose((A * 2.5).mat, 2.5 * A.mat)
 
     @settings(max_examples=25, deadline=None)
     @given(DIMS, SEEDS)
@@ -100,10 +94,8 @@ class TestOperator:
 
 
 class TestKet:
-    def test_normalized(self):
-        v = Ket(np.array([3.0, 4.0]))
-        assert v.norm() == pytest.approx(5.0)
-        assert v.normalized().norm() == pytest.approx(1.0)
+    def test_norm(self):
+        assert Ket(np.array([3.0, 4.0])).norm() == pytest.approx(5.0)
 
     def test_outer_and_expectation(self):
         rng = np.random.default_rng(1)
@@ -114,12 +106,6 @@ class TestKet:
         assert psi.expectation(A) == pytest.approx(
             complex(np.trace(proj.mat @ A.mat))
         )
-
-    def test_dag_dot(self):
-        a = basis_ket(3, 0)
-        b = basis_ket(3, 1)
-        assert a.dag_dot(b) == 0.0
-        assert a.dag_dot(a) == 1.0
 
 
 class TestKron:
@@ -137,12 +123,6 @@ class TestKron:
         A = Operator(rand_ginibre(rng, d1))
         B = Operator(rand_ginibre(rng, d2))
         assert kron(A, B).trace() == pytest.approx(A.trace() * B.trace())
-
-    def test_kron_ket_matches_outer_product_structure(self):
-        rng = np.random.default_rng(5)
-        a, b = rand_ket(rng, 2), rand_ket(rng, 3)
-        v = kron_ket(a, b)
-        np.testing.assert_allclose(v.vec, np.kron(a.vec, b.vec))
 
 
 class TestPartialTrace:
@@ -196,15 +176,6 @@ class TestDecompositions:
 
 
 class TestRandom:
-    @settings(max_examples=20, deadline=None)
-    @given(DIMS, SEEDS)
-    def test_rand_unitary_is_unitary(self, d, seed):
-        rng = np.random.default_rng(seed)
-        U = rand_unitary(rng, d)
-        np.testing.assert_allclose(
-            (U.dag() @ U).mat, np.eye(d), atol=1e-12
-        )
-
     def test_rand_hermitian_seeded_reproducible(self):
         A = rand_hermitian(np.random.default_rng(42), 4)
         B = rand_hermitian(np.random.default_rng(42), 4)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from sqmlab import oracles, wick
 from sqmlab.grids import ModeGrid
 from sqmlab.wick import (
-    connected_filter,
     double_factorial,
     enumerate_pairings,
     lattice_volume_norm,
@@ -78,6 +77,43 @@ def test_double_factorial_values():
 # connectivity filter
 
 
+def connected_filter(pairings, groups):
+    """Keep pairings whose contraction graph over groups is connected.
+
+    Nodes are the distinct group ids, edges the pairs.  When no group
+    holds more than one insertion (no vertices anywhere), the filter is
+    the identity by convention: a pure product of external two-point
+    functions has no vertex to connect through.
+    """
+    group_ids = sorted(set(groups))
+    sizes = {g: 0 for g in group_ids}
+    for g in groups:
+        sizes[g] += 1
+    if all(s == 1 for s in sizes.values()):
+        return list(pairings)
+
+    index = {g: i for i, g in enumerate(group_ids)}
+    n = len(group_ids)
+    kept = []
+    for pairing in pairings:
+        adj = [[] for _ in range(n)]
+        for i, j in pairing:
+            a, b = index[groups[i]], index[groups[j]]
+            adj[a].append(b)
+            adj[b].append(a)
+        seen = {0}
+        stack = [0]
+        while stack:
+            node = stack.pop()
+            for nb in adj[node]:
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        if len(seen) == n:
+            kept.append(pairing)
+    return kept
+
+
 def test_filter_is_identity_without_vertices():
     pairings = enumerate_pairings(4)
     assert connected_filter(pairings, [0, 1, 2, 3]) == pairings
@@ -140,20 +176,24 @@ def _classify_order2_pairings():
     return tuple((m, s, sz, c) for (m, s, sz), c in sorted(counts.items()))
 
 
+# pair channel: both incoming (or both outgoing) legs on one vertex,
+# joined to the other by two crossing internal lines
+PAIR_SIGNATURES = ((2, 0, (0, 1)), (2, 0, (2, 3)))
+
+
 def test_order2_bucket_literal_matches_enumeration():
-    assert wick._ORDER2_BUCKETS == _classify_order2_pairings()
+    pair_rows = tuple(row for row in _classify_order2_pairings() if row[:3] in PAIR_SIGNATURES)
+    assert wick._ORDER2_BUCKETS == pair_rows
+    assert [row[:3] for row in wick._ORDER2_BUCKETS] == list(PAIR_SIGNATURES)
 
 
 def test_second_order_classes_all_carry_288():
-    buckets = wick._ORDER2_BUCKETS
+    buckets = _classify_order2_pairings()
     assert len(buckets) == 14
     assert all(count == 288 for _, _, _, count in buckets)
     assert sum(count for _, _, _, count in buckets) == 4032
     signatures = {(m, s, sz) for m, s, sz, _ in buckets}
-    # pair channel: both incoming (or both outgoing) legs on one vertex,
-    # joined to the other by two crossing internal lines
-    assert (2, 0, (0, 1)) in signatures
-    assert (2, 0, (2, 3)) in signatures
+    assert set(PAIR_SIGNATURES) <= signatures
     # every class keeps at least one vertex-to-vertex line
     assert all(m >= 1 for m, _, _, _ in buckets)
     assert all(m + s == 2 for m, s, _, _ in buckets)
@@ -212,7 +252,8 @@ def test_momentum_violating_amplitude_is_exactly_zero():
         ),
     )
     for order in (1, 2):
-        amp = smatrix_element(grid, (0, 1), (2, 3), 0.3, order, tau=0.05, eps_i=0.05)
+        amp = smatrix_element(grid, (0, 1), (2, 3), 0.3, order, tau=0.05, eps_i=0.05,
+                              channel="s")
         assert amp == 0.0
 
 
@@ -245,9 +286,13 @@ def test_argument_validation():
     grid = conserving_grid()
     with pytest.raises(ValueError, match="order"):
         smatrix_element(grid, (0, 1), (2, 3), 0.3, 3, tau=0.05, eps_i=0.05)
-    with pytest.raises(ValueError, match="channel"):
-        smatrix_element(grid, (0, 1), (2, 3), 0.3, 2, tau=0.05, eps_i=0.05,
-                        channel="t")
+    for channel in ("t", "all"):
+        with pytest.raises(ValueError, match="channel"):
+            smatrix_element(grid, (0, 1), (2, 3), 0.3, 2, tau=0.05, eps_i=0.05,
+                            channel=channel)
+    # order 2 computes the pair channel only; the default channel is refused
+    with pytest.raises(ValueError, match="pair channel only"):
+        smatrix_element(grid, (0, 1), (2, 3), 0.3, 2, tau=0.05, eps_i=0.05)
     with pytest.raises(ValueError, match="2->2"):
         smatrix_element(grid, (0,), (2, 3), 0.3, 1, tau=0.05, eps_i=0.05)
     nosites = ModeGrid(T=60.0, modes=((5, 1), (2, 2), (2, 0), (5, 3)), m=1.0)
@@ -257,10 +302,12 @@ def test_argument_validation():
     zero_sites = conserving_grid(M=0)
     for order in (1, 2):
         with pytest.raises(ValueError, match="site lattice"):
-            smatrix_element(zero_sites, (0, 1), (2, 3), 0.3, order, tau=0.05, eps_i=0.05)
+            smatrix_element(zero_sites, (0, 1), (2, 3), 0.3, order, tau=0.05, eps_i=0.05,
+                            channel="s")
         for tau, eps_i in [(0.0, 0.05), (-0.05, 0.05), (0.05, 0.0), (0.05, -0.05)]:
             with pytest.raises(ValueError, match="tau > 0 and eps_i > 0"):
-                smatrix_element(grid, (0, 1), (2, 3), 0.3, order, tau=tau, eps_i=eps_i)
+                smatrix_element(grid, (0, 1), (2, 3), 0.3, order, tau=tau, eps_i=eps_i,
+                                channel="s")
 
 
 # ---------------------------------------------------------------------------
@@ -328,18 +375,6 @@ def test_dyson_oracle_is_first_order_only():
     assert oracles.dyson_smatrix_oracle(4, E, 0.3, (1, 2), (0, 3), 10.0, order=1, n_max=2)
     with pytest.raises(ValueError, match="dyson_pair_channel_amplitudes"):
         oracles.dyson_smatrix_oracle(4, E, 0.3, (1, 2), (0, 3), 10.0, order=2, n_max=2)
-
-
-def test_full_channel_sum_includes_pair_channel():
-    grid = conserving_grid(T=60.0, M=4, n_a=2, n_b=5)
-    kw = dict(tau=0.5, eps_i=0.05)
-    a2_all = smatrix_element(grid, (0, 1), (2, 3), 0.3, 2, channel="all", **kw)
-    a2_s = smatrix_element(grid, (0, 1), (2, 3), 0.3, 2, channel="s", **kw)
-    assert a2_all != a2_s
-    assert abs(a2_s) > 0
-    # both scale as lam^2: doubling the coupling quadruples order 2
-    a2_twice = smatrix_element(grid, (0, 1), (2, 3), 0.6, 2, channel="all", **kw)
-    assert a2_twice == pytest.approx(4 * a2_all, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
