@@ -1,22 +1,24 @@
 """Registered verification experiments behind the `sqmlab` CLI.
 
-Each experiment is a pure function params -> result dict with
+Each runner is a generator params -> case records, and
+`run_experiment` finishes the report
 
-    {"cases": [case, ...], "summary": {...}}
+    {"cases": [case, ...], "summary": {...}, "params": {...}}
 
-where every case carries its inputs, the computed value, the oracle
-value, absolute/relative errors, and a pass flag judged against the
-tolerances in params.  All tolerances live in the experiment's
-DEFAULTS (overridable via config file or flags), never inline in the
-case logic.  Randomness comes only from numpy's default_rng seeded
-with params["seed"], so a fixed config reproduces a report exactly.
+with the cases sorted by key.  Every case carries its inputs, the
+computed value, the oracle value, absolute/relative errors, and a pass
+flag judged against the tolerances in params.  All tolerances live in
+the experiment's DEFAULTS (overridable via config file or flags), never
+inline in the case logic.  Randomness comes only from numpy's
+default_rng seeded with params["seed"], so a fixed config reproduces a
+report exactly.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -28,11 +30,15 @@ from .linalg import rand_hermitian, rand_ket
 def _case(key: str, inputs: dict, value, oracle, tol: float, scale: float = 1.0) -> dict:
     """Uniform case record; pass iff |value - oracle| <= tol * scale.
 
-    rel_err is abs_err / |oracle|, and None when the oracle is 0.
+    rel_err is abs_err / |oracle|, and None when the oracle is 0.  A
+    non-finite value or oracle gives a non-finite abs_err, which raises
+    FloatingPointError: JSON has no NaN or infinity to report it with.
     """
     value = complex(value)
     oracle = complex(oracle)
     abs_err = abs(value - oracle)
+    if not math.isfinite(abs_err):
+        raise FloatingPointError(f"case {key} is not finite: {value} against {oracle}")
     rel_err = abs_err / abs(oracle) if oracle else None
     return {
         "case": key,
@@ -59,27 +65,25 @@ def _require_at_least(params: dict, key: str, least: int, purpose: str) -> None:
         raise ValueError(f"need {key} >= {least} for {purpose}, got {params[key]!r}")
 
 
-def _finish(cases: list[dict]) -> dict:
-    cases = sorted(cases, key=lambda c: c["case"])
-    failures = sum(not c["pass"] for c in cases)
-    return {
-        "cases": cases,
-        "summary": {
-            "cases": len(cases),
-            "failures": failures,
-            "max_abs_err": max((c["abs_err"] for c in cases), default=0.0),
-            "all_pass": failures == 0,
-        },
-    }
+def _slab_draws(params: dict, n_min: int) -> Iterator[tuple]:
+    """(i, rng, d, N) per case: d from params["dims"], then N in [n_min, n_max_slices].
+
+    One generator seeded with params["seed"] serves every draw of the
+    run, so the caller's own draws on rng fall between this one's.
+    """
+    rng = np.random.default_rng(params["seed"])
+    for i in range(params["cases"]):
+        d = int(rng.choice(params["dims"]))
+        N = int(rng.integers(n_min, params["n_max_slices"] + 1))
+        yield i, rng, d, N
 
 
 # ---------------------------------------------------------------------------
 # clock / slice-lattice / spacetime-state experiments
 
 
-def run_paw_conditioning(params: dict) -> dict:
+def run_paw_conditioning(params: dict) -> Iterator[dict]:
     rng = np.random.default_rng(params["seed"])
-    cases = []
     for i in range(params["cases"]):
         d = int(rng.integers(params["d_min"], params["d_max"] + 1))
         N = int(rng.integers(2, params["n_max_slices"] + 1))
@@ -88,19 +92,14 @@ def run_paw_conditioning(params: dict) -> dict:
         t = int(rng.integers(0, N))
         value = clock.conditioned_expectation(cs, O, t)
         oracle = cs.evolved(t).expectation(O)
-        cases.append(_case(
+        yield _case(
             f"conditioning[{i:02d}]", {"d": d, "N": N, "t": t},
             value, oracle, params["tol"],
-        ))
-    return _finish(cases)
+        )
 
 
-def run_trace_theorem(params: dict) -> dict:
-    rng = np.random.default_rng(params["seed"])
-    cases = []
-    for i in range(params["cases"]):
-        d = int(rng.choice(params["dims"]))
-        N = int(rng.integers(1, params["n_max_slices"] + 1))
+def run_trace_theorem(params: dict) -> Iterator[dict]:
+    for i, rng, d, N in _slab_draws(params, 1):
         qa = timeslab.build_action(
             timeslab.SliceLayout(d=d, N=N, eps=params["eps"]), rand_hermitian(rng, d)
         )
@@ -109,19 +108,14 @@ def run_trace_theorem(params: dict) -> dict:
         inserts = [(rand_hermitian(rng, d), int(t)) for t in slots]
         lhs = timeslab.trace_theorem_lhs(qa, inserts)
         rhs = timeslab.trace_theorem_rhs(qa, inserts)
-        cases.append(_case(
+        yield _case(
             f"trace[{i:02d}]", {"d": d, "N": N, "inserts": k},
             lhs, rhs, params["tol"], scale=max(1.0, abs(rhs)),
-        ))
-    return _finish(cases)
+        )
 
 
-def run_constraint_theorem(params: dict) -> dict:
-    rng = np.random.default_rng(params["seed"])
-    cases = []
-    for i in range(params["cases"]):
-        d = int(rng.choice(params["dims"]))
-        N = int(rng.integers(2, params["n_max_slices"] + 1))
+def run_constraint_theorem(params: dict) -> Iterator[dict]:
+    for i, rng, d, N in _slab_draws(params, 2):
         qa = timeslab.build_action(
             timeslab.SliceLayout(d=d, N=N, eps=params["eps"]), rand_hermitian(rng, d)
         )
@@ -134,113 +128,103 @@ def run_constraint_theorem(params: dict) -> dict:
             t = int(rng.integers(0, N))
             boundary = None
         value = timeslab.constraint_expectation(qa, O, t, boundary)
-        cases.append(_case(
+        yield _case(
             f"constraint[{i:02d}]", {"d": d, "N": N, "t": t, "boundary": with_boundary},
             value, 0.0, params["tol"],
-        ))
-    return _finish(cases)
+        )
 
 
-def run_st_state_marginals(params: dict) -> dict:
+def run_st_state_marginals(params: dict) -> Iterator[dict]:
     _require_at_least(params, "k_max", 1, "the trace-power cases")
-    rng = np.random.default_rng(params["seed"])
-    cases = []
-    for i in range(params["cases"]):
-        d = int(rng.choice(params["dims"]))
-        N = int(rng.integers(2, params["n_max_slices"] + 1))
+    for i, rng, d, N in _slab_draws(params, 2):
         st = spacetime.build_R(rand_ket(rng, d), rand_hermitian(rng, d), params["eps"], N)
         t = int(rng.integers(0, N))
         marg = spacetime.marginal(st, t).mat
         proj = st.evolved(t).outer().mat
-        cases.append(_case(
+        yield _case(
             f"marginal[{i:02d}]", {"d": d, "N": N, "t": t},
             np.max(np.abs(marg - proj)), 0.0, params["tol"],
-        ))
+        )
         for k in range(1, params["k_max"] + 1):
             _, tr = spacetime.power_and_pseudoentropy(st, k)
-            cases.append(_case(
+            yield _case(
                 f"trace_power[{i:02d},k={k}]", {"d": d, "N": N, "k": k},
                 tr, 1.0, params["tol_trace"],
-            ))
+            )
         report = spacetime.reduce_to_region(st, [(t, 0)])
-        cases.append(_case(
+        yield _case(
             f"region_state_like[{i:02d}]", {"d": d, "N": N, "t": t},
             1.0 if report.is_state_like else 0.0, 1.0, 0.0,
-        ))
-    return _finish(cases)
+        )
 
 
-def run_causality_witness(params: dict) -> dict:
-    rng = np.random.default_rng(params["seed"])
-    cases = []
-    for i in range(params["cases"]):
-        d = int(rng.choice(params["dims"]))
-        N = int(rng.integers(2, params["n_max_slices"] + 1))
+def run_causality_witness(params: dict) -> Iterator[dict]:
+    for i, rng, d, N in _slab_draws(params, 2):
         st = spacetime.build_R(rand_ket(rng, d), rand_hermitian(rng, d), params["eps"], N)
         A, B = rand_hermitian(rng, d), rand_hermitian(rng, d)
         t = int(rng.integers(1, N))
         value = spacetime.causality_witness(st, A, B, t)
         oracle = spacetime.causality_witness_oracle(st, A, B, t)
-        cases.append(_case(
+        yield _case(
             f"witness[{i:02d}]", {"d": d, "N": N, "t": t},
             value, oracle, params["tol"], scale=max(1.0, abs(oracle)),
-        ))
-    return _finish(cases)
+        )
 
 
-def run_pseudo_entropy(params: dict) -> dict:
-    rng = np.random.default_rng(params["seed"])
-    cases = []
-    for i in range(params["cases"]):
-        d = int(rng.choice(params["dims"]))
-        N = int(rng.integers(2, params["n_max_slices"] + 1))
+def run_pseudo_entropy(params: dict) -> Iterator[dict]:
+    for i, rng, d, N in _slab_draws(params, 2):
         st = spacetime.build_R(rand_ket(rng, d), rand_hermitian(rng, d), params["eps"], N)
         for k in range(2, params["k_max"] + 1):
             value = spacetime.renyi_pseudoentropy(st, k)
-            cases.append(_case(
+            yield _case(
                 f"renyi[{i:02d},k={k}]", {"d": d, "N": N, "k": k},
                 value, 0.0, params["tol"],
-            ))
-    return _finish(cases)
+            )
 
 
 # ---------------------------------------------------------------------------
 # extended-Fock anomaly scan
 
 
-def run_anomaly_scan(params: dict) -> dict:
+def run_anomaly_scan(params: dict) -> Iterator[dict]:
     _require_positive(params, "T")
     if any(N < 2 for N in params["slice_counts"]):
         raise ValueError("every slice count needs N >= 2")
     T = params["T"]
-    cases = []
     for N in params["slice_counts"]:
         lf = fock.LatticeFock(N=N, M=1, energies=(params["energy"],), eps=T / N)
         rep = fock.anomaly_mismatch(lf, engine="sector")
-        cases.append(_case(
+        yield _case(
             f"normal_ordered[N={N:03d}]", {"N": N, "T": T},
             rep["normal_slab"], rep["normal_standard"], params["tol_normal"],
-        ))
-        cases.append(_case(
+        )
+        yield _case(
             f"contraction_density[N={N:03d}]", {"N": N, "T": T},
             rep["contraction_density"], N / T, 0.0,
-        ))
+        )
         lf2 = fock.LatticeFock(N=2 * N, M=1, energies=(params["energy"],), eps=T / (2 * N))
         rep2 = fock.anomaly_mismatch(lf2, engine="sector")
         ratio = rep2["mismatch"] / rep["mismatch"]
         predicted = fock.predicted_mismatch_ratio(N)
-        cases.append(_case(
+        yield _case(
             f"mismatch_ratio[N={N:03d}]", {"N": N, "2N": 2 * N, "T": T},
             ratio, predicted, params["tol_ratio"], scale=abs(predicted),
-        ))
-    return _finish(cases)
+        )
 
 
 # ---------------------------------------------------------------------------
 # constraint classification / Dirac brackets
 
 
-def run_dirac_nogo(params: dict) -> dict:
+def _on_shell_grid(T: float, M: int, modes: tuple) -> ModeGrid:
+    """Modes (n0, site) on M sites, each external's energy set to 2 pi n0 / T."""
+    return ModeGrid(
+        T=T, modes=modes, m=1.0, M_sites=M,
+        energy_override=tuple(2 * math.pi * n0 / T for n0, _ in modes),
+    )
+
+
+def run_dirac_nogo(params: dict) -> Iterator[dict]:
     _require_positive(params, "T")
     T = params["T"]
     grid = ModeGrid(
@@ -253,41 +237,36 @@ def run_dirac_nogo(params: dict) -> dict:
         ),
     )
     cs = constraints.build_constraints(grid)
-    cases = []
     for k, cls in enumerate(constraints.classify(cs)):
         db = constraints.dirac_bracket(
             constraints.mode_a(k, len(grid)), constraints.mode_astar(k, len(grid)), cs
         )
         onshell = cls.kind == "identically-zero"
         oracle = -1j if onshell else 0.0
-        cases.append(_case(
+        yield _case(
             f"bracket[mode={k}]",
             {"mode": list(grid.modes[k]), "gap": cs.gaps[k], "kind": cls.kind},
             db, oracle, params["tol"],
-        ))
-    onshell_grid = ModeGrid(
-        T=T, modes=((1, 0), (2, 1)), m=params["mass"], M_sites=2,
-        energy_override=(2 * math.pi * 1 / T, 2 * math.pi * 2 / T),
-    )
+        )
+    # every mode on shell, so the mass never enters
+    onshell_grid = _on_shell_grid(T, 2, ((1, 0), (2, 1)))
     for x in range(2):
         for y in range(2):
             val = constraints.equal_time_bracket_reconstruction(onshell_grid, x, y, 0.7, 0.7)
-            cases.append(_case(
+            yield _case(
                 f"equal_time[x={x},y={y}]", {"x": x, "y": y},
                 val, 1.0 if x == y else 0.0, params["tol"],
-            ))
-    return _finish(cases)
+            )
 
 
 # ---------------------------------------------------------------------------
 # free-propagator limits (scalar)
 
 
-def run_propagator(params: dict) -> dict:
+def run_propagator(params: dict) -> Iterator[dict]:
     _require_positive(params, "tau", "T", "tau_grid")
     _require_at_least(params, "sweep_points", 2, "the order ratio")
     eps_i = params["eps_i"]
-    cases = []
 
     # off-shell single mode: tau * correlator -> i/(gap + i eps_i), order tau
     mode_grid = ModeGrid(
@@ -301,15 +280,15 @@ def run_propagator(params: dict) -> dict:
     for tau in taus:
         value = tau * gaussian.tau_mode_correlator(mode_grid, tau, eps_i, 0, 0)
         errs.append(abs(value - target))
-        cases.append(_case(
+        yield _case(
             f"mode_limit[tau={tau:.6f}]", {"tau": tau, "gap": gap, "eps_i": eps_i},
             value, target, params["tol_limit"], scale=abs(target),
-        ))
+        )
     for k in range(len(taus) - 1):
-        cases.append(_case(
+        yield _case(
             f"order_ratio[step={k}]", {"tau": taus[k], "eps_i": eps_i},
             errs[k + 1] / errs[k], 0.5, params["tol_order"],
-        ))
+        )
 
     # two-site grid propagator against dense Hamiltonian evolution
     T, tau_g, eps_g = params["T"], params["tau_grid"], params["eps_i_grid"]
@@ -321,11 +300,10 @@ def run_propagator(params: dict) -> dict:
         oracle = oracles.timeordered_two_point_ed(
             2, energies, 0, 0, tau_g * dt, n_max=params["ed_n_max"]
         )
-        cases.append(_case(
+        yield _case(
             f"feynman_vs_ed[dt={dt:03d}]", {"dt": dt, "tau": tau_g, "N": N},
             value, oracle, params["tol_ed"], scale=abs(oracle),
-        ))
-    return _finish(cases)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -334,23 +312,14 @@ def run_propagator(params: dict) -> dict:
 
 def _smatrix_grid(T: float, M: int, n_a: int, n_b: int) -> ModeGrid:
     """Parity-symmetric 2->2 instance: site classes (0,2) at E_a, (1,3) at E_b."""
-    e_a = 2 * math.pi * n_a / T
-    e_b = 2 * math.pi * n_b / T
-    return ModeGrid(
-        T=T,
-        modes=((n_b, 1), (n_a, 2), (n_a, 0), (n_b, 3)),
-        m=1.0,
-        M_sites=M,
-        energy_override=(e_b, e_a, e_a, e_b),
-    )
+    return _on_shell_grid(T, M, ((n_b, 1), (n_a, 2), (n_a, 0), (n_b, 3)))
 
 
-def _run_smatrix_order1(params: dict) -> list[dict]:
+def _run_smatrix_order1(params: dict) -> Iterator[dict]:
     T, M = params["T"], params["M_sites"]
     lam, eps_i = params["lam"], params["eps_i"]
     n_a, n_b = params["n_a"], params["n_b"]
     grid = _smatrix_grid(T, M, n_a, n_b)
-    cases = []
 
     taus = [params["tau"] / 2**k for k in range(params["sweep_points"])]
     scaled = []
@@ -358,74 +327,59 @@ def _run_smatrix_order1(params: dict) -> list[dict]:
         amp = wick.smatrix_element(grid, (0, 1), (2, 3), lam, 1, tau, eps_i)
         N = round(T / tau)
         scaled.append(amp / wick.lattice_volume_norm(N, M))
-        cases.append(_case(
+        yield _case(
             f"conserving[tau={tau:.6f}]", {"tau": tau, "N": N, "lam": lam},
             scaled[-1], -1j * lam, params["tol_volume"], scale=lam,
-        ))
+        )
     extrap = wick.tau_extrapolate(scaled[0], scaled[1], 2)
-    cases.append(_case(
+    yield _case(
         "conserving[extrapolated]", {"taus": taus[:2], "lam": lam},
         extrap, -1j * lam, params["tol_volume"], scale=lam,
-    ))
+    )
 
     # independent oracle: -iT<f|V|i> on the dense lattice, mapped to the
     # slab's per-volume units (box-normalized legs carry 1/sqrt(2E) each)
     site_E = [grid.energy(k) for k in (2, 0, 1, 3)]
     a1_d = oracles.dyson_smatrix_oracle(M, site_E, lam, (1, 2), (0, 3), T, order=1, n_max=2)
     lam_dyson = a1_d * M * math.prod(math.sqrt(2 * e) for e in site_E) / (-1j * T)
-    cases.append(_case(
+    yield _case(
         "tdpt[coupling]", {"T": T, "lam": lam},
         extrap / -1j, lam_dyson, params["tol_tdpt"], scale=lam,
-    ))
+    )
 
     # energy-violating externals (individually on shell): identically zero
-    e_viol = ModeGrid(
-        T=T, modes=((n_b, 1), (n_a, 2), (n_a, 0), (n_b + 1, 3)), m=1.0, M_sites=M,
-        energy_override=(
-            2 * math.pi * n_b / T, 2 * math.pi * n_a / T,
-            2 * math.pi * n_a / T, 2 * math.pi * (n_b + 1) / T,
-        ),
-    )
+    e_viol = _on_shell_grid(T, M, ((n_b, 1), (n_a, 2), (n_a, 0), (n_b + 1, 3)))
     v1 = wick.smatrix_element(e_viol, (0, 1), (2, 3), lam, 1, taus[0], eps_i)
-    cases.append(_case("violating[energy]", {"tau": taus[0]}, v1, 0.0, 0.0))
+    yield _case("violating[energy]", {"tau": taus[0]}, v1, 0.0, 0.0)
 
     # momentum-violating externals on a five-site lattice: identically zero
-    p_viol = ModeGrid(
-        T=T, modes=((n_a, 1), (n_b, 2), (n_a, 0), (n_b, 4)), m=1.0, M_sites=5,
-        energy_override=(
-            2 * math.pi * n_a / T, 2 * math.pi * n_b / T,
-            2 * math.pi * n_a / T, 2 * math.pi * n_b / T,
-        ),
-    )
+    p_viol = _on_shell_grid(T, 5, ((n_a, 1), (n_b, 2), (n_a, 0), (n_b, 4)))
     v2 = wick.smatrix_element(p_viol, (0, 1), (2, 3), lam, 1, taus[0], eps_i)
-    cases.append(_case("violating[momentum]", {"tau": taus[0]}, v2, 0.0, 0.0))
-    return cases
+    yield _case("violating[momentum]", {"tau": taus[0]}, v2, 0.0, 0.0)
 
 
-def _run_smatrix_order2(params: dict) -> list[dict]:
+def _run_smatrix_order2(params: dict) -> Iterator[dict]:
     T, M = params["T2"], params["M_sites"]
     lam, eps_i = params["lam"], params["eps_i2"]
     tau = params["tau2"]
     grid = _smatrix_grid(T, M, params["n_a2"], params["n_b2"])
     site_E = [grid.energy(k) for k in (2, 0, 1, 3)]
-    cases = []
 
     a1 = wick.smatrix_element(grid, (0, 1), (2, 3), lam, 1, tau, eps_i)
     a2 = wick.smatrix_element(grid, (0, 1), (2, 3), lam, 2, tau, eps_i, channel="s")
     a1_d, a2_d = oracles.dyson_pair_channel_amplitudes(
         M, site_E, lam, (1, 2), (0, 3), T, eta=eps_i
     )
-    cases.append(_case(
+    yield _case(
         "pair_channel[ratio]", {"tau": tau, "T": T, "eps_i": eps_i},
         a2 / a1, a2_d / a1_d, params["tol_pair"], scale=abs(a2_d / a1_d),
-    ))
+    )
     a1h = wick.smatrix_element(grid, (0, 1), (2, 3), lam, 1, tau / 2, eps_i)
     a2h = wick.smatrix_element(grid, (0, 1), (2, 3), lam, 2, tau / 2, eps_i, channel="s")
-    cases.append(_case(
+    yield _case(
         "pair_channel[tau_stability]", {"taus": [tau, tau / 2]},
         a2h / a1h, a2 / a1, params["tol_stability"], scale=abs(a2 / a1),
-    ))
-    return cases
+    )
 
 
 # the keys only one order reads; overriding them at the other order does nothing
@@ -435,7 +389,7 @@ _ORDER_KEYS = {
 }
 
 
-def run_smatrix(params: dict) -> dict:
+def run_smatrix(params: dict) -> Iterator[dict]:
     order = params["order"]
     if order not in _ORDER_KEYS:
         raise ValueError("order must be 1 or 2")
@@ -446,18 +400,16 @@ def run_smatrix(params: dict) -> dict:
     # every smatrix tolerance scales with lam: lam = 0 would pass 0 against 0
     _require_positive(params, "lam", "T", "tau", "eps_i", "T2", "tau2", "eps_i2")
     _require_at_least(params, "sweep_points", 2, "the slice-width extrapolation")
-    runner = _run_smatrix_order1 if order == 1 else _run_smatrix_order2
-    return _finish(runner(params))
+    yield from (_run_smatrix_order1 if order == 1 else _run_smatrix_order2)(params)
 
 
 # ---------------------------------------------------------------------------
 # fermion experiments
 
 
-def run_dirac_propagator(params: dict) -> dict:
+def run_dirac_propagator(params: dict) -> Iterator[dict]:
     _require_at_least(params, "sweep_points", 2, "the order ratio")
     m, eps_i = params["mass"], params["eps_i"]
-    cases = []
     p_rest = (params["p0_rest"], 0.0, 0.0, 0.0)
     tau0 = params["tau"]
     prop = fermions.dirac_mode_propagator(p_rest, m, tau0, eps_i)
@@ -466,10 +418,10 @@ def run_dirac_propagator(params: dict) -> dict:
     diag = [1.0 / (1.0 - np.exp(1j * tau0 * (p_rest[0] - m_c)))] * 2
     diag += [1.0 / (1.0 - np.exp(1j * tau0 * (p_rest[0] + m_c)))] * 2
     rest_closed = np.diag(diag) @ g0
-    cases.append(_case(
+    yield _case(
         "rest_frame[entrywise]", {"p0": p_rest[0], "tau": tau0},
         np.max(np.abs(prop - rest_closed)), 0.0, params["tol_rest"],
-    ))
+    )
 
     p = tuple(params["p_moving"])
     limit = fermions.dirac_propagator_limit(p, m, eps_i)
@@ -480,19 +432,18 @@ def run_dirac_propagator(params: dict) -> dict:
         val = tau * fermions.dirac_mode_propagator(p, m, tau, eps_i)
         err = float(np.max(np.abs(val - limit)))
         errs.append(err)
-        cases.append(_case(
+        yield _case(
             f"limit[tau={tau:.6f}]", {"tau": tau, "p": list(p)},
             err / scale, 0.0, params["tol_limit"],
-        ))
+        )
     for k in range(len(taus) - 1):
-        cases.append(_case(
+        yield _case(
             f"order_ratio[step={k}]", {"tau": taus[k]},
             errs[k + 1] / errs[k], 0.5, params["tol_order"],
-        ))
-    return _finish(cases)
+        )
 
 
-def run_fswap_cycle(params: dict) -> dict:
+def run_fswap_cycle(params: dict) -> Iterator[dict]:
     """Each leg's conjugation by the cycle, and its commutation with parity.
 
     Runs on the sparse signed maps of `fermions` (one entry per row), so
@@ -506,24 +457,22 @@ def run_fswap_cycle(params: dict) -> dict:
     signs = fermions.cycle_signs(layout)
     L = layout.legs
     ladders = [fermions.jw_ladder(layout, leg) for leg in range(L)]
-    cases = []
     for leg in range(L):
         target = (leg + layout.M) % L if layout.N > 1 else leg
         moved = U @ ladders[leg] @ U.T  # U is real
-        cases.append(_case(
+        yield _case(
             f"conjugation[leg={leg}]", {"leg": leg, "target": target, "sign": signs[leg]},
             abs(moved - signs[leg] * ladders[target]).max(), 0.0, params["tol"],
-        ))
+        )
     P = fermions.parity_matrix(layout)
-    cases.append(_case(
+    yield _case(
         "parity_commutes", {"N": layout.N, "M": layout.M},
         abs(U @ P - P @ U).max(), 0.0, params["tol"],
-    ))
+    )
     if layout.N == 2 and layout.M == 1:
-        cases.append(_case(
+        yield _case(
             "equals_fswap", {}, np.max(np.abs(U.toarray() - fermions.fswap().mat)), 0.0, 0.0,
-        ))
-    return _finish(cases)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +537,7 @@ DEFAULTS: dict[str, dict] = {
     },
 }
 
-RUNNERS: dict[str, Callable[[dict], dict]] = {
+RUNNERS: dict[str, Callable[[dict], Iterator[dict]]] = {
     "paw-conditioning": run_paw_conditioning,
     "trace-theorem": run_trace_theorem,
     "constraint-theorem": run_constraint_theorem,
@@ -668,14 +617,24 @@ def _check_params(name: str, params: dict) -> dict:
 def run_experiment(name: str, params: dict | None = None) -> dict:
     """Execute a registered experiment with defaults overlaid by params.
 
-    Raises ValueError for a parameter the experiment does not have, of
-    the wrong type or out of range, and for a run that yields no cases.
+    Collects the runner's cases sorted by key and sums them up.  Raises
+    ValueError for a parameter the experiment does not have, of the
+    wrong type or out of range, and for a run that yields no cases.
     """
     if name not in RUNNERS:
         raise KeyError(f"unknown experiment {name!r}")
     merged = {**DEFAULTS[name], **_check_params(name, params or {})}
-    result = RUNNERS[name](merged)
-    if not result["cases"]:
+    cases = sorted(RUNNERS[name](merged), key=lambda c: c["case"])
+    if not cases:
         raise ValueError(f"{name} with these parameters yields no cases")
-    result["params"] = merged
-    return result
+    failures = sum(not c["pass"] for c in cases)
+    return {
+        "cases": cases,
+        "summary": {
+            "cases": len(cases),
+            "failures": failures,
+            "max_abs_err": max(c["abs_err"] for c in cases),
+            "all_pass": failures == 0,
+        },
+        "params": merged,
+    }

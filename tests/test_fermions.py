@@ -394,7 +394,7 @@ def test_cycle_signs_follow_the_wraparound_law(N, M):
 @pytest.mark.parametrize("N, M", [(1, 2), (2, 1), (3, 1), (2, 2), (3, 2)])
 def test_fswap_experiment_matches_dense_products(N, M):
     params = dict(experiments.DEFAULTS["fswap-cycle"], N=N, M=M)
-    report = experiments.run_fswap_cycle(params)
+    report = experiments.run_experiment("fswap-cycle", params)
     layout = FermionLayout(N, M)
     U, signs = fermionic_cycle(layout)
     expected = {}
@@ -420,7 +420,7 @@ def test_fswap_experiment_fails_a_wrong_cycle(monkeypatch):
 
     monkeypatch.setattr(fermions, "cycle_matrix", bad_cycle)
     params = dict(experiments.DEFAULTS["fswap-cycle"], N=3, M=2)
-    report = experiments.run_fswap_cycle(params)
+    report = experiments.run_experiment("fswap-cycle", params)
     failed = {c["case"] for c in report["cases"] if not c["pass"]}
     assert "conjugation[leg=0]" in failed
 
@@ -437,7 +437,7 @@ def test_fswap_experiment_fails_the_adjoint_fswap(monkeypatch):
 
     monkeypatch.setattr(fermions, "_fswap_map", adjoint)
     params = dict(experiments.DEFAULTS["fswap-cycle"], N=3, M=1)
-    report = experiments.run_fswap_cycle(params)
+    report = experiments.run_experiment("fswap-cycle", params)
     failed = {c["case"] for c in report["cases"] if not c["pass"]}
     assert failed == {"conjugation[leg=0]", "conjugation[leg=1]"}
 
