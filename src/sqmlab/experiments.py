@@ -266,6 +266,7 @@ def run_dirac_nogo(params: dict) -> Iterator[dict]:
 def run_propagator(params: dict) -> Iterator[dict]:
     _require_positive(params, "tau", "T", "tau_grid")
     _require_at_least(params, "sweep_points", 2, "the order ratio")
+    _require_at_least(params, "ed_n_max", 1, "the ED oracle to hold a particle")
     eps_i = params["eps_i"]
 
     # off-shell single mode: tau * correlator -> i/(gap + i eps_i), order tau

@@ -18,9 +18,10 @@ grid is refined (image terms die like e^{-e_i T}).
 
 Both routes run on arrays: the tower sums (feynman_kernel,
 feynman_propagator_grid) evaluate every mode of a tower as one numpy
-sum, and feynman_kernel_closed takes an integer array of time
-differences and evaluates each power w^r as e^{r z} with
-z = -i tau (E - i e_i), so its rounding does not grow with r.
+sum over the grid's memoized towers, and feynman_kernel_closed takes an
+integer array of time differences and reads w^r and w^s from one table
+of the N + 1 powers e^{k z}, z = -i tau (E - i e_i), so its rounding
+does not grow with k.
 
 Signs of tau and e_i are not restricted here: the second kernel term
 is the mode value at -e_i, the anti-time-ordered branch.
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import ModeGrid, tower_slices
+from .grids import ModeGrid
 
 
 class PoleError(ZeroDivisionError):
@@ -87,21 +88,20 @@ def tau_mode_correlator(grid: ModeGrid, tau: float, eps_i: float, p: int, k: int
     return complex(_mode_corr(tau, grid.gap(p), eps_i))
 
 
-def _tower(grid: ModeGrid) -> list[int]:
+def _tower(grid: ModeGrid) -> tuple[int, ...]:
     """The modes of the grid's one tower without a spatial index."""
-    groups = tower_slices(grid)
-    if () not in groups:
+    if () not in grid.towers:
         raise ValueError("grid has no frequency tower without a spatial index")
-    return groups[()]
+    return grid.towers[()]
 
 
-def _omegas(grid: ModeGrid, idxs: list[int]) -> np.ndarray:
+def _omegas(grid: ModeGrid, idxs: tuple[int, ...]) -> np.ndarray:
     """Frequencies 2 pi n0 / T of the listed modes, as one array."""
     labels = np.array([grid.modes[k][0] for k in idxs])
     return 2.0 * math.pi * labels / grid.T
 
 
-def _tower_kernel(grid: ModeGrid, idxs: list[int], tau: float, eps_i: float,
+def _tower_kernel(grid: ModeGrid, idxs: tuple[int, ...], tau: float, eps_i: float,
                   dt_slices: int) -> complex:
     """The O(N) tower sum of feynman_kernel over the modes `idxs`."""
     w = _omegas(grid, idxs)
@@ -131,22 +131,21 @@ def feynman_kernel_closed(N: int, tau: float, eps_i: float, E: float, dt_slices)
     """Exact geometric resummation of the tower kernel.
 
     Equals feynman_kernel on a full N-tower to machine precision (the
-    property tests pin this); O(1) per time difference instead of O(N),
-    which the perturbative lattice sums rely on.  With
+    property tests pin this); O(N + K) for K time differences instead of
+    the tower sum's O(N K), which the perturbative lattice sums rely on.  With
     z = -i tau (E - i e_i) and w = e^z the two mode series resum to
     (w^{r} + w^{s}) / (1 - w^N), where r is the smallest positive
-    representative of dt mod N and s = (-dt) mod N.  Each power is
-    evaluated as e^{r z}: raising the rounded w to an integer power
-    would multiply its rounding error by r.
+    representative of dt mod N and s = (-dt) mod N.  Both index one
+    table of the N + 1 powers e^{k z}, k = 0..N: raising the rounded w
+    to an integer power would multiply its rounding error by k.
 
     `dt_slices` may be an int (the value is a complex) or an integer
     array (the value is a complex array of its shape).
     """
     z = complex(-tau * eps_i, -tau * E)
     dt = np.asarray(dt_slices)
-    r = (dt - 1) % N + 1
-    s = (-dt) % N
-    value = (np.exp(r * z) + np.exp(s * z)) / -np.expm1(N * z)
+    powers = np.exp(np.arange(N + 1) * z)
+    value = (powers[(dt - 1) % N + 1] + powers[(-dt) % N]) / -np.expm1(N * z)
     return complex(value) if value.ndim == 0 else value
 
 
@@ -167,10 +166,9 @@ def feynman_propagator_grid(
     if grid.M_sites is None:
         raise ValueError("propagator needs a grid with a site lattice (M_sites)")
     (tx, sx), (ty, sy) = x, y
-    groups = tower_slices(grid)  # once per call: it checks every tower
     M = grid.M_sites
     total = 0.0 + 0.0j
-    for sp, idxs in groups.items():
+    for sp, idxs in grid.towers.items():
         if len(sp) != 1:
             raise ValueError("site-lattice propagator expects 1-d spatial indices")
         p = 2.0 * math.pi * sp[0] / M

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 
@@ -97,6 +99,11 @@ class ModeGrid:
     def gap(self, k: int) -> float:
         return self.omega(k) - self.energy(k)
 
+    @cached_property
+    def towers(self) -> MappingProxyType:
+        """tower_slices(self) as a read-only map, built on first use and kept."""
+        return MappingProxyType(tower_slices(self))
+
 
 def frequency_window(N: int) -> list[int]:
     """The canonical N-point integer frequency labels (fftfreq set, ascending).
@@ -138,11 +145,12 @@ def frequency_tower(
     return ModeGrid(T, tuple(modes), 0.0, M_sites, tuple(override) if override else None)
 
 
-def tower_slices(grid: ModeGrid) -> dict[tuple[int, ...], list[int]]:
+def tower_slices(grid: ModeGrid) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Group mode positions by spatial index, each sorted by n0.
 
     Raises if any spatial group is not a complete canonical frequency
     window (the tower structure the resummed correlators rely on).
+    `grid.towers` memoizes this per grid instance (a raise is not kept).
     """
     groups: dict[tuple[int, ...], list[int]] = {}
     for k, mode in enumerate(grid.modes):
@@ -152,4 +160,4 @@ def tower_slices(grid: ModeGrid) -> dict[tuple[int, ...], list[int]]:
         labels = [grid.modes[k][0] for k in idxs]
         if labels != frequency_window(len(labels)):
             raise ValueError(f"spatial index {sp} does not carry a full frequency window")
-    return groups
+    return {sp: tuple(idxs) for sp, idxs in groups.items()}

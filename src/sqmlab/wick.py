@@ -11,7 +11,9 @@ classes from the enumerator and check that the literal is their
 pair-channel part.  A class's value is one lattice difference sum
 against the internal-line table, so no pairing is enumerated or
 evaluated at run time.  The table is one array-valued call of the
-closed-form tower kernel per site-class energy.
+closed-form tower kernel per distinct site-class energy times the M x M
+plane-wave matrix, and a class's lattice sum is e_t^T P^m e_x: its
+external phase splits into N slice and M site phases.
 
 On top of the buckets sits the quartic S-matrix assembly on an
 N-slice x M-site lattice.  Conventions (fixed here, validated end to
@@ -148,9 +150,10 @@ def propagator_table(grid: ModeGrid, tau: float, eps_i: float) -> np.ndarray:
     """Internal-line values P[dt, dx] on the N x M difference lattice.
 
     P is the time-ordered pair kernel summed over spatial momenta,
-    (1/M) sum_j e^{i p_j dx} K_j(dt) / (2 E_j), built from the exact
-    closed-form tower kernel: one gaussian.feynman_kernel_closed call
-    per site class, on the whole array dt = 0..N-1.
+    (1/M) sum_j e^{i p_j dx} K_j(dt) / (2 E_j): one exact closed-form
+    gaussian.feynman_kernel_closed call on dt = 0..N-1 per distinct
+    site-class energy (M = 4 classes have two), then one (N x M)(M x M)
+    product with the plane waves e^{2 pi i j dx / M}.
     """
     if grid.M_sites is None:
         raise ValueError("propagator table needs a site lattice (M_sites)")
@@ -165,15 +168,12 @@ def propagator_table(grid: ModeGrid, tau: float, eps_i: float) -> np.ndarray:
                 "scalar line ties the opposite spatial phase to the conjugate "
                 f"branch (class {j}: {E} vs class {(-j) % M}: {mirror})"
             )
-    dts = np.arange(N)
-    table = np.zeros((N, M), dtype=complex)
-    for j, E in enumerate(energies):
-        if E <= 0:
-            raise ValueError("internal lines need strictly positive energies")
-        kern = feynman_kernel_closed(N, tau, eps_i, E, dts)
-        phases = np.exp(2j * np.pi * j * np.arange(M) / M)
-        table += np.outer(kern, phases) / (2.0 * E)
-    return table / M
+    if min(energies) <= 0:
+        raise ValueError("internal lines need strictly positive energies")
+    lines = {E: feynman_kernel_closed(N, tau, eps_i, E, np.arange(N)) / (2.0 * E)
+             for E in set(energies)}
+    plane_waves = np.exp(2j * np.pi * np.outer(np.arange(M), np.arange(M)) / M)
+    return np.column_stack([lines[E] for E in energies]) @ plane_waves / M
 
 
 def _conservation_deltas(
@@ -199,21 +199,6 @@ _ORDER2_BUCKETS: tuple[tuple[int, int, tuple[int, ...], int], ...] = (
 )
 
 
-def _ext_phase_grid(
-    legs: Sequence[tuple[int, int, float]],
-    signs: Sequence[int],
-    subset: Sequence[int],
-    N: int,
-    M: int,
-) -> np.ndarray:
-    """exp(i sum_{l in subset} sigma_l (p_l x - E_l tau t)) over the lattice."""
-    n_tot = sum(signs[l] * legs[l][0] for l in subset)
-    j_tot = sum(signs[l] * legs[l][1] for l in subset)
-    t = np.arange(N)[:, None]
-    x = np.arange(M)[None, :]
-    return np.exp(2j * np.pi * (j_tot * x / M - n_tot * t / N))
-
-
 def smatrix_element(
     grid: ModeGrid,
     in_modes: Sequence[int],
@@ -237,7 +222,8 @@ def smatrix_element(
     with a = tau e_i, so A1 -> -i lambda V_lattice as tau -> 0.  Order
     2 sums the pair-channel classes of the connected two-vertex
     pairings using translation invariance: one lattice difference sum
-    per class against the closed-form internal-line table.
+    per class, e_t^T P^m e_x with the external phase split into slice
+    and site factors, against the closed-form internal-line table.
 
     The order-2 assembly is normalized to the same external-leg and
     volume conventions as order 1.  In those conventions each vertex
@@ -290,10 +276,14 @@ def smatrix_element(
         return vertex * n_connected * consts * (N * M)
 
     table = propagator_table(grid, tau, eps_i)
+    lines = {m: table**m for m in {row[0] for row in _ORDER2_BUCKETS}}
     total = 0.0 + 0.0j
     for m, _, sz, count in _ORDER2_BUCKETS:  # no pair-channel class has a self-loop
-        phase = _ext_phase_grid(legs, signs, sz, N, M)
-        total += count * np.sum(table**m * phase)
+        n_tot = sum(signs[l] * legs[l][0] for l in sz)
+        j_tot = sum(signs[l] * legs[l][1] for l in sz)
+        e_t = np.exp(-2j * np.pi * n_tot * np.arange(N) / N)
+        e_x = np.exp(2j * np.pi * j_tot * np.arange(M) / M)
+        total += count * (e_t @ lines[m] @ e_x)
     return 0.5 * vertex**2 * consts * (N * M) * total / tau
 
 

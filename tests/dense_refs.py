@@ -4,7 +4,10 @@ None of these is used by the library: the slab route applies the cyclic
 shift as a roll of the slice axes, slice operators as local factors,
 partial traces as one einsum, and the dense Fock engine each ladder on
 one axis of the occupation tensor.  Here each is written out the plain
-way, as a full matrix or a loop.
+way, as a full matrix or a loop.  The perturbative references spell
+out what the separable routes factor: one exponential per power and
+branch of the tower kernel, one outer product per site class in the
+internal-line table, and one phase per lattice point in the order-2 sum.
 """
 
 import math
@@ -12,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from sqmlab import fock
+from sqmlab import fock, wick
 from sqmlab.linalg import Ket, Operator, kron
 from sqmlab.timeslab import QuantumAction, SliceLayout, apply_local, slice_factors
 
@@ -103,3 +106,51 @@ def partial_trace_loop(A: Operator, keep) -> Operator:
     new_dims = tuple(A.dims[i] for i in sorted(keep_set)) or (1,)
     size = math.prod(new_dims)
     return Operator(tensor.reshape(size, size), new_dims)
+
+
+def feynman_kernel_two_exp(N: int, tau: float, eps_i: float, E: float, dt_slices):
+    """The closed tower kernel with one exp array per branch, e^{r z} and e^{s z}."""
+    z = complex(-tau * eps_i, -tau * E)
+    dt = np.asarray(dt_slices)
+    r = (dt - 1) % N + 1
+    s = (-dt) % N
+    return (np.exp(r * z) + np.exp(s * z)) / -np.expm1(N * z)
+
+
+def propagator_table_outer(grid, tau: float, eps_i: float) -> np.ndarray:
+    """P[dt, dx] accumulated as one np.outer(kernel, phases) per site class."""
+    N = wick._slice_count(grid, tau)
+    M = grid.M_sites
+    table = np.zeros((N, M), dtype=complex)
+    for j, E in enumerate(wick._site_energies(grid)):
+        kern = feynman_kernel_two_exp(N, tau, eps_i, E, np.arange(N))
+        phases = np.exp(2j * np.pi * j * np.arange(M) / M)
+        table += np.outer(kern, phases) / (2.0 * E)
+    return table / M
+
+
+def order2_pair_channel_phase_grid(grid, in_modes, out_modes, lam: float, tau: float,
+                                   eps_i: float) -> complex:
+    """smatrix_element(order=2, channel="s") with each class summed over the N x M grid.
+
+    Every lattice point gets its own external phase
+    exp(i sum_l sigma_l (p_l x - E_l tau t)), multiplied into P^m
+    elementwise and summed, against the table of propagator_table_outer.
+    """
+    N = wick._slice_count(grid, tau)
+    M = grid.M_sites
+    legs = [wick._leg_label(grid, k) for k in (*in_modes, *out_modes)]
+    signs = (1, 1, -1, -1)
+    consts = (wick._leg_const(tau, eps_i, True) ** 2
+              * wick._leg_const(tau, eps_i, False) ** 2 / (N * M) ** 2)
+    vertex = -1j * (lam / 24.0) * tau**2
+    table = propagator_table_outer(grid, tau, eps_i)
+    t = np.arange(N)[:, None]
+    x = np.arange(M)[None, :]
+    total = 0.0 + 0.0j
+    for m, _, sz, count in wick._ORDER2_BUCKETS:
+        n_tot = sum(signs[l] * legs[l][0] for l in sz)
+        j_tot = sum(signs[l] * legs[l][1] for l in sz)
+        phase = np.exp(2j * np.pi * (j_tot * x / M - n_tot * t / N))
+        total += count * np.sum(table**m * phase)
+    return 0.5 * vertex**2 * consts * (N * M) * total / tau

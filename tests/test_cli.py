@@ -556,3 +556,13 @@ def test_smatrix_degenerate_window_names_its_key(order, key, tmp_path, capsys):
     argv = ["smatrix", "--order", str(order), f"--{key}", "0.0", "--out", str(tmp_path)]
     assert main(argv) == 2
     assert f"need {key} > 0," in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, key, value, least", [
+    ("propagator", "ed_n_max", "0", 1),
+    ("propagator", "sweep_points", "1", 2),
+    ("st-state-marginals", "k_max", "0", 1),
+])
+def test_too_small_count_names_its_key(name, key, value, least, tmp_path, capsys):
+    assert main([name, f"--{key}", value, "--out", str(tmp_path)]) == 2
+    assert f"need {key} >= {least} for " in capsys.readouterr().err

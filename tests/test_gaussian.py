@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sqmlab import wick
+from dense_refs import feynman_kernel_two_exp
+from sqmlab import grids, wick
 from sqmlab.experiments import DEFAULTS
 from sqmlab.gaussian import (
     GaussianWeight,
@@ -18,7 +19,7 @@ from sqmlab.gaussian import (
     gaussian_pair_correlator,
     tau_mode_correlator,
 )
-from sqmlab.grids import ModeGrid, frequency_tower
+from sqmlab.grids import ModeGrid, frequency_tower, tower_slices
 from sqmlab.oracles import thermal_pair_bruteforce, timeordered_two_point_ed
 
 def closed_form_pow_reference(N, tau, eps_i, E, dt):
@@ -197,6 +198,21 @@ class TestTowerResummation:
             ref = closed_form_longdouble(N, tau, 1e-3, E, dt)
             assert abs(feynman_kernel_closed(N, tau, 1e-3, E, dt) - ref) <= 1e-13 * abs(ref)
 
+    @pytest.mark.parametrize("tau_scale, n_key", [(None, None), (1.0, "n_a2"), (0.5, "n_b2")])
+    def test_one_power_table_equals_two_exp_arrays(self, tau_scale, n_key):
+        # N = 7, then the order-2 smatrix window at tau2 (N = 15000) and tau2 / 2
+        # (N = 30000): indexing one table of e^{k z} changes no bit
+        if tau_scale is None:
+            N, tau, eps_i, E = 7, 0.3, 0.2, 1.3
+        else:
+            p = DEFAULTS["smatrix"]
+            tau, eps_i = p["tau2"] * tau_scale, p["eps_i2"]
+            N = round(p["T2"] / tau)
+            E = 2 * math.pi * p[n_key] / p["T2"]
+        dts = np.arange(-N, 2 * N)
+        got = feynman_kernel_closed(N, tau, eps_i, E, dts)
+        assert np.array_equal(got, feynman_kernel_two_exp(N, tau, eps_i, E, dts))
+
     def test_equal_time_kernel_is_unit(self):
         # K(0) = (1 + w^N) / (1 - w^N) with |w^N| = e^{-eps_i N tau}
         N, tau, eps_i, E = 400, 0.05, 0.4, 1.3
@@ -263,3 +279,32 @@ class TestPropagatorGrid:
         grid = frequency_tower(4.0, 0.5, energies=[1.0])
         with pytest.raises(ValueError):
             feynman_propagator_grid(grid, 0.5, 0.1, (1, 0), (0, 0))
+
+    def test_towers_are_grouped_once_per_grid(self, monkeypatch):
+        calls = []
+
+        def counting(grid):
+            calls.append(grid)
+            return tower_slices(grid)
+
+        monkeypatch.setattr(grids, "tower_slices", counting)
+        build = lambda: frequency_tower(40.0, 0.1, spatial=((0,), (1,)), M_sites=2,
+                                        energies=[0.9, 1.4])
+        grid = build()
+        first = feynman_propagator_grid(grid, 0.1, 0.1, (3, 0), (0, 0))
+        second = feynman_propagator_grid(grid, 0.1, 0.1, (5, 1), (0, 0))
+        assert len(calls) == 1 and calls[0] is grid
+        # an equal grid is another instance and groups its own towers
+        assert feynman_propagator_grid(build(), 0.1, 0.1, (3, 0), (0, 0)) == first
+        assert feynman_propagator_grid(build(), 0.1, 0.1, (5, 1), (0, 0)) == second
+        assert len(calls) == 3
+
+    def test_incomplete_window_raises_on_every_call(self):
+        window = frequency_tower(4.0, 0.5, spatial=((0,), (1,)), M_sites=2,
+                                 energies=[0.9, 1.4])
+        keep = [k for k in range(len(window)) if k != 3]  # a hole in tower (0,)
+        grid = ModeGrid(window.T, tuple(window.modes[k] for k in keep), M_sites=2,
+                        energy_override=tuple(window.energy_override[k] for k in keep))
+        for _ in range(3):
+            with pytest.raises(ValueError, match="full frequency window"):
+                feynman_propagator_grid(grid, 0.5, 0.1, (1, 0), (0, 0))

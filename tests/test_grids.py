@@ -78,6 +78,24 @@ class TestFrequencyTower:
         with pytest.raises(ValueError):
             frequency_tower(6.0, 0.7)
 
+    def test_towers_are_memoized_per_grid(self):
+        grid = frequency_tower(6.0, 1.0, spatial=((0,), (1,)), M_sites=2, energies=[1.0, 1.3])
+        assert grid.towers is grid.towers
+        assert grid.towers == tower_slices(grid)
+        assert all(isinstance(idxs, tuple) for idxs in grid.towers.values())
+        with pytest.raises(TypeError):
+            grid.towers[(2,)] = ()  # one map serves every caller, so it is read-only
+        # the memo is no field: equality and hashing still see the fields only
+        fresh = frequency_tower(6.0, 1.0, spatial=((0,), (1,)), M_sites=2, energies=[1.0, 1.3])
+        assert fresh == grid and hash(fresh) == hash(grid)
+
+    def test_towers_do_not_memoize_a_raise(self):
+        grid = ModeGrid(T=4.0, modes=((0,), (1,)))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="full frequency window"):
+                grid.towers
+        assert "towers" not in vars(grid)
+
     def test_tower_slices_rejects_incomplete_windows(self):
         grid = ModeGrid(T=4.0, modes=((0,), (1,)))  # not a full 4-slice window
         with pytest.raises(ValueError):

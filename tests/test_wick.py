@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_refs import order2_pair_channel_phase_grid, propagator_table_outer
 from sqmlab import oracles, wick
+from sqmlab.experiments import DEFAULTS
 from sqmlab.grids import ModeGrid
 from sqmlab.wick import (
     double_factorial,
@@ -345,6 +347,48 @@ def test_propagator_table_symmetries():
             # spatial reflection symmetry from the energy parity pairing
             assert table[dt, dx] == pytest.approx(
                 table[dt, (M - dx) % M], abs=1e-12 * scale)
+
+
+def odd_lattice_grid(T=21.0, n_a=2, n_b=5):
+    """2->2 instance on M = 5 sites; a fifth mode pins class 4 to E[1]."""
+    e_a = 2 * math.pi * n_a / T
+    e_b = 2 * math.pi * n_b / T
+    return ModeGrid(
+        T=T,
+        modes=((n_b, 1), (n_a, 2), (n_b, 0), (n_a, 3), (n_b, 4)),
+        m=1.0,
+        M_sites=5,
+        energy_override=(e_b, e_a, e_b, e_a, e_b),
+    )
+
+
+def smatrix_order2_cases():
+    """(grid, tau, eps_i, lam): the smatrix --order 2 window at tau2 and tau2 / 2,
+    then an odd N x M = 21 x 5 lattice."""
+    p = DEFAULTS["smatrix"]
+    grid = conserving_grid(T=p["T2"], M=p["M_sites"], n_a=p["n_a2"], n_b=p["n_b2"])
+    return [
+        pytest.param(grid, p["tau2"], p["eps_i2"], p["lam"], id="tau2"),
+        pytest.param(grid, p["tau2"] / 2, p["eps_i2"], p["lam"], id="tau2/2"),
+        pytest.param(odd_lattice_grid(), 1.0, 0.2, 0.3, id="odd-21x5"),
+    ]
+
+
+def relative_gap(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("grid, tau, eps_i, lam", smatrix_order2_cases())
+def test_propagator_table_matches_per_class_outer_products(grid, tau, eps_i, lam):
+    table = wick.propagator_table(grid, tau, eps_i)
+    assert relative_gap(table, propagator_table_outer(grid, tau, eps_i)) <= 1e-15
+
+
+@pytest.mark.parametrize("grid, tau, eps_i, lam", smatrix_order2_cases())
+def test_separable_order2_sum_matches_phase_grid_sum(grid, tau, eps_i, lam):
+    got = smatrix_element(grid, (0, 1), (2, 3), lam, 2, tau=tau, eps_i=eps_i, channel="s")
+    ref = order2_pair_channel_phase_grid(grid, (0, 1), (2, 3), lam, tau, eps_i)
+    assert got != 0 and relative_gap(got, ref) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
