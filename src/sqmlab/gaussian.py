@@ -16,12 +16,14 @@ with r the smallest positive representative of dt mod N and
 s = (-dt) mod N.  It converges to the time-ordered e^{-iE|dt|} as the
 grid is refined (image terms die like e^{-e_i T}).
 
-Both routes run on arrays: the tower sums (feynman_kernel,
-feynman_propagator_grid) evaluate every mode of a tower as one numpy
-sum over the grid's memoized towers, and feynman_kernel_closed takes an
-integer array of time differences and reads w^r and w^s from one table
-of the N + 1 powers e^{k z}, z = -i tau (E - i e_i), so its rounding
-does not grow with k.
+feynman_kernel_closed takes an integer array of time differences and
+reads w^r and w^s from one table of the N + 1 powers e^{k z},
+z = -i tau (E - i e_i), so its rounding does not grow with k; it raises
+PoleError where 1 - w^N vanishes to rounding (e_i = 0 with E on the
+frequency grid).  line_table sums it over the M site classes of a
+lattice into the one Feynman line P[dt, dx] that both
+feynman_propagator_grid and the order-2 S-matrix in wick read.  The
+O(N) mode sum over a tower is the tests' reference, in tests/dense_refs.py.
 
 Signs of tau and e_i are not restricted here: the second kernel term
 is the mode value at -e_i, the anti-time-ordered branch.
@@ -88,65 +90,65 @@ def tau_mode_correlator(grid: ModeGrid, tau: float, eps_i: float, p: int, k: int
     return complex(_mode_corr(tau, grid.gap(p), eps_i))
 
 
-def _tower(grid: ModeGrid) -> tuple[int, ...]:
-    """The modes of the grid's one tower without a spatial index."""
-    if () not in grid.towers:
-        raise ValueError("grid has no frequency tower without a spatial index")
-    return grid.towers[()]
-
-
-def _omegas(grid: ModeGrid, idxs: tuple[int, ...]) -> np.ndarray:
-    """Frequencies 2 pi n0 / T of the listed modes, as one array."""
-    labels = np.array([grid.modes[k][0] for k in idxs])
-    return 2.0 * math.pi * labels / grid.T
-
-
-def _tower_kernel(grid: ModeGrid, idxs: tuple[int, ...], tau: float, eps_i: float,
-                  dt_slices: int) -> complex:
-    """The O(N) tower sum of feynman_kernel over the modes `idxs`."""
-    w = _omegas(grid, idxs)
-    E = grid.energy(idxs[0])
-    c_minus = _mode_corr(tau, w - E, eps_i)
-    c_plus = _mode_corr(tau, w + E, -eps_i)
-    terms = np.exp(-1j * w * (tau * dt_slices)) * (c_minus - c_plus)
-    return complex(np.sum(terms) / len(idxs))
-
-
-def feynman_kernel(grid: ModeGrid, tau: float, eps_i: float, dt_slices: int) -> complex:
-    """Single-tower time-ordered kernel: (1/N) sum_w e^{-i w dt} [corr- - corr+].
-
-    corr- is the mode correlator at gap w - E + i eps_i and corr+ the
-    one at gap w + E - i eps_i; their difference is the discrete partial
-    fraction giving i/(p0^2 - E^2 + i eps_i) * 2E.  The tau -> 0 limit
-    at fixed T is theta-ordered e^{-iE|dt|} plus O(e^{-eps_i T}) images;
-    the equal-time value is 1 (so the propagator carries 1/(2E) there).
-    The sum runs over the whole tower as one array; it is kept as the
-    explicit mode sum (not the closed form) so that the two can be
-    compared.
-    """
-    return _tower_kernel(grid, _tower(grid), tau, eps_i, dt_slices)
-
-
 def feynman_kernel_closed(N: int, tau: float, eps_i: float, E: float, dt_slices):
     """Exact geometric resummation of the tower kernel.
 
-    Equals feynman_kernel on a full N-tower to machine precision (the
-    property tests pin this); O(N + K) for K time differences instead of
-    the tower sum's O(N K), which the perturbative lattice sums rely on.  With
+    Equals the O(N) mode sum over a full N-tower to machine precision
+    (the property tests pin this against the sum in tests/dense_refs.py);
+    O(N + K) for K time differences instead of the sum's O(N K).  With
     z = -i tau (E - i e_i) and w = e^z the two mode series resum to
     (w^{r} + w^{s}) / (1 - w^N), where r is the smallest positive
     representative of dt mod N and s = (-dt) mod N.  Both index one
     table of the N + 1 powers e^{k z}, k = 0..N: raising the rounded w
     to an integer power would multiply its rounding error by k.
 
+    Raises PoleError where |expm1(N z)| <= 8 eps_machine max(1, |N z|),
+    i.e. at e_i = 0 with E on the frequency grid, a pole of the mode sum.
+
     `dt_slices` may be an int (the value is a complex) or an integer
     array (the value is a complex array of its shape).
     """
     z = complex(-tau * eps_i, -tau * E)
+    den = -np.expm1(N * z)
+    if abs(den) <= 8 * np.finfo(float).eps * max(1.0, abs(N * z)):
+        raise PoleError(f"kernel pole: E = {E} on the frequency grid with eps_i = {eps_i}")
     dt = np.asarray(dt_slices)
     powers = np.exp(np.arange(N + 1) * z)
-    value = (powers[(dt - 1) % N + 1] + powers[(-dt) % N]) / -np.expm1(N * z)
+    value = (powers[(dt - 1) % N + 1] + powers[(-dt) % N]) / den
     return complex(value) if value.ndim == 0 else value
+
+
+def slice_count(T: float, tau: float) -> int:
+    """N = T / tau, which must be a positive integer."""
+    N = round(T / tau)
+    if N < 1 or abs(T - N * tau) > 1e-9 * max(1.0, abs(T)):
+        raise ValueError("tau must divide the grid window T into integer slices")
+    return N
+
+
+def line_table(N: int, tau: float, eps_i: float, energies) -> np.ndarray:
+    """Feynman line P[dt, dx] on the N x M difference lattice, M = len(energies).
+
+    P = (1/M) sum_j e^{2 pi i j dx / M} K_j(dt) / (2 E_j), E_j the energy
+    of site class j: one feynman_kernel_closed call on dt = 0..N-1 per
+    distinct energy, then one (N x M)(M x M) product with the plane
+    waves.  Raises ValueError unless E[j] == E[-j mod M] > 0.
+    """
+    M = len(energies)
+    for j, E in enumerate(energies):
+        mirror = energies[(-j) % M]
+        if not math.isclose(E, mirror, rel_tol=1e-12, abs_tol=1e-12):
+            raise ValueError(
+                "site-class energies must satisfy E[j] == E[-j mod M]: a real "
+                "scalar line ties the opposite spatial phase to the conjugate "
+                f"branch (class {j}: {E} vs class {(-j) % M}: {mirror})"
+            )
+    if min(energies) <= 0:
+        raise ValueError("internal lines need strictly positive energies")
+    lines = {E: feynman_kernel_closed(N, tau, eps_i, E, np.arange(N)) / (2.0 * E)
+             for E in set(energies)}
+    plane_waves = np.exp(2j * np.pi * np.outer(np.arange(M), np.arange(M)) / M)
+    return np.column_stack([lines[E] for E in energies]) @ plane_waves / M
 
 
 def feynman_propagator_grid(
@@ -159,22 +161,27 @@ def feynman_propagator_grid(
 
         (1/M) sum_p e^{i p (x-y)} (1/(2 E_p)) K_p(t_x - t_y)
 
-    with K_p the tower kernel above and E_p the grid's mode energy; it
+    with E_p the energy of the grid's tower in site class p, read as the
+    line_table entry at ((t_x - t_y) mod N, (s_x - s_y) mod M).  It
     converges to the standard oracle <0|T phi(x) phi(y)|0> of the free
-    lattice Hamiltonian.
+    lattice Hamiltonian.  Raises ValueError unless the grid carries
+    exactly one tower of T/tau slices per site class.
     """
     if grid.M_sites is None:
         raise ValueError("propagator needs a grid with a site lattice (M_sites)")
-    (tx, sx), (ty, sy) = x, y
     M = grid.M_sites
-    total = 0.0 + 0.0j
+    N = slice_count(grid.T, tau)
+    energies: dict[int, float] = {}
     for sp, idxs in grid.towers.items():
         if len(sp) != 1:
             raise ValueError("site-lattice propagator expects 1-d spatial indices")
-        p = 2.0 * math.pi * sp[0] / M
-        E = grid.energy(idxs[0])
-        if E <= 0:
-            raise ValueError("propagator needs strictly positive mode energies")
-        kern = _tower_kernel(grid, idxs, tau, eps_i, tx - ty)
-        total += cmath.exp(1j * p * (sx - sy)) / (2.0 * E) * kern
-    return total / M
+        if sp[0] % M in energies:
+            raise ValueError(f"two towers in site class {sp[0] % M} of M = {M}")
+        if len(idxs) != N:
+            raise ValueError(f"tower {sp} has {len(idxs)} slices, T/tau = {N}")
+        energies[sp[0] % M] = grid.energy(idxs[0])
+    if len(energies) != M:
+        raise ValueError(f"no tower in site classes {sorted(set(range(M)) - set(energies))}")
+    (tx, sx), (ty, sy) = x, y
+    table = line_table(N, tau, eps_i, [energies[j] for j in range(M)])
+    return complex(table[(tx - ty) % N, (sx - sy) % M])

@@ -126,7 +126,8 @@ def frequency_tower(
     The grid is massless (a mode's energy is |p|) unless `energies` lists
     one energy per *spatial* index, broadcast across the tower (the
     frequency label does not change a mode's energy).  This is the grid
-    shape that gaussian.feynman_propagator_grid sums over.
+    shape that gaussian.feynman_propagator_grid reads: one tower per
+    site class, whose energy it passes to gaussian.line_table.
     """
     ratio = T / tau
     N = round(ratio)

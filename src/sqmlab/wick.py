@@ -10,10 +10,11 @@ pinned, as the literal `_ORDER2_BUCKETS`; the tests rebuild all 14
 classes from the enumerator and check that the literal is their
 pair-channel part.  A class's value is one lattice difference sum
 against the internal-line table, so no pairing is enumerated or
-evaluated at run time.  The table is one array-valued call of the
-closed-form tower kernel per distinct site-class energy times the M x M
-plane-wave matrix, and a class's lattice sum is e_t^T P^m e_x: its
-external phase splits into N slice and M site phases.
+evaluated at run time.  The table is gaussian.line_table, the same
+Feynman line that gaussian.feynman_propagator_grid reads and the
+`propagator` experiment checks against exact diagonalization; a
+class's lattice sum is e_t^T P^m e_x: its external phase splits into
+N slice and M site phases.
 
 On top of the buckets sits the quartic S-matrix assembly on an
 N-slice x M-site lattice.  Conventions (fixed here, validated end to
@@ -43,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gaussian import feynman_kernel_closed
+from .gaussian import line_table, slice_count
 from .grids import ModeGrid
 
 PairingType = tuple[tuple[int, int], ...]
@@ -85,13 +86,6 @@ def enumerate_pairings(n_insertions: int) -> list[PairingType]:
 def lattice_volume_norm(N: int, M: int) -> float:
     """V_lattice — the discrete volume normalization 1/(N*M)."""
     return 1.0 / (N * M)
-
-
-def _slice_count(grid: ModeGrid, tau: float) -> int:
-    N = round(grid.T / tau)
-    if N < 1 or abs(grid.T - N * tau) > 1e-9 * max(1.0, abs(grid.T)):
-        raise ValueError("tau must divide the grid window T into integer slices")
-    return N
 
 
 def _leg_label(grid: ModeGrid, k: int) -> tuple[int, int, float]:
@@ -147,33 +141,10 @@ def _site_energies(grid: ModeGrid) -> list[float]:
 
 
 def propagator_table(grid: ModeGrid, tau: float, eps_i: float) -> np.ndarray:
-    """Internal-line values P[dt, dx] on the N x M difference lattice.
-
-    P is the time-ordered pair kernel summed over spatial momenta,
-    (1/M) sum_j e^{i p_j dx} K_j(dt) / (2 E_j): one exact closed-form
-    gaussian.feynman_kernel_closed call on dt = 0..N-1 per distinct
-    site-class energy (M = 4 classes have two), then one (N x M)(M x M)
-    product with the plane waves e^{2 pi i j dx / M}.
-    """
+    """Internal-line values P[dt, dx]: gaussian.line_table at the grid's site-class energies."""
     if grid.M_sites is None:
         raise ValueError("propagator table needs a site lattice (M_sites)")
-    N = _slice_count(grid, tau)
-    M = grid.M_sites
-    energies = _site_energies(grid)
-    for j, E in enumerate(energies):
-        mirror = energies[(-j) % M]
-        if not math.isclose(E, mirror, rel_tol=1e-12, abs_tol=1e-12):
-            raise ValueError(
-                "site-class energies must satisfy E[j] == E[-j mod M]: a real "
-                "scalar line ties the opposite spatial phase to the conjugate "
-                f"branch (class {j}: {E} vs class {(-j) % M}: {mirror})"
-            )
-    if min(energies) <= 0:
-        raise ValueError("internal lines need strictly positive energies")
-    lines = {E: feynman_kernel_closed(N, tau, eps_i, E, np.arange(N)) / (2.0 * E)
-             for E in set(energies)}
-    plane_waves = np.exp(2j * np.pi * np.outer(np.arange(M), np.arange(M)) / M)
-    return np.column_stack([lines[E] for E in energies]) @ plane_waves / M
+    return line_table(slice_count(grid.T, tau), tau, eps_i, _site_energies(grid))
 
 
 def _conservation_deltas(
@@ -223,7 +194,8 @@ def smatrix_element(
     2 sums the pair-channel classes of the connected two-vertex
     pairings using translation invariance: one lattice difference sum
     per class, e_t^T P^m e_x with the external phase split into slice
-    and site factors, against the closed-form internal-line table.
+    and site factors, against the internal-line table P of
+    gaussian.line_table (the line feynman_propagator_grid reads).
 
     The order-2 assembly is normalized to the same external-leg and
     volume conventions as order 1.  In those conventions each vertex
@@ -257,7 +229,7 @@ def smatrix_element(
     if tau <= 0 or eps_i <= 0:
         raise ValueError(f"need tau > 0 and eps_i > 0, got tau={tau!r}, eps_i={eps_i!r}")
     M = grid.M_sites
-    N = _slice_count(grid, tau)
+    N = slice_count(grid.T, tau)
     legs = [_leg_label(grid, k) for k in (*in_modes, *out_modes)]
     signs = (1, 1, -1, -1)
     if len({leg[1] % M for leg in legs}) != 4:

@@ -5,17 +5,20 @@ shift as a roll of the slice axes, slice operators as local factors,
 partial traces as one einsum, and the dense Fock engine each ladder on
 one axis of the occupation tensor.  Here each is written out the plain
 way, as a full matrix or a loop.  The perturbative references spell
-out what the separable routes factor: one exponential per power and
-branch of the tower kernel, one outer product per site class in the
+out what the separable routes factor: the O(N) mode sum over each
+frequency tower that the closed kernel resums (per tower, and summed
+over the towers of a site-lattice grid), one exponential per power and
+branch of the closed kernel, one outer product per site class in the
 internal-line table, and one phase per lattice point in the order-2 sum.
 """
 
+import cmath
 import math
 from typing import Sequence
 
 import numpy as np
 
-from sqmlab import fock, wick
+from sqmlab import fock, gaussian, wick
 from sqmlab.linalg import Ket, Operator, kron
 from sqmlab.timeslab import QuantumAction, SliceLayout, apply_local, slice_factors
 
@@ -108,6 +111,62 @@ def partial_trace_loop(A: Operator, keep) -> Operator:
     return Operator(tensor.reshape(size, size), new_dims)
 
 
+def _tower(grid) -> tuple[int, ...]:
+    """The modes of the grid's one tower without a spatial index."""
+    if () not in grid.towers:
+        raise ValueError("grid has no frequency tower without a spatial index")
+    return grid.towers[()]
+
+
+def _omegas(grid, idxs: tuple[int, ...]) -> np.ndarray:
+    """Frequencies 2 pi n0 / T of the listed modes, as one array."""
+    labels = np.array([grid.modes[k][0] for k in idxs])
+    return 2.0 * math.pi * labels / grid.T
+
+
+def _tower_kernel(grid, idxs: tuple[int, ...], tau: float, eps_i: float,
+                  dt_slices: int) -> complex:
+    """The O(N) tower sum of feynman_kernel over the modes `idxs`."""
+    w = _omegas(grid, idxs)
+    E = grid.energy(idxs[0])
+    c_minus = gaussian._mode_corr(tau, w - E, eps_i)
+    c_plus = gaussian._mode_corr(tau, w + E, -eps_i)
+    terms = np.exp(-1j * w * (tau * dt_slices)) * (c_minus - c_plus)
+    return complex(np.sum(terms) / len(idxs))
+
+
+def feynman_kernel(grid, tau: float, eps_i: float, dt_slices: int) -> complex:
+    """Single-tower time-ordered kernel: (1/N) sum_w e^{-i w dt} [corr- - corr+].
+
+    corr- is the mode correlator at gap w - E + i eps_i and corr+ the
+    one at gap w + E - i eps_i; their difference is the discrete partial
+    fraction giving i/(p0^2 - E^2 + i eps_i) * 2E.  The tau -> 0 limit
+    at fixed T is theta-ordered e^{-iE|dt|} plus O(e^{-eps_i T}) images;
+    the equal-time value is 1 (so the propagator carries 1/(2E) there).
+    The sum runs over the whole tower as one array: the explicit mode
+    sum that gaussian.feynman_kernel_closed resums.
+    """
+    return _tower_kernel(grid, _tower(grid), tau, eps_i, dt_slices)
+
+
+def feynman_propagator_tower_sum(grid, tau: float, eps_i: float, x, y) -> complex:
+    """feynman_propagator_grid as one tower sum per spatial index of the grid.
+
+    (1/M) sum_p e^{i p (s_x - s_y)} K_p(t_x - t_y) / (2 E_p), each K_p
+    the O(N) mode sum over its tower; no check that the towers cover
+    the site classes once at T/tau slices each.
+    """
+    (tx, sx), (ty, sy) = x, y
+    M = grid.M_sites
+    total = 0.0 + 0.0j
+    for sp, idxs in grid.towers.items():
+        p = 2.0 * math.pi * sp[0] / M
+        E = grid.energy(idxs[0])
+        kern = _tower_kernel(grid, idxs, tau, eps_i, tx - ty)
+        total += cmath.exp(1j * p * (sx - sy)) / (2.0 * E) * kern
+    return total / M
+
+
 def feynman_kernel_two_exp(N: int, tau: float, eps_i: float, E: float, dt_slices):
     """The closed tower kernel with one exp array per branch, e^{r z} and e^{s z}."""
     z = complex(-tau * eps_i, -tau * E)
@@ -119,7 +178,7 @@ def feynman_kernel_two_exp(N: int, tau: float, eps_i: float, E: float, dt_slices
 
 def propagator_table_outer(grid, tau: float, eps_i: float) -> np.ndarray:
     """P[dt, dx] accumulated as one np.outer(kernel, phases) per site class."""
-    N = wick._slice_count(grid, tau)
+    N = gaussian.slice_count(grid.T, tau)
     M = grid.M_sites
     table = np.zeros((N, M), dtype=complex)
     for j, E in enumerate(wick._site_energies(grid)):
@@ -137,7 +196,7 @@ def order2_pair_channel_phase_grid(grid, in_modes, out_modes, lam: float, tau: f
     exp(i sum_l sigma_l (p_l x - E_l tau t)), multiplied into P^m
     elementwise and summed, against the table of propagator_table_outer.
     """
-    N = wick._slice_count(grid, tau)
+    N = gaussian.slice_count(grid.T, tau)
     M = grid.M_sites
     legs = [wick._leg_label(grid, k) for k in (*in_modes, *out_modes)]
     signs = (1, 1, -1, -1)

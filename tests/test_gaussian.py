@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_refs import feynman_kernel_two_exp
+from dense_refs import feynman_kernel, feynman_kernel_two_exp, feynman_propagator_tower_sum
 from sqmlab import grids, wick
 from sqmlab.experiments import DEFAULTS
 from sqmlab.gaussian import (
     GaussianWeight,
     PoleError,
-    feynman_kernel,
     feynman_kernel_closed,
     feynman_propagator_grid,
     gaussian_pair_correlator,
@@ -213,6 +212,20 @@ class TestTowerResummation:
         got = feynman_kernel_closed(N, tau, eps_i, E, dts)
         assert np.array_equal(got, feynman_kernel_two_exp(N, tau, eps_i, E, dts))
 
+    def test_unregulated_kernel_between_grid_frequencies_is_the_tower_sum(self):
+        # eps_i = 0 is a pole only with E on the grid 2 pi n / T; halfway
+        # between two frequencies every mode denominator is far from zero
+        N, tau = 8, 0.25
+        T = N * tau
+        between = 2.0 * math.pi * 1.5 / T
+        grid = frequency_tower(T, tau, energies=[between])
+        for dt in range(-N, 2 * N):
+            closed = feynman_kernel_closed(N, tau, 0.0, between, dt)
+            assert cmath.isfinite(closed)
+            assert closed == pytest.approx(feynman_kernel(grid, tau, 0.0, dt), abs=1e-13)
+        with pytest.raises(PoleError):
+            feynman_kernel_closed(N, tau, 0.0, 2.0 * math.pi / T, 0)
+
     def test_equal_time_kernel_is_unit(self):
         # K(0) = (1 + w^N) / (1 - w^N) with |w^N| = e^{-eps_i N tau}
         N, tau, eps_i, E = 400, 0.05, 0.4, 1.3
@@ -308,3 +321,53 @@ class TestPropagatorGrid:
         for _ in range(3):
             with pytest.raises(ValueError, match="full frequency window"):
                 feynman_propagator_grid(grid, 0.5, 0.1, (1, 0), (0, 0))
+
+    @pytest.mark.parametrize("spatial, energies, tau, match", [
+        # a grid built at tau = 0.5 carries 20 slices per tower, not T / 0.25 = 40
+        (((0,), (1,)), [1.0, 1.0], 0.25, "slices"),
+        # labels 0 and 2 are both site class 0 of M = 2
+        (((0,), (2,)), [1.0, 1.0], 0.5, "two towers"),
+        # site class 1 has no tower
+        (((0,),), [1.0], 0.5, "no tower"),
+    ])
+    def test_towers_must_cover_each_site_class_once(self, spatial, energies, tau, match):
+        grid = frequency_tower(10.0, 0.5, spatial=spatial, M_sites=2, energies=energies)
+        with pytest.raises(ValueError, match=match):
+            feynman_propagator_grid(grid, tau, 0.1, (2, 0), (0, 0))
+
+    def test_matches_tower_sum_at_propagator_defaults(self):
+        p = DEFAULTS["propagator"]
+        tau, eps_i = p["tau_grid"], p["eps_i_grid"]
+        grid = frequency_tower(p["T"], tau, spatial=((0,), (1,)), M_sites=2,
+                               energies=list(p["grid_energies"]))
+        for dt in p["ed_slices"]:
+            for site in (0, 1):
+                got = feynman_propagator_grid(grid, tau, eps_i, (dt, site), (0, 0))
+                ref = feynman_propagator_tower_sum(grid, tau, eps_i, (dt, site), (0, 0))
+                assert abs(got - ref) <= 1e-13 * abs(ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(2, 64),
+        st.floats(0.02, 0.5),
+        st.floats(0.01, 0.4),
+        st.lists(st.floats(0.1, 2.5), min_size=2, max_size=2),
+        st.lists(st.booleans(), min_size=3, max_size=3),
+        st.integers(-128, 128),
+        st.integers(0, 2),
+        st.integers(0, 2),
+    )
+    def test_matches_tower_sum_on_small_grids(self, M, N, tau, eps_i, base, shift, dt,
+                                              sx, sy):
+        # parity-paired energies E[j] = E[M - j]; each class labelled j or j - M
+        energies = [base[min(j, M - j)] for j in range(M)]
+        labels = [(j - M if shift[j] else j,) for j in range(M)]
+        grid = frequency_tower(N * tau, tau, spatial=labels, M_sites=M, energies=energies)
+        x, y = (dt, sx % M), (0, sy % M)
+        got = feynman_propagator_grid(grid, tau, eps_i, x, y)
+        ref = feynman_propagator_tower_sum(grid, tau, eps_i, x, y)
+        # off the equal point the classes can cancel, so the scale of the
+        # comparison is the equal-point value, not |ref|
+        scale = abs(feynman_propagator_tower_sum(grid, tau, eps_i, (0, 0), (0, 0)))
+        assert abs(got - ref) <= 1e-13 * scale

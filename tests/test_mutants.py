@@ -7,7 +7,7 @@ exit code 0 into exit code 1.
 
 import pytest
 
-from sqmlab import fermions, fock
+from sqmlab import fermions, fock, gaussian
 from sqmlab.cli import main
 
 # name -> (module, function, wrapper making the faulty version, CLI run)
@@ -23,6 +23,12 @@ MUTANTS = {
         fock, "predicted_mismatch_ratio",
         lambda f: lambda N: 1.01 * f(N),
         ["anomaly-scan"],
+    ),
+    # feynman_propagator_grid reads the line that order 2 sums, and ED is its oracle
+    "line table conjugated": (
+        gaussian, "line_table",
+        lambda f: lambda *args: f(*args).conj(),
+        ["propagator"],
     ),
 }
 

@@ -23,7 +23,6 @@ SRC = Path(sqmlab.__file__).resolve().parent
 _DENSE_FOCK = "perfbench runs the dense Fock engine against the sector engine"
 _DENSE_FERMION = "perfbench reads the dense fermion views"
 _ACCEPTANCE = "an acceptance criterion pins it"
-_REFERENCE = "tier-1 checks it against feynman_kernel_closed"
 _GUARD = "an immutability guard or a repr"
 
 # module.qualname -> why it stays although no CLI run calls it
@@ -48,8 +47,6 @@ ALLOWED = {
     "wick.double_factorial": _ACCEPTANCE,
     "fermions.quadratic_action": _ACCEPTANCE,
     "fermions.parity_weighted_trace": _ACCEPTANCE,
-    "gaussian.feynman_kernel": _REFERENCE,
-    "gaussian._tower": _REFERENCE,
     "linalg.Operator.__setattr__": _GUARD,
     "linalg.Ket.__setattr__": _GUARD,
     "linalg.Operator.__repr__": _GUARD,
