@@ -1,18 +1,18 @@
 """Command-line entry point: run a registered experiment, emit a report.
 
-    sqmlab <experiment> [--config FILE] [--out DIR] [--seed U64]
-                        [--json | --csv] [--KEY VALUE ...]
+    sqmlab <experiment> [--config FILE] [--out DIR] [--csv] [--KEY VALUE ...]
 
 Reports are deterministic: a fixed seed and config produce a
 byte-identical JSON file (sorted keys, complex numbers as [re, im],
 cases sorted by case key).  The exit status is 0 iff every case
 passed, 1 if a case failed, and 2 for bad input, including a value
 the run cannot represent (an ArithmeticError, whose message lists the
-parameters given by --config, --seed and --KEY VALUE).  Config files
-are flat key=value lines; values parse as int, float, bool, comma
-list, or string.  After the experiment name, every further --KEY
-VALUE pair overrides that key of the experiment's DEFAULTS, its value
-parsed as in a config file, and overrides the config file too.
+parameters given by --config and --KEY VALUE).  Config files are flat
+key=value lines; values parse as int, float, bool, comma list, or
+string.  After the experiment name, every further --KEY VALUE pair
+overrides that key of the experiment's DEFAULTS (--seed U64 the RNG
+seed), its value parsed as in a config file, and overrides the config
+file too.  The report is JSON unless --csv asks for the case table.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqmlab",
         description="Run a verification experiment and write its report.",
-        epilog="Each further --KEY VALUE overrides that default: --order 2, --N 3 --M 2.",
+        epilog="Each further --KEY VALUE overrides that default: --order 2, --seed 7.",
         allow_abbrev=False,
     )
     parser.add_argument("experiment", choices=sorted(DEFAULTS), metavar="experiment",
@@ -106,24 +106,19 @@ def build_parser() -> argparse.ArgumentParser:
                         help="flat key=value parameter file")
     parser.add_argument("--out", type=str, default="reports",
                         help="directory for report files (default: ./reports)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="RNG seed override (unsigned 64-bit)")
-    fmt = parser.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="write JSON report (default)")
-    fmt.add_argument("--csv", action="store_true", help="write CSV case table instead")
+    parser.add_argument("--csv", action="store_true",
+                        help="write the CSV case table instead of the JSON report")
     return parser
 
 
 def _collect_params(args: argparse.Namespace, overrides: Sequence[str] = ()) -> dict:
-    """Config file, then --seed, then the --KEY VALUE pairs in `overrides`.
+    """Config file, then the --KEY VALUE pairs in `overrides`.
 
     A trailing --KEY with no value reads like the config line `KEY =`.
     """
     params: dict = {}
     if args.config:
         params.update(parse_config(args.config))
-    if args.seed is not None:
-        params["seed"] = args.seed
     flags, values = overrides[::2], [*overrides[1::2], ""]
     for flag, value in zip(flags, values):
         if not flag.startswith("--"):

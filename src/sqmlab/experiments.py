@@ -210,6 +210,17 @@ def run_anomaly_scan(params: dict) -> Iterator[dict]:
             f"mismatch_ratio[N={N:03d}]", {"N": N, "2N": 2 * N, "T": T},
             ratio, predicted, params["tol_ratio"], scale=abs(predicted),
         )
+    if not params["slice_counts"]:
+        return  # no scan: the run has no cases, which run_experiment rejects
+    # the dense truncated-Fock engine, an independent coding of the lattice,
+    # against the sector engine at N = 6, n_max = 2 (D = 729, inside the cap)
+    lf = fock.LatticeFock(N=6, M=1, energies=(params["energy"],), n_max=2, eps=T / 6)
+    dense = fock.anomaly_mismatch(lf, engine="dense")
+    sector = fock.anomaly_mismatch(lf, engine="sector")
+    yield _case(
+        "dense_vs_sector[N=006]", {"N": 6, "n_max": 2, "D": lf.dense_dim, "T": T},
+        dense["nonnormal_slab"], sector["nonnormal_slab"], params["tol_normal"],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +409,9 @@ def run_smatrix(params: dict) -> Iterator[dict]:
             if params[key] != DEFAULTS["smatrix"][key]]
     if idle:
         raise ValueError(f"order {order} does not use {', '.join(idle)}")
+    if params["M_sites"] != 4:
+        raise ValueError(f"need M_sites = 4, got {params['M_sites']}: "
+                         "the four externals fill the four site classes")
     # every smatrix tolerance scales with lam: lam = 0 would pass 0 against 0
     _require_positive(params, "lam", "T", "tau", "eps_i", "T2", "tau2", "eps_i2")
     _require_at_least(params, "sweep_points", 2, "the slice-width extrapolation")

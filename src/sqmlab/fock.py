@@ -1,22 +1,24 @@
 """Truncated bosonic ladders on a time-sliced mode lattice.
 
 One bosonic mode per (time slice t, spatial momentum p), with the
-canonical algebra holding in Kronecker form up to the usual truncation
-edge [a, a†] = I - (n_max+1)|n_max><n_max| per mode.
+canonical algebra holding per mode up to the usual truncation edge
+[a, a†] = I - (n_max+1)|n_max><n_max|.
 
 The headline computation is the conditioning anomaly: a one-particle,
 on-shell history state reproduces standard expectation values for
 normal-ordered slice observables exactly, while a non-normal-ordered
 probe picks up an internal contraction that grows linearly with the
-number of slices at fixed window T.  Each probe takes an `engine`: the
-default "sector", which the anomaly scan runs, is an exact particle-
-number-sector representation (vacuum/one/two-particle blocks) with no
-truncation error, scaling to the N of the anomaly scans; "dense", a
-truncated-Fock representation, is an independent coding of the same
-lattice that the tests and the benchmark compare against it.
-The dense engine applies each single-leg ladder to the state viewed as
-an (n_max+1)^L occupation tensor, on that leg's axis, so a probe costs
-O(D) and no D x D operator is formed.
+number of slices at fixed window T.
+
+Two engines code the lattice's states, behind one interface: `vacuum()`,
+`one_particle(amps)`, `create(leg, v)` and `annihilate(leg, v)`, all on
+flat numpy vectors whose `np.vdot` is the inner product.  `SectorFock`
+(engine "sector", the default) is exact in the vacuum, one- and
+two-particle sectors, with no truncation error and no limit on N;
+`DenseFock` (engine "dense") is the truncated Fock space itself, an
+(n_max+1)^L occupation tensor, capped at DENSE_DIM_CAP amplitudes.
+Each probe takes an `engine` name and `_engine` alone turns it into an
+engine; the standard single-mode oracle uses neither.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .linalg import Ket
 
 DENSE_DIM_CAP = 4096
 
@@ -61,123 +61,108 @@ class LatticeFock:
     def dense_dim(self) -> int:
         return (self.n_max + 1) ** self.legs
 
-    @property
-    def leg_dims(self) -> tuple[int, ...]:
-        return (self.n_max + 1,) * self.legs
-
     def leg(self, t: int, p: int) -> int:
         if not (0 <= t < self.N and 0 <= p < self.M):
             raise ValueError(f"mode (t={t}, p={p}) outside the {self.N}x{self.M} lattice")
         return t * self.M + p
 
 
-def _single_ladder(n_max: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, n_max + 1)), 1)
+class DenseFock:
+    """The truncated Fock space of a lattice: (n_max+1)^L amplitudes.
 
-
-def _check_dense_cap(lf: LatticeFock) -> None:
-    if lf.dense_dim > DENSE_DIM_CAP:
-        raise ValueError(f"dense space of dim {lf.dense_dim} exceeds cap {DENSE_DIM_CAP}")
-
-
-def _apply_leg(lf: LatticeFock, op: np.ndarray, leg: int, v: np.ndarray) -> np.ndarray:
-    """Apply the single-leg operator `op` to the dense state v on axis `leg`.
-
-    Equals kron(I, op, I) @ v without forming the D x D operator: v is
-    viewed as an (n_max+1)^L occupation tensor and `op` contracts its
-    leg axis, O(D * (n_max+1)) per call.
-    """
-    psi = np.moveaxis(v.reshape(lf.leg_dims), leg, 0)
-    return np.moveaxis(np.tensordot(op, psi, axes=1), 0, leg).reshape(-1)
-
-
-def vacuum(lf: LatticeFock) -> Ket:
-    v = np.zeros(lf.dense_dim)
-    v[0] = 1.0
-    return Ket(v, lf.leg_dims)
-
-
-# ---------------------------------------------------------------------------
-# exact particle-number-sector engine (vacuum / 1-particle / 2-particle)
-
-
-class SectorFock:
-    """Exact <= 2-particle bosonic representation over L legs.
-
-    Basis: [vacuum] + [|leg i>] + [|leg i, leg j>, i <= j]; dimension
-    1 + L + L(L+1)/2.  No truncation error for the states reachable from
-    at most two creation operators, which is all the anomaly check needs
-    at any N.
+    A state is the occupation tensor flattened with leg 0 slowest.  A
+    ladder on one leg moves that axis by one level and weights it by
+    sqrt(n) for the higher level n, O(D) per call; no D x D operator is
+    formed.  Refuses lattices past DENSE_DIM_CAP before any vector exists.
     """
 
-    def __init__(self, legs: int):
-        self.L = legs
-        self.pair_index = {}
-        k = 1 + legs
-        for i in range(legs):
-            for j in range(i, legs):
-                self.pair_index[(i, j)] = k
-                k += 1
-        self.dim = k
+    def __init__(self, lf: LatticeFock):
+        if lf.dense_dim > DENSE_DIM_CAP:
+            raise ValueError(f"dense space of dim {lf.dense_dim} exceeds cap {DENSE_DIM_CAP}")
+        self.L = lf.legs
+        self.levels = lf.n_max + 1
+        self.dim = lf.dense_dim
+        self._root = np.sqrt(np.arange(1, self.levels))[:, np.newaxis]
 
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
         v[0] = 1.0
         return v
 
+    def one_particle(self, amps: np.ndarray) -> np.ndarray:
+        """sum_leg amps[leg] a†(leg)|vac>; one quantum on leg sits at levels^(L-1-leg)."""
+        v = np.zeros(self.dim, dtype=complex)
+        v[self.levels ** np.arange(self.L - 1, -1, -1)] = amps
+        return v
+
+    def create(self, leg: int, v: np.ndarray) -> np.ndarray:
+        psi = v.reshape(self.levels**leg, self.levels, -1)  # (before, leg, after)
+        out = np.zeros_like(psi)
+        out[:, 1:] = self._root * psi[:, :-1]
+        return out.reshape(-1)
+
+    def annihilate(self, leg: int, v: np.ndarray) -> np.ndarray:
+        psi = v.reshape(self.levels**leg, self.levels, -1)
+        out = np.zeros_like(psi)
+        out[:, :-1] = self._root * psi[:, 1:]
+        return out.reshape(-1)
+
+
+class SectorFock:
+    """Exact <= 2-particle bosonic representation over L legs.
+
+    A state [c] + [u_i] + [S_ij] (S symmetric L x L, flattened) means
+    c|vac> + sum_i u_i a†_i|vac> + (1/sqrt 2) sum_ij S_ij a†_i a†_j|vac>;
+    the 1/sqrt 2 makes sum_ij |S_ij|^2 the norm of the pair part.
+    Dimension 1 + L + L^2.  No truncation error for the states reachable
+    from at most two creation operators, which is all the anomaly check
+    needs at any N.
+    """
+
+    def __init__(self, legs: int):
+        self.L = legs
+        self.dim = 1 + legs + legs * legs
+
+    def _pairs(self, v: np.ndarray) -> np.ndarray:
+        return v[1 + self.L :].reshape(self.L, self.L)
+
+    def vacuum(self) -> np.ndarray:
+        v = np.zeros(self.dim, dtype=complex)
+        v[0] = 1.0
+        return v
+
+    def one_particle(self, amps: np.ndarray) -> np.ndarray:
+        v = np.zeros(self.dim, dtype=complex)
+        v[1 : 1 + self.L] = amps
+        return v
+
     def create(self, leg: int, v: np.ndarray) -> np.ndarray:
         """Apply a†(leg); raises if any amplitude would leave the 2-sector."""
-        out = np.zeros_like(v)
-        out[1 + leg] += v[0]
-        for i in range(self.L):
-            amp = v[1 + i]
-            if amp == 0.0:
-                continue
-            a, b = sorted((i, leg))
-            out[self.pair_index[(a, b)]] += amp * (math.sqrt(2.0) if i == leg else 1.0)
-        if np.any(v[1 + self.L :]):
+        if np.any(self._pairs(v)):
             raise ValueError("creation would exceed the two-particle sector")
+        out = np.zeros_like(v)
+        out[1 + leg] = v[0]
+        # a†_l sum_i u_i a†_i|vac> has S = (e_l u^T + u e_l^T) / sqrt 2
+        one = v[1 : 1 + self.L] / math.sqrt(2.0)
+        pairs = self._pairs(out)
+        pairs[leg] += one
+        pairs[:, leg] += one
         return out
 
     def annihilate(self, leg: int, v: np.ndarray) -> np.ndarray:
         out = np.zeros_like(v)
-        out[0] += v[1 + leg]
-        for (i, j), k in self.pair_index.items():
-            amp = v[k]
-            if amp == 0.0:
-                continue
-            if i == j == leg:
-                out[1 + leg] += amp * math.sqrt(2.0)
-            elif i == leg:
-                out[1 + j] += amp
-            elif j == leg:
-                out[1 + i] += amp
+        out[0] = v[1 + leg]
+        out[1 : 1 + self.L] = math.sqrt(2.0) * self._pairs(v)[leg]
         return out
 
 
-def _one_particle_history(lf: LatticeFock, p: int, engine: str):
-    """(engine object or lf, state vector) for the on-shell one-particle history."""
-    E = lf.energies[p]
-    phases = np.exp(-1j * E * lf.eps * np.arange(lf.N)) / math.sqrt(lf.N)
+def _engine(lf: LatticeFock, engine: str) -> DenseFock | SectorFock:
+    """The engine a probe runs on, by name: "sector" or "dense"."""
+    if engine == "sector":
+        return SectorFock(lf.legs)
     if engine == "dense":
-        vac = vacuum(lf).vec
-        adag = _single_ladder(lf.n_max).T
-        v = np.zeros(lf.dense_dim, dtype=complex)
-        for t in range(lf.N):
-            v += phases[t] * _apply_leg(lf, adag, lf.leg(t, p), vac)
-        return None, v
-    sf = SectorFock(lf.legs)
-    v = np.zeros(sf.dim, dtype=complex)
-    for t in range(lf.N):
-        v[1 + lf.leg(t, p)] = phases[t]
-    return sf, v
-
-
-def _check_engine(lf: LatticeFock, engine: str) -> None:
-    if engine not in ("dense", "sector"):
-        raise ValueError("engine must be 'dense' or 'sector'")
-    if engine == "dense":
-        _check_dense_cap(lf)  # before any D-vector is allocated
+        return DenseFock(lf)
+    raise ValueError("engine must be 'dense' or 'sector'")
 
 
 def naive_conditioning_check(
@@ -200,32 +185,27 @@ def naive_conditioning_check(
     <vac|a(t,p)a†(t,p)|vac> = 1 on every slice survives conditioning
     and contributes an extra N-1.
 
-    Both engines evaluate the slab value as a norm, N*||a v||^2 for the
-    normal-ordered probe and N*||a† v||^2 for the other, with the single
-    ladder applied to the state (the dense engine on the leg's axis of
-    the occupation tensor, the sector engine in its pair basis).
+    Either engine evaluates the slab value as a norm, N*||a v||^2 for
+    the normal-ordered probe and N*||a† v||^2 for the other.
     """
     if not 0 <= t < lf.N:
         raise ValueError(f"slice {t} out of range")
     if not normal_ordered and lf.n_max < 2:
         raise ValueError("non-normal-ordered probe needs n_max >= 2 for the oracle")
-    _check_engine(lf, engine)
-    sf, v = _one_particle_history(lf, p, engine)
     leg = lf.leg(t, p)
-    if engine == "dense":
-        a = _single_ladder(lf.n_max)
-        w = _apply_leg(lf, a if normal_ordered else a.T, leg, v)
-    else:
-        w = (sf.annihilate if normal_ordered else sf.create)(leg, v)
+    fk = _engine(lf, engine)
+    E = lf.energies[p]
+    amps = np.zeros(lf.legs, dtype=complex)
+    amps[p :: lf.M] = np.exp(-1j * E * lf.eps * np.arange(lf.N)) / math.sqrt(lf.N)
+    w = (fk.annihilate if normal_ordered else fk.create)(leg, fk.one_particle(amps))
     # <v|a†a|v> = ||a v||^2 and <v|a a†|v> = ||a† v||^2
     slab = complex(lf.N * np.vdot(w, w))
 
     # standard single-mode oracle: |psi(t)> = e^{-iE eps t} |1>
-    n_loc = lf.n_max + 1
-    a1 = _single_ladder(lf.n_max)
-    one = np.zeros(n_loc)
+    a1 = np.diag(np.sqrt(np.arange(1, lf.n_max + 1)), 1)
+    one = np.zeros(lf.n_max + 1)
     one[1] = 1.0
-    psi_t = np.exp(-1j * lf.energies[p] * lf.eps * t) * one
+    psi_t = np.exp(-1j * E * lf.eps * t) * one
     op1 = a1.T @ a1 if normal_ordered else a1 @ a1.T
     standard = complex(np.vdot(psi_t, op1 @ psi_t))
     return slab, standard
@@ -238,14 +218,9 @@ def internal_contraction(lf: LatticeFock, engine: str = "sector") -> float:
     1/eps = N/T, the quantity that makes the conditioning anomaly grow
     with slice count at fixed window.
     """
-    _check_engine(lf, engine)
-    if engine == "dense":
-        w = _apply_leg(lf, _single_ladder(lf.n_max).T, lf.leg(0, 0), vacuum(lf).vec)
-    else:
-        sf = SectorFock(lf.legs)
-        w = sf.create(lf.leg(0, 0), sf.vacuum())
-    raw = float(np.real(np.vdot(w, w)))
-    return raw / lf.eps
+    fk = _engine(lf, engine)
+    w = fk.create(lf.leg(0, 0), fk.vacuum())
+    return float(np.real(np.vdot(w, w))) / lf.eps
 
 
 def anomaly_mismatch(lf: LatticeFock, *, engine: str = "sector") -> dict:

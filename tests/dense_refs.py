@@ -32,10 +32,11 @@ def identity(dims: int | Sequence[int]) -> Operator:
 
 def ladder(lf: fock.LatticeFock, t: int, p: int, kind: str) -> Operator:
     """Dense a(t,p) or a†(t,p) on the full truncated lattice space, by kron."""
-    fock._check_dense_cap(lf)
+    if lf.dense_dim > fock.DENSE_DIM_CAP:
+        raise ValueError(f"dense space of dim {lf.dense_dim} exceeds cap {fock.DENSE_DIM_CAP}")
     if kind not in ("create", "annihilate"):
         raise ValueError("kind must be 'create' or 'annihilate'")
-    a = fock._single_ladder(lf.n_max)
+    a = np.diag(np.sqrt(np.arange(1, lf.n_max + 1)), 1)
     local = Operator(a.T if kind == "create" else a)
     leg = lf.leg(t, p)
     factors = []

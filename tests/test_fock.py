@@ -8,15 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from sqmlab.fock import (
     DENSE_DIM_CAP,
+    DenseFock,
     LatticeFock,
     SectorFock,
     anomaly_mismatch,
     internal_contraction,
     naive_conditioning_check,
     predicted_mismatch_ratio,
-    vacuum,
 )
-from sqmlab import fock
 
 from dense_refs import ladder
 
@@ -42,6 +41,8 @@ class TestLattice:
         assert lf.dense_dim > DENSE_DIM_CAP
         with pytest.raises(ValueError):
             ladder(lf, 0, 0, "create")
+        with pytest.raises(ValueError, match="exceeds cap"):
+            DenseFock(lf)
 
 
 class TestLadders:
@@ -50,7 +51,7 @@ class TestLadders:
         a = ladder(lf, 0, 0, "annihilate").mat
         comm = a @ a.conj().T - a.conj().T @ a
         # truncation corrupts only the top occupation level
-        dims = lf.leg_dims
+        dims = (lf.n_max + 1,) * lf.legs
         mask = np.array([
             int(np.max(np.unravel_index(i, dims)) <= lf.n_max - 1)
             for i in range(lf.dense_dim)
@@ -68,7 +69,7 @@ class TestLadders:
 class TestSectorEngine:
     def test_dimension_formula(self):
         sf = SectorFock(5)
-        assert sf.dim == 1 + 5 + 5 * 6 // 2
+        assert sf.dim == 1 + 5 + 5 * 5  # vacuum, one particle, symmetric pair block
 
     def test_create_annihilate_roundtrip(self):
         sf = SectorFock(3)
@@ -94,10 +95,63 @@ class TestSectorEngine:
         assert dense[0] == pytest.approx(sector[0], abs=1e-12)
         assert dense[1] == pytest.approx(sector[1], abs=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 2), st.integers(0, 2**32 - 1))
+    def test_ladders_match_the_dense_engine(self, L, leg, particles, seed):
+        """On random states of at most `particles` quanta, mapped into the dense basis."""
+        lf = LatticeFock(N=L, M=1, energies=(1.0,), n_max=2, eps=0.5)
+        leg %= L
+        sf, df = SectorFock(L), DenseFock(lf)
+        rng = np.random.default_rng(seed)
+        z = np.array([1.0, 1j]) @ rng.normal(size=(2, sf.dim))
+        v = sf.vacuum() * z[0]
+        if particles >= 1:
+            v += sf.one_particle(z[1 : 1 + L])
+        if particles == 2:
+            pairs = z[1 + L :].reshape(L, L)
+            v[1 + L :] = ((pairs + pairs.T) / 2).reshape(-1)
+        dense_v = _sector_in_dense(lf, v)
+        assert np.vdot(v, v) == pytest.approx(np.vdot(dense_v, dense_v), rel=1e-12)
+        np.testing.assert_allclose(_sector_in_dense(lf, sf.annihilate(leg, v)),
+                                   df.annihilate(leg, dense_v), rtol=0, atol=1e-12)
+        if particles == 2:
+            with pytest.raises(ValueError, match="two-particle sector"):
+                sf.create(leg, v)
+        else:
+            np.testing.assert_allclose(_sector_in_dense(lf, sf.create(leg, v)),
+                                       df.create(leg, dense_v), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(_sector_in_dense(lf, sf.one_particle(z[1 : 1 + L])),
+                                   df.one_particle(z[1 : 1 + L]), rtol=0, atol=0)
+        np.testing.assert_array_equal(_sector_in_dense(lf, sf.vacuum()), df.vacuum())
+
+
+def _sector_in_dense(lf, v):
+    """A SectorFock vector over lf's legs, written in DenseFock's basis (n_max >= 2).
+
+    (1/sqrt 2) sum_ij S_ij a†_i a†_j|vac> puts sqrt(2) S_ij on |1_i 1_j>
+    for i < j and S_ii on |2_i>, as (a†_i)^2|vac> = sqrt(2)|2_i>.
+    """
+    L = lf.legs
+
+    def index(*legs):
+        occupation = np.zeros(L, dtype=int)
+        for leg in legs:
+            occupation[leg] += 1
+        return np.ravel_multi_index(occupation, (lf.n_max + 1,) * L)
+
+    out = np.zeros(lf.dense_dim, dtype=complex)
+    out[index()] = v[0]
+    pairs = v[1 + L :].reshape(L, L)
+    for i in range(L):
+        out[index(i)] = v[1 + i]
+        for j in range(i, L):
+            out[index(i, j)] = pairs[i, i] if i == j else math.sqrt(2.0) * pairs[i, j]
+    return out
+
 
 def _dense_reference_check(lf, t, normal_ordered, p):
     """The slab value of naive_conditioning_check from full D x D ladders."""
-    vac = vacuum(lf).vec
+    vac = np.eye(lf.dense_dim)[0]
     phases = np.exp(-1j * lf.energies[p] * lf.eps * np.arange(lf.N)) / math.sqrt(lf.N)
     v = sum(phases[s] * (ladder(lf, s, p, "create").mat @ vac) for s in range(lf.N))
     adag = ladder(lf, t, p, "create").mat
@@ -120,9 +174,8 @@ class TestDenseStateApply:
         t, p = t % N, p % M
         rng = np.random.default_rng(seed)
         v = rng.normal(size=lf.dense_dim) + 1j * rng.normal(size=lf.dense_dim)
-        a = fock._single_ladder(n_max)
-        got = fock._apply_leg(lf, a.T if create else a, lf.leg(t, p), v)
         kind = "create" if create else "annihilate"
+        got = getattr(DenseFock(lf), kind)(lf.leg(t, p), v)
         np.testing.assert_allclose(got, ladder(lf, t, p, kind).mat @ v, rtol=0, atol=1e-12)
 
     @settings(max_examples=25, deadline=None)

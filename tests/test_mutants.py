@@ -1,10 +1,13 @@
 """Faults that a default CLI verdict must catch.
 
-Each mutant wraps one function of a package module (a monkeypatch, no
-source rewriting) and names the run whose verdict must then turn from
-exit code 0 into exit code 1.
+Each mutant wraps one function of a package module or one method of
+its classes (a monkeypatch, no source rewriting) and names the run whose
+verdict must then turn from exit code 0 into exit code 1.  A mutant that
+no default run can tell from the original is listed in EQUIVALENT with
+the reason.
 """
 
+import numpy as np
 import pytest
 
 from sqmlab import fermions, fock, gaussian
@@ -30,7 +33,33 @@ MUTANTS = {
         lambda f: lambda *args: f(*args).conj(),
         ["propagator"],
     ),
+    # anomaly-scan compares the dense engine's a a† probe with the sector engine's
+    "dense creation without its sqrt(n+1) factors": (
+        fock.DenseFock, "create",
+        lambda f: _bare_create,
+        ["anomaly-scan"],
+    ),
 }
+
+_ON_LEG_0 = "every anomaly probe acts on the mode (t, p) = (0, 0), which is leg 0"
+
+# name -> (as in MUTANTS, then why no default verdict can catch it)
+EQUIVALENT = {
+    f"dense {attr} forced onto leg 0": (
+        fock.DenseFock, attr,
+        lambda f: lambda self, leg, v: f(self, 0, v),
+        ["anomaly-scan"], _ON_LEG_0,
+    )
+    for attr in ("create", "annihilate")
+}
+
+
+def _bare_create(self, leg, v):
+    """a†(leg) as a plain occupation shift, without its sqrt(n+1) factors."""
+    psi = v.reshape(self.levels**leg, self.levels, -1)
+    out = np.zeros_like(psi)
+    out[:, 1:] = psi[:, :-1]
+    return out.reshape(-1)
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
@@ -40,3 +69,13 @@ def test_mutant_fails_a_default_verdict(name, monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
     assert main([*argv, "--out", str(tmp_path)]) == 1
     assert "[FAIL]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENT))
+def test_equivalent_mutant_leaves_the_report(name, monkeypatch, tmp_path, capsys):
+    module, attr, mutate, argv, _why = EQUIVALENT[name]
+    assert main([*argv, "--out", str(tmp_path / "original")]) == 0
+    monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
+    assert main([*argv, "--out", str(tmp_path / "mutant")]) == 0
+    report = f"{argv[0]}.json"
+    assert (tmp_path / "mutant" / report).read_bytes() == (tmp_path / "original" / report).read_bytes()

@@ -20,18 +20,12 @@ from sqmlab.experiments import DEFAULTS
 
 SRC = Path(sqmlab.__file__).resolve().parent
 
-_DENSE_FOCK = "perfbench runs the dense Fock engine against the sector engine"
 _DENSE_FERMION = "perfbench reads the dense fermion views"
 _ACCEPTANCE = "an acceptance criterion pins it"
 _GUARD = "an immutability guard or a repr"
 
 # module.qualname -> why it stays although no CLI run calls it
 ALLOWED = {
-    "fock.LatticeFock.dense_dim": _DENSE_FOCK,
-    "fock.LatticeFock.leg_dims": _DENSE_FOCK,
-    "fock._check_dense_cap": _DENSE_FOCK,
-    "fock._apply_leg": _DENSE_FOCK,
-    "fock.vacuum": _DENSE_FOCK,
     "fermions.FermionLayout.leg": _DENSE_FERMION,
     "fermions.FermionLayout.leg_dims": _DENSE_FERMION,
     "fermions.jw_annihilator": _DENSE_FERMION,
