@@ -25,7 +25,8 @@ slab apply,
 
     R · M = E · embed(V†·b·V, N-1) · M / Tr,      b = |psi0><psi0| · V^{-N},
 
-at O(N·d·D²) per D x D matrix instead of O(D³), and
+in ⌈N/g⌉ matmuls of d^g <= 16 per column (timeslab's fused slice
+groups, the all-V blocks kept on the action) instead of O(D³), and
 
     Tr R^k = sum_ij (R^a)_ij (R^b)_ji,      a = ceil(k/2), b = floor(k/2),
 

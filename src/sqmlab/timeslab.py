@@ -17,15 +17,21 @@ implemented and cross-checked:
   holds as an exact operator statement inside traces.
 
 E is never multiplied out on the slab route: it is applied to whole
-D = d^N dimensional columns as one local factor per slice followed by a
-roll of the slice axes (`QuantumAction.apply`), at O(N·d·D) per column.
-The dense permutation C and the dense embeddings of slice operators
-live with the tests, as references.
+D = d^N dimensional columns (`QuantumAction.apply`) as fused blocks
+followed by a roll of the slice axes.  The slices fall into ⌈N/g⌉
+groups of g adjacent slices, g the largest with d^g <= 16 (the last
+group may be shorter), and each group acts as one d^g x d^g block, the
+kron of its slices' local factors; that is ⌈N/g⌉ matmuls of d^g <= 16
+per column instead of N of d.  The all-V blocks are kept once per
+action (`QuantumAction._groups`); a group holding an insertion builds
+its block per call.  The dense permutation C and the dense embeddings
+of slice operators live with the tests, as references.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -34,6 +40,7 @@ from .linalg import Ket, Operator, expm, kron
 
 DEFAULT_DIM_CAP = 4096
 _COLUMN_BLOCK = 128  # identity columns per pass through E in the streamed traces
+_GROUP_DIM_MAX = 16  # largest fused block d^g in QuantumAction.apply
 
 
 @dataclass(frozen=True)
@@ -80,6 +87,12 @@ def _cycle_rows(layout: SliceLayout, M: np.ndarray) -> np.ndarray:
     return M.reshape(-1, layout.d, k).transpose(1, 0, 2).reshape(-1, k)
 
 
+def _block_kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A ⊗ B for square A and B, as one broadcast product."""
+    a, b = len(A), len(B)
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(a * b, a * b)
+
+
 def slice_factors(
     layout: SliceLayout, inserts: Sequence[tuple[Operator, int]]
 ) -> dict[int, np.ndarray]:
@@ -116,20 +129,42 @@ class QuantumAction:
     def apply(
         self, M: np.ndarray, factors: Optional[Mapping[int, np.ndarray]] = None
     ) -> np.ndarray:
-        """E · (⊗_t factors[t]) · M for a (D, k) matrix M, at O(N·d·D·k).
+        """E · (⊗_t factors[t]) · M for a (D, k) matrix M, in ⌈N/g⌉ matmuls of d^g <= 16.
 
         Slice t gets the local factor V·factors[t] (V where no factor is
-        given), then the slice axes roll by one to apply C; the D x D
-        permutation is never formed.
+        given).  Each group of g adjacent slices applies the kron of its
+        local factors as one block: the kept all-V block of `_groups`, or,
+        where a factor sits in the group, a block built for this call.
+        Then the slice axes roll by one to apply C; the D x D permutation
+        is never formed.
         """
         layout = self.layout
         M = np.asarray(M)
         if M.ndim != 2 or M.shape[0] != layout.total_dim:
             raise ValueError(f"need a ({layout.total_dim}, k) matrix, got shape {M.shape}")
+        d, k = layout.d, M.shape[1]
         V = self.V.mat
         factors = factors or {}
-        local = {t: V @ factors[t] if t in factors else V for t in range(layout.N)}
-        return _cycle_rows(layout, apply_local(layout, M, local))
+        for slices, block in self._groups:
+            if not factors.keys().isdisjoint(slices):
+                block = reduce(_block_kron, [V @ factors[t] if t in factors else V for t in slices])
+            M = np.matmul(block, M.reshape(d**slices.start, len(block), -1)).reshape(-1, k)
+        return _cycle_rows(layout, M)
+
+    @cached_property
+    def _groups(self) -> tuple[tuple[range, np.ndarray], ...]:
+        """(slices, V ⊗ ... ⊗ V over them) for each fused group of `apply`, slice 0 first.
+
+        g slices per group, the largest g <= N with d**g <= _GROUP_DIM_MAX
+        (at least 1; bounded by N because d = 1 fits every g).
+        """
+        d, N, g = self.layout.d, self.layout.N, 1
+        while g < N and d ** (g + 1) <= _GROUP_DIM_MAX:
+            g += 1
+        return tuple(
+            (range(s, min(s + g, N)), reduce(_block_kron, [self.V.mat] * min(g, N - s)))
+            for s in range(0, N, g)
+        )
 
     @property
     def exp_action(self) -> Operator:

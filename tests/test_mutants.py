@@ -10,7 +10,7 @@ the reason.
 import numpy as np
 import pytest
 
-from sqmlab import fermions, fock, gaussian
+from sqmlab import fermions, fock, gaussian, timeslab
 from sqmlab.cli import main
 
 # name -> (module, function, wrapper making the faulty version, CLI run)
@@ -32,6 +32,12 @@ MUTANTS = {
         gaussian, "line_table",
         lambda f: lambda *args: f(*args).conj(),
         ["propagator"],
+    ),
+    # the block of a fused slice group holding an insertion comes out slice-reversed
+    "group kron with its factors swapped": (
+        timeslab, "_block_kron",
+        lambda f: lambda A, B: f(B, A),
+        ["trace-theorem"],
     ),
     # anomaly-scan compares the dense engine's a a† probe with the sector engine's
     "dense creation without its sqrt(n+1) factors": (

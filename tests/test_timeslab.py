@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from sqmlab.linalg import expm, kron, rand_hermitian, rand_ket
+from sqmlab.linalg import Operator, expm, kron, rand_hermitian, rand_ket
 from sqmlab.timeslab import (
     SliceLayout,
     build_action,
@@ -17,6 +17,13 @@ from sqmlab.timeslab import (
 from dense_refs import constraint_expectation_columns, cycle_shift, embed_at_slice
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+
+# largest N per local dimension d in the dense comparisons: fused groups of
+# 4 (d = 2), 2 (d = 3, 4), 1 (d = 5) and N (d = 1), with ragged last groups;
+# d = 2 reaches two full groups and a ragged third (N = 9, D = 512)
+DENSE_N_MAX = {1: 9, 2: 9, 3: 5, 4: 4, 5: 3}
+LAYOUTS = st.sampled_from(sorted(DENSE_N_MAX)).flatmap(
+    lambda d: st.tuples(st.just(d), st.integers(1, DENSE_N_MAX[d])))
 
 
 class TestLayout:
@@ -156,6 +163,38 @@ class TestConstraintTheorem:
             constraint_expectation(qa, O, N)
 
 
+class TestFusedGroups:
+    @pytest.mark.parametrize("d, N, sizes", [
+        (1, 12, [12]), (2, 3, [3]), (2, 9, [4, 4, 1]), (2, 12, [4, 4, 4]),
+        (3, 5, [2, 2, 1]), (4, 3, [2, 1]), (4, 6, [2, 2, 2]), (5, 3, [1, 1, 1]),
+        (17, 2, [1, 1]),
+    ])
+    def test_groups_are_the_largest_with_d_to_the_g_at_most_16(self, d, N, sizes):
+        rng = np.random.default_rng(d * N)
+        qa = build_action(SliceLayout(d=d, N=N, eps=0.3), rand_hermitian(rng, d))
+        assert [len(slices) for slices, _ in qa._groups] == sizes
+        assert [slices.start for slices, _ in qa._groups] == list(np.cumsum([0] + sizes[:-1]))
+        V = expm(-0.3j * qa.H)
+        for slices, block in qa._groups:
+            np.testing.assert_allclose(block, kron(*([V] * len(slices))).mat, atol=1e-14)
+
+    def test_one_dimensional_slices(self):
+        """d = 1: every d**g fits, so one group of all N slices; E is the phase V^N."""
+        rng = np.random.default_rng(5)
+        N, eps, h = 7, 0.3, 0.8
+        qa = build_action(SliceLayout(d=1, N=N, eps=eps), Operator(np.array([[h]])))
+        inserts = [(Operator(np.array([[z]])), t) for z, t in [(1.5 - 0.5j, 0), (-0.7j, 3), (2.0, 6)]]
+        expected = np.exp(-1j * eps * N * h) * (1.5 - 0.5j) * (-0.7j) * 2.0
+        assert trace_theorem_lhs(qa, inserts) == pytest.approx(expected, abs=1e-14)
+        assert trace_theorem_rhs(qa, inserts) == pytest.approx(expected, abs=1e-14)
+        O = Operator(np.array([[1.9]]))
+        boundary = (rand_ket(rng, 1), rand_ket(rng, 1))
+        for t in range(N):
+            assert abs(constraint_expectation(qa, O, t)) <= 1e-14
+        for t in range(N - 1):
+            assert abs(constraint_expectation(qa, O, t, boundary)) <= 1e-14
+
+
 class TestStructuredAgainstDense:
     """The structured slab engine against dense products of the references."""
 
@@ -171,14 +210,16 @@ class TestStructuredAgainstDense:
         qa = build_action(SliceLayout(d=d, N=N, eps=0.41), rand_hermitian(rng, d))
         np.testing.assert_allclose(qa.exp_action.mat, self._dense_action(qa), atol=1e-12)
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.sampled_from([2, 3]), st.integers(1, 5), st.integers(0, 3), SEEDS)
-    def test_apply_and_trace_match_dense(self, d, N, n_inserts, seed):
+    @settings(max_examples=60, deadline=None)
+    @given(LAYOUTS, st.lists(st.integers(0, 8), max_size=4, unique=True), SEEDS)
+    # d = 2, N = 9: groups 0-3, 4-7 and 8, two insertions inside the first
+    @example((2, 9), [2, 1, 8], 0)
+    def test_apply_and_trace_match_dense(self, layout, slots, seed):
+        d, N = layout
         rng = np.random.default_rng(seed)
         lay = SliceLayout(d=d, N=N, eps=0.41)
         qa = build_action(lay, rand_hermitian(rng, d))
-        slots = rng.choice(N, size=min(n_inserts, N), replace=False)
-        inserts = [(rand_hermitian(rng, d), int(t)) for t in slots]
+        inserts = [(rand_hermitian(rng, d), t) for t in slots if t < N]
         dense = self._dense_action(qa)
         for O, t in inserts:
             dense = dense @ embed_at_slice(O, t, lay).mat
@@ -189,9 +230,10 @@ class TestStructuredAgainstDense:
         assert trace_theorem_lhs(qa, inserts) == pytest.approx(
             expected, abs=1e-12 * max(1.0, abs(expected)))
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.sampled_from([2, 3]), st.integers(2, 5), SEEDS, st.booleans())
-    def test_constraint_expectation_matches_dense(self, d, N, seed, with_boundary):
+    @settings(max_examples=60, deadline=None)
+    @given(LAYOUTS.filter(lambda layout: layout[1] >= 2), SEEDS, st.booleans())
+    def test_constraint_expectation_matches_dense(self, layout, seed, with_boundary):
+        d, N = layout
         rng = np.random.default_rng(seed)
         lay = SliceLayout(d=d, N=N, eps=0.37)
         qa = build_action(lay, rand_hermitian(rng, d))
