@@ -4,9 +4,11 @@ Everything downstream (history states, time slabs, spacetime density
 operators, Wick engines) manipulates operators on a tensor product of
 small local Hilbert spaces.  This module fixes the single global index
 convention — factor 0 is the slowest-varying (leftmost) kron index —
-and supplies the plumbing: kron, partial traces over arbitrary factor
+and supplies the plumbing: partial traces over arbitrary factor
 subsets, matrix exponentials and guarded inverses, and seeded random
-operator ensembles.  Integer powers are numpy's `matrix_power`.
+operator ensembles.  Integer powers are numpy's `matrix_power`, traces
+`np.trace` of `.mat`; the np.kron-built tensor product is a test
+reference (`tests/dense_refs.py`).
 
 Dense storage only; the intended regime is total dimension ≲ 4096.
 Entries are complex128, except that float64 input stays float64: real
@@ -80,9 +82,6 @@ class Operator:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.mat))
-
     def dag(self) -> "Operator":
         return Operator(self.mat.conj().T, self.dims)
 
@@ -152,22 +151,6 @@ class Ket:
 
     def __repr__(self):
         return f"Ket(dims={self.dims})"
-
-
-# ---------------------------------------------------------------------------
-# construction helpers
-
-
-def kron(*ops: Operator) -> Operator:
-    """Tensor product; dims concatenate, first factor slowest-varying."""
-    if not ops:
-        raise ValueError("kron of nothing")
-    mat = ops[0].mat
-    dims: tuple[int, ...] = ops[0].dims
-    for op in ops[1:]:
-        mat = np.kron(mat, op.mat)
-        dims = dims + op.dims
-    return Operator(mat, dims)
 
 
 # ---------------------------------------------------------------------------

@@ -15,23 +15,36 @@ undoes the net winding of the cycle so that Tr[R · embed(A, s)] equals
 pure-state projectors even though R itself is not hermitian.
 
 R is stored dense, and each read of it costs what its answer needs.
-Marginals, region reductions and insertion traces touch only the
-diagonal blocks of the traced slices: they are partial traces by one
-einsum that reads the traced factors' diagonal, and an insertion trace
-is then a trace of the inserted operators against the reduced state
-on the inserted slices.  Powers are never multiplied out densely:
-since C carries slice N-1 to slice 0, left multiplication by R is one
-slab apply,
+Since C carries slice N-1 to slice 0, the boundary moves through E
+onto the last slice,
 
-    R · M = E · embed(V†·b·V, N-1) · M / Tr,      b = |psi0><psi0| · V^{-N},
+    embed(b, 0) · E = E · embed(V†·b·V, N-1),      b = |psi0><psi0| · V^{-N},
 
-in ⌈N/g⌉ matmuls of d^g <= 16 per column (timeslab's fused slice
-groups, the all-V blocks kept on the action) instead of O(D³), and
+so R is built as QuantumAction.dense({N-1: V†·b·V}): one broadcast
+kron of timeslab's fused slice-group blocks (the all-V blocks kept on
+the action, the last group's built with the boundary) and one roll of
+the row slice axes, then scaled by its trace in place and copied once
+into the Operator; no D x D matrix product and no kron chain over
+slices.  Marginals, region reductions and insertion traces touch only
+the diagonal blocks of the traced slices: they are partial traces by
+one einsum that reads the traced factors' diagonal, and an insertion
+trace is then a trace of the inserted operators against the reduced
+state on the inserted slices.  Powers are never multiplied out
+densely: left multiplication by R is one slab apply with the same
+last-slice factor,
+
+    R · M = E · embed(V†·b·V, N-1) · M / Tr,
+
+in ⌈N/g⌉ matmuls of d^g <= 16 per column instead of O(D³), and
 
     Tr R^k = sum_ij (R^a)_ij (R^b)_ji,      a = ceil(k/2), b = floor(k/2),
 
 with R^a built from the stored R by a-1 such applies and R^b met on
-the way, so Tr R^k costs floor((k-1)/2) applies instead of k-1.
+the way, so Tr R^k costs floor((k-1)/2) applies instead of k-1.  The
+sum reads R^b transposed, so it runs over t x t tiles (t the largest
+divisor of D up to 32): tile (I, J) of R^a meets tile (J, I) of R^b,
+and the transposed read walks rows of t entries instead of striding a
+whole row of R^b per entry.
 """
 
 from __future__ import annotations
@@ -42,7 +55,9 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .linalg import Ket, Operator, expm, partial_trace
-from .timeslab import QuantumAction, SliceLayout, apply_local, build_action, slice_factors
+from .timeslab import QuantumAction, SliceLayout, build_action, slice_factors
+
+_TILE = 32  # largest tile edge in the tiled Tr[A·B] of the trace powers
 
 
 @dataclass(frozen=True)
@@ -91,24 +106,36 @@ def build_R(
     N: int,
     site_dims: Optional[Sequence[int]] = None,
 ) -> SpacetimeState:
-    """Assemble and normalize the spacetime state for (psi0, H, eps, N)."""
+    """Assemble and normalize the spacetime state for (psi0, H, eps, N).
+
+    R_raw = E · embed(V†·b·V, N-1) comes from one dense build of the
+    action; its trace scales it in place, and the Operator copy carries
+    the final dims (site_dims per slice when given).
+    """
     if abs(psi0.norm() - 1.0) > 1e-12:
         raise ValueError("psi0 must be normalized")
     layout = SliceLayout(d=psi0.dim, N=N, eps=eps)
-    qa = build_action(layout, H)
-    boundary = psi0.outer() @ expm(1j * eps * N * H)
-    raw = Operator(apply_local(layout, qa.exp_action.mat, {0: boundary.mat}), layout.dims)
-    tr = raw.trace()
-    if abs(tr) < 1e-14:
-        raise ValueError("spacetime state has numerically zero trace")
-    R = (1.0 / tr) * raw
+    dims = layout.dims
     if site_dims is not None:
         site_dims = tuple(int(s) for s in site_dims)
         if int(np.prod(site_dims)) != layout.d:
             raise ValueError("site_dims must factorize the slice dimension")
-        R = Operator(R.mat, site_dims * N)
-    return SpacetimeState(R=R, action=qa, boundary=boundary, psi0=psi0, raw_trace=tr,
-                          site_dims=site_dims)
+        dims = site_dims * N
+    qa = build_action(layout, H)
+    boundary = psi0.outer() @ expm(1j * eps * N * H)
+    raw = qa.dense({N - 1: _boundary_on_last_slice(qa, boundary)})
+    tr = complex(np.trace(raw))
+    if abs(tr) < 1e-14:
+        raise ValueError("spacetime state has numerically zero trace")
+    raw *= 1.0 / tr
+    return SpacetimeState(R=Operator(raw, dims), action=qa, boundary=boundary, psi0=psi0,
+                          raw_trace=tr, site_dims=site_dims)
+
+
+def _boundary_on_last_slice(qa: QuantumAction, boundary: Operator) -> np.ndarray:
+    """V†·b·V: embed(b, 0)·E = E·embed(V†·b·V, N-1), as C carries slice N-1 to 0."""
+    V = qa.V.mat
+    return V.conj().T @ boundary.mat @ V
 
 
 def _slice_factors(st: SpacetimeState) -> int:
@@ -174,17 +201,18 @@ def power_and_pseudoentropy(
 
     R^a, a = ceil(k/2), is R·(R·(...·R)) with the stored R as the
     rightmost factor and each left multiplication applied through R's
-    slab factors (E with V†·b·V / raw_trace on slice N-1); R^b,
-    b = floor(k/2), is the last or the next-to-last matrix of that loop,
-    and Tr[R^k] = sum_ij (R^a)_ij (R^b)_ji.  The stored R is a factor of
-    both halves, so a fault in it still shows in the trace.  The first
-    element is a zero-argument callable that builds R^k by k-1 of the
-    same applies when called.
+    slab factors (E with V†·b·V / raw_trace on slice N-1, the factor
+    build_R folded the boundary into); R^b, b = floor(k/2), is the last
+    or the next-to-last matrix of that loop, and Tr[R^k] =
+    sum_ij (R^a)_ij (R^b)_ji, summed over t x t tiles of both
+    (`_trace_of_product`).  The stored R is a factor of both halves, so
+    a fault in it still shows in the trace.  The first element is a
+    zero-argument callable that builds R^k by k-1 of the same applies
+    when called.
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    V = st.action.V.mat
-    last = {st.N - 1: V.conj().T @ st.boundary.mat @ V / st.raw_trace}
+    last = {st.N - 1: _boundary_on_last_slice(st.action, st.boundary) / st.raw_trace}
 
     def power() -> Operator:
         M = st.R.mat
@@ -197,8 +225,25 @@ def power_and_pseudoentropy(
         Rb, Ra = Ra, st.action.apply(Ra, last)
     if k % 2 == 0:
         Rb = Ra
-    tr = np.trace(Ra) if Rb is None else np.einsum("ij,ji->", Ra, Rb)
+    tr = np.trace(Ra) if Rb is None else _trace_of_product(Ra, Rb)
     return power, complex(tr)
+
+
+def _trace_of_product(A: np.ndarray, B: np.ndarray) -> complex:
+    """Tr[A·B] = sum_ij A_ij B_ji, read tile by tile.
+
+    Both D x D arrays are viewed as n x n grids of t x t tiles, t the
+    largest divisor of D up to _TILE, and tile (I, J) of A meets tile
+    (J, I) of B: the transposed read of B then walks rows of t entries
+    instead of jumping a whole row of B per entry.  Each tile pair is
+    summed on its own and the n x n partial sums pairwise, which keeps
+    the rounding near that of the untiled sum.
+    """
+    D = len(A)
+    t = max(s for s in range(1, min(D, _TILE) + 1) if D % s == 0)
+    n = D // t
+    tiles = np.einsum("IiJj,JjIi->IJ", A.reshape(n, t, n, t), B.reshape(n, t, n, t))
+    return complex(tiles.sum())
 
 
 def renyi_pseudoentropy(st: SpacetimeState, k: int) -> complex:

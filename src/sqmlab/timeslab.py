@@ -24,8 +24,12 @@ group may be shorter), and each group acts as one d^g x d^g block, the
 kron of its slices' local factors; that is ⌈N/g⌉ matmuls of d^g <= 16
 per column instead of N of d.  The all-V blocks are kept once per
 action (`QuantumAction._groups`); a group holding an insertion builds
-its block per call.  The dense permutation C and the dense embeddings
-of slice operators live with the tests, as references.
+its block per call.  Where a state needs E as a matrix,
+`QuantumAction.dense` assembles E·(⊗_t F_t) from the same group blocks
+as their broadcast kron, folded from the right, and one roll of the
+row slice axes, with no matrix product.  The dense permutation C and
+the dense embeddings of slice operators live with the tests, as
+references.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .linalg import Ket, Operator, expm, kron
+from .linalg import Ket, Operator, expm
 
 DEFAULT_DIM_CAP = 4096
 _COLUMN_BLOCK = 128  # identity columns per pass through E in the streamed traces
@@ -143,13 +147,32 @@ class QuantumAction:
         if M.ndim != 2 or M.shape[0] != layout.total_dim:
             raise ValueError(f"need a ({layout.total_dim}, k) matrix, got shape {M.shape}")
         d, k = layout.d, M.shape[1]
-        V = self.V.mat
         factors = factors or {}
         for slices, block in self._groups:
             if not factors.keys().isdisjoint(slices):
-                block = reduce(_block_kron, [V @ factors[t] if t in factors else V for t in slices])
+                block = self._factor_block(slices, factors)
             M = np.matmul(block, M.reshape(d**slices.start, len(block), -1)).reshape(-1, k)
         return _cycle_rows(layout, M)
+
+    def dense(self, factors: Optional[Mapping[int, np.ndarray]] = None) -> np.ndarray:
+        """E · (⊗_t factors[t]) as a new D x D array, with `apply`'s factor convention.
+
+        The group blocks of `apply` go into one broadcast kron, and the
+        row slice axes roll by one for C: no matrix product.  Built on
+        each call and not kept, so an action holds no D x D matrix.
+        """
+        factors = factors or {}
+        blocks = [block if factors.keys().isdisjoint(slices) else self._factor_block(slices, factors)
+                  for slices, block in self._groups]
+        # folded from the right, so each kron's inner axis is the larger
+        # operand; the 1 x 1 start makes even a lone kept block a new array
+        W = reduce(lambda right, block: _block_kron(block, right), reversed(blocks), np.ones((1, 1)))
+        return _cycle_rows(self.layout, W)
+
+    def _factor_block(self, slices: range, factors: Mapping[int, np.ndarray]) -> np.ndarray:
+        """The block of a group holding a factor: the kron of V·factors[t] (V where none) over its slices."""
+        V = self.V.mat
+        return reduce(_block_kron, [V @ factors[t] if t in factors else V for t in slices])
 
     @cached_property
     def _groups(self) -> tuple[tuple[range, np.ndarray], ...]:
@@ -165,16 +188,6 @@ class QuantumAction:
             (range(s, min(s + g, N)), reduce(_block_kron, [self.V.mat] * min(g, N - s)))
             for s in range(0, N, g)
         )
-
-    @property
-    def exp_action(self) -> Operator:
-        """Dense E: the rows of V^{⊗N} permuted by C, with no matrix product.
-
-        Built on each access and not kept, so an action held by a
-        spacetime state holds no D x D matrix.
-        """
-        W = kron(*([self.V] * self.layout.N)).mat
-        return Operator(_cycle_rows(self.layout, W), self.layout.dims)
 
 
 def build_action(layout: SliceLayout, H: Operator) -> QuantumAction:
@@ -192,7 +205,7 @@ def _check_inserts(layout: SliceLayout, inserts: Sequence[tuple[Operator, int]])
 
 
 def trace_theorem_lhs(qa: QuantumAction, inserts: Sequence[tuple[Operator, int]]) -> complex:
-    """Tr[exp_action · prod embed(O_t, t)]: the trace of E applied to the identity.
+    """Tr[E · prod embed(O_t, t)]: the trace of E applied to the identity.
 
     The identity goes through E one block of columns at a time and only
     each block's diagonal is kept, so the working set stays at D x block.

@@ -2,14 +2,16 @@
 
 None of these is used by the library: the slab route applies the cyclic
 shift as a roll of the slice axes, slice operators as local factors,
+tensor products as broadcast krons of fused slice-group blocks,
 partial traces as one einsum, and the dense Fock engine each ladder on
 one axis of the occupation tensor.  Here each is written out the plain
-way, as a full matrix or a loop.  The perturbative references spell
-out what the separable routes factor: the O(N) mode sum over each
-frequency tower that the closed kernel resums (per tower, and summed
-over the towers of a site-lattice grid), one exponential per power and
-branch of the closed kernel, one outer product per site class in the
-internal-line table, and one phase per lattice point in the order-2 sum.
+way, as a full matrix, an np.kron chain or a loop.  The perturbative
+references spell out what the separable routes factor: the O(N) mode
+sum over each frequency tower that the closed kernel resums (per
+tower, and summed over the towers of a site-lattice grid), one
+exponential per power and branch of the closed kernel, one outer
+product per site class in the internal-line table, and one phase per
+lattice point in the order-2 sum.
 """
 
 import cmath
@@ -19,8 +21,20 @@ from typing import Sequence
 import numpy as np
 
 from sqmlab import fock, gaussian, wick
-from sqmlab.linalg import Ket, Operator, kron
+from sqmlab.linalg import Ket, Operator
 from sqmlab.timeslab import QuantumAction, SliceLayout, apply_local, slice_factors
+
+
+def kron(*ops: Operator) -> Operator:
+    """Tensor product by np.kron; dims concatenate, first factor slowest-varying."""
+    if not ops:
+        raise ValueError("kron of nothing")
+    mat = ops[0].mat
+    dims: tuple[int, ...] = ops[0].dims
+    for op in ops[1:]:
+        mat = np.kron(mat, op.mat)
+        dims = dims + op.dims
+    return Operator(mat, dims)
 
 
 def identity(dims: int | Sequence[int]) -> Operator:

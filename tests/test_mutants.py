@@ -10,7 +10,7 @@ the reason.
 import numpy as np
 import pytest
 
-from sqmlab import fermions, fock, gaussian, timeslab
+from sqmlab import fermions, fock, gaussian, spacetime, timeslab
 from sqmlab.cli import main
 
 # name -> (module, function, wrapper making the faulty version, CLI run)
@@ -38,6 +38,12 @@ MUTANTS = {
         timeslab, "_block_kron",
         lambda f: lambda A, B: f(B, A),
         ["trace-theorem"],
+    ),
+    # Tr R^k sums (R^a)_ij (R^b)_ji; the untransposed sum of (R^a)_ij (R^b)_ij misses 1
+    "trace of product without its transpose": (
+        spacetime, "_trace_of_product",
+        lambda f: lambda A, B: f(A, B.T),
+        ["st-state-marginals"],
     ),
     # anomaly-scan compares the dense engine's a a† probe with the sector engine's
     "dense creation without its sqrt(n+1) factors": (

@@ -4,11 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sqmlab.experiments import DEFAULTS
-from sqmlab.linalg import Operator, expm, kron, rand_ginibre, rand_hermitian, rand_ket
+from sqmlab.linalg import Operator, expm, rand_ginibre, rand_hermitian, rand_ket
 from sqmlab.spacetime import (
+    _trace_of_product,
     build_R,
     causality_witness,
     causality_witness_oracle,
@@ -19,7 +20,7 @@ from sqmlab.spacetime import (
     renyi_pseudoentropy,
 )
 
-from dense_refs import cycle_shift, embed_at_slice
+from dense_refs import cycle_shift, embed_at_slice, kron
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -61,7 +62,7 @@ class TestMarginals:
             scale = np.max(np.abs(ref))
             np.testing.assert_allclose(Rk.mat, ref, rtol=0, atol=1e-12 * scale)
             # the trace sums the half powers' product, not R^k's diagonal
-            assert abs(tr - Rk.trace()) <= 1e-12 * np.max(np.abs(Rk.mat))
+            assert abs(tr - np.trace(Rk.mat)) <= 1e-12 * np.max(np.abs(Rk.mat))
 
     @pytest.mark.parametrize("d, N, site_dims", POWER_STATES)
     def test_rescaled_state_has_geometric_trace_powers(self, d, N, site_dims):
@@ -145,7 +146,7 @@ class TestRegions:
     def test_equal_time_region_is_state_like(self):
         report = reduce_to_region(_state(6, d=3, N=3), [(1, 0)])
         assert report.is_state_like
-        assert report.operator.trace() == pytest.approx(1.0, abs=1e-10)
+        assert np.trace(report.operator.mat) == pytest.approx(1.0, abs=1e-10)
 
     def test_cross_time_region_is_generically_not_hermitian(self):
         report = reduce_to_region(_state(7, d=2, N=4), [(0, 0), (2, 0)])
@@ -160,11 +161,28 @@ class TestRegions:
             reduce_to_region(st_state, [(99, 0)])
 
 
+class TestTraceOfProduct:
+    # one tile (D <= 32), several tiles of 32 (512, 1024), and powers of 3,
+    # which 32 does not divide, in tiles of 27 (one at 27, 3 x 3 at 81, ...)
+    @pytest.mark.parametrize("D", [1, 2, 16, 27, 32, 81, 243, 512, 729, 1024])
+    def test_tiled_sum_matches_the_plain_transposed_sum(self, D):
+        rng = np.random.default_rng(D)
+        A, B = rand_ginibre(rng, D), rand_ginibre(rng, D)
+        expected = complex(np.einsum("ij,ji->", A, B))
+        assert abs(_trace_of_product(A, B) - expected) <= 1e-13 * abs(expected)
+
+
 class TestStructuredAgainstDense:
     """Slice-local applies against dense traces built from embed_at_slice."""
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([(2, None), (3, None), (4, (2, 2))]), st.integers(2, 4), SEEDS)
+    # the boundary, folded onto slice N-1, in a later fused group: groups
+    # 4+1 and 4+2 (d = 2), 2+2+1 (d = 3), 2+1 (d = 4, two sites per slice)
+    @example((2, None), 5, 0)
+    @example((2, None), 6, 1)
+    @example((3, None), 5, 2)
+    @example((4, (2, 2)), 3, 3)
     def test_state_witness_and_insertion_trace(self, slice_dims, N, seed):
         d, site_dims = slice_dims
         rng = np.random.default_rng(seed)

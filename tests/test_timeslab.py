@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sqmlab.linalg import Operator, expm, kron, rand_hermitian, rand_ket
+from sqmlab.linalg import Operator, expm, rand_hermitian, rand_ket
 from sqmlab.timeslab import (
     SliceLayout,
     build_action,
@@ -14,7 +14,7 @@ from sqmlab.timeslab import (
     trace_theorem_rhs,
 )
 
-from dense_refs import constraint_expectation_columns, cycle_shift, embed_at_slice
+from dense_refs import constraint_expectation_columns, cycle_shift, embed_at_slice, kron
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -112,7 +112,7 @@ class TestTraceTheorem:
         with pytest.raises(ValueError, match=message):
             side(qa, inserts)
 
-    def test_exp_action_factorizes(self):
+    def test_dense_factorizes(self):
         rng = np.random.default_rng(3)
         d, N, eps = 2, 3, 0.3
         H = rand_hermitian(rng, d)
@@ -120,7 +120,7 @@ class TestTraceTheorem:
         qa = build_action(lay, H)
         V = expm(-1j * eps * H)
         expected = cycle_shift(lay) @ kron(V, V, V)
-        np.testing.assert_allclose(qa.exp_action.mat, expected.mat, atol=1e-13)
+        np.testing.assert_allclose(qa.dense(), expected.mat, atol=1e-13)
 
 
 class TestConstraintTheorem:
@@ -203,12 +203,26 @@ class TestStructuredAgainstDense:
         V = expm(-1j * qa.layout.eps * qa.H)
         return (cycle_shift(qa.layout) @ kron(*([V] * qa.layout.N))).mat
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.sampled_from([2, 3]), st.integers(1, 5), SEEDS)
-    def test_exp_action_matches_shift_times_kron(self, d, N, seed):
+    @settings(max_examples=60, deadline=None)
+    @given(LAYOUTS, st.lists(st.integers(0, 8), max_size=3, unique=True), SEEDS)
+    # d = 2, N = 9: factors in the first full group and the ragged third
+    @example((2, 9), [1, 2, 8], 0)
+    def test_dense_matches_shift_times_kron(self, layout, slots, seed):
+        d, N = layout
         rng = np.random.default_rng(seed)
-        qa = build_action(SliceLayout(d=d, N=N, eps=0.41), rand_hermitian(rng, d))
-        np.testing.assert_allclose(qa.exp_action.mat, self._dense_action(qa), atol=1e-12)
+        lay = SliceLayout(d=d, N=N, eps=0.41)
+        qa = build_action(lay, rand_hermitian(rng, d))
+        factors = {t: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                   for t in slots if t < N}
+        expected = self._dense_action(qa)
+        for t, F in factors.items():
+            expected = expected @ embed_at_slice(Operator(F), t, lay).mat
+        tol = 1e-12 * max(1.0, np.abs(expected).max())
+        dense = qa.dense(factors)
+        np.testing.assert_allclose(dense, expected, atol=tol)
+        # a new array every call: writing to it leaves the kept group blocks alone
+        dense[...] = 0
+        np.testing.assert_allclose(qa.dense(factors), expected, atol=tol)
 
     @settings(max_examples=60, deadline=None)
     @given(LAYOUTS, st.lists(st.integers(0, 8), max_size=4, unique=True), SEEDS)
