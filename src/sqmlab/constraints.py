@@ -11,8 +11,10 @@ whose bracket matrix is block-antidiagonal with entries ±i*gap^2.  The
 dichotomy is sharp: off-shell modes (gap != 0) give invertible blocks —
 second-class constraints that Dirac-reduce the pair away entirely
 ({a, a*}_DB = 0) — while on-shell modes give identically vanishing
-constraints and keep their canonical bracket.  Equal-time field/momentum
-brackets rebuilt from the surviving modes come out exactly Kronecker.
+constraints and keep their canonical bracket; `classify` returns that
+kind per mode, "second-class" or "identically-zero".  Equal-time
+field/momentum brackets rebuilt from the surviving modes come out
+exactly Kronecker.
 
 An observable in the linear span of the symbols is a (2, K) complex
 array over the grid's K modes: row 0 holds the a_k coefficients, row 1
@@ -29,7 +31,6 @@ import numpy as np
 from .grids import ModeGrid
 
 ONSHELL_TOL = 1e-12
-CONDITIONING_BAND = 1e-6
 
 
 def mode_a(k: int, K: int) -> np.ndarray:
@@ -82,34 +83,15 @@ def build_constraints(grid: ModeGrid) -> ConstraintSet:
     return ConstraintSet(grid, tuple(grid.gap(k) for k in range(len(grid))))
 
 
-@dataclass(frozen=True)
-class ModeClassification:
-    mode: tuple[int, ...]
-    gap: float
-    kind: str  # 'second-class' | 'identically-zero'
-    conditioning_warning: bool
+def classify(cs: ConstraintSet) -> list[str]:
+    """Each mode's constraint kind, read from cs.second_class.
 
-
-def classify(cs: ConstraintSet) -> list[ModeClassification]:
-    """Per-mode constraint class; scale-invariant in the gaps.
-
-    No first-class constraints can occur here — the C-matrix blocks are
-    either invertible or exactly zero — but near-on-shell second-class
-    modes (|gap| < 1e-6) are flagged since the Dirac correction involves
-    gap^{-2}.
+    "second-class" for an invertible 2x2 block, "identically-zero" for
+    an on-shell mode; no first-class constraint can occur here, since
+    every C-matrix block is either invertible or exactly zero.
     """
-    out = []
-    for k, d in enumerate(cs.gaps):
-        second = abs(d) > ONSHELL_TOL
-        out.append(
-            ModeClassification(
-                mode=cs.grid.modes[k],
-                gap=d,
-                kind="second-class" if second else "identically-zero",
-                conditioning_warning=second and abs(d) < CONDITIONING_BAND,
-            )
-        )
-    return out
+    return ["second-class" if k in cs.second_class else "identically-zero"
+            for k in range(len(cs.gaps))]
 
 
 def dirac_bracket(f: np.ndarray, g: np.ndarray, cs: ConstraintSet) -> complex:

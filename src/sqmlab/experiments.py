@@ -248,15 +248,14 @@ def run_dirac_nogo(params: dict) -> Iterator[dict]:
         ),
     )
     cs = constraints.build_constraints(grid)
-    for k, cls in enumerate(constraints.classify(cs)):
+    for k, kind in enumerate(constraints.classify(cs)):
         db = constraints.dirac_bracket(
             constraints.mode_a(k, len(grid)), constraints.mode_astar(k, len(grid)), cs
         )
-        onshell = cls.kind == "identically-zero"
-        oracle = -1j if onshell else 0.0
+        oracle = -1j if kind == "identically-zero" else 0.0
         yield _case(
             f"bracket[mode={k}]",
-            {"mode": list(grid.modes[k]), "gap": cs.gaps[k], "kind": cls.kind},
+            {"mode": list(grid.modes[k]), "gap": cs.gaps[k], "kind": kind},
             db, oracle, params["tol"],
         )
     # every mode on shell, so the mass never enters

@@ -1,6 +1,5 @@
 """Fermionic sector: gamma algebra, Jordan-Wigner time-slice lattice,
-the fermionic cyclic shift, parity-weighted Gaussian traces, and the
-matrix-valued mode propagator.
+the fermionic cyclic shift, and the matrix-valued mode propagator.
 
 Fermions admit no tensor-product factorization across time slices — the
 antisymmetric algebra is global — so the cyclic time shift is not a
@@ -16,7 +15,9 @@ off it.
 
 For a quadratic action S_f = sum_ab A_ab c†_a c_b the pair correlator
 has the closed Gaussian form <c_a c†_b> = [(I - e^{iA})^{-1}]_ab, the
-fermionic counterpart of the bosonic 1/(e^lambda - 1) pair value; per
+fermionic counterpart of the bosonic 1/(e^lambda - 1) pair value (the
+tests check it against the parity-weighted trace of e^{i S_f} between
+Jordan-Wigner ladders, the dense reference in tests/dense_refs.py); per
 momentum the Dirac action block A_p = tau g0 (p-slash - m) turns that
 law into the matrix-valued mode propagator [I - e^{i tau g0(p-slash -
 m)}]^{-1} g0, whose tau -> 0 limit is i(p-slash + m)/(p^2 - m^2 + i e)
@@ -231,43 +232,6 @@ def cycle_signs(layout: FermionLayout) -> tuple[int, ...]:
 def fermionic_cycle(layout: FermionLayout) -> tuple[Operator, tuple[int, ...]]:
     """Real float64 dense view of cycle_matrix, with the signs of cycle_signs."""
     return Operator(cycle_matrix(layout).toarray(), layout.leg_dims), cycle_signs(layout)
-
-
-def quadratic_action(layout: FermionLayout, coeffs: np.ndarray) -> Operator:
-    """S_f = sum_ab coeffs[a, b] c†_a c_b, summed as sparse products."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    L = layout.legs
-    if coeffs.shape != (L, L):
-        raise ValueError(f"coefficient matrix must be {L}x{L}")
-    ladders = [jw_ladder(layout, leg) for leg in range(L)]  # real: c† is the transpose
-    out = sparse.csr_array((layout.dim, layout.dim), dtype=complex)
-    for a, b in zip(*np.nonzero(coeffs)):
-        out = out + coeffs[a, b] * (ladders[a].T @ ladders[b])
-    return Operator(out.toarray(), layout.leg_dims)
-
-
-def parity_weighted_trace(
-    layout: FermionLayout, S_f: Operator, inserts: Sequence[Operator]
-) -> complex:
-    """Tr[P e^{i S_f} (prod inserts)] / Tr[P e^{i S_f}].
-
-    The parity insertion is what makes the quadratic weight Gaussian in
-    the fermionic sense; without it odd-operator traces would not
-    vanish mode by mode.  Raises on a numerically vanishing
-    normalization (e.g. a mode with e^{iA} having eigenvalue 1).
-    """
-    if S_f.dim != layout.dim:
-        raise ValueError("action operator lives on the wrong space")
-    weight = parity_matrix(layout) @ scipy.linalg.expm(1j * S_f.mat)
-    den = complex(np.trace(weight))
-    if abs(den) < 1e-13:
-        raise ZeroDivisionError("parity-weighted normalization trace vanishes")
-    prod = np.eye(layout.dim, dtype=complex)
-    for ins in inserts:
-        if ins.dim != layout.dim:
-            raise ValueError("insertion lives on the wrong space")
-        prod = prod @ ins.mat
-    return complex(np.trace(weight @ prod)) / den
 
 
 def parity_pair_correlator(coeffs: np.ndarray) -> np.ndarray:

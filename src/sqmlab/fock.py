@@ -14,7 +14,8 @@ Two engines code the lattice's states, behind one interface: `vacuum()`,
 `one_particle(amps)`, `create(leg, v)` and `annihilate(leg, v)`, all on
 flat numpy vectors whose `np.vdot` is the inner product.  `SectorFock`
 (engine "sector", the default) is exact in the vacuum, one- and
-two-particle sectors, with no truncation error and no limit on N;
+two-particle sectors, with no truncation error, and holds 1 + L + L^2
+amplitudes, capped at SECTOR_LEG_CAP legs;
 `DenseFock` (engine "dense") is the truncated Fock space itself, an
 (n_max+1)^L occupation tensor, capped at DENSE_DIM_CAP amplitudes.
 Each probe takes an `engine` name and `_engine` alone turns it into an
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DENSE_DIM_CAP = 4096
+SECTOR_LEG_CAP = 1024  # 1 + L + L^2 amplitudes: about 1e6 at the cap
 
 
 @dataclass(frozen=True)
@@ -116,10 +118,13 @@ class SectorFock:
     the 1/sqrt 2 makes sum_ij |S_ij|^2 the norm of the pair part.
     Dimension 1 + L + L^2.  No truncation error for the states reachable
     from at most two creation operators, which is all the anomaly check
-    needs at any N.
+    needs.  Refuses more than SECTOR_LEG_CAP legs before any vector
+    exists.
     """
 
     def __init__(self, legs: int):
+        if legs > SECTOR_LEG_CAP:
+            raise ValueError(f"sector space of {legs} legs exceeds cap {SECTOR_LEG_CAP}")
         self.L = legs
         self.dim = 1 + legs + legs * legs
 

@@ -4,7 +4,10 @@ For a diagonal Gaussian weight e^{-sum_k lambda_k n_k} the only
 nonvanishing pair value is <a†_k a_l> = delta_{kl}/(e^{lambda_k} - 1).
 The slab action weight corresponds to lambda = -i tau (w - E + i e_i)
 per frequency mode, with a small imaginary part e_i > 0 securing
-convergence.  The Feynman kernel is assembled from two such mode terms
+convergence.  The law is written once, as _mode_corr, which
+tau_mode_correlator reads; the tests check it at lambda = -i tau (gap +
+i e_i) against the truncated-Fock brute force in tests/dense_refs.py.
+The Feynman kernel is assembled from two such mode terms
 via the partial fraction i/(p0-E) - i/(p0+E) = 2E i/(p0^2-E^2), and
 summing it over a full frequency tower resums *exactly* into a
 geometric closed form,
@@ -31,9 +34,7 @@ is the mode value at -e_i, the anti-time-ordered branch.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,28 +43,6 @@ from .grids import ModeGrid
 
 class PoleError(ZeroDivisionError):
     """Gaussian pair value requested at the lambda = 0 pole."""
-
-
-@dataclass(frozen=True)
-class GaussianWeight:
-    """Diagonal Gaussian weight exponents lambda_k (Re lambda > 0)."""
-
-    lambdas: tuple[complex, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "lambdas", tuple(complex(z) for z in self.lambdas))
-        if any(z.real <= 0 for z in self.lambdas):
-            raise ValueError("every exponent needs Re(lambda) > 0 for trace convergence")
-
-
-def gaussian_pair_correlator(w: GaussianWeight, k: int, l: int) -> complex:
-    """<a†_k a_l> = delta_{kl} / (exp(lambda_k) - 1)."""
-    if k != l:
-        return 0.0 + 0.0j
-    lam = w.lambdas[k]
-    if abs(lam) < 1e-12:
-        raise PoleError(f"pair correlator pole at lambda = {lam}")
-    return 1.0 / (cmath.exp(lam) - 1.0)
 
 
 def _mode_corr(tau: float, gap, eps_i: float):

@@ -109,9 +109,6 @@ class Operator:
 
     __rmul__ = __mul__
 
-    def __repr__(self):
-        return f"Operator(dims={self.dims})"
-
 
 class Ket:
     """Complex vector on the same factorized index space as Operator."""
@@ -148,9 +145,6 @@ class Ket:
         """|self⟩⟨other| (defaults to the projector |self⟩⟨self|)."""
         bra = self if other is None else other
         return Operator(np.outer(self.vec, bra.vec.conj()), self.dims)
-
-    def __repr__(self):
-        return f"Ket(dims={self.dims})"
 
 
 # ---------------------------------------------------------------------------

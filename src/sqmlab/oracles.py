@@ -1,13 +1,16 @@
 """Independent oracles built on textbook single/multi-mode machinery.
 
 Everything here is deliberately *separate* from the tower/slab
-machinery: brute-force truncated-Fock sums, dense free-lattice
-Heisenberg evolution, and time-dependent perturbation theory.  Tests
-and experiment reports compare slab-side values against these.
-Nothing here is imported from the slab side, not even the single-mode
-ladder that `fock` also builds.  First-order perturbation theory is
-`dyson_smatrix_oracle`; second order is the pair channel only, a
-windowed sum over two-particle states in `dyson_pair_channel_amplitudes`.
+machinery: dense free-lattice Heisenberg evolution and time-dependent
+perturbation theory.  Tests and experiment reports compare slab-side
+values against these.  Nothing here is imported from the slab side,
+not even the single-mode ladder that `fock` also builds.  First-order
+perturbation theory is `dyson_smatrix_oracle`; second order is the
+pair channel only, a windowed sum over two-particle states in
+`dyson_pair_channel_amplitudes`.  The truncated-Fock brute force of the
+thermal pair value, which no CLI case reads, lives in the tests
+(tests/dense_refs.py).  Dense lattices are capped at DENSE_DIM_CAP
+basis states, checked before any matrix exists.
 """
 
 from __future__ import annotations
@@ -18,12 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-
-def thermal_pair_bruteforce(lam: complex, n_max: int = 40) -> complex:
-    """<a†a> under weight e^{-lam n}, truncated geometric sums up to n_max."""
-    ns = np.arange(n_max + 1)
-    weights = np.exp(-lam * ns)
-    return complex(np.sum(ns * weights) / np.sum(weights))
+DENSE_DIM_CAP = 4096
 
 
 def _single_ladder(dim: int) -> np.ndarray:
@@ -50,6 +48,11 @@ class DenseFockLattice:
             raise ValueError("energies must be positive")
         if self.n_max < 1:
             raise ValueError(f"need n_max >= 1 to hold a particle, got {self.n_max!r}")
+        if self.dim > DENSE_DIM_CAP:
+            raise ValueError(
+                f"dense oracle lattice of dim {self.dim} ((n_max+1)^M with n_max = "
+                f"{self.n_max}, M = {self.M}) exceeds cap {DENSE_DIM_CAP}"
+            )
         d = self.n_max + 1
         a = _single_ladder(d)
         eye = np.eye(d)

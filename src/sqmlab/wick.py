@@ -1,8 +1,9 @@
 """Wick pairings and discrete quartic-interaction amplitudes.
 
 The perturbative weight is Gaussian, so every insertion mean value is a
-sum over perfect matchings of two-point values; `enumerate_pairings`
-lists the matchings.  At second order a 2->2 amplitude has twelve
+sum over perfect matchings of two-point values; the enumerator that
+lists them lives in the tests (tests/dense_refs.py), since no run
+enumerates a pairing.  At second order a 2->2 amplitude has twelve
 insertions (four external legs, two four-leg vertices), and its 4032
 connected pairings fall into 14 classes of 288.  Only the two
 pair-channel classes have an independent oracle, so only they are
@@ -46,36 +47,6 @@ import numpy as np
 
 from .gaussian import line_table, slice_count
 from .grids import ModeGrid
-
-PairingType = tuple[tuple[int, int], ...]
-
-
-def double_factorial(n: int) -> int:
-    return math.prod(range(n, 0, -2)) if n > 0 else 1
-
-
-def enumerate_pairings(n_insertions: int) -> list[PairingType]:
-    """All (n-1)!! perfect matchings of {0..n-1}, deterministic order.
-
-    The first free index is paired with each later free index in
-    ascending order, then the rest recursively — so the output order is
-    reproducible and the leading pair is always sorted.
-    """
-    if n_insertions % 2:
-        raise ValueError("Wick pairings need an even number of insertions")
-
-    def rec(free: tuple[int, ...]) -> list[PairingType]:
-        if not free:
-            return [()]
-        head, rest = free[0], free[1:]
-        out = []
-        for i, partner in enumerate(rest):
-            remaining = rest[:i] + rest[i + 1 :]
-            for tail in rec(remaining):
-                out.append(((head, partner),) + tail)
-        return out
-
-    return rec(tuple(range(n_insertions)))
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +133,7 @@ def _conservation_deltas(
 # other, joined by two internal lines.  Insertions: externals 0..3
 # (singleton groups), vertex-z legs 4..7, vertex-w legs 8..11; the value
 # of a pairing depends only on its signature.  tests/test_wick.py
-# classifies all 4032 connected pairings of enumerate_pairings(12) and
+# classifies all 4032 connected pairings of the twelve insertions and
 # checks these rows against that classification.
 _ORDER2_BUCKETS: tuple[tuple[int, int, tuple[int, ...], int], ...] = (
     (2, 0, (0, 1), 288),

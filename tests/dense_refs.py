@@ -12,6 +12,12 @@ tower, and summed over the towers of a site-lattice grid), one
 exponential per power and branch of the closed kernel, one outer
 product per site class in the internal-line table, and one phase per
 lattice point in the order-2 sum.
+
+The brute-force references of the Gaussian laws and of Wick's theorem
+live here too: the bosonic pair value <a†a> as a truncated geometric
+sum over occupations, the fermionic one as a dense parity-weighted
+trace of e^{i S_f} on the Jordan-Wigner lattice, and every perfect
+matching of the insertions, listed one by one.
 """
 
 import cmath
@@ -19,8 +25,11 @@ import math
 from typing import Sequence
 
 import numpy as np
+import scipy.linalg
+from scipy import sparse
 
 from sqmlab import fock, gaussian, wick
+from sqmlab.fermions import FermionLayout, jw_ladder, parity_matrix
 from sqmlab.linalg import Ket, Operator
 from sqmlab.timeslab import QuantumAction, SliceLayout, apply_local, slice_factors
 
@@ -228,3 +237,78 @@ def order2_pair_channel_phase_grid(grid, in_modes, out_modes, lam: float, tau: f
         phase = np.exp(2j * np.pi * (j_tot * x / M - n_tot * t / N))
         total += count * np.sum(table**m * phase)
     return 0.5 * vertex**2 * consts * (N * M) * total / tau
+
+
+def thermal_pair_bruteforce(lam: complex, n_max: int = 40) -> complex:
+    """<a†a> under weight e^{-lam n}, truncated geometric sums up to n_max."""
+    ns = np.arange(n_max + 1)
+    weights = np.exp(-lam * ns)
+    return complex(np.sum(ns * weights) / np.sum(weights))
+
+
+def quadratic_action(layout: FermionLayout, coeffs: np.ndarray) -> Operator:
+    """S_f = sum_ab coeffs[a, b] c†_a c_b, summed as sparse products."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    L = layout.legs
+    if coeffs.shape != (L, L):
+        raise ValueError(f"coefficient matrix must be {L}x{L}")
+    ladders = [jw_ladder(layout, leg) for leg in range(L)]  # real: c† is the transpose
+    out = sparse.csr_array((layout.dim, layout.dim), dtype=complex)
+    for a, b in zip(*np.nonzero(coeffs)):
+        out = out + coeffs[a, b] * (ladders[a].T @ ladders[b])
+    return Operator(out.toarray(), layout.leg_dims)
+
+
+def parity_weighted_trace(
+    layout: FermionLayout, S_f: Operator, inserts: Sequence[Operator]
+) -> complex:
+    """Tr[P e^{i S_f} (prod inserts)] / Tr[P e^{i S_f}].
+
+    The parity insertion is what makes the quadratic weight Gaussian in
+    the fermionic sense; without it odd-operator traces would not
+    vanish mode by mode.  Raises on a numerically vanishing
+    normalization (e.g. a mode with e^{iA} having eigenvalue 1).
+    """
+    if S_f.dim != layout.dim:
+        raise ValueError("action operator lives on the wrong space")
+    weight = parity_matrix(layout) @ scipy.linalg.expm(1j * S_f.mat)
+    den = complex(np.trace(weight))
+    if abs(den) < 1e-13:
+        raise ZeroDivisionError("parity-weighted normalization trace vanishes")
+    prod = np.eye(layout.dim, dtype=complex)
+    for ins in inserts:
+        if ins.dim != layout.dim:
+            raise ValueError("insertion lives on the wrong space")
+        prod = prod @ ins.mat
+    return complex(np.trace(weight @ prod)) / den
+
+
+PairingType = tuple[tuple[int, int], ...]
+
+
+def double_factorial(n: int) -> int:
+    return math.prod(range(n, 0, -2)) if n > 0 else 1
+
+
+def enumerate_pairings(n_insertions: int) -> list[PairingType]:
+    """All (n-1)!! perfect matchings of {0..n-1}, deterministic order.
+
+    The first free index is paired with each later free index in
+    ascending order, then the rest recursively — so the output order is
+    reproducible and the leading pair is always sorted.
+    """
+    if n_insertions % 2:
+        raise ValueError("Wick pairings need an even number of insertions")
+
+    def rec(free: tuple[int, ...]) -> list[PairingType]:
+        if not free:
+            return [()]
+        head, rest = free[0], free[1:]
+        out = []
+        for i, partner in enumerate(rest):
+            remaining = rest[:i] + rest[i + 1 :]
+            for tail in rec(remaining):
+                out.append(((head, partner),) + tail)
+        return out
+
+    return rec(tuple(range(n_insertions)))

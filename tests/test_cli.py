@@ -312,6 +312,35 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert "sqmlab: error:" in err
 
 
+def _refuse_past(f, size, limit=10**7):
+    """f, refusing any call whose result would hold more than `limit` elements."""
+    def guarded(*args, **kwargs):
+        if size(*args) > limit:
+            raise AssertionError(f"{f.__name__} of {size(*args)} elements")
+        return f(*args, **kwargs)
+    return guarded
+
+
+# (argv, the cap its message names)
+OVERSIZED = [
+    # a 201^2-state ED lattice: a 1.63e9-element kron without the cap
+    (["propagator", "--ed_n_max", "200"], "exceeds cap 4096"),
+    # 40000 legs: a 1.6e9-amplitude sector vector without the cap
+    (["anomaly-scan", "--slice_counts", "40000,"], "exceeds cap 1024"),
+]
+
+
+@pytest.mark.parametrize("argv, cap", OVERSIZED, ids=[" ".join(argv) for argv, _ in OVERSIZED])
+def test_oversized_input_exits_2_before_allocating(argv, cap, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(np, "zeros", _refuse_past(np.zeros, lambda shape, *_: np.prod(shape)))
+    monkeypatch.setattr(np, "kron", _refuse_past(np.kron, lambda a, b: np.size(a) * np.size(b)))
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sqmlab: error:") and cap in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # parameter validation: nothing silently ignored, no vacuous verdict
 

@@ -1,5 +1,6 @@
 """Tests for the gamma algebra, Jordan-Wigner lattice, fermionic cycle,
-parity-weighted Gaussian traces, and the matrix-valued mode propagator."""
+the Gaussian pair law against the dense parity-weighted traces of
+tests/dense_refs.py, and the matrix-valued mode propagator."""
 
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from dense_refs import parity_weighted_trace, quadratic_action
 from sqmlab.fermions import (
     FERMION_DIM_CAP,
     METRIC,
@@ -22,8 +24,6 @@ from sqmlab.fermions import (
     jw_ladder,
     parity_operator,
     parity_pair_correlator,
-    parity_weighted_trace,
-    quadratic_action,
     regulated_mass,
 )
 from sqmlab import experiments, fermions

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from sqmlab.fock import (
     DENSE_DIM_CAP,
+    SECTOR_LEG_CAP,
     DenseFock,
     LatticeFock,
     SectorFock,
@@ -79,6 +80,11 @@ class TestSectorEngine:
         assert np.vdot(w, w) == pytest.approx(2.0)
         back = sf.annihilate(1, w)
         np.testing.assert_allclose(back, 2.0 * v, atol=1e-14)
+
+    def test_leg_cap_enforced(self):
+        assert SectorFock(SECTOR_LEG_CAP).dim == 1 + SECTOR_LEG_CAP * (SECTOR_LEG_CAP + 1)
+        with pytest.raises(ValueError, match=f"exceeds cap {SECTOR_LEG_CAP}"):
+            SectorFock(SECTOR_LEG_CAP + 1)
 
     def test_two_sector_overflow_raises(self):
         sf = SectorFock(2)

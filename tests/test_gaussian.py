@@ -7,19 +7,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dense_refs import feynman_kernel, feynman_kernel_two_exp, feynman_propagator_tower_sum
+from dense_refs import (
+    feynman_kernel,
+    feynman_kernel_two_exp,
+    feynman_propagator_tower_sum,
+    thermal_pair_bruteforce,
+)
 from sqmlab import grids, wick
 from sqmlab.experiments import DEFAULTS
 from sqmlab.gaussian import (
-    GaussianWeight,
     PoleError,
+    _mode_corr,
     feynman_kernel_closed,
     feynman_propagator_grid,
-    gaussian_pair_correlator,
     tau_mode_correlator,
 )
 from sqmlab.grids import ModeGrid, frequency_tower, tower_slices
-from sqmlab.oracles import thermal_pair_bruteforce, timeordered_two_point_ed
+from sqmlab.oracles import DENSE_DIM_CAP, DenseFockLattice, timeordered_two_point_ed
 
 def closed_form_pow_reference(N, tau, eps_i, E, dt):
     """The scalar resummed kernel with the rounded w raised to integer powers."""
@@ -53,25 +57,17 @@ def tower_loop_reference(grid, tau, eps_i, dt):
 LAMBDAS = st.builds(complex, st.floats(0.5, 4.0), st.floats(-3.0, 3.0))
 
 
+def pair_value(lam: complex) -> complex:
+    """1/(e^lam - 1), the Bose pair law, as _mode_corr at tau = 1: gap -Im lam, eps_i Re lam."""
+    lam = complex(lam)
+    return complex(_mode_corr(1.0, -lam.imag, lam.real))
+
+
 class TestPairCorrelator:
-    def test_weight_requires_positive_real_part(self):
-        with pytest.raises(ValueError):
-            GaussianWeight((0.5, -0.1))
-        with pytest.raises(ValueError):
-            GaussianWeight((1j,))
-
-    def test_off_diagonal_vanishes(self):
-        w = GaussianWeight((1.0, 2.0))
-        assert gaussian_pair_correlator(w, 0, 1) == 0.0
-
-    def test_pole_guard(self):
-        with pytest.raises(PoleError):
-            gaussian_pair_correlator(GaussianWeight((1e-13,)), 0, 0)
-
     @settings(max_examples=40, deadline=None)
     @given(LAMBDAS)
     def test_matches_truncated_fock_bruteforce(self, lam):
-        analytic = gaussian_pair_correlator(GaussianWeight((lam,)), 0, 0)
+        analytic = pair_value(lam)
         brute = thermal_pair_bruteforce(lam, n_max=80)
         assert analytic == pytest.approx(brute, abs=1e-12)
 
@@ -83,7 +79,7 @@ class TestPairCorrelator:
         lams += [1.5 - 0.45j, 2.0 + 2.0j, 0.75 - 1.2j, 3.0 + 0.05j, 0.9 + 0.9j]
         assert len(lams) == 20
         for lam in lams:
-            analytic = gaussian_pair_correlator(GaussianWeight((lam,)), 0, 0)
+            analytic = pair_value(lam)
             brute = thermal_pair_bruteforce(lam, n_max=40)
             assert analytic == pytest.approx(brute, abs=1e-8)
 
@@ -96,7 +92,7 @@ class TestPairCorrelator:
         weight = np.diag(np.exp(-lam * np.arange(n_max + 1)))
         z = np.trace(weight)
         four = np.trace(weight @ a.T @ a.T @ a @ a) / z
-        pair = gaussian_pair_correlator(GaussianWeight((lam,)), 0, 0)
+        pair = pair_value(lam)
         assert four == pytest.approx(2.0 * pair**2, abs=5e-11)
 
 
@@ -279,6 +275,17 @@ class TestPropagatorGrid:
             val = feynman_propagator_grid(grid, tau, eps_i, (dt, 0), (0, 0))
             oracle = timeordered_two_point_ed(2, energies, 0, 0, tau * dt, n_max=4)
             assert abs(val - oracle) <= 0.02 * abs(oracle)
+
+    def test_dense_oracle_lattice_cap(self, monkeypatch):
+        # 65^2 states, one level past the cap: refused before any kron is formed
+        def no_kron(*args):
+            raise AssertionError("kron formed past the cap")
+
+        monkeypatch.setattr(np, "kron", no_kron)
+        with pytest.raises(ValueError, match=f"exceeds cap {DENSE_DIM_CAP}"):
+            DenseFockLattice(2, (1.0, 1.7), n_max=64)
+        with pytest.raises(ValueError, match=f"exceeds cap {DENSE_DIM_CAP}"):
+            timeordered_two_point_ed(2, (1.0, 1.7), 0, 0, 0.1, n_max=200)
 
     def test_spatial_exchange_symmetry(self):
         T, tau, eps_i = 40.0, 0.1, 0.1

@@ -45,6 +45,19 @@ MUTANTS = {
         lambda f: lambda A, B: f(A, B.T),
         ["st-state-marginals"],
     ),
+    # the Bose law 1/(e^lam - 1) feeds tau_mode_correlator, whose tau -> 0 limit
+    # and halving ratio propagator checks against i/(gap + i eps_i)
+    "Bose pair law x 1.01": (
+        gaussian, "_mode_corr",
+        lambda f: lambda *args: 1.01 * f(*args),
+        ["propagator"],
+    ),
+    # the Gaussian law gives the mode propagator, checked against its tau -> 0 limit
+    "Fermi pair law transposed": (
+        fermions, "parity_pair_correlator",
+        lambda f: lambda coeffs: f(coeffs).T,
+        ["dirac-propagator"],
+    ),
     # anomaly-scan compares the dense engine's a a† probe with the sector engine's
     "dense creation without its sqrt(n+1) factors": (
         fock.DenseFock, "create",

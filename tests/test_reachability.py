@@ -21,8 +21,7 @@ from sqmlab.experiments import DEFAULTS
 SRC = Path(sqmlab.__file__).resolve().parent
 
 _DENSE_FERMION = "perfbench reads the dense fermion views"
-_ACCEPTANCE = "an acceptance criterion pins it"
-_GUARD = "an immutability guard or a repr"
+_GUARD = "an immutability guard"
 
 # module.qualname -> why it stays although no CLI run calls it
 ALLOWED = {
@@ -33,18 +32,8 @@ ALLOWED = {
     "fermions.fermionic_cycle": _DENSE_FERMION,
     "spacetime.power_and_pseudoentropy.<locals>.power":
         "perfbench unpacks the (power, trace) pair",
-    "gaussian.GaussianWeight.__post_init__": _ACCEPTANCE,
-    "gaussian.gaussian_pair_correlator": _ACCEPTANCE,
-    "oracles.thermal_pair_bruteforce": _ACCEPTANCE,
-    "wick.enumerate_pairings": _ACCEPTANCE,
-    "wick.enumerate_pairings.<locals>.rec": _ACCEPTANCE,
-    "wick.double_factorial": _ACCEPTANCE,
-    "fermions.quadratic_action": _ACCEPTANCE,
-    "fermions.parity_weighted_trace": _ACCEPTANCE,
     "linalg.Operator.__setattr__": _GUARD,
     "linalg.Ket.__setattr__": _GUARD,
-    "linalg.Operator.__repr__": _GUARD,
-    "linalg.Ket.__repr__": _GUARD,
 }
 
 

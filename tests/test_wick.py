@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense_refs import order2_pair_channel_phase_grid, propagator_table_outer
+from dense_refs import (
+    double_factorial,
+    enumerate_pairings,
+    order2_pair_channel_phase_grid,
+    propagator_table_outer,
+)
 from sqmlab import oracles, wick
 from sqmlab.experiments import DEFAULTS
 from sqmlab.grids import ModeGrid
 from sqmlab.wick import (
-    double_factorial,
-    enumerate_pairings,
     lattice_volume_norm,
     smatrix_element,
     tau_extrapolate,
