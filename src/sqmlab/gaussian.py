@@ -25,8 +25,10 @@ z = -i tau (E - i e_i), so its rounding does not grow with k; it raises
 PoleError where 1 - w^N vanishes to rounding (e_i = 0 with E on the
 frequency grid).  line_table sums it over the M site classes of a
 lattice into the one Feynman line P[dt, dx] that both
-feynman_propagator_grid and the order-2 S-matrix in wick read.  The
-O(N) mode sum over a tower is the tests' reference, in tests/dense_refs.py.
+feynman_propagator_grid (from a grids.FrequencyTower) and the order-2
+S-matrix in wick read; it refuses N > LINE_SLICE_CAP before either
+builds an N-long array.  The O(N) mode sum over a tower is the tests'
+reference, in tests/dense_refs.py.
 
 Signs of tau and e_i are not restricted here: the second kernel term
 is the mode value at -e_i, the anti-time-ordered branch.
@@ -38,7 +40,11 @@ import math
 
 import numpy as np
 
-from .grids import ModeGrid
+from .grids import FrequencyTower, ModeGrid, slice_count
+
+
+# the most slices a line table holds: 35x the largest default (30000 at tau2 / 2)
+LINE_SLICE_CAP = 2**20
 
 
 class PoleError(ZeroDivisionError):
@@ -97,22 +103,17 @@ def feynman_kernel_closed(N: int, tau: float, eps_i: float, E: float, dt_slices)
     return complex(value) if value.ndim == 0 else value
 
 
-def slice_count(T: float, tau: float) -> int:
-    """N = T / tau, which must be a positive integer."""
-    N = round(T / tau)
-    if N < 1 or abs(T - N * tau) > 1e-9 * max(1.0, abs(T)):
-        raise ValueError("tau must divide the grid window T into integer slices")
-    return N
-
-
 def line_table(N: int, tau: float, eps_i: float, energies) -> np.ndarray:
     """Feynman line P[dt, dx] on the N x M difference lattice, M = len(energies).
 
     P = (1/M) sum_j e^{2 pi i j dx / M} K_j(dt) / (2 E_j), E_j the energy
     of site class j: one feynman_kernel_closed call on dt = 0..N-1 per
     distinct energy, then one (N x M)(M x M) product with the plane
-    waves.  Raises ValueError unless E[j] == E[-j mod M] > 0.
+    waves.  Raises ValueError unless N <= LINE_SLICE_CAP and
+    E[j] == E[-j mod M] > 0.
     """
+    if N > LINE_SLICE_CAP:
+        raise ValueError(f"line table of T/tau = {N:.6g} slices exceeds cap {LINE_SLICE_CAP}")
     M = len(energies)
     for j, E in enumerate(energies):
         mirror = energies[(-j) % M]
@@ -131,34 +132,34 @@ def line_table(N: int, tau: float, eps_i: float, energies) -> np.ndarray:
 
 
 def feynman_propagator_grid(
-    grid: ModeGrid, tau: float, eps_i: float, x: tuple[int, int], y: tuple[int, int]
+    tower: FrequencyTower, tau: float, eps_i: float, x: tuple[int, int], y: tuple[int, int]
 ) -> complex:
     """Time-ordered two-point value between spacetime lattice points.
 
-    x and y are (time-slice, site) pairs on the grid's site lattice.
+    x and y are (time-slice, site) pairs on the tower's site lattice.
     The value is the spatial mode sum
 
         (1/M) sum_p e^{i p (x-y)} (1/(2 E_p)) K_p(t_x - t_y)
 
-    with E_p the energy of the grid's tower in site class p, read as the
+    with E_p the energy of the tower in site class p, read as the
     line_table entry at ((t_x - t_y) mod N, (s_x - s_y) mod M).  It
     converges to the standard oracle <0|T phi(x) phi(y)|0> of the free
-    lattice Hamiltonian.  Raises ValueError unless the grid carries
-    exactly one tower of T/tau slices per site class.
+    lattice Hamiltonian.  Raises ValueError unless tau gives the
+    tower's own T/tau slices and the towers cover each site class once.
     """
-    if grid.M_sites is None:
+    if tower.M_sites is None:
         raise ValueError("propagator needs a grid with a site lattice (M_sites)")
-    M = grid.M_sites
-    N = slice_count(grid.T, tau)
+    M = tower.M_sites
+    N = slice_count(tower.T, tau)
+    if N != tower.N:
+        raise ValueError(f"the towers have {tower.N} slices, T/tau = {N}")
     energies: dict[int, float] = {}
-    for sp, idxs in grid.towers.items():
+    for sp, E in zip(tower.spatial, tower.energies):
         if len(sp) != 1:
             raise ValueError("site-lattice propagator expects 1-d spatial indices")
         if sp[0] % M in energies:
             raise ValueError(f"two towers in site class {sp[0] % M} of M = {M}")
-        if len(idxs) != N:
-            raise ValueError(f"tower {sp} has {len(idxs)} slices, T/tau = {N}")
-        energies[sp[0] % M] = grid.energy(idxs[0])
+        energies[sp[0] % M] = E
     if len(energies) != M:
         raise ValueError(f"no tower in site classes {sorted(set(range(M)) - set(energies))}")
     (tx, sx), (ty, sy) = x, y

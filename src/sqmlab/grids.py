@@ -12,14 +12,16 @@ The dispersion energy is E = sqrt(|p|^2 + m^2).  Because several
 theorems distinguish gap == 0 *exactly*, a per-mode energy override is
 provided so tests can pin energies to exact grid frequencies instead of
 rounding (generic masses are never exactly representable).
+
+A full frequency tower (N = T/tau labels over each of a few spatial
+indices) is no ModeGrid but a FrequencyTower record of its parameters,
+all that the Feynman line reads.  slice_count is the one rule for T/tau.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from types import MappingProxyType
 from typing import Optional, Sequence
 
 
@@ -99,19 +101,26 @@ class ModeGrid:
     def gap(self, k: int) -> float:
         return self.omega(k) - self.energy(k)
 
-    @cached_property
-    def towers(self) -> MappingProxyType:
-        """tower_slices(self) as a read-only map, built on first use and kept."""
-        return MappingProxyType(tower_slices(self))
+
+def slice_count(T: float, tau: float) -> int:
+    """N = T / tau, which must be a positive integer (T > 0)."""
+    N = round(T / tau)
+    if T <= 0 or N < 1 or abs(T - N * tau) > 1e-9 * max(1.0, abs(T)):
+        raise ValueError("tau must divide the grid window T into integer slices")
+    return N
 
 
-def frequency_window(N: int) -> list[int]:
-    """The canonical N-point integer frequency labels (fftfreq set, ascending).
+@dataclass(frozen=True)
+class FrequencyTower:
+    """N = T/tau frequency labels over each spatial index, one energy per index.
 
-    Built directly in integer arithmetic: float fftfreq values scaled
-    back by N truncate unreliably for N in the tens of thousands.
-    """
-    return list(range(-(N // 2), N - N // 2))
+    The labels are never listed; frequency_tower validates the fields."""
+
+    T: float
+    N: int
+    spatial: tuple[tuple[int, ...], ...]
+    M_sites: Optional[int]
+    energies: tuple[float, ...]
 
 
 def frequency_tower(
@@ -119,46 +128,17 @@ def frequency_tower(
     tau: float,
     spatial: Sequence[tuple[int, ...]] = ((),),
     M_sites: Optional[int] = None,
-    energies: Optional[Sequence[float]] = None,
-) -> ModeGrid:
-    """Full frequency grid (N = T/tau labels) over each listed spatial index.
+    *,
+    energies: Sequence[float],
+) -> FrequencyTower:
+    """A full frequency tower of N = T/tau labels over each listed spatial index.
 
-    The grid is massless (a mode's energy is |p|) unless `energies` lists
-    one energy per *spatial* index, broadcast across the tower (the
-    frequency label does not change a mode's energy).  This is the grid
-    shape that gaussian.feynman_propagator_grid reads: one tower per
-    site class, whose energy it passes to gaussian.line_table.
+    `energies` lists one energy per spatial index, shared by its whole
+    tower.  gaussian.feynman_propagator_grid reads one tower per site
+    class and passes its energy to gaussian.line_table.
     """
-    ratio = T / tau
-    N = round(ratio)
-    if abs(ratio - N) > 1e-9 or N < 1:
-        raise ValueError(f"T/tau = {ratio} must be a positive integer slice count")
-    spatial = [tuple(int(c) for c in s) for s in spatial]
-    if energies is not None and len(energies) != len(spatial):
+    N = slice_count(T, tau)
+    spatial = tuple(tuple(int(c) for c in s) for s in spatial)
+    if len(energies) != len(spatial):
         raise ValueError("need one energy per spatial index")
-    modes = []
-    override = [] if energies is not None else None
-    for j, sp in enumerate(spatial):
-        for n0 in frequency_window(N):
-            modes.append((n0, *sp))
-            if override is not None:
-                override.append(float(energies[j]))
-    return ModeGrid(T, tuple(modes), 0.0, M_sites, tuple(override) if override else None)
-
-
-def tower_slices(grid: ModeGrid) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Group mode positions by spatial index, each sorted by n0.
-
-    Raises if any spatial group is not a complete canonical frequency
-    window (the tower structure the resummed correlators rely on).
-    `grid.towers` memoizes this per grid instance (a raise is not kept).
-    """
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for k, mode in enumerate(grid.modes):
-        groups.setdefault(mode[1:], []).append(k)
-    for sp, idxs in groups.items():
-        idxs.sort(key=lambda k: grid.modes[k][0])
-        labels = [grid.modes[k][0] for k in idxs]
-        if labels != frequency_window(len(labels)):
-            raise ValueError(f"spatial index {sp} does not carry a full frequency window")
-    return {sp: tuple(idxs) for sp, idxs in groups.items()}
+    return FrequencyTower(T, N, spatial, M_sites, tuple(float(E) for E in energies))

@@ -1,37 +1,36 @@
 """Independent oracles built on textbook single/multi-mode machinery.
 
 Everything here is deliberately *separate* from the tower/slab
-machinery: dense free-lattice Heisenberg evolution and time-dependent
-perturbation theory.  Tests and experiment reports compare slab-side
-values against these.  Nothing here is imported from the slab side,
-not even the single-mode ladder that `fock` also builds.  First-order
-perturbation theory is `dyson_smatrix_oracle`; second order is the
-pair channel only, a windowed sum over two-particle states in
-`dyson_pair_channel_amplitudes`.  The truncated-Fock brute force of the
-thermal pair value, which no CLI case reads, lives in the tests
-(tests/dense_refs.py).  Dense lattices are capped at DENSE_DIM_CAP
-basis states, checked before any matrix exists.
+machinery: free-lattice Heisenberg evolution and time-dependent
+perturbation theory on a truncated Fock lattice that stores no
+operator: DenseFockLattice.ladder applies a_p or a†_p to a state vector
+by occupation-index arithmetic, and fields and vertices are sums of
+such applies.  Nothing is imported from the slab side, not even the
+ladder that `fock` also builds.  First-order perturbation theory is
+`dyson_smatrix_oracle`; second order is the pair channel only, a
+windowed sum over two-particle states in `dyson_pair_channel_amplitudes`.
+The dense-matrix lattice and the truncated-Fock brute force of the
+thermal pair value are the tests' references (tests/dense_refs.py).
+Lattices are capped at DENSE_DIM_CAP basis states, checked first.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 DENSE_DIM_CAP = 4096
 
 
-def _single_ladder(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, dim)), 1)
-
-
 @dataclass(frozen=True)
 class DenseFockLattice:
-    """Dense truncated Fock space for M momentum modes with energies E_p.
+    """Truncated Fock space for M momentum modes with energies E_p.
 
+    occupations[:, i] lists the n_p of basis state i (mode 0 slowest).
     Site fields follow phi_x = (1/sqrt(M)) sum_p (2E_p)^{-1/2}
     (a_p e^{ipx} + a†_p e^{-ipx}) with p = 2 pi j / M.
     """
@@ -39,7 +38,6 @@ class DenseFockLattice:
     M: int
     energies: tuple[float, ...]
     n_max: int = 3
-    _ladders: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.energies) != self.M:
@@ -53,24 +51,14 @@ class DenseFockLattice:
                 f"dense oracle lattice of dim {self.dim} ((n_max+1)^M with n_max = "
                 f"{self.n_max}, M = {self.M}) exceeds cap {DENSE_DIM_CAP}"
             )
-        d = self.n_max + 1
-        a = _single_ladder(d)
-        eye = np.eye(d)
-        ladders = []
-        for p in range(self.M):
-            ops = [a if q == p else eye for q in range(self.M)]
-            full = ops[0]
-            for op in ops[1:]:
-                full = np.kron(full, op)
-            ladders.append(full)
-        object.__setattr__(self, "_ladders", tuple(ladders))
 
     @property
     def dim(self) -> int:
         return (self.n_max + 1) ** self.M
 
-    def annihilator(self, p: int) -> np.ndarray:
-        return self._ladders[p]
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        return np.indices((self.n_max + 1,) * self.M).reshape(self.M, -1)
 
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
@@ -79,26 +67,39 @@ class DenseFockLattice:
 
     def levels(self) -> np.ndarray:
         """sum_p E_p n_p of each occupation basis state: the free Hamiltonian's diagonal."""
-        occupations = np.indices((self.n_max + 1,) * self.M).reshape(self.M, -1)
-        return np.asarray(self.energies) @ occupations
+        return np.asarray(self.energies) @ self.occupations
 
-    def field_at_site(self, x: int) -> np.ndarray:
-        phi = np.zeros((self.dim, self.dim), dtype=complex)
+    def ladder(self, p: int, v: np.ndarray, create: bool = False) -> np.ndarray:
+        """a_p v, or a†_p v with create=True.
+
+        n_p -> n_p ∓ 1 is a step of (n_max+1)^(M-1-p) in the basis index;
+        a†_p drops the states already at n_max (the truncation).
+        """
+        n = self.occupations[p]
+        step = (self.n_max + 1) ** (self.M - 1 - p)
+        out = np.zeros(self.dim, dtype=complex)
+        if create:
+            src = np.flatnonzero(n < self.n_max)
+            out[src + step] = np.sqrt(n[src] + 1) * v[src]
+        else:
+            src = np.flatnonzero(n > 0)
+            out[src - step] = np.sqrt(n[src]) * v[src]
+        return out
+
+    def field(self, x: int, v: np.ndarray) -> np.ndarray:
+        """phi_x v: 2M ladder applies."""
+        out = np.zeros(self.dim, dtype=complex)
         for j, E in enumerate(self.energies):
             p = 2.0 * math.pi * j / self.M
-            a = self._ladders[j]
-            phi += (a * cmath.exp(1j * p * x) + a.conj().T * cmath.exp(-1j * p * x)) / math.sqrt(
-                2.0 * E
-            )
-        return phi / math.sqrt(self.M)
+            out += (self.ladder(j, v) * cmath.exp(1j * p * x)
+                    + self.ladder(j, v, create=True) * cmath.exp(-1j * p * x)) / math.sqrt(2.0 * E)
+        return out / math.sqrt(self.M)
 
-    def quartic_interaction(self, coupling: float) -> np.ndarray:
-        v = np.zeros((self.dim, self.dim), dtype=complex)
-        for x in range(self.M):
-            phi = self.field_at_site(x)
-            phi2 = phi @ phi
-            v += phi2 @ phi2
-        return (coupling / 24.0) * v
+    def quartic_interaction(self, coupling: float, v: np.ndarray) -> np.ndarray:
+        """(coupling/24) sum_x phi_x^4 v: four field applies per site."""
+        phi4 = sum(self.field(x, self.field(x, self.field(x, self.field(x, v))))
+                   for x in range(self.M))
+        return (coupling / 24.0) * phi4
 
 
 def timeordered_two_point_ed(
@@ -108,23 +109,23 @@ def timeordered_two_point_ed(
 
     The free Hamiltonian is diagonal in the occupation basis, so the
     evolution is exact elementwise phases; this is an honest independent
-    route: build the field matrices, evolve, sandwich.
+    route: apply the fields to vectors, evolve, sandwich.
     """
     lat = DenseFockLattice(M, tuple(float(E) for E in energies), n_max)
     vac = lat.vacuum()
     if dt >= 0:
-        left, right, span = lat.field_at_site(x), lat.field_at_site(y), dt
+        left, right, span = x, y, dt
     else:
-        left, right, span = lat.field_at_site(y), lat.field_at_site(x), -dt
+        left, right, span = y, x, -dt
     phases = np.exp(-1j * span * lat.levels())
-    return complex(vac.conj() @ (left @ (phases * (right @ vac))))
+    return complex(vac.conj() @ lat.field(left, phases * lat.field(right, vac)))
 
 
 def _two_particle_state(lat: DenseFockLattice, modes: tuple[int, int]) -> np.ndarray:
     a, b = modes
     if a == b:
         raise ValueError("oracle states need distinct momentum modes")
-    vec = lat.annihilator(a).conj().T @ (lat.annihilator(b).conj().T @ lat.vacuum())
+    vec = lat.ladder(a, lat.ladder(b, lat.vacuum(), create=True), create=True)
     return vec / np.linalg.norm(vec)
 
 
@@ -142,45 +143,41 @@ def _windowed_integral(dE: complex, T: float) -> complex:
 
 
 def _windowed_second_order(
-    lat: DenseFockLattice, V: np.ndarray, vec_i: np.ndarray, vec_f: np.ndarray, T: float, width
+    lat: DenseFockLattice, vec_i: np.ndarray, amps_i: np.ndarray, amps_f: np.ndarray, T: float,
+    width,
 ) -> complex:
     """-sum_n <f|V|n> I(E_n - E_i - i width) <n|V|i> over the Fock basis of lat.
 
     The ordered double time integral of second-order perturbation theory,
-    summed over intermediate occupation states n, one width on every denominator.
+    summed over intermediate occupation states n, one width on every
+    denominator; amps_i = V|i> and amps_f = V|f> for a Hermitian V.
     """
     levels = lat.levels()
-    E_i = levels @ np.abs(vec_i) ** 2
-    amps_i = V @ vec_i
-    amps_f = V @ vec_f
-    dE = levels - E_i - 1j * width
+    dE = levels - levels @ np.abs(vec_i) ** 2 - 1j * width
     windows = np.array([_windowed_integral(complex(z), T) for z in dE])
     return complex(-np.sum(np.conj(amps_f) * windows * amps_i))
 
 
-def pair_channel_vertex(lat: DenseFockLattice, coupling: float) -> np.ndarray:
-    """Particle-conserving 2->2 normal-ordered part of the quartic vertex.
+def pair_channel_vertex(lat: DenseFockLattice, coupling: float, v: np.ndarray) -> np.ndarray:
+    """Particle-conserving 2->2 normal-ordered part of the quartic vertex, applied to v.
 
-    Dense matrix for (coupling/(4M)) sum over momentum-conserving
-    (j1,j2,j3,j4) of adag_{j1} adag_{j2} a_{j3} a_{j4} normalized by
+    (coupling/(4M)) sum over momentum-conserving (j1,j2,j3,j4) of
+    adag_{j1} adag_{j2} a_{j3} a_{j4} normalized by
     1/sqrt(2E_{j1} 2E_{j2} 2E_{j3} 2E_{j4}).  This is the exact
     two-creator/two-annihilator normal-ordered content of the full
     quartic interaction; the dropped pieces are the self-contracted
     and pair-creating/annihilating parts.  It conserves particle
     number, so the two-particle sector is exactly closed under it.
+    Summed per total momentum K = j1 + j2 = j3 + j4 (mod M), annihilator
+    pairs first: 4 M^2 ladder applies.
     """
-    M = lat.M
-    E = lat.energies
-    ladders = [lat.annihilator(p) for p in range(M)]
-    creators = [a.conj().T for a in ladders]
-    out = np.zeros((lat.dim, lat.dim), dtype=complex)
-    for j1 in range(M):
-        for j2 in range(M):
-            left = creators[j1] @ creators[j2]
-            for j3 in range(M):
-                j4 = (j1 + j2 - j3) % M
-                norm = 16.0 * E[j1] * E[j2] * E[j3] * E[j4]
-                out += (left @ ladders[j3] @ ladders[j4]) / math.sqrt(norm)
+    M, E = lat.M, lat.energies
+    out = 0
+    for K in range(M):
+        pairs = [(j, (K - j) % M, math.sqrt(4.0 * E[j] * E[(K - j) % M])) for j in range(M)]
+        w = sum(lat.ladder(j, lat.ladder(k, v)) / s for j, k, s in pairs)
+        out = out + sum(lat.ladder(j, lat.ladder(k, w, create=True), create=True) / s
+                        for j, k, s in pairs)
     return coupling / (4.0 * M) * out
 
 
@@ -202,7 +199,6 @@ def dyson_smatrix_oracle(
     if order != 1:
         raise ValueError("order 1 only; second order is dyson_pair_channel_amplitudes")
     lat = DenseFockLattice(M, tuple(float(E) for E in energies), n_max)
-    V = lat.quartic_interaction(coupling)
     vec_i = _two_particle_state(lat, tuple(in_modes))
     vec_f = _two_particle_state(lat, tuple(out_modes))
 
@@ -210,7 +206,7 @@ def dyson_smatrix_oracle(
     E_i, E_f = levels @ np.abs(vec_i) ** 2, levels @ np.abs(vec_f) ** 2
     if abs(E_f - E_i) > 1e-9 * max(1.0, abs(E_i)):
         raise ValueError("oracle assumes equal total in/out energies")
-    return -1j * T * complex(vec_f.conj() @ (V @ vec_i))
+    return -1j * T * complex(vec_f.conj() @ lat.quartic_interaction(coupling, vec_i))
 
 
 def dyson_pair_channel_amplitudes(
@@ -236,8 +232,9 @@ def dyson_pair_channel_amplitudes(
     mirrors a per-line regulator exactly in this channel.
     """
     lat = DenseFockLattice(M, tuple(float(E) for E in energies), n_max=2)
-    vp = pair_channel_vertex(lat, coupling)
     vec_i = _two_particle_state(lat, tuple(in_modes))
     vec_f = _two_particle_state(lat, tuple(out_modes))
-    a1 = -1j * T * complex(vec_f.conj() @ (vp @ vec_i))
-    return a1, _windowed_second_order(lat, vp, vec_i, vec_f, T, 2.0 * eta)
+    amps_i = pair_channel_vertex(lat, coupling, vec_i)
+    amps_f = pair_channel_vertex(lat, coupling, vec_f)
+    a1 = -1j * T * complex(vec_f.conj() @ amps_i)
+    return a1, _windowed_second_order(lat, vec_i, amps_i, amps_f, T, 2.0 * eta)

@@ -45,8 +45,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gaussian import line_table, slice_count
-from .grids import ModeGrid
+from .gaussian import line_table
+from .grids import ModeGrid, slice_count
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@
 None of these is used by the library: the slab route applies the cyclic
 shift as a roll of the slice axes, slice operators as local factors,
 tensor products as broadcast krons of fused slice-group blocks,
-partial traces as one einsum, and the dense Fock engine each ladder on
-one axis of the occupation tensor.  Here each is written out the plain
-way, as a full matrix, an np.kron chain or a loop.  The perturbative
+partial traces as one einsum, the dense Fock engine each ladder on
+one axis of the occupation tensor, and the oracle lattice each ladder
+on a state vector.  Here each is written out the plain way, as a full
+matrix, an np.kron chain or a loop.  The perturbative
 references spell out what the separable routes factor: the O(N) mode
-sum over each frequency tower that the closed kernel resums (per
-tower, and summed over the towers of a site-lattice grid), one
+sum over the N labels of each frequency tower that the closed kernel
+resums (per tower, and summed over the towers of a site lattice), one
 exponential per power and branch of the closed kernel, one outer
 product per site class in the internal-line table, and one phase per
 lattice point in the order-2 sum.
@@ -28,7 +29,7 @@ import numpy as np
 import scipy.linalg
 from scipy import sparse
 
-from sqmlab import fock, gaussian, wick
+from sqmlab import fock, gaussian, grids, wick
 from sqmlab.fermions import FermionLayout, jw_ladder, parity_matrix
 from sqmlab.linalg import Ket, Operator
 from sqmlab.timeslab import QuantumAction, SliceLayout, apply_local, slice_factors
@@ -135,31 +136,25 @@ def partial_trace_loop(A: Operator, keep) -> Operator:
     return Operator(tensor.reshape(size, size), new_dims)
 
 
-def _tower(grid) -> tuple[int, ...]:
-    """The modes of the grid's one tower without a spatial index."""
-    if () not in grid.towers:
-        raise ValueError("grid has no frequency tower without a spatial index")
-    return grid.towers[()]
+def frequency_window(N: int) -> list[int]:
+    """The canonical N-point integer frequency labels (fftfreq set, ascending).
+
+    Built directly in integer arithmetic: float fftfreq values scaled
+    back by N truncate unreliably for N in the tens of thousands.
+    """
+    return list(range(-(N // 2), N - N // 2))
 
 
-def _omegas(grid, idxs: tuple[int, ...]) -> np.ndarray:
-    """Frequencies 2 pi n0 / T of the listed modes, as one array."""
-    labels = np.array([grid.modes[k][0] for k in idxs])
-    return 2.0 * math.pi * labels / grid.T
-
-
-def _tower_kernel(grid, idxs: tuple[int, ...], tau: float, eps_i: float,
-                  dt_slices: int) -> complex:
-    """The O(N) tower sum of feynman_kernel over the modes `idxs`."""
-    w = _omegas(grid, idxs)
-    E = grid.energy(idxs[0])
+def _tower_kernel(tower, E: float, tau: float, eps_i: float, dt_slices: int) -> complex:
+    """The O(N) mode sum of feynman_kernel over one tower of `tower` at energy E."""
+    w = 2.0 * math.pi * np.array(frequency_window(tower.N)) / tower.T
     c_minus = gaussian._mode_corr(tau, w - E, eps_i)
     c_plus = gaussian._mode_corr(tau, w + E, -eps_i)
     terms = np.exp(-1j * w * (tau * dt_slices)) * (c_minus - c_plus)
-    return complex(np.sum(terms) / len(idxs))
+    return complex(np.sum(terms) / tower.N)
 
 
-def feynman_kernel(grid, tau: float, eps_i: float, dt_slices: int) -> complex:
+def feynman_kernel(tower, tau: float, eps_i: float, dt_slices: int) -> complex:
     """Single-tower time-ordered kernel: (1/N) sum_w e^{-i w dt} [corr- - corr+].
 
     corr- is the mode correlator at gap w - E + i eps_i and corr+ the
@@ -167,26 +162,29 @@ def feynman_kernel(grid, tau: float, eps_i: float, dt_slices: int) -> complex:
     fraction giving i/(p0^2 - E^2 + i eps_i) * 2E.  The tau -> 0 limit
     at fixed T is theta-ordered e^{-iE|dt|} plus O(e^{-eps_i T}) images;
     the equal-time value is 1 (so the propagator carries 1/(2E) there).
-    The sum runs over the whole tower as one array: the explicit mode
-    sum that gaussian.feynman_kernel_closed resums.
+    The sum runs over the N labels of the tower without a spatial index
+    as one array: the explicit mode sum that
+    gaussian.feynman_kernel_closed resums.
     """
-    return _tower_kernel(grid, _tower(grid), tau, eps_i, dt_slices)
+    if () not in tower.spatial:
+        raise ValueError("grid has no frequency tower without a spatial index")
+    E = tower.energies[tower.spatial.index(())]
+    return _tower_kernel(tower, E, tau, eps_i, dt_slices)
 
 
-def feynman_propagator_tower_sum(grid, tau: float, eps_i: float, x, y) -> complex:
-    """feynman_propagator_grid as one tower sum per spatial index of the grid.
+def feynman_propagator_tower_sum(tower, tau: float, eps_i: float, x, y) -> complex:
+    """feynman_propagator_grid as one tower sum per spatial index of the tower.
 
     (1/M) sum_p e^{i p (s_x - s_y)} K_p(t_x - t_y) / (2 E_p), each K_p
     the O(N) mode sum over its tower; no check that the towers cover
     the site classes once at T/tau slices each.
     """
     (tx, sx), (ty, sy) = x, y
-    M = grid.M_sites
+    M = tower.M_sites
     total = 0.0 + 0.0j
-    for sp, idxs in grid.towers.items():
+    for sp, E in zip(tower.spatial, tower.energies):
         p = 2.0 * math.pi * sp[0] / M
-        E = grid.energy(idxs[0])
-        kern = _tower_kernel(grid, idxs, tau, eps_i, tx - ty)
+        kern = _tower_kernel(tower, E, tau, eps_i, tx - ty)
         total += cmath.exp(1j * p * (sx - sy)) / (2.0 * E) * kern
     return total / M
 
@@ -202,7 +200,7 @@ def feynman_kernel_two_exp(N: int, tau: float, eps_i: float, E: float, dt_slices
 
 def propagator_table_outer(grid, tau: float, eps_i: float) -> np.ndarray:
     """P[dt, dx] accumulated as one np.outer(kernel, phases) per site class."""
-    N = gaussian.slice_count(grid.T, tau)
+    N = grids.slice_count(grid.T, tau)
     M = grid.M_sites
     table = np.zeros((N, M), dtype=complex)
     for j, E in enumerate(wick._site_energies(grid)):
@@ -220,7 +218,7 @@ def order2_pair_channel_phase_grid(grid, in_modes, out_modes, lam: float, tau: f
     exp(i sum_l sigma_l (p_l x - E_l tau t)), multiplied into P^m
     elementwise and summed, against the table of propagator_table_outer.
     """
-    N = gaussian.slice_count(grid.T, tau)
+    N = grids.slice_count(grid.T, tau)
     M = grid.M_sites
     legs = [wick._leg_label(grid, k) for k in (*in_modes, *out_modes)]
     signs = (1, 1, -1, -1)
@@ -237,6 +235,53 @@ def order2_pair_channel_phase_grid(grid, in_modes, out_modes, lam: float, tau: f
         phase = np.exp(2j * np.pi * (j_tot * x / M - n_tot * t / N))
         total += count * np.sum(table**m * phase)
     return 0.5 * vertex**2 * consts * (N * M) * total / tau
+
+
+def lattice_annihilators(lat) -> list[np.ndarray]:
+    """The D x D annihilators a_p of an oracles.DenseFockLattice, each an np.kron chain."""
+    d = lat.n_max + 1
+    a = np.diag(np.sqrt(np.arange(1, d)), 1)
+    ladders = []
+    for p in range(lat.M):
+        full = np.eye(1)
+        for q in range(lat.M):
+            full = np.kron(full, a if q == p else np.eye(d))
+        ladders.append(full)
+    return ladders
+
+
+def lattice_field(lat, x: int) -> np.ndarray:
+    """Dense phi_x = (1/sqrt(M)) sum_j (2E_j)^{-1/2} (a_j e^{ipx} + a†_j e^{-ipx})."""
+    phi = np.zeros((lat.dim, lat.dim), dtype=complex)
+    for j, (a, E) in enumerate(zip(lattice_annihilators(lat), lat.energies)):
+        p = 2.0 * math.pi * j / lat.M
+        phi += (a * cmath.exp(1j * p * x) + a.T * cmath.exp(-1j * p * x)) / math.sqrt(2.0 * E)
+    return phi / math.sqrt(lat.M)
+
+
+def lattice_quartic(lat, coupling: float) -> np.ndarray:
+    """Dense (coupling/24) sum_x phi_x^4, each phi_x^4 as (phi_x phi_x)(phi_x phi_x)."""
+    v = np.zeros((lat.dim, lat.dim), dtype=complex)
+    for x in range(lat.M):
+        phi = lattice_field(lat, x)
+        phi2 = phi @ phi
+        v += phi2 @ phi2
+    return (coupling / 24.0) * v
+
+
+def lattice_pair_channel_vertex(lat, coupling: float) -> np.ndarray:
+    """Dense pair-channel vertex: M^3 triple products a†_{j1} a†_{j2} a_{j3} a_{j4}."""
+    M, E = lat.M, lat.energies
+    ladders = lattice_annihilators(lat)
+    out = np.zeros((lat.dim, lat.dim), dtype=complex)
+    for j1 in range(M):
+        for j2 in range(M):
+            left = ladders[j1].T @ ladders[j2].T
+            for j3 in range(M):
+                j4 = (j1 + j2 - j3) % M
+                norm = 16.0 * E[j1] * E[j2] * E[j3] * E[j4]
+                out += (left @ ladders[j3] @ ladders[j4]) / math.sqrt(norm)
+    return coupling / (4.0 * M) * out
 
 
 def thermal_pair_bruteforce(lam: complex, n_max: int = 40) -> complex:

