@@ -61,7 +61,6 @@ class ConstraintSet:
     and are excluded from the Dirac correction.
     """
 
-    grid: ModeGrid
     gaps: tuple[float, ...]
     second_class: tuple[int, ...] = field(init=False)
 
@@ -80,7 +79,7 @@ class ConstraintSet:
 
 
 def build_constraints(grid: ModeGrid) -> ConstraintSet:
-    return ConstraintSet(grid, tuple(grid.gap(k) for k in range(len(grid))))
+    return ConstraintSet(tuple(grid.gap(k) for k in range(len(grid))))
 
 
 def classify(cs: ConstraintSet) -> list[str]:

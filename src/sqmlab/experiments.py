@@ -23,7 +23,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import clock, constraints, fermions, fock, gaussian, oracles, spacetime, timeslab, wick
-from .grids import ModeGrid, frequency_tower
+from .grids import ModeGrid, frequency_tower, slice_count
 from .linalg import rand_hermitian, rand_ket
 
 
@@ -277,6 +277,10 @@ def run_propagator(params: dict) -> Iterator[dict]:
     _require_positive(params, "tau", "T", "tau_grid")
     _require_at_least(params, "sweep_points", 2, "the order ratio")
     _require_at_least(params, "ed_n_max", 1, "the ED oracle to hold a particle")
+    ed_dim = (params["ed_n_max"] + 1) ** len(params["grid_energies"])
+    if ed_dim > oracles.DENSE_DIM_CAP:
+        raise ValueError(f"ed_n_max = {params['ed_n_max']} gives an ED lattice of {ed_dim} "
+                         f"states, which exceeds cap {oracles.DENSE_DIM_CAP}")
     eps_i = params["eps_i"]
 
     # off-shell single mode: tau * correlator -> i/(gap + i eps_i), order tau
@@ -303,7 +307,6 @@ def run_propagator(params: dict) -> Iterator[dict]:
 
     # two-site grid propagator against dense Hamiltonian evolution
     T, tau_g, eps_g = params["T"], params["tau_grid"], params["eps_i_grid"]
-    N = round(T / tau_g)
     energies = list(params["grid_energies"])
     grid = frequency_tower(T, tau_g, spatial=((0,), (1,)), M_sites=2, energies=energies)
     for dt in params["ed_slices"]:
@@ -312,7 +315,7 @@ def run_propagator(params: dict) -> Iterator[dict]:
             2, energies, 0, 0, tau_g * dt, n_max=params["ed_n_max"]
         )
         yield _case(
-            f"feynman_vs_ed[dt={dt:03d}]", {"dt": dt, "tau": tau_g, "N": N},
+            f"feynman_vs_ed[dt={dt:03d}]", {"dt": dt, "tau": tau_g, "N": grid.N},
             value, oracle, params["tol_ed"], scale=abs(oracle),
         )
 
@@ -336,7 +339,7 @@ def _run_smatrix_order1(params: dict) -> Iterator[dict]:
     scaled = []
     for tau in taus:
         amp = wick.smatrix_element(grid, (0, 1), (2, 3), lam, 1, tau, eps_i)
-        N = round(T / tau)
+        N = slice_count(T, tau)
         scaled.append(amp / wick.lattice_volume_norm(N, M))
         yield _case(
             f"conserving[tau={tau:.6f}]", {"tau": tau, "N": N, "lam": lam},

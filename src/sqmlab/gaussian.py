@@ -5,8 +5,10 @@ nonvanishing pair value is <a†_k a_l> = delta_{kl}/(e^{lambda_k} - 1).
 The slab action weight corresponds to lambda = -i tau (w - E + i e_i)
 per frequency mode, with a small imaginary part e_i > 0 securing
 convergence.  The law is written once, as _mode_corr, which
-tau_mode_correlator reads; the tests check it at lambda = -i tau (gap +
-i e_i) against the truncated-Fock brute force in tests/dense_refs.py.
+tau_mode_correlator reads and whose on-shell values are the external-leg
+contraction constants of wick; the tests check it at lambda = -i tau
+(gap + i e_i) against the truncated-Fock brute force in
+tests/dense_refs.py.
 The Feynman kernel is assembled from two such mode terms
 via the partial fraction i/(p0-E) - i/(p0+E) = 2E i/(p0^2-E^2), and
 summing it over a full frequency tower resums *exactly* into a
@@ -26,7 +28,8 @@ PoleError where 1 - w^N vanishes to rounding (e_i = 0 with E on the
 frequency grid).  line_table sums it over the M site classes of a
 lattice into the one Feynman line P[dt, dx] that both
 feynman_propagator_grid (from a grids.FrequencyTower) and the order-2
-S-matrix in wick read; it refuses N > LINE_SLICE_CAP before either
+S-matrix in wick read, each at the site-class energies of
+grids.site_class_energies; it refuses N > LINE_SLICE_CAP before either
 builds an N-long array.  The O(N) mode sum over a tower is the tests'
 reference, in tests/dense_refs.py.
 
@@ -40,7 +43,7 @@ import math
 
 import numpy as np
 
-from .grids import FrequencyTower, ModeGrid, slice_count
+from .grids import FrequencyTower, ModeGrid, site_class_energies, slice_count
 
 
 # the most slices a line table holds: 35x the largest default (30000 at tau2 / 2)
@@ -153,15 +156,9 @@ def feynman_propagator_grid(
     N = slice_count(tower.T, tau)
     if N != tower.N:
         raise ValueError(f"the towers have {tower.N} slices, T/tau = {N}")
-    energies: dict[int, float] = {}
-    for sp, E in zip(tower.spatial, tower.energies):
-        if len(sp) != 1:
-            raise ValueError("site-lattice propagator expects 1-d spatial indices")
-        if sp[0] % M in energies:
-            raise ValueError(f"two towers in site class {sp[0] % M} of M = {M}")
-        energies[sp[0] % M] = E
-    if len(energies) != M:
-        raise ValueError(f"no tower in site classes {sorted(set(range(M)) - set(energies))}")
+    if any(len(sp) != 1 for sp in tower.spatial):
+        raise ValueError("site-lattice propagator expects 1-d spatial indices")
+    energies = site_class_energies([sp[0] for sp in tower.spatial], tower.energies, M)
     (tx, sx), (ty, sy) = x, y
-    table = line_table(N, tau, eps_i, [energies[j] for j in range(M)])
+    table = line_table(N, tau, eps_i, energies)
     return complex(table[(tx - ty) % N, (sx - sy) % M])

@@ -15,7 +15,9 @@ rounding (generic masses are never exactly representable).
 
 A full frequency tower (N = T/tau labels over each of a few spatial
 indices) is no ModeGrid but a FrequencyTower record of its parameters,
-all that the Feynman line reads.  slice_count is the one rule for T/tau.
+all that the Feynman line reads.  slice_count is the one rule for T/tau,
+and site_class_energies the one rule that maps spatial labels (of a
+tower or of a grid's modes) to the M site classes of the line.
 """
 
 from __future__ import annotations
@@ -108,6 +110,23 @@ def slice_count(T: float, tau: float) -> int:
     if T <= 0 or N < 1 or abs(T - N * tau) > 1e-9 * max(1.0, abs(T)):
         raise ValueError("tau must divide the grid window T into integer slices")
     return N
+
+
+def site_class_energies(labels: Sequence[int], energies: Sequence[float], M: int) -> list[float]:
+    """Energy of each site class j = 0..M-1, label n sitting in class n mod M.
+
+    energies[i] belongs to labels[i].  Raises ValueError unless every
+    class holds exactly one label.
+    """
+    by_class: dict[int, float] = {}
+    for n, E in zip(labels, energies):
+        if n % M in by_class:
+            raise ValueError(f"two labels in site class {n % M} of M = {M}")
+        by_class[n % M] = E
+    missing = sorted(set(range(M)) - set(by_class))
+    if missing:
+        raise ValueError(f"no label in site classes {missing} of M = {M}")
+    return [by_class[j] for j in range(M)]
 
 
 @dataclass(frozen=True)

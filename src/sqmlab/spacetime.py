@@ -30,10 +30,10 @@ the diagonal blocks of the traced slices: they are partial traces by
 one einsum that reads the traced factors' diagonal, and an insertion
 trace is then a trace of the inserted operators against the reduced
 state on the inserted slices.  Powers are never multiplied out
-densely: left multiplication by R is one slab apply with the same
-last-slice factor,
+densely: left multiplication by R is one slab apply with the
+last-slice factor build_R formed and the state keeps, trace included,
 
-    R · M = E · embed(V†·b·V, N-1) · M / Tr,
+    R · M = E · embed(last, N-1) · M,      last = V†·b·V / Tr,
 
 in ⌈N/g⌉ matmuls of d^g <= 16 per column instead of O(D³), and
 
@@ -66,15 +66,14 @@ class SpacetimeState:
 
     `site_dims` optionally factorizes each slice into spatial sites,
     enabling reductions onto spacetime regions of (slice, site) cells.
-    `action` and `boundary` are the slab action E and the slice-0
-    boundary factor b that R was built from, R = embed(b, 0)·E / raw_trace.
+    `action` and `last` are the slab action E and the last-slice factor
+    V†·b·V / Tr that R was built from, R = E · embed(last, N-1).
     """
 
     R: Operator
     action: QuantumAction
-    boundary: Operator
+    last: np.ndarray
     psi0: Ket
-    raw_trace: complex
     site_dims: Optional[tuple[int, ...]] = None
 
     @property
@@ -110,7 +109,9 @@ def build_R(
 
     R_raw = E · embed(V†·b·V, N-1) comes from one dense build of the
     action; its trace scales it in place, and the Operator copy carries
-    the final dims (site_dims per slice when given).
+    the final dims (site_dims per slice when given).  The state keeps
+    the last-slice factor divided by the same trace, the one factor its
+    powers apply.
     """
     if abs(psi0.norm() - 1.0) > 1e-12:
         raise ValueError("psi0 must be normalized")
@@ -122,20 +123,18 @@ def build_R(
             raise ValueError("site_dims must factorize the slice dimension")
         dims = site_dims * N
     qa = build_action(layout, H)
-    boundary = psi0.outer() @ expm(1j * eps * N * H)
-    raw = qa.dense({N - 1: _boundary_on_last_slice(qa, boundary)})
+    V = qa.V.mat
+    # embed(b, 0)·E = E·embed(V†·b·V, N-1), as C carries slice N-1 to 0
+    last = V.conj().T @ (psi0.outer() @ expm(1j * eps * N * H)).mat @ V
+    raw = qa.dense({N - 1: last})
     tr = complex(np.trace(raw))
     if abs(tr) < 1e-14:
         raise ValueError("spacetime state has numerically zero trace")
     raw *= 1.0 / tr
-    return SpacetimeState(R=Operator(raw, dims), action=qa, boundary=boundary, psi0=psi0,
-                          raw_trace=tr, site_dims=site_dims)
-
-
-def _boundary_on_last_slice(qa: QuantumAction, boundary: Operator) -> np.ndarray:
-    """V†·b·V: embed(b, 0)·E = E·embed(V†·b·V, N-1), as C carries slice N-1 to 0."""
-    V = qa.V.mat
-    return V.conj().T @ boundary.mat @ V
+    last = last / tr
+    last.flags.writeable = False  # read-only, as R's Operator buffer is
+    return SpacetimeState(R=Operator(raw, dims), action=qa, last=last, psi0=psi0,
+                          site_dims=site_dims)
 
 
 def _slice_factors(st: SpacetimeState) -> int:
@@ -201,8 +200,8 @@ def power_and_pseudoentropy(
 
     R^a, a = ceil(k/2), is R·(R·(...·R)) with the stored R as the
     rightmost factor and each left multiplication applied through R's
-    slab factors (E with V†·b·V / raw_trace on slice N-1, the factor
-    build_R folded the boundary into); R^b, b = floor(k/2), is the last
+    slab factors (E with st.last, the factor build_R folded the boundary
+    and the trace into, on slice N-1); R^b, b = floor(k/2), is the last
     or the next-to-last matrix of that loop, and Tr[R^k] =
     sum_ij (R^a)_ij (R^b)_ji, summed over t x t tiles of both
     (`_trace_of_product`).  The stored R is a factor of both halves, so
@@ -212,7 +211,7 @@ def power_and_pseudoentropy(
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    last = {st.N - 1: _boundary_on_last_slice(st.action, st.boundary) / st.raw_trace}
+    last = {st.N - 1: st.last}
 
     def power() -> Operator:
         M = st.R.mat

@@ -24,19 +24,19 @@ group may be shorter), and each group acts as one d^g x d^g block, the
 kron of its slices' local factors; that is ⌈N/g⌉ matmuls of d^g <= 16
 per column instead of N of d.  The all-V blocks are kept once per
 action (`QuantumAction._groups`); a group holding an insertion builds
-its block per call.  Where a state needs E as a matrix,
-`QuantumAction.dense` assembles E·(⊗_t F_t) from the same group blocks
-as their broadcast kron, folded from the right, and one roll of the
-row slice axes, with no matrix product.  The dense permutation C and
-the dense embeddings of slice operators live with the tests, as
-references.
+its block per call (`QuantumAction._blocks` makes that choice).  Where
+a state needs E as a matrix, `QuantumAction.dense` assembles
+E·(⊗_t F_t) from the same group blocks as their broadcast kron, folded
+from the right, and one roll of the row slice axes, with no matrix
+product.  The dense permutation C and the dense embeddings of slice
+operators live with the tests, as references.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -137,20 +137,15 @@ class QuantumAction:
 
         Slice t gets the local factor V·factors[t] (V where no factor is
         given).  Each group of g adjacent slices applies the kron of its
-        local factors as one block: the kept all-V block of `_groups`, or,
-        where a factor sits in the group, a block built for this call.
-        Then the slice axes roll by one to apply C; the D x D permutation
-        is never formed.
+        local factors as one block (`_blocks`).  Then the slice axes roll
+        by one to apply C; the D x D permutation is never formed.
         """
         layout = self.layout
         M = np.asarray(M)
         if M.ndim != 2 or M.shape[0] != layout.total_dim:
             raise ValueError(f"need a ({layout.total_dim}, k) matrix, got shape {M.shape}")
         d, k = layout.d, M.shape[1]
-        factors = factors or {}
-        for slices, block in self._groups:
-            if not factors.keys().isdisjoint(slices):
-                block = self._factor_block(slices, factors)
+        for slices, block in self._blocks(factors or {}):
             M = np.matmul(block, M.reshape(d**slices.start, len(block), -1)).reshape(-1, k)
         return _cycle_rows(layout, M)
 
@@ -161,18 +156,20 @@ class QuantumAction:
         row slice axes roll by one for C: no matrix product.  Built on
         each call and not kept, so an action holds no D x D matrix.
         """
-        factors = factors or {}
-        blocks = [block if factors.keys().isdisjoint(slices) else self._factor_block(slices, factors)
-                  for slices, block in self._groups]
+        blocks = [block for _, block in self._blocks(factors or {})]
         # folded from the right, so each kron's inner axis is the larger
         # operand; the 1 x 1 start makes even a lone kept block a new array
         W = reduce(lambda right, block: _block_kron(block, right), reversed(blocks), np.ones((1, 1)))
         return _cycle_rows(self.layout, W)
 
-    def _factor_block(self, slices: range, factors: Mapping[int, np.ndarray]) -> np.ndarray:
-        """The block of a group holding a factor: the kron of V·factors[t] (V where none) over its slices."""
+    def _blocks(self, factors: Mapping[int, np.ndarray]) -> Iterator[tuple[range, np.ndarray]]:
+        """(slices, block) per group of `_groups`: the kept all-V block, or, where a
+        factor sits in the group, the kron of V·factors[t] (V where none) built now."""
         V = self.V.mat
-        return reduce(_block_kron, [V @ factors[t] if t in factors else V for t in slices])
+        for slices, block in self._groups:
+            if not factors.keys().isdisjoint(slices):
+                block = reduce(_block_kron, [V @ factors[t] if t in factors else V for t in slices])
+            yield slices, block
 
     @cached_property
     def _groups(self) -> tuple[tuple[range, np.ndarray], ...]:

@@ -13,7 +13,8 @@ pair-channel part.  A class's value is one lattice difference sum
 against the internal-line table, so no pairing is enumerated or
 evaluated at run time.  The table is gaussian.line_table, the same
 Feynman line that gaussian.feynman_propagator_grid reads and the
-`propagator` experiment checks against exact diagonalization; a
+`propagator` experiment checks against exact diagonalization, at the
+site-class energies of grids.site_class_energies; a
 class's lattice sum is e_t^T P^m e_x: its external phase splits into
 N slice and M site phases.
 
@@ -26,7 +27,9 @@ end against the time-dependent perturbation-theory oracle):
   -i sqrt(2 E tau) (i e_i);
 * the ladder/field contractions contribute C+ = 1/(1 - e^{-a}) for
   incoming and C- = 1/(e^{a} - 1) for outgoing legs, a = tau * e_i,
-  with unit-modulus plane-wave phases;
+  with unit-modulus plane-wave phases; both are on-shell values of the
+  one Bose pair law, gaussian._mode_corr, at gap 0 and regulator -e_i
+  (C+, negated) or e_i (C-);
 * each vertex carries weight -i (lambda/4!) tau^2 per lattice cell;
   the tau powers cancel between legs, contractions, and vertices, so
   amplitudes stay finite as tau -> 0 (checked by the sweep tests);
@@ -45,8 +48,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gaussian import line_table
-from .grids import ModeGrid, slice_count
+from . import gaussian
+from .grids import ModeGrid, site_class_energies, slice_count
 
 
 # ---------------------------------------------------------------------------
@@ -73,49 +76,17 @@ def _leg_label(grid: ModeGrid, k: int) -> tuple[int, int, float]:
     return mode[0], mode[1], E
 
 
-def _leg_const(tau: float, eps_i: float, incoming: bool) -> complex:
+def _leg_const(tau: float, eps_i: float, incoming: bool) -> float:
     """Per-leg magnitude: amputation prefactor x contraction constant.
 
     -i sqrt(2 E tau)(i e_i) x C/sqrt(2 E) = e_i sqrt(tau) C, with
-    C = C+ for incoming, C- for outgoing legs.  (The 1/sqrt(N M)
+    C = C+ for incoming, C- for outgoing legs, read from the Bose pair
+    law: C- = Re corr(0, e_i), C+ = -Re corr(0, -e_i).  (The 1/sqrt(N M)
     plane-wave normalization is applied by the caller.)
     """
-    a = tau * eps_i
-    if incoming:
-        c = 1.0 / (1.0 - math.exp(-a))
-    else:
-        c = 1.0 / (math.exp(a) - 1.0)
-    return eps_i * math.sqrt(tau) * c
-
-
-def _site_energies(grid: ModeGrid) -> list[float]:
-    """Internal-line energy per spatial momentum class (0..M-1).
-
-    Prefers any explicit override carried by a grid mode in that class,
-    else falls back to the centered-lattice dispersion.
-    """
-    M = grid.M_sites
-    found: dict[int, float] = {}
-    for k, mode in enumerate(grid.modes):
-        if len(mode) == 2:
-            c = mode[1] % M
-            if c not in found:
-                found[c] = grid.energy(k)
-    out = []
-    for j in range(M):
-        if j in found:
-            out.append(found[j])
-        else:
-            p = 2.0 * math.pi * (((j + M // 2) % M) - M // 2) / M
-            out.append(math.sqrt(p * p + grid.m * grid.m))
-    return out
-
-
-def propagator_table(grid: ModeGrid, tau: float, eps_i: float) -> np.ndarray:
-    """Internal-line values P[dt, dx]: gaussian.line_table at the grid's site-class energies."""
-    if grid.M_sites is None:
-        raise ValueError("propagator table needs a site lattice (M_sites)")
-    return line_table(slice_count(grid.T, tau), tau, eps_i, _site_energies(grid))
+    sign = -1.0 if incoming else 1.0
+    c = sign * gaussian._mode_corr(tau, 0.0, sign * eps_i).real
+    return eps_i * math.sqrt(tau) * float(c)
 
 
 def _conservation_deltas(
@@ -185,7 +156,8 @@ def smatrix_element(
     is the whole first-order amplitude for either channel.
 
     Raises ValueError for order 2 with any channel but "s", for a grid
-    without at least one site, and for tau <= 0 or eps_i <= 0.
+    without at least one site, for tau <= 0 or eps_i <= 0, and at order
+    2 unless the grid's modes cover each site class once.
     """
     if order not in (1, 2):
         raise ValueError("perturbative order must be 1 or 2")
@@ -218,7 +190,9 @@ def smatrix_element(
         n_connected = 24  # the 4! leg-to-vertex assignments kept by the filter
         return vertex * n_connected * consts * (N * M)
 
-    table = propagator_table(grid, tau, eps_i)
+    energies = site_class_energies([mode[1] for mode in grid.modes],
+                                   [grid.energy(k) for k in range(len(grid))], M)
+    table = gaussian.line_table(N, tau, eps_i, energies)
     lines = {m: table**m for m in {row[0] for row in _ORDER2_BUCKETS}}
     total = 0.0 + 0.0j
     for m, _, sz, count in _ORDER2_BUCKETS:  # no pair-channel class has a self-loop

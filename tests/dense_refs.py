@@ -32,7 +32,7 @@ from scipy import sparse
 from sqmlab import fock, gaussian, grids, wick
 from sqmlab.fermions import FermionLayout, jw_ladder, parity_matrix
 from sqmlab.linalg import Ket, Operator
-from sqmlab.timeslab import QuantumAction, SliceLayout, apply_local, slice_factors
+from sqmlab.timeslab import QuantumAction, SliceLayout, slice_factors
 
 
 def kron(*ops: Operator) -> Operator:
@@ -113,7 +113,7 @@ def constraint_expectation_columns(
     bracket = qa.apply(shifted) - EX  # E·(E·X·E† - X)
     if boundary is not None:
         q, qp = boundary
-        bracket = apply_local(layout, bracket, {0: q.outer(qp).mat})
+        bracket = embed_at_slice(q.outer(qp), 0, layout).mat @ bracket
     return complex(np.trace(bracket))
 
 
@@ -198,12 +198,18 @@ def feynman_kernel_two_exp(N: int, tau: float, eps_i: float, E: float, dt_slices
     return (np.exp(r * z) + np.exp(s * z)) / -np.expm1(N * z)
 
 
+def grid_line_energies(grid) -> list[float]:
+    """grids.site_class_energies over a ModeGrid's (n0, j) modes, as smatrix_element reads them."""
+    return grids.site_class_energies([mode[1] for mode in grid.modes],
+                                     [grid.energy(k) for k in range(len(grid))], grid.M_sites)
+
+
 def propagator_table_outer(grid, tau: float, eps_i: float) -> np.ndarray:
     """P[dt, dx] accumulated as one np.outer(kernel, phases) per site class."""
     N = grids.slice_count(grid.T, tau)
     M = grid.M_sites
     table = np.zeros((N, M), dtype=complex)
-    for j, E in enumerate(wick._site_energies(grid)):
+    for j, E in enumerate(grid_line_energies(grid)):
         kern = feynman_kernel_two_exp(N, tau, eps_i, E, np.arange(N))
         phases = np.exp(2j * np.pi * j * np.arange(M) / M)
         table += np.outer(kern, phases) / (2.0 * E)

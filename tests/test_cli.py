@@ -327,27 +327,27 @@ def _arange_size(*args):
     return max(0, math.ceil((stop - start) / step))
 
 
-# (argv, the cap its message names)
+# (argv, what its message names: the cap, and the key that sized the input past it)
 OVERSIZED = [
     # a 201^2-state ED lattice: the oracle's cap on its basis states
-    (["propagator", "--ed_n_max", "200"], "exceeds cap 4096"),
+    (["propagator", "--ed_n_max", "200"], ("ed_n_max", "exceeds cap 4096")),
     # 40000 legs: a 1.6e9-amplitude sector vector without the cap
-    (["anomaly-scan", "--slice_counts", "40000,"], "exceeds cap 1024"),
+    (["anomaly-scan", "--slice_counts", "40000,"], ("exceeds cap 1024",)),
     # T/tau = 8e6, 2e301 and 1.5e8 slices: N-long line tables without the cap
-    (["propagator", "--T", "400000"], "exceeds cap 1048576"),
-    (["propagator", "--T", "1e300"], "exceeds cap 1048576"),
-    (["smatrix", "--order", "2", "--tau2", "1e-5"], "exceeds cap 1048576"),
+    (["propagator", "--T", "400000"], ("exceeds cap 1048576",)),
+    (["propagator", "--T", "1e300"], ("exceeds cap 1048576",)),
+    (["smatrix", "--order", "2", "--tau2", "1e-5"], ("exceeds cap 1048576",)),
 ]
 
 
-@pytest.mark.parametrize("argv, cap", OVERSIZED, ids=[" ".join(argv) for argv, _ in OVERSIZED])
-def test_oversized_input_exits_2_before_allocating(argv, cap, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("argv, named", OVERSIZED, ids=[" ".join(argv) for argv, _ in OVERSIZED])
+def test_oversized_input_exits_2_before_allocating(argv, named, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(np, "zeros", _refuse_past(np.zeros, lambda shape, *_: np.prod(shape)))
     monkeypatch.setattr(np, "kron", _refuse_past(np.kron, lambda a, b: np.size(a) * np.size(b)))
     monkeypatch.setattr(np, "arange", _refuse_past(np.arange, _arange_size))
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("sqmlab: error:") and cap in err
+    assert err.startswith("sqmlab: error:") and all(part in err for part in named)
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
@@ -550,9 +550,10 @@ def test_degenerate_values_exit_2_without_traceback(name, line, tmp_path, capsys
 # (argv, config file text or None, error kind, parameters named in the message)
 OUT_OF_RANGE = [
     (["propagator", "--gap", "0", "--eps_i", "0"], None, "ZeroDivisionError", "gap=0, eps_i=0"),
-    (["smatrix", "--eps_i", "1e-300"], None, "ZeroDivisionError", "eps_i=1e-300"),
+    # the leg constants meet the Bose law's pole, a ZeroDivisionError subclass
+    (["smatrix", "--eps_i", "1e-300"], None, "PoleError", "eps_i=1e-300"),
     (["dirac-nogo", "--T", "1e-300"], None, "OverflowError", "T=1e-300"),
-    (["smatrix", "--seed", "7"], "eps_i = 1e-300", "ZeroDivisionError", "eps_i=1e-300, seed=7"),
+    (["smatrix", "--seed", "7"], "eps_i = 1e-300", "PoleError", "eps_i=1e-300, seed=7"),
     # a NaN case value has no JSON form: no report rather than a NaN token
     (["trace-theorem", "--eps", "1e308"], None, "FloatingPointError", "eps=1e+308"),
 ]

@@ -14,16 +14,16 @@ from dense_refs import (
     frequency_window,
     thermal_pair_bruteforce,
 )
-from sqmlab import wick
 from sqmlab.experiments import DEFAULTS
 from sqmlab.gaussian import (
     PoleError,
     _mode_corr,
     feynman_kernel_closed,
     feynman_propagator_grid,
+    line_table,
     tau_mode_correlator,
 )
-from sqmlab.grids import ModeGrid, frequency_tower
+from sqmlab.grids import ModeGrid, frequency_tower, site_class_energies
 from sqmlab.oracles import DENSE_DIM_CAP, DenseFockLattice, timeordered_two_point_ed
 
 def closed_form_pow_reference(N, tau, eps_i, E, dt):
@@ -139,11 +139,10 @@ class TestTowerResummation:
         tau = p["tau2"] * tau_key_scale
         e_a = 2 * math.pi * p["n_a2"] / T
         e_b = 2 * math.pi * p["n_b2"] / T
-        grid = ModeGrid(T=T, modes=((p["n_b2"], 1), (p["n_a2"], 2), (p["n_a2"], 0),
-                                    (p["n_b2"], 3)),
-                        m=1.0, M_sites=M, energy_override=(e_b, e_a, e_a, e_b))
-        table = wick.propagator_table(grid, tau, eps_i)
         N = round(T / tau)
+        # the externals' spatial labels and energies, as smatrix_element reads them
+        line_energies = site_class_energies((1, 2, 0, 3), (e_b, e_a, e_a, e_b), M)
+        table = line_table(N, tau, eps_i, line_energies)
         assert table.shape == (N, M)
         energies = (e_a, e_b, e_a, e_b)  # site classes 0..3
         kern = np.array([[closed_form_pow_reference(N, tau, eps_i, E, dt)
@@ -301,9 +300,9 @@ class TestPropagatorGrid:
         # a grid built at tau = 0.5 carries 20 slices per tower, not T / 0.25 = 40
         (((0,), (1,)), [1.0, 1.0], 0.25, "slices"),
         # labels 0 and 2 are both site class 0 of M = 2
-        (((0,), (2,)), [1.0, 1.0], 0.5, "two towers"),
+        (((0,), (2,)), [1.0, 1.0], 0.5, "two labels in site class 0"),
         # site class 1 has no tower
-        (((0,),), [1.0], 0.5, "no tower"),
+        (((0,),), [1.0], 0.5, r"no label in site classes \[1\]"),
     ])
     def test_towers_must_cover_each_site_class_once(self, spatial, energies, tau, match):
         grid = frequency_tower(10.0, 0.5, spatial=spatial, M_sites=2, energies=energies)

@@ -52,6 +52,13 @@ MUTANTS = {
         lambda f: lambda *args: 1.01 * f(*args),
         ["propagator"],
     ),
+    # the same law gives the external-leg constants C+- of smatrix, whose
+    # order-1 amplitude is checked against -i lambda V_lattice
+    "Bose pair law x 1.01 on the legs": (
+        gaussian, "_mode_corr",
+        lambda f: lambda *args: 1.01 * f(*args),
+        ["smatrix"],
+    ),
     # the Gaussian law gives the mode propagator, checked against its tau -> 0 limit
     "Fermi pair law transposed": (
         fermions, "parity_pair_correlator",

@@ -70,8 +70,7 @@ class TestMarginals:
         # half power of the wrong order shows as a wrong power of c
         st_state = _state(30 + N, d=d, N=N, site_dims=site_dims)
         c = 1.25
-        scaled = dataclasses.replace(st_state, R=c * st_state.R,
-                                     raw_trace=st_state.raw_trace / c)
+        scaled = dataclasses.replace(st_state, R=c * st_state.R, last=c * st_state.last)
         for k in range(1, 7):
             assert power_and_pseudoentropy(scaled, k)[1] == pytest.approx(c**k, rel=1e-12)
 
@@ -190,9 +189,13 @@ class TestStructuredAgainstDense:
         st_state = build_R(psi, H, 0.33, N, site_dims=site_dims)
         lay, R = st_state.layout, st_state.R.mat
         V = expm(-1j * 0.33 * H)
-        raw = (embed_at_slice(psi.outer() @ expm(1j * 0.33 * N * H), 0, lay)
-               @ cycle_shift(lay) @ kron(*([V] * N))).mat
+        b = psi.outer() @ expm(1j * 0.33 * N * H)
+        raw = (embed_at_slice(b, 0, lay) @ cycle_shift(lay) @ kron(*([V] * N))).mat
         np.testing.assert_allclose(R, raw / np.trace(raw), atol=1e-12)
+        # the kept last-slice factor that the powers apply, frozen like R
+        last = (V.dag() @ b @ V).mat / np.trace(raw)
+        np.testing.assert_allclose(st_state.last, last, atol=1e-12)
+        assert not st_state.last.flags.writeable
         A, B = rand_hermitian(rng, d), rand_hermitian(rng, d)
         for t in range(1, N):
             X = (embed_at_slice(A, 0, lay) @ embed_at_slice(B, t, lay)).mat

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from dense_refs import (
     double_factorial,
     enumerate_pairings,
+    grid_line_energies,
     order2_pair_channel_phase_grid,
     propagator_table_outer,
 )
 from sqmlab import oracles, wick
 from sqmlab.experiments import DEFAULTS
-from sqmlab.grids import ModeGrid
+from sqmlab.gaussian import feynman_propagator_grid, line_table
+from sqmlab.grids import ModeGrid, frequency_tower, slice_count
 from sqmlab.wick import (
     lattice_volume_norm,
     smatrix_element,
@@ -319,26 +321,52 @@ def test_argument_validation():
 # internal-line table
 
 
+def grid_line_table(grid, tau, eps_i):
+    """gaussian.line_table at the site-class energies of the grid's modes, as order 2 reads it."""
+    return line_table(slice_count(grid.T, tau), tau, eps_i, grid_line_energies(grid))
+
+
 def test_propagator_table_requires_energy_parity():
+    # every site class holds a mode, and class 1 and its mirror 3 differ
     T = 60.0
     grid = ModeGrid(
-        T=T, modes=((1, 1), (2, 3)), m=1.0, M_sites=4,
-        energy_override=(2 * math.pi / T, 4 * math.pi / T),
+        T=T, modes=((1, 0), (1, 1), (1, 2), (2, 3)), m=1.0, M_sites=4,
+        energy_override=(2 * math.pi / T, 2 * math.pi / T, 2 * math.pi / T, 4 * math.pi / T),
     )
     with pytest.raises(ValueError, match=r"E\[j\] == E\[-j mod M\]"):
-        wick.propagator_table(grid, tau=0.5, eps_i=0.05)
+        grid_line_table(grid, tau=0.5, eps_i=0.05)
 
 
 def test_propagator_table_requires_positive_energy():
-    grid = ModeGrid(T=8.0, modes=((0, 0),), m=0.0, M_sites=2,
-                    energy_override=(0.0,))
+    grid = ModeGrid(T=8.0, modes=((0, 0), (0, 1)), m=0.0, M_sites=2,
+                    energy_override=(0.0, 1.0))
     with pytest.raises(ValueError, match="positive"):
-        wick.propagator_table(grid, tau=1.0, eps_i=0.05)
+        grid_line_table(grid, tau=1.0, eps_i=0.05)
+
+
+@pytest.mark.parametrize("M, extra, message", [
+    # a fifth mode puts a second label in class 1
+    (4, ((5, 5),), "two labels in site class 1 of M = 4"),
+    # four externals on five sites leave class 4 empty
+    (5, (), r"no label in site classes \[4\] of M = 5"),
+])
+def test_both_readers_of_the_line_refuse_an_uncovered_site_class(M, extra, message):
+    T, tau, eps_i = 60.0, 0.5, 0.05
+    base = conserving_grid(T=T, M=M)
+    modes = base.modes + extra
+    energies = base.energy_override + tuple(2 * math.pi * n / T for n, _ in extra)
+    grid = ModeGrid(T=T, modes=modes, m=1.0, M_sites=M, energy_override=energies)
+    with pytest.raises(ValueError, match=message) as order2:
+        smatrix_element(grid, (0, 1), (2, 3), 0.3, 2, tau=tau, eps_i=eps_i, channel="s")
+    tower = frequency_tower(T, tau, spatial=[(j,) for _, j in modes], M_sites=M, energies=energies)
+    with pytest.raises(ValueError) as line:
+        feynman_propagator_grid(tower, tau, eps_i, (1, 0), (0, 0))
+    assert str(line.value) == str(order2.value)
 
 
 def test_propagator_table_symmetries():
     grid = conserving_grid(T=12.0, M=4, n_a=2, n_b=5)
-    table = wick.propagator_table(grid, tau=0.5, eps_i=0.2)
+    table = grid_line_table(grid, tau=0.5, eps_i=0.2)
     N, M = table.shape
     assert (N, M) == (24, 4)
     scale = np.max(np.abs(table))
@@ -383,7 +411,7 @@ def relative_gap(got, ref):
 
 @pytest.mark.parametrize("grid, tau, eps_i, lam", smatrix_order2_cases())
 def test_propagator_table_matches_per_class_outer_products(grid, tau, eps_i, lam):
-    table = wick.propagator_table(grid, tau, eps_i)
+    table = grid_line_table(grid, tau, eps_i)
     assert relative_gap(table, propagator_table_outer(grid, tau, eps_i)) <= 1e-15
 
 
