@@ -11,10 +11,11 @@ whose bracket matrix is block-antidiagonal with entries ±i*gap^2.  The
 dichotomy is sharp: off-shell modes (gap != 0) give invertible blocks —
 second-class constraints that Dirac-reduce the pair away entirely
 ({a, a*}_DB = 0) — while on-shell modes give identically vanishing
-constraints and keep their canonical bracket; `classify` returns that
-kind per mode, "second-class" or "identically-zero".  Equal-time
-field/momentum brackets rebuilt from the surviving modes come out
-exactly Kronecker.
+constraints and keep their canonical bracket; which modes are on shell
+is ModeGrid.on_shell's call, and `classify` returns the kind per mode,
+"second-class" or "identically-zero".  Equal-time field/momentum
+brackets rebuilt from the surviving modes come out exactly Kronecker;
+grids.site_class_energies checks that they cover each site class once.
 
 An observable in the linear span of the symbols is a (2, K) complex
 array over the grid's K modes: row 0 holds the a_k coefficients, row 1
@@ -24,13 +25,11 @@ the a*_k coefficients, so +, - and scalar multiples are numpy's own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import ModeGrid
-
-ONSHELL_TOL = 1e-12
+from .grids import ModeGrid, site_class_energies
 
 
 def mode_a(k: int, K: int) -> np.ndarray:
@@ -57,16 +56,12 @@ class ConstraintSet:
     """Per-mode linear constraints phi = gap * (a, a*) with their C-matrix.
 
     `second_class` lists mode positions whose 2x2 block is invertible;
-    modes with |gap| <= 1e-12 carry identically vanishing constraints
-    and are excluded from the Dirac correction.
+    on-shell modes carry identically vanishing constraints and are
+    excluded from the Dirac correction.
     """
 
     gaps: tuple[float, ...]
-    second_class: tuple[int, ...] = field(init=False)
-
-    def __post_init__(self):
-        sc = tuple(k for k, d in enumerate(self.gaps) if abs(d) > ONSHELL_TOL)
-        object.__setattr__(self, "second_class", sc)
+    second_class: tuple[int, ...]
 
     def phi_pair(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(gap * a_k, gap * a*_k) over the set's K = len(gaps) modes."""
@@ -79,7 +74,8 @@ class ConstraintSet:
 
 
 def build_constraints(grid: ModeGrid) -> ConstraintSet:
-    return ConstraintSet(tuple(grid.gap(k) for k in range(len(grid))))
+    return ConstraintSet(tuple(grid.gap(k) for k in range(len(grid))),
+                         tuple(k for k in range(len(grid)) if not grid.on_shell(k)))
 
 
 def classify(cs: ConstraintSet) -> list[str]:
@@ -116,12 +112,9 @@ def _onshell_field_pair(grid: ModeGrid, x: int, t: float, y: int, tp: float):
     if grid.M_sites is None:
         raise ValueError("position-space fields need a grid with M_sites set")
     M = grid.M_sites
-    onshell = [k for k in range(len(grid)) if abs(grid.gap(k)) <= ONSHELL_TOL]
-    if not onshell:
-        raise ValueError("grid has no on-shell modes to expand fields in")
-    spatial = sorted(grid.modes[k][1] % M for k in onshell)
-    if spatial != list(range(M)):
-        raise ValueError("on-shell modes must cover each spatial momentum exactly once")
+    onshell = [k for k in range(len(grid)) if grid.on_shell(k)]
+    site_class_energies([grid.modes[k][1] for k in onshell],
+                        [grid.energy(k) for k in onshell], M)
     phi = np.zeros((2, len(grid)), dtype=complex)
     pi = np.zeros((2, len(grid)), dtype=complex)
     for k in onshell:

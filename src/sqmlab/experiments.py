@@ -238,21 +238,22 @@ def _on_shell_grid(T: float, M: int, modes: tuple) -> ModeGrid:
 def run_dirac_nogo(params: dict) -> Iterator[dict]:
     _require_positive(params, "T")
     T = params["T"]
+    # modes 0 and 1 pinned to their grid frequency, 2 and 3 left to the dispersion
+    pinned = (2 * math.pi * 1 / T, 2 * math.pi * 2 / T, None, None)
     grid = ModeGrid(
         T=T,
         modes=((1, 0), (2, 1), (3, 0), (5, 1)),
         m=params["mass"],
         M_sites=2,
-        energy_override=(
-            2 * math.pi * 1 / T, 2 * math.pi * 2 / T, None, None,
-        ),
+        energy_override=pinned,
     )
     cs = constraints.build_constraints(grid)
     for k, kind in enumerate(constraints.classify(cs)):
         db = constraints.dirac_bracket(
             constraints.mode_a(k, len(grid)), constraints.mode_astar(k, len(grid)), cs
         )
-        oracle = -1j if kind == "identically-zero" else 0.0
+        # the oracle knows which modes it pinned on shell, not what classify says
+        oracle = -1j if pinned[k] is not None else 0.0
         yield _case(
             f"bracket[mode={k}]",
             {"mode": list(grid.modes[k]), "gap": cs.gaps[k], "kind": kind},
@@ -431,7 +432,7 @@ def run_dirac_propagator(params: dict) -> Iterator[dict]:
     tau0 = params["tau"]
     prop = fermions.dirac_mode_propagator(p_rest, m, tau0, eps_i)
     m_c = cmath.sqrt(m * m - 1j * eps_i)  # the oracle's own, not fermions.regulated_mass
-    g0 = fermions.gamma_set().gamma(0)
+    g0 = fermions.GAMMA[0]
     diag = [1.0 / (1.0 - np.exp(1j * tau0 * (p_rest[0] - m_c)))] * 2
     diag += [1.0 / (1.0 - np.exp(1j * tau0 * (p_rest[0] + m_c)))] * 2
     rest_closed = np.diag(diag) @ g0

@@ -23,7 +23,7 @@ law into the matrix-valued mode propagator [I - e^{i tau g0(p-slash -
 m)}]^{-1} g0, whose tau -> 0 limit is i(p-slash + m)/(p^2 - m^2 + i e)
 per unit tau.
 
-Conventions fixed here: Dirac representation with signature (+,-,-,-);
+Conventions fixed here: Dirac representation (GAMMA) with signature (+,-,-,-);
 Jordan-Wigner ordering slice-major (leg = t*M + m), string over lower
 legs; mode annihilator maps |1> to |0>.  Layouts are capped at 2**12
 states, the size the dense views can still afford.
@@ -52,35 +52,27 @@ _PAULI = (
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
-@dataclass(frozen=True)
-class GammaSet:
-    """The four Dirac-representation gamma matrices, signature (+,-,-,-)."""
+_EYE2 = np.eye(2, dtype=complex)
+_ZERO2 = np.zeros((2, 2), dtype=complex)
 
-    matrices: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-    def gamma(self, mu: int) -> np.ndarray:
-        return self.matrices[mu]
-
-    def slash(self, p: Sequence[complex]) -> np.ndarray:
-        """gamma^mu p_mu for a contravariant 4-vector (p0, p1, p2, p3)."""
-        p = np.asarray(p, dtype=complex)
-        if p.shape != (4,):
-            raise ValueError("slash needs a 4-vector (p0, p1, p2, p3)")
-        out = p[0] * self.matrices[0]
-        for i in (1, 2, 3):
-            out = out - p[i] * self.matrices[i]
-        return out
+# the Dirac matrices g^0..g^3, read-only: g0 = diag(I, -I), g^i = [[0, s_i], [-s_i, 0]]
+GAMMA = (
+    np.block([[_EYE2, _ZERO2], [_ZERO2, -_EYE2]]),
+    *(np.block([[_ZERO2, s], [-s, _ZERO2]]) for s in _PAULI),
+)
+for _gamma in GAMMA:
+    _gamma.flags.writeable = False
 
 
-def gamma_set() -> GammaSet:
-    """Dirac representation: g0 = diag(I, -I), g^i = [[0, s_i], [-s_i, 0]]."""
-    eye2 = np.eye(2, dtype=complex)
-    zero = np.zeros((2, 2), dtype=complex)
-    g0 = np.block([[eye2, zero], [zero, -eye2]])
-    gs = tuple(
-        np.block([[zero, s], [-s, zero]]) for s in _PAULI
-    )
-    return GammaSet((g0, *gs))
+def slash(p: Sequence[complex]) -> np.ndarray:
+    """gamma^mu p_mu for a contravariant 4-vector (p0, p1, p2, p3)."""
+    p = np.asarray(p, dtype=complex)
+    if p.shape != (4,):
+        raise ValueError("slash needs a 4-vector (p0, p1, p2, p3)")
+    out = p[0] * GAMMA[0]
+    for i in (1, 2, 3):
+        out = out - p[i] * GAMMA[i]
+    return out
 
 
 def fswap() -> Operator:
@@ -266,16 +258,15 @@ def dirac_mode_propagator(
     """
     if tau <= 0:
         raise ValueError("need tau > 0")
-    g = gamma_set()
     m_c = regulated_mass(m, eps_i)
-    K = g.gamma(0) @ (g.slash(p) - m_c * np.eye(4))
+    K = GAMMA[0] @ (slash(p) - m_c * np.eye(4))
     try:
         pair = parity_pair_correlator(tau * K)
     except SingularMatrixError as exc:
         raise SingularMatrixError(
             "mode propagator singular: on-shell momentum with vanishing regulator"
         ) from exc
-    return pair @ g.gamma(0)
+    return pair @ GAMMA[0]
 
 
 def dirac_propagator_limit(p: Sequence[float], m: float, eps_i: float) -> np.ndarray:
@@ -288,9 +279,8 @@ def dirac_propagator_limit(p: Sequence[float], m: float, eps_i: float) -> np.nda
     propagator checks it forms m^2 - i eps_i itself and does not share
     regulated_mass with the slab route.
     """
-    g = gamma_set()
     m_sq = m * m - 1j * eps_i
-    slash = g.slash(p)  # rejects anything but a 4-vector
+    p_slash = slash(p)  # rejects anything but a 4-vector
     p = np.asarray(p, dtype=complex)
     p_sq = p[0] ** 2 - np.sum(p[1:] ** 2)
-    return 1j * (slash + cmath.sqrt(m_sq) * np.eye(4)) / (p_sq - m_sq)
+    return 1j * (p_slash + cmath.sqrt(m_sq) * np.eye(4)) / (p_sq - m_sq)

@@ -4,20 +4,22 @@ Gaussian-correlator, and perturbative modules.
 A mode is labeled by integers (n0, n1, ..., nd): n0 indexes the
 frequency w = 2*pi*n0/T on a time window T, the spatial part indexes
 lattice momenta.  Spatial momenta live on a periodic lattice of
-`M_sites` unit-spaced sites per dimension (momentum 2*pi*n/M_sites);
-when no site lattice is declared, the spatial box defaults to the same
-length T as the time window.
+`M_sites` unit-spaced sites per dimension (momentum 2*pi*n/M_sites), so
+a grid with spatial labels must declare its site lattice.
 
 The dispersion energy is E = sqrt(|p|^2 + m^2).  Because several
 theorems distinguish gap == 0 *exactly*, a per-mode energy override is
 provided so tests can pin energies to exact grid frequencies instead of
-rounding (generic masses are never exactly representable).
+rounding (generic masses are never exactly representable).  ModeGrid.on_shell
+is the one on-shell test, |gap| <= ONSHELL_TOL * max(1, |E|): the
+constraint brackets and the S-matrix legs both read it.
 
 A full frequency tower (N = T/tau labels over each of a few spatial
 indices) is no ModeGrid but a FrequencyTower record of its parameters,
 all that the Feynman line reads.  slice_count is the one rule for T/tau,
 and site_class_energies the one rule that maps spatial labels (of a
-tower or of a grid's modes) to the M site classes of the line.
+tower or of a grid's modes) to the M site classes: of the line, and of
+the on-shell modes the equal-time bracket reconstruction expands in.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+ONSHELL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -40,8 +44,8 @@ class ModeGrid:
     m : float
         Mass entering the dispersion E = sqrt(p^2 + m^2).
     M_sites : int, optional
-        Spatial lattice sites per dimension (unit spacing).  Required by
-        position-space operations; fixes momenta to 2*pi*n/M_sites.
+        Spatial lattice sites per dimension (unit spacing); fixes momenta
+        to 2*pi*n/M_sites.  Required when the modes carry spatial labels.
     energy_override : tuple, optional
         Per-mode energy replacing the dispersion value (None entries
         fall back to the dispersion).  Lets tests place modes exactly
@@ -64,35 +68,28 @@ class ModeGrid:
             raise ValueError("all modes must have the same index rank")
         if self.T <= 0:
             raise ValueError("need T > 0")
+        if ranks != {1} and self.M_sites is None:
+            raise ValueError("spatial labels need a site lattice: set M_sites")
         if self.energy_override is not None and len(self.energy_override) != len(modes):
             raise ValueError("energy_override must list one entry per mode")
 
     def __len__(self) -> int:
         return len(self.modes)
 
-    @property
-    def spatial_box(self) -> float:
-        return float(self.M_sites) if self.M_sites is not None else self.T
-
     def omega(self, k: int) -> float:
         return 2.0 * math.pi * self.modes[k][0] / self.T
 
     def momentum(self, k: int) -> tuple[float, ...]:
-        """Spatial momentum; on a site lattice, labels are centered mod M.
+        """Spatial momentum on the site lattice; labels are centered mod M.
 
         On a ring of M sites, labels n and n - M name the same mode, so
         the dispersion uses the first-zone representative (keeping
         E_p = E_{-p} exact, which the propagator's x <-> y symmetry
-        relies on).  Continuum-style grids (no M_sites) keep raw labels.
+        relies on).
         """
-        box = self.spatial_box
-        if self.M_sites is not None:
-            M = self.M_sites
-            return tuple(
-                2.0 * math.pi * (((n + M // 2) % M) - M // 2) / box
-                for n in self.modes[k][1:]
-            )
-        return tuple(2.0 * math.pi * n / box for n in self.modes[k][1:])
+        M = self.M_sites
+        return tuple(2.0 * math.pi * (((n + M // 2) % M) - M // 2) / M
+                     for n in self.modes[k][1:])
 
     def energy(self, k: int) -> float:
         if self.energy_override is not None and self.energy_override[k] is not None:
@@ -102,6 +99,10 @@ class ModeGrid:
 
     def gap(self, k: int) -> float:
         return self.omega(k) - self.energy(k)
+
+    def on_shell(self, k: int) -> bool:
+        """|gap| <= ONSHELL_TOL * max(1, |E|): absolute below unit energy, relative above."""
+        return abs(self.gap(k)) <= ONSHELL_TOL * max(1.0, abs(self.energy(k)))
 
 
 def slice_count(T: float, tau: float) -> int:

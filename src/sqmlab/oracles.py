@@ -4,7 +4,7 @@ Everything here is deliberately *separate* from the tower/slab
 machinery: free-lattice Heisenberg evolution and time-dependent
 perturbation theory on a truncated Fock lattice that stores no
 operator: DenseFockLattice.ladder applies a_p or a†_p to a state vector
-by occupation-index arithmetic, and fields and vertices are sums of
+by shifting its n_p axis one level, and fields and vertices are sums of
 such applies.  Nothing is imported from the slab side, not even the
 ladder that `fock` also builds.  First-order perturbation theory is
 `dyson_smatrix_oracle`; second order is the pair channel only, a
@@ -19,7 +19,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +29,8 @@ DENSE_DIM_CAP = 4096
 class DenseFockLattice:
     """Truncated Fock space for M momentum modes with energies E_p.
 
-    occupations[:, i] lists the n_p of basis state i (mode 0 slowest).
+    Basis state i lists the occupations (n_0, ..., n_{M-1}) as the digits
+    of i in base n_max + 1, mode 0 slowest.
     Site fields follow phi_x = (1/sqrt(M)) sum_p (2E_p)^{-1/2}
     (a_p e^{ipx} + a†_p e^{-ipx}) with p = 2 pi j / M.
     """
@@ -56,10 +56,6 @@ class DenseFockLattice:
     def dim(self) -> int:
         return (self.n_max + 1) ** self.M
 
-    @cached_property
-    def occupations(self) -> np.ndarray:
-        return np.indices((self.n_max + 1,) * self.M).reshape(self.M, -1)
-
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.dim, dtype=complex)
         v[0] = 1.0
@@ -67,24 +63,26 @@ class DenseFockLattice:
 
     def levels(self) -> np.ndarray:
         """sum_p E_p n_p of each occupation basis state: the free Hamiltonian's diagonal."""
-        return np.asarray(self.energies) @ self.occupations
+        occupations = np.indices((self.n_max + 1,) * self.M).reshape(self.M, -1)
+        return np.asarray(self.energies) @ occupations
 
     def ladder(self, p: int, v: np.ndarray, create: bool = False) -> np.ndarray:
         """a_p v, or a†_p v with create=True.
 
-        n_p -> n_p ∓ 1 is a step of (n_max+1)^(M-1-p) in the basis index;
-        a†_p drops the states already at n_max (the truncation).
+        Viewed as ((n_max+1)^p, n_max+1, rest), v's middle axis is n_p:
+        a_p moves level n to n - 1 with weight sqrt(n), a†_p moves level n
+        to n + 1 with weight sqrt(n + 1) and drops the states already at
+        n_max (the truncation).
         """
-        n = self.occupations[p]
-        step = (self.n_max + 1) ** (self.M - 1 - p)
-        out = np.zeros(self.dim, dtype=complex)
+        L = self.n_max + 1
+        psi = v.reshape(L**p, L, -1)
+        out = np.zeros(psi.shape, dtype=complex)
+        root = np.sqrt(np.arange(1, L))[:, None]
         if create:
-            src = np.flatnonzero(n < self.n_max)
-            out[src + step] = np.sqrt(n[src] + 1) * v[src]
+            out[:, 1:] = root * psi[:, :-1]
         else:
-            src = np.flatnonzero(n > 0)
-            out[src - step] = np.sqrt(n[src]) * v[src]
-        return out
+            out[:, :-1] = root * psi[:, 1:]
+        return out.reshape(-1)
 
     def field(self, x: int, v: np.ndarray) -> np.ndarray:
         """phi_x v: 2M ladder applies."""

@@ -24,7 +24,8 @@ end against the time-dependent perturbation-theory oracle):
 
 * each external leg carries the amputation prefactor
   -i sqrt(2 E tau) (p0 - E + i e_i), which on shell is
-  -i sqrt(2 E tau) (i e_i);
+  -i sqrt(2 E tau) (i e_i); a leg that fails ModeGrid.on_shell, the
+  test the constraint brackets also read, is refused;
 * the ladder/field contractions contribute C+ = 1/(1 - e^{-a}) for
   incoming and C- = 1/(e^{a} - 1) for outgoing legs, a = tau * e_i,
   with unit-modulus plane-wave phases; both are on-shell values of the
@@ -67,13 +68,12 @@ def _leg_label(grid: ModeGrid, k: int) -> tuple[int, int, float]:
     mode = grid.modes[k]
     if len(mode) != 2:
         raise ValueError("external legs need 1-d spatial modes (n0, j)")
-    E = grid.energy(k)
-    if abs(grid.gap(k)) > 1e-9 * max(1.0, abs(E)):
+    if not grid.on_shell(k):
         raise ValueError(
             f"external mode {mode} is off shell (gap {grid.gap(k):.3e}); "
             "pin its energy to the exact grid frequency"
         )
-    return mode[0], mode[1], E
+    return mode[0], mode[1], grid.energy(k)
 
 
 def _leg_const(tau: float, eps_i: float, incoming: bool) -> float:

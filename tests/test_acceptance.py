@@ -252,12 +252,12 @@ def test_criterion_09_first_order_quartic_amplitude():
 
 def test_criterion_10_fermionic_sector():
     problems: list = []
-    g = fermions.gamma_set()
+    g = fermions.GAMMA
     eye4 = np.eye(4)
     worst = 0.0
     for mu in range(4):
         for nu in range(4):
-            anti = g.gamma(mu) @ g.gamma(nu) + g.gamma(nu) @ g.gamma(mu)
+            anti = g[mu] @ g[nu] + g[nu] @ g[mu]
             worst = max(worst, float(np.max(np.abs(
                 anti - 2.0 * fermions.METRIC[mu, nu] * eye4))))
     _check(problems, worst <= 1e-14, f"Clifford deviation {worst:.3e} > 1e-14")

@@ -98,10 +98,17 @@ class TestEqualTimeReconstruction:
         assert val == pytest.approx(expected, abs=1e-12)
 
     def test_requires_full_onshell_cover(self):
+        # mode 1 is left off shell, so site class 1 has no on-shell mode
         grid = ModeGrid(
             T=7.0, modes=((1, 0), (2, 1)), m=1.0, M_sites=2,
             energy_override=(2 * math.pi / 7.0, None),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"no label in site classes \[1\] of M = 2"):
             equal_time_bracket_reconstruction(grid, 0, 0, 0.0, 0.0)
+        doubled = ModeGrid(
+            T=7.0, modes=((1, 0), (2, 0)), m=1.0, M_sites=2,
+            energy_override=(2 * math.pi / 7.0, 4 * math.pi / 7.0),
+        )
+        with pytest.raises(ValueError, match="two labels in site class 0 of M = 2"):
+            equal_time_bracket_reconstruction(doubled, 0, 0, 0.0, 0.0)
 

@@ -11,6 +11,7 @@ from scipy import sparse
 from dense_refs import parity_weighted_trace, quadratic_action
 from sqmlab.fermions import (
     FERMION_DIM_CAP,
+    GAMMA,
     METRIC,
     FermionLayout,
     cycle_matrix,
@@ -19,12 +20,12 @@ from sqmlab.fermions import (
     dirac_propagator_limit,
     fermionic_cycle,
     fswap,
-    gamma_set,
     jw_annihilator,
     jw_ladder,
     parity_operator,
     parity_pair_correlator,
     regulated_mass,
+    slash,
 )
 from sqmlab import experiments, fermions
 from sqmlab.linalg import Operator, SingularMatrixError
@@ -37,33 +38,32 @@ EYE4 = np.eye(4)
 
 
 def test_clifford_relations_exact():
-    g = gamma_set()
     for mu in range(4):
         for nu in range(4):
-            anti = g.gamma(mu) @ g.gamma(nu) + g.gamma(nu) @ g.gamma(mu)
+            anti = GAMMA[mu] @ GAMMA[nu] + GAMMA[nu] @ GAMMA[mu]
             assert np.max(np.abs(anti - 2.0 * METRIC[mu, nu] * EYE4)) <= 1e-14
+    with pytest.raises(ValueError, match="read-only"):
+        GAMMA[0][0, 0] = 2.0
 
 
 def test_gamma_traces():
-    g = gamma_set()
     for mu in range(4):
-        assert np.trace(g.gamma(mu)) == 0.0
+        assert np.trace(GAMMA[mu]) == 0.0
         for nu in range(4):
-            tr = np.trace(g.gamma(mu) @ g.gamma(nu))
+            tr = np.trace(GAMMA[mu] @ GAMMA[nu])
             assert tr == pytest.approx(4.0 * METRIC[mu, nu], abs=1e-14)
 
 
 def test_slash_conventions():
-    g = gamma_set()
-    assert np.array_equal(g.slash((1.0, 0.0, 0.0, 0.0)), g.gamma(0))
+    assert np.array_equal(slash((1.0, 0.0, 0.0, 0.0)), GAMMA[0])
     # lowering a spatial index flips its sign in the (+,-,-,-) signature
-    assert np.array_equal(g.slash((0.0, 1.0, 0.0, 0.0)), -g.gamma(1))
+    assert np.array_equal(slash((0.0, 1.0, 0.0, 0.0)), -GAMMA[1])
     p = (0.9, 0.3, -0.2, 0.1)
-    sq = g.slash(p) @ g.slash(p)
+    sq = slash(p) @ slash(p)
     p_sq = p[0] ** 2 - p[1] ** 2 - p[2] ** 2 - p[3] ** 2
     assert np.allclose(sq, p_sq * EYE4, atol=1e-14)
     with pytest.raises(ValueError):
-        g.slash((1.0, 0.0))
+        slash((1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +288,16 @@ def test_rest_frame_propagator_closed_form():
     got = dirac_mode_propagator((p0, 0.0, 0.0, 0.0), m, tau, eps_i)
     upper = 1.0 / (1.0 - np.exp(1j * tau * (p0 - m_c)))
     lower = 1.0 / (1.0 - np.exp(1j * tau * (p0 + m_c)))
-    expected = np.diag([upper, upper, lower, lower]) @ gamma_set().gamma(0)
+    expected = np.diag([upper, upper, lower, lower]) @ GAMMA[0]
     assert np.max(np.abs(got - expected)) <= 1e-12
 
 
 def test_limit_satisfies_dirac_equation():
-    g = gamma_set()
     p = (0.9, 0.3, -0.2, 0.1)
     eps_i = 1e-3
     m_c = regulated_mass(1.0, eps_i)
     lim = dirac_propagator_limit(p, 1.0, eps_i)
-    assert np.allclose((g.slash(p) - m_c * EYE4) @ lim, 1j * EYE4, atol=1e-13)
+    assert np.allclose((slash(p) - m_c * EYE4) @ lim, 1j * EYE4, atol=1e-13)
 
 
 @pytest.mark.parametrize("p", [(0.35, 0.0, 0.0, 0.0), (0.9, 0.3, -0.2, 0.1)])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_refs import frequency_window
-from sqmlab.grids import FrequencyTower, ModeGrid, frequency_tower
+from sqmlab.grids import ONSHELL_TOL, FrequencyTower, ModeGrid, frequency_tower
 
 
 class TestFrequencyWindow:
@@ -44,6 +44,24 @@ class TestModeGrid:
         grid = ModeGrid(T=8.0, modes=((0, 3),), m=1.0, M_sites=4)
         # site label 3 on a 4-site ring is momentum index -1
         assert grid.momentum(0)[0] == pytest.approx(-2 * math.pi / 4)
+
+    @pytest.mark.parametrize("T", [12.0, 2.0])  # E = 2 pi / T near 0.52 and near 3.14
+    def test_on_shell_bound_is_absolute_below_unit_energy_and_relative_above(self, T):
+        omega = 2 * math.pi * 1 / T
+        bound = ONSHELL_TOL * max(1.0, omega)
+
+        def grid(E):
+            return ModeGrid(T=T, modes=((1,),), energy_override=(E,))
+
+        assert grid(omega).gap(0) == 0.0 and grid(omega).on_shell(0)
+        for sign in (1, -1):
+            assert grid(omega - sign * 0.9 * bound).on_shell(0)
+            assert not grid(omega - sign * 1.1 * bound).on_shell(0)
+
+    def test_spatial_labels_need_a_site_lattice(self):
+        with pytest.raises(ValueError, match="site lattice"):
+            ModeGrid(T=8.0, modes=((0, 3),), m=1.0)
+        assert ModeGrid(T=8.0, modes=((0,),), m=1.0).momentum(0) == ()
 
     def test_override_must_match_mode_count(self):
         with pytest.raises(ValueError):

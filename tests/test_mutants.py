@@ -10,7 +10,7 @@ the reason.
 import numpy as np
 import pytest
 
-from sqmlab import fermions, fock, gaussian, spacetime, timeslab
+from sqmlab import fermions, fock, gaussian, grids, spacetime, timeslab
 from sqmlab.cli import main
 
 # name -> (module, function, wrapper making the faulty version, CLI run)
@@ -64,6 +64,13 @@ MUTANTS = {
         fermions, "parity_pair_correlator",
         lambda f: lambda coeffs: f(coeffs).T,
         ["dirac-propagator"],
+    ),
+    # dirac-nogo's oracle reads which modes the runner pinned on shell, not the
+    # classifier, so brackets kept canonical on the off-shell modes 2 and 3 show
+    "on-shell test always true": (
+        grids.ModeGrid, "on_shell",
+        lambda f: lambda self, k: True,
+        ["dirac-nogo"],
     ),
     # anomaly-scan compares the dense engine's a a† probe with the sector engine's
     "dense creation without its sqrt(n+1) factors": (

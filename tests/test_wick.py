@@ -302,9 +302,8 @@ def test_argument_validation():
         smatrix_element(grid, (0, 1), (2, 3), 0.3, 2, tau=0.05, eps_i=0.05)
     with pytest.raises(ValueError, match="2->2"):
         smatrix_element(grid, (0,), (2, 3), 0.3, 1, tau=0.05, eps_i=0.05)
-    nosites = ModeGrid(T=60.0, modes=((5, 1), (2, 2), (2, 0), (5, 3)), m=1.0)
     with pytest.raises(ValueError, match="site lattice"):
-        smatrix_element(nosites, (0, 1), (2, 3), 0.3, 1, tau=0.05, eps_i=0.05)
+        ModeGrid(T=60.0, modes=((5, 1), (2, 2), (2, 0), (5, 3)), m=1.0)
     # degenerate windows, regulators and lattices, at both orders
     zero_sites = conserving_grid(M=0)
     for order in (1, 2):
