@@ -238,11 +238,13 @@ def _on_shell_grid(T: float, M: int, modes: tuple) -> ModeGrid:
 def run_dirac_nogo(params: dict) -> Iterator[dict]:
     _require_positive(params, "T")
     T = params["T"]
-    # modes 0 and 1 pinned to their grid frequency, 2 and 3 left to the dispersion
+    # modes 0 and 1 pinned to their grid frequency, 2 and 3 left to the
+    # dispersion where no mass puts them on shell: (0, 1) has omega = 0 < E
+    # (E >= pi on two sites) and (-1, 0) has omega < 0 <= E
     pinned = (2 * math.pi * 1 / T, 2 * math.pi * 2 / T, None, None)
     grid = ModeGrid(
         T=T,
-        modes=((1, 0), (2, 1), (3, 0), (5, 1)),
+        modes=((1, 0), (2, 1), (0, 1), (-1, 0)),
         m=params["mass"],
         M_sites=2,
         energy_override=pinned,

@@ -70,6 +70,8 @@ class ModeGrid:
             raise ValueError("need T > 0")
         if ranks != {1} and self.M_sites is None:
             raise ValueError("spatial labels need a site lattice: set M_sites")
+        if self.M_sites is not None and self.M_sites < 1:
+            raise ValueError(f"need M_sites >= 1 lattice sites, got {self.M_sites}")
         if self.energy_override is not None and len(self.energy_override) != len(modes):
             raise ValueError("energy_override must list one entry per mode")
 

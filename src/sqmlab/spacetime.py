@@ -30,17 +30,24 @@ the diagonal blocks of the traced slices: they are partial traces by
 one einsum that reads the traced factors' diagonal, and an insertion
 trace is then a trace of the inserted operators against the reduced
 state on the inserted slices.  Powers are never multiplied out
-densely: left multiplication by R is one slab apply with the
-last-slice factor build_R formed and the state keeps, trace included,
+densely.  The boundary is rank one, V†·b·V / Tr = V†|psi0><omega|
+with <omega| = <psi0|·V^{-N}·V / Tr, and V carries V†|psi0> back to
+|psi0> on slice N-1, which C moves to slice 0; so left multiplication
+by R needs only the bra the state keeps,
 
-    R · M = E · embed(last, N-1) · M,      last = V†·b·V / Tr,
+    R · M = |psi0> ⊗ [V^{⊗(N-1)} · (I ⊗ <omega|) · M]:
 
-in ⌈N/g⌉ matmuls of d^g <= 16 per column instead of O(D³), and
+one matmul contracts M's last row slice axis with <omega|, the fused
+V-groups of slices 0..N-2 act on the D/d-row result
+(QuantumAction.apply_head, ⌈(N-1)/g⌉ matmuls of d^g <= 16 per column
+instead of O(D³)), and one broadcast product with psi0 writes the D
+rows already cycled.  Then
 
     Tr R^k = sum_ij (R^a)_ij (R^b)_ji,      a = ceil(k/2), b = floor(k/2),
 
-with R^a built from the stored R by a-1 such applies and R^b met on
-the way, so Tr R^k costs floor((k-1)/2) applies instead of k-1.  The
+with R^a built from the stored R by a-1 such left multiplications and
+R^b met on the way, so Tr R^k costs floor((k-1)/2) of them instead of
+k-1, each with its group passes on D/d rows.  The
 sum reads R^b transposed, so it runs over t x t tiles (t the largest
 divisor of D up to 32): tile (I, J) of R^a meets tile (J, I) of R^b,
 and the transposed read walks rows of t entries instead of striding a
@@ -66,13 +73,15 @@ class SpacetimeState:
 
     `site_dims` optionally factorizes each slice into spatial sites,
     enabling reductions onto spacetime regions of (slice, site) cells.
-    `action` and `last` are the slab action E and the last-slice factor
-    V†·b·V / Tr that R was built from, R = E · embed(last, N-1).
+    `action` is the slab action E that R was built from, and `omega`
+    holds the entries of the bra <omega| = <psi0|·V^{-N}·V / Tr, a
+    read-only d-vector: R's last-slice factor is the rank-one
+    V†|psi0><omega|, so R · M = |psi0> ⊗ [V^{⊗(N-1)} · (I ⊗ <omega|) · M].
     """
 
     R: Operator
     action: QuantumAction
-    last: np.ndarray
+    omega: np.ndarray
     psi0: Ket
     site_dims: Optional[tuple[int, ...]] = None
 
@@ -110,8 +119,8 @@ def build_R(
     R_raw = E · embed(V†·b·V, N-1) comes from one dense build of the
     action; its trace scales it in place, and the Operator copy carries
     the final dims (site_dims per slice when given).  The state keeps
-    the last-slice factor divided by the same trace, the one factor its
-    powers apply.
+    the bra <omega| = <psi0|·V^{-N}·V divided by the same trace, all
+    that its left multiplications read of the boundary.
     """
     if abs(psi0.norm() - 1.0) > 1e-12:
         raise ValueError("psi0 must be normalized")
@@ -123,17 +132,17 @@ def build_R(
             raise ValueError("site_dims must factorize the slice dimension")
         dims = site_dims * N
     qa = build_action(layout, H)
-    V = qa.V.mat
+    V, unwind = qa.V.mat, expm(1j * eps * N * H)
     # embed(b, 0)·E = E·embed(V†·b·V, N-1), as C carries slice N-1 to 0
-    last = V.conj().T @ (psi0.outer() @ expm(1j * eps * N * H)).mat @ V
+    last = V.conj().T @ (psi0.outer() @ unwind).mat @ V
     raw = qa.dense({N - 1: last})
     tr = complex(np.trace(raw))
     if abs(tr) < 1e-14:
         raise ValueError("spacetime state has numerically zero trace")
     raw *= 1.0 / tr
-    last = last / tr
-    last.flags.writeable = False  # read-only, as R's Operator buffer is
-    return SpacetimeState(R=Operator(raw, dims), action=qa, last=last, psi0=psi0,
+    omega = psi0.vec.conj() @ unwind.mat @ V / tr
+    omega.flags.writeable = False  # read-only, as R's Operator buffer is
+    return SpacetimeState(R=Operator(raw, dims), action=qa, omega=omega, psi0=psi0,
                           site_dims=site_dims)
 
 
@@ -199,33 +208,44 @@ def power_and_pseudoentropy(
     """(R^k on demand, Tr[R^k]).  For pure unitary provenance Tr[R^k] = 1 for all k.
 
     R^a, a = ceil(k/2), is R·(R·(...·R)) with the stored R as the
-    rightmost factor and each left multiplication applied through R's
-    slab factors (E with st.last, the factor build_R folded the boundary
-    and the trace into, on slice N-1); R^b, b = floor(k/2), is the last
-    or the next-to-last matrix of that loop, and Tr[R^k] =
+    rightmost factor and each left multiplication taken through R's
+    rank-one boundary (`_left_multiply`); R^b, b = floor(k/2), is the
+    last or the next-to-last matrix of that loop, and Tr[R^k] =
     sum_ij (R^a)_ij (R^b)_ji, summed over t x t tiles of both
     (`_trace_of_product`).  The stored R is a factor of both halves, so
     a fault in it still shows in the trace.  The first element is a
-    zero-argument callable that builds R^k by k-1 of the same applies
-    when called.
+    zero-argument callable that builds R^k by k-1 of the same left
+    multiplications when called.
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    last = {st.N - 1: st.last}
 
     def power() -> Operator:
         M = st.R.mat
         for _ in range(k - 1):
-            M = st.action.apply(M, last)
+            M = _left_multiply(st, M)
         return Operator(M, st.R.dims)
 
     Rb, Ra = None, st.R.mat
     for _ in range((k - 1) // 2):
-        Rb, Ra = Ra, st.action.apply(Ra, last)
+        Rb, Ra = Ra, _left_multiply(st, Ra)
     if k % 2 == 0:
         Rb = Ra
     tr = np.trace(Ra) if Rb is None else _trace_of_product(Ra, Rb)
     return power, complex(tr)
+
+
+def _left_multiply(st: SpacetimeState, M: np.ndarray) -> np.ndarray:
+    """R · M for a (D, k) matrix M, as |psi0> ⊗ [V^{⊗(N-1)} · (I ⊗ <omega|) · M].
+
+    <omega| contracts M's last row slice axis (one matmul), the fused
+    V-groups of slices 0..N-2 act on the D/d-row result
+    (`QuantumAction.apply_head`), and one broadcast product puts psi0 on
+    slice 0: C has carried slice N-1 there, so the rows come out cycled.
+    """
+    d, k = st.layout.d, M.shape[1]
+    W = st.action.apply_head(np.matmul(st.omega, M.reshape(-1, d, k)))
+    return (st.psi0.vec[:, None, None] * W).reshape(-1, k)
 
 
 def _trace_of_product(A: np.ndarray, B: np.ndarray) -> complex:

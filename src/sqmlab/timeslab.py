@@ -24,7 +24,10 @@ group may be shorter), and each group acts as one d^g x d^g block, the
 kron of its slices' local factors; that is ⌈N/g⌉ matmuls of d^g <= 16
 per column instead of N of d.  The all-V blocks are kept once per
 action (`QuantumAction._groups`); a group holding an insertion builds
-its block per call (`QuantumAction._blocks` makes that choice).  Where
+its block per call (`QuantumAction._blocks` makes that choice).  The
+same groups without slice N-1 act on D/d-row matrices
+(`QuantumAction.apply_head`), for a caller that handles slice N-1
+itself, as the spacetime state's rank-one boundary does.  Where
 a state needs E as a matrix, `QuantumAction.dense` assembles
 E·(⊗_t F_t) from the same group blocks as their broadcast kron, folded
 from the right, and one roll of the row slice axes, with no matrix
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -144,10 +147,20 @@ class QuantumAction:
         M = np.asarray(M)
         if M.ndim != 2 or M.shape[0] != layout.total_dim:
             raise ValueError(f"need a ({layout.total_dim}, k) matrix, got shape {M.shape}")
-        d, k = layout.d, M.shape[1]
-        for slices, block in self._blocks(factors or {}):
-            M = np.matmul(block, M.reshape(d**slices.start, len(block), -1)).reshape(-1, k)
-        return _cycle_rows(layout, M)
+        return _cycle_rows(layout, _through_groups(self._blocks(factors or {}), M, layout.d))
+
+    def apply_head(self, W: np.ndarray) -> np.ndarray:
+        """(V ⊗ ... ⊗ V) over slices 0..N-2 times a (D/d, k) matrix W.
+
+        The rows of W are the first N-1 slice axes; the groups of `apply`
+        act on them without slice N-1 (`_head_groups`), and no roll
+        follows: where slice N-1 goes is the caller's.
+        """
+        rows = self.layout.total_dim // self.layout.d
+        W = np.asarray(W)
+        if W.ndim != 2 or W.shape[0] != rows:
+            raise ValueError(f"need a ({rows}, k) matrix, got shape {W.shape}")
+        return _through_groups(self._head_groups, W, self.layout.d)
 
     def dense(self, factors: Optional[Mapping[int, np.ndarray]] = None) -> np.ndarray:
         """E · (⊗_t factors[t]) as a new D x D array, with `apply`'s factor convention.
@@ -185,6 +198,25 @@ class QuantumAction:
             (range(s, min(s + g, N)), reduce(_block_kron, [self.V.mat] * min(g, N - s)))
             for s in range(0, N, g)
         )
+
+    @cached_property
+    def _head_groups(self) -> tuple[tuple[range, np.ndarray], ...]:
+        """`_groups` without slice N-1: the last group, which holds it, drops it
+        and gets the shorter all-V block, or goes if it held only that slice."""
+        *head, (slices, _) = self._groups
+        if len(slices) > 1:
+            head.append((slices[:-1], reduce(_block_kron, [self.V.mat] * (len(slices) - 1))))
+        return tuple(head)
+
+
+def _through_groups(
+    groups: Iterable[tuple[range, np.ndarray]], M: np.ndarray, d: int
+) -> np.ndarray:
+    """Each group's block applied to its slices' axes of M's rows, slice 0 first."""
+    k = M.shape[1]
+    for slices, block in groups:
+        M = np.matmul(block, M.reshape(d**slices.start, len(block), -1)).reshape(-1, k)
+    return M
 
 
 def build_action(layout: SliceLayout, H: Operator) -> QuantumAction:

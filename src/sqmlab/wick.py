@@ -167,8 +167,8 @@ def smatrix_element(
         raise ValueError("order 2 computes the pair channel only: pass channel='s'")
     if len(in_modes) != 2 or len(out_modes) != 2:
         raise ValueError("only 2->2 processes are supported")
-    if grid.M_sites is None or grid.M_sites < 1:
-        raise ValueError("quartic amplitudes need a site lattice (M_sites >= 1)")
+    if grid.M_sites is None:
+        raise ValueError("quartic amplitudes need a site lattice (M_sites)")
     if tau <= 0 or eps_i <= 0:
         raise ValueError(f"need tau > 0 and eps_i > 0, got tau={tau!r}, eps_i={eps_i!r}")
     M = grid.M_sites

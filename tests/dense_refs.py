@@ -31,7 +31,7 @@ from scipy import sparse
 
 from sqmlab import fock, gaussian, grids, wick
 from sqmlab.fermions import FermionLayout, jw_ladder, parity_matrix
-from sqmlab.linalg import Ket, Operator
+from sqmlab.linalg import Ket, Operator, expm
 from sqmlab.timeslab import QuantumAction, SliceLayout, slice_factors
 
 
@@ -97,6 +97,15 @@ def embed_at_slice(O: Operator, t: int, layout: SliceLayout) -> Operator:
     right = identity((layout.d,) * (layout.N - 1 - t)) if t < layout.N - 1 else None
     factors = [f for f in (left, O, right) if f is not None]
     return kron(*factors)
+
+
+def spacetime_state(psi: Ket, H: Operator, eps: float, N: int) -> np.ndarray:
+    """Dense R = embed(|psi><psi|·V^{-N}, 0) · C · V^{⊗N} / Tr, V = exp(-i eps H)."""
+    layout = SliceLayout(d=psi.dim, N=N, eps=eps)
+    V = expm(-1j * eps * H)
+    b = psi.outer() @ expm(1j * eps * N * H)
+    raw = (embed_at_slice(b, 0, layout) @ cycle_shift(layout) @ kron(*([V] * N))).mat
+    return raw / np.trace(raw)
 
 
 def constraint_expectation_columns(

@@ -586,6 +586,16 @@ def test_every_experiment_passes_at_its_defaults(argv, tmp_path, capsys):
     assert " 0 failures" in capsys.readouterr().out
 
 
+# at T = 7 the masses 6 pi / 7 and sqrt((10 pi / 7)^2 - pi^2) put the grid
+# frequencies of (3, 0) and (5, 1) on the dispersion; the modes dirac-nogo
+# leaves to the dispersion, (0, 1) and (-1, 0), stay off shell at any mass
+@pytest.mark.parametrize(
+    "mass", [0.0, 6 * math.pi / 7, math.sqrt((10 * math.pi / 7) ** 2 - math.pi**2)])
+def test_dirac_nogo_passes_at_every_mass(mass, tmp_path, capsys):
+    assert main(["dirac-nogo", "--mass", repr(mass), "--out", str(tmp_path)]) == 0
+    assert " 0 failures" in capsys.readouterr().out
+
+
 # run -> (case count, sha256 of the sorted [case key, inputs] pairs) at the
 # defaults.  Inputs come from RNG integers and scalar Python arithmetic,
 # never from BLAS, so the table holds on any machine; it pins what every
@@ -594,7 +604,7 @@ CASE_DRAWS = {
     "anomaly-scan": (16, "048c266501a34dc8778a8639cdde7c8987ed1cac2f059733761b9603388391dc"),
     "causality-witness": (25, "d3b8be6a306d95ff44c600a1f92699af4350864d8c628f058d8c018070272797"),
     "constraint-theorem": (50, "a6d34a2f9dfb6f45b490c646b24d86ad4bf0b989e8f48267cae547d6b268069e"),
-    "dirac-nogo": (8, "b25fc7884cb0e3ede0971ebc3a79a38b3d24b2fa0d012ce5c9a214492dcbaecc"),
+    "dirac-nogo": (8, "80e6c3b09af8f6ec4149007fef6b42402d3bf00d72052e2f4f0c424e54876f30"),
     "dirac-propagator": (8, "338d7409551b8c673a8008e262be8430c5a88f7df7bb5a7ca4c4df52e96fbfbb"),
     "fswap-cycle": (7, "cc9c6fbf1387c01df16681d9a5299b53f4379bd5ed4a00293177732b08b818cf"),
     "paw-conditioning": (50, "11a2b077124bde0785eb0df7d43f4051d383589728241d98652c0b1eb8c6a211"),

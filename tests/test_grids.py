@@ -63,6 +63,12 @@ class TestModeGrid:
             ModeGrid(T=8.0, modes=((0, 3),), m=1.0)
         assert ModeGrid(T=8.0, modes=((0,),), m=1.0).momentum(0) == ()
 
+    @pytest.mark.parametrize("M", [0, -2])
+    def test_site_lattice_needs_a_site(self, M):
+        # refused where the grid is built, not as a ZeroDivisionError in energy()
+        with pytest.raises(ValueError, match=rf"need M_sites >= 1 lattice sites, got {M}"):
+            ModeGrid(T=60.0, modes=((5, 1),), m=1.0, M_sites=M)
+
     def test_override_must_match_mode_count(self):
         with pytest.raises(ValueError):
             ModeGrid(T=5.0, modes=((1,), (2,)), energy_override=(1.0,))

@@ -7,6 +7,8 @@ no default run can tell from the original is listed in EQUIVALENT with
 the reason.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,19 @@ MUTANTS = {
         spacetime, "_trace_of_product",
         lambda f: lambda A, B: f(A, B.T),
         ["st-state-marginals"],
+    ),
+    # R·M writes psi0 on slice 0, where C carries slice N-1: psi0 on the
+    # last slice axis leaves the rows uncycled, and Tr R^k for k >= 3 moves
+    "rows of R·M left uncycled": (
+        spacetime, "_left_multiply",
+        lambda f: lambda st, M: _uncycled(f(st, M), st.layout.d),
+        ["st-state-marginals"],
+    ),
+    # R·M contracts M's last slice with the stored <omega|, not with its conjugate
+    "omega conjugated": (
+        spacetime, "_left_multiply",
+        lambda f: lambda st, M: f(dataclasses.replace(st, omega=st.omega.conj()), M),
+        ["pseudo-entropy"],
     ),
     # the Bose law 1/(e^lam - 1) feeds tau_mode_correlator, whose tau -> 0 limit
     # and halving ratio propagator checks against i/(gap + i eps_i)
@@ -91,6 +106,12 @@ EQUIVALENT = {
     )
     for attr in ("create", "annihilate")
 }
+
+
+def _uncycled(RM, d):
+    """R·M with its first row slice axis moved to the last place."""
+    k = RM.shape[1]
+    return RM.reshape(d, -1, k).transpose(1, 0, 2).reshape(-1, k)
 
 
 def _bare_create(self, leg, v):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from sqmlab.experiments import DEFAULTS
 from sqmlab.linalg import Operator, expm, rand_ginibre, rand_hermitian, rand_ket
 from sqmlab.spacetime import (
+    _left_multiply,
     _trace_of_product,
     build_R,
     causality_witness,
@@ -20,7 +21,7 @@ from sqmlab.spacetime import (
     renyi_pseudoentropy,
 )
 
-from dense_refs import cycle_shift, embed_at_slice, kron
+from dense_refs import cycle_shift, embed_at_slice, kron, spacetime_state
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -30,8 +31,11 @@ def _state(seed: int, d: int = 2, N: int = 3, eps: float = 0.29, site_dims=None)
     return build_R(rand_ket(rng, d), rand_hermitian(rng, d), eps, N, site_dims=site_dims)
 
 
-# (d, N, site_dims): two states at D <= 256 and two at D >= 512
-POWER_STATES = [(2, 3, None), (4, 3, (2, 2)), (2, 9, None), (8, 3, (2, 4))]
+# (d, N, site_dims): two states at D <= 256 and two at D >= 512; then N = 1,
+# slice N-1 alone in its fused group (d = 2, N = 5; d = 3, N = 3; and d = 4,
+# N = 3 above) and sharing it (d = 2, N = 6), for R·M through <omega|
+POWER_STATES = [(2, 3, None), (4, 3, (2, 2)), (2, 9, None), (8, 3, (2, 4)),
+                (2, 1, None), (2, 5, None), (3, 3, None), (2, 6, None)]
 
 
 class TestMarginals:
@@ -65,12 +69,25 @@ class TestMarginals:
             assert abs(tr - np.trace(Rk.mat)) <= 1e-12 * np.max(np.abs(Rk.mat))
 
     @pytest.mark.parametrize("d, N, site_dims", POWER_STATES)
+    def test_left_multiply_matches_the_dense_reference(self, d, N, site_dims):
+        rng = np.random.default_rng(40 + N)
+        psi, H = rand_ket(rng, d), rand_hermitian(rng, d)
+        st_state = build_R(psi, H, 0.29, N, site_dims=site_dims)
+        R = spacetime_state(psi, H, 0.29, N)
+        for k in (1, 3, 2 * d**N):
+            M = rng.standard_normal((d**N, k)) + 1j * rng.standard_normal((d**N, k))
+            RM = _left_multiply(st_state, M)
+            assert RM.shape == (d**N, k)
+            np.testing.assert_allclose(RM, R @ M, rtol=0, atol=1e-12 * np.abs(R @ M).max())
+
+    @pytest.mark.parametrize("d, N, site_dims", POWER_STATES)
     def test_rescaled_state_has_geometric_trace_powers(self, d, N, site_dims):
-        # c·R, both stored and in the slab factors, has Tr (cR)^k = c^k, so a
-        # half power of the wrong order shows as a wrong power of c
+        # c·R, both stored and in the rank-one boundary <omega|, has
+        # Tr (cR)^k = c^k, so a half power of the wrong order shows as a
+        # wrong power of c
         st_state = _state(30 + N, d=d, N=N, site_dims=site_dims)
         c = 1.25
-        scaled = dataclasses.replace(st_state, R=c * st_state.R, last=c * st_state.last)
+        scaled = dataclasses.replace(st_state, R=c * st_state.R, omega=c * st_state.omega)
         for k in range(1, 7):
             assert power_and_pseudoentropy(scaled, k)[1] == pytest.approx(c**k, rel=1e-12)
 
@@ -192,10 +209,10 @@ class TestStructuredAgainstDense:
         b = psi.outer() @ expm(1j * 0.33 * N * H)
         raw = (embed_at_slice(b, 0, lay) @ cycle_shift(lay) @ kron(*([V] * N))).mat
         np.testing.assert_allclose(R, raw / np.trace(raw), atol=1e-12)
-        # the kept last-slice factor that the powers apply, frozen like R
-        last = (V.dag() @ b @ V).mat / np.trace(raw)
-        np.testing.assert_allclose(st_state.last, last, atol=1e-12)
-        assert not st_state.last.flags.writeable
+        # the kept boundary bra <psi0|V^{-N}·V / Tr that the powers apply, frozen like R
+        omega = (psi.vec.conj() @ expm(1j * 0.33 * N * H).mat @ V.mat) / np.trace(raw)
+        np.testing.assert_allclose(st_state.omega, omega, atol=1e-12)
+        assert not st_state.omega.flags.writeable
         A, B = rand_hermitian(rng, d), rand_hermitian(rng, d)
         for t in range(1, N):
             X = (embed_at_slice(A, 0, lay) @ embed_at_slice(B, t, lay)).mat

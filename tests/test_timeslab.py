@@ -178,6 +178,24 @@ class TestFusedGroups:
         for slices, block in qa._groups:
             np.testing.assert_allclose(block, kron(*([V] * len(slices))).mat, atol=1e-14)
 
+    # the group holding slice N-1 drops it: lone (2, 5), (3, 3), (4, 3), (2, 9)
+    # and N = 1 lose their last group, shared (2, 6) and (2, 3) shorten it
+    @pytest.mark.parametrize("d, N, sizes", [
+        (2, 1, []), (2, 3, [2]), (2, 5, [4]), (2, 6, [4, 1]), (2, 9, [4, 4]),
+        (3, 3, [2]), (4, 3, [2]),
+    ])
+    def test_head_groups_leave_out_the_last_slice(self, d, N, sizes):
+        rng = np.random.default_rng(d * N)
+        qa = build_action(SliceLayout(d=d, N=N, eps=0.3), rand_hermitian(rng, d))
+        assert [len(slices) for slices, _ in qa._head_groups] == sizes
+        V = expm(-0.3j * qa.H)
+        rows = d ** (N - 1)
+        W = rng.standard_normal((rows, 3)) + 1j * rng.standard_normal((rows, 3))
+        head = kron(*([V] * (N - 1))).mat if N > 1 else np.eye(1)
+        np.testing.assert_allclose(qa.apply_head(W), head @ W, atol=1e-13)
+        with pytest.raises(ValueError, match=rf"need a \({rows}, k\) matrix"):
+            qa.apply_head(np.ones((d * rows, 3)))
+
     def test_one_dimensional_slices(self):
         """d = 1: every d**g fits, so one group of all N slices; E is the phase V^N."""
         rng = np.random.default_rng(5)

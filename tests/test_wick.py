@@ -304,11 +304,14 @@ def test_argument_validation():
         smatrix_element(grid, (0,), (2, 3), 0.3, 1, tau=0.05, eps_i=0.05)
     with pytest.raises(ValueError, match="site lattice"):
         ModeGrid(T=60.0, modes=((5, 1), (2, 2), (2, 0), (5, 3)), m=1.0)
+    # a lattice of no sites is refused where the grid is built
+    with pytest.raises(ValueError, match="M_sites >= 1"):
+        conserving_grid(M=0)
     # degenerate windows, regulators and lattices, at both orders
-    zero_sites = conserving_grid(M=0)
+    no_sites = ModeGrid(T=60.0, modes=((5,), (2,), (2,), (5,)), m=1.0)
     for order in (1, 2):
         with pytest.raises(ValueError, match="site lattice"):
-            smatrix_element(zero_sites, (0, 1), (2, 3), 0.3, order, tau=0.05, eps_i=0.05,
+            smatrix_element(no_sites, (0, 1), (2, 3), 0.3, order, tau=0.05, eps_i=0.05,
                             channel="s")
         for tau, eps_i in [(0.0, 0.05), (-0.05, 0.05), (0.05, 0.0), (0.05, -0.05)]:
             with pytest.raises(ValueError, match="tau > 0 and eps_i > 0"):
