@@ -57,7 +57,7 @@ class ClockSystem:
 
     def evolved(self, t: int) -> Ket:
         """U^t |psi0> by numpy's repeated squaring (the conditioning checks' oracle)."""
-        return Ket(np.linalg.matrix_power(self.U.mat, t) @ self.psi0.vec, self.U.dims)
+        return Ket(np.linalg.matrix_power(self.U.mat, t) @ self.psi0.vec)
 
 
 def history_state(cs: ClockSystem) -> Ket:
@@ -68,7 +68,7 @@ def history_state(cs: ClockSystem) -> Ket:
     for t in range(cs.N):
         vec[t * d : (t + 1) * d] = psi
         psi = cs.U.mat @ psi
-    return Ket(vec / np.sqrt(cs.N), (cs.N, d))
+    return Ket(vec / np.sqrt(cs.N))
 
 
 def conditioned_expectation(cs: ClockSystem, O: Operator, t: int) -> complex:

@@ -91,7 +91,7 @@ def fswap() -> Operator:
             [0.0, 0.0, 0.0, 1.0],
         ]
     )
-    return Operator(mat, (2, 2))
+    return Operator(mat)
 
 
 @dataclass(frozen=True)
@@ -122,10 +122,6 @@ class FermionLayout:
     def dim(self) -> int:
         return 2**self.legs
 
-    @property
-    def leg_dims(self) -> tuple[int, ...]:
-        return (2,) * self.legs
-
     def leg(self, t: int, m: int) -> int:
         if not (0 <= t < self.N and 0 <= m < self.M):
             raise ValueError(f"mode (t={t}, m={m}) outside the {self.N}x{self.M} lattice")
@@ -150,7 +146,7 @@ def jw_ladder(layout: FermionLayout, leg: int) -> sparse.csr_array:
 
 def jw_annihilator(layout: FermionLayout, t: int, m: int) -> Operator:
     """Real float64 dense view of jw_ladder: c(t, m) with the string over lower legs."""
-    return Operator(jw_ladder(layout, layout.leg(t, m)).toarray(), layout.leg_dims)
+    return Operator(jw_ladder(layout, layout.leg(t, m)).toarray())
 
 
 def parity_matrix(layout: FermionLayout) -> sparse.csr_array:
@@ -162,7 +158,7 @@ def parity_matrix(layout: FermionLayout) -> sparse.csr_array:
 
 def parity_operator(layout: FermionLayout) -> Operator:
     """Real float64 dense view of parity_matrix."""
-    return Operator(parity_matrix(layout).toarray(), layout.leg_dims)
+    return Operator(parity_matrix(layout).toarray())
 
 
 def _compose(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]):
@@ -223,7 +219,7 @@ def cycle_signs(layout: FermionLayout) -> tuple[int, ...]:
 
 def fermionic_cycle(layout: FermionLayout) -> tuple[Operator, tuple[int, ...]]:
     """Real float64 dense view of cycle_matrix, with the signs of cycle_signs."""
-    return Operator(cycle_matrix(layout).toarray(), layout.leg_dims), cycle_signs(layout)
+    return Operator(cycle_matrix(layout).toarray()), cycle_signs(layout)
 
 
 def parity_pair_correlator(coeffs: np.ndarray) -> np.ndarray:

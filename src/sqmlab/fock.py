@@ -193,8 +193,6 @@ def naive_conditioning_check(
     Either engine evaluates the slab value as a norm, N*||a v||^2 for
     the normal-ordered probe and N*||a† v||^2 for the other.
     """
-    if not 0 <= t < lf.N:
-        raise ValueError(f"slice {t} out of range")
     if not normal_ordered and lf.n_max < 2:
         raise ValueError("non-normal-ordered probe needs n_max >= 2 for the oracle")
     leg = lf.leg(t, p)

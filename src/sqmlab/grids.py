@@ -96,8 +96,7 @@ class ModeGrid:
     def energy(self, k: int) -> float:
         if self.energy_override is not None and self.energy_override[k] is not None:
             return float(self.energy_override[k])
-        p2 = sum(p * p for p in self.momentum(k))
-        return math.sqrt(p2 + self.m * self.m)
+        return math.hypot(*self.momentum(k), self.m)
 
     def gap(self, k: int) -> float:
         return self.omega(k) - self.energy(k)

@@ -2,13 +2,16 @@
 
 Everything downstream (history states, time slabs, spacetime density
 operators, Wick engines) manipulates operators on a tensor product of
-small local Hilbert spaces.  This module fixes the single global index
-convention — factor 0 is the slowest-varying (leftmost) kron index —
-and supplies the plumbing: partial traces over arbitrary factor
-subsets, matrix exponentials and guarded inverses, and seeded random
-operator ensembles.  Integer powers are numpy's `matrix_power`, traces
-`np.trace` of `.mat`; the np.kron-built tensor product is a test
-reference (`tests/dense_refs.py`).
+small local Hilbert spaces.  An operator here is its matrix and
+nothing more: how its index space factors is the business of the one
+caller that reads it, which hands the factor sizes to `partial_trace`
+(the spacetime state does, from its slices and sites).  This module
+fixes the single global index convention — factor 0 is the
+slowest-varying (leftmost) kron index — and supplies the plumbing:
+partial traces over arbitrary factor subsets, matrix exponentials and
+guarded inverses, and seeded random operator ensembles.  Integer
+powers are numpy's `matrix_power`, traces `np.trace` of `.mat`; the
+np.kron-built tensor product is a test reference (`tests/dense_refs.py`).
 
 Dense storage only; the intended regime is total dimension ≲ 4096.
 Entries are complex128, except that float64 input stays float64: real
@@ -40,37 +43,27 @@ def _as_square_matrix(entries) -> np.ndarray:
 
 
 class Operator:
-    """Square matrix with an attached factorization of its index space.
+    """Immutable square matrix.
 
     Parameters
     ----------
     entries : array_like
-        Square matrix of size (prod(dims), prod(dims)); kept as float64
-        if it is float64, stored as complex128 otherwise.
-    dims : sequence of int
-        Local dimension of each tensor factor, factor 0 first (slowest
-        varying index, i.e. the leftmost factor of a kron product).
+        Square matrix; kept as float64 if it is float64, stored as
+        complex128 otherwise.
 
     Notes
     -----
-    Instances are immutable: ``dims`` is a tuple and the entry buffer is
-    write-protected.  All arithmetic returns new instances.
+    An operator is its matrix: how its index space factors into
+    tensor factors is known only to the caller that traces some of
+    them out (`partial_trace`).  The entry buffer is write-protected,
+    and all arithmetic returns new instances.
     """
 
-    __slots__ = ("dims", "mat")
+    __slots__ = ("mat",)
 
-    def __init__(self, entries, dims: Sequence[int] | None = None):
-        mat = _as_square_matrix(entries)
-        if dims is None:
-            dims = (mat.shape[0],)
-        dims = tuple(int(d) for d in dims)
-        if any(d < 1 for d in dims):
-            raise ValueError(f"local dimensions must be positive, got {dims}")
-        if math.prod(dims) != mat.shape[0]:
-            raise ValueError(f"prod(dims)={math.prod(dims)} != matrix size {mat.shape[0]}")
-        mat = mat.copy()
+    def __init__(self, entries):
+        mat = _as_square_matrix(entries).copy()
         mat.flags.writeable = False
-        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "mat", mat)
 
     def __setattr__(self, name, value):
@@ -81,9 +74,6 @@ class Operator:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    def dag(self) -> "Operator":
-        return Operator(self.mat.conj().T, self.dims)
 
     def norm(self) -> float:
         """Frobenius norm of the entries."""
@@ -99,32 +89,25 @@ class Operator:
         if isinstance(other, Operator):
             if other.dim != self.dim:
                 raise ValueError("operator size mismatch")
-            return Operator(self.mat @ other.mat, self.dims)
+            return Operator(self.mat @ other.mat)
         if isinstance(other, Ket):
-            return Ket(self.mat @ other.vec, self.dims)
+            return Ket(self.mat @ other.vec)
         return NotImplemented
 
     def __mul__(self, scalar):
-        return Operator(self.mat * complex(scalar), self.dims)
+        return Operator(self.mat * complex(scalar))
 
     __rmul__ = __mul__
 
 
 class Ket:
-    """Complex vector on the same factorized index space as Operator."""
+    """Immutable complex vector, the column counterpart of Operator."""
 
-    __slots__ = ("dims", "vec")
+    __slots__ = ("vec",)
 
-    def __init__(self, entries, dims: Sequence[int] | None = None):
-        vec = np.asarray(entries, dtype=complex).reshape(-1)
-        if dims is None:
-            dims = (vec.shape[0],)
-        dims = tuple(int(d) for d in dims)
-        if math.prod(dims) != vec.shape[0]:
-            raise ValueError(f"prod(dims)={math.prod(dims)} != vector length {vec.shape[0]}")
-        vec = vec.copy()
+    def __init__(self, entries):
+        vec = np.array(entries, dtype=complex).reshape(-1)
         vec.flags.writeable = False
-        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "vec", vec)
 
     def __setattr__(self, name, value):
@@ -144,19 +127,23 @@ class Ket:
     def outer(self, other: "Ket | None" = None) -> Operator:
         """|self⟩⟨other| (defaults to the projector |self⟩⟨self|)."""
         bra = self if other is None else other
-        return Operator(np.outer(self.vec, bra.vec.conj()), self.dims)
+        return Operator(np.outer(self.vec, bra.vec.conj()))
 
 
 # ---------------------------------------------------------------------------
 # partial trace
 
 
-def partial_trace(A: Operator, keep: Iterable[int]) -> Operator:
+def partial_trace(A: Operator, dims: Sequence[int], keep: Iterable[int]) -> Operator:
     """Trace out every factor not listed in `keep`.
 
     Parameters
     ----------
     A : Operator
+    dims : sequence of int
+        Size of each tensor factor of A's index space, factor 0 first
+        (slowest varying index, i.e. the leftmost factor of a kron
+        product); their product must be A's size.
     keep : iterable of int
         Factor indices to retain.  Ordering of the retained factors is
         preserved regardless of the order given here.
@@ -164,15 +151,21 @@ def partial_trace(A: Operator, keep: Iterable[int]) -> Operator:
     Returns
     -------
     Operator
-        dims restricted to `keep`; trace is preserved up to rounding.
+        On the product of the kept factors; trace is preserved up to
+        rounding.
 
     One `np.einsum` over the (row factors, column factors) tensor: a
     traced factor's column axis carries its row label, so only the
     diagonal of the traced factors is read and no intermediate of the
     untraced size is built.
     """
+    dims = tuple(int(d) for d in dims)
+    if any(d < 1 for d in dims):
+        raise ValueError(f"local dimensions must be positive, got {dims}")
+    if math.prod(dims) != A.dim:
+        raise ValueError(f"prod(dims)={math.prod(dims)} != matrix size {A.dim}")
     keep_set = set(int(k) for k in keep)
-    n = len(A.dims)
+    n = len(dims)
     for k in keep_set:
         if not 0 <= k < n:
             raise IndexError(f"keep index {k} out of range for {n} factors")
@@ -181,11 +174,10 @@ def partial_trace(A: Operator, keep: Iterable[int]) -> Operator:
         return A
 
     cols = [n + i if i in keep_set else i for i in range(n)]
-    tensor = np.einsum(A.mat.reshape(A.dims + A.dims), [*range(n), *cols],
+    tensor = np.einsum(A.mat.reshape(dims + dims), [*range(n), *cols],
                        [*keep_sorted, *(n + i for i in keep_sorted)])
-    new_dims = tuple(A.dims[i] for i in keep_sorted)
-    size = math.prod(new_dims) if new_dims else 1
-    return Operator(tensor.reshape(size, size), new_dims if new_dims else (1,))
+    size = math.prod(dims[i] for i in keep_sorted)
+    return Operator(tensor.reshape(size, size))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +186,7 @@ def partial_trace(A: Operator, keep: Iterable[int]) -> Operator:
 
 def expm(A: Operator) -> Operator:
     """Matrix exponential (scaling-and-squaring Padé via scipy)."""
-    return Operator(scipy.linalg.expm(A.mat), A.dims)
+    return Operator(scipy.linalg.expm(A.mat))
 
 
 def inv(A: Operator) -> Operator:
@@ -211,7 +203,7 @@ def inv(A: Operator) -> Operator:
         raise SingularMatrixError(
             f"matrix numerically singular: smallest sv {svals[-1]:.3e} vs norm {svals[0]:.3e}"
         )
-    return Operator(np.linalg.inv(A.mat), A.dims)
+    return Operator(np.linalg.inv(A.mat))
 
 
 # ---------------------------------------------------------------------------

@@ -25,15 +25,19 @@ kron of timeslab's fused slice-group blocks (the all-V blocks kept on
 the action, the last group's built with the boundary) and one roll of
 the row slice axes, then scaled by its trace in place and copied once
 into the Operator; no D x D matrix product and no kron chain over
-slices.  Marginals, region reductions and insertion traces touch only
-the diagonal blocks of the traced slices: they are partial traces by
-one einsum that reads the traced factors' diagonal, and an insertion
-trace is then a trace of the inserted operators against the reduced
-state on the inserted slices.  Powers are never multiplied out
-densely.  The boundary is rank one, V†·b·V / Tr = V†|psi0><omega|
-with <omega| = <psi0|·V^{-N}·V / Tr, and V carries V†|psi0> back to
-|psi0> on slice N-1, which C moves to slice 0; so left multiplication
-by R needs only the bra the state keeps,
+slices.  The state alone knows how R's index space factors: one factor
+per slice, or one per (slice, site) cell when `site_dims` splits each
+slice into sites.  Every read of R onto cells (slice marginals, region
+reductions and the causality witness) goes through one reduction,
+`_reduce`, which checks the cells against the N x sites grid, maps them
+to factors and takes one partial trace (an einsum that reads only the
+traced factors' diagonal).  The witness is then one einsum of A ⊗ B
+against the antihermitian part of R's reduction onto slices 0 and t.
+Powers are never multiplied out densely.  The boundary is rank one,
+V†·b·V / Tr = V†|psi0><omega| with <omega| = <psi0|·V^{-N}·V / Tr,
+and V carries V†|psi0> back to |psi0> on slice N-1, which C moves to
+slice 0; so left multiplication by R needs only the bra the state
+keeps,
 
     R · M = |psi0> ⊗ [V^{⊗(N-1)} · (I ⊗ <omega|) · M]:
 
@@ -62,7 +66,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .linalg import Ket, Operator, expm, partial_trace
-from .timeslab import QuantumAction, SliceLayout, build_action, slice_factors
+from .timeslab import QuantumAction, SliceLayout, build_action
 
 _TILE = 32  # largest tile edge in the tiled Tr[A·B] of the trace powers
 
@@ -72,7 +76,8 @@ class SpacetimeState:
     """Unit-trace (generally non-hermitian) operator over N time slices.
 
     `site_dims` optionally factorizes each slice into spatial sites,
-    enabling reductions onto spacetime regions of (slice, site) cells.
+    enabling reductions onto spacetime regions of (slice, site) cells;
+    without it a slice is one site.
     `action` is the slab action E that R was built from, and `omega`
     holds the entries of the bra <omega| = <psi0|·V^{-N}·V / Tr, a
     read-only d-vector: R's last-slice factor is the rank-one
@@ -88,6 +93,11 @@ class SpacetimeState:
     @property
     def layout(self) -> SliceLayout:
         return self.action.layout
+
+    @property
+    def sites(self) -> tuple[int, ...]:
+        """Dimension of each site of one slice: `site_dims`, or (d,) for a one-site slice."""
+        return self.site_dims or (self.layout.d,)
 
     @property
     def H(self) -> Operator:
@@ -117,20 +127,17 @@ def build_R(
     """Assemble and normalize the spacetime state for (psi0, H, eps, N).
 
     R_raw = E · embed(V†·b·V, N-1) comes from one dense build of the
-    action; its trace scales it in place, and the Operator copy carries
-    the final dims (site_dims per slice when given).  The state keeps
+    action, and its trace scales it in place.  The state keeps
     the bra <omega| = <psi0|·V^{-N}·V divided by the same trace, all
     that its left multiplications read of the boundary.
     """
     if abs(psi0.norm() - 1.0) > 1e-12:
         raise ValueError("psi0 must be normalized")
     layout = SliceLayout(d=psi0.dim, N=N, eps=eps)
-    dims = layout.dims
     if site_dims is not None:
         site_dims = tuple(int(s) for s in site_dims)
         if int(np.prod(site_dims)) != layout.d:
             raise ValueError("site_dims must factorize the slice dimension")
-        dims = site_dims * N
     qa = build_action(layout, H)
     V, unwind = qa.V.mat, expm(1j * eps * N * H)
     # embed(b, 0)·E = E·embed(V†·b·V, N-1), as C carries slice N-1 to 0
@@ -142,40 +149,29 @@ def build_R(
     raw *= 1.0 / tr
     omega = psi0.vec.conj() @ unwind.mat @ V / tr
     omega.flags.writeable = False  # read-only, as R's Operator buffer is
-    return SpacetimeState(R=Operator(raw, dims), action=qa, omega=omega, psi0=psi0,
+    return SpacetimeState(R=Operator(raw), action=qa, omega=omega, psi0=psi0,
                           site_dims=site_dims)
 
 
-def _slice_factors(st: SpacetimeState) -> int:
-    return len(st.site_dims) if st.site_dims is not None else 1
+def _reduce(st: SpacetimeState, cells: Iterable[tuple[int, int]]) -> Operator:
+    """Partial trace of R onto the given (slice, site) cells, kept in (slice, site) order.
+
+    The one place that checks cells against the N x sites grid and maps
+    them to R's tensor factors: slice-major, so cell (t, x) is factor
+    t * sites + x of the site dimensions repeated over the N slices.
+    """
+    sites = st.sites
+    keep = []
+    for t, x in cells:
+        if not (0 <= t < st.N and 0 <= x < len(sites)):
+            raise ValueError(f"cell ({t},{x}) outside the {st.N}x{len(sites)} slice/site grid")
+        keep.append(t * len(sites) + x)
+    return partial_trace(st.R, sites * st.N, keep)
 
 
 def marginal(st: SpacetimeState, t: int) -> Operator:
     """Partial trace onto slice t; equals the evolved pure-state projector."""
-    if not 0 <= t < st.N:
-        raise ValueError(f"slice index {t} out of range [0, {st.N})")
-    k = _slice_factors(st)
-    keep = range(t * k, (t + 1) * k)
-    return partial_trace(st.R, keep)
-
-
-def insertion_trace(st: SpacetimeState, inserts: Sequence[tuple[Operator, int]]) -> complex:
-    """Tr[R · prod_t embed(O_t, t)] — the time-ordered correlator form.
-
-    Evaluated as Tr[(⊗_t F_t) · R_ins], with F_t the product of the
-    operators inserted at slice t (in the order given) and R_ins the
-    partial trace of R onto the inserted slices, so only the diagonal
-    blocks of the other slices are read.
-    """
-    factors = slice_factors(st.layout, inserts)
-    slices = sorted(factors)
-    k, m = _slice_factors(st), len(slices)
-    reduced = partial_trace(st.R, [t * k + x for t in slices for x in range(k)]).mat
-    # sum over a, b of prod_s F_s[a_s, b_s] · R_ins[b, a], without forming ⊗_s F_s
-    operands = [reduced.reshape((st.layout.d,) * 2 * m), [*range(m, 2 * m), *range(m)]]
-    for s, t in enumerate(slices):
-        operands += [factors[t], [s, m + s]]
-    return complex(np.einsum(*operands, []))
+    return _reduce(st, [(t, x) for x in range(len(st.sites))])
 
 
 def causality_witness(st: SpacetimeState, A: Operator, B: Operator, t: int = 1) -> complex:
@@ -184,14 +180,18 @@ def causality_witness(st: SpacetimeState, A: Operator, B: Operator, t: int = 1) 
     For hermitian A, B this equals <psi|[B_H(eps t), A]|psi>: the
     difference between the time-ordered and anti-time-ordered pair
     correlators, i.e. a direct witness of causal (non)commutation.
-    Evaluated as Tr[R·X] - conj(Tr[R·X†]) with X = embed(A,0)·embed(B,t),
-    both by insertion_trace, so only R's partial trace onto slices 0
-    and t is formed.
+    Evaluated as Tr[(A ⊗ B) · (R_ins - R_ins†)] in one einsum, with
+    R_ins = `_reduce` of R onto slices 0 and t: the other slices'
+    diagonal blocks are all that is read of them.
     """
-    if not 0 < t < st.N:
+    if t <= 0:
         raise ValueError(f"need a strictly later slice 0 < t < {st.N}")
-    forward = insertion_trace(st, [(A, 0), (B, t)])
-    return forward - insertion_trace(st, [(A.dag(), 0), (B.dag(), t)]).conjugate()
+    cells = [(s, x) for s in (0, t) for x in range(len(st.sites))]
+    reduced = _reduce(st, cells).mat
+    d = st.layout.d
+    # sum over i, j, k, l of A_ij · B_kl · (R_ins - R_ins†)[(j,l), (i,k)]
+    return complex(np.einsum("ij,kl,jlik->", A.mat, B.mat,
+                             (reduced - reduced.conj().T).reshape(d, d, d, d)))
 
 
 def causality_witness_oracle(st: SpacetimeState, A: Operator, B: Operator, t: int = 1) -> complex:
@@ -224,7 +224,7 @@ def power_and_pseudoentropy(
         M = st.R.mat
         for _ in range(k - 1):
             M = _left_multiply(st, M)
-        return Operator(M, st.R.dims)
+        return Operator(M)
 
     Rb, Ra = None, st.R.mat
     for _ in range((k - 1) // 2):
@@ -300,12 +300,7 @@ def reduce_to_region(st: SpacetimeState, region: Iterable[tuple[int, int]]) -> R
     cells = tuple(sorted(set((int(a), int(b)) for a, b in region)))
     if not cells:
         raise ValueError("region must contain at least one (slice, site) cell")
-    k = _slice_factors(st)
-    for t, x in cells:
-        if not (0 <= t < st.N and 0 <= x < k):
-            raise ValueError(f"cell ({t},{x}) outside the {st.N}x{k} slice/site grid")
-    keep = [t * k + x for t, x in cells]
-    reduced = partial_trace(st.R, keep)
+    reduced = _reduce(st, cells)
     num = np.linalg.norm(reduced.mat - reduced.mat.conj().T)
     den = np.linalg.norm(reduced.mat)
     eigs = np.linalg.eigvals(reduced.mat)

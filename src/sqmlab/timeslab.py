@@ -33,6 +33,12 @@ E·(⊗_t F_t) from the same group blocks as their broadcast kron, folded
 from the right, and one roll of the row slice axes, with no matrix
 product.  The dense permutation C and the dense embeddings of slice
 operators live with the tests, as references.
+
+A layout is d, N and eps, nothing more: how a state on h^{⊗N} factors
+is read only by the spacetime state.  Insertions become local factors
+through `slice_factors`, the one guard of their slices and dimensions;
+it takes at most one operator per slice and refuses a repeated slice,
+for the slab and the oracle side of the trace identity alike.
 """
 
 from __future__ import annotations
@@ -63,10 +69,6 @@ class SliceLayout:
             raise ValueError("need d >= 1 and N >= 1")
         if self.d**self.N > DEFAULT_DIM_CAP:
             raise ValueError(f"total dimension {self.d}**{self.N} exceeds cap {DEFAULT_DIM_CAP}")
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return (self.d,) * self.N
 
     @property
     def total_dim(self) -> int:
@@ -103,10 +105,10 @@ def _block_kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def slice_factors(
     layout: SliceLayout, inserts: Sequence[tuple[Operator, int]]
 ) -> dict[int, np.ndarray]:
-    """Slice -> product of the operators inserted there, ascending in slice.
+    """Slice -> matrix of the one operator inserted there, ascending in slice.
 
-    prod_t embed(O_t, t) equals apply_local with these factors; operators
-    sharing a slice multiply in the order given.
+    prod_t embed(O_t, t) equals apply_local with these factors.  A slice
+    takes at most one operator: a repeated slice is refused.
     """
     factors: dict[int, np.ndarray] = {}
     for O, t in sorted(inserts, key=lambda item: item[1]):
@@ -114,7 +116,9 @@ def slice_factors(
             raise ValueError(f"slice index {t} out of range [0, {layout.N})")
         if O.dim != layout.d:
             raise ValueError("insertion dimension mismatch")
-        factors[t] = factors[t] @ O.mat if t in factors else O.mat
+        if t in factors:
+            raise ValueError(f"duplicate insertion at slice {t}; one operator per slice")
+        factors[t] = O.mat
     return factors
 
 
@@ -223,23 +227,13 @@ def build_action(layout: SliceLayout, H: Operator) -> QuantumAction:
     return QuantumAction(layout, H)
 
 
-def _check_inserts(layout: SliceLayout, inserts: Sequence[tuple[Operator, int]]) -> dict:
-    """slice_factors of inserts that put at most one operator on each slice."""
-    factors = slice_factors(layout, inserts)
-    slices = [t for _, t in inserts]
-    for i, t in enumerate(slices):
-        if t in slices[:i]:
-            raise ValueError(f"duplicate insertion at slice {t}; one operator per slice")
-    return factors
-
-
 def trace_theorem_lhs(qa: QuantumAction, inserts: Sequence[tuple[Operator, int]]) -> complex:
     """Tr[E · prod embed(O_t, t)]: the trace of E applied to the identity.
 
     The identity goes through E one block of columns at a time and only
     each block's diagonal is kept, so the working set stays at D x block.
     """
-    factors = _check_inserts(qa.layout, inserts)
+    factors = slice_factors(qa.layout, inserts)
     D = qa.layout.total_dim
     total = 0j
     for j in range(0, D, _COLUMN_BLOCK):
@@ -254,7 +248,7 @@ def trace_theorem_rhs(qa: QuantumAction, inserts: Sequence[tuple[Operator, int]]
     Later slices stand to the left (time ordering), O_H(t) = e^{iHt} O e^{-iHt}.
     Inserts are validated as on the slab side; that check's slice factors go unused.
     """
-    _check_inserts(qa.layout, inserts)
+    slice_factors(qa.layout, inserts)
     eps, N = qa.layout.eps, qa.layout.N
     prod = np.eye(qa.layout.d, dtype=complex)
     for O, t in sorted(inserts, key=lambda item: item[1]):

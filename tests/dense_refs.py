@@ -36,22 +36,20 @@ from sqmlab.timeslab import QuantumAction, SliceLayout, slice_factors
 
 
 def kron(*ops: Operator) -> Operator:
-    """Tensor product by np.kron; dims concatenate, first factor slowest-varying."""
+    """Tensor product by np.kron, first factor slowest-varying."""
     if not ops:
         raise ValueError("kron of nothing")
     mat = ops[0].mat
-    dims: tuple[int, ...] = ops[0].dims
     for op in ops[1:]:
         mat = np.kron(mat, op.mat)
-        dims = dims + op.dims
-    return Operator(mat, dims)
+    return Operator(mat)
 
 
 def identity(dims: int | Sequence[int]) -> Operator:
+    """Identity on the product of the factor sizes `dims`."""
     if isinstance(dims, int):
         dims = (dims,)
-    dims = tuple(int(d) for d in dims)
-    return Operator(np.eye(math.prod(dims)), dims)
+    return Operator(np.eye(math.prod(int(d) for d in dims)))
 
 
 def ladder(lf: fock.LatticeFock, t: int, p: int, kind: str) -> Operator:
@@ -78,13 +76,13 @@ def cycle_shift(layout: SliceLayout) -> Operator:
     For N = 2, d = 2 this is the 4x4 SWAP.  Its N-th power is the
     identity, and conjugation by it advances slice labels by one.
     """
-    size = layout.total_dim
+    size, dims = layout.total_dim, (layout.d,) * layout.N
     cols = np.arange(size)
-    digits = np.array(np.unravel_index(cols, layout.dims))  # shape (N, size)
-    rows = np.ravel_multi_index(tuple(np.roll(digits, 1, axis=0)), layout.dims)
+    digits = np.array(np.unravel_index(cols, dims))  # shape (N, size)
+    rows = np.ravel_multi_index(tuple(np.roll(digits, 1, axis=0)), dims)
     mat = np.zeros((size, size))
     mat[rows, cols] = 1.0
-    return Operator(mat, layout.dims)
+    return Operator(mat)
 
 
 def embed_at_slice(O: Operator, t: int, layout: SliceLayout) -> Operator:
@@ -126,23 +124,23 @@ def constraint_expectation_columns(
     return complex(np.trace(bracket))
 
 
-def partial_trace_loop(A: Operator, keep) -> Operator:
-    """Partial trace by one np.trace per traced factor, in ascending order.
+def partial_trace_loop(A: Operator, dims: Sequence[int], keep) -> Operator:
+    """Partial trace over factors of sizes `dims` by one np.trace per traced factor, ascending.
 
     Each np.trace contracts a row axis with its column axis and builds
     the whole remaining tensor.
     """
+    dims = tuple(int(d) for d in dims)
     keep_set = set(int(k) for k in keep)
-    n = len(A.dims)
-    tensor = A.mat.reshape(A.dims + A.dims)
+    n = len(dims)
+    tensor = A.mat.reshape(dims + dims)
     traced = [i for i in range(n) if i not in keep_set]
     for offset, i in enumerate(traced):
         j = i - offset  # row-axis position after earlier contractions
         m = tensor.ndim // 2
         tensor = np.trace(tensor, axis1=j, axis2=m + j)
-    new_dims = tuple(A.dims[i] for i in sorted(keep_set)) or (1,)
-    size = math.prod(new_dims)
-    return Operator(tensor.reshape(size, size), new_dims)
+    size = math.prod(dims[i] for i in keep_set)
+    return Operator(tensor.reshape(size, size))
 
 
 def frequency_window(N: int) -> list[int]:
@@ -316,7 +314,7 @@ def quadratic_action(layout: FermionLayout, coeffs: np.ndarray) -> Operator:
     out = sparse.csr_array((layout.dim, layout.dim), dtype=complex)
     for a, b in zip(*np.nonzero(coeffs)):
         out = out + coeffs[a, b] * (ladders[a].T @ ladders[b])
-    return Operator(out.toarray(), layout.leg_dims)
+    return Operator(out.toarray())
 
 
 def parity_weighted_trace(

@@ -23,6 +23,7 @@ from sqmlab.cli import main as cli_main
 from sqmlab.experiments import run_experiment
 from sqmlab.gaussian import _mode_corr
 from sqmlab.grids import ModeGrid
+from sqmlab.linalg import Operator
 
 _CAPSYS = None
 
@@ -302,7 +303,7 @@ def test_criterion_10_fermionic_sector():
     for a in range(L):
         for b in range(L):
             dense = dense_refs.parity_weighted_trace(
-                layout, S, [ladders[a], ladders[b].dag()])
+                layout, S, [ladders[a], Operator(ladders[b].mat.conj().T)])
             worst_pair = max(worst_pair, abs(dense - law[a, b]))
     _check(problems, worst_pair <= 1e-10,
            f"pair law vs 2^6 dense parity trace: worst {worst_pair:.3e} > 1e-10")

@@ -553,6 +553,9 @@ OUT_OF_RANGE = [
     # the leg constants meet the Bose law's pole, a ZeroDivisionError subclass
     (["smatrix", "--eps_i", "1e-300"], None, "PoleError", "eps_i=1e-300"),
     (["dirac-nogo", "--T", "1e-300"], None, "OverflowError", "T=1e-300"),
+    # the dispersion energy stays finite; the gap squared overflows, not an
+    # inf energy that would read inf <= inf as on shell
+    (["dirac-nogo", "--mass", "1e200"], None, "OverflowError", "mass=1e+200"),
     (["smatrix", "--seed", "7"], "eps_i = 1e-300", "PoleError", "eps_i=1e-300, seed=7"),
     # a NaN case value has no JSON form: no report rather than a NaN token
     (["trace-theorem", "--eps", "1e308"], None, "FloatingPointError", "eps=1e+308"),

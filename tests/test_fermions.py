@@ -236,7 +236,7 @@ def test_pair_correlator_matches_dense_trace():
     for a in range(L):
         for b in range(L):
             dense = parity_weighted_trace(
-                layout, S, [ladders[a], ladders[b].dag()]
+                layout, S, [ladders[a], Operator(ladders[b].mat.conj().T)]
             )
             worst = max(worst, abs(dense - law[a, b]))
     assert worst <= 1e-10

@@ -40,6 +40,10 @@ class TestModeGrid:
         p = 2 * math.pi * 1 / 4
         assert grid.energy(0) == pytest.approx(math.hypot(p, 0.5))
 
+    def test_energy_stays_finite_at_a_huge_mass(self):
+        for modes, sites in ((((1,),), None), (((1, 1),), 4)):
+            assert ModeGrid(T=8.0, modes=modes, m=1e200, M_sites=sites).energy(0) == 1e200
+
     def test_centered_spatial_momentum(self):
         grid = ModeGrid(T=8.0, modes=((0, 3),), m=1.0, M_sites=4)
         # site label 3 on a 4-site ring is momentum index -1

@@ -14,6 +14,7 @@ import pytest
 
 from sqmlab import fermions, fock, gaussian, grids, spacetime, timeslab
 from sqmlab.cli import main
+from sqmlab.linalg import Operator
 
 # name -> (module, function, wrapper making the faulty version, CLI run)
 MUTANTS = {
@@ -59,6 +60,13 @@ MUTANTS = {
         spacetime, "_left_multiply",
         lambda f: lambda st, M: f(dataclasses.replace(st, omega=st.omega.conj()), M),
         ["pseudo-entropy"],
+    ),
+    # every read of R onto cells goes through one reduction; its transpose
+    # flips the sign of the witness's antihermitian part against the oracle
+    "reduction of R transposed": (
+        spacetime, "_reduce",
+        lambda f: lambda st, cells: Operator(f(st, cells).mat.T),
+        ["causality-witness"],
     ),
     # the Bose law 1/(e^lam - 1) feeds tau_mode_correlator, whose tau -> 0 limit
     # and halving ratio propagator checks against i/(gap + i eps_i)

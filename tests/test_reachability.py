@@ -26,7 +26,6 @@ _GUARD = "an immutability guard"
 # module.qualname -> why it stays although no CLI run calls it
 ALLOWED = {
     "fermions.FermionLayout.leg": _DENSE_FERMION,
-    "fermions.FermionLayout.leg_dims": _DENSE_FERMION,
     "fermions.jw_annihilator": _DENSE_FERMION,
     "fermions.parity_operator": _DENSE_FERMION,
     "fermions.fermionic_cycle": _DENSE_FERMION,

