@@ -71,6 +71,7 @@ def _slab_draws(params: dict, n_min: int) -> Iterator[tuple]:
     One generator seeded with params["seed"] serves every draw of the
     run, so the caller's own draws on rng fall between this one's.
     """
+    _require_at_least(params, "n_max_slices", n_min, f"N drawn from [{n_min}, n_max_slices]")
     rng = np.random.default_rng(params["seed"])
     for i in range(params["cases"]):
         d = int(rng.choice(params["dims"]))
@@ -83,6 +84,9 @@ def _slab_draws(params: dict, n_min: int) -> Iterator[tuple]:
 
 
 def run_paw_conditioning(params: dict) -> Iterator[dict]:
+    _require_at_least(params, "d_min", 1, "a clock with states")
+    _require_at_least(params, "d_max", params["d_min"], "d drawn from [d_min, d_max]")
+    _require_at_least(params, "n_max_slices", 2, "N drawn from [2, n_max_slices]")
     rng = np.random.default_rng(params["seed"])
     for i in range(params["cases"]):
         d = int(rng.integers(params["d_min"], params["d_max"] + 1))
@@ -99,6 +103,7 @@ def run_paw_conditioning(params: dict) -> Iterator[dict]:
 
 
 def run_trace_theorem(params: dict) -> Iterator[dict]:
+    _require_at_least(params, "max_inserts", 0, "the insertion count draw")
     for i, rng, d, N in _slab_draws(params, 1):
         qa = timeslab.build_action(
             timeslab.SliceLayout(d=d, N=N, eps=params["eps"]), rand_hermitian(rng, d)

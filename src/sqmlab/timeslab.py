@@ -27,12 +27,19 @@ action (`QuantumAction._groups`); a group holding an insertion builds
 its block per call (`QuantumAction._blocks` makes that choice).  The
 same groups without slice N-1 act on D/d-row matrices
 (`QuantumAction.apply_head`), for a caller that handles slice N-1
-itself, as the spacetime state's rank-one boundary does.  Where
-a state needs E as a matrix, `QuantumAction.dense` assembles
-E·(⊗_t F_t) from the same group blocks as their broadcast kron, folded
-from the right, and one roll of the row slice axes, with no matrix
-product.  The dense permutation C and the dense embeddings of slice
-operators live with the tests, as references.
+itself, as the spacetime state's rank-one boundary does.
+
+The group blocks hold every entry of E·(⊗_t F_t), so a read that needs
+only some entries takes them from the blocks, with no matrix product.
+`QuantumAction.diagonal` gathers the D diagonal entries at the cycled
+row index, one block entry per group, and the trace identity sums
+them.  `QuantumAction._column_blocks` yields whole columns of the first
+group's block in a broadcast kron with the others' blocks, folded from
+the right, then one roll of the row slice axes; the constraint streams
+over these blocks, and `QuantumAction.dense`, where a state needs E as
+a matrix, is the one block of all D columns.  The dense permutation C
+and the dense embeddings of slice operators live with the tests, as
+references.
 
 A layout is d, N and eps, nothing more: how a state on h^{⊗N} factors
 is read only by the spacetime state.  Insertions become local factors
@@ -52,7 +59,7 @@ import numpy as np
 from .linalg import Ket, Operator, expm
 
 DEFAULT_DIM_CAP = 4096
-_COLUMN_BLOCK = 128  # identity columns per pass through E in the streamed traces
+_COLUMN_BLOCK = 128  # columns of E and E·X per block in constraint_expectation
 _GROUP_DIM_MAX = 16  # largest fused block d^g in QuantumAction.apply
 
 
@@ -97,9 +104,9 @@ def _cycle_rows(layout: SliceLayout, M: np.ndarray) -> np.ndarray:
 
 
 def _block_kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A ⊗ B for square A and B, as one broadcast product."""
-    a, b = len(A), len(B)
-    return (A[:, None, :, None] * B[None, :, None, :]).reshape(a * b, a * b)
+    """A ⊗ B for 2-D A and B, as one broadcast product."""
+    (a, k), (b, m) = A.shape, B.shape
+    return (A[:, None, :, None] * B[None, :, None, :]).reshape(a * b, k * m)
 
 
 def slice_factors(
@@ -169,15 +176,52 @@ class QuantumAction:
     def dense(self, factors: Optional[Mapping[int, np.ndarray]] = None) -> np.ndarray:
         """E · (⊗_t factors[t]) as a new D x D array, with `apply`'s factor convention.
 
-        The group blocks of `apply` go into one broadcast kron, and the
-        row slice axes roll by one for C: no matrix product.  Built on
-        each call and not kept, so an action holds no D x D matrix.
+        The one column block of width D (`_column_blocks`): the group
+        blocks of `apply` as one broadcast kron, the row slice axes
+        rolled by one for C, no matrix product.  Built on each call and
+        not kept, so an action holds no D x D matrix.
         """
-        blocks = [block for _, block in self._blocks(factors or {})]
+        (_, block), = self._column_blocks(factors or {}, self.layout.total_dim)
+        return block
+
+    def diagonal(self, factors: Mapping[int, np.ndarray]) -> np.ndarray:
+        """The D diagonal entries of E · (⊗_t factors[t]), read from the group blocks.
+
+        Entry (i, i) of C·W is W's entry at column i and at the row that
+        C moves to i (`_cycle_rows` of the column indices).  An entry of
+        W = ⊗ blocks is the product of one entry per group's block, at
+        the group's digits of row and column: O(D·⌈N/g⌉) work, and no
+        entry off the diagonal is formed.
+        """
+        d, N, D = self.layout.d, self.layout.N, self.layout.total_dim
+        cols = np.arange(D)
+        rows = _cycle_rows(self.layout, cols[:, None])[:, 0]
+        diag = np.ones(D)
+        # the last group first, so each product nests as in `dense`'s right fold
+        for slices, block in reversed(list(self._blocks(factors))):
+            s, size = d ** (N - slices.stop), len(block)
+            diag = block[rows // s % size, cols // s % size] * diag
+        return diag
+
+    def _column_blocks(
+        self, factors: Mapping[int, np.ndarray], width: int
+    ) -> Iterator[tuple[slice, np.ndarray]]:
+        """(cols, (E · ⊗_t factors[t])[:, cols]) for column blocks tiling 0..D-1 in order.
+
+        A block is whole columns of the first group's block, as many as
+        fit in `width` (at least one), in a broadcast kron with the
+        other groups' blocks folded from the right; its rows then roll
+        by one for C.  The fold is built once per call; no matmul.
+        """
+        first, *others = [block for _, block in self._blocks(factors)]
         # folded from the right, so each kron's inner axis is the larger
-        # operand; the 1 x 1 start makes even a lone kept block a new array
-        W = reduce(lambda right, block: _block_kron(block, right), reversed(blocks), np.ones((1, 1)))
-        return _cycle_rows(self.layout, W)
+        # operand; the 1 x 1 start stands for no other group
+        rest = reduce(lambda right, block: _block_kron(block, right), reversed(others), np.ones((1, 1)))
+        r = len(rest)
+        step = max(1, width // r)
+        for a in range(0, len(first), step):
+            b = min(a + step, len(first))
+            yield slice(a * r, b * r), _cycle_rows(self.layout, _block_kron(first[:, a:b], rest))
 
     def _blocks(self, factors: Mapping[int, np.ndarray]) -> Iterator[tuple[range, np.ndarray]]:
         """(slices, block) per group of `_groups`: the kept all-V block, or, where a
@@ -228,18 +272,12 @@ def build_action(layout: SliceLayout, H: Operator) -> QuantumAction:
 
 
 def trace_theorem_lhs(qa: QuantumAction, inserts: Sequence[tuple[Operator, int]]) -> complex:
-    """Tr[E · prod embed(O_t, t)]: the trace of E applied to the identity.
+    """Tr[E · prod embed(O_t, t)]: the sum of E·X's diagonal (`QuantumAction.diagonal`).
 
-    The identity goes through E one block of columns at a time and only
-    each block's diagonal is kept, so the working set stays at D x block.
+    Only the D summed entries are read from the group blocks; no column
+    of E·X is formed.
     """
-    factors = slice_factors(qa.layout, inserts)
-    D = qa.layout.total_dim
-    total = 0j
-    for j in range(0, D, _COLUMN_BLOCK):
-        b = min(_COLUMN_BLOCK, D - j)
-        total += np.trace(qa.apply(np.eye(D, b, -j, dtype=complex), factors)[j : j + b])
-    return complex(total)
+    return complex(np.sum(qa.diagonal(slice_factors(qa.layout, inserts))))
 
 
 def trace_theorem_rhs(qa: QuantumAction, inserts: Sequence[tuple[Operator, int]]) -> complex:
@@ -272,26 +310,24 @@ def constraint_expectation(
     motion V·O_H((t+1)eps)·V† - O_H(t eps) = 0 evaluated inside the
     boundary trace.
 
-    The two traces stream: the identity goes through E one block of
-    columns at a time, as in trace_theorem_lhs, and the block's columns
-    j add ⟨E e_j| B·E·E·X |e_j⟩ to the shifted half and ⟨e_j| B·E·X |e_j⟩
-    to the unshifted one, from three applies (E·X, E·(E·X) and E·I); the
-    working set is D x block, not D x D.  The shifted half sums to
-    Tr[E†·B·E·E·X] = Tr[B·E·(E·X·E†)]: E† still acts, through the
-    conjugated columns E·e_j, so the shift identity is exercised, not
-    assumed.
+    The two traces stream over column blocks of E and of E·X, read
+    from the group blocks (`QuantumAction._column_blocks`): block cols
+    adds ⟨E e_j| B·E·E·X |e_j⟩ over its columns j to the shifted half,
+    from one apply of E to the block of E·X, and ⟨e_j| B·E·X |e_j⟩ to
+    the unshifted one; the working set is D x block, not D x D.  The
+    shifted half sums to Tr[E†·B·E·E·X] = Tr[B·E·(E·X·E†)]: E† still
+    acts, through E's columns, so the shift identity is exercised, not
+    assumed, and it sets E's kron entries against its matmul apply.
     """
     layout = qa.layout
     if boundary is not None and not 0 <= t < layout.N - 1:
         raise ValueError(f"with a boundary need 0 <= t < N-1, got t={t}, N={layout.N}")
     factors = slice_factors(layout, [(O, t)])
     B = {} if boundary is None else {0: boundary[0].outer(boundary[1]).mat}
-    D = layout.total_dim
     shifted = unshifted = 0j
-    for j in range(0, D, _COLUMN_BLOCK):
-        b = min(_COLUMN_BLOCK, D - j)
-        I = np.eye(D, b, -j, dtype=complex)
-        EX = qa.apply(I, factors)
-        shifted += np.vdot(qa.apply(I), apply_local(layout, qa.apply(EX), B))
-        unshifted += np.trace(apply_local(layout, EX, B)[j : j + b])
+    for (cols, E), (_, EX) in zip(
+        qa._column_blocks({}, _COLUMN_BLOCK), qa._column_blocks(factors, _COLUMN_BLOCK)
+    ):
+        shifted += np.vdot(E, apply_local(layout, qa.apply(EX), B))
+        unshifted += np.trace(apply_local(layout, EX, B)[cols])
     return complex(shifted - unshifted)

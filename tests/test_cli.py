@@ -668,3 +668,21 @@ def test_smatrix_degenerate_window_names_its_key(order, key, tmp_path, capsys):
 def test_too_small_count_names_its_key(name, key, value, least, tmp_path, capsys):
     assert main([name, f"--{key}", value, "--out", str(tmp_path)]) == 2
     assert f"need {key} >= {least} for " in capsys.readouterr().err
+
+
+# an empty draw range would reach numpy as a bare "low >= high" (or worse)
+@pytest.mark.parametrize("argv, key", [
+    (["constraint-theorem", "--n_max_slices", "1"], "n_max_slices"),
+    (["st-state-marginals", "--n_max_slices", "1"], "n_max_slices"),
+    (["causality-witness", "--n_max_slices", "1"], "n_max_slices"),
+    (["pseudo-entropy", "--n_max_slices", "1"], "n_max_slices"),
+    (["paw-conditioning", "--n_max_slices", "1"], "n_max_slices"),
+    (["trace-theorem", "--n_max_slices", "0"], "n_max_slices"),
+    (["paw-conditioning", "--d_min", "3", "--d_max", "2"], "d_max"),
+    (["paw-conditioning", "--d_min", "0"], "d_min"),
+    (["trace-theorem", "--max_inserts", "-1"], "max_inserts"),
+], ids=" ".join)
+def test_empty_draw_range_names_its_key(argv, key, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "sqmlab: error:" in err and f"need {key} >= " in err

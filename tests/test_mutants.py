@@ -42,6 +42,21 @@ MUTANTS = {
         lambda f: lambda A, B: f(B, A),
         ["trace-theorem"],
     ),
+    # trace-theorem reads E only through diagonal, whose rows are the
+    # columns cycled by C: uncycled, it sums the diagonal of the kron alone
+    "diagonal read at uncycled rows": (
+        timeslab, "_cycle_rows",
+        lambda f: lambda layout, M: M,
+        ["trace-theorem"],
+    ),
+    # the constraint's shifted half takes E's kron entries against its
+    # matmul apply: conjugated column blocks break that vdot and the trace
+    "E's column blocks conjugated": (
+        timeslab.QuantumAction, "_column_blocks",
+        lambda f: lambda self, factors, width: (
+            (cols, block.conj()) for cols, block in f(self, factors, width)),
+        ["constraint-theorem"],
+    ),
     # Tr R^k sums (R^a)_ij (R^b)_ji; the untransposed sum of (R^a)_ij (R^b)_ij misses 1
     "trace of product without its transpose": (
         spacetime, "_trace_of_product",

@@ -149,7 +149,9 @@ class TestConstraintTheorem:
     @pytest.mark.parametrize("d, N", [(2, 3), (3, 4), (3, 5), (3, 6)])  # D = 8, 81, 243, 729
     @pytest.mark.parametrize("with_boundary", [False, True])
     def test_streamed_matches_whole_columns(self, d, N, with_boundary):
-        """Column blocks of 128, the last one ragged, against whole D x D columns."""
+        """Column blocks of whole first-group columns, as many as fit in 128 (one of
+        81 at D = 81, 108 + 108 + 27 at D = 243, nine of 81 at D = 729), against
+        whole D x D columns."""
         rng = np.random.default_rng(10 * d + N)
         qa = build_action(SliceLayout(d=d, N=N, eps=0.37), rand_hermitian(rng, d))
         O = rand_hermitian(rng, d)
@@ -218,6 +220,36 @@ class TestFusedGroups:
             assert abs(constraint_expectation(qa, O, t)) <= 1e-14
         for t in range(N - 1):
             assert abs(constraint_expectation(qa, O, t, boundary)) <= 1e-14
+
+
+class TestReadsOfTheGroupBlocks:
+    """diagonal and _column_blocks read E's entries from the fused group blocks."""
+
+    @pytest.mark.parametrize("d, N", [(1, 3), (2, 1), (2, 5), (2, 9), (3, 1), (3, 5), (4, 3), (17, 1)])
+    @pytest.mark.parametrize("where", ["none", "first", "last", "both", "every"])
+    def test_diagonal_is_the_diagonal_of_dense(self, d, N, where):
+        rng = np.random.default_rng(d * 10 + N)
+        qa = build_action(SliceLayout(d=d, N=N, eps=0.41), rand_hermitian(rng, d))
+        slots = {"none": [], "first": [0], "last": [N - 1], "both": {0, N - 1},
+                 "every": range(N)}[where]
+        factors = {t: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                   for t in slots}
+        np.testing.assert_allclose(qa.diagonal(factors), np.diag(qa.dense(factors)),
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("d, N", [(1, 3), (2, 1), (2, 5), (2, 9), (3, 5), (4, 3), (17, 1)])
+    @pytest.mark.parametrize("width", [1, 7, 128, "D"])
+    def test_column_blocks_tile_dense(self, d, N, width):
+        rng = np.random.default_rng(d * 10 + N)
+        qa = build_action(SliceLayout(d=d, N=N, eps=0.41), rand_hermitian(rng, d))
+        D = qa.layout.total_dim
+        factors = {N - 1: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))}
+        blocks = list(qa._column_blocks(factors, D if width == "D" else width))
+        cols = np.concatenate([np.arange(D)[c] for c, _ in blocks])
+        np.testing.assert_array_equal(cols, np.arange(D))
+        np.testing.assert_array_equal(np.hstack([block for _, block in blocks]), qa.dense(factors))
+        if width == "D":
+            assert len(blocks) == 1
 
 
 class TestStructuredAgainstDense:
