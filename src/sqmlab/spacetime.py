@@ -39,27 +39,34 @@ and V carries V†|psi0> back to |psi0> on slice N-1, which C moves to
 slice 0; so left multiplication by R needs only the bra the state
 keeps,
 
-    R · M = |psi0> ⊗ [V^{⊗(N-1)} · (I ⊗ <omega|) · M]:
+    R · M = |psi0> ⊗ [V^{⊗(N-1)} · (I ⊗ <omega|) · M] = |psi0> ⊗ _head(M):
 
-one matmul contracts M's last row slice axis with <omega|, the fused
-V-groups of slices 0..N-2 act on the D/d-row result
+one matmul contracts M's last row slice axis with <omega|, and the
+fused V-groups of slices 0..N-2 act on the D/d-row result
 (QuantumAction.apply_head, ⌈(N-1)/g⌉ matmuls of d^g <= 16 per column
-instead of O(D³)), and one broadcast product with psi0 writes the D
-rows already cycled.  Then
+instead of O(D³)).  Every power past the first is then |psi0> ⊗ W_j,
+and is kept only as its D/d-row head W_j.  In
 
     Tr R^k = sum_ij (R^a)_ij (R^b)_ji,      a = ceil(k/2), b = floor(k/2),
 
-with R^a built from the stored R by a-1 such left multiplications and
-R^b met on the way, so Tr R^k costs floor((k-1)/2) of them instead of
-k-1, each with its group passes on D/d rows.  The
-sum reads R^b transposed, so it runs over t x t tiles (t the largest
-divisor of D up to 32): tile (I, J) of R^a meets tile (J, I) of R^b,
-and the transposed read walks rows of t entries instead of striding a
-whole row of R^b per entry.
+the psi0 of R^a meets the partner's column slice 0 instead of being
+broadcast: with P = |psi0> ⊗ I (D x D/d), k = 3 sums the D/d x D head
+W_2 = _head(R) against the D x D/d R·P, and k >= 4 sums two
+D/d x D/d halves T_j = W_j·P, T_2 = _head(R·P) (the column
+contraction commutes with the row step, so it goes first) and
+T_{j+1} = _head(|psi0> ⊗ T_j), T_b met on the way to T_a.  The trace
+forms no D x D matrix but the stored R, and R is a factor of both
+halves.
+The sum reads its second factor transposed, so it runs over t x t
+tiles (t the largest common divisor of both sides up to 32): tile
+(I, J) of one half meets tile (J, I) of the other, and the transposed
+read walks rows of t entries instead of striding a whole row per
+entry.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -207,15 +214,17 @@ def power_and_pseudoentropy(
 ) -> tuple[Callable[[], Operator], complex]:
     """(R^k on demand, Tr[R^k]).  For pure unitary provenance Tr[R^k] = 1 for all k.
 
-    R^a, a = ceil(k/2), is R·(R·(...·R)) with the stored R as the
-    rightmost factor and each left multiplication taken through R's
-    rank-one boundary (`_left_multiply`); R^b, b = floor(k/2), is the
-    last or the next-to-last matrix of that loop, and Tr[R^k] =
-    sum_ij (R^a)_ij (R^b)_ji, summed over t x t tiles of both
-    (`_trace_of_product`).  The stored R is a factor of both halves, so
-    a fault in it still shows in the trace.  The first element is a
-    zero-argument callable that builds R^k by k-1 of the same left
-    multiplications when called.
+    Tr[R^k] = sum_ij (R^a)_ij (R^b)_ji, a = ceil(k/2), b = floor(k/2),
+    summed over tiles (`_trace_of_product`).  Every power past the
+    first is |psi0> ⊗ W_j with W_j = `_head` of the power below it,
+    so its psi0 meets the partner's column slice 0 (`_psi0_columns`)
+    instead of being broadcast: k = 3 sums W_2 = `_head`(R) against
+    R·P, P = |psi0> ⊗ I on column slice 0, and k >= 4 sums
+    T_a against T_b, T_j = W_j·P, from T_2 = `_head`(R·P) and
+    T_{j+1} = `_head`(|psi0> ⊗ T_j): D/d x D/d halves.  The stored R
+    is a factor of both halves, so a fault in it still shows in the
+    trace.  The first element is a zero-argument callable that builds
+    R^k as |psi0> ⊗ `_head`(R^{k-1}) from the stored R when called.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -223,45 +232,59 @@ def power_and_pseudoentropy(
     def power() -> Operator:
         M = st.R.mat
         for _ in range(k - 1):
-            M = _left_multiply(st, M)
+            M = _psi0_rows(st, _head(st, M))
         return Operator(M)
 
-    Rb, Ra = None, st.R.mat
-    for _ in range((k - 1) // 2):
-        Rb, Ra = Ra, _left_multiply(st, Ra)
-    if k % 2 == 0:
-        Rb = Ra
-    tr = np.trace(Ra) if Rb is None else _trace_of_product(Ra, Rb)
+    R = st.R.mat
+    if k <= 2:
+        tr = np.trace(R) if k == 1 else _trace_of_product(R, R)
+    elif k == 3:
+        tr = _trace_of_product(_head(st, R), _psi0_columns(st, R))
+    else:
+        halves = [_head(st, _psi0_columns(st, R))]  # T_2, T_3, ..., T_a
+        while len(halves) < (k + 1) // 2 - 1:
+            halves.append(_head(st, _psi0_rows(st, halves[-1])))
+        tr = _trace_of_product(halves[-1], halves[k // 2 - 2])
     return power, complex(tr)
 
 
-def _left_multiply(st: SpacetimeState, M: np.ndarray) -> np.ndarray:
-    """R · M for a (D, k) matrix M, as |psi0> ⊗ [V^{⊗(N-1)} · (I ⊗ <omega|) · M].
+def _head(st: SpacetimeState, M: np.ndarray) -> np.ndarray:
+    """W with R · M = |psi0> ⊗ W for a (D, m) matrix M: V^{⊗(N-1)} · (I ⊗ <omega|) · M.
 
-    <omega| contracts M's last row slice axis (one matmul), the fused
+    <omega| contracts M's last row slice axis (one matmul) and the fused
     V-groups of slices 0..N-2 act on the D/d-row result
-    (`QuantumAction.apply_head`), and one broadcast product puts psi0 on
-    slice 0: C has carried slice N-1 there, so the rows come out cycled.
+    (`QuantumAction.apply_head`); psi0 belongs on row slice 0, where C
+    has carried slice N-1, and is left to the caller.
     """
-    d, k = st.layout.d, M.shape[1]
-    W = st.action.apply_head(np.matmul(st.omega, M.reshape(-1, d, k)))
-    return (st.psi0.vec[:, None, None] * W).reshape(-1, k)
+    d, m = st.layout.d, M.shape[1]
+    return st.action.apply_head(np.matmul(st.omega, M.reshape(-1, d, m)))
+
+
+def _psi0_rows(st: SpacetimeState, W: np.ndarray) -> np.ndarray:
+    """|psi0> ⊗ W: the (D/d, m) matrix W with psi0 put on row slice 0."""
+    return (st.psi0.vec[:, None, None] * W).reshape(-1, W.shape[1])
+
+
+def _psi0_columns(st: SpacetimeState, M: np.ndarray) -> np.ndarray:
+    """M · (|psi0> ⊗ I) for an (m, D) matrix M: psi0 contracts column slice 0."""
+    return np.matmul(st.psi0.vec, M.reshape(len(M), st.layout.d, -1))
 
 
 def _trace_of_product(A: np.ndarray, B: np.ndarray) -> complex:
-    """Tr[A·B] = sum_ij A_ij B_ji, read tile by tile.
+    """Tr[A·B] = sum_ij A_ij B_ji for an m x n A and an n x m B, read tile by tile.
 
-    Both D x D arrays are viewed as n x n grids of t x t tiles, t the
-    largest divisor of D up to _TILE, and tile (I, J) of A meets tile
+    Both are viewed as grids of t x t tiles, t the largest common
+    divisor of m and n up to _TILE, and tile (I, J) of A meets tile
     (J, I) of B: the transposed read of B then walks rows of t entries
     instead of jumping a whole row of B per entry.  Each tile pair is
-    summed on its own and the n x n partial sums pairwise, which keeps
-    the rounding near that of the untiled sum.
+    summed on its own and the partial sums pairwise, which keeps the
+    rounding near that of the untiled sum.
     """
-    D = len(A)
-    t = max(s for s in range(1, min(D, _TILE) + 1) if D % s == 0)
-    n = D // t
-    tiles = np.einsum("IiJj,JjIi->IJ", A.reshape(n, t, n, t), B.reshape(n, t, n, t))
+    m, n = A.shape
+    g = math.gcd(m, n)
+    t = g if g <= _TILE else max(s for s in range(1, _TILE + 1) if g % s == 0)
+    tiles = np.einsum("IiJj,JjIi->IJ", A.reshape(m // t, t, n // t, t),
+                      B.reshape(n // t, t, m // t, t))
     return complex(tiles.sum())
 
 

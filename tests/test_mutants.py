@@ -63,18 +63,26 @@ MUTANTS = {
         lambda f: lambda A, B: f(A, B.T),
         ["st-state-marginals"],
     ),
-    # R·M writes psi0 on slice 0, where C carries slice N-1: psi0 on the
-    # last slice axis leaves the rows uncycled, and Tr R^k for k >= 3 moves
+    # R·M = psi0 ⊗ W puts psi0 on slice 0, where C carries slice N-1: psi0 on
+    # the last slice axis leaves the rows uncycled, and Tr R^k for k >= 5 moves
     "rows of R·M left uncycled": (
-        spacetime, "_left_multiply",
-        lambda f: lambda st, M: _uncycled(f(st, M), st.layout.d),
+        spacetime, "_psi0_rows",
+        lambda f: lambda st, W: _uncycled(f(st, W), st.layout.d),
         ["st-state-marginals"],
     ),
-    # R·M contracts M's last slice with the stored <omega|, not with its conjugate
+    # the head of R·M contracts M's last slice with the stored <omega|, not
+    # with its conjugate
     "omega conjugated": (
-        spacetime, "_left_multiply",
+        spacetime, "_head",
         lambda f: lambda st, M: f(dataclasses.replace(st, omega=st.omega.conj()), M),
         ["pseudo-entropy"],
+    ),
+    # a power's psi0 sits on row slice 0, so Tr R^k for k >= 3 pairs it with
+    # its partner's column slice 0; the last column slice is another slice
+    "psi0 paired with the partner's last column slice": (
+        spacetime, "_psi0_columns",
+        lambda f: lambda st, M: f(st, _last_column_slice_first(M, st.layout.d)),
+        ["st-state-marginals"],
     ),
     # every read of R onto cells goes through one reduction; its transpose
     # flips the sign of the witness's antihermitian part against the oracle
@@ -135,6 +143,12 @@ def _uncycled(RM, d):
     """R·M with its first row slice axis moved to the last place."""
     k = RM.shape[1]
     return RM.reshape(d, -1, k).transpose(1, 0, 2).reshape(-1, k)
+
+
+def _last_column_slice_first(M, d):
+    """M with its last column slice axis moved to the first place."""
+    m = len(M)
+    return M.reshape(m, -1, d).transpose(0, 2, 1).reshape(m, -1)
 
 
 def _bare_create(self, leg, v):

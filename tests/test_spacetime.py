@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from sqmlab.experiments import DEFAULTS
 from sqmlab.linalg import Operator, expm, rand_ginibre, rand_hermitian, rand_ket
 from sqmlab.spacetime import (
-    _left_multiply,
+    _head,
+    _psi0_columns,
     _trace_of_product,
     build_R,
     causality_witness,
@@ -32,9 +33,14 @@ def _state(seed: int, d: int = 2, N: int = 3, eps: float = 0.29, site_dims=None)
 
 # (d, N, site_dims): two states at D <= 256 and two at D >= 512; then N = 1,
 # slice N-1 alone in its fused group (d = 2, N = 5; d = 3, N = 3; and d = 4,
-# N = 3 above) and sharing it (d = 2, N = 6), for R·M through <omega|
+# N = 3 above) and sharing it (d = 2, N = 6), for R·M through <omega|; and
+# N = 2.  N = 1 and 2 leave zero and one head slice: at N = 1 <omega|
+# contracts the very slice that psi0 sits on
 POWER_STATES = [(2, 3, None), (4, 3, (2, 2)), (2, 9, None), (8, 3, (2, 4)),
-                (2, 1, None), (2, 5, None), (3, 3, None), (2, 6, None)]
+                (2, 1, None), (2, 5, None), (3, 3, None), (2, 6, None), (3, 2, None)]
+# k = 1 and 2 read the stored R, 3 its head against R·P, 4..8 the halves
+# T_2 .. T_4, T_b met on the way to T_a (k = 7 and 8 reach b >= 3)
+POWERS = range(1, 9)
 
 
 class TestMarginals:
@@ -57,7 +63,7 @@ class TestMarginals:
     @pytest.mark.parametrize("d, N, site_dims", POWER_STATES)
     def test_powers_match_dense_matrix_power(self, d, N, site_dims):
         st_state = _state(10 + N, d=d, N=N, site_dims=site_dims)
-        for k in range(1, 7):
+        for k in POWERS:
             power, tr = power_and_pseudoentropy(st_state, k)
             Rk = power()
             ref = np.linalg.matrix_power(st_state.R.mat, k)
@@ -72,11 +78,19 @@ class TestMarginals:
         psi, H = rand_ket(rng, d), rand_hermitian(rng, d)
         st_state = build_R(psi, H, 0.29, N, site_dims=site_dims)
         R = spacetime_state(psi, H, 0.29, N)
-        for k in (1, 3, 2 * d**N):
-            M = rng.standard_normal((d**N, k)) + 1j * rng.standard_normal((d**N, k))
-            RM = _left_multiply(st_state, M)
-            assert RM.shape == (d**N, k)
+        D = d**N
+        # R·M = |psi0> ⊗ _head(M), and the trace pairs psi0 with a partner's
+        # column slice 0: M·P with P = |psi0> ⊗ I
+        P = np.kron(psi.vec[:, None], np.eye(D // d))
+        for k in (1, 3, 2 * D):
+            M = rng.standard_normal((D, k)) + 1j * rng.standard_normal((D, k))
+            W = _head(st_state, M)
+            assert W.shape == (D // d, k)
+            RM = np.kron(psi.vec[:, None], W)
             np.testing.assert_allclose(RM, R @ M, rtol=0, atol=1e-12 * np.abs(R @ M).max())
+            MP = _psi0_columns(st_state, M.T)
+            assert MP.shape == (k, D // d)
+            np.testing.assert_allclose(MP, M.T @ P, rtol=0, atol=1e-12 * np.abs(M).max())
 
     @pytest.mark.parametrize("d, N, site_dims", POWER_STATES)
     def test_rescaled_state_has_geometric_trace_powers(self, d, N, site_dims):
@@ -86,7 +100,7 @@ class TestMarginals:
         st_state = _state(30 + N, d=d, N=N, site_dims=site_dims)
         c = 1.25
         scaled = dataclasses.replace(st_state, R=c * st_state.R, omega=c * st_state.omega)
-        for k in range(1, 7):
+        for k in POWERS:
             assert power_and_pseudoentropy(scaled, k)[1] == pytest.approx(c**k, rel=1e-12)
 
     def test_power_states_span_small_and_large_dims(self):
@@ -102,7 +116,7 @@ class TestMarginals:
         R_bad = st_state.R.mat + 1e-4 * G / np.linalg.norm(G)
         bad = dataclasses.replace(st_state, R=Operator(R_bad))
         tol = DEFAULTS["st-state-marginals"]["tol_trace"]
-        for k in range(1, 7):
+        for k in POWERS:
             assert abs(power_and_pseudoentropy(bad, k)[1] - 1.0) > tol
 
     def test_renyi_vanishes(self):
@@ -173,6 +187,16 @@ class TestTraceOfProduct:
         rng = np.random.default_rng(D)
         A, B = rand_ginibre(rng, D), rand_ginibre(rng, D)
         expected = complex(np.einsum("ij,ji->", A, B))
+        assert abs(_trace_of_product(A, B) - expected) <= 1e-13 * abs(expected)
+
+    # the k = 3 halves, D/d x D against D x D/d: tiles of 32 (d = 2 and
+    # d = 4 at D = 1024), of 27 (d = 3), and one of 1 x 1 (N = 1)
+    @pytest.mark.parametrize("m, n", [(256, 1024), (243, 729), (512, 1024), (1, 2)])
+    def test_rectangular_tiled_sum_matches_the_trace_of_the_product(self, m, n):
+        rng = np.random.default_rng(m + n)
+        A = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        B = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        expected = np.trace(A @ B)
         assert abs(_trace_of_product(A, B) - expected) <= 1e-13 * abs(expected)
 
 
