@@ -44,29 +44,29 @@ keeps,
 one matmul contracts M's last row slice axis with <omega|, and the
 fused V-groups of slices 0..N-2 act on the D/d-row result
 (QuantumAction.apply_head, ⌈(N-1)/g⌉ matmuls of d^g <= 16 per column
-instead of O(D³)).  Every power past the first is then |psi0> ⊗ W_j,
-and is kept only as its D/d-row head W_j.  In
+instead of O(D³)).  Every row of R lies on |psi0> in slice 0, and
+psi0 is normalized, so with P = |psi0> ⊗ I (D x D/d) R = P·W for
+W = P†·R, and
 
-    Tr R^k = sum_ij (R^a)_ij (R^b)_ji,      a = ceil(k/2), b = floor(k/2),
+    Tr R^k = Tr T_1^k,      T_1 = P†·R·P,
 
-the psi0 of R^a meets the partner's column slice 0 instead of being
-broadcast: with P = |psi0> ⊗ I (D x D/d), k = 3 sums the D/d x D head
-W_2 = _head(R) against the D x D/d R·P, and k >= 4 sums two
-D/d x D/d halves T_j = W_j·P, T_2 = _head(R·P) (the column
-contraction commutes with the row step, so it goes first) and
-T_{j+1} = _head(|psi0> ⊗ T_j), T_b met on the way to T_a.  The trace
-forms no D x D matrix but the stored R, and R is a factor of both
-halves.
+the D/d x D/d compression of R (`_compress`).  Its powers form one
+chain, T_{j+1} = T_1·T_j = _head(|psi0> ⊗ T_j), and the trace sums
+two of them,
+
+    Tr R^k = sum_ij (T_a)_ij (T_b)_ji,      a = ceil(k/2), b = floor(k/2),
+
+T_b met on the way to T_a: one chain for every k, and no D x D
+matrix formed but the stored R.  T_1 is read from the stored R and
+both halves are powers of it, so a fault in R shows at every k.
 The sum reads its second factor transposed, so it runs over t x t
-tiles (t the largest common divisor of both sides up to 32): tile
-(I, J) of one half meets tile (J, I) of the other, and the transposed
-read walks rows of t entries instead of striding a whole row per
-entry.
+tiles (t the largest divisor of D/d up to 32): tile (I, J) of one
+half meets tile (J, I) of the other, and the transposed read walks
+rows of t entries instead of striding a whole row per entry.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -214,17 +214,15 @@ def power_and_pseudoentropy(
 ) -> tuple[Callable[[], Operator], complex]:
     """(R^k on demand, Tr[R^k]).  For pure unitary provenance Tr[R^k] = 1 for all k.
 
-    Tr[R^k] = sum_ij (R^a)_ij (R^b)_ji, a = ceil(k/2), b = floor(k/2),
-    summed over tiles (`_trace_of_product`).  Every power past the
-    first is |psi0> ⊗ W_j with W_j = `_head` of the power below it,
-    so its psi0 meets the partner's column slice 0 (`_psi0_columns`)
-    instead of being broadcast: k = 3 sums W_2 = `_head`(R) against
-    R·P, P = |psi0> ⊗ I on column slice 0, and k >= 4 sums
-    T_a against T_b, T_j = W_j·P, from T_2 = `_head`(R·P) and
-    T_{j+1} = `_head`(|psi0> ⊗ T_j): D/d x D/d halves.  The stored R
-    is a factor of both halves, so a fault in it still shows in the
-    trace.  The first element is a zero-argument callable that builds
-    R^k as |psi0> ⊗ `_head`(R^{k-1}) from the stored R when called.
+    Tr[R^k] = Tr[T_1^k] for the D/d x D/d compression T_1 = P†·R·P,
+    P = |psi0> ⊗ I (`_compress`), since every row of R lies on psi0 in
+    slice 0.  One chain T_{j+1} = `_head`(|psi0> ⊗ T_j) gives its
+    powers up to a = ceil(k/2), and the trace sums T_a against
+    T_b, b = floor(k/2), tile by tile (`_trace_of_product`).  T_1 is
+    read from the stored R and both halves are powers of it, so a
+    fault in R still shows at every k.  The first element is a
+    zero-argument callable that builds R^k as |psi0> ⊗ `_head`(R^{k-1})
+    from the stored R when called.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -235,16 +233,11 @@ def power_and_pseudoentropy(
             M = _psi0_rows(st, _head(st, M))
         return Operator(M)
 
-    R = st.R.mat
-    if k <= 2:
-        tr = np.trace(R) if k == 1 else _trace_of_product(R, R)
-    elif k == 3:
-        tr = _trace_of_product(_head(st, R), _psi0_columns(st, R))
-    else:
-        halves = [_head(st, _psi0_columns(st, R))]  # T_2, T_3, ..., T_a
-        while len(halves) < (k + 1) // 2 - 1:
-            halves.append(_head(st, _psi0_rows(st, halves[-1])))
-        tr = _trace_of_product(halves[-1], halves[k // 2 - 2])
+    a, b = (k + 1) // 2, k // 2
+    T = [_compress(st, st.R.mat)]  # T_1, T_2, ..., T_a
+    while len(T) < a:
+        T.append(_head(st, _psi0_rows(st, T[-1])))
+    tr = np.trace(T[0]) if k == 1 else _trace_of_product(T[a - 1], T[b - 1])
     return power, complex(tr)
 
 
@@ -265,26 +258,32 @@ def _psi0_rows(st: SpacetimeState, W: np.ndarray) -> np.ndarray:
     return (st.psi0.vec[:, None, None] * W).reshape(-1, W.shape[1])
 
 
-def _psi0_columns(st: SpacetimeState, M: np.ndarray) -> np.ndarray:
-    """M · (|psi0> ⊗ I) for an (m, D) matrix M: psi0 contracts column slice 0."""
-    return np.matmul(st.psi0.vec, M.reshape(len(M), st.layout.d, -1))
+def _compress(st: SpacetimeState, M: np.ndarray) -> np.ndarray:
+    """P†·M·P for a D x D matrix M, P = |psi0> ⊗ I: the D/d x D/d block on psi0.
+
+    psi0 contracts M's column slice 0 (M·P, D x D/d), then psi0*
+    its row slice 0.
+    """
+    psi, d = st.psi0.vec, st.layout.d
+    n = len(M) // d
+    MP = np.matmul(psi, M.reshape(len(M), d, n))
+    return np.matmul(psi.conj(), MP.reshape(d, -1)).reshape(n, n)
 
 
 def _trace_of_product(A: np.ndarray, B: np.ndarray) -> complex:
-    """Tr[A·B] = sum_ij A_ij B_ji for an m x n A and an n x m B, read tile by tile.
+    """Tr[A·B] = sum_ij A_ij B_ji for two n x n matrices, read tile by tile.
 
-    Both are viewed as grids of t x t tiles, t the largest common
-    divisor of m and n up to _TILE, and tile (I, J) of A meets tile
-    (J, I) of B: the transposed read of B then walks rows of t entries
-    instead of jumping a whole row of B per entry.  Each tile pair is
-    summed on its own and the partial sums pairwise, which keeps the
-    rounding near that of the untiled sum.
+    Both are viewed as grids of t x t tiles, t the largest divisor of
+    n up to _TILE, and tile (I, J) of A meets tile (J, I) of B: the
+    transposed read of B then walks rows of t entries instead of
+    jumping a whole row of B per entry.  Each tile pair is summed on
+    its own and the partial sums pairwise, which keeps the rounding
+    near that of the untiled sum.
     """
-    m, n = A.shape
-    g = math.gcd(m, n)
-    t = g if g <= _TILE else max(s for s in range(1, _TILE + 1) if g % s == 0)
-    tiles = np.einsum("IiJj,JjIi->IJ", A.reshape(m // t, t, n // t, t),
-                      B.reshape(n // t, t, m // t, t))
+    n = len(A)
+    t = max(s for s in range(1, min(n, _TILE) + 1) if n % s == 0)
+    m = n // t
+    tiles = np.einsum("IiJj,JjIi->IJ", A.reshape(m, t, m, t), B.reshape(m, t, m, t))
     return complex(tiles.sum())
 
 

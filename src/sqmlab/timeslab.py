@@ -144,21 +144,18 @@ class QuantumAction:
             raise ValueError("H must be hermitian")
         object.__setattr__(self, "V", expm(-1j * self.layout.eps * self.H))
 
-    def apply(
-        self, M: np.ndarray, factors: Optional[Mapping[int, np.ndarray]] = None
-    ) -> np.ndarray:
-        """E · (⊗_t factors[t]) · M for a (D, k) matrix M, in ⌈N/g⌉ matmuls of d^g <= 16.
+    def apply(self, M: np.ndarray) -> np.ndarray:
+        """E · M for a (D, k) matrix M, in ⌈N/g⌉ matmuls of d^g <= 16.
 
-        Slice t gets the local factor V·factors[t] (V where no factor is
-        given).  Each group of g adjacent slices applies the kron of its
-        local factors as one block (`_blocks`).  Then the slice axes roll
-        by one to apply C; the D x D permutation is never formed.
+        Each group of g adjacent slices applies its kept all-V block
+        (`_groups`).  Then the slice axes roll by one to apply C; the
+        D x D permutation is never formed.
         """
         layout = self.layout
         M = np.asarray(M)
         if M.ndim != 2 or M.shape[0] != layout.total_dim:
             raise ValueError(f"need a ({layout.total_dim}, k) matrix, got shape {M.shape}")
-        return _cycle_rows(layout, _through_groups(self._blocks(factors or {}), M, layout.d))
+        return _cycle_rows(layout, _through_groups(self._groups, M, layout.d))
 
     def apply_head(self, W: np.ndarray) -> np.ndarray:
         """(V ⊗ ... ⊗ V) over slices 0..N-2 times a (D/d, k) matrix W.
@@ -174,10 +171,10 @@ class QuantumAction:
         return _through_groups(self._head_groups, W, self.layout.d)
 
     def dense(self, factors: Optional[Mapping[int, np.ndarray]] = None) -> np.ndarray:
-        """E · (⊗_t factors[t]) as a new D x D array, with `apply`'s factor convention.
+        """E · (⊗_t factors[t]) as a new D x D array: slice t gets V·factors[t] (V where none).
 
         The one column block of width D (`_column_blocks`): the group
-        blocks of `apply` as one broadcast kron, the row slice axes
+        blocks (`_blocks`) as one broadcast kron, the row slice axes
         rolled by one for C, no matrix product.  Built on each call and
         not kept, so an action holds no D x D matrix.
         """

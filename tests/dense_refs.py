@@ -111,11 +111,12 @@ def constraint_expectation_columns(
 ) -> complex:
     """Tr[B · E · (E·X·E† - X)], X = embed(O, t), from whole D x D columns.
 
-    E·X·E† is built by applying E to the whole identity twice,
-    E·(E·X)† = (E·X·E†)†, and the bracket is kept as one dense matrix.
+    E·X is E's dense build with X's slice factor, E·X·E† comes from
+    applying E to (E·X)†, E·(E·X)† = (E·X·E†)†, and the bracket is kept
+    as one dense matrix.
     """
     layout = qa.layout
-    EX = qa.apply(np.eye(layout.total_dim, dtype=complex), slice_factors(layout, [(O, t)]))
+    EX = qa.dense(slice_factors(layout, [(O, t)]))
     shifted = qa.apply(EX.conj().T).conj().T  # E·X·E†
     bracket = qa.apply(shifted) - EX  # E·(E·X·E† - X)
     if boundary is not None:
@@ -152,11 +153,23 @@ def frequency_window(N: int) -> list[int]:
     return list(range(-(N // 2), N - N // 2))
 
 
+def _mode_value(tau: float, gap: np.ndarray, eps_i: float) -> np.ndarray:
+    """1 / (exp(-i tau (gap + i eps_i)) - 1), the Bose law of gaussian._mode_corr, through expm1.
+
+    expm1 keeps the digits that the - 1 cancels next to the pole, where
+    the reference must be the more accurate side; PoleError on it.
+    """
+    den = np.expm1(-1j * tau * (gap + 1j * eps_i))
+    if np.any(den == 0):
+        raise gaussian.PoleError("mode correlator pole: tau*(gap + i eps_i) = 0 mod 2 pi")
+    return 1.0 / den
+
+
 def _tower_kernel(tower, E: float, tau: float, eps_i: float, dt_slices: int) -> complex:
     """The O(N) mode sum of feynman_kernel over one tower of `tower` at energy E."""
     w = 2.0 * math.pi * np.array(frequency_window(tower.N)) / tower.T
-    c_minus = gaussian._mode_corr(tau, w - E, eps_i)
-    c_plus = gaussian._mode_corr(tau, w + E, -eps_i)
+    c_minus = _mode_value(tau, w - E, eps_i)
+    c_plus = _mode_value(tau, w + E, -eps_i)
     terms = np.exp(-1j * w * (tau * dt_slices)) * (c_minus - c_plus)
     return complex(np.sum(terms) / tower.N)
 

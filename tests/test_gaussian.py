@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dense_refs import (
     feynman_kernel,
@@ -332,6 +332,9 @@ class TestPropagatorGrid:
         st.integers(0, 2),
         st.integers(0, 2),
     )
+    # one class, tau·E near the pole: the reference's mode values must keep
+    # their digits there
+    @example(1, 57, 0.036789355449353495, 0.01, [1.5, 1.5], [False] * 3, 0, 0, 0)
     def test_matches_tower_sum_on_small_grids(self, M, N, tau, eps_i, base, shift, dt,
                                               sx, sy):
         # parity-paired energies E[j] = E[M - j]; each class labelled j or j - M

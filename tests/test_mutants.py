@@ -77,12 +77,20 @@ MUTANTS = {
         lambda f: lambda st, M: f(dataclasses.replace(st, omega=st.omega.conj()), M),
         ["pseudo-entropy"],
     ),
-    # a power's psi0 sits on row slice 0, so Tr R^k for k >= 3 pairs it with
-    # its partner's column slice 0; the last column slice is another slice
+    # R's rows lie on psi0 in slice 0, so T_1 = P†·R·P, the start of every
+    # trace power, contracts psi0 with R's column slice 0; the last column
+    # slice is another slice
     "psi0 paired with the partner's last column slice": (
-        spacetime, "_psi0_columns",
+        spacetime, "_compress",
         lambda f: lambda st, M: f(st, _last_column_slice_first(M, st.layout.d)),
         ["st-state-marginals"],
+    ),
+    # the bra of T_1 = P†·R·P is <psi0|: psi0 in place of psi0* on the row
+    # contraction, as psi0 = (psi0 / psi0*) psi0* entrywise
+    "bra of T_1 left unconjugated": (
+        spacetime, "_compress",
+        lambda f: lambda st, M: f(st, _row_slice_0_scaled(M, st.psi0.vec / st.psi0.vec.conj())),
+        ["pseudo-entropy"],
     ),
     # every read of R onto cells goes through one reduction; its transpose
     # flips the sign of the witness's antihermitian part against the oracle
@@ -149,6 +157,11 @@ def _last_column_slice_first(M, d):
     """M with its last column slice axis moved to the first place."""
     m = len(M)
     return M.reshape(m, -1, d).transpose(0, 2, 1).reshape(m, -1)
+
+
+def _row_slice_0_scaled(M, v):
+    """(diag(v) ⊗ I)·M: row slice 0 of M scaled entry by entry by v."""
+    return (v[:, None, None] * M.reshape(len(v), -1, M.shape[1])).reshape(M.shape)
 
 
 def _bare_create(self, leg, v):

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from sqmlab.experiments import DEFAULTS
 from sqmlab.linalg import Operator, expm, rand_ginibre, rand_hermitian, rand_ket
 from sqmlab.spacetime import (
+    _compress,
     _head,
-    _psi0_columns,
     _trace_of_product,
     build_R,
     causality_witness,
@@ -38,8 +38,9 @@ def _state(seed: int, d: int = 2, N: int = 3, eps: float = 0.29, site_dims=None)
 # contracts the very slice that psi0 sits on
 POWER_STATES = [(2, 3, None), (4, 3, (2, 2)), (2, 9, None), (8, 3, (2, 4)),
                 (2, 1, None), (2, 5, None), (3, 3, None), (2, 6, None), (3, 2, None)]
-# k = 1 and 2 read the stored R, 3 its head against R·P, 4..8 the halves
-# T_2 .. T_4, T_b met on the way to T_a (k = 7 and 8 reach b >= 3)
+# every k sums T_a against T_b on one chain from T_1 = P†·R·P: k = 1 its
+# trace, 2 T_1 against itself, 3..8 the chain up to T_4, T_b met on the
+# way to T_a (k = 7 and 8 reach b >= 3)
 POWERS = range(1, 9)
 
 
@@ -79,18 +80,19 @@ class TestMarginals:
         st_state = build_R(psi, H, 0.29, N, site_dims=site_dims)
         R = spacetime_state(psi, H, 0.29, N)
         D = d**N
-        # R·M = |psi0> ⊗ _head(M), and the trace pairs psi0 with a partner's
-        # column slice 0: M·P with P = |psi0> ⊗ I
-        P = np.kron(psi.vec[:, None], np.eye(D // d))
+        # R·M = |psi0> ⊗ _head(M), and the trace powers start from the
+        # compression P†·X·P with P = |psi0> ⊗ I
         for k in (1, 3, 2 * D):
             M = rng.standard_normal((D, k)) + 1j * rng.standard_normal((D, k))
             W = _head(st_state, M)
             assert W.shape == (D // d, k)
             RM = np.kron(psi.vec[:, None], W)
             np.testing.assert_allclose(RM, R @ M, rtol=0, atol=1e-12 * np.abs(R @ M).max())
-            MP = _psi0_columns(st_state, M.T)
-            assert MP.shape == (k, D // d)
-            np.testing.assert_allclose(MP, M.T @ P, rtol=0, atol=1e-12 * np.abs(M).max())
+        P = np.kron(psi.vec[:, None], np.eye(D // d))
+        X = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
+        ref = P.conj().T @ X @ P
+        np.testing.assert_allclose(_compress(st_state, X), ref, rtol=0,
+                                   atol=1e-12 * np.abs(ref).max())
 
     @pytest.mark.parametrize("d, N, site_dims", POWER_STATES)
     def test_rescaled_state_has_geometric_trace_powers(self, d, N, site_dims):
@@ -187,16 +189,6 @@ class TestTraceOfProduct:
         rng = np.random.default_rng(D)
         A, B = rand_ginibre(rng, D), rand_ginibre(rng, D)
         expected = complex(np.einsum("ij,ji->", A, B))
-        assert abs(_trace_of_product(A, B) - expected) <= 1e-13 * abs(expected)
-
-    # the k = 3 halves, D/d x D against D x D/d: tiles of 32 (d = 2 and
-    # d = 4 at D = 1024), of 27 (d = 3), and one of 1 x 1 (N = 1)
-    @pytest.mark.parametrize("m, n", [(256, 1024), (243, 729), (512, 1024), (1, 2)])
-    def test_rectangular_tiled_sum_matches_the_trace_of_the_product(self, m, n):
-        rng = np.random.default_rng(m + n)
-        A = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-        B = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-        expected = np.trace(A @ B)
         assert abs(_trace_of_product(A, B) - expected) <= 1e-13 * abs(expected)
 
 

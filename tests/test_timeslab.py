@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from sqmlab.linalg import Operator, expm, rand_hermitian, rand_ket
 from sqmlab.timeslab import (
     SliceLayout,
+    apply_local,
     build_action,
     constraint_expectation,
     slice_factors,
@@ -295,7 +296,7 @@ class TestStructuredAgainstDense:
         for O, t in inserts:
             dense = dense @ embed_at_slice(O, t, lay).mat
         M = rng.standard_normal((lay.total_dim, 3)) + 1j * rng.standard_normal((lay.total_dim, 3))
-        applied = qa.apply(M, slice_factors(lay, inserts))
+        applied = qa.apply(apply_local(lay, M, slice_factors(lay, inserts)))
         np.testing.assert_allclose(applied, dense @ M, atol=1e-12 * max(1.0, np.abs(dense @ M).max()))
         expected = complex(np.trace(dense))
         assert trace_theorem_lhs(qa, inserts) == pytest.approx(
@@ -312,8 +313,8 @@ class TestStructuredAgainstDense:
         t = int(rng.integers(0, N - 1 if with_boundary else N))
         E = self._dense_action(qa)
         X = embed_at_slice(O, t, lay).mat
-        # the conjugation the engine builds from whole-column applies
-        EX = qa.apply(np.eye(lay.total_dim), {t: O.mat})
+        # the conjugation the engine builds: E's entries for E·X, one apply for E·X·E†
+        EX = qa.dense({t: O.mat})
         np.testing.assert_allclose(qa.apply(EX.conj().T).conj().T, E @ X @ E.conj().T,
                                    atol=1e-12)
         weighted = E @ (E @ X @ E.conj().T - X)
