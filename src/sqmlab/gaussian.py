@@ -17,21 +17,24 @@ geometric closed form,
     K(dt) = (1/N) sum_w e^{-i w tau dt} [corr(w - E + i e_i) - corr(w + E - i e_i)]
           = (w_E^r + w_E^s) / (1 - w_E^N),    w_E = e^{-i tau (E - i e_i)},
 
-with r the smallest positive representative of dt mod N and
-s = (-dt) mod N.  It converges to the time-ordered e^{-iE|dt|} as the
-grid is refined (image terms die like e^{-e_i T}).
+with s = (-dt) mod N and r = N - s, the smallest positive
+representative of dt mod N.  It converges to the time-ordered
+e^{-iE|dt|} as the grid is refined (image terms die like e^{-e_i T}).
 
 feynman_kernel_closed takes an integer array of time differences and
-reads w^r and w^s from one table of the N + 1 powers e^{k z},
-z = -i tau (E - i e_i), so its rounding does not grow with k; it raises
-PoleError where 1 - w^N vanishes to rounding (e_i = 0 with E on the
-frequency grid).  line_table sums it over the M site classes of a
-lattice into the one Feynman line P[dt, dx] that both
-feynman_propagator_grid (from a grids.FrequencyTower) and the order-2
-S-matrix in wick read, each at the site-class energies of
-grids.site_class_energies; it refuses N > LINE_SLICE_CAP before either
-builds an N-long array.  The O(N) mode sum over a tower is the tests'
-reference, in tests/dense_refs.py.
+evaluates e^{k z}, z = -i tau (E - i e_i), only at the k = r and s it
+reads: two exps per difference, or one table of the N + 1 powers once
+the differences outnumber half of it.  Both form the same k z, so
+they agree bit for bit, and the rounding does not grow with k.  It
+raises PoleError where 1 - w^N vanishes to rounding (e_i = 0 with E on
+the frequency grid).  line_table sums it over the M site classes of a
+lattice into rows of the one Feynman line P[dt, dx], at the site-class
+energies of grids.site_class_energies.  Each caller names the rows it
+reads: feynman_propagator_grid (from a grids.FrequencyTower) one row,
+the order-2 S-matrix in wick all N.  check_line_slices refuses
+N > LINE_SLICE_CAP; line_table calls it first, and the order-2 S-matrix
+before it builds its N rows.  The O(N) mode sum over a tower is the
+tests' reference, in tests/dense_refs.py.
 
 Signs of tau and e_i are not restricted here: the second kernel term
 is the mode value at -e_i, the anti-time-ordered branch.
@@ -82,13 +85,14 @@ def feynman_kernel_closed(N: int, tau: float, eps_i: float, E: float, dt_slices)
     """Exact geometric resummation of the tower kernel.
 
     Equals the O(N) mode sum over a full N-tower to machine precision
-    (the property tests pin this against the sum in tests/dense_refs.py);
-    O(N + K) for K time differences instead of the sum's O(N K).  With
-    z = -i tau (E - i e_i) and w = e^z the two mode series resum to
-    (w^{r} + w^{s}) / (1 - w^N), where r is the smallest positive
-    representative of dt mod N and s = (-dt) mod N.  Both index one
-    table of the N + 1 powers e^{k z}, k = 0..N: raising the rounded w
-    to an integer power would multiply its rounding error by k.
+    (the property tests pin this against the sum in tests/dense_refs.py).
+    With z = -i tau (E - i e_i) and w = e^z the two mode series resum to
+    (w^r + w^s) / (1 - w^N), where s = (-dt) mod N and r = N - s is the
+    smallest positive representative of dt mod N.  Only those powers
+    are evaluated, each as e^{k z}, since raising the rounded w to an
+    integer power would multiply its rounding error by k: 2K exps for K
+    time differences, or one table of the N + 1 powers k = 0..N once
+    2K > N + 1.  Both form the same k z, so they agree bit for bit.
 
     Raises PoleError where |expm1(N z)| <= 8 eps_machine max(1, |N z|),
     i.e. at e_i = 0 with E on the frequency grid, a pole of the mode sum.
@@ -100,23 +104,35 @@ def feynman_kernel_closed(N: int, tau: float, eps_i: float, E: float, dt_slices)
     den = -np.expm1(N * z)
     if abs(den) <= 8 * np.finfo(float).eps * max(1.0, abs(N * z)):
         raise PoleError(f"kernel pole: E = {E} on the frequency grid with eps_i = {eps_i}")
-    dt = np.asarray(dt_slices)
-    powers = np.exp(np.arange(N + 1) * z)
-    value = (powers[(dt - 1) % N + 1] + powers[(-dt) % N]) / den
+    s = (-np.asarray(dt_slices)) % N
+    r = N - s
+    if 2 * s.size > N + 1:
+        powers = np.exp(np.arange(N + 1) * z)
+        value = (powers[r] + powers[s]) / den
+    else:
+        value = (np.exp(r * z) + np.exp(s * z)) / den
     return complex(value) if value.ndim == 0 else value
 
 
-def line_table(N: int, tau: float, eps_i: float, energies) -> np.ndarray:
-    """Feynman line P[dt, dx] on the N x M difference lattice, M = len(energies).
-
-    P = (1/M) sum_j e^{2 pi i j dx / M} K_j(dt) / (2 E_j), E_j the energy
-    of site class j: one feynman_kernel_closed call on dt = 0..N-1 per
-    distinct energy, then one (N x M)(M x M) product with the plane
-    waves.  Raises ValueError unless N <= LINE_SLICE_CAP and
-    E[j] == E[-j mod M] > 0.
-    """
+def check_line_slices(N: int) -> None:
+    """Refuse a line of N > LINE_SLICE_CAP slices, before any N-long array exists."""
     if N > LINE_SLICE_CAP:
         raise ValueError(f"line table of T/tau = {N:.6g} slices exceeds cap {LINE_SLICE_CAP}")
+
+
+def line_table(N: int, tau: float, eps_i: float, energies, dt) -> np.ndarray:
+    """Rows dt of the Feynman line P[dt, dx] on the N x M difference lattice.
+
+    M = len(energies), and P = (1/M) sum_j e^{2 pi i j dx / M} K_j(dt) / (2 E_j),
+    E_j the energy of site class j: one feynman_kernel_closed call on
+    the asked time differences per distinct energy, each scaled by the
+    sum of its classes' plane-wave rows.  Every entry is formed the same
+    way whatever else is asked, so one row equals that row of the whole
+    table bit for bit.  dt is an int (the value is one row, of shape
+    (M,)) or a 1-d integer array of K differences (the value is K x M).
+    Raises ValueError unless N <= LINE_SLICE_CAP and E[j] == E[-j mod M] > 0.
+    """
+    check_line_slices(N)
     M = len(energies)
     for j, E in enumerate(energies):
         mirror = energies[(-j) % M]
@@ -128,10 +144,16 @@ def line_table(N: int, tau: float, eps_i: float, energies) -> np.ndarray:
             )
     if min(energies) <= 0:
         raise ValueError("internal lines need strictly positive energies")
-    lines = {E: feynman_kernel_closed(N, tau, eps_i, E, np.arange(N)) / (2.0 * E)
-             for E in set(energies)}
     plane_waves = np.exp(2j * np.pi * np.outer(np.arange(M), np.arange(M)) / M)
-    return np.column_stack([lines[E] for E in energies]) @ plane_waves / M
+    phases = {}
+    for j, E in enumerate(energies):
+        phases[E] = phases.get(E, 0) + plane_waves[j]
+    table = 0
+    for E, row in phases.items():
+        # np.divide: numpy's complex division for a scalar dt as for an array
+        line = np.divide(feynman_kernel_closed(N, tau, eps_i, E, dt), 2.0 * E)
+        table = table + np.multiply.outer(row / M, line)  # M x K: runs along dt
+    return table.T
 
 
 def feynman_propagator_grid(
@@ -145,7 +167,8 @@ def feynman_propagator_grid(
         (1/M) sum_p e^{i p (x-y)} (1/(2 E_p)) K_p(t_x - t_y)
 
     with E_p the energy of the tower in site class p, read as the
-    line_table entry at ((t_x - t_y) mod N, (s_x - s_y) mod M).  It
+    entry (s_x - s_y) mod M of the one line_table row (t_x - t_y) mod N,
+    so it evaluates two powers per site-class energy whatever N is.  It
     converges to the standard oracle <0|T phi(x) phi(y)|0> of the free
     lattice Hamiltonian.  Raises ValueError unless tau gives the
     tower's own T/tau slices and the towers cover each site class once.
@@ -160,5 +183,4 @@ def feynman_propagator_grid(
         raise ValueError("site-lattice propagator expects 1-d spatial indices")
     energies = site_class_energies([sp[0] for sp in tower.spatial], tower.energies, M)
     (tx, sx), (ty, sy) = x, y
-    table = line_table(N, tau, eps_i, energies)
-    return complex(table[(tx - ty) % N, (sx - sy) % M])
+    return complex(line_table(N, tau, eps_i, energies, (tx - ty) % N)[(sx - sy) % M])

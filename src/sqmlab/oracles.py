@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,11 @@ class DenseFockLattice:
         occupations = np.indices((self.n_max + 1,) * self.M).reshape(self.M, -1)
         return np.asarray(self.energies) @ occupations
 
+    @cached_property
+    def _root(self) -> np.ndarray:
+        """The column sqrt(1..n_max) of ladder weights, kept once per lattice."""
+        return np.sqrt(np.arange(1, self.n_max + 1))[:, None]
+
     def ladder(self, p: int, v: np.ndarray, create: bool = False) -> np.ndarray:
         """a_p v, or a†_p v with create=True.
 
@@ -77,11 +83,10 @@ class DenseFockLattice:
         L = self.n_max + 1
         psi = v.reshape(L**p, L, -1)
         out = np.zeros(psi.shape, dtype=complex)
-        root = np.sqrt(np.arange(1, L))[:, None]
         if create:
-            out[:, 1:] = root * psi[:, :-1]
+            out[:, 1:] = self._root * psi[:, :-1]
         else:
-            out[:, :-1] = root * psi[:, 1:]
+            out[:, :-1] = self._root * psi[:, 1:]
         return out.reshape(-1)
 
     def field(self, x: int, v: np.ndarray) -> np.ndarray:

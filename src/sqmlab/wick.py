@@ -14,9 +14,10 @@ against the internal-line table, so no pairing is enumerated or
 evaluated at run time.  The table is gaussian.line_table, the same
 Feynman line that gaussian.feynman_propagator_grid reads and the
 `propagator` experiment checks against exact diagonalization, at the
-site-class energies of grids.site_class_energies; a
+site-class energies of grids.site_class_energies, all N of its rows; a
 class's lattice sum is e_t^T P^m e_x: its external phase splits into
-N slice and M site phases.
+N slice and M site phases, and both classes read their slice phases
+e_t from one table of the N roots of unity, at index (n_tot t) mod N.
 
 On top of the buckets sits the quartic S-matrix assembly on an
 N-slice x M-site lattice.  Conventions (fixed here, validated end to
@@ -136,8 +137,8 @@ def smatrix_element(
     2 sums the pair-channel classes of the connected two-vertex
     pairings using translation invariance: one lattice difference sum
     per class, e_t^T P^m e_x with the external phase split into slice
-    and site factors, against the internal-line table P of
-    gaussian.line_table (the line feynman_propagator_grid reads).
+    and site factors, against all N rows of the internal-line table P of
+    gaussian.line_table (the line feynman_propagator_grid reads a row of).
 
     The order-2 assembly is normalized to the same external-leg and
     volume conventions as order 1.  In those conventions each vertex
@@ -192,13 +193,16 @@ def smatrix_element(
 
     energies = site_class_energies([mode[1] for mode in grid.modes],
                                    [grid.energy(k) for k in range(len(grid))], M)
-    table = gaussian.line_table(N, tau, eps_i, energies)
+    gaussian.check_line_slices(N)  # before the N-long arrays below
+    t = np.arange(N)
+    table = gaussian.line_table(N, tau, eps_i, energies, t)
     lines = {m: table**m for m in {row[0] for row in _ORDER2_BUCKETS}}
+    roots = np.exp(-2j * np.pi * t / N)
     total = 0.0 + 0.0j
     for m, _, sz, count in _ORDER2_BUCKETS:  # no pair-channel class has a self-loop
         n_tot = sum(signs[l] * legs[l][0] for l in sz)
         j_tot = sum(signs[l] * legs[l][1] for l in sz)
-        e_t = np.exp(-2j * np.pi * n_tot * np.arange(N) / N)
+        e_t = roots[(n_tot * t) % N]
         e_x = np.exp(2j * np.pi * j_tot * np.arange(M) / M)
         total += count * (e_t @ lines[m] @ e_x)
     return 0.5 * vertex**2 * consts * (N * M) * total / tau

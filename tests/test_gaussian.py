@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,19 @@ def tower_loop_reference(tower, tau, eps_i, dt):
         c_plus = 1.0 / (cmath.exp(-1j * tau * (w + E - 1j * eps_i)) - 1.0)
         total += cmath.exp(-1j * w * tau * dt) * (c_minus - c_plus)
     return total / N
+
+
+def smatrix_line(tau_scale):
+    """(N, tau, eps_i, site-class energies) of the order-2 smatrix line at tau2 * tau_scale.
+
+    The externals' spatial labels and energies, as smatrix_element reads them.
+    """
+    p = DEFAULTS["smatrix"]
+    tau = p["tau2"] * tau_scale
+    e_a = 2 * math.pi * p["n_a2"] / p["T2"]
+    e_b = 2 * math.pi * p["n_b2"] / p["T2"]
+    energies = site_class_energies((1, 2, 0, 3), (e_b, e_a, e_a, e_b), p["M_sites"])
+    return round(p["T2"] / tau), tau, p["eps_i2"], energies
 
 
 LAMBDAS = st.builds(complex, st.floats(0.5, 4.0), st.floats(-3.0, 3.0))
@@ -131,20 +145,13 @@ class TestTowerResummation:
         assert type(scalar) is complex
         assert scalar == got[3]
 
-    @pytest.mark.parametrize("tau_key_scale", [1.0, 0.5])
-    def test_propagator_table_at_smatrix_defaults(self, tau_key_scale):
+    @pytest.mark.parametrize("tau_scale", [1.0, 0.5])
+    def test_propagator_table_at_smatrix_defaults(self, tau_scale):
         # the order-2 smatrix run builds the table at tau2 and tau2 / 2
-        p = DEFAULTS["smatrix"]
-        T, M, eps_i = p["T2"], p["M_sites"], p["eps_i2"]
-        tau = p["tau2"] * tau_key_scale
-        e_a = 2 * math.pi * p["n_a2"] / T
-        e_b = 2 * math.pi * p["n_b2"] / T
-        N = round(T / tau)
-        # the externals' spatial labels and energies, as smatrix_element reads them
-        line_energies = site_class_energies((1, 2, 0, 3), (e_b, e_a, e_a, e_b), M)
-        table = line_table(N, tau, eps_i, line_energies)
+        N, tau, eps_i, energies = smatrix_line(tau_scale)
+        M = len(energies)
+        table = line_table(N, tau, eps_i, energies, np.arange(N))
         assert table.shape == (N, M)
-        energies = (e_a, e_b, e_a, e_b)  # site classes 0..3
         kern = np.array([[closed_form_pow_reference(N, tau, eps_i, E, dt)
                           for E in energies] for dt in range(N)])
         phases = np.exp(2j * np.pi * np.outer(np.arange(M), np.arange(M)) / M)
@@ -234,6 +241,78 @@ class TestTowerResummation:
             assert feynman_kernel_closed(N, tau, eps_i, E, dt) == pytest.approx(
                 feynman_kernel_closed(N, tau, eps_i, E, -dt), abs=1e-15
             )
+
+
+def dt_selections(N):
+    """Time differences on both sides of feynman_kernel_closed's 2K > N + 1 switch."""
+    rng = np.random.default_rng(N)
+    half = (N + 1) // 2
+    above = rng.permutation(N)[:half + 1] + N * rng.integers(-2, 3, size=half + 1)
+    return {
+        "one": np.array([N // 3]),
+        "below": rng.permutation(N)[:half],
+        "above": above,
+        "all, reversed and negative": np.arange(N)[::-1] - N,
+        "negative": -np.arange(1, 4),
+    }
+
+
+class TestRowsReadThroughDt:
+    @pytest.mark.parametrize("line", [(9, 0.3, 0.2, [1.3, 0.7, 0.7]), (8, 0.25, 0.1, [1.1, 1.9]),
+                                      "tau2", "tau2/2"])
+    def test_rows_equal_the_whole_line(self, line):
+        # K = 1, just below and just above (N + 1) / 2, K = N, then an int;
+        # the smatrix lines are N = 15000 and 30000
+        if isinstance(line, str):
+            line = smatrix_line(1.0 if line == "tau2" else 0.5)
+        N, tau, eps_i, energies = line
+        whole = line_table(N, tau, eps_i, energies, np.arange(N))
+        kernels = {E: feynman_kernel_closed(N, tau, eps_i, E, np.arange(N)) for E in energies}
+        selections = dt_selections(N)
+        assert 2 * len(selections["below"]) <= N + 1 < 2 * len(selections["above"])
+        for dt in selections.values():
+            rows = line_table(N, tau, eps_i, energies, dt)
+            assert rows.shape == (len(dt), len(energies))
+            assert np.array_equal(rows, whole[dt % N])
+            for E, kernel in kernels.items():
+                assert np.array_equal(feynman_kernel_closed(N, tau, eps_i, E, dt), kernel[dt % N])
+        # an int reads one row, of shape (M,)
+        for dt in (0, N // 3, -N - 1):
+            assert np.array_equal(line_table(N, tau, eps_i, energies, dt), whole[dt % N])
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(1, 5),
+        st.integers(2, 24),
+        st.floats(0.02, 0.5),
+        st.floats(0.01, 0.4),
+        st.lists(st.floats(0.1, 2.5), min_size=3, max_size=3),
+    )
+    def test_propagator_grid_reads_the_whole_line(self, M, N, tau, eps_i, base):
+        energies = [base[min(j, M - j)] for j in range(M)]
+        grid = frequency_tower(N * tau, tau, spatial=[(j,) for j in range(M)], M_sites=M,
+                               energies=energies)
+        whole = line_table(N, tau, eps_i, energies, np.arange(N))
+        for dt in range(-N, 2 * N):
+            for dx in range(-M, M):
+                got = feynman_propagator_grid(grid, tau, eps_i, (dt + 1, dx + 2), (1, 2))
+                assert got == whole[dt % N, dx % M]
+
+    def test_one_entry_of_an_800000_slice_window_stays_small(self):
+        # propagator --T 40000 at its default tau_grid: N = 800000 slices,
+        # under LINE_SLICE_CAP, and one entry builds no N-long array
+        p = DEFAULTS["propagator"]
+        tau, eps_i, energies = p["tau_grid"], p["eps_i_grid"], list(p["grid_energies"])
+        grid = frequency_tower(40000.0, tau, spatial=((0,), (1,)), M_sites=2, energies=energies)
+        assert grid.N == 800000
+        tracemalloc.start()
+        try:
+            value = feynman_propagator_grid(grid, tau, eps_i, (3, 1), (0, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cmath.isfinite(value)
+        assert peak < 2**20
 
 
 class TestModeCorrelatorLimit:

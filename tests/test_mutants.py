@@ -36,6 +36,15 @@ MUTANTS = {
         lambda f: lambda *args: f(*args).conj(),
         ["propagator"],
     ),
+    # propagator reads one kernel row per time difference; a row one slice
+    # late is the next dt's value (smatrix --order 2 sums every row, so the
+    # shift turns into one slice phase per class, and its ratio stays in
+    # tolerance)
+    "kernel read one slice late": (
+        gaussian, "feynman_kernel_closed",
+        lambda f: lambda N, tau, eps_i, E, dt: f(N, tau, eps_i, E, np.asarray(dt) + 1),
+        ["propagator"],
+    ),
     # the block of a fused slice group holding an insertion comes out slice-reversed
     "group kron with its factors swapped": (
         timeslab, "_block_kron",

@@ -325,7 +325,8 @@ def test_argument_validation():
 
 def grid_line_table(grid, tau, eps_i):
     """gaussian.line_table at the site-class energies of the grid's modes, as order 2 reads it."""
-    return line_table(slice_count(grid.T, tau), tau, eps_i, grid_line_energies(grid))
+    N = slice_count(grid.T, tau)
+    return line_table(N, tau, eps_i, grid_line_energies(grid), np.arange(N))
 
 
 def test_propagator_table_requires_energy_parity():
