@@ -115,7 +115,11 @@ def feynman_kernel_closed(N: int, tau: float, eps_i: float, E: float, dt_slices)
 
 
 def check_line_slices(N: int) -> None:
-    """Refuse a line of N > LINE_SLICE_CAP slices, before any N-long array exists."""
+    """Refuse a line of N > LINE_SLICE_CAP slices, before any N-long array exists.
+
+    line_table calls it first; a caller that builds an N-long dt for
+    line_table (order 2's np.arange(N)) must call it before doing so.
+    """
     if N > LINE_SLICE_CAP:
         raise ValueError(f"line table of T/tau = {N:.6g} slices exceeds cap {LINE_SLICE_CAP}")
 

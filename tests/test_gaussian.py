@@ -148,10 +148,15 @@ class TestTowerResummation:
     @pytest.mark.parametrize("tau_scale", [1.0, 0.5])
     def test_propagator_table_at_smatrix_defaults(self, tau_scale):
         # the order-2 smatrix run builds the table at tau2 and tau2 / 2
-        N, tau, eps_i, energies = smatrix_line(tau_scale)
-        M = len(energies)
-        table = line_table(N, tau, eps_i, energies, np.arange(N))
+        N, tau, eps_i, line_energies = smatrix_line(tau_scale)
+        M = len(line_energies)
+        table = line_table(N, tau, eps_i, line_energies, np.arange(N))
         assert table.shape == (N, M)
+        p = DEFAULTS["smatrix"]
+        e_a = 2 * math.pi * p["n_a2"] / p["T2"]
+        e_b = 2 * math.pi * p["n_b2"] / p["T2"]
+        energies = (e_a, e_b, e_a, e_b)  # site classes 0..3
+        assert list(line_energies) == list(energies)
         kern = np.array([[closed_form_pow_reference(N, tau, eps_i, E, dt)
                           for E in energies] for dt in range(N)])
         phases = np.exp(2j * np.pi * np.outer(np.arange(M), np.arange(M)) / M)
