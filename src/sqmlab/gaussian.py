@@ -23,11 +23,15 @@ e^{-iE|dt|} as the grid is refined (image terms die like e^{-e_i T}).
 
 feynman_kernel_closed takes an integer array of time differences and
 evaluates e^{k z}, z = -i tau (E - i e_i), only at the k = r and s it
-reads: two exps per difference, or one table of the N + 1 powers once
-the differences outnumber half of it.  Both form the same k z, so
-they agree bit for bit, and the rounding does not grow with k.  It
-raises PoleError where 1 - w^N vanishes to rounding (e_i = 0 with E on
-the frequency grid).  line_table sums it over the M site classes of a
+reads.  _exp_powers forms each power as e^{qBz} e^{jz}, k = qB + j,
+B = isqrt(N) + 1: two exps per asked power, or, once the asked powers
+outnumber half of the N + 1, one outer product of the two short exp
+tables e^{jz}, j < B, and e^{qBz}, q <= N // B (about 2 sqrt(N) exps
+for all N + 1 powers).  Both paths form the same two exps and one
+product, so they agree bit for bit, and each exponent is rounded once
+rather than the rounding of w being raised to the power k.  It raises
+PoleError where 1 - w^N vanishes to rounding (e_i = 0 with E on the
+frequency grid).  line_table sums it over the M site classes of a
 lattice into rows of the one Feynman line P[dt, dx], at the site-class
 energies of grids.site_class_energies.  Each caller names the rows it
 reads: feynman_propagator_grid (from a grids.FrequencyTower) one row,
@@ -42,6 +46,7 @@ is the mode value at -e_i, the anti-time-ordered branch.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -51,6 +56,8 @@ from .grids import FrequencyTower, ModeGrid, site_class_energies, slice_count
 
 # the most slices a line table holds: 35x the largest default (30000 at tau2 / 2)
 LINE_SLICE_CAP = 2**20
+
+_EPS = np.finfo(float).eps
 
 
 class PoleError(ZeroDivisionError):
@@ -81,37 +88,62 @@ def tau_mode_correlator(grid: ModeGrid, tau: float, eps_i: float, p: int, k: int
     return complex(_mode_corr(tau, grid.gap(p), eps_i))
 
 
-def feynman_kernel_closed(N: int, tau: float, eps_i: float, E: float, dt_slices):
+def _exp_powers(z, k: np.ndarray, N: int) -> np.ndarray:
+    """e^{k z} for a 1-d integer array k of powers 0 <= k <= N, of shape z.shape + k.shape.
+
+    Each power is e^{qBz} e^{jz}, k = qB + j with B = isqrt(N) + 1, each
+    exponent formed as one integer times z.  Once the asked powers
+    outnumber half of the N + 1 (the N roots of unity, or the r and s of
+    more than (N + 1) / 4 time differences), the values are read from
+    the outer product of the two short tables e^{jz}, j < B, and
+    e^{qBz}, q <= N // B; otherwise each asked power pays its own two
+    exps.  Both paths form the same exps and product: they agree bit
+    for bit.  z is a complex or an array of them, one row each.
+    """
+    B = math.isqrt(N) + 1
+    z = np.asarray(z)[..., None]  # 1-d even for one complex: numpy's 0-d math rounds otherwise
+    if 2 * k.size > N + 1:
+        lo = np.exp(np.arange(B) * z)
+        hi = np.exp(np.arange(0, N + 1, B) * z)
+        table = (hi[..., :, None] * lo[..., None, :]).reshape(*z.shape[:-1], -1)
+        return np.take(table, k, axis=-1)  # a 2-d fancy index gathers several times slower
+    j = k % B
+    e = np.exp(np.concatenate((k - j, j)) * z)
+    return e[..., :k.size] * e[..., k.size:]
+
+
+def feynman_kernel_closed(N: int, tau: float, eps_i: float, E, dt_slices):
     """Exact geometric resummation of the tower kernel.
 
     Equals the O(N) mode sum over a full N-tower to machine precision
     (the property tests pin this against the sum in tests/dense_refs.py).
     With z = -i tau (E - i e_i) and w = e^z the two mode series resum to
     (w^r + w^s) / (1 - w^N), where s = (-dt) mod N and r = N - s is the
-    smallest positive representative of dt mod N.  Only those powers
-    are evaluated, each as e^{k z}, since raising the rounded w to an
-    integer power would multiply its rounding error by k: 2K exps for K
-    time differences, or one table of the N + 1 powers k = 0..N once
-    2K > N + 1.  Both form the same k z, so they agree bit for bit.
+    smallest positive representative of dt mod N.  Only those 2K powers
+    are evaluated for K time differences, through one _exp_powers call
+    for all energies, since raising the rounded w to an integer power
+    would multiply its rounding error by k.
 
     Raises PoleError where |expm1(N z)| <= 8 eps_machine max(1, |N z|),
     i.e. at e_i = 0 with E on the frequency grid, a pole of the mode sum.
 
-    `dt_slices` may be an int (the value is a complex) or an integer
-    array (the value is a complex array of its shape).
+    `E` may be a float or a 1-d array of energies, `dt_slices` an int
+    or an integer array; the value has shape E.shape + dt_slices.shape
+    (a complex for two scalars).
     """
-    z = complex(-tau * eps_i, -tau * E)
+    energies = np.ravel(E)
+    z = -tau * eps_i - 1j * tau * energies
     den = -np.expm1(N * z)
-    if abs(den) <= 8 * np.finfo(float).eps * max(1.0, abs(N * z)):
-        raise PoleError(f"kernel pole: E = {E} on the frequency grid with eps_i = {eps_i}")
-    s = (-np.asarray(dt_slices)) % N
-    r = N - s
-    if 2 * s.size > N + 1:
-        powers = np.exp(np.arange(N + 1) * z)
-        value = (powers[r] + powers[s]) / den
-    else:
-        value = (np.exp(r * z) + np.exp(s * z)) / den
-    return complex(value) if value.ndim == 0 else value
+    for E_j, z_j, den_j in zip(energies, z, den):
+        if abs(den_j) <= 8 * _EPS * max(1.0, abs(N * z_j)):
+            raise PoleError(f"kernel pole: E = {E_j} on the frequency grid with eps_i = {eps_i}")
+    s = np.ravel(-dt_slices % N)  # 1-d even for an int, as z
+    powers = _exp_powers(z, np.concatenate((N - s, s)), N)
+    value = powers[:, :s.size] + powers[:, s.size:]
+    value /= den[:, None]
+    if np.isscalar(E) and np.isscalar(dt_slices):
+        return complex(value[0, 0])
+    return value.reshape(np.shape(E) + np.shape(dt_slices))
 
 
 def check_line_slices(N: int) -> None:
@@ -129,14 +161,33 @@ def line_table(N: int, tau: float, eps_i: float, energies, dt) -> np.ndarray:
 
     M = len(energies), and P = (1/M) sum_j e^{2 pi i j dx / M} K_j(dt) / (2 E_j),
     E_j the energy of site class j: one feynman_kernel_closed call on
-    the asked time differences per distinct energy, each scaled by the
-    sum of its classes' plane-wave rows.  Every entry is formed the same
+    the asked time differences at the distinct energies, each energy's
+    kernel scaled by its plane-wave weights (_line_weights, kept per
+    energy list, since a propagator entry reads one row of the line
+    again and again).  Every entry is formed the same
     way whatever else is asked, so one row equals that row of the whole
     table bit for bit.  dt is an int (the value is one row, of shape
     (M,)) or a 1-d integer array of K differences (the value is K x M).
     Raises ValueError unless N <= LINE_SLICE_CAP and E[j] == E[-j mod M] > 0.
     """
     check_line_slices(N)
+    distinct, weights = _line_weights(tuple(energies))
+    kernels = feynman_kernel_closed(N, tau, eps_i, distinct, np.ravel(dt))
+    # M x K, runs along dt; elementwise, so a row is the same bits whatever else is asked
+    table = np.multiply.outer(weights[0], kernels[0])
+    for w, kernel in zip(weights[1:], kernels[1:]):
+        table += np.multiply.outer(w, kernel)
+    return table[:, 0] if np.isscalar(dt) else table.T
+
+
+@functools.lru_cache(maxsize=16)
+def _line_weights(energies: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct site-class energies E and their plane-wave weights w_E (read-only).
+
+    w_E[dx] = sum over the classes j of energy E of e^{2 pi i j dx / M} / (2 E M):
+    line_table's per-call constants.  Raises ValueError unless
+    E[j] == E[-j mod M] > 0.
+    """
     M = len(energies)
     for j, E in enumerate(energies):
         mirror = energies[(-j) % M]
@@ -152,12 +203,10 @@ def line_table(N: int, tau: float, eps_i: float, energies, dt) -> np.ndarray:
     phases = {}
     for j, E in enumerate(energies):
         phases[E] = phases.get(E, 0) + plane_waves[j]
-    table = 0
-    for E, row in phases.items():
-        # np.divide: numpy's complex division for a scalar dt as for an array
-        line = np.divide(feynman_kernel_closed(N, tau, eps_i, E, dt), 2.0 * E)
-        table = table + np.multiply.outer(row / M, line)  # M x K: runs along dt
-    return table.T
+    distinct = np.array(list(phases), dtype=float)
+    weights = np.array([row / (2.0 * E * M) for E, row in phases.items()])
+    distinct.flags.writeable = weights.flags.writeable = False
+    return distinct, weights
 
 
 def feynman_propagator_grid(
@@ -172,9 +221,9 @@ def feynman_propagator_grid(
 
     with E_p the energy of the tower in site class p, read as the
     entry (s_x - s_y) mod M of the one line_table row (t_x - t_y) mod N,
-    so it evaluates two powers per site-class energy whatever N is.  It
-    converges to the standard oracle <0|T phi(x) phi(y)|0> of the free
-    lattice Hamiltonian.  Raises ValueError unless tau gives the
+    so it evaluates two powers, four exps, per distinct energy whatever
+    N is.  It converges to the standard oracle <0|T phi(x) phi(y)|0> of
+    the free lattice Hamiltonian.  Raises ValueError unless tau gives the
     tower's own T/tau slices and the towers cover each site class once.
     """
     if tower.M_sites is None:

@@ -18,6 +18,9 @@ site-class energies of grids.site_class_energies, all N of its rows; a
 class's lattice sum is e_t^T P^m e_x: its external phase splits into
 N slice and M site phases, and both classes read their slice phases
 e_t from one table of the N roots of unity, at index (n_tot t) mod N.
+That table is gaussian._exp_powers at z = -2 pi i / N, the power helper
+of the line's kernel: two short exp tables of about sqrt(N) entries and
+one outer product, not N complex exps.
 
 On top of the buckets sits the quartic S-matrix assembly on an
 N-slice x M-site lattice.  Conventions (fixed here, validated end to
@@ -197,7 +200,7 @@ def smatrix_element(
     t = np.arange(N)
     table = gaussian.line_table(N, tau, eps_i, energies, t)
     lines = {m: table**m for m in {row[0] for row in _ORDER2_BUCKETS}}
-    roots = np.exp(-2j * np.pi * t / N)
+    roots = gaussian._exp_powers(-2j * np.pi / N, t, N)
     total = 0.0 + 0.0j
     for m, _, sz, count in _ORDER2_BUCKETS:  # no pair-channel class has a self-loop
         n_tot = sum(signs[l] * legs[l][0] for l in sz)

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from dense_refs import (
     feynman_kernel,
-    feynman_kernel_two_exp,
     feynman_propagator_tower_sum,
     frequency_window,
     thermal_pair_bruteforce,
@@ -18,6 +17,7 @@ from dense_refs import (
 from sqmlab.experiments import DEFAULTS
 from sqmlab.gaussian import (
     PoleError,
+    _exp_powers,
     _mode_corr,
     feynman_kernel_closed,
     feynman_propagator_grid,
@@ -36,11 +36,15 @@ def closed_form_pow_reference(N, tau, eps_i, E, dt):
 
 
 def closed_form_longdouble(N, tau, eps_i, E, dt):
-    """(exp(r z) + exp(s z)) / (-expm1(N z)), z = -i tau (E - i eps_i), in np.clongdouble."""
+    """(exp(r z) + exp(s z)) / (-expm1(N z)), z = -i tau (E - i eps_i), in np.clongdouble.
+
+    dt is an int (the value is a complex) or an integer array (a complex array).
+    """
     L = np.longdouble
     z = np.clongdouble(-L(tau) * L(eps_i)) + np.clongdouble(1j) * (-L(tau) * L(E))
-    r, s = (dt - 1) % N + 1, (-dt) % N
-    return complex((np.exp(L(r) * z) + np.exp(L(s) * z)) / -np.expm1(L(N) * z))
+    r, s = (np.asarray(k, dtype=L) for k in ((dt - 1) % N + 1, (-dt) % N))
+    value = (np.exp(r * z) + np.exp(s * z)) / -np.expm1(L(N) * z)
+    return complex(value) if np.ndim(dt) == 0 else value.astype(complex)
 
 
 def tower_loop_reference(tower, tau, eps_i, dt):
@@ -205,10 +209,14 @@ class TestTowerResummation:
             ref = closed_form_longdouble(N, tau, 1e-3, E, dt)
             assert abs(feynman_kernel_closed(N, tau, 1e-3, E, dt) - ref) <= 1e-13 * abs(ref)
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="needs an extended-precision long double")
     @pytest.mark.parametrize("tau_scale, n_key", [(None, None), (1.0, "n_a2"), (0.5, "n_b2")])
-    def test_one_power_table_equals_two_exp_arrays(self, tau_scale, n_key):
+    def test_whole_line_against_longdouble_closed_form(self, tau_scale, n_key):
         # N = 7, then the order-2 smatrix window at tau2 (N = 15000) and tau2 / 2
-        # (N = 30000): indexing one table of e^{k z} changes no bit
+        # (N = 30000), dt over three periods: the largest error over the line's
+        # largest entry is 1.8e-16, 5.2e-16 and 1.0e-15 (one exp per power read
+        # 1.4e-16, 6.1e-16 and 1.3e-15), the error of rounding k z in double
         if tau_scale is None:
             N, tau, eps_i, E = 7, 0.3, 0.2, 1.3
         else:
@@ -217,8 +225,26 @@ class TestTowerResummation:
             N = round(p["T2"] / tau)
             E = 2 * math.pi * p[n_key] / p["T2"]
         dts = np.arange(-N, 2 * N)
+        ref = closed_form_longdouble(N, tau, eps_i, E, dts)
         got = feynman_kernel_closed(N, tau, eps_i, E, dts)
-        assert np.array_equal(got, feynman_kernel_two_exp(N, tau, eps_i, E, dts))
+        assert np.max(np.abs(got - ref)) <= 1.1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("N", [1, 2, 7, 9, 2000, 15000, 30000])
+    def test_exp_powers_paths_agree_bit_for_bit(self, N):
+        # the per-power path just below the table switch (2K <= N + 1), the
+        # table just above it, against the table of every power, for a kernel
+        # step, the step of the roots of unity and both at once
+        rng = np.random.default_rng(N)
+        steps = (complex(-0.1 * 0.02, -0.1 * 1.7), -2j * np.pi / N)
+        below = rng.integers(0, N + 1, size=(N + 1) // 2)
+        above = rng.integers(0, N + 1, size=(N + 1) // 2 + 1)
+        assert 2 * below.size <= N + 1 < 2 * above.size
+        both = _exp_powers(np.array(steps), np.arange(N + 1), N)
+        for z, whole in zip(steps, both):
+            assert np.array_equal(_exp_powers(z, np.arange(N + 1), N), whole)
+            for k in (below, above):
+                assert np.array_equal(_exp_powers(z, k, N), whole[k])
+        assert np.array_equal(_exp_powers(np.array(steps), below, N), both[:, below])
 
     def test_unregulated_kernel_between_grid_frequencies_is_the_tower_sum(self):
         # eps_i = 0 is a pole only with E on the grid 2 pi n / T; halfway
@@ -249,13 +275,17 @@ class TestTowerResummation:
 
 
 def dt_selections(N):
-    """Time differences on both sides of feynman_kernel_closed's 2K > N + 1 switch."""
+    """Time differences on both sides of the power table's switch, 4K > N + 1.
+
+    K differences ask feynman_kernel_closed for 2K powers, and _exp_powers
+    builds its table once they outnumber half of the N + 1.
+    """
     rng = np.random.default_rng(N)
-    half = (N + 1) // 2
-    above = rng.permutation(N)[:half + 1] + N * rng.integers(-2, 3, size=half + 1)
+    quarter = (N + 1) // 4
+    above = rng.permutation(N)[:quarter + 1] + N * rng.integers(-2, 3, size=quarter + 1)
     return {
         "one": np.array([N // 3]),
-        "below": rng.permutation(N)[:half],
+        "below": rng.permutation(N)[:quarter],
         "above": above,
         "all, reversed and negative": np.arange(N)[::-1] - N,
         "negative": -np.arange(1, 4),
@@ -266,7 +296,7 @@ class TestRowsReadThroughDt:
     @pytest.mark.parametrize("line", [(9, 0.3, 0.2, [1.3, 0.7, 0.7]), (8, 0.25, 0.1, [1.1, 1.9]),
                                       "tau2", "tau2/2"])
     def test_rows_equal_the_whole_line(self, line):
-        # K = 1, just below and just above (N + 1) / 2, K = N, then an int;
+        # K = 1, just below and just above (N + 1) / 4, K = N, then an int;
         # the smatrix lines are N = 15000 and 30000
         if isinstance(line, str):
             line = smatrix_line(1.0 if line == "tau2" else 0.5)
@@ -274,7 +304,7 @@ class TestRowsReadThroughDt:
         whole = line_table(N, tau, eps_i, energies, np.arange(N))
         kernels = {E: feynman_kernel_closed(N, tau, eps_i, E, np.arange(N)) for E in energies}
         selections = dt_selections(N)
-        assert 2 * len(selections["below"]) <= N + 1 < 2 * len(selections["above"])
+        assert 4 * len(selections["below"]) <= N + 1 < 4 * len(selections["above"])
         for dt in selections.values():
             rows = line_table(N, tau, eps_i, energies, dt)
             assert rows.shape == (len(dt), len(energies))

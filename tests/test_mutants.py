@@ -45,6 +45,13 @@ MUTANTS = {
         lambda f: lambda N, tau, eps_i, E, dt: f(N, tau, eps_i, E, np.asarray(dt) + 1),
         ["propagator"],
     ),
+    # every power of e^z, the kernel's and the order-2 slice phases', one step
+    # late: the line and the phases both move
+    "power one step late": (
+        gaussian, "_exp_powers",
+        lambda f: lambda z, k, N: f(z, k, N) * np.exp(np.asarray(z)[..., None]),
+        ["smatrix", "--order", "2"],
+    ),
     # the block of a fused slice group holding an insertion comes out slice-reversed
     "group kron with its factors swapped": (
         timeslab, "_block_kron",
