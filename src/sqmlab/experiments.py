@@ -215,8 +215,6 @@ def run_anomaly_scan(params: dict) -> Iterator[dict]:
             f"mismatch_ratio[N={N:03d}]", {"N": N, "2N": 2 * N, "T": T},
             ratio, predicted, params["tol_ratio"], scale=abs(predicted),
         )
-    if not params["slice_counts"]:
-        return  # no scan: the run has no cases, which run_experiment rejects
     # the dense truncated-Fock engine, an independent coding of the lattice,
     # against the sector engine at N = 6, n_max = 2 (D = 729, inside the cap)
     lf = fock.LatticeFock(N=6, M=1, energies=(params["energy"],), n_max=2, eps=T / 6)
@@ -604,9 +602,10 @@ def _check_params(name: str, params: dict) -> dict:
     """Reject overrides that would be ignored or would make a vacuous verdict.
 
     Every key must be one of the experiment's DEFAULTS keys, with the
-    same type (a tuple takes the type of its first default element);
-    real numbers must be finite, tolerances (keys starting with "tol")
-    nonnegative, "cases" at least 1 and "seed" in [0, 2^64).  Returns
+    same type (a tuple takes the type of its first default element, and
+    needs at least one entry); real numbers must be finite, tolerances
+    (keys starting with "tol") nonnegative, "cases" at least 1 and
+    "seed" in [0, 2^64).  Returns
     the overrides with an int given for a real key made a float, so
     `tol = 1` and `tol = 1.0` give the same report.
     """
@@ -625,6 +624,8 @@ def _check_params(name: str, params: dict) -> dict:
             raise ValueError(
                 f"parameter {key!r} of {name!r} must look like {default!r}, got {value!r}"
             )
+        if isinstance(default, tuple) and not value:
+            raise ValueError(f"parameter {key!r} of {name!r} needs at least one entry")
         if isinstance(default, float):
             value = _as_float(key, value)
         elif isinstance(default, tuple) and isinstance(default[0], float):

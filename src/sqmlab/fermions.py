@@ -134,9 +134,11 @@ def jw_ladder(layout: FermionLayout, leg: int) -> sparse.csr_array:
     Basis column c (leg occupied) goes to row c with the leg emptied,
     with the string sign (-1)^{occupation of the lower legs}; every
     other column is annihilated.  Leg 0 is the slowest-varying bit of
-    the basis index.
+    the basis index.  Raises ValueError unless 0 <= leg < layout.legs.
     """
     L = layout.legs
+    if not 0 <= leg < L:
+        raise ValueError(f"leg {leg} outside the {L} legs of the {layout.N}x{layout.M} lattice")
     states = np.arange(layout.dim)
     bit = 1 << (L - 1 - leg)
     cols = states[(states & bit) != 0]

@@ -21,13 +21,13 @@ with s = (-dt) mod N and r = N - s, the smallest positive
 representative of dt mod N.  It converges to the time-ordered
 e^{-iE|dt|} as the grid is refined (image terms die like e^{-e_i T}).
 
-feynman_kernel_closed takes an integer array of time differences and
-evaluates e^{k z}, z = -i tau (E - i e_i), only at the k = r and s it
-reads.  _exp_powers forms each power as e^{qBz} e^{jz}, k = qB + j,
-B = isqrt(N) + 1: two exps per asked power, or, once the asked powers
-outnumber half of the N + 1, one outer product of the two short exp
-tables e^{jz}, j < B, and e^{qBz}, q <= N // B (about 2 sqrt(N) exps
-for all N + 1 powers).  Both paths form the same two exps and one
+feynman_kernel_closed takes a 1-d array of energies and a 1-d integer
+array of time differences and evaluates e^{k z}, z = -i tau (E - i e_i),
+only at the k = r and s it reads.  _exp_powers forms each power as
+e^{qBz} e^{jz}, k = qB + j, B = isqrt(N) + 1: two exps per asked power,
+or, once the asked powers outnumber half of the N + 1, one outer
+product of the two short exp tables e^{jz}, j < B, and e^{qBz},
+q <= N // B (about 2 sqrt(N) exps for all N + 1 powers).  Both paths form the same two exps and one
 product, so they agree bit for bit, and each exponent is rounded once
 rather than the rounding of w being raised to the power k.  It raises
 PoleError where 1 - w^N vanishes to rounding (e_i = 0 with E on the
@@ -35,10 +35,9 @@ frequency grid).  line_table sums it over the M site classes of a
 lattice into rows of the one Feynman line P[dt, dx], at the site-class
 energies of grids.site_class_energies.  Each caller names the rows it
 reads: feynman_propagator_grid (from a grids.FrequencyTower) one row,
-the order-2 S-matrix in wick all N.  check_line_slices refuses
-N > LINE_SLICE_CAP; line_table calls it first, and the order-2 S-matrix
-before it builds its N rows.  The O(N) mode sum over a tower is the
-tests' reference, in tests/dense_refs.py.
+the order-2 S-matrix in wick all N (dt = None).  line_table refuses
+N > LINE_SLICE_CAP before any N-long array exists.  The O(N) mode sum
+over a tower is the tests' reference, in tests/dense_refs.py.
 
 Signs of tau and e_i are not restricted here: the second kernel term
 is the mode value at -e_i, the anti-time-ordered branch.
@@ -112,72 +111,58 @@ def _exp_powers(z, k: np.ndarray, N: int) -> np.ndarray:
     return e[..., :k.size] * e[..., k.size:]
 
 
-def feynman_kernel_closed(N: int, tau: float, eps_i: float, E, dt_slices):
-    """Exact geometric resummation of the tower kernel.
+def feynman_kernel_closed(N: int, tau: float, eps_i: float, E: np.ndarray,
+                          dt_slices: np.ndarray) -> np.ndarray:
+    """Exact geometric resummation of the tower kernel, len(E) x len(dt_slices).
 
     Equals the O(N) mode sum over a full N-tower to machine precision
     (the property tests pin this against the sum in tests/dense_refs.py).
     With z = -i tau (E - i e_i) and w = e^z the two mode series resum to
     (w^r + w^s) / (1 - w^N), where s = (-dt) mod N and r = N - s is the
-    smallest positive representative of dt mod N.  Only those 2K powers
-    are evaluated for K time differences, through one _exp_powers call
-    for all energies, since raising the rounded w to an integer power
-    would multiply its rounding error by k.
+    smallest positive representative of dt mod N.  E is a 1-d array of
+    energies and dt_slices a 1-d integer array of K time differences:
+    only their 2K powers are evaluated, through one _exp_powers call for
+    all energies, since raising the rounded w to an integer power would
+    multiply its rounding error by k.
 
     Raises PoleError where |expm1(N z)| <= 8 eps_machine max(1, |N z|),
     i.e. at e_i = 0 with E on the frequency grid, a pole of the mode sum.
-
-    `E` may be a float or a 1-d array of energies, `dt_slices` an int
-    or an integer array; the value has shape E.shape + dt_slices.shape
-    (a complex for two scalars).
     """
-    energies = np.ravel(E)
-    z = -tau * eps_i - 1j * tau * energies
+    z = -tau * eps_i - 1j * tau * E
     den = -np.expm1(N * z)
-    for E_j, z_j, den_j in zip(energies, z, den):
+    for E_j, z_j, den_j in zip(E, z, den):
         if abs(den_j) <= 8 * _EPS * max(1.0, abs(N * z_j)):
             raise PoleError(f"kernel pole: E = {E_j} on the frequency grid with eps_i = {eps_i}")
-    s = np.ravel(-dt_slices % N)  # 1-d even for an int, as z
+    s = -dt_slices % N
     powers = _exp_powers(z, np.concatenate((N - s, s)), N)
     value = powers[:, :s.size] + powers[:, s.size:]
     value /= den[:, None]
-    if np.isscalar(E) and np.isscalar(dt_slices):
-        return complex(value[0, 0])
-    return value.reshape(np.shape(E) + np.shape(dt_slices))
+    return value
 
 
-def check_line_slices(N: int) -> None:
-    """Refuse a line of N > LINE_SLICE_CAP slices, before any N-long array exists.
-
-    line_table calls it first; a caller that builds an N-long dt for
-    line_table (order 2's np.arange(N)) must call it before doing so.
-    """
-    if N > LINE_SLICE_CAP:
-        raise ValueError(f"line table of T/tau = {N:.6g} slices exceeds cap {LINE_SLICE_CAP}")
-
-
-def line_table(N: int, tau: float, eps_i: float, energies, dt) -> np.ndarray:
-    """Rows dt of the Feynman line P[dt, dx] on the N x M difference lattice.
+def line_table(N: int, tau: float, eps_i: float, energies, dt: np.ndarray | None) -> np.ndarray:
+    """Rows dt of the Feynman line P[dt, dx] on the N x M difference lattice, K x M.
 
     M = len(energies), and P = (1/M) sum_j e^{2 pi i j dx / M} K_j(dt) / (2 E_j),
     E_j the energy of site class j: one feynman_kernel_closed call on
     the asked time differences at the distinct energies, each energy's
     kernel scaled by its plane-wave weights (_line_weights, kept per
     energy list, since a propagator entry reads one row of the line
-    again and again).  Every entry is formed the same
-    way whatever else is asked, so one row equals that row of the whole
-    table bit for bit.  dt is an int (the value is one row, of shape
-    (M,)) or a 1-d integer array of K differences (the value is K x M).
-    Raises ValueError unless N <= LINE_SLICE_CAP and E[j] == E[-j mod M] > 0.
+    again and again).  dt is a 1-d integer array of K differences, or
+    None for all N rows.  Every entry is formed the same way whatever
+    else is asked, so one row equals that row of the whole table bit
+    for bit.  Raises ValueError unless N <= LINE_SLICE_CAP, checked
+    before any N-long array exists, and E[j] == E[-j mod M] > 0.
     """
-    check_line_slices(N)
+    if N > LINE_SLICE_CAP:
+        raise ValueError(f"line table of T/tau = {N:.6g} slices exceeds cap {LINE_SLICE_CAP}")
     distinct, weights = _line_weights(tuple(energies))
-    kernels = feynman_kernel_closed(N, tau, eps_i, distinct, np.ravel(dt))
+    kernels = feynman_kernel_closed(N, tau, eps_i, distinct, np.arange(N) if dt is None else dt)
     # M x K, runs along dt; elementwise, so a row is the same bits whatever else is asked
     table = np.multiply.outer(weights[0], kernels[0])
     for w, kernel in zip(weights[1:], kernels[1:]):
         table += np.multiply.outer(w, kernel)
-    return table[:, 0] if np.isscalar(dt) else table.T
+    return table.T
 
 
 @functools.lru_cache(maxsize=16)
@@ -220,7 +205,7 @@ def feynman_propagator_grid(
         (1/M) sum_p e^{i p (x-y)} (1/(2 E_p)) K_p(t_x - t_y)
 
     with E_p the energy of the tower in site class p, read as the
-    entry (s_x - s_y) mod M of the one line_table row (t_x - t_y) mod N,
+    entry (s_x - s_y) mod M of the one line_table row t_x - t_y,
     so it evaluates two powers, four exps, per distinct energy whatever
     N is.  It converges to the standard oracle <0|T phi(x) phi(y)|0> of
     the free lattice Hamiltonian.  Raises ValueError unless tau gives the
@@ -236,4 +221,4 @@ def feynman_propagator_grid(
         raise ValueError("site-lattice propagator expects 1-d spatial indices")
     energies = site_class_energies([sp[0] for sp in tower.spatial], tower.energies, M)
     (tx, sx), (ty, sy) = x, y
-    return complex(line_table(N, tau, eps_i, energies, (tx - ty) % N)[(sx - sy) % M])
+    return complex(line_table(N, tau, eps_i, energies, np.array([tx - ty]))[0, (sx - sy) % M])

@@ -11,16 +11,15 @@ pinned, as the literal `_ORDER2_BUCKETS`; the tests rebuild all 14
 classes from the enumerator and check that the literal is their
 pair-channel part.  A class's value is one lattice difference sum
 against the internal-line table, so no pairing is enumerated or
-evaluated at run time.  The table is gaussian.line_table, the same
-Feynman line that gaussian.feynman_propagator_grid reads and the
-`propagator` experiment checks against exact diagonalization, at the
-site-class energies of grids.site_class_energies, all N of its rows; a
-class's lattice sum is e_t^T P^m e_x: its external phase splits into
-N slice and M site phases, and both classes read their slice phases
-e_t from one table of the N roots of unity, at index (n_tot t) mod N.
-That table is gaussian._exp_powers at z = -2 pi i / N, the power helper
-of the line's kernel: two short exp tables of about sqrt(N) entries and
-one outer product, not N complex exps.
+evaluated at run time.  The table is all N rows of gaussian.line_table
+(dt = None; it refuses a line past its slice cap), the Feynman line that
+gaussian.feynman_propagator_grid reads and the `propagator` experiment
+checks against exact diagonalization, at the site-class energies of
+grids.site_class_energies.  A class's lattice sum is e_t^T P^m e_x: its
+external phase splits into N slice and M site phases, and both classes
+read their slice phases e_t from one table of the N roots of unity, at
+index (n_tot t) mod N, built by the kernel's power helper
+gaussian._exp_powers at z = -2 pi i / N.
 
 On top of the buckets sits the quartic S-matrix assembly on an
 N-slice x M-site lattice.  Conventions (fixed here, validated end to
@@ -196,9 +195,8 @@ def smatrix_element(
 
     energies = site_class_energies([mode[1] for mode in grid.modes],
                                    [grid.energy(k) for k in range(len(grid))], M)
-    gaussian.check_line_slices(N)  # before the N-long arrays below
+    table = gaussian.line_table(N, tau, eps_i, energies, None)
     t = np.arange(N)
-    table = gaussian.line_table(N, tau, eps_i, energies, t)
     lines = {m: table**m for m in {row[0] for row in _ORDER2_BUCKETS}}
     roots = gaussian._exp_powers(-2j * np.pi / N, t, N)
     total = 0.0 + 0.0j

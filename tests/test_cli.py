@@ -440,10 +440,25 @@ def test_int_for_a_real_key_gives_the_same_report(name, line, int_flags, float_f
 
 
 def test_run_without_cases_exits_2(tmp_path, capsys):
+    # k_max = 1 asks no Renyi order k >= 2 of any draw
     cfg = tmp_path / "empty.cfg"
-    cfg.write_text("slice_counts = ,\n")
-    assert main(["anomaly-scan", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    cfg.write_text("k_max = 1\n")
+    assert main(["pseudo-entropy", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "no cases" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, key", [
+    ("trace-theorem", "dims"),
+    ("anomaly-scan", "slice_counts"),
+    ("propagator", "grid_energies"),
+    ("propagator", "ed_slices"),
+    ("dirac-propagator", "p_moving"),
+])
+def test_empty_list_override_exits_2(name, key, tmp_path, capsys):
+    assert main([name, f"--{key}", ",", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sqmlab: error:") and f"{key!r}" in err and "at least one" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

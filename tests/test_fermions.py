@@ -115,6 +115,12 @@ def test_layout_cap_and_validation():
         FermionLayout(0, 1)
 
 
+@pytest.mark.parametrize("leg", [-1, 2, 3])
+def test_jw_ladder_refuses_a_leg_off_the_lattice(leg):
+    with pytest.raises(ValueError, match=f"leg {leg} outside the 2 legs"):
+        jw_ladder(FermionLayout(2, 1), leg)
+
+
 def test_canonical_anticommutators():
     layout = FermionLayout(2, 2)
     eye = np.eye(layout.dim)

@@ -16,6 +16,7 @@ from dense_refs import (
 )
 from sqmlab.experiments import DEFAULTS
 from sqmlab.gaussian import (
+    LINE_SLICE_CAP,
     PoleError,
     _exp_powers,
     _mode_corr,
@@ -127,7 +128,7 @@ class TestTowerResummation:
     def test_feynman_matches_closed_form(self, N, tau, eps_i, E, dt):
         grid = frequency_tower(N * tau, tau, energies=[E])
         lhs = feynman_kernel(grid, tau, eps_i, dt)
-        rhs = feynman_kernel_closed(N, tau, eps_i, E, dt)
+        rhs = feynman_kernel_closed(N, tau, eps_i, np.array([E]), np.array([dt]))[0, 0]
         assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
 
     @settings(max_examples=40, deadline=None)
@@ -140,14 +141,10 @@ class TestTowerResummation:
     )
     def test_array_closed_form_matches_scalar_powers(self, N, tau, eps_i, E, extra):
         dts = np.array([0, 1, -1, N // 2, -(N // 2), N - 1, *extra])
-        got = feynman_kernel_closed(N, tau, eps_i, E, dts)
-        assert got.shape == dts.shape
+        got = feynman_kernel_closed(N, tau, eps_i, np.array([E]), dts)
+        assert got.shape == (1, dts.size)
         ref = np.array([closed_form_pow_reference(N, tau, eps_i, E, int(dt)) for dt in dts])
-        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-        # a scalar time difference gives the same entry as a plain complex
-        scalar = feynman_kernel_closed(N, tau, eps_i, E, int(dts[3]))
-        assert type(scalar) is complex
-        assert scalar == got[3]
+        assert np.max(np.abs(got[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("tau_scale", [1.0, 0.5])
     def test_propagator_table_at_smatrix_defaults(self, tau_scale):
@@ -207,7 +204,8 @@ class TestTowerResummation:
         assert N == 30000
         for dt in (N // 2, N - 1):
             ref = closed_form_longdouble(N, tau, 1e-3, E, dt)
-            assert abs(feynman_kernel_closed(N, tau, 1e-3, E, dt) - ref) <= 1e-13 * abs(ref)
+            got = feynman_kernel_closed(N, tau, 1e-3, np.array([E]), np.array([dt]))[0, 0]
+            assert abs(got - ref) <= 1e-13 * abs(ref)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                         reason="needs an extended-precision long double")
@@ -226,7 +224,7 @@ class TestTowerResummation:
             E = 2 * math.pi * p[n_key] / p["T2"]
         dts = np.arange(-N, 2 * N)
         ref = closed_form_longdouble(N, tau, eps_i, E, dts)
-        got = feynman_kernel_closed(N, tau, eps_i, E, dts)
+        got = feynman_kernel_closed(N, tau, eps_i, np.array([E]), dts)[0]
         assert np.max(np.abs(got - ref)) <= 1.1e-15 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("N", [1, 2, 7, 9, 2000, 15000, 30000])
@@ -253,25 +251,26 @@ class TestTowerResummation:
         T = N * tau
         between = 2.0 * math.pi * 1.5 / T
         grid = frequency_tower(T, tau, energies=[between])
-        for dt in range(-N, 2 * N):
-            closed = feynman_kernel_closed(N, tau, 0.0, between, dt)
-            assert cmath.isfinite(closed)
-            assert closed == pytest.approx(feynman_kernel(grid, tau, 0.0, dt), abs=1e-13)
+        dts = np.arange(-N, 2 * N)
+        closed = feynman_kernel_closed(N, tau, 0.0, np.array([between]), dts)[0]
+        assert np.all(np.isfinite(closed))
+        for dt, value in zip(dts, closed):
+            assert value == pytest.approx(feynman_kernel(grid, tau, 0.0, int(dt)), abs=1e-13)
         with pytest.raises(PoleError):
-            feynman_kernel_closed(N, tau, 0.0, 2.0 * math.pi / T, 0)
+            feynman_kernel_closed(N, tau, 0.0, np.array([2.0 * math.pi / T]), np.array([0]))
 
     def test_equal_time_kernel_is_unit(self):
         # K(0) = (1 + w^N) / (1 - w^N) with |w^N| = e^{-eps_i N tau}
         N, tau, eps_i, E = 400, 0.05, 0.4, 1.3
-        val = feynman_kernel_closed(N, tau, eps_i, E, 0)
+        val = feynman_kernel_closed(N, tau, eps_i, np.array([E]), np.array([0]))[0, 0]
         assert val == pytest.approx(1.0, abs=3 * math.exp(-eps_i * N * tau))
 
     def test_kernel_even_in_time(self):
         N, tau, eps_i, E = 30, 0.08, 0.15, 1.1
-        for dt in (1, 4, 13):
-            assert feynman_kernel_closed(N, tau, eps_i, E, dt) == pytest.approx(
-                feynman_kernel_closed(N, tau, eps_i, E, -dt), abs=1e-15
-            )
+        dts = np.array([1, 4, 13])
+        forward, backward = feynman_kernel_closed(N, tau, eps_i, np.array([E]),
+                                                  np.concatenate((dts, -dts)))[0].reshape(2, -1)
+        assert forward == pytest.approx(backward, abs=1e-15)
 
 
 def dt_selections(N):
@@ -296,13 +295,14 @@ class TestRowsReadThroughDt:
     @pytest.mark.parametrize("line", [(9, 0.3, 0.2, [1.3, 0.7, 0.7]), (8, 0.25, 0.1, [1.1, 1.9]),
                                       "tau2", "tau2/2"])
     def test_rows_equal_the_whole_line(self, line):
-        # K = 1, just below and just above (N + 1) / 4, K = N, then an int;
-        # the smatrix lines are N = 15000 and 30000
+        # K = 1, just below and just above (N + 1) / 4, K = N, then None for
+        # all N rows; the smatrix lines are N = 15000 and 30000
         if isinstance(line, str):
             line = smatrix_line(1.0 if line == "tau2" else 0.5)
         N, tau, eps_i, energies = line
         whole = line_table(N, tau, eps_i, energies, np.arange(N))
-        kernels = {E: feynman_kernel_closed(N, tau, eps_i, E, np.arange(N)) for E in energies}
+        kernels = {E: feynman_kernel_closed(N, tau, eps_i, np.array([E]), np.arange(N))[0]
+                   for E in energies}
         selections = dt_selections(N)
         assert 4 * len(selections["below"]) <= N + 1 < 4 * len(selections["above"])
         for dt in selections.values():
@@ -310,10 +310,9 @@ class TestRowsReadThroughDt:
             assert rows.shape == (len(dt), len(energies))
             assert np.array_equal(rows, whole[dt % N])
             for E, kernel in kernels.items():
-                assert np.array_equal(feynman_kernel_closed(N, tau, eps_i, E, dt), kernel[dt % N])
-        # an int reads one row, of shape (M,)
-        for dt in (0, N // 3, -N - 1):
-            assert np.array_equal(line_table(N, tau, eps_i, energies, dt), whole[dt % N])
+                got = feynman_kernel_closed(N, tau, eps_i, np.array([E]), dt)
+                assert np.array_equal(got, kernel[None, dt % N])
+        assert np.array_equal(line_table(N, tau, eps_i, energies, None), whole)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -347,6 +346,19 @@ class TestRowsReadThroughDt:
         finally:
             tracemalloc.stop()
         assert cmath.isfinite(value)
+        assert peak < 2**20
+
+    def test_line_past_the_cap_is_refused_before_allocating(self):
+        # the order-2 smatrix asks all rows (dt = None): one slice past
+        # LINE_SLICE_CAP is refused before any N-long array exists
+        _, tau, eps_i, energies = smatrix_line(1.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"exceeds cap {LINE_SLICE_CAP}"):
+                line_table(LINE_SLICE_CAP + 1, tau, eps_i, energies, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert peak < 2**20
 
 

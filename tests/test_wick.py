@@ -326,7 +326,7 @@ def test_argument_validation():
 def grid_line_table(grid, tau, eps_i):
     """gaussian.line_table at the site-class energies of the grid's modes, as order 2 reads it."""
     N = slice_count(grid.T, tau)
-    return line_table(N, tau, eps_i, grid_line_energies(grid), np.arange(N))
+    return line_table(N, tau, eps_i, grid_line_energies(grid), None)
 
 
 def test_propagator_table_requires_energy_parity():
