@@ -645,7 +645,8 @@ def run_experiment(name: str, params: dict | None = None) -> dict:
 
     Collects the runner's cases sorted by key and sums them up.  Raises
     ValueError for a parameter the experiment does not have, of the
-    wrong type or out of range, and for a run that yields no cases.
+    wrong type or out of range, for a run that yields no cases, and for
+    one that names a case twice (a repeated override entry).
     """
     if name not in RUNNERS:
         raise KeyError(f"unknown experiment {name!r}")
@@ -653,6 +654,9 @@ def run_experiment(name: str, params: dict | None = None) -> dict:
     cases = sorted(RUNNERS[name](merged), key=lambda c: c["case"])
     if not cases:
         raise ValueError(f"{name} with these parameters yields no cases")
+    for a, b in zip(cases, cases[1:]):
+        if a["case"] == b["case"]:
+            raise ValueError(f"{name} with these parameters names case {a['case']!r} twice")
     failures = sum(not c["pass"] for c in cases)
     return {
         "cases": cases,

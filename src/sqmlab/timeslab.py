@@ -32,14 +32,15 @@ itself, as the spacetime state's rank-one boundary does.
 The group blocks hold every entry of E·(⊗_t F_t), so a read that needs
 only some entries takes them from the blocks, with no matrix product.
 `QuantumAction.diagonal` gathers the D diagonal entries at the cycled
-row index, one block entry per group, and the trace identity sums
-them.  `QuantumAction._column_blocks` yields whole columns of the first
-group's block in a broadcast kron with the others' blocks, folded from
-the right, then one roll of the row slice axes; the constraint streams
-over these blocks, and `QuantumAction.dense`, where a state needs E as
-a matrix, is the one block of all D columns.  The dense permutation C
-and the dense embeddings of slice operators live with the tests, as
-references.
+row index, one block entry per group; the trace identity sums them, and
+so does the constraint's unshifted half, its boundary folded into slice
+0's factor.  `QuantumAction._column_blocks` yields whole columns of the
+first group's block in a broadcast kron with the others' blocks, folded
+from the right, then one roll of the row slice axes; the constraint's
+shifted half streams over these blocks of E and E·X, and
+`QuantumAction.dense`, where a state needs E as a matrix, is the one
+block of all D columns.  The dense permutation C and the dense
+embeddings of slice operators live with the tests, as references.
 
 A layout is d, N and eps, nothing more: how a state on h^{⊗N} factors
 is read only by the spacetime state.  Insertions become local factors
@@ -82,21 +83,6 @@ class SliceLayout:
         return self.d**self.N
 
 
-def apply_local(
-    layout: SliceLayout, M: np.ndarray, factors: Mapping[int, np.ndarray]
-) -> np.ndarray:
-    """(⊗_t F_t) · M for a (D, k) matrix M, F_t = factors[t] (d x d) or I.
-
-    Each factor acts on its own slice axis of the row index, at
-    O(d·D·k); slices without a factor are left alone.
-    """
-    d = layout.d
-    k = M.shape[1]
-    for t, F in factors.items():
-        M = np.matmul(F, M.reshape(d**t, d, -1)).reshape(-1, k)
-    return M
-
-
 def _cycle_rows(layout: SliceLayout, M: np.ndarray) -> np.ndarray:
     """C · M: the last slice axis of the row index becomes the first."""
     k = M.shape[1]
@@ -114,8 +100,8 @@ def slice_factors(
 ) -> dict[int, np.ndarray]:
     """Slice -> matrix of the one operator inserted there, ascending in slice.
 
-    prod_t embed(O_t, t) equals apply_local with these factors.  A slice
-    takes at most one operator: a repeated slice is refused.
+    prod_t embed(O_t, t) is ⊗_t F_t with these factors (I where none).  A
+    slice takes at most one operator: a repeated slice is refused.
     """
     factors: dict[int, np.ndarray] = {}
     for O, t in sorted(inserts, key=lambda item: item[1]):
@@ -307,24 +293,32 @@ def constraint_expectation(
     motion V·O_H((t+1)eps)·V† - O_H(t eps) = 0 evaluated inside the
     boundary trace.
 
-    The two traces stream over column blocks of E and of E·X, read
-    from the group blocks (`QuantumAction._column_blocks`): block cols
-    adds ⟨E e_j| B·E·E·X |e_j⟩ over its columns j to the shifted half,
-    from one apply of E to the block of E·X, and ⟨e_j| B·E·X |e_j⟩ to
-    the unshifted one; the working set is D x block, not D x D.  The
-    shifted half sums to Tr[E†·B·E·E·X] = Tr[B·E·(E·X·E†)]: E† still
-    acts, through E's columns, so the shift identity is exercised, not
-    assumed, and it sets E's kron entries against its matmul apply.
+    The unshifted half is the trace identity's read: Tr[B·E·X] =
+    Tr[E·X·embed(B, 0)], the diagonal sum (`QuantumAction.diagonal`) with
+    B multiplied onto slice 0's factor from the right (O·B when t = 0).
+    The shifted half streams over column blocks of E and of E·X
+    (`QuantumAction._column_blocks`), D x block each: a block adds
+    ⟨E e_j| B·E·E·X |e_j⟩ over its columns j, from one apply of E to
+    E·X's block, with B as the bra ⟨q| on row slice 0 of E's block and
+    ⟨q'| on that of E·E·X's.  It sums to Tr[E†·B·E·E·X] =
+    Tr[B·E·(E·X·E†)]: E† still acts, through E's columns, so the shift
+    identity is exercised, not assumed, and E's kron entries meet its
+    matmul apply.
     """
     layout = qa.layout
     if boundary is not None and not 0 <= t < layout.N - 1:
         raise ValueError(f"with a boundary need 0 <= t < N-1, got t={t}, N={layout.N}")
     factors = slice_factors(layout, [(O, t)])
-    B = {} if boundary is None else {0: boundary[0].outer(boundary[1]).mat}
-    shifted = unshifted = 0j
-    for (cols, E), (_, EX) in zip(
-        qa._column_blocks({}, _COLUMN_BLOCK), qa._column_blocks(factors, _COLUMN_BLOCK)
-    ):
-        shifted += np.vdot(E, apply_local(layout, qa.apply(EX), B))
-        unshifted += np.trace(apply_local(layout, EX, B)[cols])
-    return complex(shifted - unshifted)
+    read = factors
+    if boundary is not None:
+        B = boundary[0].outer(boundary[1]).mat
+        read = {**factors, 0: factors[0] @ B if 0 in factors else B}
+    shifted = 0j
+    blocks = zip(qa._column_blocks({}, _COLUMN_BLOCK), qa._column_blocks(factors, _COLUMN_BLOCK))
+    for (_, E), (_, EX) in blocks:
+        EEX = qa.apply(EX)
+        if boundary is not None:
+            E, EEX = (np.matmul(v.vec.conj(), M.reshape(layout.d, -1))
+                      for v, M in zip(boundary, (E, EEX)))
+        shifted += np.vdot(E, EEX)
+    return complex(shifted - np.sum(qa.diagonal(read)))

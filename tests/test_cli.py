@@ -461,6 +461,18 @@ def test_empty_list_override_exits_2(name, key, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, case", [
+    (["propagator", "--ed_slices", "1,1"], "feynman_vs_ed[dt=001]"),
+    (["anomaly-scan", "--slice_counts", "8,8"], "contraction_density[N=008]"),
+])
+def test_repeated_case_name_exits_2(argv, case, tmp_path, capsys):
+    # a report's case names identify its cases: a repeated entry would list one twice
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sqmlab: error:") and f"{case!r} twice" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # fuzz over the DEFAULTS keys of every experiment
 

@@ -73,6 +73,13 @@ MUTANTS = {
             (cols, block.conj()) for cols, block in f(self, factors, width)),
         ["constraint-theorem"],
     ),
+    # the constraint's unshifted half is the diagonal sum of E·X·embed(B, 0);
+    # the shifted half reads E's column blocks, so the two no longer cancel
+    "diagonal x (1 + 1e-6)": (
+        timeslab.QuantumAction, "diagonal",
+        lambda f: lambda self, factors: (1 + 1e-6) * f(self, factors),
+        ["constraint-theorem"],
+    ),
     # Tr R^k sums (R^a)_ij (R^b)_ji; the untransposed sum of (R^a)_ij (R^b)_ij misses 1
     "trace of product without its transpose": (
         spacetime, "_trace_of_product",

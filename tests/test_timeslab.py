@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from sqmlab.linalg import Operator, expm, rand_hermitian, rand_ket
 from sqmlab.timeslab import (
     SliceLayout,
-    apply_local,
     build_action,
     constraint_expectation,
     slice_factors,
@@ -292,25 +291,32 @@ class TestStructuredAgainstDense:
         lay = SliceLayout(d=d, N=N, eps=0.41)
         qa = build_action(lay, rand_hermitian(rng, d))
         inserts = [(rand_hermitian(rng, d), t) for t in slots if t < N]
-        dense = self._dense_action(qa)
+        X = np.eye(lay.total_dim)
         for O, t in inserts:
-            dense = dense @ embed_at_slice(O, t, lay).mat
+            X = X @ embed_at_slice(O, t, lay).mat
+        dense = self._dense_action(qa) @ X
         M = rng.standard_normal((lay.total_dim, 3)) + 1j * rng.standard_normal((lay.total_dim, 3))
-        applied = qa.apply(apply_local(lay, M, slice_factors(lay, inserts)))
+        applied = qa.apply(X @ M)
         np.testing.assert_allclose(applied, dense @ M, atol=1e-12 * max(1.0, np.abs(dense @ M).max()))
         expected = complex(np.trace(dense))
         assert trace_theorem_lhs(qa, inserts) == pytest.approx(
             expected, abs=1e-12 * max(1.0, abs(expected)))
 
     @settings(max_examples=60, deadline=None)
-    @given(LAYOUTS.filter(lambda layout: layout[1] >= 2), SEEDS, st.booleans())
-    def test_constraint_expectation_matches_dense(self, layout, seed, with_boundary):
+    @given(LAYOUTS.filter(lambda layout: layout[1] >= 2), st.integers(0, 8), SEEDS, st.booleans())
+    # a boundary at t = 0: B folds into O's slice 0 factor as O·B
+    @example((2, 5), 0, 0, True)
+    # t = N - 2: groups 0-3, 4-7 and 8, the shifted insertion in the ragged last
+    @example((2, 9), 7, 1, True)
+    # D = 243 in three column blocks of E and E·X (108, 108 and 27 columns)
+    @example((3, 5), 2, 2, True)
+    def test_constraint_expectation_matches_dense(self, layout, slot, seed, with_boundary):
         d, N = layout
+        t = slot % (N - 1 if with_boundary else N)
         rng = np.random.default_rng(seed)
         lay = SliceLayout(d=d, N=N, eps=0.37)
         qa = build_action(lay, rand_hermitian(rng, d))
         O = rand_hermitian(rng, d)
-        t = int(rng.integers(0, N - 1 if with_boundary else N))
         E = self._dense_action(qa)
         X = embed_at_slice(O, t, lay).mat
         # the conjugation the engine builds: E's entries for E·X, one apply for E·X·E†
