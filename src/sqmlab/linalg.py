@@ -56,14 +56,19 @@ class Operator:
     An operator is its matrix: how its index space factors into
     tensor factors is known only to the caller that traces some of
     them out (`partial_trace`).  The entry buffer is write-protected,
-    and all arithmetic returns new instances.
+    and all arithmetic returns new instances.  An ndarray that owns its
+    buffer and is already write-protected is kept as it is, without a
+    copy (its maker hands it over, as `spacetime.build_R` does with R);
+    anything else is copied.
     """
 
     __slots__ = ("mat",)
 
     def __init__(self, entries):
-        mat = _as_square_matrix(entries).copy()
-        mat.flags.writeable = False
+        mat = _as_square_matrix(entries)
+        if mat.flags.writeable or not mat.flags.owndata:
+            mat = mat.copy()
+            mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
 
     def __setattr__(self, name, value):

@@ -20,13 +20,14 @@ onto the last slice,
 
     embed(b, 0) · E = E · embed(V†·b·V, N-1),      b = |psi0><psi0| · V^{-N},
 
-so R is built as QuantumAction.dense({N-1: V†·b·V}): one broadcast
-kron of timeslab's fused slice-group blocks (the all-V blocks kept on
-the action, the last group's built with the boundary) and one roll of
-the row slice axes, then scaled by its trace in place and copied once
-into the Operator; no D x D matrix product and no kron chain over
-slices.  The state alone knows how R's index space factors: one factor
-per slice, or one per (slice, site) cell when `site_dims` splits each
+so R is built as QuantumAction.dense({N-1: V†·b·V}): one kron of
+timeslab's fused slice-group blocks (the all-V blocks kept on the
+action, the last group's built with the boundary), written once into a
+fresh buffer with its rows in C's order, then scaled by its trace in
+place, write-protected and kept by the Operator as it is; one D x D
+buffer in all, no D x D matrix product and no kron chain over slices.
+The state alone knows how R's index space factors: one factor per
+slice, or one per (slice, site) cell when `site_dims` splits each
 slice into sites.  Every read of R onto cells (slice marginals, region
 reductions and the causality witness) goes through one reduction,
 `_reduce`, which checks the cells against the N x sites grid, maps them
@@ -58,7 +59,10 @@ two of them,
 
 T_b met on the way to T_a: one chain for every k, and no D x D
 matrix formed but the stored R.  T_1 is read from the stored R and
-both halves are powers of it, so a fault in R shows at every k.
+both halves are powers of it, so a fault in R shows at every k.  The
+chain to T_a gives two powers, k = 2a - 1 (T_a against T_{a-1}) and
+k = 2a (T_a against itself); the state keeps both traces, scalars
+only, so asking for k = 1..6 builds three chains.
 The sum reads its second factor transposed, so it runs over t x t
 tiles (t the largest divisor of D/d up to 32): tile (I, J) of one
 half meets tile (J, I) of the other, and the transposed read walks
@@ -67,7 +71,7 @@ rows of t entries instead of striding a whole row per entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -89,6 +93,8 @@ class SpacetimeState:
     holds the entries of the bra <omega| = <psi0|·V^{-N}·V / Tr, a
     read-only d-vector: R's last-slice factor is the rank-one
     V†|psi0><omega|, so R · M = |psi0> ⊗ [V^{⊗(N-1)} · (I ⊗ <omega|) · M].
+    `_trace_powers` holds the values Tr R^k that `power_and_pseudoentropy`
+    has read, scalars only; `dataclasses.replace` starts it empty.
     """
 
     R: Operator
@@ -96,6 +102,8 @@ class SpacetimeState:
     omega: np.ndarray
     psi0: Ket
     site_dims: Optional[tuple[int, ...]] = None
+    _trace_powers: dict[int, complex] = field(default_factory=dict, init=False, repr=False,
+                                              compare=False)
 
     @property
     def layout(self) -> SliceLayout:
@@ -134,9 +142,10 @@ def build_R(
     """Assemble and normalize the spacetime state for (psi0, H, eps, N).
 
     R_raw = E · embed(V†·b·V, N-1) comes from one dense build of the
-    action, and its trace scales it in place.  The state keeps
-    the bra <omega| = <psi0|·V^{-N}·V divided by the same trace, all
-    that its left multiplications read of the boundary.
+    action, and its trace scales it in place; the buffer is then
+    write-protected and becomes R's Operator without a copy.  The state
+    keeps the bra <omega| = <psi0|·V^{-N}·V divided by the same trace,
+    all that its left multiplications read of the boundary.
     """
     if abs(psi0.norm() - 1.0) > 1e-12:
         raise ValueError("psi0 must be normalized")
@@ -154,8 +163,9 @@ def build_R(
     if abs(tr) < 1e-14:
         raise ValueError("spacetime state has numerically zero trace")
     raw *= 1.0 / tr
+    raw.flags.writeable = False  # R's Operator keeps this buffer, uncopied
     omega = psi0.vec.conj() @ unwind.mat @ V / tr
-    omega.flags.writeable = False  # read-only, as R's Operator buffer is
+    omega.flags.writeable = False  # read-only, as R's buffer is
     return SpacetimeState(R=Operator(raw), action=qa, omega=omega, psi0=psi0,
                           site_dims=site_dims)
 
@@ -220,7 +230,11 @@ def power_and_pseudoentropy(
     powers up to a = ceil(k/2), and the trace sums T_a against
     T_b, b = floor(k/2), tile by tile (`_trace_of_product`).  T_1 is
     read from the stored R and both halves are powers of it, so a
-    fault in R still shows at every k.  The first element is a
+    fault in R still shows at every k.  The chain to T_a serves both
+    k = 2a - 1 (T_a against T_{a-1}, or Tr T_1 at a = 1) and k = 2a
+    (T_a against itself): both values go into the state's
+    `_trace_powers`, and a k found there is not read again.  The state
+    keeps only these scalars, never a T_j.  The first element is a
     zero-argument callable that builds R^k as |psi0> ⊗ `_head`(R^{k-1})
     from the stored R when called.
     """
@@ -233,12 +247,15 @@ def power_and_pseudoentropy(
             M = _psi0_rows(st, _head(st, M))
         return Operator(M)
 
-    a, b = (k + 1) // 2, k // 2
-    T = [_compress(st, st.R.mat)]  # T_1, T_2, ..., T_a
-    while len(T) < a:
-        T.append(_head(st, _psi0_rows(st, T[-1])))
-    tr = np.trace(T[0]) if k == 1 else _trace_of_product(T[a - 1], T[b - 1])
-    return power, complex(tr)
+    if k not in st._trace_powers:
+        a = (k + 1) // 2
+        T = [_compress(st, st.R.mat)]  # T_1, T_2, ..., T_a
+        while len(T) < a:
+            T.append(_head(st, _psi0_rows(st, T[-1])))
+        odd = np.trace(T[0]) if a == 1 else _trace_of_product(T[a - 1], T[a - 2])
+        st._trace_powers[2 * a - 1] = complex(odd)
+        st._trace_powers[2 * a] = _trace_of_product(T[a - 1], T[a - 1])
+    return power, st._trace_powers[k]
 
 
 def _head(st: SpacetimeState, M: np.ndarray) -> np.ndarray:

@@ -35,12 +35,14 @@ only some entries takes them from the blocks, with no matrix product.
 row index, one block entry per group; the trace identity sums them, and
 so does the constraint's unshifted half, its boundary folded into slice
 0's factor.  `QuantumAction._column_blocks` yields whole columns of the
-first group's block in a broadcast kron with the others' blocks, folded
-from the right, then one roll of the row slice axes; the constraint's
-shifted half streams over these blocks of E and E·X, and
-`QuantumAction.dense`, where a state needs E as a matrix, is the one
-block of all D columns.  The dense permutation C and the dense
-embeddings of slice operators live with the tests, as references.
+first group's block in a kron with the others' blocks, folded from the
+right, each written once into a fresh array with its rows already in
+C's order (the roll of the row slice axes is folded into the product,
+not copied after it); the constraint's shifted half streams over these
+blocks of E and E·X, and `QuantumAction.dense`, where a state needs E
+as a matrix, is the one block of all D columns, which the state keeps
+as it was written.  The dense permutation C and the dense embeddings of
+slice operators live with the tests, as references.
 
 A layout is d, N and eps, nothing more: how a state on h^{⊗N} factors
 is read only by the spacetime state.  Insertions become local factors
@@ -160,9 +162,10 @@ class QuantumAction:
         """E · (⊗_t factors[t]) as a new D x D array: slice t gets V·factors[t] (V where none).
 
         The one column block of width D (`_column_blocks`): the group
-        blocks (`_blocks`) as one broadcast kron, the row slice axes
-        rolled by one for C, no matrix product.  Built on each call and
-        not kept, so an action holds no D x D matrix.
+        blocks (`_blocks`) as one kron written in C's row order, no
+        matrix product.  Built on each call into a fresh array that owns
+        its buffer and is not kept, so an action holds no D x D matrix
+        and the caller may scale it in place.
         """
         (_, block), = self._column_blocks(factors or {}, self.layout.total_dim)
         return block
@@ -192,19 +195,29 @@ class QuantumAction:
         """(cols, (E · ⊗_t factors[t])[:, cols]) for column blocks tiling 0..D-1 in order.
 
         A block is whole columns of the first group's block, as many as
-        fit in `width` (at least one), in a broadcast kron with the
-        other groups' blocks folded from the right; its rows then roll
-        by one for C.  The fold is built once per call; no matmul.
+        fit in `width` (at least one), in a kron with the other groups'
+        blocks folded from the right (`rest`), written once, rows in C's
+        order, into a fresh C-ordered array: slice N-1, the last row
+        slice axis of `rest`, is read first, so one product puts every
+        entry where the roll would.  With one group `rest` is 1 x 1 and
+        has no slice to give; the first block's rows (at most 16) are
+        rolled instead.  The fold is built once per call; no matmul.
         """
         first, *others = [block for _, block in self._blocks(factors)]
         # folded from the right, so each kron's inner axis is the larger
         # operand; the 1 x 1 start stands for no other group
         rest = reduce(lambda right, block: _block_kron(block, right), reversed(others), np.ones((1, 1)))
-        r = len(rest)
+        d, r = self.layout.d, len(rest)
+        if r == 1:
+            first, d = _cycle_rows(self.layout, first), 1
+        rest_rows = rest.reshape(r // d, d, r).transpose(1, 0, 2)  # (slice N-1, other rows, cols)
         step = max(1, width // r)
         for a in range(0, len(first), step):
             b = min(a + step, len(first))
-            yield slice(a * r, b * r), _cycle_rows(self.layout, _block_kron(first[:, a:b], rest))
+            block = np.empty((len(first) * r, (b - a) * r), complex)
+            np.multiply(first[None, :, None, a:b, None], rest_rows[:, None, :, None, :],
+                        out=block.reshape(d, len(first), r // d, b - a, r))
+            yield slice(a * r, b * r), block
 
     def _blocks(self, factors: Mapping[int, np.ndarray]) -> Iterator[tuple[range, np.ndarray]]:
         """(slices, block) per group of `_groups`: the kept all-V block, or, where a
@@ -298,12 +311,15 @@ def constraint_expectation(
     B multiplied onto slice 0's factor from the right (O·B when t = 0).
     The shifted half streams over column blocks of E and of E·X
     (`QuantumAction._column_blocks`), D x block each: a block adds
-    ⟨E e_j| B·E·E·X |e_j⟩ over its columns j, from one apply of E to
-    E·X's block, with B as the bra ⟨q| on row slice 0 of E's block and
-    ⟨q'| on that of E·E·X's.  It sums to Tr[E†·B·E·E·X] =
-    Tr[B·E·(E·X·E†)]: E† still acts, through E's columns, so the shift
-    identity is exercised, not assumed, and E's kron entries meet its
-    matmul apply.
+    ⟨E e_j| B·E·E·X |e_j⟩ over its columns j.  Without a boundary that
+    is one apply of E to E·X's block.  With one, B is the bra ⟨q| on
+    row slice 0 of E's block and ⟨q'| on that of E·E·X's; C carries
+    slice N-1 to slice 0, so ⟨q'|·E = (V ⊗ ... ⊗ V) ⊗ ⟨q'|V over slices
+    0..N-2 and N-1: ⟨q'|V contracts the last row slice of E·X's block
+    and `QuantumAction.apply_head` acts on the D/d rows left.  It sums
+    to Tr[E†·B·E·E·X] = Tr[B·E·(E·X·E†)]: E† still acts, through E's
+    columns, so the shift identity is exercised, not assumed, and E's
+    kron entries meet its matmul apply.
     """
     layout = qa.layout
     if boundary is not None and not 0 <= t < layout.N - 1:
@@ -315,10 +331,13 @@ def constraint_expectation(
         read = {**factors, 0: factors[0] @ B if 0 in factors else B}
     shifted = 0j
     blocks = zip(qa._column_blocks({}, _COLUMN_BLOCK), qa._column_blocks(factors, _COLUMN_BLOCK))
-    for (_, E), (_, EX) in blocks:
-        EEX = qa.apply(EX)
-        if boundary is not None:
-            E, EEX = (np.matmul(v.vec.conj(), M.reshape(layout.d, -1))
-                      for v, M in zip(boundary, (E, EEX)))
-        shifted += np.vdot(E, EEX)
+    if boundary is None:
+        for (_, E), (_, EX) in blocks:
+            shifted += np.vdot(E, qa.apply(EX))
+    else:
+        q, q_prime = boundary
+        bra = q_prime.vec.conj() @ qa.V.mat  # <q'|V, on E·X's last row slice
+        for (_, E), (_, EX) in blocks:
+            head = qa.apply_head(np.matmul(bra, EX.reshape(-1, layout.d, EX.shape[1])))
+            shifted += np.vdot(np.matmul(q.vec.conj(), E.reshape(layout.d, -1)), head)
     return complex(shifted - np.sum(qa.diagonal(read)))

@@ -71,6 +71,23 @@ class TestOperator:
         assert not np.shares_memory(A.mat, X)
         assert peak <= 1.1 * X.nbytes
 
+    def test_write_protected_buffer_is_kept_and_anything_else_copied(self):
+        rng = np.random.default_rng(7)
+        owned = rand_ginibre(rng, 4)
+        owned.flags.writeable = False
+        assert Operator(owned).mat is owned
+        # a writable array, and a read-only view whose base stays writable:
+        # a later write to the source must not reach the Operator
+        base = rand_ginibre(rng, 4)
+        view = base[:]
+        view.flags.writeable = False
+        for source in (base, view):
+            A = Operator(source)
+            before = A.mat.copy()
+            base[0, 0] += 1.0
+            assert not np.shares_memory(A.mat, base)
+            np.testing.assert_array_equal(A.mat, before)
+
     def test_matmul_and_scalar(self):
         rng = np.random.default_rng(3)
         A, B = rand_hermitian(rng, 3), rand_hermitian(rng, 3)

@@ -1,6 +1,7 @@
 """Spacetime density operator: marginals, witnesses, region reductions."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,42 @@ class TestMarginals:
         tol = DEFAULTS["st-state-marginals"]["tol_trace"]
         for k in POWERS:
             assert abs(power_and_pseudoentropy(bad, k)[1] - 1.0) > tol
+
+    @pytest.mark.parametrize("d, N, site_dims", [(2, 9, None), (3, 2, None), (4, 3, (2, 2))])
+    def test_trace_powers_are_kept_per_chain_and_agree_bitwise(self, d, N, site_dims):
+        # every oracle of the CLI is 1, so a memo that mixed up its keys
+        # would pass every run: on c·R, Tr (cR)^k = c^k tells the k apart,
+        # and each value asked in any order must be bit for bit the one a
+        # fresh state computes for that k alone
+        base, c = _state(50 + N, d=d, N=N, site_dims=site_dims), 1.25
+
+        def scaled():
+            return dataclasses.replace(base, R=c * base.R, omega=c * base.omega)
+
+        st_state = scaled()
+        for k in (4, 1, 6, 3, 2, 5):
+            tr = power_and_pseudoentropy(st_state, k)[1]
+            assert tr == power_and_pseudoentropy(scaled(), k)[1]
+            assert tr == pytest.approx(c**k, rel=1e-12)
+        # the chain to T_2 serves k = 3 and k = 4, and the state keeps only their traces
+        st_state = scaled()
+        power_and_pseudoentropy(st_state, 3)
+        assert st_state._trace_powers.keys() == {3, 4}
+        assert all(isinstance(v, complex) for v in st_state._trace_powers.values())
+        assert dataclasses.replace(st_state)._trace_powers == {}
+
+    def test_stored_R_refuses_writes_and_is_the_one_buffer_built(self):
+        _state(9, d=2, N=10)  # the action's kept blocks, outside the traced build
+        tracemalloc.start()
+        try:
+            st_state = _state(9, d=2, N=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with pytest.raises(ValueError):
+            st_state.R.mat[0, 0] = 0.0
+        # no kron and roll copy next to R, and no copy of R into its Operator
+        assert peak <= 1.5 * st_state.R.mat.nbytes
 
     def test_renyi_vanishes(self):
         st_state = _state(2, d=2, N=4)

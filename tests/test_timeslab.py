@@ -1,5 +1,7 @@
 """Slice-lattice action: cyclic shift, trace identity, constraint expectation."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,6 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from sqmlab.linalg import Operator, expm, rand_hermitian, rand_ket
 from sqmlab.timeslab import (
     SliceLayout,
+    _block_kron,
+    _cycle_rows,
     build_action,
     constraint_expectation,
     slice_factors,
@@ -250,6 +254,25 @@ class TestReadsOfTheGroupBlocks:
         np.testing.assert_array_equal(np.hstack([block for _, block in blocks]), qa.dense(factors))
         if width == "D":
             assert len(blocks) == 1
+
+    @pytest.mark.parametrize("d, N", [(1, 3), (2, 1), (2, 9), (3, 5), (4, 3)])
+    @pytest.mark.parametrize("width", [1, 128, "D"])
+    def test_column_blocks_are_the_cycled_kron_written_once(self, d, N, width):
+        """Each block, written in C's row order by one product, is bit for bit
+        the broadcast kron of the first group's columns with the folded rest,
+        rows rolled afterwards; and it owns a fresh C-ordered buffer."""
+        rng = np.random.default_rng(d * 10 + N)
+        qa = build_action(SliceLayout(d=d, N=N, eps=0.41), rand_hermitian(rng, d))
+        D = qa.layout.total_dim
+        factors = {0: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))}
+        first, *others = [block for _, block in qa._blocks(factors)]
+        rest = reduce(lambda right, block: _block_kron(block, right), reversed(others),
+                      np.ones((1, 1)))
+        r = len(rest)
+        for cols, block in qa._column_blocks(factors, D if width == "D" else width):
+            ref = _cycle_rows(qa.layout, _block_kron(first[:, cols.start // r:cols.stop // r], rest))
+            assert block.shape == ref.shape and block.tobytes() == ref.tobytes()
+            assert block.flags.owndata and block.flags.c_contiguous
 
 
 class TestStructuredAgainstDense:
