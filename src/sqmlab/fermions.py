@@ -148,7 +148,9 @@ def jw_ladder(layout: FermionLayout, leg: int) -> sparse.csr_array:
 
 def jw_annihilator(layout: FermionLayout, t: int, m: int) -> Operator:
     """Real float64 dense view of jw_ladder: c(t, m) with the string over lower legs."""
-    return Operator(jw_ladder(layout, layout.leg(t, m)).toarray())
+    mat = jw_ladder(layout, layout.leg(t, m)).toarray()
+    mat.flags.writeable = False  # a fresh buffer, which Operator keeps uncopied
+    return Operator(mat)
 
 
 def parity_matrix(layout: FermionLayout) -> sparse.csr_array:
@@ -160,7 +162,9 @@ def parity_matrix(layout: FermionLayout) -> sparse.csr_array:
 
 def parity_operator(layout: FermionLayout) -> Operator:
     """Real float64 dense view of parity_matrix."""
-    return Operator(parity_matrix(layout).toarray())
+    mat = parity_matrix(layout).toarray()
+    mat.flags.writeable = False  # a fresh buffer, which Operator keeps uncopied
+    return Operator(mat)
 
 
 def _compose(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]):
@@ -221,7 +225,9 @@ def cycle_signs(layout: FermionLayout) -> tuple[int, ...]:
 
 def fermionic_cycle(layout: FermionLayout) -> tuple[Operator, tuple[int, ...]]:
     """Real float64 dense view of cycle_matrix, with the signs of cycle_signs."""
-    return Operator(cycle_matrix(layout).toarray()), cycle_signs(layout)
+    mat = cycle_matrix(layout).toarray()
+    mat.flags.writeable = False  # a fresh buffer, which Operator keeps uncopied
+    return Operator(mat), cycle_signs(layout)
 
 
 def parity_pair_correlator(coeffs: np.ndarray) -> np.ndarray:

@@ -31,11 +31,14 @@ q <= N // B (about 2 sqrt(N) exps for all N + 1 powers).  Both paths form the sa
 product, so they agree bit for bit, and each exponent is rounded once
 rather than the rounding of w being raised to the power k.  It raises
 PoleError where 1 - w^N vanishes to rounding (e_i = 0 with E on the
-frequency grid).  line_table sums it over the M site classes of a
-lattice into rows of the one Feynman line P[dt, dx], at the site-class
-energies of grids.site_class_energies.  Each caller names the rows it
-reads: feynman_propagator_grid (from a grids.FrequencyTower) one row,
-the order-2 S-matrix in wick all N (dt = None).  line_table refuses
+frequency grid).  The one Feynman line P[dt, dx] on the M site
+classes of a lattice, at the site-class energies of
+grids.site_class_energies, is sum_E K_E(dt) w_E(dx) over the distinct
+energies E, each kernel times its plane-wave weights.  line_table sums
+the asked rows, as feynman_propagator_grid (from a
+grids.FrequencyTower) reads one; line_factors returns the kernels at
+every dt and the weights unsummed, as the order-2 S-matrix in wick
+reads them, so the N x M line is never formed.  Both refuse
 N > LINE_SLICE_CAP before any N-long array exists.  The O(N) mode sum
 over a tower is the tests' reference, in tests/dense_refs.py.
 
@@ -111,6 +114,20 @@ def _exp_powers(z, k: np.ndarray, N: int) -> np.ndarray:
     return e[..., :k.size] * e[..., k.size:]
 
 
+def _kernel_steps(N: int, tau: float, eps_i: float, E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """z = -i tau (E - i e_i) and the kernel denominator 1 - e^{N z}, per energy.
+
+    Raises PoleError where |expm1(N z)| <= 8 eps_machine max(1, |N z|),
+    i.e. at e_i = 0 with E on the frequency grid, a pole of the mode sum.
+    """
+    z = -tau * eps_i - 1j * tau * E
+    den = -np.expm1(N * z)
+    for E_j, z_j, den_j in zip(E, z, den):
+        if abs(den_j) <= 8 * _EPS * max(1.0, abs(N * z_j)):
+            raise PoleError(f"kernel pole: E = {E_j} on the frequency grid with eps_i = {eps_i}")
+    return z, den
+
+
 def feynman_kernel_closed(N: int, tau: float, eps_i: float, E: np.ndarray,
                           dt_slices: np.ndarray) -> np.ndarray:
     """Exact geometric resummation of the tower kernel, len(E) x len(dt_slices).
@@ -123,16 +140,10 @@ def feynman_kernel_closed(N: int, tau: float, eps_i: float, E: np.ndarray,
     energies and dt_slices a 1-d integer array of K time differences:
     only their 2K powers are evaluated, through one _exp_powers call for
     all energies, since raising the rounded w to an integer power would
-    multiply its rounding error by k.
-
-    Raises PoleError where |expm1(N z)| <= 8 eps_machine max(1, |N z|),
-    i.e. at e_i = 0 with E on the frequency grid, a pole of the mode sum.
+    multiply its rounding error by k.  Raises PoleError at a pole
+    (_kernel_steps).
     """
-    z = -tau * eps_i - 1j * tau * E
-    den = -np.expm1(N * z)
-    for E_j, z_j, den_j in zip(E, z, den):
-        if abs(den_j) <= 8 * _EPS * max(1.0, abs(N * z_j)):
-            raise PoleError(f"kernel pole: E = {E_j} on the frequency grid with eps_i = {eps_i}")
+    z, den = _kernel_steps(N, tau, eps_i, E)
     s = -dt_slices % N
     powers = _exp_powers(z, np.concatenate((N - s, s)), N)
     value = powers[:, :s.size] + powers[:, s.size:]
@@ -140,7 +151,13 @@ def feynman_kernel_closed(N: int, tau: float, eps_i: float, E: np.ndarray,
     return value
 
 
-def line_table(N: int, tau: float, eps_i: float, energies, dt: np.ndarray | None) -> np.ndarray:
+def _refuse_past_cap(N: int) -> None:
+    """ValueError for a line of more than LINE_SLICE_CAP slices, before any N-long array exists."""
+    if N > LINE_SLICE_CAP:
+        raise ValueError(f"line table of T/tau = {N:.6g} slices exceeds cap {LINE_SLICE_CAP}")
+
+
+def line_table(N: int, tau: float, eps_i: float, energies, dt: np.ndarray) -> np.ndarray:
     """Rows dt of the Feynman line P[dt, dx] on the N x M difference lattice, K x M.
 
     M = len(energies), and P = (1/M) sum_j e^{2 pi i j dx / M} K_j(dt) / (2 E_j),
@@ -148,21 +165,43 @@ def line_table(N: int, tau: float, eps_i: float, energies, dt: np.ndarray | None
     the asked time differences at the distinct energies, each energy's
     kernel scaled by its plane-wave weights (_line_weights, kept per
     energy list, since a propagator entry reads one row of the line
-    again and again).  dt is a 1-d integer array of K differences, or
-    None for all N rows.  Every entry is formed the same way whatever
-    else is asked, so one row equals that row of the whole table bit
-    for bit.  Raises ValueError unless N <= LINE_SLICE_CAP, checked
-    before any N-long array exists, and E[j] == E[-j mod M] > 0.
+    again and again).  dt is a 1-d integer array of K differences
+    (np.arange(N) for the whole line).  Every entry is formed the same
+    way whatever else is asked, so one row equals that row of the whole
+    table bit for bit.  Raises ValueError unless N <= LINE_SLICE_CAP,
+    checked before any N-long array exists, and E[j] == E[-j mod M] > 0.
     """
-    if N > LINE_SLICE_CAP:
-        raise ValueError(f"line table of T/tau = {N:.6g} slices exceeds cap {LINE_SLICE_CAP}")
+    _refuse_past_cap(N)
     distinct, weights = _line_weights(tuple(energies))
-    kernels = feynman_kernel_closed(N, tau, eps_i, distinct, np.arange(N) if dt is None else dt)
+    kernels = feynman_kernel_closed(N, tau, eps_i, distinct, dt)
     # M x K, runs along dt; elementwise, so a row is the same bits whatever else is asked
     table = np.multiply.outer(weights[0], kernels[0])
     for w, kernel in zip(weights[1:], kernels[1:]):
         table += np.multiply.outer(w, kernel)
     return table.T
+
+
+def line_factors(N: int, tau: float, eps_i: float, energies) -> tuple[np.ndarray, np.ndarray]:
+    """The factors of the whole line, P[dt, dx] = sum_E K_E(dt) w_E(dx): (K, w).
+
+    K is E x N, the kernel of each distinct site-class energy at every
+    dt = 0..N-1, and w is E x M, its plane-wave weights (_line_weights):
+    the line itself, N x M, is never formed.  K is read from one table
+    of the N + 1 powers of e^z (_exp_powers), K(dt) = (w^dt + w^{N-dt}) /
+    (1 - w^N): the same products added in the same order as
+    feynman_kernel_closed(N, tau, eps_i, E, np.arange(N)) (at dt = 0,
+    w^0 + w^N), so the two agree bit for bit, with no modular index and
+    no gather of the powers.  Raises ValueError as line_table does, the
+    slice cap first, before any N-long array exists, and PoleError at a
+    pole (_kernel_steps).
+    """
+    _refuse_past_cap(N)
+    distinct, weights = _line_weights(tuple(energies))
+    z, den = _kernel_steps(N, tau, eps_i, distinct)
+    powers = _exp_powers(z, np.arange(N + 1), N)
+    kernels = powers[:, :N] + powers[:, N:0:-1]
+    kernels /= den[:, None]
+    return kernels, weights
 
 
 @functools.lru_cache(maxsize=16)

@@ -58,7 +58,8 @@ class Operator:
     them out (`partial_trace`).  The entry buffer is write-protected,
     and all arithmetic returns new instances.  An ndarray that owns its
     buffer and is already write-protected is kept as it is, without a
-    copy (its maker hands it over, as `spacetime.build_R` does with R);
+    copy (its maker hands it over, as `spacetime.build_R` does with R
+    and the dense fermion views with their `toarray()` buffers);
     anything else is copied.
     """
 

@@ -36,12 +36,13 @@ row index, one block entry per group; the trace identity sums them, and
 so does the constraint's unshifted half, its boundary folded into slice
 0's factor.  `QuantumAction._column_blocks` yields whole columns of the
 first group's block in a kron with the others' blocks, folded from the
-right, each written once into a fresh array with its rows already in
-C's order (the roll of the row slice axes is folded into the product,
-not copied after it); the constraint's shifted half streams over these
-blocks of E and E·X, and `QuantumAction.dense`, where a state needs E
-as a matrix, is the one block of all D columns, which the state keeps
-as it was written.  The dense permutation C and the dense embeddings of
+right, each written once with its rows already in C's order (the roll
+of the row slice axes is folded into the product, not copied after
+it), every full-width block into the one buffer of its call; the
+constraint's shifted half streams over these blocks of E and E·X, and
+`QuantumAction.dense`, where a state needs E as a matrix, is the one
+block of all D columns, a fresh buffer the state keeps as it was
+written.  The dense permutation C and the dense embeddings of
 slice operators live with the tests, as references.
 
 A layout is d, N and eps, nothing more: how a state on h^{⊗N} factors
@@ -197,11 +198,15 @@ class QuantumAction:
         A block is whole columns of the first group's block, as many as
         fit in `width` (at least one), in a kron with the other groups'
         blocks folded from the right (`rest`), written once, rows in C's
-        order, into a fresh C-ordered array: slice N-1, the last row
-        slice axis of `rest`, is read first, so one product puts every
-        entry where the roll would.  With one group `rest` is 1 x 1 and
-        has no slice to give; the first block's rows (at most 16) are
-        rolled instead.  The fold is built once per call; no matmul.
+        order, into a C-ordered array: slice N-1, the last row slice axis
+        of `rest`, is read first, so one product puts every entry where
+        the roll would.  With one group `rest` is 1 x 1 and has no slice
+        to give; the first block's rows (at most 16) are rolled instead.
+        The fold and one full-width buffer are made once per call, and
+        every full-width block is rewritten into that buffer: a yielded
+        block is valid until the next one is asked for.  A narrower last
+        block gets an array of its own; the one block of `dense` is the
+        call's own fresh buffer.  No matmul.
         """
         first, *others = [block for _, block in self._blocks(factors)]
         # folded from the right, so each kron's inner axis is the larger
@@ -211,10 +216,11 @@ class QuantumAction:
         if r == 1:
             first, d = _cycle_rows(self.layout, first), 1
         rest_rows = rest.reshape(r // d, d, r).transpose(1, 0, 2)  # (slice N-1, other rows, cols)
-        step = max(1, width // r)
+        step = min(max(1, width // r), len(first))
+        full = np.empty((len(first) * r, step * r), complex)  # rewritten for each full-width block
         for a in range(0, len(first), step):
             b = min(a + step, len(first))
-            block = np.empty((len(first) * r, (b - a) * r), complex)
+            block = full if b - a == step else np.empty((len(first) * r, (b - a) * r), complex)
             np.multiply(first[None, :, None, a:b, None], rest_rows[:, None, :, None, :],
                         out=block.reshape(d, len(first), r // d, b - a, r))
             yield slice(a * r, b * r), block

@@ -10,16 +10,24 @@ pair-channel classes have an independent oracle, so only they are
 pinned, as the literal `_ORDER2_BUCKETS`; the tests rebuild all 14
 classes from the enumerator and check that the literal is their
 pair-channel part.  A class's value is one lattice difference sum
-against the internal-line table, so no pairing is enumerated or
-evaluated at run time.  The table is all N rows of gaussian.line_table
-(dt = None; it refuses a line past its slice cap), the Feynman line that
-gaussian.feynman_propagator_grid reads and the `propagator` experiment
-checks against exact diagonalization, at the site-class energies of
-grids.site_class_energies.  A class's lattice sum is e_t^T P^m e_x: its
-external phase splits into N slice and M site phases, and both classes
-read their slice phases e_t from one table of the N roots of unity, at
-index (n_tot t) mod N, built by the kernel's power helper
-gaussian._exp_powers at z = -2 pi i / N.
+against the internal line, so no pairing is enumerated or evaluated at
+run time.  The line is the Feynman line P that
+gaussian.feynman_propagator_grid reads a row of and the `propagator`
+experiment checks against exact diagonalization, at the site-class
+energies of grids.site_class_energies.  A class's lattice sum is
+e_t^T P^m e_x (P^m elementwise): its external phase splits into N slice
+and M site phases, and both classes read their slice phases e_t from one
+table of the N roots of unity, at index (n_tot t) mod N, built by the
+kernel's power helper gaussian._exp_powers at z = -2 pi i / N.  P itself
+is never formed: gaussian.line_factors gives its factors,
+P[t, x] = sum_E K_E(t) w_E(x) over the distinct site-class energies E
+(it refuses a line past its slice cap), so
+
+    e_t^T P^m e_x = sum over m-tuples (E_1..E_m) of
+                    (e_t . prod_i K_{E_i}) (prod_i w_{E_i} . e_x),
+
+one N-long kernel product per tuple, formed in one buffer per call and
+dotted with e_t, and one M-long weight product dotted with e_x.
 
 On top of the buckets sits the quartic S-matrix assembly on an
 N-slice x M-site lattice.  Conventions (fixed here, validated end to
@@ -47,6 +55,7 @@ small.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -139,15 +148,16 @@ def smatrix_element(
     2 sums the pair-channel classes of the connected two-vertex
     pairings using translation invariance: one lattice difference sum
     per class, e_t^T P^m e_x with the external phase split into slice
-    and site factors, against all N rows of the internal-line table P of
-    gaussian.line_table (the line feynman_propagator_grid reads a row of).
+    and site factors, summed as products of the line's kernel and weight
+    factors (gaussian.line_factors; the line feynman_propagator_grid
+    reads a row of), with no N x M table.
 
     The order-2 assembly is normalized to the same external-leg and
     volume conventions as order 1.  In those conventions each vertex
     carries its slab measure factor tau and each internal line is the
     kernel table divided by tau; with exactly two internal contractions
     in every connected two-vertex class, the powers collapse to a
-    single overall 1/tau against the naive table sum.  This keeps the
+    single overall 1/tau against the naive line sum.  This keeps the
     ratio (order 2)/(order 1) finite as tau -> 0.
 
     Order 2 computes the pair channel only and needs channel="s": the
@@ -195,17 +205,22 @@ def smatrix_element(
 
     energies = site_class_energies([mode[1] for mode in grid.modes],
                                    [grid.energy(k) for k in range(len(grid))], M)
-    table = gaussian.line_table(N, tau, eps_i, energies, None)
+    kernels, weights = gaussian.line_factors(N, tau, eps_i, energies)
     t = np.arange(N)
-    lines = {m: table**m for m in {row[0] for row in _ORDER2_BUCKETS}}
     roots = gaussian._exp_powers(-2j * np.pi / N, t, N)
+    product = np.empty(N, complex)  # one kernel product at a time
     total = 0.0 + 0.0j
     for m, _, sz, count in _ORDER2_BUCKETS:  # no pair-channel class has a self-loop
         n_tot = sum(signs[l] * legs[l][0] for l in sz)
         j_tot = sum(signs[l] * legs[l][1] for l in sz)
         e_t = roots[(n_tot * t) % N]
         e_x = np.exp(2j * np.pi * j_tot * np.arange(M) / M)
-        total += count * (e_t @ lines[m] @ e_x)
+        # e_t^T P^m e_x, P = sum_E K_E w_E^T: one term per m-tuple of energies
+        for tup in itertools.product(range(len(kernels)), repeat=m):
+            np.copyto(product, kernels[tup[0]])
+            for i in tup[1:]:
+                product *= kernels[i]
+            total += count * (e_t @ product) * (np.prod(weights[list(tup)], axis=0) @ e_x)
     return 0.5 * vertex**2 * consts * (N * M) * total / tau
 
 

@@ -11,8 +11,10 @@ references spell out what the separable routes factor: the O(N) mode
 sum over the N labels of each frequency tower that the closed kernel
 resums (per tower, and summed over the towers of a site lattice), one
 exponential per power and branch of the closed kernel, one outer
-product per site class in the internal-line table, and one phase per
-lattice point in the order-2 sum.
+product per site class in the internal-line table, one phase per
+lattice point in the order-2 sum, and the N x M line itself, whose
+elementwise powers the order-2 class sums take as products of its
+kernel factors.
 
 The brute-force references of the Gaussian laws and of Wick's theorem
 live here too: the bosonic pair value <a†a> as a truncated geometric
@@ -236,13 +238,11 @@ def propagator_table_outer(grid, tau: float, eps_i: float) -> np.ndarray:
     return table / M
 
 
-def order2_pair_channel_phase_grid(grid, in_modes, out_modes, lam: float, tau: float,
-                                   eps_i: float) -> complex:
-    """smatrix_element(order=2, channel="s") with each class summed over the N x M grid.
+def _order2_classes(grid, in_modes, out_modes, lam: float, tau: float, eps_i: float):
+    """(N, M, [(m, count, n_tot, j_tot) per pair-channel class], the factor of their sum).
 
-    Every lattice point gets its own external phase
-    exp(i sum_l sigma_l (p_l x - E_l tau t)), multiplied into P^m
-    elementwise and summed, against the table of propagator_table_outer.
+    The external slice and site labels summed over each class's legs,
+    and the leg, vertex and volume factors of smatrix_element.
     """
     N = grids.slice_count(grid.T, tau)
     M = grid.M_sites
@@ -251,16 +251,50 @@ def order2_pair_channel_phase_grid(grid, in_modes, out_modes, lam: float, tau: f
     consts = (wick._leg_const(tau, eps_i, True) ** 2
               * wick._leg_const(tau, eps_i, False) ** 2 / (N * M) ** 2)
     vertex = -1j * (lam / 24.0) * tau**2
+    classes = [(m, count, sum(signs[l] * legs[l][0] for l in sz),
+                sum(signs[l] * legs[l][1] for l in sz))
+               for m, _, sz, count in wick._ORDER2_BUCKETS]
+    return N, M, classes, 0.5 * vertex**2 * consts * (N * M) / tau
+
+
+def order2_pair_channel_phase_grid(grid, in_modes, out_modes, lam: float, tau: float,
+                                   eps_i: float) -> complex:
+    """smatrix_element(order=2, channel="s") with each class summed over the N x M grid.
+
+    Every lattice point gets its own external phase
+    exp(i sum_l sigma_l (p_l x - E_l tau t)), multiplied into P^m
+    elementwise and summed, against the table of propagator_table_outer.
+    """
+    N, M, classes, factor = _order2_classes(grid, in_modes, out_modes, lam, tau, eps_i)
     table = propagator_table_outer(grid, tau, eps_i)
     t = np.arange(N)[:, None]
     x = np.arange(M)[None, :]
     total = 0.0 + 0.0j
-    for m, _, sz, count in wick._ORDER2_BUCKETS:
-        n_tot = sum(signs[l] * legs[l][0] for l in sz)
-        j_tot = sum(signs[l] * legs[l][1] for l in sz)
+    for m, count, n_tot, j_tot in classes:
         phase = np.exp(2j * np.pi * (j_tot * x / M - n_tot * t / N))
         total += count * np.sum(table**m * phase)
-    return 0.5 * vertex**2 * consts * (N * M) * total / tau
+    return factor * total
+
+
+def order2_pair_channel_table(grid, in_modes, out_modes, lam: float, tau: float,
+                              eps_i: float) -> complex:
+    """smatrix_element(order=2, channel="s") as e_t^T P^m e_x against the whole line.
+
+    P is the N x M table of gaussian.line_table at every dt, raised
+    elementwise to the class's power m; e_t is read from the N roots of
+    unity of gaussian._exp_powers at (n_tot t) mod N and e_x is the site
+    phase.  The same kernel entries and phases as smatrix_element, which
+    sums kernel products instead and never forms P.
+    """
+    N, M, classes, factor = _order2_classes(grid, in_modes, out_modes, lam, tau, eps_i)
+    table = gaussian.line_table(N, tau, eps_i, grid_line_energies(grid), np.arange(N))
+    t = np.arange(N)
+    roots = gaussian._exp_powers(-2j * np.pi / N, t, N)
+    total = 0.0 + 0.0j
+    for m, count, n_tot, j_tot in classes:
+        e_x = np.exp(2j * np.pi * j_tot * np.arange(M) / M)
+        total += count * (roots[(n_tot * t) % N] @ table**m @ e_x)
+    return factor * total
 
 
 def lattice_annihilators(lat) -> list[np.ndarray]:

@@ -22,6 +22,7 @@ from sqmlab.gaussian import (
     _mode_corr,
     feynman_kernel_closed,
     feynman_propagator_grid,
+    line_factors,
     line_table,
     tau_mode_correlator,
 )
@@ -291,15 +292,23 @@ def dt_selections(N):
     }
 
 
+# (N, tau, eps_i, site-class energies), or the order-2 smatrix line at tau2 or
+# tau2 / 2 (N = 15000 and 30000)
+LINES = [(9, 0.3, 0.2, [1.3, 0.7, 0.7]), (8, 0.25, 0.1, [1.1, 1.9]), "tau2", "tau2/2"]
+
+
+def line_params(line):
+    """(N, tau, eps_i, energies) of an entry of LINES."""
+    if isinstance(line, str):
+        return smatrix_line(1.0 if line == "tau2" else 0.5)
+    return line
+
+
 class TestRowsReadThroughDt:
-    @pytest.mark.parametrize("line", [(9, 0.3, 0.2, [1.3, 0.7, 0.7]), (8, 0.25, 0.1, [1.1, 1.9]),
-                                      "tau2", "tau2/2"])
+    @pytest.mark.parametrize("line", LINES)
     def test_rows_equal_the_whole_line(self, line):
-        # K = 1, just below and just above (N + 1) / 4, K = N, then None for
-        # all N rows; the smatrix lines are N = 15000 and 30000
-        if isinstance(line, str):
-            line = smatrix_line(1.0 if line == "tau2" else 0.5)
-        N, tau, eps_i, energies = line
+        # K = 1, just below and just above (N + 1) / 4, K = N
+        N, tau, eps_i, energies = line_params(line)
         whole = line_table(N, tau, eps_i, energies, np.arange(N))
         kernels = {E: feynman_kernel_closed(N, tau, eps_i, np.array([E]), np.arange(N))[0]
                    for E in energies}
@@ -312,7 +321,20 @@ class TestRowsReadThroughDt:
             for E, kernel in kernels.items():
                 got = feynman_kernel_closed(N, tau, eps_i, np.array([E]), dt)
                 assert np.array_equal(got, kernel[None, dt % N])
-        assert np.array_equal(line_table(N, tau, eps_i, energies, None), whole)
+
+    @pytest.mark.parametrize("line", [*LINES, (1, 0.3, 0.2, [1.3])])
+    def test_line_factors_rebuild_the_whole_line(self, line):
+        # the kernels are feynman_kernel_closed's at every dt, bit for bit,
+        # and their outer products with the weights sum to the line
+        N, tau, eps_i, energies = line_params(line)
+        distinct = np.array(list(dict.fromkeys(energies)))
+        kernels, weights = line_factors(N, tau, eps_i, energies)
+        assert kernels.shape == (len(distinct), N)
+        assert weights.shape == (len(distinct), len(energies))
+        closed = feynman_kernel_closed(N, tau, eps_i, distinct, np.arange(N))
+        assert kernels.dtype == closed.dtype and kernels.tobytes() == closed.tobytes()
+        whole = line_table(N, tau, eps_i, energies, np.arange(N))
+        assert np.max(np.abs(kernels.T @ weights - whole)) <= 1e-15 * np.max(np.abs(whole))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -349,16 +371,20 @@ class TestRowsReadThroughDt:
         assert peak < 2**20
 
     def test_line_past_the_cap_is_refused_before_allocating(self):
-        # the order-2 smatrix asks all rows (dt = None): one slice past
-        # LINE_SLICE_CAP is refused before any N-long array exists
+        # the order-2 smatrix reads the line's factors at every dt, a propagator
+        # entry one row: one slice past LINE_SLICE_CAP is refused by both,
+        # with one message, before any N-long array exists
         _, tau, eps_i, energies = smatrix_line(1.0)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=f"exceeds cap {LINE_SLICE_CAP}"):
-                line_table(LINE_SLICE_CAP + 1, tau, eps_i, energies, None)
+            with pytest.raises(ValueError, match=f"exceeds cap {LINE_SLICE_CAP}") as whole:
+                line_factors(LINE_SLICE_CAP + 1, tau, eps_i, energies)
+            with pytest.raises(ValueError) as row:
+                line_table(LINE_SLICE_CAP + 1, tau, eps_i, energies, np.array([3]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert str(row.value) == str(whole.value)
         assert peak < 2**20
 
 

@@ -248,12 +248,22 @@ class TestReadsOfTheGroupBlocks:
         qa = build_action(SliceLayout(d=d, N=N, eps=0.41), rand_hermitian(rng, d))
         D = qa.layout.total_dim
         factors = {N - 1: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))}
-        blocks = list(qa._column_blocks(factors, D if width == "D" else width))
-        cols = np.concatenate([np.arange(D)[c] for c, _ in blocks])
+        # a block is valid until the next is asked for: each is copied as it comes
+        yielded = [(cols, block, block.copy())
+                   for cols, block in qa._column_blocks(factors, D if width == "D" else width)]
+        cols = np.concatenate([np.arange(D)[c] for c, _, _ in yielded])
         np.testing.assert_array_equal(cols, np.arange(D))
-        np.testing.assert_array_equal(np.hstack([block for _, block in blocks]), qa.dense(factors))
+        np.testing.assert_array_equal(np.hstack([copy for _, _, copy in yielded]),
+                                      qa.dense(factors))
+        # consecutive full-width blocks share the one buffer of the call
+        full = yielded[0][0].stop - yielded[0][0].start
+        for (c, block, _), (next_c, next_block, _) in zip(yielded, yielded[1:]):
+            if c.stop - c.start == full == next_c.stop - next_c.start:
+                assert np.shares_memory(block, next_block)
         if width == "D":
-            assert len(blocks) == 1
+            assert len(yielded) == 1
+            assert yielded[0][1].flags.owndata
+            assert not np.shares_memory(qa.dense(factors), qa.dense(factors))
 
     @pytest.mark.parametrize("d, N", [(1, 3), (2, 1), (2, 9), (3, 5), (4, 3)])
     @pytest.mark.parametrize("width", [1, 128, "D"])

@@ -1,6 +1,7 @@
 """Tests for the pairing engine and the quartic lattice amplitudes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dense_refs import (
     enumerate_pairings,
     grid_line_energies,
     order2_pair_channel_phase_grid,
+    order2_pair_channel_table,
     propagator_table_outer,
 )
 from sqmlab import oracles, wick
@@ -324,9 +326,9 @@ def test_argument_validation():
 
 
 def grid_line_table(grid, tau, eps_i):
-    """gaussian.line_table at the site-class energies of the grid's modes, as order 2 reads it."""
+    """All N rows of gaussian.line_table at the site-class energies of the grid's modes."""
     N = slice_count(grid.T, tau)
-    return line_table(N, tau, eps_i, grid_line_energies(grid), None)
+    return line_table(N, tau, eps_i, grid_line_energies(grid), np.arange(N))
 
 
 def test_propagator_table_requires_energy_parity():
@@ -423,6 +425,32 @@ def test_separable_order2_sum_matches_phase_grid_sum(grid, tau, eps_i, lam):
     got = smatrix_element(grid, (0, 1), (2, 3), lam, 2, tau=tau, eps_i=eps_i, channel="s")
     ref = order2_pair_channel_phase_grid(grid, (0, 1), (2, 3), lam, tau, eps_i)
     assert got != 0 and relative_gap(got, ref) <= 1e-13
+
+
+@pytest.mark.parametrize("grid, tau, eps_i, lam", smatrix_order2_cases())
+def test_kernel_product_sums_match_the_line_table(grid, tau, eps_i, lam):
+    # the pair channel's tolerance is loose enough that a conjugated, scaled
+    # or one-slice-rolled kernel still passes the CLI run; the table route,
+    # with the same kernel entries and phases, pins the sum far tighter
+    got = smatrix_element(grid, (0, 1), (2, 3), lam, 2, tau=tau, eps_i=eps_i, channel="s")
+    ref = order2_pair_channel_table(grid, (0, 1), (2, 3), lam, tau, eps_i)
+    assert got != 0 and relative_gap(got, ref) <= 1e-14
+
+
+def test_order2_call_at_half_tau2_stays_small():
+    # N = 30000 slices, M = 4: the line (1.9 MB) and its square are never formed
+    p = DEFAULTS["smatrix"]
+    grid = conserving_grid(T=p["T2"], M=p["M_sites"], n_a=p["n_a2"], n_b=p["n_b2"])
+    tau = p["tau2"] / 2
+    assert slice_count(grid.T, tau) == 30000
+    tracemalloc.start()
+    try:
+        smatrix_element(grid, (0, 1), (2, 3), p["lam"], 2, tau=tau, eps_i=p["eps_i2"],
+                        channel="s")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 # ---------------------------------------------------------------------------
