@@ -20,12 +20,16 @@ onto the last slice,
 
     embed(b, 0) · E = E · embed(V†·b·V, N-1),      b = |psi0><psi0| · V^{-N},
 
-so R is built as QuantumAction.dense({N-1: V†·b·V}): one kron of
-timeslab's fused slice-group blocks (the all-V blocks kept on the
-action, the last group's built with the boundary), written once into a
-fresh buffer with its rows in C's order, then scaled by its trace in
-place, write-protected and kept by the Operator as it is; one D x D
-buffer in all, no D x D matrix product and no kron chain over slices.
+and V†·b·V is rank one, V†|psi0><psi0|·V^{-N}·V.  The normalizing
+trace Tr[E · embed(V†·b·V, N-1)] is read first, as the sum of D
+diagonal entries (QuantumAction.diagonal); with <omega| =
+<psi0|·V^{-N}·V / Tr, R is then QuantumAction.dense({N-1:
+V†|psi0><omega|}): one kron of timeslab's fused slice-group blocks
+(the all-V powers kept on the action, the last group's built with the
+boundary), written once into a fresh buffer with its rows in C's order,
+write-protected and kept by the Operator as it is; one D x D buffer in
+all, no second pass over it, no D x D matrix product and no kron chain
+over slices.
 The state alone knows how R's index space factors: one factor per
 slice, or one per (slice, site) cell when `site_dims` splits each
 slice into sites.  Every read of R onto cells (slice marginals, region
@@ -34,26 +38,27 @@ reductions and the causality witness) goes through one reduction,
 to factors and takes one partial trace (an einsum that reads only the
 traced factors' diagonal).  The witness is then one einsum of A ⊗ B
 against the antihermitian part of R's reduction onto slices 0 and t.
-Powers are never multiplied out densely.  The boundary is rank one,
-V†·b·V / Tr = V†|psi0><omega| with <omega| = <psi0|·V^{-N}·V / Tr,
-and V carries V†|psi0> back to |psi0> on slice N-1, which C moves to
-slice 0; so left multiplication by R needs only the bra the state
-keeps,
-
-    R · M = |psi0> ⊗ [V^{⊗(N-1)} · (I ⊗ <omega|) · M] = |psi0> ⊗ _head(M):
-
-one matmul contracts M's last row slice axis with <omega|, and the
-fused V-groups of slices 0..N-2 act on the D/d-row result
-(QuantumAction.apply_head, ⌈(N-1)/g⌉ matmuls of d^g <= 16 per column
-instead of O(D³)).  Every row of R lies on |psi0> in slice 0, and
-psi0 is normalized, so with P = |psi0> ⊗ I (D x D/d) R = P·W for
-W = P†·R, and
+Powers are never multiplied out densely.  V carries V†|psi0> back to
+|psi0> on slice N-1, which C moves to slice 0, so every row of R lies
+on |psi0> in slice 0; psi0 is normalized, so with P = |psi0> ⊗ I
+(D x D/d) R = P·W for W = P†·R, and
 
     Tr R^k = Tr T_1^k,      T_1 = P†·R·P,
 
 the D/d x D/d compression of R (`_compress`).  Its powers form one
-chain, T_{j+1} = T_1·T_j = _head(|psi0> ⊗ T_j), and the trace sums
-two of them,
+chain T_{j+1} = T_1·T_j, and the step is a Kronecker product of small
+factors (Van Loan, J. Comput. Appl. Math. 123, 85 (2000)): R·P =
+|psi0> ⊗ [V^{⊗(N-1)} · (I ⊗ <omega|) · P], so
+
+    T_1 = V^{⊗(N-1)} · (|psi0> ⊗ I ⊗ <omega|),
+
+one factor per fused head group of slices 0..N-2 (`_step_factors`):
+the first group's block times |psi0> ⊗ I (d^g x d^(g-1)), the middle
+blocks as they are, the last one's block ⊗ <omega| (d^g' x d^(g'+1));
+with one head group both folds land on one factor, and at N = 1 the
+step is the scalar <omega|psi0>.  `_step` applies the shrinking
+<omega| factor first and the widening psi0 one last, so no
+intermediate has more than D/d rows.  The trace sums two powers,
 
     Tr R^k = sum_ij (T_a)_ij (T_b)_ji,      a = ceil(k/2), b = floor(k/2),
 
@@ -92,7 +97,7 @@ class SpacetimeState:
     `action` is the slab action E that R was built from, and `omega`
     holds the entries of the bra <omega| = <psi0|·V^{-N}·V / Tr, a
     read-only d-vector: R's last-slice factor is the rank-one
-    V†|psi0><omega|, so R · M = |psi0> ⊗ [V^{⊗(N-1)} · (I ⊗ <omega|) · M].
+    V†|psi0><omega|, so T_1 = P†·R·P = V^{⊗(N-1)} · (|psi0> ⊗ I ⊗ <omega|).
     `_trace_powers` holds the values Tr R^k that `power_and_pseudoentropy`
     has read, scalars only; `dataclasses.replace` starts it empty.
     """
@@ -141,11 +146,13 @@ def build_R(
 ) -> SpacetimeState:
     """Assemble and normalize the spacetime state for (psi0, H, eps, N).
 
-    R_raw = E · embed(V†·b·V, N-1) comes from one dense build of the
-    action, and its trace scales it in place; the buffer is then
-    write-protected and becomes R's Operator without a copy.  The state
-    keeps the bra <omega| = <psi0|·V^{-N}·V divided by the same trace,
-    all that its left multiplications read of the boundary.
+    The boundary V†·b·V is rank one, V†|psi0><psi0|·V^{-N}·V.  Its trace
+    against E, Tr R_raw, is read first from D entries
+    (`QuantumAction.diagonal`); the bra <omega| = <psi0|·V^{-N}·V / Tr
+    then carries 1/Tr, and R = E · embed(V†|psi0><omega|, N-1) comes from
+    one dense build of the action, written once and never rescaled.  The
+    buffer is write-protected and becomes R's Operator without a copy;
+    the state keeps <omega|, all that its powers read of the boundary.
     """
     if abs(psi0.norm() - 1.0) > 1e-12:
         raise ValueError("psi0 must be normalized")
@@ -155,17 +162,16 @@ def build_R(
         if int(np.prod(site_dims)) != layout.d:
             raise ValueError("site_dims must factorize the slice dimension")
     qa = build_action(layout, H)
-    V, unwind = qa.V.mat, expm(1j * eps * N * H)
+    V = qa.V.mat
     # embed(b, 0)·E = E·embed(V†·b·V, N-1), as C carries slice N-1 to 0
-    last = V.conj().T @ (psi0.outer() @ unwind).mat @ V
-    raw = qa.dense({N - 1: last})
-    tr = complex(np.trace(raw))
+    ket, bra = V.conj().T @ psi0.vec, psi0.vec.conj() @ expm(1j * eps * N * H).mat @ V
+    tr = complex(np.sum(qa.diagonal({N - 1: np.outer(ket, bra)})))  # Tr R_raw
     if abs(tr) < 1e-14:
         raise ValueError("spacetime state has numerically zero trace")
-    raw *= 1.0 / tr
-    raw.flags.writeable = False  # R's Operator keeps this buffer, uncopied
-    omega = psi0.vec.conj() @ unwind.mat @ V / tr
+    omega = bra / tr
     omega.flags.writeable = False  # read-only, as R's buffer is
+    raw = qa.dense({N - 1: np.outer(ket, omega)})
+    raw.flags.writeable = False  # R's Operator keeps this buffer, uncopied
     return SpacetimeState(R=Operator(raw), action=qa, omega=omega, psi0=psi0,
                           site_dims=site_dims)
 
@@ -226,53 +232,77 @@ def power_and_pseudoentropy(
 
     Tr[R^k] = Tr[T_1^k] for the D/d x D/d compression T_1 = P†·R·P,
     P = |psi0> ⊗ I (`_compress`), since every row of R lies on psi0 in
-    slice 0.  One chain T_{j+1} = `_head`(|psi0> ⊗ T_j) gives its
-    powers up to a = ceil(k/2), and the trace sums T_a against
-    T_b, b = floor(k/2), tile by tile (`_trace_of_product`).  T_1 is
-    read from the stored R and both halves are powers of it, so a
-    fault in R still shows at every k.  The chain to T_a serves both
-    k = 2a - 1 (T_a against T_{a-1}, or Tr T_1 at a = 1) and k = 2a
-    (T_a against itself): both values go into the state's
-    `_trace_powers`, and a k found there is not read again.  The state
-    keeps only these scalars, never a T_j.  The first element is a
-    zero-argument callable that builds R^k as |psi0> ⊗ `_head`(R^{k-1})
-    from the stored R when called.
+    slice 0.  One chain T_{j+1} = T_1·T_j (`_step`, the Kronecker factors
+    of `_step_factors`) gives its powers up to a = ceil(k/2), and the
+    trace sums T_a against T_b, b = floor(k/2), tile by tile
+    (`_trace_of_product`).  T_1 is read from the stored R and both
+    halves are powers of it, so a fault in R still shows at every k.
+    The chain to T_a serves both k = 2a - 1 (T_a against T_{a-1}, or
+    Tr T_1 at a = 1) and k = 2a (T_a against itself): both values go
+    into the state's `_trace_powers`, and a k found there is not read
+    again.  The state keeps only these scalars, never a T_j.  The first
+    element is a zero-argument callable that builds R^k when called:
+    R = P·W with W = P†·R, so R^k = |psi0> ⊗ (T_1^{k-1}·W), k - 1 steps
+    of the same chain on the D/d x D matrix W.
     """
     if k < 1:
         raise ValueError("need k >= 1")
+    psi, blocks = st.psi0.vec, [block for _, block in st.action._head_groups]
 
     def power() -> Operator:
-        M = st.R.mat
+        D, factors = st.layout.total_dim, _step_factors(blocks, psi, st.omega)
+        M = np.matmul(psi.conj(), st.R.mat.reshape(len(psi), -1)).reshape(-1, D)  # P†·R
         for _ in range(k - 1):
-            M = _psi0_rows(st, _head(st, M))
-        return Operator(M)
+            M = _step(factors, M)
+        return Operator((psi[:, None, None] * M).reshape(D, D))
 
     if k not in st._trace_powers:
         a = (k + 1) // 2
         T = [_compress(st, st.R.mat)]  # T_1, T_2, ..., T_a
+        factors = _step_factors(blocks, psi, st.omega) if a > 1 else []
         while len(T) < a:
-            T.append(_head(st, _psi0_rows(st, T[-1])))
+            T.append(_step(factors, T[-1]))
         odd = np.trace(T[0]) if a == 1 else _trace_of_product(T[a - 1], T[a - 2])
         st._trace_powers[2 * a - 1] = complex(odd)
         st._trace_powers[2 * a] = _trace_of_product(T[a - 1], T[a - 1])
     return power, st._trace_powers[k]
 
 
-def _head(st: SpacetimeState, M: np.ndarray) -> np.ndarray:
-    """W with R · M = |psi0> ⊗ W for a (D, m) matrix M: V^{⊗(N-1)} · (I ⊗ <omega|) · M.
+def _step_factors(blocks: list[np.ndarray], psi0: np.ndarray, omega: np.ndarray) -> list[np.ndarray]:
+    """The Kronecker factors of T_1, one per head group (`blocks`), slice 0 first.
 
-    <omega| contracts M's last row slice axis (one matmul) and the fused
-    V-groups of slices 0..N-2 act on the D/d-row result
-    (`QuantumAction.apply_head`); psi0 belongs on row slice 0, where C
-    has carried slice N-1, and is left to the caller.
+    T_1 = V^{⊗(N-1)}·(|psi0> ⊗ I ⊗ <omega|): psi0 fills row slice 0,
+    <omega| takes column slice N-2, and I carries each column slice
+    i < N-2 to row slice i+1.  By the mixed-product rule T_1 is then the
+    Kronecker product of the head groups' all-V blocks with psi0 and
+    <omega| folded into the end ones: the last becomes B ⊗ <omega|
+    (d^g' x d^(g'+1)), and then the first B·(|psi0> ⊗ I), its first
+    column slice contracted with psi0 (d^g x d^(g-1)).  With one head
+    group both folds land on it; at N = 1 there is none, and the 1 x 1
+    unit in its place becomes the scalar <omega|psi0>.
     """
-    d, m = st.layout.d, M.shape[1]
-    return st.action.apply_head(np.matmul(st.omega, M.reshape(-1, d, m)))
+    factors = list(blocks) or [np.ones((1, 1))]
+    last = factors[-1]
+    factors[-1] = np.multiply.outer(last, omega).reshape(len(last), -1)
+    first = factors[0]
+    factors[0] = np.matmul(psi0, first.reshape(len(first), len(psi0), -1))
+    return factors
 
 
-def _psi0_rows(st: SpacetimeState, W: np.ndarray) -> np.ndarray:
-    """|psi0> ⊗ W: the (D/d, m) matrix W with psi0 put on row slice 0."""
-    return (st.psi0.vec[:, None, None] * W).reshape(-1, W.shape[1])
+def _step(factors: list[np.ndarray], T: np.ndarray) -> np.ndarray:
+    """T_1·T for a (D/d, m) matrix T: each Kronecker factor on its row slice axes.
+
+    The last factor, which shrinks its axes by <omega|, acts first and
+    the first, which widens them by psi0, last, so no intermediate has
+    more than D/d rows and no D-row matrix is formed.
+    """
+    m = T.shape[1]
+    pre, post = len(T), m  # rows before the factor's axes, entries after them
+    for F in reversed(factors):
+        pre //= F.shape[1]
+        T = np.matmul(F, T.reshape(pre, F.shape[1], post))
+        post *= len(F)
+    return T.reshape(-1, m)
 
 
 def _compress(st: SpacetimeState, M: np.ndarray) -> np.ndarray:

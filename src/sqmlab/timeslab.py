@@ -22,12 +22,15 @@ followed by a roll of the slice axes.  The slices fall into ⌈N/g⌉
 groups of g adjacent slices, g the largest with d^g <= 16 (the last
 group may be shorter), and each group acts as one d^g x d^g block, the
 kron of its slices' local factors; that is ⌈N/g⌉ matmuls of d^g <= 16
-per column instead of N of d.  The all-V blocks are kept once per
-action (`QuantumAction._groups`); a group holding an insertion builds
-its block per call (`QuantumAction._blocks` makes that choice).  The
-same groups without slice N-1 act on D/d-row matrices
-(`QuantumAction.apply_head`), for a caller that handles slice N-1
-itself, as the spacetime state's rank-one boundary does.
+per column instead of N of d.  The all-V blocks V^{⊗n} are kept once
+per action, each built when first asked for as one kron onto the one
+before (`QuantumAction._kron_power`); a group holding an insertion
+takes the power over its slices before the first insertion and krons
+the rest onto it per call (`QuantumAction._blocks`).  The same groups
+without slice N-1 (`QuantumAction._head_groups`) act on D/d-row
+matrices (`QuantumAction.apply_head`), for a caller that handles slice
+N-1 itself, as the constraint's boundary bra does; their blocks are
+also the Kronecker factors of the spacetime state's trace-power step.
 
 The group blocks hold every entry of E·(⊗_t F_t), so a read that needs
 only some entries takes them from the blocks, with no matrix product.
@@ -125,6 +128,8 @@ class QuantumAction:
     layout: SliceLayout
     H: Operator
     V: Operator = field(init=False, repr=False)  # single-slice step
+    # V, V ⊗ V, ...: the all-V blocks built so far (`_kron_power`)
+    _powers: list[np.ndarray] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.H.dim != self.layout.d:
@@ -132,19 +137,20 @@ class QuantumAction:
         if not self.H.is_hermitian(1e-12):
             raise ValueError("H must be hermitian")
         object.__setattr__(self, "V", expm(-1j * self.layout.eps * self.H))
+        self._powers.append(self.V.mat)
 
     def apply(self, M: np.ndarray) -> np.ndarray:
         """E · M for a (D, k) matrix M, in ⌈N/g⌉ matmuls of d^g <= 16.
 
         Each group of g adjacent slices applies its kept all-V block
-        (`_groups`).  Then the slice axes roll by one to apply C; the
-        D x D permutation is never formed.
+        (`_blocks` with no factor).  Then the slice axes roll by one to
+        apply C; the D x D permutation is never formed.
         """
         layout = self.layout
         M = np.asarray(M)
         if M.ndim != 2 or M.shape[0] != layout.total_dim:
             raise ValueError(f"need a ({layout.total_dim}, k) matrix, got shape {M.shape}")
-        return _cycle_rows(layout, _through_groups(self._groups, M, layout.d))
+        return _cycle_rows(layout, _through_groups(self._blocks({}), M, layout.d))
 
     def apply_head(self, W: np.ndarray) -> np.ndarray:
         """(V ⊗ ... ⊗ V) over slices 0..N-2 times a (D/d, k) matrix W.
@@ -183,9 +189,10 @@ class QuantumAction:
         d, N, D = self.layout.d, self.layout.N, self.layout.total_dim
         cols = np.arange(D)
         rows = _cycle_rows(self.layout, cols[:, None])[:, 0]
-        diag = np.ones(D)
-        # the last group first, so each product nests as in `dense`'s right fold
-        for slices, block in reversed(list(self._blocks(factors))):
+        # the last group (s = 1) first, so each product nests as in `dense`'s right fold
+        *others, (_, last) = self._blocks(factors)
+        diag = last[rows % len(last), cols % len(last)]
+        for slices, block in reversed(others):
             s, size = d ** (N - slices.stop), len(block)
             diag = block[rows // s % size, cols // s % size] * diag
         return diag
@@ -226,17 +233,33 @@ class QuantumAction:
             yield slice(a * r, b * r), block
 
     def _blocks(self, factors: Mapping[int, np.ndarray]) -> Iterator[tuple[range, np.ndarray]]:
-        """(slices, block) per group of `_groups`: the kept all-V block, or, where a
-        factor sits in the group, the kron of V·factors[t] (V where none) built now."""
+        """(slices, block) per group of `_slices`: the kron of V·factors[t] (V where none).
+
+        The group's slices before its first factor, all of them where it
+        has none, are the kept power of V (`_kron_power`); the rest are
+        kron'd onto it now.  A left fold either way, so the block is bit
+        for bit the kron of the whole group's list.
+        """
         V = self.V.mat
-        for slices, block in self._groups:
-            if not factors.keys().isdisjoint(slices):
-                block = reduce(_block_kron, [V @ factors[t] if t in factors else V for t in slices])
-            yield slices, block
+        for slices in self._slices:
+            if factors.keys().isdisjoint(slices):
+                yield slices, self._kron_power(len(slices))
+                continue
+            p = min(factors.keys() & slices) - slices.start
+            mats = [self._kron_power(p)] if p else []
+            mats += [V @ factors[t] if t in factors else V for t in slices[p:]]
+            yield slices, reduce(_block_kron, mats)
+
+    def _kron_power(self, n: int) -> np.ndarray:
+        """V ⊗ ... ⊗ V over n >= 1 slices, folded from the left; each power is built
+        once, as one kron of the power before it with V, and then kept."""
+        while len(self._powers) < n:
+            self._powers.append(_block_kron(self._powers[-1], self.V.mat))
+        return self._powers[n - 1]
 
     @cached_property
-    def _groups(self) -> tuple[tuple[range, np.ndarray], ...]:
-        """(slices, V ⊗ ... ⊗ V over them) for each fused group of `apply`, slice 0 first.
+    def _slices(self) -> tuple[range, ...]:
+        """The slices of each fused group of `apply`, slice 0 first.
 
         g slices per group, the largest g <= N with d**g <= _GROUP_DIM_MAX
         (at least 1; bounded by N because d = 1 fits every g).
@@ -244,19 +267,16 @@ class QuantumAction:
         d, N, g = self.layout.d, self.layout.N, 1
         while g < N and d ** (g + 1) <= _GROUP_DIM_MAX:
             g += 1
-        return tuple(
-            (range(s, min(s + g, N)), reduce(_block_kron, [self.V.mat] * min(g, N - s)))
-            for s in range(0, N, g)
-        )
+        return tuple(range(s, min(s + g, N)) for s in range(0, N, g))
 
     @cached_property
     def _head_groups(self) -> tuple[tuple[range, np.ndarray], ...]:
-        """`_groups` without slice N-1: the last group, which holds it, drops it
-        and gets the shorter all-V block, or goes if it held only that slice."""
-        *head, (slices, _) = self._groups
+        """(slices, all-V block) per group of `_slices` without slice N-1: the last
+        group, which holds it, drops it, or goes if it held only that slice."""
+        *head, slices = self._slices
         if len(slices) > 1:
-            head.append((slices[:-1], reduce(_block_kron, [self.V.mat] * (len(slices) - 1))))
-        return tuple(head)
+            head.append(slices[:-1])
+        return tuple((s, self._kron_power(len(s))) for s in head)
 
 
 def _through_groups(

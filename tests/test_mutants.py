@@ -7,8 +7,6 @@ no default run can tell from the original is listed in EQUIVALENT with
 the reason.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -86,18 +84,22 @@ MUTANTS = {
         lambda f: lambda A, B: f(A, B.T),
         ["st-state-marginals"],
     ),
-    # R·M = psi0 ⊗ W puts psi0 on slice 0, where C carries slice N-1: psi0 on
-    # the last slice axis leaves the rows uncycled, and Tr R^k for k >= 5 moves
-    "rows of R·M left uncycled": (
-        spacetime, "_psi0_rows",
-        lambda f: lambda st, W: _uncycled(f(st, W), st.layout.d),
+    # T_1's first Kronecker factor is the first head group's block times
+    # |psi0> ⊗ I: psi0 contracted with its first column slice, the slice
+    # that R's row slice 0 carries to; folded onto the block's last column
+    # slice instead, every step moves, and with it Tr R^k for k >= 3 on the
+    # states whose first head group holds two slices or more
+    "psi0 folded onto the last axis": (
+        spacetime, "_step_factors",
+        lambda f: lambda blocks, psi0, omega: f(
+            [_last_column_slice_first(blocks[0], len(psi0)), *blocks[1:]], psi0, omega),
         ["st-state-marginals"],
     ),
-    # the head of R·M contracts M's last slice with the stored <omega|, not
-    # with its conjugate
+    # T_1's last Kronecker factor is the last head group's block ⊗ <omega|,
+    # the stored bra, not its conjugate
     "omega conjugated": (
-        spacetime, "_head",
-        lambda f: lambda st, M: f(dataclasses.replace(st, omega=st.omega.conj()), M),
+        spacetime, "_step_factors",
+        lambda f: lambda blocks, psi0, omega: f(blocks, psi0, omega.conj()),
         ["pseudo-entropy"],
     ),
     # R's rows lie on psi0 in slice 0, so T_1 = P†·R·P, the start of every
@@ -168,12 +170,6 @@ EQUIVALENT = {
     )
     for attr in ("create", "annihilate")
 }
-
-
-def _uncycled(RM, d):
-    """R·M with its first row slice axis moved to the last place."""
-    k = RM.shape[1]
-    return RM.reshape(d, -1, k).transpose(1, 0, 2).reshape(-1, k)
 
 
 def _last_column_slice_first(M, d):

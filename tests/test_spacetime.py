@@ -11,7 +11,8 @@ from sqmlab.experiments import DEFAULTS
 from sqmlab.linalg import Operator, expm, rand_ginibre, rand_hermitian, rand_ket
 from sqmlab.spacetime import (
     _compress,
-    _head,
+    _step,
+    _step_factors,
     _trace_of_product,
     build_R,
     causality_witness,
@@ -75,25 +76,30 @@ class TestMarginals:
             assert abs(tr - np.trace(Rk.mat)) <= 1e-12 * np.max(np.abs(Rk.mat))
 
     @pytest.mark.parametrize("d, N, site_dims", POWER_STATES)
-    def test_left_multiply_matches_the_dense_reference(self, d, N, site_dims):
+    def test_step_matches_the_dense_reference(self, d, N, site_dims):
         rng = np.random.default_rng(40 + N)
         psi, H = rand_ket(rng, d), rand_hermitian(rng, d)
         st_state = build_R(psi, H, 0.29, N, site_dims=site_dims)
         R = spacetime_state(psi, H, 0.29, N)
         D = d**N
-        # R·M = |psi0> ⊗ _head(M), and the trace powers start from the
-        # compression P†·X·P with P = |psi0> ⊗ I
-        for k in (1, 3, 2 * D):
-            M = rng.standard_normal((D, k)) + 1j * rng.standard_normal((D, k))
-            W = _head(st_state, M)
-            assert W.shape == (D // d, k)
-            RM = np.kron(psi.vec[:, None], W)
-            np.testing.assert_allclose(RM, R @ M, rtol=0, atol=1e-12 * np.abs(R @ M).max())
+        # the trace powers start from the compression T_1 = P†·X·P with
+        # P = |psi0> ⊗ I, and each step is T ↦ T_1·T through the Kronecker
+        # factors of T_1, psi0 and <omega| folded into the end ones
         P = np.kron(psi.vec[:, None], np.eye(D // d))
         X = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
         ref = P.conj().T @ X @ P
         np.testing.assert_allclose(_compress(st_state, X), ref, rtol=0,
                                    atol=1e-12 * np.abs(ref).max())
+        T1 = P.conj().T @ R @ P
+        factors = _step_factors([block for _, block in st_state.action._head_groups],
+                                psi.vec, st_state.omega)
+        for m in (1, 3, D // d, 2 * D):
+            T = rng.standard_normal((D // d, m)) + 1j * rng.standard_normal((D // d, m))
+            step = _step(factors, T)
+            assert step.shape == (D // d, m)
+            np.testing.assert_allclose(step, T1 @ T, rtol=0, atol=1e-12 * np.abs(T1 @ T).max())
+            np.testing.assert_allclose(step, _compress(st_state, st_state.R.mat) @ T, rtol=0,
+                                       atol=1e-12 * np.abs(T1 @ T).max())
 
     @pytest.mark.parametrize("d, N, site_dims", POWER_STATES)
     def test_rescaled_state_has_geometric_trace_powers(self, d, N, site_dims):
@@ -157,6 +163,20 @@ class TestMarginals:
             st_state.R.mat[0, 0] = 0.0
         # no kron and roll copy next to R, and no copy of R into its Operator
         assert peak <= 1.5 * st_state.R.mat.nbytes
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_trace_power_chain_stays_within_a_few_T(self, k):
+        # T_1 = P†·R·P and one step T_1·T_2 through the Kronecker factors:
+        # no D-row broadcast of psi0 ⊗ T, so the peak is _compress's own
+        st_state = _state(9, d=2, N=10)
+        n = st_state.layout.total_dim // 2
+        tracemalloc.start()
+        try:
+            power_and_pseudoentropy(st_state, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * n * n * 16  # T is (D/d)^2 complex128
 
     def test_renyi_vanishes(self):
         st_state = _state(2, d=2, N=4)

@@ -185,11 +185,26 @@ class TestFusedGroups:
     def test_groups_are_the_largest_with_d_to_the_g_at_most_16(self, d, N, sizes):
         rng = np.random.default_rng(d * N)
         qa = build_action(SliceLayout(d=d, N=N, eps=0.3), rand_hermitian(rng, d))
-        assert [len(slices) for slices, _ in qa._groups] == sizes
-        assert [slices.start for slices, _ in qa._groups] == list(np.cumsum([0] + sizes[:-1]))
+        assert [len(slices) for slices in qa._slices] == sizes
+        assert [slices.start for slices in qa._slices] == list(np.cumsum([0] + sizes[:-1]))
         V = expm(-0.3j * qa.H)
-        for slices, block in qa._groups:
+        for slices, block in qa._blocks({}):
             np.testing.assert_allclose(block, kron(*([V] * len(slices))).mat, atol=1e-14)
+
+    # a group's slices before its first factor are a kept power of V; the
+    # rest are kron'd onto it, so the block is the left fold of the whole list
+    @pytest.mark.parametrize("d, N, slots", [
+        (2, 4, [3]), (2, 4, [1, 3]), (2, 4, [0]), (2, 9, [2, 8]), (3, 5, [1, 4]), (1, 3, [2]),
+    ])
+    def test_blocks_are_the_left_fold_bit_for_bit(self, d, N, slots):
+        rng = np.random.default_rng(d * N)
+        qa = build_action(SliceLayout(d=d, N=N, eps=0.3), rand_hermitian(rng, d))
+        factors = {t: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for t in slots}
+        V = qa.V.mat
+        for _ in range(2):  # the powers built on the first pass are read on the second
+            for slices, block in qa._blocks(factors):
+                ref = reduce(_block_kron, [V @ factors[t] if t in factors else V for t in slices])
+                assert block.tobytes() == ref.tobytes()
 
     # the group holding slice N-1 drops it: lone (2, 5), (3, 3), (4, 3), (2, 9)
     # and N = 1 lose their last group, shared (2, 6) and (2, 3) shorten it
