@@ -24,23 +24,22 @@ e^{-iE|dt|} as the grid is refined (image terms die like e^{-e_i T}).
 feynman_kernel_closed takes a 1-d array of energies and a 1-d integer
 array of time differences and evaluates e^{k z}, z = -i tau (E - i e_i),
 only at the k = r and s it reads.  _exp_powers forms each power as
-e^{qBz} e^{jz}, k = qB + j, B = isqrt(N) + 1: two exps per asked power,
-or, once the asked powers outnumber half of the N + 1, one outer
-product of the two short exp tables e^{jz}, j < B, and e^{qBz},
-q <= N // B (about 2 sqrt(N) exps for all N + 1 powers).  Both paths form the same two exps and one
-product, so they agree bit for bit, and each exponent is rounded once
-rather than the rounding of w being raised to the power k.  It raises
-PoleError where 1 - w^N vanishes to rounding (e_i = 0 with E on the
-frequency grid).  The one Feynman line P[dt, dx] on the M site
-classes of a lattice, at the site-class energies of
-grids.site_class_energies, is sum_E K_E(dt) w_E(dx) over the distinct
-energies E, each kernel times its plane-wave weights.  line_table sums
-the asked rows, as feynman_propagator_grid (from a
-grids.FrequencyTower) reads one; line_factors returns the kernels at
-every dt and the weights unsummed, as the order-2 S-matrix in wick
-reads them, so the N x M line is never formed.  Both refuse
-N > LINE_SLICE_CAP before any N-long array exists.  The O(N) mode sum
-over a tower is the tests' reference, in tests/dense_refs.py.
+e^{qBz} e^{jz}, k = qB + j, B = isqrt(N) + 1, two exps per asked
+power, so each exponent is rounded once rather than the rounding of w
+being raised to the power k.  The kernel raises PoleError where 1 - w^N
+vanishes to rounding (e_i = 0 with E on the frequency grid).  The one
+Feynman line P[dt, dx] on the M site classes of a lattice, at the
+site-class energies of grids.site_class_energies, is
+sum_E K_E(dt) w_E(dx) over the distinct energies E, each kernel times
+its plane-wave weights.  line_table sums the asked rows, as
+feynman_propagator_grid (from a grids.FrequencyTower) reads one.  The
+order-2 S-matrix in wick reads the line only through its slice sums
+sum_t e^{-2 pi i n t / N} K_a(t) K_b(t), which kernel_product_sums
+resums exactly: each kernel product is four geometric series in t,
+each expm1(N Y) / expm1(Y) (_geometric_sums), so its cost does not
+grow with N and nothing N-long is formed.  Both line_table and
+kernel_product_sums refuse N > LINE_SLICE_CAP.  The O(N) mode sum over
+a tower is the tests' reference, in tests/dense_refs.py.
 
 Signs of tau and e_i are not restricted here: the second kernel term
 is the mode value at -e_i, the anti-time-ordered branch.
@@ -94,21 +93,12 @@ def _exp_powers(z, k: np.ndarray, N: int) -> np.ndarray:
     """e^{k z} for a 1-d integer array k of powers 0 <= k <= N, of shape z.shape + k.shape.
 
     Each power is e^{qBz} e^{jz}, k = qB + j with B = isqrt(N) + 1, each
-    exponent formed as one integer times z.  Once the asked powers
-    outnumber half of the N + 1 (the N roots of unity, or the r and s of
-    more than (N + 1) / 4 time differences), the values are read from
-    the outer product of the two short tables e^{jz}, j < B, and
-    e^{qBz}, q <= N // B; otherwise each asked power pays its own two
-    exps.  Both paths form the same exps and product: they agree bit
-    for bit.  z is a complex or an array of them, one row each.
+    exponent formed as one integer times z: two exps per asked power,
+    and the bits every kernel value and propagator report is pinned to.
+    z is a complex or an array of them, one row each.
     """
     B = math.isqrt(N) + 1
     z = np.asarray(z)[..., None]  # 1-d even for one complex: numpy's 0-d math rounds otherwise
-    if 2 * k.size > N + 1:
-        lo = np.exp(np.arange(B) * z)
-        hi = np.exp(np.arange(0, N + 1, B) * z)
-        table = (hi[..., :, None] * lo[..., None, :]).reshape(*z.shape[:-1], -1)
-        return np.take(table, k, axis=-1)  # a 2-d fancy index gathers several times slower
     j = k % B
     e = np.exp(np.concatenate((k - j, j)) * z)
     return e[..., :k.size] * e[..., k.size:]
@@ -181,27 +171,51 @@ def line_table(N: int, tau: float, eps_i: float, energies, dt: np.ndarray) -> np
     return table.T
 
 
-def line_factors(N: int, tau: float, eps_i: float, energies) -> tuple[np.ndarray, np.ndarray]:
-    """The factors of the whole line, P[dt, dx] = sum_E K_E(dt) w_E(dx): (K, w).
+def kernel_product_sums(N: int, tau: float, eps_i: float, energies,
+                        n) -> tuple[np.ndarray, np.ndarray]:
+    """S_ab = sum_{t<N} e^{-2 pi i n t / N} K_a(t) K_b(t) and the line's weights: (S, w).
 
-    K is E x N, the kernel of each distinct site-class energy at every
-    dt = 0..N-1, and w is E x M, its plane-wave weights (_line_weights):
-    the line itself, N x M, is never formed.  K is read from one table
-    of the N + 1 powers of e^z (_exp_powers), K(dt) = (w^dt + w^{N-dt}) /
-    (1 - w^N): the same products added in the same order as
-    feynman_kernel_closed(N, tau, eps_i, E, np.arange(N)) (at dt = 0,
-    w^0 + w^N), so the two agree bit for bit, with no modular index and
-    no gather of the powers.  Raises ValueError as line_table does, the
-    slice cap first, before any N-long array exists, and PoleError at a
-    pole (_kernel_steps).
+    a and b run over the distinct site-class energies, and w is E x M,
+    their plane-wave weights (_line_weights), so the line P = sum_E K_E w_E
+    enters a slice sum of P^2 only through S.  n is an integer slice
+    phase label or an array of them; S has shape n.shape + (E, E).  With
+    K(t) = (w^t + w^{N-t}) / (1 - w^N) for every t < N, each product
+    K_a K_b expands into four geometric series in t, each summed in
+    closed form (_geometric_sums), so nothing N-long is formed.  The phase
+    is read at the label nearest 0 of n mod N, theta = -2 pi i n_c / N,
+    and the w_a^{N-t} w_b^{N-t} series is summed over u = N - t = 1..N,
+    as e^{Y} G(Y) with Y = z_a + z_b - theta: no factor e^{+2 e_i T}
+    is formed.  Raises ValueError as line_table does, the slice cap
+    first, and PoleError at a pole (_kernel_steps).
     """
     _refuse_past_cap(N)
     distinct, weights = _line_weights(tuple(energies))
     z, den = _kernel_steps(N, tau, eps_i, distinct)
-    powers = _exp_powers(z, np.arange(N + 1), N)
-    kernels = powers[:, :N] + powers[:, N:0:-1]
-    kernels /= den[:, None]
-    return kernels, weights
+    n_c = (np.asarray(n) + N // 2) % N - N // 2
+    theta = (-2j * np.pi / N) * n_c[..., None, None]
+    za, zb = z[:, None], z[None, :]
+    # (w_a^t + w_a^{N-t})(w_b^t + w_b^{N-t}) e^{t theta}, one exponent Y per series;
+    # the last runs over u = N - t, e^{-u theta} (w_a w_b)^u
+    late = (za + zb) - theta
+    g = _geometric_sums(
+        np.array([theta + (za + zb), theta + (za - zb), theta - (za - zb), late]), N)
+    sums = g[0] + np.exp(N * zb) * g[1] + np.exp(N * za) * g[2] + np.exp(late) * g[3]
+    sums /= den[:, None] * den[None, :]
+    return sums, weights
+
+
+def _geometric_sums(Y: np.ndarray, N: int) -> np.ndarray:
+    """G(Y) = sum_{t<N} e^{tY} = expm1(N Y) / expm1(Y) entrywise, N where Y == 0.
+
+    The imaginary part of Y is first reduced to the nearest 0 mod 2 pi,
+    which leaves every e^{tY} as it is, and both expm1 read the one
+    reduced Y, so a resonance Y -> 0 keeps its digits.
+    """
+    Y = Y - 2j * np.pi * np.round(Y.imag / (2 * np.pi))
+    G = np.full(Y.shape, complex(N))
+    live = Y != 0
+    G[live] = np.expm1(N * Y[live]) / np.expm1(Y[live])
+    return G
 
 
 @functools.lru_cache(maxsize=16)
@@ -209,8 +223,8 @@ def _line_weights(energies: tuple) -> tuple[np.ndarray, np.ndarray]:
     """The distinct site-class energies E and their plane-wave weights w_E (read-only).
 
     w_E[dx] = sum over the classes j of energy E of e^{2 pi i j dx / M} / (2 E M):
-    line_table's per-call constants.  Raises ValueError unless
-    E[j] == E[-j mod M] > 0.
+    the per-call constants of line_table and kernel_product_sums.
+    Raises ValueError unless E[j] == E[-j mod M] > 0.
     """
     M = len(energies)
     for j, E in enumerate(energies):

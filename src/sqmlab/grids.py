@@ -157,8 +157,8 @@ def frequency_tower(
     `energies` lists one energy per spatial index, shared by its whole
     tower.  gaussian.feynman_propagator_grid reads one tower per site
     class and passes its energy to gaussian.line_table for one row of
-    the line; the order-2 S-matrix reads the same line's factors from
-    gaussian.line_factors.
+    the line; the order-2 S-matrix reads the same line's slice sums from
+    gaussian.kernel_product_sums.
     """
     N = slice_count(T, tau)
     spatial = tuple(tuple(int(c) for c in s) for s in spatial)

@@ -14,20 +14,18 @@ against the internal line, so no pairing is enumerated or evaluated at
 run time.  The line is the Feynman line P that
 gaussian.feynman_propagator_grid reads a row of and the `propagator`
 experiment checks against exact diagonalization, at the site-class
-energies of grids.site_class_energies.  A class's lattice sum is
-e_t^T P^m e_x (P^m elementwise): its external phase splits into N slice
-and M site phases, and both classes read their slice phases e_t from one
-table of the N roots of unity, at index (n_tot t) mod N, built by the
-kernel's power helper gaussian._exp_powers at z = -2 pi i / N.  P itself
-is never formed: gaussian.line_factors gives its factors,
-P[t, x] = sum_E K_E(t) w_E(x) over the distinct site-class energies E
-(it refuses a line past its slice cap), so
+energies of grids.site_class_energies.  Both classes have two crossing
+lines, so a class's lattice sum is e_t^T P^2 e_x (P^2 elementwise): its
+external phase splits into N slice phases e_t = e^{-2 pi i n t / N} and M
+site phases e_x.  P itself is never formed: P[t, x] = sum_E K_E(t) w_E(x)
+over the distinct site-class energies E, so
 
-    e_t^T P^m e_x = sum over m-tuples (E_1..E_m) of
-                    (e_t . prod_i K_{E_i}) (prod_i w_{E_i} . e_x),
+    e_t^T P^2 e_x = sum over pairs (a, b) of S_ab (w_a w_b . e_x),
+    S_ab = sum_t e^{-2 pi i n t / N} K_a(t) K_b(t),
 
-one N-long kernel product per tuple, formed in one buffer per call and
-dotted with e_t, and one M-long weight product dotted with e_x.
+and gaussian.kernel_product_sums gives every S_ab of both classes in
+closed form, four geometric series per pair, with the weights w (it
+refuses a line past its slice cap).  A call's cost does not grow with N.
 
 On top of the buckets sits the quartic S-matrix assembly on an
 N-slice x M-site lattice.  Conventions (fixed here, validated end to
@@ -55,7 +53,6 @@ small.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Sequence
 
@@ -147,10 +144,10 @@ def smatrix_element(
     with a = tau e_i, so A1 -> -i lambda V_lattice as tau -> 0.  Order
     2 sums the pair-channel classes of the connected two-vertex
     pairings using translation invariance: one lattice difference sum
-    per class, e_t^T P^m e_x with the external phase split into slice
-    and site factors, summed as products of the line's kernel and weight
-    factors (gaussian.line_factors; the line feynman_propagator_grid
-    reads a row of), with no N x M table.
+    per class, e_t^T P^2 e_x with the external phase split into slice
+    and site factors, read from the closed-form slice sums of the line's
+    kernel products and its weights (gaussian.kernel_product_sums; the
+    line feynman_propagator_grid reads a row of), with nothing N-long.
 
     The order-2 assembly is normalized to the same external-leg and
     volume conventions as order 1.  In those conventions each vertex
@@ -205,22 +202,14 @@ def smatrix_element(
 
     energies = site_class_energies([mode[1] for mode in grid.modes],
                                    [grid.energy(k) for k in range(len(grid))], M)
-    kernels, weights = gaussian.line_factors(N, tau, eps_i, energies)
-    t = np.arange(N)
-    roots = gaussian._exp_powers(-2j * np.pi / N, t, N)
-    product = np.empty(N, complex)  # one kernel product at a time
+    n_tot, j_tot = ([sum(signs[l] * legs[l][i] for l in sz) for _, _, sz, _ in _ORDER2_BUCKETS]
+                    for i in (0, 1))
+    sums, weights = gaussian.kernel_product_sums(N, tau, eps_i, energies, np.array(n_tot))
     total = 0.0 + 0.0j
-    for m, _, sz, count in _ORDER2_BUCKETS:  # no pair-channel class has a self-loop
-        n_tot = sum(signs[l] * legs[l][0] for l in sz)
-        j_tot = sum(signs[l] * legs[l][1] for l in sz)
-        e_t = roots[(n_tot * t) % N]
-        e_x = np.exp(2j * np.pi * j_tot * np.arange(M) / M)
-        # e_t^T P^m e_x, P = sum_E K_E w_E^T: one term per m-tuple of energies
-        for tup in itertools.product(range(len(kernels)), repeat=m):
-            np.copyto(product, kernels[tup[0]])
-            for i in tup[1:]:
-                product *= kernels[i]
-            total += count * (e_t @ product) * (np.prod(weights[list(tup)], axis=0) @ e_x)
+    for (_, _, _, count), S, j in zip(_ORDER2_BUCKETS, sums, j_tot):
+        e_x = np.exp(2j * np.pi * j * np.arange(M) / M)
+        # e_t^T P^2 e_x = sum_ab S_ab (w_a w_b . e_x): no class has a self-loop
+        total += count * np.sum(S * ((weights * e_x) @ weights.T))
     return 0.5 * vertex**2 * consts * (N * M) * total / tau
 
 

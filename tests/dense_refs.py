@@ -12,9 +12,9 @@ sum over the N labels of each frequency tower that the closed kernel
 resums (per tower, and summed over the towers of a site lattice), one
 exponential per power and branch of the closed kernel, one outer
 product per site class in the internal-line table, one phase per
-lattice point in the order-2 sum, and the N x M line itself, whose
-elementwise powers the order-2 class sums take as products of its
-kernel factors.
+lattice point in the order-2 sum, the N x M line itself, whose
+elementwise powers the order-2 class sums resum in closed form, and
+those class sums again at 50 digits.
 
 The brute-force references of the Gaussian laws and of Wick's theorem
 live here too: the bosonic pair value <a†a> as a truncated geometric
@@ -283,8 +283,8 @@ def order2_pair_channel_table(grid, in_modes, out_modes, lam: float, tau: float,
     P is the N x M table of gaussian.line_table at every dt, raised
     elementwise to the class's power m; e_t is read from the N roots of
     unity of gaussian._exp_powers at (n_tot t) mod N and e_x is the site
-    phase.  The same kernel entries and phases as smatrix_element, which
-    sums kernel products instead and never forms P.
+    phase: a sum over every lattice point, where smatrix_element reads
+    closed forms of the same slice sums and never forms P.
     """
     N, M, classes, factor = _order2_classes(grid, in_modes, out_modes, lam, tau, eps_i)
     table = gaussian.line_table(N, tau, eps_i, grid_line_energies(grid), np.arange(N))
@@ -295,6 +295,55 @@ def order2_pair_channel_table(grid, in_modes, out_modes, lam: float, tau: float,
         e_x = np.exp(2j * np.pi * j_tot * np.arange(M) / M)
         total += count * (roots[(n_tot * t) % N] @ table**m @ e_x)
     return factor * total
+
+
+def order2_pair_channel_mpmath(grid, in_modes, out_modes, lam: float, tau: float,
+                               eps_i: float, dps: int = 50) -> complex:
+    """smatrix_element(order=2, channel="s") evaluated with mpmath at dps digits.
+
+    In the class sums the float inputs (tau, eps_i and the site-class
+    energies) are read exactly, and each class's slice sum of K_a K_b e_t
+    is the four geometric series of the kernels' powers, each
+    (1 - q^N) / (1 - q) with q formed as it stands: the plain phase
+    e^{-2 pi i n / N} and the last series' factor (w_a w_b)^N, which at
+    these digits lose nothing; the plane-wave weights are summed from
+    their definition.  The leg, vertex and volume factor is the float one
+    of _order2_classes, as smatrix_element forms it: its leg constants
+    1/(e^{tau e_i} - 1) round at about eps / (tau e_i), which order 1
+    shares and the ratio of the two orders cancels.
+    """
+    import mpmath
+
+    N, M, classes, factor = _order2_classes(grid, in_modes, out_modes, lam, tau, eps_i)
+    with mpmath.workdps(dps):
+        tau, eps_i = mpmath.mpf(tau), mpmath.mpf(eps_i)
+        energies = [mpmath.mpf(E) for E in grid_line_energies(grid)]
+        distinct = list(dict.fromkeys(energies))
+        w = {E: mpmath.exp(-tau * (eps_i + 1j * E)) for E in distinct}
+        weights = {E: [mpmath.fsum(mpmath.expjpi(mpmath.mpf(2 * j * x) / M) / (2 * E * M)
+                                   for j, E_j in enumerate(energies) if E_j == E)
+                       for x in range(M)]
+                   for E in distinct}
+
+        def geometric(q):
+            return mpmath.mpf(N) if q == 1 else (1 - q**N) / (1 - q)
+
+        total = mpmath.mpc(0)
+        for m, count, n_tot, j_tot in classes:
+            assert m == 2
+            phase = mpmath.expjpi(mpmath.mpf(-2 * n_tot) / N)
+            for a in distinct:
+                for b in distinct:
+                    slices = (geometric(phase * w[a] * w[b])
+                              + w[b]**N * geometric(phase * w[a] / w[b])
+                              + w[a]**N * geometric(phase * w[b] / w[a])
+                              + (w[a] * w[b])**N * geometric(phase / (w[a] * w[b])))
+                    slices /= (1 - w[a]**N) * (1 - w[b]**N)
+                    sites = mpmath.fsum(weights[a][x] * weights[b][x]
+                                        * mpmath.expjpi(mpmath.mpf(2 * j_tot * x) / M)
+                                        for x in range(M))
+                    total += count * slices * sites
+        return factor * complex(total)
 
 
 def lattice_annihilators(lat) -> list[np.ndarray]:

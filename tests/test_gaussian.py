@@ -18,11 +18,10 @@ from sqmlab.experiments import DEFAULTS
 from sqmlab.gaussian import (
     LINE_SLICE_CAP,
     PoleError,
-    _exp_powers,
     _mode_corr,
     feynman_kernel_closed,
     feynman_propagator_grid,
-    line_factors,
+    kernel_product_sums,
     line_table,
     tau_mode_correlator,
 )
@@ -228,23 +227,6 @@ class TestTowerResummation:
         got = feynman_kernel_closed(N, tau, eps_i, np.array([E]), dts)[0]
         assert np.max(np.abs(got - ref)) <= 1.1e-15 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("N", [1, 2, 7, 9, 2000, 15000, 30000])
-    def test_exp_powers_paths_agree_bit_for_bit(self, N):
-        # the per-power path just below the table switch (2K <= N + 1), the
-        # table just above it, against the table of every power, for a kernel
-        # step, the step of the roots of unity and both at once
-        rng = np.random.default_rng(N)
-        steps = (complex(-0.1 * 0.02, -0.1 * 1.7), -2j * np.pi / N)
-        below = rng.integers(0, N + 1, size=(N + 1) // 2)
-        above = rng.integers(0, N + 1, size=(N + 1) // 2 + 1)
-        assert 2 * below.size <= N + 1 < 2 * above.size
-        both = _exp_powers(np.array(steps), np.arange(N + 1), N)
-        for z, whole in zip(steps, both):
-            assert np.array_equal(_exp_powers(z, np.arange(N + 1), N), whole)
-            for k in (below, above):
-                assert np.array_equal(_exp_powers(z, k, N), whole[k])
-        assert np.array_equal(_exp_powers(np.array(steps), below, N), both[:, below])
-
     def test_unregulated_kernel_between_grid_frequencies_is_the_tower_sum(self):
         # eps_i = 0 is a pole only with E on the grid 2 pi n / T; halfway
         # between two frequencies every mode denominator is far from zero
@@ -275,10 +257,9 @@ class TestTowerResummation:
 
 
 def dt_selections(N):
-    """Time differences on both sides of the power table's switch, 4K > N + 1.
+    """Time differences: one, a quarter of the line and one more, all of it, negatives.
 
-    K differences ask feynman_kernel_closed for 2K powers, and _exp_powers
-    builds its table once they outnumber half of the N + 1.
+    The larger selections repeat a difference mod N and reach outside 0..N-1.
     """
     rng = np.random.default_rng(N)
     quarter = (N + 1) // 4
@@ -304,17 +285,34 @@ def line_params(line):
     return line
 
 
+def slice_sum_gaps(N, tau, eps_i, energies, n):
+    """The largest gap of kernel_product_sums from the explicit sums, over sum_t |K_a K_b|.
+
+    The explicit sum is sum_t e^{-2 pi i n t / N} K_a(t) K_b(t) over the rows of
+    feynman_kernel_closed, for every pair of distinct energies and each n.  Off
+    resonance it cancels, so its rounding scales with sum_t |K_a K_b|, not with
+    its value.
+    """
+    distinct = np.array(list(dict.fromkeys(energies)))
+    kernels = feynman_kernel_closed(N, tau, eps_i, distinct, np.arange(N))
+    sums, _ = kernel_product_sums(N, tau, eps_i, energies, n)
+    scale = np.abs(kernels) @ np.abs(kernels).T
+    t = np.arange(N)
+    gaps = []
+    for n_i, got in zip(n, sums):
+        ref = np.einsum("t,at,bt->ab", np.exp(-2j * np.pi * (n_i * t % N) / N), kernels, kernels)
+        gaps.append(np.max(np.abs(got - ref) / scale))
+    return max(gaps)
+
+
 class TestRowsReadThroughDt:
     @pytest.mark.parametrize("line", LINES)
     def test_rows_equal_the_whole_line(self, line):
-        # K = 1, just below and just above (N + 1) / 4, K = N
         N, tau, eps_i, energies = line_params(line)
         whole = line_table(N, tau, eps_i, energies, np.arange(N))
         kernels = {E: feynman_kernel_closed(N, tau, eps_i, np.array([E]), np.arange(N))[0]
                    for E in energies}
-        selections = dt_selections(N)
-        assert 4 * len(selections["below"]) <= N + 1 < 4 * len(selections["above"])
-        for dt in selections.values():
+        for dt in dt_selections(N).values():
             rows = line_table(N, tau, eps_i, energies, dt)
             assert rows.shape == (len(dt), len(energies))
             assert np.array_equal(rows, whole[dt % N])
@@ -322,19 +320,30 @@ class TestRowsReadThroughDt:
                 got = feynman_kernel_closed(N, tau, eps_i, np.array([E]), dt)
                 assert np.array_equal(got, kernel[None, dt % N])
 
-    @pytest.mark.parametrize("line", [*LINES, (1, 0.3, 0.2, [1.3])])
-    def test_line_factors_rebuild_the_whole_line(self, line):
-        # the kernels are feynman_kernel_closed's at every dt, bit for bit,
-        # and their outer products with the weights sum to the line
+    @pytest.mark.parametrize("line", [*LINES, (1, 0.3, 0.2, [1.3]), (2, 0.4, 0.3, [0.9, 0.9])])
+    def test_kernel_product_sums_are_the_explicit_slice_sums(self, line):
+        # n = 0 and -N meet the series G(Y) at Y == 0 (the pairs a == b), n = N // 2
+        # the phase farthest from 0
         N, tau, eps_i, energies = line_params(line)
         distinct = np.array(list(dict.fromkeys(energies)))
-        kernels, weights = line_factors(N, tau, eps_i, energies)
-        assert kernels.shape == (len(distinct), N)
-        assert weights.shape == (len(distinct), len(energies))
-        closed = feynman_kernel_closed(N, tau, eps_i, distinct, np.arange(N))
-        assert kernels.dtype == closed.dtype and kernels.tobytes() == closed.tobytes()
+        n = np.array([0, -N, 1, N // 2, 175, -175, 3 * N + 7])
+        sums, weights = kernel_product_sums(N, tau, eps_i, energies, n)
+        assert sums.shape == (n.size, distinct.size, distinct.size)
+        assert slice_sum_gaps(N, tau, eps_i, energies, n) <= 2e-15
+        # the weights are the line's: sum_E K_E(dt) w_E(dx) is every row of line_table
+        kernels = feynman_kernel_closed(N, tau, eps_i, distinct, np.arange(N))
         whole = line_table(N, tau, eps_i, energies, np.arange(N))
+        assert weights.shape == (distinct.size, len(energies))
         assert np.max(np.abs(kernels.T @ weights - whole)) <= 1e-15 * np.max(np.abs(whole))
+
+    def test_kernel_product_sums_at_a_resonance_past_pi(self):
+        # tau (E_a - E_b) = 2 pi 124 / 200 > pi: at n = 76, -124 and 124 one series
+        # has Y = 2 pi i k + (rounding), k != 0, which G reads at its reduced Y; the
+        # explicit sums' own rounding grows with T E_a = 2 pi 125
+        N, tau = 200, 0.1
+        E_a, E_b = (2 * math.pi * label / (N * tau) for label in (125, 1))
+        n = np.array([76, -124, 124, 3, 0])
+        assert slice_sum_gaps(N, tau, 0.01, [E_a, E_b, E_a, E_b], n) <= 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -368,23 +377,6 @@ class TestRowsReadThroughDt:
         finally:
             tracemalloc.stop()
         assert cmath.isfinite(value)
-        assert peak < 2**20
-
-    def test_line_past_the_cap_is_refused_before_allocating(self):
-        # the order-2 smatrix reads the line's factors at every dt, a propagator
-        # entry one row: one slice past LINE_SLICE_CAP is refused by both,
-        # with one message, before any N-long array exists
-        _, tau, eps_i, energies = smatrix_line(1.0)
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match=f"exceeds cap {LINE_SLICE_CAP}") as whole:
-                line_factors(LINE_SLICE_CAP + 1, tau, eps_i, energies)
-            with pytest.raises(ValueError) as row:
-                line_table(LINE_SLICE_CAP + 1, tau, eps_i, energies, np.array([3]))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert str(row.value) == str(whole.value)
         assert peak < 2**20
 
 

@@ -35,19 +35,33 @@ MUTANTS = {
         ["propagator"],
     ),
     # propagator reads one kernel row per time difference; a row one slice
-    # late is the next dt's value (smatrix --order 2 sums every row, so the
-    # shift turns into one slice phase per class, and its ratio stays in
-    # tolerance)
+    # late is the next dt's value (smatrix --order 2 reads no kernel row: its
+    # slice sums are closed forms)
     "kernel read one slice late": (
         gaussian, "feynman_kernel_closed",
         lambda f: lambda N, tau, eps_i, E, dt: f(N, tau, eps_i, E, np.asarray(dt) + 1),
         ["propagator"],
     ),
-    # every power of e^z, the kernel's and the order-2 slice phases', one step
-    # late: the line and the phases both move
+    # every power of e^z one step late: each kernel row propagator reads
+    # against ED is w times its value
     "power one step late": (
         gaussian, "_exp_powers",
         lambda f: lambda z, k, N: f(z, k, N) * np.exp(np.asarray(z)[..., None]),
+        ["propagator"],
+    ),
+    # the order-2 slice sums without their external slice phase: the
+    # resonance of each pair-channel class, where the phase cancels the
+    # kernels' own, is lost
+    "slice phase dropped": (
+        gaussian, "kernel_product_sums",
+        lambda f: lambda N, tau, eps_i, energies, n: f(N, tau, eps_i, energies, 0 * n),
+        ["smatrix", "--order", "2"],
+    ),
+    # each geometric series of the order-2 slice sums read at -Y: the
+    # resonant one grows like e^{2 e_i T} where it decays
+    "geometric series at -Y": (
+        gaussian, "_geometric_sums",
+        lambda f: lambda Y, N: f(-Y, N),
         ["smatrix", "--order", "2"],
     ),
     # the block of a fused slice group holding an insertion comes out slice-reversed

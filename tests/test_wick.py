@@ -12,13 +12,14 @@ from dense_refs import (
     double_factorial,
     enumerate_pairings,
     grid_line_energies,
+    order2_pair_channel_mpmath,
     order2_pair_channel_phase_grid,
     order2_pair_channel_table,
     propagator_table_outer,
 )
 from sqmlab import oracles, wick
 from sqmlab.experiments import DEFAULTS
-from sqmlab.gaussian import feynman_propagator_grid, line_table
+from sqmlab.gaussian import LINE_SLICE_CAP, feynman_propagator_grid, line_table
 from sqmlab.grids import ModeGrid, frequency_tower, slice_count
 from sqmlab.wick import (
     lattice_volume_norm,
@@ -437,20 +438,60 @@ def test_kernel_product_sums_match_the_line_table(grid, tau, eps_i, lam):
     assert got != 0 and relative_gap(got, ref) <= 1e-14
 
 
-def test_order2_call_at_half_tau2_stays_small():
-    # N = 30000 slices, M = 4: the line (1.9 MB) and its square are never formed
+def smatrix_window(slices):
+    """(grid, tau, eps_i, lam) of the smatrix --order 2 window cut into `slices` slices."""
     p = DEFAULTS["smatrix"]
     grid = conserving_grid(T=p["T2"], M=p["M_sites"], n_a=p["n_a2"], n_b=p["n_b2"])
-    tau = p["tau2"] / 2
-    assert slice_count(grid.T, tau) == 30000
+    tau = p["T2"] / slices
+    assert slice_count(grid.T, tau) == slices
+    return grid, tau, p["eps_i2"], p["lam"]
+
+
+def order2_traced_peak(slices):
+    """The traced peak, in bytes, of one order-2 call on the window of smatrix_window."""
+    grid, tau, eps_i, lam = smatrix_window(slices)
     tracemalloc.start()
     try:
-        smatrix_element(grid, (0, 1), (2, 3), p["lam"], 2, tau=tau, eps_i=p["eps_i2"],
-                        channel="s")
+        smatrix_element(grid, (0, 1), (2, 3), lam, 2, tau=tau, eps_i=eps_i, channel="s")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_order2_call_at_half_tau2_stays_small():
+    # N = 30000 slices, M = 4: the slice sums are closed forms, nothing N-long
+    assert order2_traced_peak(30000) <= 16 * 1024
+
+
+def test_order2_call_at_the_slice_cap_stays_small():
+    assert order2_traced_peak(LINE_SLICE_CAP) <= 16 * 1024
+
+
+@pytest.mark.parametrize("slices", [15000, 30000, LINE_SLICE_CAP], ids=["tau2", "tau2/2", "cap"])
+def test_order2_matches_a_50_digit_evaluation(slices):
+    pytest.importorskip("mpmath")
+    grid, tau, eps_i, lam = smatrix_window(slices)
+    got = smatrix_element(grid, (0, 1), (2, 3), lam, 2, tau=tau, eps_i=eps_i, channel="s")
+    ref = order2_pair_channel_mpmath(grid, (0, 1), (2, 3), lam, tau, eps_i)
+    assert abs(got - ref) <= 4e-15 * abs(ref)
+
+
+def test_line_past_the_cap_is_refused_before_allocating():
+    # the order-2 smatrix reads the line's slice sums, a propagator entry one
+    # row: one slice past LINE_SLICE_CAP is refused by both, with one message,
+    # before any N-long array exists
+    grid, tau, eps_i, lam = smatrix_window(LINE_SLICE_CAP + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"exceeds cap {LINE_SLICE_CAP}") as order2:
+            smatrix_element(grid, (0, 1), (2, 3), lam, 2, tau=tau, eps_i=eps_i, channel="s")
+        with pytest.raises(ValueError) as row:
+            line_table(LINE_SLICE_CAP + 1, tau, eps_i, grid_line_energies(grid), np.array([3]))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4e6
+    assert str(row.value) == str(order2.value)
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
