@@ -27,19 +27,24 @@ Conventions fixed here: Dirac representation (GAMMA) with signature (+,-,-,-);
 Jordan-Wigner ordering slice-major (leg = t*M + m), string over lower
 legs; mode annihilator maps |1> to |0>.  Layouts are capped at 2**12
 states, the size the dense views can still afford.
+
+scipy is imported inside the four functions that need it, the CSR
+builders jw_ladder, parity_matrix and cycle_matrix and the Padé `expm`
+of parity_pair_correlator, so importing this module loads none of it.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy import sparse
 
 from .linalg import Operator, SingularMatrixError, inv
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 FERMION_DIM_CAP = 4096  # 2**12
 
@@ -136,6 +141,8 @@ def jw_ladder(layout: FermionLayout, leg: int) -> sparse.csr_array:
     other column is annihilated.  Leg 0 is the slowest-varying bit of
     the basis index.  Raises ValueError unless 0 <= leg < layout.legs.
     """
+    from scipy import sparse
+
     L = layout.legs
     if not 0 <= leg < L:
         raise ValueError(f"leg {leg} outside the {L} legs of the {layout.N}x{layout.M} lattice")
@@ -155,6 +162,8 @@ def jw_annihilator(layout: FermionLayout, t: int, m: int) -> Operator:
 
 def parity_matrix(layout: FermionLayout) -> sparse.csr_array:
     """(-1)^{N_f} as a sparse diagonal: -1 on odd-occupation basis states."""
+    from scipy import sparse
+
     idx = np.arange(layout.dim)
     pops = sum((idx >> b) & 1 for b in range(layout.legs))
     return sparse.csr_array(((-1.0) ** pops, (idx, idx)), shape=(layout.dim,) * 2)
@@ -195,6 +204,8 @@ def cycle_matrix(layout: FermionLayout) -> sparse.csr_array:
     permutations in O(M·L·2^L).  For N = 1 it is the identity; for
     N = 2, M = 1 it is exactly the fSWAP matrix.
     """
+    from scipy import sparse
+
     L, dim = layout.legs, layout.dim
     states = np.arange(dim)
     U = (states, np.ones(dim))
@@ -237,7 +248,11 @@ def parity_pair_correlator(coeffs: np.ndarray) -> np.ndarray:
     thermal trace would give the Fermi-Dirac form (I + e^{iA})^{-1};
     the parity insertion flips the sign of the exponential, which is
     exactly what lets the on-shell pole of the propagator build up.)
+    The Dirac block is not normal, so the exponential is scipy's Padé
+    `expm`, not an eigendecomposition.
     """
+    import scipy.linalg
+
     coeffs = np.asarray(coeffs, dtype=complex)
     eA = scipy.linalg.expm(1j * coeffs)
     return inv(Operator(np.eye(coeffs.shape[0]) - eA)).mat

@@ -69,10 +69,14 @@ def _mode_corr(tau: float, gap, eps_i: float):
     """1 / (exp(-i tau (gap + i eps_i)) - 1) — the <a†a>-type mode value.
 
     `gap` may be a scalar or an array of per-mode gaps; the value has
-    its shape.
+    its shape.  The denominator is expm1(z), z = -i tau (gap + i eps_i),
+    which keeps the digits that exp(z) - 1 cancels next to the pole.
+    Raises PoleError where |expm1(z)| <= 8 eps_machine max(1, |z|), the
+    rule of _kernel_steps.
     """
-    den = np.exp(-1j * tau * (gap + 1j * eps_i)) - 1.0
-    if np.any(den == 0):
+    z = -1j * tau * (gap + 1j * eps_i)
+    den = np.expm1(z)
+    if np.any(np.abs(den) <= 8 * _EPS * np.maximum(1.0, np.abs(z))):
         raise PoleError("mode correlator pole: tau*(gap + i eps_i) = 0 mod 2 pi")
     return 1.0 / den
 

@@ -8,10 +8,11 @@ caller that reads it, which hands the factor sizes to `partial_trace`
 (the spacetime state does, from its slices and sites).  This module
 fixes the single global index convention — factor 0 is the
 slowest-varying (leftmost) kron index — and supplies the plumbing:
-partial traces over arbitrary factor subsets, matrix exponentials and
-guarded inverses, and seeded random operator ensembles.  Integer
-powers are numpy's `matrix_power`, traces `np.trace` of `.mat`; the
-np.kron-built tensor product is a test reference (`tests/dense_refs.py`).
+partial traces over arbitrary factor subsets, the unitary exp(-i·s·H)
+of a Hermitian generator from numpy's `eigh`, guarded inverses, and
+seeded random operator ensembles.  Integer powers are numpy's
+`matrix_power`, traces `np.trace` of `.mat`; the np.kron-built tensor
+product is a test reference (`tests/dense_refs.py`).  No scipy.
 
 Dense storage only; the intended regime is total dimension ≲ 4096.
 Entries are complex128, except that float64 input stays float64: real
@@ -25,7 +26,6 @@ import math
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 
 class SingularMatrixError(np.linalg.LinAlgError):
@@ -58,8 +58,9 @@ class Operator:
     them out (`partial_trace`).  The entry buffer is write-protected,
     and all arithmetic returns new instances.  An ndarray that owns its
     buffer and is already write-protected is kept as it is, without a
-    copy (its maker hands it over, as `spacetime.build_R` does with R
-    and the dense fermion views with their `toarray()` buffers);
+    copy (its maker hands it over, as `spacetime.build_R` does with R,
+    `unitary` with its product and the dense fermion views with their
+    `toarray()` buffers);
     anything else is copied.
     """
 
@@ -83,11 +84,12 @@ class Operator:
 
     def norm(self) -> float:
         """Frobenius norm of the entries."""
-        return float(np.linalg.norm(self.mat))
+        return math.sqrt(np.vdot(self.mat, self.mat).real)
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
-        scale = max(1.0, self.norm())
-        return bool(np.linalg.norm(self.mat - self.mat.conj().T) <= tol * scale)
+        """||A - A†|| <= tol · max(1, ||A||), Frobenius norms."""
+        gap = self.mat - self.mat.conj().T
+        return math.sqrt(np.vdot(gap, gap).real) <= tol * max(1.0, self.norm())
 
     # -- arithmetic ----------------------------------------------------
 
@@ -99,11 +101,6 @@ class Operator:
         if isinstance(other, Ket):
             return Ket(self.mat @ other.vec)
         return NotImplemented
-
-    def __mul__(self, scalar):
-        return Operator(self.mat * complex(scalar))
-
-    __rmul__ = __mul__
 
 
 class Ket:
@@ -190,9 +187,41 @@ def partial_trace(A: Operator, dims: Sequence[int], keep: Iterable[int]) -> Oper
 # matrix functions
 
 
-def expm(A: Operator) -> Operator:
-    """Matrix exponential (scaling-and-squaring Padé via scipy)."""
-    return Operator(scipy.linalg.expm(A.mat))
+# from this size on, a phase's last-place unit is a whole radian or more
+_PHASE_MAX = 2.0**52
+
+
+def unitary(H: Operator, s: float) -> Operator:
+    """exp(-i·s·H) for a Hermitian H, as U·diag(e^{-i s λ})·U† from `np.linalg.eigh`.
+
+    The eigenvector route is the stable exponential of a Hermitian
+    generator (Moler & Van Loan, SIAM Rev. 45, 3 (2003), method 14):
+    unitary to rounding at every s, complex128 also for a float64 H.
+    One Newton-Schulz step U(3I - U†U)/2 (Higham, Functions of
+    Matrices, SIAM 2008, ch. 8) first makes eigh's eigenvectors
+    orthonormal to working precision, where eigh leaves about d·1e-16.
+    Each call decomposes its own H.
+
+    Raises
+    ------
+    ValueError
+        If H is not Hermitian (`Operator.is_hermitian`, tol 1e-12).
+    FloatingPointError
+        If a phase s·λ is not finite, or is 2**52 or more in size, where
+        a unit in its last place is a whole radian.
+    """
+    if not H.is_hermitian():
+        raise ValueError("unitary needs a Hermitian generator (tol 1e-12)")
+    lam, U = np.linalg.eigh(H.mat)
+    s = float(s)
+    low, high = s * float(lam[0]), s * float(lam[-1])  # eigh sorts λ ascending
+    if not (abs(low) < _PHASE_MAX and abs(high) < _PHASE_MAX):  # NaN compares False
+        raise FloatingPointError(
+            f"phase s*lambda out of range: s = {s}, eigenvalues in [{lam[0]}, {lam[-1]}]")
+    U = 1.5 * U - 0.5 * (U @ (U.conj().T @ U))
+    mat = (U * np.exp(-1j * (s * lam))) @ U.conj().T
+    mat.flags.writeable = False  # a fresh buffer, which Operator keeps uncopied
+    return Operator(mat)
 
 
 def inv(A: Operator) -> Operator:

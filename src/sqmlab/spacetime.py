@@ -5,7 +5,9 @@ slice marginals are the Schrödinger-evolved states, ordinary two-point
 functions appear as traces against slice-local insertions with time
 ordering built in, and the antihermitian part witnesses causal order.
 
-Construction: with V = exp(-i eps H) and the cyclic slice shift C,
+Construction: with V = exp(-i eps H) (`linalg.unitary`, as are the
+boundary's exp(+i eps N H) and the oracles' exp(-i eps t H)) and the
+cyclic slice shift C,
 
     R ∝ embed(|psi0><psi0| · V^{-N}, 0) · C · (V ⊗ ... ⊗ V),
 
@@ -81,7 +83,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import Ket, Operator, expm, partial_trace
+from .linalg import Ket, Operator, partial_trace, unitary
 from .timeslab import QuantumAction, SliceLayout, build_action
 
 _TILE = 32  # largest tile edge in the tiled Tr[A·B] of the trace powers
@@ -133,8 +135,7 @@ class SpacetimeState:
 
     def evolved(self, t: int) -> Ket:
         """Schrödinger oracle exp(-i H eps t)|psi0>."""
-        U = expm(-1j * self.eps * t * self.H)
-        return U @ self.psi0
+        return unitary(self.H, self.eps * t) @ self.psi0
 
 
 def build_R(
@@ -164,7 +165,7 @@ def build_R(
     qa = build_action(layout, H)
     V = qa.V.mat
     # embed(b, 0)·E = E·embed(V†·b·V, N-1), as C carries slice N-1 to 0
-    ket, bra = V.conj().T @ psi0.vec, psi0.vec.conj() @ expm(1j * eps * N * H).mat @ V
+    ket, bra = V.conj().T @ psi0.vec, psi0.vec.conj() @ unitary(H, -eps * N).mat @ V
     tr = complex(np.sum(qa.diagonal({N - 1: np.outer(ket, bra)})))  # Tr R_raw
     if abs(tr) < 1e-14:
         raise ValueError("spacetime state has numerically zero trace")
@@ -219,7 +220,7 @@ def causality_witness(st: SpacetimeState, A: Operator, B: Operator, t: int = 1) 
 
 def causality_witness_oracle(st: SpacetimeState, A: Operator, B: Operator, t: int = 1) -> complex:
     """Heisenberg-picture oracle <psi|[B_H(eps t), A]|psi>."""
-    Ut = expm(-1j * st.eps * t * st.H).mat
+    Ut = unitary(st.H, st.eps * t).mat
     BH = Ut.conj().T @ B.mat @ Ut
     comm = BH @ A.mat - A.mat @ BH
     return complex(np.vdot(st.psi0.vec, comm @ st.psi0.vec))

@@ -5,8 +5,10 @@ per time slice, slice 0 leftmost.  The central object is the unitary
 
     E = C · (V ⊗ V ⊗ ... ⊗ V),      V = exp(-i eps H),
 
-where C cyclically shifts the slices.  Two exact identities are
-implemented and cross-checked:
+where C cyclically shifts the slices and V comes from the
+eigendecomposition of H (`linalg.unitary`), as do the oracle's own
+exponentials e^{±i eps t H}, each call decomposing H anew.  Two exact
+identities are implemented and cross-checked:
 
 * trace identity — a trace of E against one operator insertion per
   slice collapses to a single-slice time-ordered trace,
@@ -63,7 +65,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .linalg import Ket, Operator, expm
+from .linalg import Ket, Operator, unitary
 
 DEFAULT_DIM_CAP = 4096
 _COLUMN_BLOCK = 128  # columns of E and E·X per block in constraint_expectation
@@ -134,9 +136,8 @@ class QuantumAction:
     def __post_init__(self):
         if self.H.dim != self.layout.d:
             raise ValueError("H must act on a single slice")
-        if not self.H.is_hermitian(1e-12):
-            raise ValueError("H must be hermitian")
-        object.__setattr__(self, "V", expm(-1j * self.layout.eps * self.H))
+        # unitary refuses a non-Hermitian H
+        object.__setattr__(self, "V", unitary(self.H, self.layout.eps))
         self._powers.append(self.V.mat)
 
     def apply(self, M: np.ndarray) -> np.ndarray:
@@ -312,9 +313,9 @@ def trace_theorem_rhs(qa: QuantumAction, inserts: Sequence[tuple[Operator, int]]
     eps, N = qa.layout.eps, qa.layout.N
     prod = np.eye(qa.layout.d, dtype=complex)
     for O, t in sorted(inserts, key=lambda item: item[1]):
-        plus = expm(1j * eps * t * qa.H).mat
+        plus = unitary(qa.H, -eps * t).mat
         prod = (plus @ O.mat @ plus.conj().T) @ prod
-    return complex(np.trace(expm(-1j * eps * N * qa.H).mat @ prod))
+    return complex(np.trace(unitary(qa.H, eps * N).mat @ prod))
 
 
 def constraint_expectation(

@@ -33,7 +33,7 @@ from scipy import sparse
 
 from sqmlab import fock, gaussian, grids, wick
 from sqmlab.fermions import FermionLayout, jw_ladder, parity_matrix
-from sqmlab.linalg import Ket, Operator, expm
+from sqmlab.linalg import Ket, Operator
 from sqmlab.timeslab import QuantumAction, SliceLayout, slice_factors
 
 
@@ -102,8 +102,8 @@ def embed_at_slice(O: Operator, t: int, layout: SliceLayout) -> Operator:
 def spacetime_state(psi: Ket, H: Operator, eps: float, N: int) -> np.ndarray:
     """Dense R = embed(|psi><psi|·V^{-N}, 0) · C · V^{⊗N} / Tr, V = exp(-i eps H)."""
     layout = SliceLayout(d=psi.dim, N=N, eps=eps)
-    V = expm(-1j * eps * H)
-    b = psi.outer() @ expm(1j * eps * N * H)
+    V = Operator(scipy.linalg.expm(-1j * eps * H.mat))
+    b = psi.outer() @ Operator(scipy.linalg.expm(1j * eps * N * H.mat))
     raw = (embed_at_slice(b, 0, layout) @ cycle_shift(layout) @ kron(*([V] * N))).mat
     return raw / np.trace(raw)
 
@@ -307,16 +307,19 @@ def order2_pair_channel_mpmath(grid, in_modes, out_modes, lam: float, tau: float
     (1 - q^N) / (1 - q) with q formed as it stands: the plain phase
     e^{-2 pi i n / N} and the last series' factor (w_a w_b)^N, which at
     these digits lose nothing; the plane-wave weights are summed from
-    their definition.  The leg, vertex and volume factor is the float one
-    of _order2_classes, as smatrix_element forms it: its leg constants
-    1/(e^{tau e_i} - 1) round at about eps / (tau e_i), which order 1
-    shares and the ratio of the two orders cancels.
+    their definition.  The leg, vertex and volume factor of
+    _order2_classes is formed at these digits too, its leg constants
+    e_i sqrt(tau) C from the Bose law C- = 1/(e^{tau e_i} - 1) and
+    C+ = 1/(1 - e^{-tau e_i}).
     """
     import mpmath
 
-    N, M, classes, factor = _order2_classes(grid, in_modes, out_modes, lam, tau, eps_i)
+    N, M, classes, _ = _order2_classes(grid, in_modes, out_modes, lam, tau, eps_i)
     with mpmath.workdps(dps):
         tau, eps_i = mpmath.mpf(tau), mpmath.mpf(eps_i)
+        legs_sq = [eps_i**2 * tau / mpmath.expm1(sign * tau * eps_i) ** 2 for sign in (1, -1)]
+        vertex_sq = -(mpmath.mpf(lam) / 24) ** 2 * tau**4
+        factor = vertex_sq * legs_sq[0] * legs_sq[1] / (2 * N * M * tau)
         energies = [mpmath.mpf(E) for E in grid_line_energies(grid)]
         distinct = list(dict.fromkeys(energies))
         w = {E: mpmath.exp(-tau * (eps_i + 1j * E)) for E in distinct}
@@ -343,7 +346,7 @@ def order2_pair_channel_mpmath(grid, in_modes, out_modes, lam: float, tau: float
                                         * mpmath.expjpi(mpmath.mpf(2 * j_tot * x) / M)
                                         for x in range(M))
                     total += count * slices * sites
-        return factor * complex(total)
+        return complex(factor * total)
 
 
 def lattice_annihilators(lat) -> list[np.ndarray]:

@@ -584,8 +584,13 @@ OUT_OF_RANGE = [
     # inf energy that would read inf <= inf as on shell
     (["dirac-nogo", "--mass", "1e200"], None, "OverflowError", "mass=1e+200"),
     (["smatrix", "--seed", "7"], "eps_i = 1e-300", "PoleError", "eps_i=1e-300, seed=7"),
-    # a NaN case value has no JSON form: no report rather than a NaN token
+    # exp(-i eps H) refuses a phase eps * lambda whose last-place unit is a
+    # radian or more (linalg.unitary): the slab step and the oracles alike
     (["trace-theorem", "--eps", "1e308"], None, "FloatingPointError", "eps=1e+308"),
+    (["causality-witness", "--eps", "1e308"], None, "FloatingPointError", "eps=1e+308"),
+    (["paw-conditioning", "--eps", "1e308"], None, "FloatingPointError", "eps=1e+308"),
+    # a NaN case value has no JSON form: no report rather than a NaN token
+    (["smatrix", "--lam", "1e308"], None, "FloatingPointError", "lam=1e+308"),
 ]
 
 

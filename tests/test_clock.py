@@ -21,7 +21,7 @@ class TestClockSystem:
     def test_rejects_nonhermitian_hamiltonian(self):
         rng = np.random.default_rng(0)
         H = Operator(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="Hermitian"):
             ClockSystem(3, 0.1, H, rand_ket(rng, 2))
 
     def test_rejects_unnormalized_state(self):

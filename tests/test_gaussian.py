@@ -103,6 +103,26 @@ class TestPairCorrelator:
             brute = thermal_pair_bruteforce(lam, n_max=40)
             assert analytic == pytest.approx(brute, abs=1e-8)
 
+    # next to the pole lambda = 0 the law keeps its digits: exp(lam) - 1 would
+    # cancel to a relative error of about eps / |lam| (1e-4 at |lam| = 1e-12)
+    @pytest.mark.parametrize("tau_eps", [1e-3, 1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("tau_gap", [0.0, 1e-9, -3e-12])
+    def test_bose_law_next_to_the_pole_against_50_digits(self, tau_eps, tau_gap):
+        mpmath = pytest.importorskip("mpmath")
+        tau = 0.5
+        gap, eps_i = tau_gap / tau, tau_eps / tau
+        got = complex(_mode_corr(tau, gap, eps_i))
+        with mpmath.workdps(50):
+            z = -1j * mpmath.mpf(tau) * (mpmath.mpf(gap) + 1j * mpmath.mpf(eps_i))
+            ref = complex(1 / mpmath.expm1(z))
+        assert abs(got - ref) <= 4 * np.finfo(float).eps * abs(ref)
+
+    def test_bose_law_refuses_its_pole(self):
+        for gap, eps_i in ((0.0, 0.0), (0.0, 1e-300), (0.0, 1e-17), (2 * math.pi, 0.0)):
+            with pytest.raises(PoleError):
+                _mode_corr(1.0, gap, eps_i)
+        _mode_corr(1.0, 0.0, 1e-14)  # 1e-14 > 8 eps: still taken
+
     def test_four_point_factorization_against_dense_trace(self):
         # Gaussian moment <a†a†aa> = 2 <a†a>^2, checked against an
         # explicit truncated thermal trace at lam = 4 (truncation tail

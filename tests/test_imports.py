@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module,
-and every module-level function or class of the package is used somewhere.
+every module-level function or class of the package is used somewhere,
+and only the fermion sector loads scipy.
 
 No linter runs with the tests, so this parses each source file with
 `ast`: an imported name counts as used if it appears as a name in the
@@ -12,6 +13,9 @@ benchmark, outside its own definition.
 
 import ast
 import functools
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,3 +128,63 @@ def test_checker_finds_an_unused_definition():
 def test_module_defines_only_what_is_used(path):
     defined = [n.name for n in ast.parse(path.read_text()).body if isinstance(n, DEFINITIONS)]
     assert [name for name in defined if name not in _used_anywhere()] == []
+
+
+# In a fresh interpreter: import the CLI and every module of the benchmark,
+# list the scipy modules loaded, then refuse scipy through a sys.meta_path
+# finder and run every experiment at its defaults plus smatrix --order 2,
+# recording which runs asked for scipy and each exit code.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+src, bench, out = sys.argv[1:]
+sys.path[:0] = [src, bench]
+import sqmlab.cli
+import spans, workloads
+from sqmlab.experiments import DEFAULTS
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+class RefuseScipy:
+    run, reached = None, set()
+
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            self.reached.add(self.run)
+            raise ModuleNotFoundError(f"scipy refused: {name}", name=name)
+        return None
+
+finder = RefuseScipy()
+sys.meta_path.insert(0, finder)
+runs = [[name] for name in sorted(DEFAULTS)] + [["smatrix", "--order", "2"]]
+codes = {}
+for argv in runs:
+    finder.run = " ".join(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            codes[finder.run] = sqmlab.cli.main(argv + ["--out", out])
+        except ModuleNotFoundError:
+            codes[finder.run] = None
+print(json.dumps({"loaded": loaded, "reached": sorted(finder.reached), "codes": codes}))
+"""
+
+
+@pytest.fixture(scope="module")
+def scipy_probe(tmp_path_factory):
+    out = tmp_path_factory.mktemp("reports")
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, str(Path(sqmlab.__file__).parents[1]),
+         str(REPO / "perfbench"), str(out)],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_cli_and_benchmark_modules_load_no_scipy(scipy_probe):
+    assert scipy_probe["loaded"] == []
+
+
+def test_only_the_fermion_runs_reach_scipy(scipy_probe):
+    codes = scipy_probe["codes"]
+    assert len(codes) == 13
+    assert scipy_probe["reached"] == ["dirac-propagator", "fswap-cycle"]
+    assert {run: code for run, code in codes.items() if code != 0} == {
+        "dirac-propagator": None, "fswap-cycle": None}
