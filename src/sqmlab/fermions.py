@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .linalg import Operator, SingularMatrixError, inv
+from .linalg import _PHASE_MAX, Operator, SingularMatrixError, inv
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -273,12 +273,20 @@ def dirac_mode_propagator(
     small tau, tau * result approaches i(p-slash + m)/(p^2 - m^2 + i
     eps_i) with O(tau) error (see dirac_propagator_limit); exactly on
     shell with eps_i = 0 the matrix I - e^{iK} is singular and a
-    SingularMatrixError is raised.
+    SingularMatrixError is raised.  A FloatingPointError is raised where
+    the regulated mass is not finite, before any array arithmetic, and
+    where tau times K's largest entry in size is 2**52 or more: the phase
+    rule of `linalg.unitary`, past which a unit in the last place of a
+    phase is a whole radian.
     """
     if tau <= 0:
         raise ValueError("need tau > 0")
     m_c = regulated_mass(m, eps_i)
+    if not cmath.isfinite(m_c):
+        raise FloatingPointError(f"regulated mass not finite: m = {m}, eps_i = {eps_i}")
     K = GAMMA[0] @ (slash(p) - m_c * np.eye(4))
+    if not tau * np.max(np.abs(K)) < _PHASE_MAX:  # NaN compares False
+        raise FloatingPointError(f"phase tau*K out of range: tau = {tau}, p = {tuple(p)}, m = {m}")
     try:
         pair = parity_pair_correlator(tau * K)
     except SingularMatrixError as exc:

@@ -97,8 +97,11 @@ def _exp_powers(z, k: np.ndarray, N: int) -> np.ndarray:
     """e^{k z} for a 1-d integer array k of powers 0 <= k <= N, of shape z.shape + k.shape.
 
     Each power is e^{qBz} e^{jz}, k = qB + j with B = isqrt(N) + 1, each
-    exponent formed as one integer times z: two exps per asked power,
-    and the bits every kernel value and propagator report is pinned to.
+    exponent formed as one integer times z: two exps per asked power.
+    The split is kept for accuracy: on the order-2 line at tau2 / 2
+    (N = 30000) it stays within 1.0e-15 of a long-double closed form,
+    relative to the line's largest entry, where one e^{kz} per power
+    reads 1.3e-15 (tests/test_gaussian.py).
     z is a complex or an array of them, one row each.
     """
     B = math.isqrt(N) + 1

@@ -58,9 +58,10 @@ one factor per fused head group of slices 0..N-2 (`_step_factors`):
 the first group's block times |psi0> ⊗ I (d^g x d^(g-1)), the middle
 blocks as they are, the last one's block ⊗ <omega| (d^g' x d^(g'+1));
 with one head group both folds land on one factor, and at N = 1 the
-step is the scalar <omega|psi0>.  `_step` applies the shrinking
-<omega| factor first and the widening psi0 one last, so no
-intermediate has more than D/d rows.  The trace sums two powers,
+step is the scalar <omega|psi0>.  A step is timeslab's one
+Kronecker-factor apply, `_kron_apply`: the shrinking <omega| factor
+acts first and the widening psi0 one last, so no intermediate has more
+than D/d rows.  The trace sums two powers,
 
     Tr R^k = sum_ij (T_a)_ij (T_b)_ji,      a = ceil(k/2), b = floor(k/2),
 
@@ -84,7 +85,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .linalg import Ket, Operator, partial_trace, unitary
-from .timeslab import QuantumAction, SliceLayout, build_action
+from .timeslab import QuantumAction, SliceLayout, _kron_apply, build_action
 
 _TILE = 32  # largest tile edge in the tiled Tr[A·B] of the trace powers
 
@@ -233,8 +234,8 @@ def power_and_pseudoentropy(
 
     Tr[R^k] = Tr[T_1^k] for the D/d x D/d compression T_1 = P†·R·P,
     P = |psi0> ⊗ I (`_compress`), since every row of R lies on psi0 in
-    slice 0.  One chain T_{j+1} = T_1·T_j (`_step`, the Kronecker factors
-    of `_step_factors`) gives its powers up to a = ceil(k/2), and the
+    slice 0.  One chain T_{j+1} = T_1·T_j (`_kron_apply` of the Kronecker
+    factors of `_step_factors`) gives its powers up to a = ceil(k/2), and the
     trace sums T_a against T_b, b = floor(k/2), tile by tile
     (`_trace_of_product`).  T_1 is read from the stored R and both
     halves are powers of it, so a fault in R still shows at every k.
@@ -248,13 +249,13 @@ def power_and_pseudoentropy(
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    psi, blocks = st.psi0.vec, [block for _, block in st.action._head_groups]
+    psi, blocks = st.psi0.vec, st.action._head_blocks
 
     def power() -> Operator:
         D, factors = st.layout.total_dim, _step_factors(blocks, psi, st.omega)
         M = np.matmul(psi.conj(), st.R.mat.reshape(len(psi), -1)).reshape(-1, D)  # P†·R
         for _ in range(k - 1):
-            M = _step(factors, M)
+            M = _kron_apply(factors, M)
         return Operator((psi[:, None, None] * M).reshape(D, D))
 
     if k not in st._trace_powers:
@@ -262,7 +263,7 @@ def power_and_pseudoentropy(
         T = [_compress(st, st.R.mat)]  # T_1, T_2, ..., T_a
         factors = _step_factors(blocks, psi, st.omega) if a > 1 else []
         while len(T) < a:
-            T.append(_step(factors, T[-1]))
+            T.append(_kron_apply(factors, T[-1]))
         odd = np.trace(T[0]) if a == 1 else _trace_of_product(T[a - 1], T[a - 2])
         st._trace_powers[2 * a - 1] = complex(odd)
         st._trace_powers[2 * a] = _trace_of_product(T[a - 1], T[a - 1])
@@ -288,22 +289,6 @@ def _step_factors(blocks: list[np.ndarray], psi0: np.ndarray, omega: np.ndarray)
     first = factors[0]
     factors[0] = np.matmul(psi0, first.reshape(len(first), len(psi0), -1))
     return factors
-
-
-def _step(factors: list[np.ndarray], T: np.ndarray) -> np.ndarray:
-    """T_1·T for a (D/d, m) matrix T: each Kronecker factor on its row slice axes.
-
-    The last factor, which shrinks its axes by <omega|, acts first and
-    the first, which widens them by psi0, last, so no intermediate has
-    more than D/d rows and no D-row matrix is formed.
-    """
-    m = T.shape[1]
-    pre, post = len(T), m  # rows before the factor's axes, entries after them
-    for F in reversed(factors):
-        pre //= F.shape[1]
-        T = np.matmul(F, T.reshape(pre, F.shape[1], post))
-        post *= len(F)
-    return T.reshape(-1, m)
 
 
 def _compress(st: SpacetimeState, M: np.ndarray) -> np.ndarray:

@@ -28,11 +28,15 @@ per column instead of N of d.  The all-V blocks V^{⊗n} are kept once
 per action, each built when first asked for as one kron onto the one
 before (`QuantumAction._kron_power`); a group holding an insertion
 takes the power over its slices before the first insertion and krons
-the rest onto it per call (`QuantumAction._blocks`).  The same groups
-without slice N-1 (`QuantumAction._head_groups`) act on D/d-row
-matrices (`QuantumAction.apply_head`), for a caller that handles slice
-N-1 itself, as the constraint's boundary bra does; their blocks are
-also the Kronecker factors of the spacetime state's trace-power step.
+the rest onto it per call (`QuantumAction._blocks`).  One function,
+`_kron_apply`, applies a list of Kronecker factors to a matrix's row
+slice axes, last factor first, by the mixed-product rule (Van Loan,
+J. Comput. Appl. Math. 123, 85 (2000)); a factor may be rectangular.
+`apply` passes it the group blocks.  The all-V blocks of the groups
+without slice N-1 (`QuantumAction._head_blocks`) serve a caller that
+handles slice N-1 itself: the constraint's boundary appends the 1 x d
+bra <q'|V for it, and the spacetime state's trace-power step folds
+psi0 and <omega| into the end blocks.
 
 The group blocks hold every entry of E·(⊗_t F_t), so a read that needs
 only some entries takes them from the blocks, with no matrix product.
@@ -61,7 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -143,28 +147,16 @@ class QuantumAction:
     def apply(self, M: np.ndarray) -> np.ndarray:
         """E · M for a (D, k) matrix M, in ⌈N/g⌉ matmuls of d^g <= 16.
 
-        Each group of g adjacent slices applies its kept all-V block
-        (`_blocks` with no factor).  Then the slice axes roll by one to
-        apply C; the D x D permutation is never formed.
+        The kept all-V blocks of the groups of g adjacent slices (`_blocks`
+        with no factor) act through `_kron_apply`, the last group first.
+        Then the slice axes roll by one to apply C; the D x D permutation
+        is never formed.
         """
         layout = self.layout
         M = np.asarray(M)
         if M.ndim != 2 or M.shape[0] != layout.total_dim:
             raise ValueError(f"need a ({layout.total_dim}, k) matrix, got shape {M.shape}")
-        return _cycle_rows(layout, _through_groups(self._blocks({}), M, layout.d))
-
-    def apply_head(self, W: np.ndarray) -> np.ndarray:
-        """(V ⊗ ... ⊗ V) over slices 0..N-2 times a (D/d, k) matrix W.
-
-        The rows of W are the first N-1 slice axes; the groups of `apply`
-        act on them without slice N-1 (`_head_groups`), and no roll
-        follows: where slice N-1 goes is the caller's.
-        """
-        rows = self.layout.total_dim // self.layout.d
-        W = np.asarray(W)
-        if W.ndim != 2 or W.shape[0] != rows:
-            raise ValueError(f"need a ({rows}, k) matrix, got shape {W.shape}")
-        return _through_groups(self._head_groups, W, self.layout.d)
+        return _cycle_rows(layout, _kron_apply([block for _, block in self._blocks({})], M))
 
     def dense(self, factors: Optional[Mapping[int, np.ndarray]] = None) -> np.ndarray:
         """E · (⊗_t factors[t]) as a new D x D array: slice t gets V·factors[t] (V where none).
@@ -271,23 +263,31 @@ class QuantumAction:
         return tuple(range(s, min(s + g, N)) for s in range(0, N, g))
 
     @cached_property
-    def _head_groups(self) -> tuple[tuple[range, np.ndarray], ...]:
-        """(slices, all-V block) per group of `_slices` without slice N-1: the last
+    def _head_blocks(self) -> list[np.ndarray]:
+        """The all-V block of each group of `_slices` without slice N-1: the last
         group, which holds it, drops it, or goes if it held only that slice."""
-        *head, slices = self._slices
-        if len(slices) > 1:
-            head.append(slices[:-1])
-        return tuple((s, self._kron_power(len(s))) for s in head)
+        sizes = [len(slices) for slices in self._slices]
+        sizes[-1] -= 1
+        return [self._kron_power(n) for n in sizes if n]
 
 
-def _through_groups(
-    groups: Iterable[tuple[range, np.ndarray]], M: np.ndarray, d: int
-) -> np.ndarray:
-    """Each group's block applied to its slices' axes of M's rows, slice 0 first."""
+def _kron_apply(factors: Sequence[np.ndarray], M: np.ndarray) -> np.ndarray:
+    """(F_0 ⊗ F_1 ⊗ ...) · M, M's rows the product of the factors' column counts.
+
+    Each factor acts on its own row slice axes of M: its column count is
+    their size before it and its row count their size after, so a factor
+    may be rectangular.  The last factor acts first (the mixed-product
+    rule, Van Loan, J. Comput. Appl. Math. 123, 85 (2000)): where the
+    last factors shrink their axes and the first widen them, no
+    intermediate has more rows than M.
+    """
     k = M.shape[1]
-    for slices, block in groups:
-        M = np.matmul(block, M.reshape(d**slices.start, len(block), -1)).reshape(-1, k)
-    return M
+    pre, post = len(M), k  # rows before the factor's axes, entries after them
+    for F in reversed(factors):
+        pre //= F.shape[1]
+        M = np.matmul(F, M.reshape(pre, F.shape[1], post))
+        post *= len(F)
+    return M.reshape(-1, k)
 
 
 def build_action(layout: SliceLayout, H: Operator) -> QuantumAction:
@@ -342,8 +342,9 @@ def constraint_expectation(
     is one apply of E to E·X's block.  With one, B is the bra ⟨q| on
     row slice 0 of E's block and ⟨q'| on that of E·E·X's; C carries
     slice N-1 to slice 0, so ⟨q'|·E = (V ⊗ ... ⊗ V) ⊗ ⟨q'|V over slices
-    0..N-2 and N-1: ⟨q'|V contracts the last row slice of E·X's block
-    and `QuantumAction.apply_head` acts on the D/d rows left.  It sums
+    0..N-2 and N-1: one `_kron_apply` of the head blocks
+    (`QuantumAction._head_blocks`) with ⟨q'|V as a last, 1 x d factor
+    takes E·X's block to D/d rows, ⟨q'|V contracting first.  It sums
     to Tr[E†·B·E·E·X] = Tr[B·E·(E·X·E†)]: E† still acts, through E's
     columns, so the shift identity is exercised, not assumed, and E's
     kron entries meet its matmul apply.
@@ -363,8 +364,8 @@ def constraint_expectation(
             shifted += np.vdot(E, qa.apply(EX))
     else:
         q, q_prime = boundary
-        bra = q_prime.vec.conj() @ qa.V.mat  # <q'|V, on E·X's last row slice
+        head = [*qa._head_blocks, (q_prime.vec.conj() @ qa.V.mat)[None, :]]  # <q'|V on slice N-1
         for (_, E), (_, EX) in blocks:
-            head = qa.apply_head(np.matmul(bra, EX.reshape(-1, layout.d, EX.shape[1])))
-            shifted += np.vdot(np.matmul(q.vec.conj(), E.reshape(layout.d, -1)), head)
+            q_E = np.matmul(q.vec.conj(), E.reshape(layout.d, -1))  # <q| on E's row slice 0
+            shifted += np.vdot(q_E, _kron_apply(head, EX))
     return complex(shifted - np.sum(qa.diagonal(read)))

@@ -584,6 +584,10 @@ OUT_OF_RANGE = [
     # inf energy that would read inf <= inf as on shell
     (["dirac-nogo", "--mass", "1e200"], None, "OverflowError", "mass=1e+200"),
     (["smatrix", "--seed", "7"], "eps_i = 1e-300", "PoleError", "eps_i=1e-300, seed=7"),
+    # the Dirac slab refuses a regulated mass that is not finite, and a phase
+    # tau * K past linalg.unitary's rule, before the inverse or any NaN
+    (["dirac-propagator", "--mass", "1e200"], None, "FloatingPointError", "mass=1e+200"),
+    (["dirac-propagator", "--p0_rest", "1e200"], None, "FloatingPointError", "p0_rest=1e+200"),
     # exp(-i eps H) refuses a phase eps * lambda whose last-place unit is a
     # radian or more (linalg.unitary): the slab step and the oracles alike
     (["trace-theorem", "--eps", "1e308"], None, "FloatingPointError", "eps=1e+308"),

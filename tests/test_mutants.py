@@ -92,6 +92,20 @@ MUTANTS = {
         lambda f: lambda self, factors: (1 + 1e-6) * f(self, factors),
         ["constraint-theorem"],
     ),
+    # the constraint's shifted half meets E's kron entries with the factors
+    # applied to E·X's rows: conjugated, they apply E's complex conjugate
+    "Kronecker apply with conjugated factors": (
+        timeslab, "_kron_apply",
+        lambda f: lambda factors, M: f([F.conj() for F in factors], M),
+        ["constraint-theorem"],
+    ),
+    # each step of the trace-power chain is T_1·T through T_1's Kronecker
+    # factors: conjugated, T_1 becomes its conjugate beyond the first power
+    "Kronecker apply with conjugated factors in the trace powers": (
+        spacetime, "_kron_apply",
+        lambda f: lambda factors, M: f([F.conj() for F in factors], M),
+        ["pseudo-entropy"],
+    ),
     # Tr R^k sums (R^a)_ij (R^b)_ji; the untransposed sum of (R^a)_ij (R^b)_ij misses 1
     "trace of product without its transpose": (
         spacetime, "_trace_of_product",

@@ -12,7 +12,6 @@ from sqmlab.experiments import DEFAULTS
 from sqmlab.linalg import Operator, rand_ginibre, rand_hermitian, rand_ket
 from sqmlab.spacetime import (
     _compress,
-    _step,
     _step_factors,
     _trace_of_product,
     build_R,
@@ -23,6 +22,7 @@ from sqmlab.spacetime import (
     reduce_to_region,
     renyi_pseudoentropy,
 )
+from sqmlab.timeslab import _kron_apply
 
 from dense_refs import cycle_shift, embed_at_slice, kron, spacetime_state
 
@@ -92,11 +92,10 @@ class TestMarginals:
         np.testing.assert_allclose(_compress(st_state, X), ref, rtol=0,
                                    atol=1e-12 * np.abs(ref).max())
         T1 = P.conj().T @ R @ P
-        factors = _step_factors([block for _, block in st_state.action._head_groups],
-                                psi.vec, st_state.omega)
+        factors = _step_factors(st_state.action._head_blocks, psi.vec, st_state.omega)
         for m in (1, 3, D // d, 2 * D):
             T = rng.standard_normal((D // d, m)) + 1j * rng.standard_normal((D // d, m))
-            step = _step(factors, T)
+            step = _kron_apply(factors, T)
             assert step.shape == (D // d, m)
             np.testing.assert_allclose(step, T1 @ T, rtol=0, atol=1e-12 * np.abs(T1 @ T).max())
             np.testing.assert_allclose(step, _compress(st_state, st_state.R.mat) @ T, rtol=0,

@@ -12,6 +12,7 @@ from sqmlab.timeslab import (
     SliceLayout,
     _block_kron,
     _cycle_rows,
+    _kron_apply,
     build_action,
     constraint_expectation,
     slice_factors,
@@ -213,17 +214,37 @@ class TestFusedGroups:
         (2, 1, []), (2, 3, [2]), (2, 5, [4]), (2, 6, [4, 1]), (2, 9, [4, 4]),
         (3, 3, [2]), (4, 3, [2]),
     ])
-    def test_head_groups_leave_out_the_last_slice(self, d, N, sizes):
+    def test_head_blocks_leave_out_the_last_slice(self, d, N, sizes):
         rng = np.random.default_rng(d * N)
         qa = build_action(SliceLayout(d=d, N=N, eps=0.3), rand_hermitian(rng, d))
-        assert [len(slices) for slices, _ in qa._head_groups] == sizes
+        assert [len(block) for block in qa._head_blocks] == [d**g for g in sizes]
         V = Operator(scipy.linalg.expm(-0.3j * qa.H.mat))
+        for g, block in zip(sizes, qa._head_blocks):
+            np.testing.assert_allclose(block, kron(*([V] * g)).mat, atol=1e-14)
         rows = d ** (N - 1)
         W = rng.standard_normal((rows, 3)) + 1j * rng.standard_normal((rows, 3))
         head = kron(*([V] * (N - 1))).mat if N > 1 else np.eye(1)
-        np.testing.assert_allclose(qa.apply_head(W), head @ W, atol=1e-13)
-        with pytest.raises(ValueError, match=rf"need a \({rows}, k\) matrix"):
-            qa.apply_head(np.ones((d * rows, 3)))
+        np.testing.assert_allclose(_kron_apply(qa._head_blocks, W), head @ W, atol=1e-13)
+
+    # (F_0 ⊗ F_1 ⊗ ...)·M at the factor shapes the slab applies: the square
+    # group blocks of apply (d = 2, N = 9 and d = 3, N = 3), the step factors
+    # of the trace powers (the first d^g x d^(g-1), widened by psi0, the last
+    # d^g' x d^(g'+1), shrunk by <omega|; the N = 1 scalar), and the head
+    # blocks with the 1 x d bra <q'|V of the constraint's boundary
+    @pytest.mark.parametrize("shapes", [
+        [(16, 16), (16, 16), (2, 2)], [(9, 9), (3, 3)],
+        [(16, 8), (16, 16), (4, 8)], [(8, 4), (2, 4)], [(9, 3), (3, 9)], [(1, 1)],
+        [(16, 16), (4, 4), (1, 2)], [(9, 9), (1, 3)], [(1, 2)],
+    ], ids=str)
+    def test_kron_apply_is_the_kron_times_m(self, shapes):
+        rng = np.random.default_rng(len(shapes) + sum(a * b for a, b in shapes))
+        factors = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
+        ref = reduce(np.kron, factors)
+        for m in (1, 3):
+            M = rng.standard_normal((ref.shape[1], m)) + 1j * rng.standard_normal((ref.shape[1], m))
+            got = _kron_apply(factors, M)
+            assert got.shape == (len(ref), m)
+            np.testing.assert_allclose(got, ref @ M, rtol=0, atol=1e-13 * np.abs(ref @ M).max())
 
     def test_one_dimensional_slices(self):
         """d = 1: every d**g fits, so one group of all N slices; E is the phase V^N."""
