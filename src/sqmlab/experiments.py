@@ -438,8 +438,8 @@ def run_dirac_propagator(params: dict) -> Iterator[dict]:
     prop = fermions.dirac_mode_propagator(p_rest, m, tau0, eps_i)
     m_c = cmath.sqrt(m * m - 1j * eps_i)  # the oracle's own, not fermions.regulated_mass
     g0 = fermions.GAMMA[0]
-    diag = [1.0 / (1.0 - np.exp(1j * tau0 * (p_rest[0] - m_c)))] * 2
-    diag += [1.0 / (1.0 - np.exp(1j * tau0 * (p_rest[0] + m_c)))] * 2
+    diag = [-1.0 / np.expm1(1j * tau0 * (p_rest[0] - m_c))] * 2
+    diag += [-1.0 / np.expm1(1j * tau0 * (p_rest[0] + m_c))] * 2
     rest_closed = np.diag(diag) @ g0
     yield _case(
         "rest_frame[entrywise]", {"p0": p_rest[0], "tau": tau0},
@@ -447,14 +447,13 @@ def run_dirac_propagator(params: dict) -> Iterator[dict]:
     )
 
     p = tuple(params["p_moving"])
+    taus = [tau0 / 2**k for k in range(params["sweep_points"])]
+    # the slab first: it refuses an out-of-range momentum before the oracle's arithmetic
+    vals = [tau * fermions.dirac_mode_propagator(p, m, tau, eps_i) for tau in taus]
     limit = fermions.dirac_propagator_limit(p, m, eps_i)
     scale = float(np.max(np.abs(limit)))
-    taus = [tau0 / 2**k for k in range(params["sweep_points"])]
-    errs = []
-    for tau in taus:
-        val = tau * fermions.dirac_mode_propagator(p, m, tau, eps_i)
-        err = float(np.max(np.abs(val - limit)))
-        errs.append(err)
+    errs = [float(np.max(np.abs(val - limit))) for val in vals]
+    for tau, err in zip(taus, errs):
         yield _case(
             f"limit[tau={tau:.6f}]", {"tau": tau, "p": list(p)},
             err / scale, 0.0, params["tol_limit"],
@@ -469,33 +468,41 @@ def run_dirac_propagator(params: dict) -> Iterator[dict]:
 def run_fswap_cycle(params: dict) -> Iterator[dict]:
     """Each leg's conjugation by the cycle, and its commutation with parity.
 
-    Runs on the sparse signed maps of `fermions` (one entry per row), so
-    a leg costs O(D).  The target ladder is built by its own index
-    arithmetic and the sign comes from the closed law of cycle_signs,
-    neither read off U, so a wrong U fails a case; the error is the
-    largest entrywise deviation from sign * target.
+    Runs on the numpy signed maps of `fermions`.  U = (perm, u) is a
+    signed permutation, so U c U^T only relabels c's entries, (r, k, s)
+    -> (perm[r], perm[k], u[r] s u[k]), and a leg costs O(D).  The target
+    ladder is built by its own index arithmetic and the sign comes from
+    the closed law of cycle_signs, neither read off U, so a wrong U fails
+    a case.  The error is the largest entrywise deviation from sign *
+    target: both sides hold at most one entry per column, and where their
+    rows differ each side's entry counts in full.
     """
     layout = fermions.FermionLayout(params["N"], params["M"])
-    U = fermions.cycle_matrix(layout)
+    perm, u = fermions.cycle_matrix(layout)
     signs = fermions.cycle_signs(layout)
-    L = layout.legs
+    L, dim = layout.legs, layout.dim
     ladders = [fermions.jw_ladder(layout, leg) for leg in range(L)]
     for leg in range(L):
         target = (leg + layout.M) % L if layout.N > 1 else leg
-        moved = U @ ladders[leg] @ U.T  # U is real
+        (rows, cols, vals), (t_rows, t_cols, t_vals) = ladders[leg], ladders[target]
+        row_of, val_of = np.full((2, dim), -1), np.zeros((2, dim))  # (moved, target) by column
+        row_of[0, perm[cols]], val_of[0, perm[cols]] = perm[rows], u[rows] * vals * u[cols]
+        row_of[1, t_cols], val_of[1, t_cols] = t_rows, signs[leg] * t_vals
+        dev = np.where(row_of[0] == row_of[1], np.abs(val_of[0] - val_of[1]),
+                       np.abs(val_of).max(axis=0))
         yield _case(
             f"conjugation[leg={leg}]", {"leg": leg, "target": target, "sign": signs[leg]},
-            abs(moved - signs[leg] * ladders[target]).max(), 0.0, params["tol"],
+            dev.max(), 0.0, params["tol"],
         )
+    # U P - P U has column c equal to u[c] (P[c] - P[perm[c]]) e_{perm[c]}
     P = fermions.parity_matrix(layout)
     yield _case(
         "parity_commutes", {"N": layout.N, "M": layout.M},
-        abs(U @ P - P @ U).max(), 0.0, params["tol"],
+        np.max(np.abs(u * (P - P[perm]))), 0.0, params["tol"],
     )
     if layout.N == 2 and layout.M == 1:
-        yield _case(
-            "equals_fswap", {}, np.max(np.abs(U.toarray() - fermions.fswap().mat)), 0.0, 0.0,
-        )
+        U = fermions.fermionic_cycle(layout)[0]
+        yield _case("equals_fswap", {}, np.max(np.abs(U.mat - fermions.fswap().mat)), 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ normalized trace needs the parity operator inserted:
 
     <...> = Tr[P e^{i S_f} ...] / Tr[P e^{i S_f}],   P = (-1)^{N_f}.
 
-Ladders, cycle and P are signed index maps built straight into CSR
+Ladders, cycle and P are signed index maps held as numpy arrays
 (jw_ladder, cycle_matrix, parity_matrix), with real dense views for
 callers that read entries; the cycle's signs are predicted, not read
 off it.
@@ -21,30 +21,26 @@ Jordan-Wigner ladders, the dense reference in tests/dense_refs.py); per
 momentum the Dirac action block A_p = tau g0 (p-slash - m) turns that
 law into the matrix-valued mode propagator [I - e^{i tau g0(p-slash -
 m)}]^{-1} g0, whose tau -> 0 limit is i(p-slash + m)/(p^2 - m^2 + i e)
-per unit tau.
+per unit tau.  The block's Dirac Hamiltonian squares to a scalar, so
+its exponential has a closed form and needs no Padé `expm` (Peskin &
+Schroeder 1995, sec. 3.2; Moler & Van Loan, SIAM Rev. 45, 3 (2003)).
 
 Conventions fixed here: Dirac representation (GAMMA) with signature (+,-,-,-);
 Jordan-Wigner ordering slice-major (leg = t*M + m), string over lower
 legs; mode annihilator maps |1> to |0>.  Layouts are capped at 2**12
-states, the size the dense views can still afford.
-
-scipy is imported inside the four functions that need it, the CSR
-builders jw_ladder, parity_matrix and cycle_matrix and the Padé `expm`
-of parity_pair_correlator, so importing this module loads none of it.
+states, the size the dense views can still afford.  Plain numpy: no
+scipy.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .linalg import _PHASE_MAX, Operator, SingularMatrixError, inv
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 FERMION_DIM_CAP = 4096  # 2**12
 
@@ -133,16 +129,15 @@ class FermionLayout:
         return t * self.M + m
 
 
-def jw_ladder(layout: FermionLayout, leg: int) -> sparse.csr_array:
-    """c_leg = Z^{⊗leg} ⊗ s- ⊗ I^{⊗rest} as a sparse signed map.
+def jw_ladder(layout: FermionLayout, leg: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """c_leg = Z^{⊗leg} ⊗ s- ⊗ I^{⊗rest} as a signed map (rows, cols, signs).
 
-    Basis column c (leg occupied) goes to row c with the leg emptied,
-    with the string sign (-1)^{occupation of the lower legs}; every
-    other column is annihilated.  Leg 0 is the slowest-varying bit of
-    the basis index.  Raises ValueError unless 0 <= leg < layout.legs.
+    Basis column cols[k] (leg occupied) goes to row rows[k] = cols[k]
+    with the leg emptied, with the string sign signs[k] = (-1)^{occupation
+    of the lower legs}; every other column is annihilated.  Leg 0 is the
+    slowest-varying bit of the basis index.  Raises ValueError unless
+    0 <= leg < layout.legs.
     """
-    from scipy import sparse
-
     L = layout.legs
     if not 0 <= leg < L:
         raise ValueError(f"leg {leg} outside the {L} legs of the {layout.N}x{layout.M} lattice")
@@ -150,30 +145,32 @@ def jw_ladder(layout: FermionLayout, leg: int) -> sparse.csr_array:
     bit = 1 << (L - 1 - leg)
     cols = states[(states & bit) != 0]
     below = sum(((cols >> (L - 1 - j)) & 1 for j in range(leg)), np.zeros_like(cols))
-    return sparse.csr_array(((-1.0) ** below, (cols ^ bit, cols)), shape=(layout.dim,) * 2)
+    return cols ^ bit, cols, (-1.0) ** below
+
+
+def _dense_view(dim: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> Operator:
+    """A signed map scattered into one fresh float64 buffer, which Operator keeps uncopied."""
+    mat = np.zeros((dim, dim))
+    mat[rows, cols] = vals
+    mat.flags.writeable = False
+    return Operator(mat)
 
 
 def jw_annihilator(layout: FermionLayout, t: int, m: int) -> Operator:
     """Real float64 dense view of jw_ladder: c(t, m) with the string over lower legs."""
-    mat = jw_ladder(layout, layout.leg(t, m)).toarray()
-    mat.flags.writeable = False  # a fresh buffer, which Operator keeps uncopied
-    return Operator(mat)
+    return _dense_view(layout.dim, *jw_ladder(layout, layout.leg(t, m)))
 
 
-def parity_matrix(layout: FermionLayout) -> sparse.csr_array:
-    """(-1)^{N_f} as a sparse diagonal: -1 on odd-occupation basis states."""
-    from scipy import sparse
-
+def parity_matrix(layout: FermionLayout) -> np.ndarray:
+    """(-1)^{N_f} as its diagonal: -1 on odd-occupation basis states."""
     idx = np.arange(layout.dim)
-    pops = sum((idx >> b) & 1 for b in range(layout.legs))
-    return sparse.csr_array(((-1.0) ** pops, (idx, idx)), shape=(layout.dim,) * 2)
+    return (-1.0) ** sum((idx >> b) & 1 for b in range(layout.legs))
 
 
 def parity_operator(layout: FermionLayout) -> Operator:
     """Real float64 dense view of parity_matrix."""
-    mat = parity_matrix(layout).toarray()
-    mat.flags.writeable = False  # a fresh buffer, which Operator keeps uncopied
-    return Operator(mat)
+    idx = np.arange(layout.dim)
+    return _dense_view(layout.dim, idx, idx, parity_matrix(layout))
 
 
 def _compose(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]):
@@ -196,27 +193,24 @@ def _fswap_map(layout: FermionLayout, j: int) -> tuple[np.ndarray, np.ndarray]:
     return perm, np.where(n1 & ~n0, -1.0, 1.0)
 
 
-def cycle_matrix(layout: FermionLayout) -> sparse.csr_array:
-    """Unitary advancing every slice by one step, as a sparse signed map.
+def cycle_matrix(layout: FermionLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Unitary advancing every slice by one step, as a signed permutation (perm, sign).
 
-    M repetitions of a single-position shift, itself the adjacent-fSWAP
-    network F(0,1) F(1,2) ... F(L-2, L-1), composed as signed
-    permutations in O(M·L·2^L).  For N = 1 it is the identity; for
-    N = 2, M = 1 it is exactly the fSWAP matrix.
+    Column c of U is sign[c] e_{perm[c]}.  M repetitions of a
+    single-position shift, itself the adjacent-fSWAP network F(0,1)
+    F(1,2) ... F(L-2, L-1), composed as signed permutations in
+    O(M·L·2^L).  For N = 1 it is the identity; for N = 2, M = 1 it is
+    exactly the fSWAP matrix.
     """
-    from scipy import sparse
-
-    L, dim = layout.legs, layout.dim
-    states = np.arange(dim)
-    U = (states, np.ones(dim))
+    states = np.arange(layout.dim)
+    U = (states, np.ones(layout.dim))
     if layout.N > 1:
         shift1 = U
-        for j in range(L - 1):
+        for j in range(layout.legs - 1):
             shift1 = _compose(shift1, _fswap_map(layout, j))
         for _ in range(layout.M):
             U = _compose(U, shift1)
-    perm, sign = U
-    return sparse.csr_array((sign, (perm, states)), shape=(dim, dim))
+    return U
 
 
 def cycle_signs(layout: FermionLayout) -> tuple[int, ...]:
@@ -236,26 +230,8 @@ def cycle_signs(layout: FermionLayout) -> tuple[int, ...]:
 
 def fermionic_cycle(layout: FermionLayout) -> tuple[Operator, tuple[int, ...]]:
     """Real float64 dense view of cycle_matrix, with the signs of cycle_signs."""
-    mat = cycle_matrix(layout).toarray()
-    mat.flags.writeable = False  # a fresh buffer, which Operator keeps uncopied
-    return Operator(mat), cycle_signs(layout)
-
-
-def parity_pair_correlator(coeffs: np.ndarray) -> np.ndarray:
-    """Closed Gaussian law: <c_a c†_b> = [(I - e^{iA})^{-1}]_ab.
-
-    A is the quadratic coefficient matrix of S_f.  (The unweighted
-    thermal trace would give the Fermi-Dirac form (I + e^{iA})^{-1};
-    the parity insertion flips the sign of the exponential, which is
-    exactly what lets the on-shell pole of the propagator build up.)
-    The Dirac block is not normal, so the exponential is scipy's Padé
-    `expm`, not an eigendecomposition.
-    """
-    import scipy.linalg
-
-    coeffs = np.asarray(coeffs, dtype=complex)
-    eA = scipy.linalg.expm(1j * coeffs)
-    return inv(Operator(np.eye(coeffs.shape[0]) - eA)).mat
+    perm, sign = cycle_matrix(layout)
+    return _dense_view(layout.dim, perm, np.arange(layout.dim), sign), cycle_signs(layout)
 
 
 def regulated_mass(m: float, eps_i: float) -> complex:
@@ -266,29 +242,42 @@ def regulated_mass(m: float, eps_i: float) -> complex:
 def dirac_mode_propagator(
     p: Sequence[float], m: float, tau: float, eps_i: float
 ) -> np.ndarray:
-    """Matrix-valued mode pair value [I - e^{i tau g0 (p-slash - m)}]^{-1} g0.
+    """Matrix-valued mode pair value [I - e^{i tau K}]^{-1} g0, K = g0 (p-slash - m).
 
-    The Gaussian law parity_pair_correlator on the block tau g0 (p-slash
-    - m), times g0.  The mass carries the regulator through m^2 -> m^2 - i eps_i.  For
-    small tau, tau * result approaches i(p-slash + m)/(p^2 - m^2 + i
-    eps_i) with O(tau) error (see dirac_propagator_limit); exactly on
-    shell with eps_i = 0 the matrix I - e^{iK} is singular and a
-    SingularMatrixError is raised.  A FloatingPointError is raised where
-    the regulated mass is not finite, before any array arithmetic, and
-    where tau times K's largest entry in size is 2**52 or more: the phase
-    rule of `linalg.unitary`, past which a unit in the last place of a
-    phase is a whole radian.
+    The Gaussian law <c_a c†_b> = [(I - e^{iA})^{-1}]_ab on the block
+    A = tau K, times g0.  The mass carries the regulator through m^2 ->
+    m^2 - i eps_i.  The exponential is closed: K = p0 I - H_D with the
+    Dirac Hamiltonian H_D = alpha.p + beta m, and H_D^2 = E^2 I with
+    E^2 = |p|^2 + m^2, so e^{i tau K} = e^{i tau p0}[cos(tau E) I - i tau
+    sinc(tau E) H_D], sinc(x) = sin(x)/x.  The scalar part of I - e^{i
+    tau K} is summed as -expm1(i tau p0) + e^{i tau p0} 2 sin^2(tau E/2),
+    so no 1 - e^{...} cancels.  For small tau, tau * result approaches
+    i(p-slash + m)/(p^2 - m^2 + i eps_i) with O(tau) error (see
+    dirac_propagator_limit); exactly on shell with eps_i = 0 the matrix
+    I - e^{i tau K} is singular and a SingularMatrixError is raised.  A
+    FloatingPointError is raised where the regulated mass is not finite,
+    before any array arithmetic, and where tau times K's largest entry
+    in size is 2**52 or more: the phase rule of `linalg.unitary`, past
+    which a unit in the last place of a phase is a whole radian.  Past
+    that guard every tau p_i and tau m is below 2**52, so tau E is
+    formed from their squares without overflow.
     """
     if tau <= 0:
         raise ValueError("need tau > 0")
     m_c = regulated_mass(m, eps_i)
     if not cmath.isfinite(m_c):
         raise FloatingPointError(f"regulated mass not finite: m = {m}, eps_i = {eps_i}")
-    K = GAMMA[0] @ (slash(p) - m_c * np.eye(4))
-    if not tau * np.max(np.abs(K)) < _PHASE_MAX:  # NaN compares False
+    eye = np.eye(4)
+    p_slash = slash(p)  # rejects anything but a 4-vector
+    H_D = GAMMA[0] @ ((p[0] * GAMMA[0] - p_slash) + m_c * eye)
+    if not tau * np.max(np.abs(p[0] * eye - H_D)) < _PHASE_MAX:  # NaN compares False
         raise FloatingPointError(f"phase tau*K out of range: tau = {tau}, p = {tuple(p)}, m = {m}")
+    tE = cmath.sqrt(sum((tau * x) ** 2 for x in p[1:]) + (tau * m_c) ** 2)  # either root
+    phase = cmath.exp(1j * tau * p[0])
+    sinc = cmath.sin(tE) / tE if tE else 1.0
+    scalar = -np.expm1(1j * tau * p[0]) + phase * 2.0 * cmath.sin(tE / 2) ** 2
     try:
-        pair = parity_pair_correlator(tau * K)
+        pair = inv(Operator(scalar * eye + 1j * tau * phase * sinc * H_D)).mat
     except SingularMatrixError as exc:
         raise SingularMatrixError(
             "mode propagator singular: on-shell momentum with vanishing regulator"
@@ -309,5 +298,6 @@ def dirac_propagator_limit(p: Sequence[float], m: float, eps_i: float) -> np.nda
     m_sq = m * m - 1j * eps_i
     p_slash = slash(p)  # rejects anything but a 4-vector
     p = np.asarray(p, dtype=complex)
-    p_sq = p[0] ** 2 - np.sum(p[1:] ** 2)
+    with np.errstate(over="raise"):  # a p^2 past the float range is out of range, not a warning
+        p_sq = p[0] ** 2 - np.sum(p[1:] ** 2)
     return 1j * (p_slash + cmath.sqrt(m_sq) * np.eye(4)) / (p_sq - m_sq)

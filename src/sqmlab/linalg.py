@@ -60,7 +60,7 @@ class Operator:
     buffer and is already write-protected is kept as it is, without a
     copy (its maker hands it over, as `spacetime.build_R` does with R,
     `unitary` with its product and the dense fermion views with their
-    `toarray()` buffers);
+    scattered buffers);
     anything else is copied.
     """
 

@@ -19,7 +19,8 @@ those class sums again at 50 digits.
 The brute-force references of the Gaussian laws and of Wick's theorem
 live here too: the bosonic pair value <a†a> as a truncated geometric
 sum over occupations, the fermionic one as a dense parity-weighted
-trace of e^{i S_f} on the Jordan-Wigner lattice, and every perfect
+trace of e^{i S_f} on the Jordan-Wigner lattice together with the
+general-A law (I - e^{iA})^{-1} through a Padé `expm`, and every perfect
 matching of the insertions, listed one by one.
 """
 
@@ -33,7 +34,7 @@ from scipy import sparse
 
 from sqmlab import fock, gaussian, grids, wick
 from sqmlab.fermions import FermionLayout, jw_ladder, parity_matrix
-from sqmlab.linalg import Ket, Operator
+from sqmlab.linalg import Ket, Operator, inv
 from sqmlab.timeslab import QuantumAction, SliceLayout, slice_factors
 
 
@@ -409,11 +410,30 @@ def quadratic_action(layout: FermionLayout, coeffs: np.ndarray) -> Operator:
     L = layout.legs
     if coeffs.shape != (L, L):
         raise ValueError(f"coefficient matrix must be {L}x{L}")
-    ladders = [jw_ladder(layout, leg) for leg in range(L)]  # real: c† is the transpose
+    ladders = [  # real: c† is the transpose
+        sparse.csr_array((vals, (rows, cols)), shape=(layout.dim,) * 2)
+        for rows, cols, vals in (jw_ladder(layout, leg) for leg in range(L))
+    ]
     out = sparse.csr_array((layout.dim, layout.dim), dtype=complex)
     for a, b in zip(*np.nonzero(coeffs)):
         out = out + coeffs[a, b] * (ladders[a].T @ ladders[b])
     return Operator(out.toarray())
+
+
+def parity_pair_correlator(coeffs: np.ndarray) -> np.ndarray:
+    """Closed Gaussian law: <c_a c†_b> = [(I - e^{iA})^{-1}]_ab, for any A.
+
+    A is the quadratic coefficient matrix of S_f.  (The unweighted
+    thermal trace would give the Fermi-Dirac form (I + e^{iA})^{-1};
+    the parity insertion flips the sign of the exponential, which is
+    exactly what lets the on-shell pole of the propagator build up.)  A
+    general A need not be normal, so the exponential is scipy's Padé
+    `expm`; the library's Dirac block has the closed form of
+    `fermions.dirac_mode_propagator`.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    eA = scipy.linalg.expm(1j * coeffs)
+    return inv(Operator(np.eye(coeffs.shape[0]) - eA)).mat
 
 
 def parity_weighted_trace(
@@ -428,7 +448,7 @@ def parity_weighted_trace(
     """
     if S_f.dim != layout.dim:
         raise ValueError("action operator lives on the wrong space")
-    weight = parity_matrix(layout) @ scipy.linalg.expm(1j * S_f.mat)
+    weight = parity_matrix(layout)[:, None] * scipy.linalg.expm(1j * S_f.mat)
     den = complex(np.trace(weight))
     if abs(den) < 1e-13:
         raise ZeroDivisionError("parity-weighted normalization trace vanishes")

@@ -296,7 +296,7 @@ def test_criterion_10_fermionic_sector():
     L = layout.legs
     A = 0.3 * (rng.normal(size=(L, L)) + 1j * rng.normal(size=(L, L)))
     S = dense_refs.quadratic_action(layout, A)
-    law = fermions.parity_pair_correlator(A)
+    law = dense_refs.parity_pair_correlator(A)
     ladders = [fermions.jw_annihilator(layout, t, m)
                for t in range(3) for m in range(2)]
     worst_pair = 0.0

@@ -7,6 +7,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -588,6 +589,12 @@ OUT_OF_RANGE = [
     # tau * K past linalg.unitary's rule, before the inverse or any NaN
     (["dirac-propagator", "--mass", "1e200"], None, "FloatingPointError", "mass=1e+200"),
     (["dirac-propagator", "--p0_rest", "1e200"], None, "FloatingPointError", "p0_rest=1e+200"),
+    # the slab refuses a moving momentum past the phase rule before its oracle
+    # squares it; at a tau that lets the slab through, the oracle's p^2 overflows
+    (["dirac-propagator", "--p_moving", "1e200,0,0,0"], None, "FloatingPointError",
+     "p_moving=(1e+200, 0, 0, 0)"),
+    (["dirac-propagator", "--p_moving", "1e200,0,0,0", "--tau", "1e-300"], None,
+     "FloatingPointError", "p_moving=(1e+200, 0, 0, 0), tau=1e-300"),
     # exp(-i eps H) refuses a phase eps * lambda whose last-place unit is a
     # radian or more (linalg.unitary): the slab step and the oracles alike
     (["trace-theorem", "--eps", "1e308"], None, "FloatingPointError", "eps=1e+308"),
@@ -608,7 +615,10 @@ def test_out_of_range_arithmetic_exits_2(argv, config, kind, keys, tmp_path, cap
         cfg = tmp_path / "range.cfg"
         cfg.write_text(config + "\n")
         argv = argv + ["--config", str(cfg)]
-    assert main(argv + ["--out", str(out)]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--out", str(out)]) == 2
+    assert [str(w.message) for w in caught] == []  # refused before any arithmetic warns
     err = capsys.readouterr().err
     assert err.startswith("sqmlab: error: parameters out of numeric range")
     assert kind in err

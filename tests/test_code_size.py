@@ -17,7 +17,7 @@ import sqmlab
 
 SRC = Path(sqmlab.__file__).resolve().parent
 
-CODE_LINES_MAX = 1821
+CODE_LINES_MAX = 1818
 FUNCTIONS_MAX = 186
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,

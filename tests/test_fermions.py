@@ -5,11 +5,11 @@ tests/dense_refs.py, and the matrix-valued mode propagator."""
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
-from scipy import sparse
 
-from dense_refs import parity_weighted_trace, quadratic_action
+from dense_refs import parity_pair_correlator, parity_weighted_trace, quadratic_action
 from sqmlab.fermions import (
     FERMION_DIM_CAP,
     GAMMA,
@@ -24,7 +24,6 @@ from sqmlab.fermions import (
     jw_annihilator,
     jw_ladder,
     parity_operator,
-    parity_pair_correlator,
     regulated_mass,
     slash,
 )
@@ -293,8 +292,8 @@ def test_rest_frame_propagator_closed_form():
     p0, m, eps_i, tau = 0.35, 1.0, 1e-3, 0.01
     m_c = regulated_mass(m, eps_i)
     got = dirac_mode_propagator((p0, 0.0, 0.0, 0.0), m, tau, eps_i)
-    upper = 1.0 / (1.0 - np.exp(1j * tau * (p0 - m_c)))
-    lower = 1.0 / (1.0 - np.exp(1j * tau * (p0 + m_c)))
+    upper = -1.0 / np.expm1(1j * tau * (p0 - m_c))
+    lower = -1.0 / np.expm1(1j * tau * (p0 + m_c))
     expected = np.diag([upper, upper, lower, lower]) @ GAMMA[0]
     assert np.max(np.abs(got - expected)) <= 1e-12
 
@@ -318,6 +317,51 @@ def test_propagator_linear_in_tau_toward_limit(p):
     # first-order error: each halving of tau halves the deviation
     for e_big, e_small in zip(errs, errs[1:]):
         assert abs(e_small / e_big - 0.5) <= 0.05
+
+
+def _mp_mode_propagator(p, m, tau, eps_i):
+    """[I - e^{i tau g0 (p-slash - m_c)}]^{-1} g0 at 50 digits, through mpmath's expm."""
+    with mp.workdps(50):
+        g = [mp.matrix(G.tolist()) for G in GAMMA]
+        m_c = mp.sqrt(mp.mpf(m) ** 2 - 1j * mp.mpf(eps_i))
+        p_slash = g[0] * mp.mpf(p[0]) - sum((g[i] * mp.mpf(p[i]) for i in (1, 2, 3)), mp.zeros(4))
+        K = g[0] * (p_slash - m_c * mp.eye(4))
+        pair = (mp.eye(4) - mp.expm(1j * mp.mpf(tau) * K)) ** -1 * g[0]
+        return np.array(pair.tolist(), dtype=complex)
+
+
+def _propagator_draws():
+    rng = np.random.default_rng(20260816)
+    for _ in range(40):
+        p = tuple(float(x) for x in rng.uniform(-2.0, 2.0, 4))
+        m, tau, eps_i = rng.uniform(0.0, 2.0), 10 ** rng.uniform(-3.0, -0.5), 10 ** rng.uniform(-4.0, -1.0)
+        yield p, m, tau, eps_i
+
+
+PROPAGATOR_POINTS = [
+    ((0.35, 0.0, 0.0, 0.0), 1.0, 0.01, 1e-3),
+    *(((0.9, 0.3, -0.2, 0.1), 1.0, 0.01 / 2**k, 1e-3) for k in range(4)),
+    *_propagator_draws(),
+]
+
+
+@pytest.mark.parametrize("p, m, tau, eps_i", PROPAGATOR_POINTS)
+def test_mode_propagator_against_fifty_digits(p, m, tau, eps_i):
+    # the rest frame, the moving frame at every default sweep tau, and seeded
+    # draws: the closed-form exponential is within 1e-13 of the largest entry
+    ref = _mp_mode_propagator(p, m, tau, eps_i)
+    got = dirac_mode_propagator(p, m, tau, eps_i)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("p, m, tau, eps_i", PROPAGATOR_POINTS[:10])
+def test_dirac_hamiltonian_squares_to_the_energy(p, m, tau, eps_i):
+    # H_D = p0 I - g0 (p-slash - m_c) = alpha.p + beta m_c squares to
+    # (|p|^2 + m_c^2) I, the identity the closed-form exponential rests on
+    m_c = regulated_mass(m, eps_i)
+    H_D = p[0] * EYE4 - GAMMA[0] @ (slash(p) - m_c * EYE4)
+    E_sq = p[1] ** 2 + p[2] ** 2 + p[3] ** 2 + m_c**2
+    assert np.max(np.abs(H_D @ H_D - E_sq * EYE4)) <= 1e-14 * abs(E_sq) + 1e-15
 
 
 def test_propagator_argument_guards():
@@ -384,29 +428,41 @@ def test_cycle_matches_dense_fswap_network(N, M):
         assert np.array_equal(moved, signs[leg] * _kron_chain_annihilator(layout, target))
 
 
+def _by_column(rows, cols, vals):
+    """A signed map's entries sorted by column, as one comparable array."""
+    order = np.argsort(cols)
+    return np.stack([cols[order], rows[order], vals[order]])
+
+
 @pytest.mark.parametrize("N, M", [(N, M) for N in range(1, 13) for M in range(1, 13) if N * M <= 12])
 def test_cycle_signs_follow_the_wraparound_law(N, M):
     # every layout the cap allows: the predicted signs carry each ladder,
     # conjugated by the fSWAP composition, onto its separately built target
     layout = FermionLayout(N, M)
-    U, signs = cycle_matrix(layout), cycle_signs(layout)
+    (perm, u), signs = cycle_matrix(layout), cycle_signs(layout)
     L = layout.legs
     for leg in range(L):
         target = (leg + M) % L if N > 1 else leg
-        diff = U @ jw_ladder(layout, leg) @ U.T - signs[leg] * jw_ladder(layout, target)
-        assert abs(diff).max() == 0.0
+        rows, cols, vals = jw_ladder(layout, leg)
+        moved = _by_column(perm[rows], perm[cols], u[rows] * vals * u[cols])  # U c U^T
+        t_rows, t_cols, t_vals = jw_ladder(layout, target)
+        assert np.array_equal(moved, _by_column(t_rows, t_cols, signs[leg] * t_vals))
 
 
 @pytest.mark.parametrize("view", ["cycle", "annihilator", "parity"])
 def test_dense_views_keep_their_one_buffer(view):
-    # each view's Operator keeps the toarray() buffer it was handed, real and
-    # uncopied: a traced build at 10 legs (D = 1024, 8 MB) peaks near one matrix
+    # each view's Operator keeps the one buffer its map was scattered into,
+    # real and uncopied: a traced build at 10 legs (D = 1024, 8 MB) peaks near
+    # one matrix
     layout = FermionLayout(5, 2)
-    build, sparse_matrix = {
-        "cycle": (lambda: fermionic_cycle(layout)[0], lambda: cycle_matrix(layout)),
+    states = np.arange(layout.dim)
+    build, signed_map = {
+        "cycle": (lambda: fermionic_cycle(layout)[0],
+                  lambda: (cycle_matrix(layout)[0], states, cycle_matrix(layout)[1])),
         "annihilator": (lambda: jw_annihilator(layout, 2, 1),
                         lambda: jw_ladder(layout, layout.leg(2, 1))),
-        "parity": (lambda: parity_operator(layout), lambda: fermions.parity_matrix(layout)),
+        "parity": (lambda: parity_operator(layout),
+                   lambda: (states, states, fermions.parity_matrix(layout))),
     }[view]
     tracemalloc.start()
     try:
@@ -415,7 +471,10 @@ def test_dense_views_keep_their_one_buffer(view):
     finally:
         tracemalloc.stop()
     assert op.mat.dtype == np.float64 and op.mat.shape == (1024, 1024)
-    assert op.mat.tobytes() == sparse_matrix().toarray().tobytes()
+    expected = np.zeros((layout.dim, layout.dim))
+    rows, cols, vals = signed_map()
+    expected[rows, cols] = vals
+    assert op.mat.tobytes() == expected.tobytes()
     assert peak <= 1.2 * op.mat.nbytes
 
 
@@ -442,9 +501,9 @@ def test_fswap_experiment_fails_a_wrong_cycle(monkeypatch):
     build = fermions.cycle_matrix
 
     def bad_cycle(layout):
-        mat = build(layout).toarray()
-        mat[:, 1] *= -1.0  # one basis state picks up a wrong sign
-        return sparse.csr_array(mat)
+        perm, sign = build(layout)
+        sign[1] *= -1.0  # one basis state picks up a wrong sign
+        return perm, sign
 
     monkeypatch.setattr(fermions, "cycle_matrix", bad_cycle)
     params = dict(experiments.DEFAULTS["fswap-cycle"], N=3, M=2)

@@ -1,6 +1,6 @@
 """Every name a module of the package imports is used in that module,
 every module-level function or class of the package is used somewhere,
-and only the fermion sector loads scipy.
+and no module or run of the package loads scipy.
 
 No linter runs with the tests, so this parses each source file with
 `ast`: an imported name counts as used if it appears as a name in the
@@ -182,9 +182,8 @@ def test_cli_and_benchmark_modules_load_no_scipy(scipy_probe):
     assert scipy_probe["loaded"] == []
 
 
-def test_only_the_fermion_runs_reach_scipy(scipy_probe):
+def test_no_run_reaches_scipy(scipy_probe):
     codes = scipy_probe["codes"]
     assert len(codes) == 13
-    assert scipy_probe["reached"] == ["dirac-propagator", "fswap-cycle"]
-    assert {run: code for run, code in codes.items() if code != 0} == {
-        "dirac-propagator": None, "fswap-cycle": None}
+    assert scipy_probe["reached"] == []
+    assert {run: code for run, code in codes.items() if code != 0} == {}

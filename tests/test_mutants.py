@@ -166,10 +166,12 @@ MUTANTS = {
         lambda f: lambda *args: 1.01 * f(*args),
         ["smatrix"],
     ),
-    # the Gaussian law gives the mode propagator, checked against its tau -> 0 limit
+    # the closed-form pair law [I - e^{i tau K}]^{-1} gives the mode propagator
+    # pair @ g0, checked against its tau -> 0 limit; g0 squares to I, so
+    # (f @ g0).T @ g0 is the propagator of the transposed pair law
     "Fermi pair law transposed": (
-        fermions, "parity_pair_correlator",
-        lambda f: lambda coeffs: f(coeffs).T,
+        fermions, "dirac_mode_propagator",
+        lambda f: lambda *args: (f(*args) @ fermions.GAMMA[0]).T @ fermions.GAMMA[0],
         ["dirac-propagator"],
     ),
     # dirac-nogo's oracle reads which modes the runner pinned on shell, not the

@@ -28,7 +28,6 @@ ALLOWED = {
     "fermions.FermionLayout.leg": _DENSE_FERMION,
     "fermions.jw_annihilator": _DENSE_FERMION,
     "fermions.parity_operator": _DENSE_FERMION,
-    "fermions.fermionic_cycle": _DENSE_FERMION,
     "spacetime.power_and_pseudoentropy.<locals>.power":
         "perfbench unpacks the (power, trace) pair",
     "linalg.Operator.__setattr__": _GUARD,
