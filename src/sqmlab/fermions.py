@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import _PHASE_MAX, Operator, SingularMatrixError, inv
+from .linalg import _PHASE_MAX, Operator, SingularMatrixError
 
 FERMION_DIM_CAP = 4096  # 2**12
 
@@ -251,10 +251,15 @@ def dirac_mode_propagator(
     E^2 = |p|^2 + m^2, so e^{i tau K} = e^{i tau p0}[cos(tau E) I - i tau
     sinc(tau E) H_D], sinc(x) = sin(x)/x.  The scalar part of I - e^{i
     tau K} is summed as -expm1(i tau p0) + e^{i tau p0} 2 sin^2(tau E/2),
-    so no 1 - e^{...} cancels.  For small tau, tau * result approaches
-    i(p-slash + m)/(p^2 - m^2 + i eps_i) with O(tau) error (see
-    dirac_propagator_limit); exactly on shell with eps_i = 0 the matrix
-    I - e^{i tau K} is singular and a SingularMatrixError is raised.  A
+    so no 1 - e^{...} cancels.  The inverse is closed too: with I -
+    e^{i tau K} = s I + c H_D, (s I + c H_D)(s I - c H_D) = (s^2 - c^2
+    E^2) I, and s^2 - c^2 E^2 = f- f+ with f-+ = expm1(i tau (p0 -+ E)),
+    the eigenvalues of I - e^{i tau K}, divided by one at a time so
+    their product cannot underflow.  For small tau, tau * result
+    approaches i(p-slash + m)/(p^2 - m^2 + i eps_i) with O(tau) error
+    (see dirac_propagator_limit); where min |f-+| is not above 1e-13
+    max |f-+| (exactly on shell with eps_i = 0, one is 0) the matrix I -
+    e^{i tau K} is singular and a SingularMatrixError is raised.  A
     FloatingPointError is raised where the regulated mass is not finite,
     before any array arithmetic, and where tau times K's largest entry
     in size is 2**52 or more: the phase rule of `linalg.unitary`, past
@@ -276,13 +281,10 @@ def dirac_mode_propagator(
     phase = cmath.exp(1j * tau * p[0])
     sinc = cmath.sin(tE) / tE if tE else 1.0
     scalar = -np.expm1(1j * tau * p[0]) + phase * 2.0 * cmath.sin(tE / 2) ** 2
-    try:
-        pair = inv(Operator(scalar * eye + 1j * tau * phase * sinc * H_D)).mat
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            "mode propagator singular: on-shell momentum with vanishing regulator"
-        ) from exc
-    return pair @ GAMMA[0]
+    f_minus, f_plus = np.expm1(1j * (tau * p[0] - tE)), np.expm1(1j * (tau * p[0] + tE))
+    if not min(abs(f_minus), abs(f_plus)) > 1e-13 * max(abs(f_minus), abs(f_plus)):
+        raise SingularMatrixError("mode propagator singular: on-shell momentum with vanishing regulator")
+    return (scalar * eye - 1j * tau * phase * sinc * H_D) / f_minus / f_plus @ GAMMA[0]
 
 
 def dirac_propagator_limit(p: Sequence[float], m: float, eps_i: float) -> np.ndarray:

@@ -9,10 +9,10 @@ caller that reads it, which hands the factor sizes to `partial_trace`
 fixes the single global index convention — factor 0 is the
 slowest-varying (leftmost) kron index — and supplies the plumbing:
 partial traces over arbitrary factor subsets, the unitary exp(-i·s·H)
-of a Hermitian generator from numpy's `eigh`, guarded inverses, and
-seeded random operator ensembles.  Integer powers are numpy's
-`matrix_power`, traces `np.trace` of `.mat`; the np.kron-built tensor
-product is a test reference (`tests/dense_refs.py`).  No scipy.
+of a Hermitian generator from numpy's `eigh`, and seeded random
+operator ensembles.  Integer powers are numpy's `matrix_power`, traces
+`np.trace` of `.mat`; the np.kron-built tensor product is a test
+reference (`tests/dense_refs.py`).  No scipy.
 
 Dense storage only; the intended regime is total dimension ≲ 4096.
 Entries are complex128, except that float64 input stays float64: real
@@ -222,23 +222,6 @@ def unitary(H: Operator, s: float) -> Operator:
     mat = (U * np.exp(-1j * (s * lam))) @ U.conj().T
     mat.flags.writeable = False  # a fresh buffer, which Operator keeps uncopied
     return Operator(mat)
-
-
-def inv(A: Operator) -> Operator:
-    """Matrix inverse with an explicit singularity guard.
-
-    Raises
-    ------
-    SingularMatrixError
-        If the smallest singular value is below 1e-13 times the spectral
-        norm of A (condition number beyond the supported range).
-    """
-    svals = np.linalg.svd(A.mat, compute_uv=False)
-    if svals[-1] < 1e-13 * max(svals[0], np.finfo(float).tiny):
-        raise SingularMatrixError(
-            f"matrix numerically singular: smallest sv {svals[-1]:.3e} vs norm {svals[0]:.3e}"
-        )
-    return Operator(np.linalg.inv(A.mat))
 
 
 # ---------------------------------------------------------------------------

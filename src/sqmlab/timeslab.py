@@ -18,25 +18,27 @@ identities are implemented and cross-checked:
   while Heisenberg-rotating it, so the slice-local equation of motion
   holds as an exact operator statement inside traces.
 
-E is never multiplied out on the slab route: it is applied to whole
-D = d^N dimensional columns (`QuantumAction.apply`) as fused blocks
+E is never multiplied out on the slab route: it is kept as fused blocks
 followed by a roll of the slice axes.  The slices fall into ⌈N/g⌉
 groups of g adjacent slices, g the largest with d^g <= 16 (the last
 group may be shorter), and each group acts as one d^g x d^g block, the
-kron of its slices' local factors; that is ⌈N/g⌉ matmuls of d^g <= 16
-per column instead of N of d.  The all-V blocks V^{⊗n} are kept once
-per action, each built when first asked for as one kron onto the one
-before (`QuantumAction._kron_power`); a group holding an insertion
-takes the power over its slices before the first insertion and krons
-the rest onto it per call (`QuantumAction._blocks`).  One function,
-`_kron_apply`, applies a list of Kronecker factors to a matrix's row
-slice axes, last factor first, by the mixed-product rule (Van Loan,
-J. Comput. Appl. Math. 123, 85 (2000)); a factor may be rectangular.
-`apply` passes it the group blocks.  The all-V blocks of the groups
-without slice N-1 (`QuantumAction._head_blocks`) serve a caller that
-handles slice N-1 itself: the constraint's boundary appends the 1 x d
-bra <q'|V for it, and the spacetime state's trace-power step folds
-psi0 and <omega| into the end blocks.
+kron of its slices' local factors; applied to whole D = d^N
+dimensional columns, that is ⌈N/g⌉ matmuls of d^g <= 16 per column
+instead of N of d.  An action is complete when it is constructed: it
+keeps its groups (`QuantumAction._slices`) and the all-V blocks V,
+V ⊗ V, ..., V^{⊗g}, each one kron of the one before with V
+(`QuantumAction._powers`), and no read adds to them.  A group holding
+an insertion takes the power over its slices before the first
+insertion and krons the rest onto it per call (`QuantumAction._blocks`).
+One function, `_kron_apply`, applies a list of Kronecker factors to a
+matrix's row slice axes, last factor first, by the mixed-product rule
+(Van Loan, J. Comput. Appl. Math. 123, 85 (2000)); a factor may be
+rectangular.  The constraint passes it the all-V group blocks to apply
+E to columns, and the all-V blocks of the groups without slice N-1
+(`QuantumAction._head_blocks`) serve a caller that handles slice N-1
+itself: the constraint's boundary appends the 1 x d bra <q'|V for it,
+and the spacetime state's trace-power step folds psi0 and <omega|
+into the end blocks.
 
 The group blocks hold every entry of E·(⊗_t F_t), so a read that needs
 only some entries takes them from the blocks, with no matrix product.
@@ -64,7 +66,7 @@ for the slab and the oracle side of the trace identity alike.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -73,7 +75,7 @@ from .linalg import Ket, Operator, unitary
 
 DEFAULT_DIM_CAP = 4096
 _COLUMN_BLOCK = 128  # columns of E and E·X per block in constraint_expectation
-_GROUP_DIM_MAX = 16  # largest fused block d^g in QuantumAction.apply
+_GROUP_DIM_MAX = 16  # largest fused block d^g of a QuantumAction
 
 
 @dataclass(frozen=True)
@@ -129,34 +131,42 @@ def slice_factors(
 
 @dataclass(frozen=True)
 class QuantumAction:
-    """The action exponential E = C · ⊗_t exp(-i eps H), kept as its step V."""
+    """The action exponential E = C · ⊗_t exp(-i eps H), kept as its step V.
+
+    Complete once constructed: the fused slice groups (`_slices`), the
+    all-V blocks V, V ⊗ V, ..., V^{⊗g} (`_powers`) and the head groups'
+    blocks (`_head_blocks`) are set in `__post_init__`, and no read of E
+    adds to them.
+    """
 
     layout: SliceLayout
     H: Operator
     V: Operator = field(init=False, repr=False)  # single-slice step
-    # V, V ⊗ V, ...: the all-V blocks built so far (`_kron_power`)
-    _powers: list[np.ndarray] = field(default_factory=list, init=False, repr=False, compare=False)
+    # the slices of each fused group, slice 0 first: g per group, the
+    # largest g <= N with d**g <= _GROUP_DIM_MAX (at least 1; bounded by N
+    # because d = 1 fits every g), the last group possibly shorter
+    _slices: tuple[range, ...] = field(init=False, repr=False, compare=False)
+    # V ⊗ ... ⊗ V over n = 1..g slices, each one kron of the one before with V
+    _powers: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    # the all-V block of each group without slice N-1: the last group, which
+    # holds it, drops it, or goes if it held only that slice
+    _head_blocks: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.H.dim != self.layout.d:
             raise ValueError("H must act on a single slice")
-        # unitary refuses a non-Hermitian H
-        object.__setattr__(self, "V", unitary(self.H, self.layout.eps))
-        self._powers.append(self.V.mat)
-
-    def apply(self, M: np.ndarray) -> np.ndarray:
-        """E · M for a (D, k) matrix M, in ⌈N/g⌉ matmuls of d^g <= 16.
-
-        The kept all-V blocks of the groups of g adjacent slices (`_blocks`
-        with no factor) act through `_kron_apply`, the last group first.
-        Then the slice axes roll by one to apply C; the D x D permutation
-        is never formed.
-        """
-        layout = self.layout
-        M = np.asarray(M)
-        if M.ndim != 2 or M.shape[0] != layout.total_dim:
-            raise ValueError(f"need a ({layout.total_dim}, k) matrix, got shape {M.shape}")
-        return _cycle_rows(layout, _kron_apply([block for _, block in self._blocks({})], M))
+        d, N = self.layout.d, self.layout.N
+        V = unitary(self.H, self.layout.eps)  # unitary refuses a non-Hermitian H
+        powers = [V.mat]  # V, V ⊗ V, ... while the `_slices` rule allows: g is their count
+        while len(powers) < N and d ** (len(powers) + 1) <= _GROUP_DIM_MAX:
+            powers.append(_block_kron(powers[-1], V.mat))
+        g = len(powers)
+        slices = tuple(range(s, min(s + g, N)) for s in range(0, N, g))
+        heads = [len(group) for group in slices[:-1]] + [len(slices[-1]) - 1]
+        object.__setattr__(self, "V", V)
+        object.__setattr__(self, "_slices", slices)
+        object.__setattr__(self, "_powers", tuple(powers))
+        object.__setattr__(self, "_head_blocks", tuple(powers[n - 1] for n in heads if n))
 
     def dense(self, factors: Optional[Mapping[int, np.ndarray]] = None) -> np.ndarray:
         """E · (⊗_t factors[t]) as a new D x D array: slice t gets V·factors[t] (V where none).
@@ -176,18 +186,20 @@ class QuantumAction:
         Entry (i, i) of C·W is W's entry at column i and at the row that
         C moves to i (`_cycle_rows` of the column indices).  An entry of
         W = ⊗ blocks is the product of one entry per group's block, at
-        the group's digits of row and column: O(D·⌈N/g⌉) work, and no
+        the group's digits of row and column, the group's stride the
+        product of the later blocks' sizes: O(D·⌈N/g⌉) work, and no
         entry off the diagonal is formed.
         """
-        d, N, D = self.layout.d, self.layout.N, self.layout.total_dim
-        cols = np.arange(D)
+        cols = np.arange(self.layout.total_dim)
         rows = _cycle_rows(self.layout, cols[:, None])[:, 0]
-        # the last group (s = 1) first, so each product nests as in `dense`'s right fold
-        *others, (_, last) = self._blocks(factors)
-        diag = last[rows % len(last), cols % len(last)]
-        for slices, block in reversed(others):
-            s, size = d ** (N - slices.stop), len(block)
-            diag = block[rows // s % size, cols // s % size] * diag
+        # the last group first, so each product nests as in `dense`'s right fold
+        *others, last = self._blocks(factors)
+        s = len(last)
+        diag = last[rows % s, cols % s]
+        for block in reversed(others):
+            n = len(block)
+            diag = block[rows // s % n, cols // s % n] * diag
+            s *= n
         return diag
 
     def _column_blocks(
@@ -208,7 +220,7 @@ class QuantumAction:
         block gets an array of its own; the one block of `dense` is the
         call's own fresh buffer.  No matmul.
         """
-        first, *others = [block for _, block in self._blocks(factors)]
+        first, *others = self._blocks(factors)
         # folded from the right, so each kron's inner axis is the larger
         # operand; the 1 x 1 start stands for no other group
         rest = reduce(lambda right, block: _block_kron(block, right), reversed(others), np.ones((1, 1)))
@@ -225,50 +237,21 @@ class QuantumAction:
                         out=block.reshape(d, len(first), r // d, b - a, r))
             yield slice(a * r, b * r), block
 
-    def _blocks(self, factors: Mapping[int, np.ndarray]) -> Iterator[tuple[range, np.ndarray]]:
-        """(slices, block) per group of `_slices`: the kron of V·factors[t] (V where none).
+    def _blocks(self, factors: Mapping[int, np.ndarray]) -> list[np.ndarray]:
+        """The block of each group of `_slices`: the kron of V·factors[t] (V where none).
 
         The group's slices before its first factor, all of them where it
-        has none, are the kept power of V (`_kron_power`); the rest are
-        kron'd onto it now.  A left fold either way, so the block is bit
-        for bit the kron of the whole group's list.
+        has none, are a kept power of V (`_powers`); the rest are kron'd
+        onto it now.  A left fold either way, so the block is bit for bit
+        the kron of the whole group's list.
         """
-        V = self.V.mat
+        V, blocks = self.V.mat, []
         for slices in self._slices:
-            if factors.keys().isdisjoint(slices):
-                yield slices, self._kron_power(len(slices))
-                continue
-            p = min(factors.keys() & slices) - slices.start
-            mats = [self._kron_power(p)] if p else []
+            p = min(factors.keys() & slices, default=slices.stop) - slices.start
+            mats = [self._powers[p - 1]] if p else []
             mats += [V @ factors[t] if t in factors else V for t in slices[p:]]
-            yield slices, reduce(_block_kron, mats)
-
-    def _kron_power(self, n: int) -> np.ndarray:
-        """V ⊗ ... ⊗ V over n >= 1 slices, folded from the left; each power is built
-        once, as one kron of the power before it with V, and then kept."""
-        while len(self._powers) < n:
-            self._powers.append(_block_kron(self._powers[-1], self.V.mat))
-        return self._powers[n - 1]
-
-    @cached_property
-    def _slices(self) -> tuple[range, ...]:
-        """The slices of each fused group of `apply`, slice 0 first.
-
-        g slices per group, the largest g <= N with d**g <= _GROUP_DIM_MAX
-        (at least 1; bounded by N because d = 1 fits every g).
-        """
-        d, N, g = self.layout.d, self.layout.N, 1
-        while g < N and d ** (g + 1) <= _GROUP_DIM_MAX:
-            g += 1
-        return tuple(range(s, min(s + g, N)) for s in range(0, N, g))
-
-    @cached_property
-    def _head_blocks(self) -> list[np.ndarray]:
-        """The all-V block of each group of `_slices` without slice N-1: the last
-        group, which holds it, drops it, or goes if it held only that slice."""
-        sizes = [len(slices) for slices in self._slices]
-        sizes[-1] -= 1
-        return [self._kron_power(n) for n in sizes if n]
+            blocks.append(reduce(_block_kron, mats))
+        return blocks
 
 
 def _kron_apply(factors: Sequence[np.ndarray], M: np.ndarray) -> np.ndarray:
@@ -338,8 +321,10 @@ def constraint_expectation(
     B multiplied onto slice 0's factor from the right (O·B when t = 0).
     The shifted half streams over column blocks of E and of E·X
     (`QuantumAction._column_blocks`), D x block each: a block adds
-    ⟨E e_j| B·E·E·X |e_j⟩ over its columns j.  Without a boundary that
-    is one apply of E to E·X's block.  With one, B is the bra ⟨q| on
+    ⟨E e_j| B·E·E·X |e_j⟩ over its columns j.  Without a boundary E
+    acts on E·X's block as one `_kron_apply` of the all-V group blocks
+    (`QuantumAction._blocks`, taken once per call) followed by C's roll
+    of the row slice axes (`_cycle_rows`).  With one, B is the bra ⟨q| on
     row slice 0 of E's block and ⟨q'| on that of E·E·X's; C carries
     slice N-1 to slice 0, so ⟨q'|·E = (V ⊗ ... ⊗ V) ⊗ ⟨q'|V over slices
     0..N-2 and N-1: one `_kron_apply` of the head blocks
@@ -360,8 +345,9 @@ def constraint_expectation(
     shifted = 0j
     blocks = zip(qa._column_blocks({}, _COLUMN_BLOCK), qa._column_blocks(factors, _COLUMN_BLOCK))
     if boundary is None:
+        W = qa._blocks({})
         for (_, E), (_, EX) in blocks:
-            shifted += np.vdot(E, qa.apply(EX))
+            shifted += np.vdot(E, _cycle_rows(layout, _kron_apply(W, EX)))
     else:
         q, q_prime = boundary
         head = [*qa._head_blocks, (q_prime.vec.conj() @ qa.V.mat)[None, :]]  # <q'|V on slice N-1

@@ -34,7 +34,7 @@ from scipy import sparse
 
 from sqmlab import fock, gaussian, grids, wick
 from sqmlab.fermions import FermionLayout, jw_ladder, parity_matrix
-from sqmlab.linalg import Ket, Operator, inv
+from sqmlab.linalg import Ket, Operator, SingularMatrixError
 from sqmlab.timeslab import QuantumAction, SliceLayout, slice_factors
 
 
@@ -114,14 +114,12 @@ def constraint_expectation_columns(
 ) -> complex:
     """Tr[B · E · (E·X·E† - X)], X = embed(O, t), from whole D x D columns.
 
-    E·X is E's dense build with X's slice factor, E·X·E† comes from
-    applying E to (E·X)†, E·(E·X)† = (E·X·E†)†, and the bracket is kept
-    as one dense matrix.
+    E and E·X are E's dense builds without and with X's slice factor,
+    and the bracket is kept as one dense matrix.
     """
     layout = qa.layout
-    EX = qa.dense(slice_factors(layout, [(O, t)]))
-    shifted = qa.apply(EX.conj().T).conj().T  # E·X·E†
-    bracket = qa.apply(shifted) - EX  # E·(E·X·E† - X)
+    E, EX = qa.dense(), qa.dense(slice_factors(layout, [(O, t)]))
+    bracket = E @ EX @ E.conj().T - EX  # E·(E·X·E† - X)
     if boundary is not None:
         q, qp = boundary
         bracket = embed_at_slice(q.outer(qp), 0, layout).mat @ bracket
@@ -428,12 +426,18 @@ def parity_pair_correlator(coeffs: np.ndarray) -> np.ndarray:
     the parity insertion flips the sign of the exponential, which is
     exactly what lets the on-shell pole of the propagator build up.)  A
     general A need not be normal, so the exponential is scipy's Padé
-    `expm`; the library's Dirac block has the closed form of
+    `expm` and the inverse a general one, refused with SingularMatrixError
+    where the smallest singular value of I - e^{iA} is below 1e-13 times
+    the largest; the library's Dirac block has the closed forms of
     `fermions.dirac_mode_propagator`.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    eA = scipy.linalg.expm(1j * coeffs)
-    return inv(Operator(np.eye(coeffs.shape[0]) - eA)).mat
+    pair = np.eye(coeffs.shape[0]) - scipy.linalg.expm(1j * coeffs)
+    svals = np.linalg.svd(pair, compute_uv=False)
+    if svals[-1] < 1e-13 * max(svals[0], np.finfo(float).tiny):
+        raise SingularMatrixError(
+            f"I - e^(iA) numerically singular: smallest sv {svals[-1]:.3e} vs norm {svals[0]:.3e}")
+    return np.linalg.inv(pair)
 
 
 def parity_weighted_trace(

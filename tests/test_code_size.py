@@ -17,8 +17,8 @@ import sqmlab
 
 SRC = Path(sqmlab.__file__).resolve().parent
 
-CODE_LINES_MAX = 1818
-FUNCTIONS_MAX = 186
+CODE_LINES_MAX = 1799
+FUNCTIONS_MAX = 181
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
              tokenize.ENDMARKER}

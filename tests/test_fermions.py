@@ -348,10 +348,11 @@ PROPAGATOR_POINTS = [
 @pytest.mark.parametrize("p, m, tau, eps_i", PROPAGATOR_POINTS)
 def test_mode_propagator_against_fifty_digits(p, m, tau, eps_i):
     # the rest frame, the moving frame at every default sweep tau, and seeded
-    # draws: the closed-form exponential is within 1e-13 of the largest entry
+    # draws: the closed-form exponential and inverse are within 2e-15 of the
+    # largest entry
     ref = _mp_mode_propagator(p, m, tau, eps_i)
     got = dirac_mode_propagator(p, m, tau, eps_i)
-    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(got - ref)) <= 2e-15 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("p, m, tau, eps_i", PROPAGATOR_POINTS[:10])

@@ -11,8 +11,6 @@ from sqmlab.fermions import FermionLayout, fermionic_cycle, jw_annihilator, pari
 from sqmlab.linalg import (
     Ket,
     Operator,
-    SingularMatrixError,
-    inv,
     partial_trace,
     rand_ginibre,
     rand_hermitian,
@@ -232,15 +230,6 @@ class TestUnitary:
                 unitary(H, s)
         with pytest.raises(FloatingPointError):  # 0 * inf is NaN
             unitary(Operator(np.zeros((2, 2))), np.inf)
-
-
-class TestDecompositions:
-    def test_inv_roundtrip_and_singular_guard(self):
-        rng = np.random.default_rng(11)
-        A = Operator(rand_ginibre(rng, 4))
-        np.testing.assert_allclose((inv(A) @ A).mat, np.eye(4), atol=1e-12)
-        with pytest.raises(SingularMatrixError):
-            inv(Operator(np.zeros((3, 3))))
 
 
 class TestRandom:

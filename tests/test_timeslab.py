@@ -190,7 +190,7 @@ class TestFusedGroups:
         assert [len(slices) for slices in qa._slices] == sizes
         assert [slices.start for slices in qa._slices] == list(np.cumsum([0] + sizes[:-1]))
         V = Operator(scipy.linalg.expm(-0.3j * qa.H.mat))
-        for slices, block in qa._blocks({}):
+        for slices, block in zip(qa._slices, qa._blocks({}), strict=True):
             np.testing.assert_allclose(block, kron(*([V] * len(slices))).mat, atol=1e-14)
 
     # a group's slices before its first factor are a kept power of V; the
@@ -203,10 +203,9 @@ class TestFusedGroups:
         qa = build_action(SliceLayout(d=d, N=N, eps=0.3), rand_hermitian(rng, d))
         factors = {t: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for t in slots}
         V = qa.V.mat
-        for _ in range(2):  # the powers built on the first pass are read on the second
-            for slices, block in qa._blocks(factors):
-                ref = reduce(_block_kron, [V @ factors[t] if t in factors else V for t in slices])
-                assert block.tobytes() == ref.tobytes()
+        for slices, block in zip(qa._slices, qa._blocks(factors), strict=True):
+            ref = reduce(_block_kron, [V @ factors[t] if t in factors else V for t in slices])
+            assert block.tobytes() == ref.tobytes()
 
     # the group holding slice N-1 drops it: lone (2, 5), (3, 3), (4, 3), (2, 9)
     # and N = 1 lose their last group, shared (2, 6) and (2, 3) shorten it
@@ -227,7 +226,7 @@ class TestFusedGroups:
         np.testing.assert_allclose(_kron_apply(qa._head_blocks, W), head @ W, atol=1e-13)
 
     # (F_0 ⊗ F_1 ⊗ ...)·M at the factor shapes the slab applies: the square
-    # group blocks of apply (d = 2, N = 9 and d = 3, N = 3), the step factors
+    # group blocks of E (d = 2, N = 9 and d = 3, N = 3), the step factors
     # of the trace powers (the first d^g x d^(g-1), widened by psi0, the last
     # d^g' x d^(g'+1), shrunk by <omega|; the N = 1 scalar), and the head
     # blocks with the 1 x d bra <q'|V of the constraint's boundary
@@ -265,6 +264,33 @@ class TestFusedGroups:
 
 class TestReadsOfTheGroupBlocks:
     """diagonal and _column_blocks read E's entries from the fused group blocks."""
+
+    @pytest.mark.parametrize("d, N", [(1, 3), (2, 1), (2, 9), (3, 5), (17, 2)])
+    def test_reads_leave_the_action_as_constructed(self, d, N):
+        """Every read of E takes the blocks built with the action and adds none."""
+        rng = np.random.default_rng(d * 10 + N)
+        qa = build_action(SliceLayout(d=d, N=N, eps=0.41), rand_hermitian(rng, d))
+
+        def state():  # each attribute, and a container's length
+            return {name: (value, len(value) if isinstance(value, (list, tuple)) else None)
+                    for name, value in vars(qa).items()}
+
+        before = state()
+        factors = {N - 1: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))}
+        qa.diagonal(factors)
+        qa.dense()
+        qa.dense(factors)
+        list(qa._column_blocks(factors, 7))
+        qa._head_blocks
+        O = rand_hermitian(rng, d)
+        trace_theorem_lhs(qa, [(O, 0)])
+        constraint_expectation(qa, O, 0)
+        if N > 1:
+            constraint_expectation(qa, O, 0, (rand_ket(rng, d), rand_ket(rng, d)))
+        after = state()
+        assert after.keys() == before.keys()
+        for name, (value, size) in before.items():
+            assert after[name][0] is value and after[name][1] == size, name
 
     @pytest.mark.parametrize("d, N", [(1, 3), (2, 1), (2, 5), (2, 9), (3, 1), (3, 5), (4, 3), (17, 1)])
     @pytest.mark.parametrize("where", ["none", "first", "last", "both", "every"])
@@ -312,7 +338,7 @@ class TestReadsOfTheGroupBlocks:
         qa = build_action(SliceLayout(d=d, N=N, eps=0.41), rand_hermitian(rng, d))
         D = qa.layout.total_dim
         factors = {0: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))}
-        first, *others = [block for _, block in qa._blocks(factors)]
+        first, *others = qa._blocks(factors)
         rest = reduce(lambda right, block: _block_kron(block, right), reversed(others),
                       np.ones((1, 1)))
         r = len(rest)
@@ -366,7 +392,8 @@ class TestStructuredAgainstDense:
             X = X @ embed_at_slice(O, t, lay).mat
         dense = self._dense_action(qa) @ X
         M = rng.standard_normal((lay.total_dim, 3)) + 1j * rng.standard_normal((lay.total_dim, 3))
-        applied = qa.apply(X @ M)
+        # E applied as the constraint applies it: the all-V group blocks, then C's roll
+        applied = _cycle_rows(lay, _kron_apply(qa._blocks({}), X @ M))
         np.testing.assert_allclose(applied, dense @ M, atol=1e-12 * max(1.0, np.abs(dense @ M).max()))
         expected = complex(np.trace(dense))
         assert trace_theorem_lhs(qa, inserts) == pytest.approx(
@@ -389,10 +416,9 @@ class TestStructuredAgainstDense:
         O = rand_hermitian(rng, d)
         E = self._dense_action(qa)
         X = embed_at_slice(O, t, lay).mat
-        # the conjugation the engine builds: E's entries for E·X, one apply for E·X·E†
+        # the conjugation the engine builds from E's entries: E·X, then E·X·E†
         EX = qa.dense({t: O.mat})
-        np.testing.assert_allclose(qa.apply(EX.conj().T).conj().T, E @ X @ E.conj().T,
-                                   atol=1e-12)
+        np.testing.assert_allclose(EX @ qa.dense().conj().T, E @ X @ E.conj().T, atol=1e-12)
         weighted = E @ (E @ X @ E.conj().T - X)
         boundary = None
         if with_boundary:
