@@ -44,15 +44,11 @@ class ClockSystem:
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("need at least one clock level")
-        if abs(self.psi0.norm() - 1.0) > 1e-12:
+        if abs(np.linalg.norm(self.psi0.vec) - 1.0) > 1e-12:
             raise ValueError("initial state must be normalized to 1e-12")
-        if self.H.dim != self.psi0.dim:
+        if len(self.H.mat) != len(self.psi0.vec):
             raise ValueError("H and psi0 live on different spaces")
         object.__setattr__(self, "U", unitary(self.H, self.eps))  # refuses a non-Hermitian H
-
-    @property
-    def system_dim(self) -> int:
-        return self.H.dim
 
     def evolved(self, t: int) -> Ket:
         """U^t |psi0> by numpy's repeated squaring (the conditioning checks' oracle)."""
@@ -61,7 +57,7 @@ class ClockSystem:
 
 def history_state(cs: ClockSystem) -> Ket:
     """The flat-window history vector (1/sqrt(N)) sum_t |t> ⊗ U^t|psi0>."""
-    d = cs.system_dim
+    d = len(cs.H.mat)
     vec = np.zeros(cs.N * d, dtype=complex)
     psi = cs.psi0.vec
     for t in range(cs.N):
@@ -78,6 +74,6 @@ def conditioned_expectation(cs: ClockSystem, O: Operator, t: int) -> complex:
     """
     if not 0 <= t < cs.N:
         raise ValueError(f"slice index {t} out of range [0, {cs.N})")
-    d = cs.system_dim
+    d = len(cs.H.mat)
     psi_t = history_state(cs).vec[t * d : (t + 1) * d]
     return complex(cs.N * np.vdot(psi_t, O.mat @ psi_t))

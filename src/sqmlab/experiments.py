@@ -95,7 +95,8 @@ def run_paw_conditioning(params: dict) -> Iterator[dict]:
         O = rand_hermitian(rng, d)
         t = int(rng.integers(0, N))
         value = clock.conditioned_expectation(cs, O, t)
-        oracle = cs.evolved(t).expectation(O)
+        psi = cs.evolved(t).vec
+        oracle = complex(np.vdot(psi, O.mat @ psi))
         yield _case(
             f"conditioning[{i:02d}]", {"d": d, "N": N, "t": t},
             value, oracle, params["tol"],

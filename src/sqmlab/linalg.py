@@ -10,14 +10,14 @@ fixes the single global index convention — factor 0 is the
 slowest-varying (leftmost) kron index — and supplies the plumbing:
 partial traces over arbitrary factor subsets, the unitary exp(-i·s·H)
 of a Hermitian generator from numpy's `eigh`, and seeded random
-operator ensembles.  Integer powers are numpy's `matrix_power`, traces
-`np.trace` of `.mat`; the np.kron-built tensor product is a test
+operator ensembles.  Every product, power, trace and norm is numpy's
+on `.mat` and `.vec`; the np.kron-built tensor product is a test
 reference (`tests/dense_refs.py`).  No scipy.
 
 Dense storage only; the intended regime is total dimension ≲ 4096.
 Entries are complex128, except that float64 input stays float64: real
 maps such as the fermionic signed permutations keep real products, and
-arithmetic with complex values promotes as numpy does.
+products with complex values promote as numpy does.
 """
 
 from __future__ import annotations
@@ -32,18 +32,8 @@ class SingularMatrixError(np.linalg.LinAlgError):
     """Raised when a matrix is numerically singular for the requested op."""
 
 
-def _as_square_matrix(entries) -> np.ndarray:
-    """float64 entries as they are, any other dtype as complex128, without a copy."""
-    mat = np.asarray(entries)
-    if mat.dtype != np.float64:
-        mat = mat.astype(complex, copy=False)  # the one copy is Operator's own
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"operator entries must be a square matrix, got shape {mat.shape}")
-    return mat
-
-
 class Operator:
-    """Immutable square matrix.
+    """Immutable square matrix: its write-protected entries `mat` and nothing else.
 
     Parameters
     ----------
@@ -55,19 +45,22 @@ class Operator:
     -----
     An operator is its matrix: how its index space factors into
     tensor factors is known only to the caller that traces some of
-    them out (`partial_trace`).  The entry buffer is write-protected,
-    and all arithmetic returns new instances.  An ndarray that owns its
-    buffer and is already write-protected is kept as it is, without a
-    copy (its maker hands it over, as `spacetime.build_R` does with R,
-    `unitary` with its product and the dense fermion views with their
-    scattered buffers);
+    them out (`partial_trace`), and every product, norm or check is
+    numpy's on `mat`.  An ndarray that owns its buffer and is already
+    write-protected is kept as it is, without a copy (its maker hands
+    it over, as `spacetime.build_R` does with R, `unitary` with its
+    product and the dense fermion views with their scattered buffers);
     anything else is copied.
     """
 
     __slots__ = ("mat",)
 
     def __init__(self, entries):
-        mat = _as_square_matrix(entries)
+        mat = np.asarray(entries)
+        if mat.dtype != np.float64:
+            mat = mat.astype(complex, copy=False)  # the one copy is made below
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"operator entries must be a square matrix, got shape {mat.shape}")
         if mat.flags.writeable or not mat.flags.owndata:
             mat = mat.copy()
             mat.flags.writeable = False
@@ -76,35 +69,9 @@ class Operator:
     def __setattr__(self, name, value):
         raise AttributeError("Operator is immutable")
 
-    # -- basic queries -------------------------------------------------
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def norm(self) -> float:
-        """Frobenius norm of the entries."""
-        return math.sqrt(np.vdot(self.mat, self.mat).real)
-
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        """||A - A†|| <= tol · max(1, ||A||), Frobenius norms."""
-        gap = self.mat - self.mat.conj().T
-        return math.sqrt(np.vdot(gap, gap).real) <= tol * max(1.0, self.norm())
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __matmul__(self, other):
-        if isinstance(other, Operator):
-            if other.dim != self.dim:
-                raise ValueError("operator size mismatch")
-            return Operator(self.mat @ other.mat)
-        if isinstance(other, Ket):
-            return Ket(self.mat @ other.vec)
-        return NotImplemented
-
 
 class Ket:
-    """Immutable complex vector, the column counterpart of Operator."""
+    """Immutable complex vector `vec`, the column counterpart of Operator."""
 
     __slots__ = ("vec",)
 
@@ -116,21 +83,9 @@ class Ket:
     def __setattr__(self, name, value):
         raise AttributeError("Ket is immutable")
 
-    @property
-    def dim(self) -> int:
-        return self.vec.shape[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vec))
-
-    def expectation(self, A: Operator) -> complex:
-        """⟨self|A|self⟩ (no normalization applied)."""
-        return complex(np.vdot(self.vec, A.mat @ self.vec))
-
-    def outer(self, other: "Ket | None" = None) -> Operator:
-        """|self⟩⟨other| (defaults to the projector |self⟩⟨self|)."""
-        bra = self if other is None else other
-        return Operator(np.outer(self.vec, bra.vec.conj()))
+    def outer(self) -> Operator:
+        """The projector |self⟩⟨self| (no normalization applied)."""
+        return Operator(np.outer(self.vec, self.vec.conj()))
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +120,8 @@ def partial_trace(A: Operator, dims: Sequence[int], keep: Iterable[int]) -> Oper
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise ValueError(f"local dimensions must be positive, got {dims}")
-    if math.prod(dims) != A.dim:
-        raise ValueError(f"prod(dims)={math.prod(dims)} != matrix size {A.dim}")
+    if math.prod(dims) != len(A.mat):
+        raise ValueError(f"prod(dims)={math.prod(dims)} != matrix size {len(A.mat)}")
     keep_set = set(int(k) for k in keep)
     n = len(dims)
     for k in keep_set:
@@ -205,12 +160,14 @@ def unitary(H: Operator, s: float) -> Operator:
     Raises
     ------
     ValueError
-        If H is not Hermitian (`Operator.is_hermitian`, tol 1e-12).
+        If H is not Hermitian: ||H - H†|| <= 1e-12 · max(1, ||H||) fails,
+        Frobenius norms (as it does for an H with a NaN entry).
     FloatingPointError
         If a phase s·λ is not finite, or is 2**52 or more in size, where
         a unit in its last place is a whole radian.
     """
-    if not H.is_hermitian():
+    gap, size = H.mat - H.mat.conj().T, np.vdot(H.mat, H.mat).real
+    if not math.sqrt(np.vdot(gap, gap).real) <= 1e-12 * max(1.0, math.sqrt(size)):  # NaN fails
         raise ValueError("unitary needs a Hermitian generator (tol 1e-12)")
     lam, U = np.linalg.eigh(H.mat)
     s = float(s)

@@ -136,7 +136,7 @@ class SpacetimeState:
 
     def evolved(self, t: int) -> Ket:
         """Schrödinger oracle exp(-i H eps t)|psi0>."""
-        return unitary(self.H, self.eps * t) @ self.psi0
+        return Ket(unitary(self.H, self.eps * t).mat @ self.psi0.vec)
 
 
 def build_R(
@@ -156,9 +156,9 @@ def build_R(
     buffer is write-protected and becomes R's Operator without a copy;
     the state keeps <omega|, all that its powers read of the boundary.
     """
-    if abs(psi0.norm() - 1.0) > 1e-12:
+    if abs(np.linalg.norm(psi0.vec) - 1.0) > 1e-12:
         raise ValueError("psi0 must be normalized")
-    layout = SliceLayout(d=psi0.dim, N=N, eps=eps)
+    layout = SliceLayout(d=len(psi0.vec), N=N, eps=eps)
     if site_dims is not None:
         site_dims = tuple(int(s) for s in site_dims)
         if int(np.prod(site_dims)) != layout.d:
@@ -199,7 +199,7 @@ def marginal(st: SpacetimeState, t: int) -> Operator:
     return _reduce(st, [(t, x) for x in range(len(st.sites))])
 
 
-def causality_witness(st: SpacetimeState, A: Operator, B: Operator, t: int = 1) -> complex:
+def causality_witness(st: SpacetimeState, A: Operator, B: Operator, t: int) -> complex:
     """Tr[(R - R†) · embed(A,0)·embed(B,t)].
 
     For hermitian A, B this equals <psi|[B_H(eps t), A]|psi>: the
@@ -219,7 +219,7 @@ def causality_witness(st: SpacetimeState, A: Operator, B: Operator, t: int = 1) 
                              (reduced - reduced.conj().T).reshape(d, d, d, d)))
 
 
-def causality_witness_oracle(st: SpacetimeState, A: Operator, B: Operator, t: int = 1) -> complex:
+def causality_witness_oracle(st: SpacetimeState, A: Operator, B: Operator, t: int) -> complex:
     """Heisenberg-picture oracle <psi|[B_H(eps t), A]|psi>."""
     Ut = unitary(st.H, st.eps * t).mat
     BH = Ut.conj().T @ B.mat @ Ut

@@ -121,7 +121,7 @@ def slice_factors(
     for O, t in sorted(inserts, key=lambda item: item[1]):
         if not 0 <= t < layout.N:
             raise ValueError(f"slice index {t} out of range [0, {layout.N})")
-        if O.dim != layout.d:
+        if len(O.mat) != layout.d:
             raise ValueError("insertion dimension mismatch")
         if t in factors:
             raise ValueError(f"duplicate insertion at slice {t}; one operator per slice")
@@ -153,7 +153,7 @@ class QuantumAction:
     _head_blocks: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.H.dim != self.layout.d:
+        if len(self.H.mat) != self.layout.d:
             raise ValueError("H must act on a single slice")
         d, N = self.layout.d, self.layout.N
         V = unitary(self.H, self.layout.eps)  # unitary refuses a non-Hermitian H
@@ -168,7 +168,7 @@ class QuantumAction:
         object.__setattr__(self, "_powers", tuple(powers))
         object.__setattr__(self, "_head_blocks", tuple(powers[n - 1] for n in heads if n))
 
-    def dense(self, factors: Optional[Mapping[int, np.ndarray]] = None) -> np.ndarray:
+    def dense(self, factors: Mapping[int, np.ndarray]) -> np.ndarray:
         """E · (⊗_t factors[t]) as a new D x D array: slice t gets V·factors[t] (V where none).
 
         The one column block of width D (`_column_blocks`): the group
@@ -177,7 +177,7 @@ class QuantumAction:
         its buffer and is not kept, so an action holds no D x D matrix
         and the caller may scale it in place.
         """
-        (_, block), = self._column_blocks(factors or {}, self.layout.total_dim)
+        (_, block), = self._column_blocks(factors, self.layout.total_dim)
         return block
 
     def diagonal(self, factors: Mapping[int, np.ndarray]) -> np.ndarray:
@@ -240,18 +240,14 @@ class QuantumAction:
     def _blocks(self, factors: Mapping[int, np.ndarray]) -> list[np.ndarray]:
         """The block of each group of `_slices`: the kron of V·factors[t] (V where none).
 
-        The group's slices before its first factor, all of them where it
-        has none, are a kept power of V (`_powers`); the rest are kron'd
-        onto it now.  A left fold either way, so the block is bit for bit
-        the kron of the whole group's list.
+        A group with no factor is its kept power of V (`_powers`); any
+        other is the left-fold kron of its whole list, the fold that
+        built the powers, so both rules give the same bits.
         """
-        V, blocks = self.V.mat, []
-        for slices in self._slices:
-            p = min(factors.keys() & slices, default=slices.stop) - slices.start
-            mats = [self._powers[p - 1]] if p else []
-            mats += [V @ factors[t] if t in factors else V for t in slices[p:]]
-            blocks.append(reduce(_block_kron, mats))
-        return blocks
+        V = self.V.mat
+        return [reduce(_block_kron, [V @ factors[t] if t in factors else V for t in slices])
+                if factors.keys() & slices else self._powers[len(slices) - 1]
+                for slices in self._slices]
 
 
 def _kron_apply(factors: Sequence[np.ndarray], M: np.ndarray) -> np.ndarray:
@@ -340,7 +336,7 @@ def constraint_expectation(
     factors = slice_factors(layout, [(O, t)])
     read = factors
     if boundary is not None:
-        B = boundary[0].outer(boundary[1]).mat
+        B = np.outer(boundary[0].vec, boundary[1].vec.conj())
         read = {**factors, 0: factors[0] @ B if 0 in factors else B}
     shifted = 0j
     blocks = zip(qa._column_blocks({}, _COLUMN_BLOCK), qa._column_blocks(factors, _COLUMN_BLOCK))

@@ -90,8 +90,8 @@ def cycle_shift(layout: SliceLayout) -> Operator:
 
 def embed_at_slice(O: Operator, t: int, layout: SliceLayout) -> Operator:
     """I^{⊗t} ⊗ O ⊗ I^{⊗(N-1-t)}."""
-    if O.dim != layout.d:
-        raise ValueError(f"insertion is {O.dim}-dimensional, slices are {layout.d}")
+    if len(O.mat) != layout.d:
+        raise ValueError(f"insertion is {len(O.mat)}-dimensional, slices are {layout.d}")
     if not 0 <= t < layout.N:
         raise ValueError(f"slice index {t} out of range [0, {layout.N})")
     left = identity((layout.d,) * t) if t else None
@@ -102,10 +102,10 @@ def embed_at_slice(O: Operator, t: int, layout: SliceLayout) -> Operator:
 
 def spacetime_state(psi: Ket, H: Operator, eps: float, N: int) -> np.ndarray:
     """Dense R = embed(|psi><psi|·V^{-N}, 0) · C · V^{⊗N} / Tr, V = exp(-i eps H)."""
-    layout = SliceLayout(d=psi.dim, N=N, eps=eps)
+    layout = SliceLayout(d=len(psi.vec), N=N, eps=eps)
     V = Operator(scipy.linalg.expm(-1j * eps * H.mat))
-    b = psi.outer() @ Operator(scipy.linalg.expm(1j * eps * N * H.mat))
-    raw = (embed_at_slice(b, 0, layout) @ cycle_shift(layout) @ kron(*([V] * N))).mat
+    b = Operator(psi.outer().mat @ scipy.linalg.expm(1j * eps * N * H.mat))
+    raw = embed_at_slice(b, 0, layout).mat @ cycle_shift(layout).mat @ kron(*([V] * N)).mat
     return raw / np.trace(raw)
 
 
@@ -118,11 +118,11 @@ def constraint_expectation_columns(
     and the bracket is kept as one dense matrix.
     """
     layout = qa.layout
-    E, EX = qa.dense(), qa.dense(slice_factors(layout, [(O, t)]))
+    E, EX = qa.dense({}), qa.dense(slice_factors(layout, [(O, t)]))
     bracket = E @ EX @ E.conj().T - EX  # E·(E·X·E† - X)
     if boundary is not None:
         q, qp = boundary
-        bracket = embed_at_slice(q.outer(qp), 0, layout).mat @ bracket
+        bracket = embed_at_slice(Operator(np.outer(q.vec, qp.vec.conj())), 0, layout).mat @ bracket
     return complex(np.trace(bracket))
 
 
@@ -450,7 +450,7 @@ def parity_weighted_trace(
     vanish mode by mode.  Raises on a numerically vanishing
     normalization (e.g. a mode with e^{iA} having eigenvalue 1).
     """
-    if S_f.dim != layout.dim:
+    if len(S_f.mat) != layout.dim:
         raise ValueError("action operator lives on the wrong space")
     weight = parity_matrix(layout)[:, None] * scipy.linalg.expm(1j * S_f.mat)
     den = complex(np.trace(weight))
@@ -458,7 +458,7 @@ def parity_weighted_trace(
         raise ZeroDivisionError("parity-weighted normalization trace vanishes")
     prod = np.eye(layout.dim, dtype=complex)
     for ins in inserts:
-        if ins.dim != layout.dim:
+        if len(ins.mat) != layout.dim:
             raise ValueError("insertion lives on the wrong space")
         prod = prod @ ins.mat
     return complex(np.trace(weight @ prod)) / den

@@ -17,8 +17,8 @@ import sqmlab
 
 SRC = Path(sqmlab.__file__).resolve().parent
 
-CODE_LINES_MAX = 1799
-FUNCTIONS_MAX = 181
+CODE_LINES_MAX = 1768
+FUNCTIONS_MAX = 172
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
              tokenize.ENDMARKER}

@@ -83,7 +83,7 @@ def test_fswap_matrix_entries():
     assert isinstance(F, Operator)
     assert np.array_equal(F.mat, expected)
     # squares to the fermionic double exchange, not the identity
-    assert np.array_equal((F @ F).mat, np.diag([1.0, -1.0, -1.0, 1.0]))
+    assert np.array_equal(F.mat @ F.mat, np.diag([1.0, -1.0, -1.0, 1.0]))
 
 
 def test_fswap_conjugation_is_gaussian():

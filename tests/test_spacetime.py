@@ -269,8 +269,8 @@ class TestStructuredAgainstDense:
         lay, R = st_state.layout, st_state.R.mat
         V = Operator(scipy.linalg.expm(-0.33j * H.mat))
         back = scipy.linalg.expm(0.33j * N * H.mat)  # V^{-N}
-        b = psi.outer() @ Operator(back)
-        raw = (embed_at_slice(b, 0, lay) @ cycle_shift(lay) @ kron(*([V] * N))).mat
+        b = Operator(psi.outer().mat @ back)
+        raw = embed_at_slice(b, 0, lay).mat @ cycle_shift(lay).mat @ kron(*([V] * N)).mat
         np.testing.assert_allclose(R, raw / np.trace(raw), atol=1e-12)
         # the kept boundary bra <psi0|V^{-N}·V / Tr that the powers apply, frozen like R
         omega = (psi.vec.conj() @ back @ V.mat) / np.trace(raw)
@@ -278,6 +278,6 @@ class TestStructuredAgainstDense:
         assert not st_state.omega.flags.writeable
         A, B = rand_hermitian(rng, d), rand_hermitian(rng, d)
         for t in range(1, N):
-            X = (embed_at_slice(A, 0, lay) @ embed_at_slice(B, t, lay)).mat
+            X = embed_at_slice(A, 0, lay).mat @ embed_at_slice(B, t, lay).mat
             dense = complex(np.trace((R - R.conj().T) @ X))
             assert causality_witness(st_state, A, B, t) == pytest.approx(dense, abs=1e-12)

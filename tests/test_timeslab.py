@@ -59,19 +59,19 @@ class TestCycleShift:
 
     def test_order_n(self):
         lay = SliceLayout(d=2, N=3, eps=0.1)
-        S = cycle_shift(lay)
+        S = cycle_shift(lay).mat
         acc = S
         for _ in range(2):
             acc = acc @ S
-        np.testing.assert_allclose(acc.mat, np.eye(lay.total_dim), atol=1e-14)
+        np.testing.assert_allclose(acc, np.eye(lay.total_dim), atol=1e-14)
 
     def test_moves_slice_operator(self):
         lay = SliceLayout(d=2, N=3, eps=0.1)
-        S = cycle_shift(lay)
+        S = cycle_shift(lay).mat
         O = rand_hermitian(np.random.default_rng(0), 2)
-        lhs = S @ embed_at_slice(O, 0, lay) @ Operator(S.mat.conj().T)
+        lhs = S @ embed_at_slice(O, 0, lay).mat @ S.conj().T
         rhs = embed_at_slice(O, 1, lay)
-        np.testing.assert_allclose(lhs.mat, rhs.mat, atol=1e-14)
+        np.testing.assert_allclose(lhs, rhs.mat, atol=1e-14)
 
 
 class TestTraceTheorem:
@@ -132,8 +132,8 @@ class TestTraceTheorem:
         lay = SliceLayout(d=d, N=N, eps=eps)
         qa = build_action(lay, H)
         V = Operator(scipy.linalg.expm(-1j * eps * H.mat))
-        expected = cycle_shift(lay) @ kron(V, V, V)
-        np.testing.assert_allclose(qa.dense(), expected.mat, atol=1e-13)
+        expected = cycle_shift(lay).mat @ kron(V, V, V).mat
+        np.testing.assert_allclose(qa.dense({}), expected, atol=1e-13)
 
 
 class TestConstraintTheorem:
@@ -193,8 +193,8 @@ class TestFusedGroups:
         for slices, block in zip(qa._slices, qa._blocks({}), strict=True):
             np.testing.assert_allclose(block, kron(*([V] * len(slices))).mat, atol=1e-14)
 
-    # a group's slices before its first factor are a kept power of V; the
-    # rest are kron'd onto it, so the block is the left fold of the whole list
+    # a group with a factor is the left fold of its whole list, and one
+    # without is its kept power of V, which the same fold built
     @pytest.mark.parametrize("d, N, slots", [
         (2, 4, [3]), (2, 4, [1, 3]), (2, 4, [0]), (2, 9, [2, 8]), (3, 5, [1, 4]), (1, 3, [2]),
     ])
@@ -278,7 +278,7 @@ class TestReadsOfTheGroupBlocks:
         before = state()
         factors = {N - 1: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))}
         qa.diagonal(factors)
-        qa.dense()
+        qa.dense({})
         qa.dense(factors)
         list(qa._column_blocks(factors, 7))
         qa._head_blocks
@@ -354,7 +354,7 @@ class TestStructuredAgainstDense:
     @staticmethod
     def _dense_action(qa):
         V = Operator(scipy.linalg.expm(-1j * qa.layout.eps * qa.H.mat))
-        return (cycle_shift(qa.layout) @ kron(*([V] * qa.layout.N))).mat
+        return cycle_shift(qa.layout).mat @ kron(*([V] * qa.layout.N)).mat
 
     @settings(max_examples=60, deadline=None)
     @given(LAYOUTS, st.lists(st.integers(0, 8), max_size=3, unique=True), SEEDS)
@@ -418,11 +418,12 @@ class TestStructuredAgainstDense:
         X = embed_at_slice(O, t, lay).mat
         # the conjugation the engine builds from E's entries: E·X, then E·X·E†
         EX = qa.dense({t: O.mat})
-        np.testing.assert_allclose(EX @ qa.dense().conj().T, E @ X @ E.conj().T, atol=1e-12)
+        np.testing.assert_allclose(EX @ qa.dense({}).conj().T, E @ X @ E.conj().T, atol=1e-12)
         weighted = E @ (E @ X @ E.conj().T - X)
         boundary = None
         if with_boundary:
             boundary = (rand_ket(rng, d), rand_ket(rng, d))
-            weighted = embed_at_slice(boundary[0].outer(boundary[1]), 0, lay).mat @ weighted
+            B = Operator(np.outer(boundary[0].vec, boundary[1].vec.conj()))
+            weighted = embed_at_slice(B, 0, lay).mat @ weighted
         value = constraint_expectation(qa, O, t, boundary)
         assert value == pytest.approx(complex(np.trace(weighted)), abs=1e-12)
