@@ -94,10 +94,28 @@ class TestOperator:
     def test_exposes_only_its_matrix(self):
         assert _public(Operator) == {"mat"}
 
+    def test_attributes_cannot_be_rebound(self):
+        A = Operator(np.eye(2))
+        for name in ("mat", "dim"):
+            with pytest.raises(AttributeError, match="Operator is immutable"):
+                setattr(A, name, np.zeros((2, 2)))
+        np.testing.assert_array_equal(A.mat, np.eye(2))
+
 
 class TestKet:
     def test_exposes_only_its_vector_and_projector(self):
         assert _public(Ket) == {"vec", "outer"}
+
+    def test_vector_is_flat_complex_and_immutable(self):
+        source = np.array([[3.0], [4.0]])
+        psi = Ket(source)
+        assert psi.vec.shape == (2,) and psi.vec.dtype == np.complex128
+        assert not np.shares_memory(psi.vec, source)
+        with pytest.raises(ValueError):
+            psi.vec[0] = 0.0
+        with pytest.raises(AttributeError, match="Ket is immutable"):
+            psi.vec = np.zeros(2)
+        np.testing.assert_array_equal(psi.vec, [3.0, 4.0])
 
     def test_outer(self):
         psi = rand_ket(np.random.default_rng(1), 3)
