@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
+from sqmlab import spacetime
 from sqmlab.experiments import DEFAULTS
 from sqmlab.linalg import Operator, rand_ginibre, rand_hermitian, rand_ket
 from sqmlab.spacetime import (
@@ -145,12 +146,66 @@ class TestMarginals:
             tr = power_and_pseudoentropy(st_state, k)[1]
             assert tr == power_and_pseudoentropy(scaled(), k)[1]
             assert tr == pytest.approx(c**k, rel=1e-12)
-        # the chain to T_2 serves k = 3 and k = 4, and the state keeps only their traces
+        # the chain to T_2 serves k = 3 and k = 4, and the state keeps their
+        # traces and T_1, the compression of its stored R, never T_2
         st_state = scaled()
         power_and_pseudoentropy(st_state, 3)
         assert st_state._trace_powers.keys() == {3, 4}
         assert all(isinstance(v, complex) for v in st_state._trace_powers.values())
-        assert dataclasses.replace(st_state)._trace_powers == {}
+        assert np.array_equal(st_state._T1, _compress(st_state, st_state.R.mat))
+        replaced = dataclasses.replace(st_state)
+        assert replaced._trace_powers == {} and replaced._T1 is None
+
+    @staticmethod
+    def _count_compressions(monkeypatch) -> list:
+        calls, compress = [], spacetime._compress
+
+        def counted(st_state, M):
+            calls.append(st_state)
+            return compress(st_state, M)
+
+        monkeypatch.setattr(spacetime, "_compress", counted)
+        return calls
+
+    @pytest.mark.parametrize("d, N, site_dims", POWER_STATES)
+    def test_R_is_compressed_once_per_state_for_every_k(self, d, N, site_dims, monkeypatch):
+        calls = self._count_compressions(monkeypatch)
+        first, second = (_state(60 + N + j, d=d, N=N, site_dims=site_dims) for j in (0, 1))
+        for k in (5, 2, 8, 1, 7, 3, 6, 4):
+            for st_state in (first, second):
+                assert power_and_pseudoentropy(st_state, k)[1] == pytest.approx(1.0, abs=1e-10)
+        assert len(calls) == 2 and calls[0] is first and calls[1] is second
+
+    def test_replaced_R_is_compressed_again_and_moves_the_value(self, monkeypatch):
+        calls = self._count_compressions(monkeypatch)
+        st_state, c = _state(70, d=2, N=5), 1.25
+        assert power_and_pseudoentropy(st_state, 1)[1] == pytest.approx(1.0, rel=1e-12)
+        # only R scales, <omega| stays: T_1 and so Tr R = Tr T_1 scale by c
+        scaled = dataclasses.replace(st_state, R=Operator(c * st_state.R.mat))
+        assert scaled._T1 is None
+        assert power_and_pseudoentropy(scaled, 1)[1] == pytest.approx(c, rel=1e-12)
+        assert len(calls) == 2 and calls[0] is st_state and calls[1] is scaled
+        np.testing.assert_allclose(scaled._T1, c * st_state._T1, rtol=1e-14)
+
+    def test_kept_T1_refuses_writes(self):
+        st_state = _state(71, d=3, N=3)
+        power_and_pseudoentropy(st_state, 2)
+        with pytest.raises(ValueError):
+            st_state._T1[0, 0] = 0.0
+
+    @pytest.mark.parametrize("d, N", [(2, 10), (3, 6), (4, 5)])
+    def test_compression_transient_stays_within_three_T(self, d, N):
+        # row bands of D/d^2 rows: one band's d x D/d^2 x D/d contraction
+        # beside the D/d x D/d result, never the D x D/d product R·P
+        st_state = _state(72, d=d, N=N)
+        n = st_state.layout.total_dim // d
+        tracemalloc.start()
+        try:
+            _compress(st_state, st_state.R.mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n * n * 16  # T_1 is (D/d)^2 complex128
 
     def test_stored_R_refuses_writes_and_is_the_one_buffer_built(self):
         _state(9, d=2, N=10)  # the action's kept blocks, outside the traced build
@@ -168,7 +223,8 @@ class TestMarginals:
     @pytest.mark.parametrize("k", [3, 4])
     def test_trace_power_chain_stays_within_a_few_T(self, k):
         # T_1 = P†·R·P and one step T_1·T_2 through the Kronecker factors:
-        # no D-row broadcast of psi0 ⊗ T, so the peak is _compress's own
+        # no D-row broadcast of psi0 ⊗ T, so the peak is T_1 and T_2 beside
+        # the step's own transient, or _compress's one band beside T_1
         st_state = _state(9, d=2, N=10)
         n = st_state.layout.total_dim // 2
         tracemalloc.start()
