@@ -53,24 +53,17 @@ def poisson_bracket(f: np.ndarray, g: np.ndarray) -> complex:
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Per-mode linear constraints phi = gap * (a, a*) with their C-matrix.
+    """Per-mode linear constraints phi = gap * (a, a*): their gaps and second-class modes.
 
-    `second_class` lists mode positions whose 2x2 block is invertible;
-    on-shell modes carry identically vanishing constraints and are
-    excluded from the Dirac correction.
+    `second_class` lists mode positions whose 2x2 C-matrix block
+    ±i*gap^2 is invertible; on-shell modes carry identically vanishing
+    constraints and are excluded from the Dirac correction.  The set
+    holds data only: `dirac_bracket` forms each mode's constraint pair
+    and block from its gap.
     """
 
     gaps: tuple[float, ...]
     second_class: tuple[int, ...]
-
-    def phi_pair(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(gap * a_k, gap * a*_k) over the set's K = len(gaps) modes."""
-        d, K = self.gaps[k], len(self.gaps)
-        return d * mode_a(k, K), d * mode_astar(k, K)
-
-    def c_block(self, k: int) -> np.ndarray:
-        d2 = self.gaps[k] ** 2
-        return np.array([[0.0, -1j * d2], [1j * d2, 0.0]])
 
 
 def build_constraints(grid: ModeGrid) -> ConstraintSet:
@@ -90,15 +83,21 @@ def classify(cs: ConstraintSet) -> list[str]:
 
 
 def dirac_bracket(f: np.ndarray, g: np.ndarray, cs: ConstraintSet) -> complex:
-    """{f,g} - sum_AB {f,phi_A} (C^{-1})_AB {phi_B,g} over second-class blocks."""
-    total = poisson_bracket(f, g)
+    """{f,g} - sum_AB {f,phi_A} (C^{-1})_AB {phi_B,g} over second-class blocks.
+
+    Mode k's pair is (phi_1, phi_2) = (gap * a_k, gap * a*_k) over the
+    set's K = len(gaps) modes, and its C-matrix block is
+    [[0, -i*gap^2], [i*gap^2, 0]], inverted as it stands.
+    """
+    total, K = poisson_bracket(f, g), len(cs.gaps)
     for k in cs.second_class:
-        p1, p2 = cs.phi_pair(k)
+        gap = cs.gaps[k]
+        p1, p2 = gap * mode_a(k, K), gap * mode_astar(k, K)
         row = np.array([poisson_bracket(f, p1), poisson_bracket(f, p2)])
         col = np.array([poisson_bracket(p1, g), poisson_bracket(p2, g)])
         if not (row.any() or col.any()):
             continue
-        cinv = np.linalg.inv(cs.c_block(k))
+        cinv = np.linalg.inv(np.array([[0.0, -1j * gap ** 2], [1j * gap ** 2, 0.0]]))
         total -= row @ cinv @ col
     return complex(total)
 

@@ -33,12 +33,13 @@ write-protected and kept by the Operator as it is; one D x D buffer in
 all, no second pass over it, no D x D matrix product and no kron chain
 over slices.
 The state alone knows how R's index space factors: one factor per
-slice, or one per (slice, site) cell when `site_dims` splits each
-slice into sites.  Every read of R onto cells (slice marginals, region
-reductions and the causality witness) goes through one reduction,
-`_reduce`, which checks the cells against the N x sites grid, maps them
-to factors and takes one partial trace (an einsum that reads only the
-traced factors' diagonal).  The witness is then one einsum of A ⊗ B
+(slice, site) cell, its `site_dims` always a tuple that splits each
+slice into sites, (d,) when the slice is one site; H, d, N and eps it
+reads from its action alone.  Every read of R onto cells (slice
+marginals, region reductions and the causality witness) goes through
+one reduction, `_reduce`, which checks the cells against the N x sites
+grid, maps them to factors and takes one partial trace (an einsum that
+reads only the traced factors' diagonal).  The witness is then one einsum of A ⊗ B
 against the antihermitian part of R's reduction onto slices 0 and t.
 Powers are never multiplied out densely.  V carries V†|psi0> back to
 |psi0> on slice N-1, which C moves to slice 0, so every row of R lies
@@ -99,10 +100,10 @@ _TILE = 32  # largest tile edge in the tiled Tr[A·B] of the trace powers
 class SpacetimeState:
     """Unit-trace (generally non-hermitian) operator over N time slices.
 
-    `site_dims` optionally factorizes each slice into spatial sites,
-    enabling reductions onto spacetime regions of (slice, site) cells;
-    without it a slice is one site.
-    `action` is the slab action E that R was built from, and `omega`
+    `site_dims` factorizes each slice into spatial sites, (d,) for a
+    one-site slice, so regions are sets of (slice, site) cells.
+    `action` is the slab action E that R was built from and the one
+    place that holds H and the layout (d, N, eps, D); `omega`
     holds the entries of the bra <omega| = <psi0|·V^{-N}·V / Tr, a
     read-only d-vector: R's last-slice factor is the rank-one
     V†|psi0><omega|, so T_1 = P†·R·P = V^{⊗(N-1)} · (|psi0> ⊗ I ⊗ <omega|).
@@ -117,35 +118,14 @@ class SpacetimeState:
     action: QuantumAction
     omega: np.ndarray
     psi0: Ket
-    site_dims: Optional[tuple[int, ...]] = None
+    site_dims: tuple[int, ...]
     _trace_powers: dict[int, complex] = field(default_factory=dict, init=False, repr=False,
                                               compare=False)
     _T1: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
-    @property
-    def layout(self) -> SliceLayout:
-        return self.action.layout
-
-    @property
-    def sites(self) -> tuple[int, ...]:
-        """Dimension of each site of one slice: `site_dims`, or (d,) for a one-site slice."""
-        return self.site_dims or (self.layout.d,)
-
-    @property
-    def H(self) -> Operator:
-        return self.action.H
-
-    @property
-    def N(self) -> int:
-        return self.layout.N
-
-    @property
-    def eps(self) -> float:
-        return self.layout.eps
-
     def evolved(self, t: int) -> Ket:
         """Schrödinger oracle exp(-i H eps t)|psi0>."""
-        return Ket(unitary(self.H, self.eps * t).mat @ self.psi0.vec)
+        return Ket(unitary(self.action.H, self.action.layout.eps * t).mat @ self.psi0.vec)
 
 
 def build_R(
@@ -164,14 +144,15 @@ def build_R(
     one dense build of the action, written once and never rescaled.  The
     buffer is write-protected and becomes R's Operator without a copy;
     the state keeps <omega|, all that its powers read of the boundary.
+    Without `site_dims` a slice is one site, stored as (d,); every split
+    must multiply out to d.
     """
     if abs(np.linalg.norm(psi0.vec) - 1.0) > 1e-12:
         raise ValueError("psi0 must be normalized")
     layout = SliceLayout(d=len(psi0.vec), N=N, eps=eps)
-    if site_dims is not None:
-        site_dims = tuple(int(s) for s in site_dims)
-        if int(np.prod(site_dims)) != layout.d:
-            raise ValueError("site_dims must factorize the slice dimension")
+    site_dims = (layout.d,) if site_dims is None else tuple(int(s) for s in site_dims)
+    if int(np.prod(site_dims)) != layout.d:
+        raise ValueError("site_dims must factorize the slice dimension")
     qa = build_action(layout, H)
     V = qa.V.mat
     # embed(b, 0)·E = E·embed(V†·b·V, N-1), as C carries slice N-1 to 0
@@ -194,18 +175,18 @@ def _reduce(st: SpacetimeState, cells: Iterable[tuple[int, int]]) -> Operator:
     them to R's tensor factors: slice-major, so cell (t, x) is factor
     t * sites + x of the site dimensions repeated over the N slices.
     """
-    sites = st.sites
+    sites, N = st.site_dims, st.action.layout.N
     keep = []
     for t, x in cells:
-        if not (0 <= t < st.N and 0 <= x < len(sites)):
-            raise ValueError(f"cell ({t},{x}) outside the {st.N}x{len(sites)} slice/site grid")
+        if not (0 <= t < N and 0 <= x < len(sites)):
+            raise ValueError(f"cell ({t},{x}) outside the {N}x{len(sites)} slice/site grid")
         keep.append(t * len(sites) + x)
-    return partial_trace(st.R, sites * st.N, keep)
+    return partial_trace(st.R, sites * N, keep)
 
 
 def marginal(st: SpacetimeState, t: int) -> Operator:
     """Partial trace onto slice t; equals the evolved pure-state projector."""
-    return _reduce(st, [(t, x) for x in range(len(st.sites))])
+    return _reduce(st, [(t, x) for x in range(len(st.site_dims))])
 
 
 def causality_witness(st: SpacetimeState, A: Operator, B: Operator, t: int) -> complex:
@@ -219,10 +200,10 @@ def causality_witness(st: SpacetimeState, A: Operator, B: Operator, t: int) -> c
     diagonal blocks are all that is read of them.
     """
     if t <= 0:
-        raise ValueError(f"need a strictly later slice 0 < t < {st.N}")
-    cells = [(s, x) for s in (0, t) for x in range(len(st.sites))]
+        raise ValueError(f"need a strictly later slice 0 < t < {st.action.layout.N}")
+    cells = [(s, x) for s in (0, t) for x in range(len(st.site_dims))]
     reduced = _reduce(st, cells).mat
-    d = st.layout.d
+    d = st.action.layout.d
     # sum over i, j, k, l of A_ij · B_kl · (R_ins - R_ins†)[(j,l), (i,k)]
     return complex(np.einsum("ij,kl,jlik->", A.mat, B.mat,
                              (reduced - reduced.conj().T).reshape(d, d, d, d)))
@@ -230,7 +211,7 @@ def causality_witness(st: SpacetimeState, A: Operator, B: Operator, t: int) -> c
 
 def causality_witness_oracle(st: SpacetimeState, A: Operator, B: Operator, t: int) -> complex:
     """Heisenberg-picture oracle <psi|[B_H(eps t), A]|psi>."""
-    Ut = unitary(st.H, st.eps * t).mat
+    Ut = unitary(st.action.H, st.action.layout.eps * t).mat
     BH = Ut.conj().T @ B.mat @ Ut
     comm = BH @ A.mat - A.mat @ BH
     return complex(np.vdot(st.psi0.vec, comm @ st.psi0.vec))
@@ -262,7 +243,7 @@ def power_and_pseudoentropy(
     psi, blocks = st.psi0.vec, st.action._head_blocks
 
     def power() -> Operator:
-        D, factors = st.layout.total_dim, _step_factors(blocks, psi, st.omega)
+        D, factors = st.action.layout.total_dim, _step_factors(blocks, psi, st.omega)
         M = np.matmul(psi.conj(), st.R.mat.reshape(len(psi), -1)).reshape(-1, D)  # P†·R
         for _ in range(k - 1):
             M = _kron_apply(factors, M)
@@ -312,7 +293,7 @@ def _compress(st: SpacetimeState, M: np.ndarray) -> np.ndarray:
     MP buffer, d·m·n = n^2 entries, serves every band, and nothing else
     is allocated beside the n x n result, which is write-protected.
     """
-    psi, d, n = st.psi0.vec, st.layout.d, len(M) // st.layout.d
+    psi, d, n = st.psi0.vec, st.action.layout.d, len(M) // st.action.layout.d
     m = max(n // d, 1)
     # T, which the state keeps, before the band buffer: the other way round the freed
     # buffer stays a heap hole below T (perfbench spacetime-states peak RSS +4.7 MB)

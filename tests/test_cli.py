@@ -454,6 +454,7 @@ def test_run_without_cases_exits_2(tmp_path, capsys):
     ("propagator", "grid_energies"),
     ("propagator", "ed_slices"),
     ("dirac-propagator", "p_moving"),
+    ("st-state-marginals", "dims"),
 ])
 def test_empty_list_override_exits_2(name, key, tmp_path, capsys):
     assert main([name, f"--{key}", ",", "--out", str(tmp_path)]) == 2

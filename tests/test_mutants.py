@@ -135,7 +135,7 @@ MUTANTS = {
     # slice is another slice
     "psi0 paired with the partner's last column slice": (
         spacetime, "_compress",
-        lambda f: lambda st, M: f(st, _last_column_slice_first(M, st.layout.d)),
+        lambda f: lambda st, M: f(st, _last_column_slice_first(M, st.action.layout.d)),
         ["st-state-marginals"],
     ),
     # the bra of T_1 = P†·R·P is <psi0|: psi0 in place of psi0* on the row

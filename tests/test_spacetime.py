@@ -9,7 +9,9 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from sqmlab import spacetime
+from sqmlab.constraints import build_constraints
 from sqmlab.experiments import DEFAULTS
+from sqmlab.grids import ModeGrid
 from sqmlab.linalg import Operator, rand_ginibre, rand_hermitian, rand_ket
 from sqmlab.spacetime import (
     _compress,
@@ -33,6 +35,21 @@ SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 def _state(seed: int, d: int = 2, N: int = 3, eps: float = 0.29, site_dims=None):
     rng = np.random.default_rng(seed)
     return build_R(rand_ket(rng, d), rand_hermitian(rng, d), eps, N, site_dims=site_dims)
+
+
+def _public(obj) -> set[str]:
+    return {name for name in dir(obj) if not name.startswith("_")}
+
+
+def test_state_and_constraint_set_expose_their_fields_alone():
+    # one path to each fact: N, eps and H through the state's action, the
+    # site split through site_dims, which build_R always stores as a tuple
+    st_state = _state(3, d=3, N=2)
+    assert _public(st_state) == {"R", "action", "omega", "psi0", "site_dims", "evolved"}
+    assert st_state.site_dims == (3,)
+    assert _state(3, d=4, N=2, site_dims=[2, 2]).site_dims == (2, 2)
+    cs = build_constraints(ModeGrid(T=7.0, modes=((1, 0), (2, 1)), m=1.0, M_sites=2))
+    assert _public(cs) == {"gaps", "second_class"}
 
 
 # (d, N, site_dims): two states at D <= 256 and two at D >= 512; then N = 1,
@@ -198,7 +215,7 @@ class TestMarginals:
         # row bands of D/d^2 rows: one band's d x D/d^2 x D/d contraction
         # beside the D/d x D/d result, never the D x D/d product R·P
         st_state = _state(72, d=d, N=N)
-        n = st_state.layout.total_dim // d
+        n = st_state.action.layout.total_dim // d
         tracemalloc.start()
         try:
             _compress(st_state, st_state.R.mat)
@@ -226,7 +243,7 @@ class TestMarginals:
         # no D-row broadcast of psi0 ⊗ T, so the peak is T_1 and T_2 beside
         # the step's own transient, or _compress's one band beside T_1
         st_state = _state(9, d=2, N=10)
-        n = st_state.layout.total_dim // 2
+        n = st_state.action.layout.total_dim // 2
         tracemalloc.start()
         try:
             power_and_pseudoentropy(st_state, k)
@@ -322,7 +339,7 @@ class TestStructuredAgainstDense:
         rng = np.random.default_rng(seed)
         psi, H = rand_ket(rng, d), rand_hermitian(rng, d)
         st_state = build_R(psi, H, 0.33, N, site_dims=site_dims)
-        lay, R = st_state.layout, st_state.R.mat
+        lay, R = st_state.action.layout, st_state.R.mat
         V = Operator(scipy.linalg.expm(-0.33j * H.mat))
         back = scipy.linalg.expm(0.33j * N * H.mat)  # V^{-N}
         b = Operator(psi.outer().mat @ back)
