@@ -7,7 +7,9 @@ byte-identical JSON file (sorted keys, complex numbers as [re, im],
 cases sorted by case key).  The exit status is 0 iff every case
 passed, 1 if a case failed, and 2 for bad input, including a value
 the run cannot represent (an ArithmeticError, whose message lists the
-parameters given by --config and --KEY VALUE).  Config files are flat
+parameters given by --config and --KEY VALUE), a setting given twice
+and an --out where the report cannot be written; on exit 2 no report
+is written and no case line printed.  Config files are flat
 key=value lines; values parse as int, float, bool, comma list, or
 string.  After the experiment name, every further --KEY VALUE pair
 overrides that key of the experiment's DEFAULTS (--seed U64 the RNG
@@ -56,9 +58,9 @@ def parse_config(path: str | Path) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
+        key, sep, value = line.partition("=")
+        if not sep or key.strip() in params:
+            raise ValueError(f"{path}:{lineno}: expected one key=value line per key, got {raw!r}")
         params[key.strip()] = _parse_value(value)
     return params
 
@@ -102,8 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("experiment", choices=sorted(DEFAULTS), metavar="experiment",
                         help=f"one of: {', '.join(sorted(DEFAULTS))}")
-    parser.add_argument("--config", type=str, default=None,
-                        help="flat key=value parameter file")
+    parser.add_argument("--config", action="append", default=[],
+                        help="flat key=value parameter file, given at most once")
     parser.add_argument("--out", type=str, default="reports",
                         help="directory for report files (default: ./reports)")
     parser.add_argument("--csv", action="store_true",
@@ -115,14 +117,15 @@ def _collect_params(args: argparse.Namespace, overrides: Sequence[str] = ()) -> 
     """Config file, then the --KEY VALUE pairs in `overrides`.
 
     A trailing --KEY with no value reads like the config line `KEY =`.
+    Each of --config and the keys may be given once.
     """
-    params: dict = {}
-    if args.config:
-        params.update(parse_config(args.config))
+    if len(args.config) > 1:
+        raise ValueError(f"--config given {len(args.config)} times; give one file")
+    params = parse_config(args.config[0]) if args.config else {}
     flags, values = overrides[::2], [*overrides[1::2], ""]
     for flag, value in zip(flags, values):
-        if not flag.startswith("--"):
-            raise ValueError(f"expected --KEY VALUE after the experiment, got {flag!r}")
+        if not flag.startswith("--") or flags.count(flag) > 1:
+            raise ValueError(f"expected each --KEY VALUE once after the experiment, got {flag!r}")
         params[flag[2:]] = _parse_value(value)
     return params
 
@@ -130,9 +133,16 @@ def _collect_params(args: argparse.Namespace, overrides: Sequence[str] = ()) -> 
 def main(argv: list[str] | None = None) -> int:
     args, overrides = build_parser().parse_known_args(argv)
     params: dict = {}
+    path = Path(args.out) / f"{args.experiment}.{'csv' if args.csv else 'json'}"
     try:
         params = _collect_params(args, overrides)
-        report = run_experiment(args.experiment, params)
+        report = {"schema": 1, "experiment": args.experiment,
+                  **run_experiment(args.experiment, params)}
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if args.csv:
+            write_csv(report, path)
+        else:
+            path.write_text(render_json(report))
     except (ValueError, KeyError, OSError, ArithmeticError) as exc:
         why, given = "", ""
         if isinstance(exc, ArithmeticError):
@@ -142,21 +152,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"sqmlab: error: {why}{exc}{given}", file=sys.stderr)
         return 2
 
-    report = {"schema": 1, "experiment": args.experiment, **report}
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     for case in report["cases"]:
         mark = "pass" if case["pass"] else "FAIL"
         print(f"  [{mark}] {case['case']}  abs_err={case['abs_err']:.3e}")
     summary = report["summary"]
-
-    if args.csv:
-        path = out_dir / f"{args.experiment}.csv"
-        write_csv(report, path)
-    else:
-        path = out_dir / f"{args.experiment}.json"
-        path.write_text(render_json(report))
     print(
         f"{args.experiment}: {summary['cases']} cases, "
         f"{summary['failures']} failures, max_abs_err={summary['max_abs_err']:.3e} "

@@ -196,10 +196,13 @@ def run_anomaly_scan(params: dict) -> Iterator[dict]:
     _require_positive(params, "T")
     if any(N < 2 for N in params["slice_counts"]):
         raise ValueError("every slice count needs N >= 2")
-    T = params["T"]
-    for N in params["slice_counts"]:
-        lf = fock.LatticeFock(N=N, M=1, energies=(params["energy"],), eps=T / N)
-        rep = fock.anomaly_mismatch(lf, engine="sector")
+    T, counts = params["T"], params["slice_counts"]
+    reps = {}  # one sector report per distinct lattice, smallest first: 2N may be a count too
+    for n in sorted({*counts, *(2 * N for N in counts)}):
+        lf = fock.LatticeFock(N=n, M=1, energies=(params["energy"],), eps=T / n)
+        reps[n] = fock.anomaly_mismatch(lf, engine="sector")
+    for N in counts:
+        rep, rep2 = reps[N], reps[2 * N]
         yield _case(
             f"normal_ordered[N={N:03d}]", {"N": N, "T": T},
             rep["normal_slab"], rep["normal_standard"], params["tol_normal"],
@@ -208,8 +211,6 @@ def run_anomaly_scan(params: dict) -> Iterator[dict]:
             f"contraction_density[N={N:03d}]", {"N": N, "T": T},
             rep["contraction_density"], N / T, 0.0,
         )
-        lf2 = fock.LatticeFock(N=2 * N, M=1, energies=(params["energy"],), eps=T / (2 * N))
-        rep2 = fock.anomaly_mismatch(lf2, engine="sector")
         ratio = rep2["mismatch"] / rep["mismatch"]
         predicted = fock.predicted_mismatch_ratio(N)
         yield _case(

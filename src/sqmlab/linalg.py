@@ -3,7 +3,9 @@
 Everything downstream (history states, time slabs, spacetime density
 operators, Wick engines) manipulates operators on a tensor product of
 small local Hilbert spaces.  An operator here is its matrix and
-nothing more: how its index space factors is the business of the one
+nothing more, a frozen dataclass around one write-protected array (a
+ket likewise around its vector), so neither can be rebound or deleted:
+how its index space factors is the business of the one
 caller that reads it, which hands the factor sizes to `partial_trace`
 (the spacetime state does, from its slices and sites).  This module
 fixes the single global index convention — factor 0 is the
@@ -23,6 +25,7 @@ products with complex values promote as numpy does.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,6 +35,7 @@ class SingularMatrixError(np.linalg.LinAlgError):
     """Raised when a matrix is numerically singular for the requested op."""
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Operator:
     """Immutable square matrix: its write-protected entries `mat` and nothing else.
 
@@ -50,10 +54,12 @@ class Operator:
     write-protected is kept as it is, without a copy (its maker hands
     it over, as `spacetime.build_R` does with R, `unitary` with its
     product and the dense fermion views with their scattered buffers);
-    anything else is copied.
+    anything else is copied.  A frozen dataclass: assigning or deleting
+    `mat` raises `dataclasses.FrozenInstanceError`, an AttributeError.
     """
 
     __slots__ = ("mat",)
+    mat: np.ndarray
 
     def __init__(self, entries):
         mat = np.asarray(entries)
@@ -66,22 +72,18 @@ class Operator:
             mat.flags.writeable = False
         object.__setattr__(self, "mat", mat)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Operator is immutable")
 
-
+@dataclass(frozen=True, eq=False, repr=False)
 class Ket:
     """Immutable complex vector `vec`, the column counterpart of Operator."""
 
     __slots__ = ("vec",)
+    vec: np.ndarray
 
     def __init__(self, entries):
         vec = np.array(entries, dtype=complex).reshape(-1)
         vec.flags.writeable = False
         object.__setattr__(self, "vec", vec)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ket is immutable")
 
     def outer(self) -> Operator:
         """The projector |self⟩⟨self| (no normalization applied)."""

@@ -86,6 +86,7 @@ rows of t entries instead of striding a whole row per entry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -108,10 +109,10 @@ class SpacetimeState:
     read-only d-vector: R's last-slice factor is the rank-one
     V†|psi0><omega|, so T_1 = P†·R·P = V^{⊗(N-1)} · (|psi0> ⊗ I ⊗ <omega|).
     `_trace_powers` holds the values Tr R^k that `power_and_pseudoentropy`
-    has read, and `_T1` the write-protected compression T_1 of the stored
-    R that they all start from, formed at the first k asked; neither is
-    compared, and `dataclasses.replace` starts both empty, so a replaced
-    R is compressed on its own.
+    has read, and `_T1` (a cached property, not a field) the write-protected
+    compression T_1 of the stored R that they all start from, formed at
+    the first read; neither is compared, and `dataclasses.replace` starts
+    both empty, so a replaced R is compressed on its own.
     """
 
     R: Operator
@@ -121,11 +122,15 @@ class SpacetimeState:
     site_dims: tuple[int, ...]
     _trace_powers: dict[int, complex] = field(default_factory=dict, init=False, repr=False,
                                               compare=False)
-    _T1: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def evolved(self, t: int) -> Ket:
         """Schrödinger oracle exp(-i H eps t)|psi0>."""
         return Ket(unitary(self.action.H, self.action.layout.eps * t).mat @ self.psi0.vec)
+
+    @cached_property
+    def _T1(self) -> np.ndarray:
+        """T_1 = P†·R·P of the stored R (`_compress`), formed once per state."""
+        return _compress(self, self.R.mat)
 
 
 def build_R(
@@ -227,9 +232,9 @@ def power_and_pseudoentropy(
     slice 0.  One chain T_{j+1} = T_1·T_j (`_kron_apply` of the Kronecker
     factors of `_step_factors`) gives its powers up to a = ceil(k/2), and the
     trace sums T_a against T_b, b = floor(k/2), tile by tile
-    (`_trace_of_product`).  T_1 is read from the stored R by `_compress`
-    once per state, at the first k asked, and kept as the state's `_T1`;
-    both halves are powers of it, so a fault in R still shows at every k.
+    (`_trace_of_product`).  T_1 is the state's cached property `_T1`,
+    read from the stored R by `_compress` once per state, at the first k
+    asked; both halves are powers of it, so a fault in R still shows at every k.
     The chain to T_a serves both k = 2a - 1 (T_a against T_{a-1}, or
     Tr T_1 at a = 1) and k = 2a (T_a against itself): both values go
     into the state's `_trace_powers`, and a k found there is not read
@@ -249,8 +254,6 @@ def power_and_pseudoentropy(
             M = _kron_apply(factors, M)
         return Operator((psi[:, None, None] * M).reshape(D, D))
 
-    if st._T1 is None:  # the first k asked compresses R, once per state
-        object.__setattr__(st, "_T1", _compress(st, st.R.mat))
     if k not in st._trace_powers:
         a = (k + 1) // 2
         T = [st._T1]  # T_1, T_2, ..., T_a

@@ -269,8 +269,7 @@ def _kron_apply(factors: Sequence[np.ndarray], M: np.ndarray) -> np.ndarray:
     return M.reshape(-1, k)
 
 
-def build_action(layout: SliceLayout, H: Operator) -> QuantumAction:
-    return QuantumAction(layout, H)
+build_action = QuantumAction  # the name perfbench times and patches
 
 
 def trace_theorem_lhs(qa: QuantumAction, inserts: Sequence[tuple[Operator, int]]) -> complex:

@@ -199,6 +199,23 @@ def test_malformed_overrides_exit_2(argv, tmp_path, capsys, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--tol", "1e-300", "--tol", "1.0"], "'--tol'"),
+    (["--config", "twice.cfg"], "twice.cfg:2: expected one key=value line per key, got 'tol = 1.0'"),
+    (["--config", "strict.cfg", "--config", "loose.cfg"], "--config given 2 times"),
+], ids=["flag", "config-line", "config-file"])
+def test_setting_given_twice_exits_2(argv, named, tmp_path, capsys, monkeypatch):
+    # the last of two settings would win unseen, and tol = 1e-300 alone fails cases
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "strict.cfg").write_text("tol = 1e-300\n")
+    (tmp_path / "loose.cfg").write_text("tol = 1.0\n")
+    (tmp_path / "twice.cfg").write_text("tol = 1e-300\ntol = 1.0\n")
+    assert main(["trace-theorem", *argv, "--out", "reports"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sqmlab: error:") and named in err and "Traceback" not in err
+    assert not (tmp_path / "reports").exists()
+
+
 def test_unknown_experiment_exits_with_usage_error(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["no-such-experiment"])
@@ -249,6 +266,19 @@ def test_main_csv_output(tmp_path, capsys):
     lines = (out / "fswap-cycle.csv").read_text().splitlines()
     assert lines[0].startswith("case,")
     assert len(lines) >= 4
+
+
+@pytest.mark.parametrize("fmt", [[], ["--csv"]], ids=["json", "csv"])
+@pytest.mark.parametrize("out", ["taken", "taken/reports"], ids=["file", "under-a-file"])
+def test_unwritable_out_exits_2(out, fmt, tmp_path, capsys):
+    (tmp_path / "taken").write_text("a file\n")
+    argv = ["fswap-cycle", "--N", "2", "--M", "1", *fmt, "--out", str(tmp_path / out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("sqmlab: error:") and "Traceback" not in captured.err
+    assert captured.out == ""  # no case line for a report that was not written
+    assert list(tmp_path.iterdir()) == [tmp_path / "taken"]
+    assert (tmp_path / "taken").read_text() == "a file\n"
 
 
 def test_same_seed_reruns_are_byte_identical(tmp_path, capsys):

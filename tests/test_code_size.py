@@ -18,7 +18,7 @@ import sqmlab
 SRC = Path(sqmlab.__file__).resolve().parent
 
 CODE_LINES_MAX = 1753
-FUNCTIONS_MAX = 165
+FUNCTIONS_MAX = 163
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
              tokenize.ENDMARKER}

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module,
 every module-level function or class of the package is used somewhere,
-and no module or run of the package loads scipy.
+no class of the package guards its attributes by hand, and no module
+or run of the package loads scipy.
 
 No linter runs with the tests, so this parses each source file with
 `ast`: an imported name counts as used if it appears as a name in the
@@ -128,6 +129,57 @@ def test_checker_finds_an_unused_definition():
 def test_module_defines_only_what_is_used(path):
     defined = [n.name for n in ast.parse(path.read_text()).body if isinstance(n, DEFINITIONS)]
     assert [name for name in defined if name not in _used_anywhere()] == []
+
+
+def attribute_guards(source: str) -> list[str]:
+    """Hand-written immutability in `source`, by line.
+
+    A class method named __setattr__ or __delattr__, and a call of
+    object.__setattr__ outside a function named __init__ or __post_init__.
+    """
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if isinstance(node, ast.ClassDef) and child.name in ("__setattr__", "__delattr__"):
+                    found.append(f"{child.lineno}: def {child.name}")
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and ast.unparse(child.func) == "object.__setattr__"
+                    and func not in ("__init__", "__post_init__")):
+                found.append(f"{child.lineno}: object.__setattr__ in {func}")
+            visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_checker_finds_attribute_guards():
+    source = (
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        object.__setattr__(self, 'a', 1)\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'b', 2)\n"
+        "    def __setattr__(self, name, value):\n"
+        "        raise AttributeError(name)\n"
+        "    def __delattr__(self, name):\n"
+        "        raise AttributeError(name)\n"
+        "def fill(box):\n"
+        "    object.__setattr__(box, 'c', 3)\n"
+        "object.__setattr__(Box, 'd', 4)\n"
+    )
+    assert attribute_guards(source) == [
+        "6: def __setattr__", "8: def __delattr__",
+        "11: object.__setattr__ in fill", "12: object.__setattr__ in None",
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_immutability_is_left_to_dataclasses(path):
+    """Records are frozen dataclasses: only their constructors write past the freeze."""
+    assert attribute_guards(path.read_text()) == []
 
 
 # In a fresh interpreter: import the CLI and every module of the benchmark,

@@ -21,7 +21,6 @@ from sqmlab.experiments import DEFAULTS
 SRC = Path(sqmlab.__file__).resolve().parent
 
 _DENSE_FERMION = "perfbench reads the dense fermion views"
-_GUARD = "an immutability guard"
 
 # module.qualname -> why it stays although no CLI run calls it
 ALLOWED = {
@@ -30,8 +29,6 @@ ALLOWED = {
     "fermions.parity_operator": _DENSE_FERMION,
     "spacetime.power_and_pseudoentropy.<locals>.power":
         "perfbench unpacks the (power, trace) pair",
-    "linalg.Operator.__setattr__": _GUARD,
-    "linalg.Ket.__setattr__": _GUARD,
 }
 
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from sqmlab.linalg import Operator, rand_hermitian, rand_ket
 from sqmlab.timeslab import (
+    QuantumAction,
     SliceLayout,
     _block_kron,
     _cycle_rows,
@@ -44,6 +45,10 @@ class TestLayout:
     def test_cap_is_not_a_field(self):
         with pytest.raises(TypeError):
             SliceLayout(d=2, N=3, eps=0.1, cap=8)
+
+
+def test_build_action_is_the_action_class():
+    assert build_action is QuantumAction
 
 
 class TestCycleShift:
