@@ -37,8 +37,9 @@ rectangular.  The constraint passes it the all-V group blocks to apply
 E to columns, and the all-V blocks of the groups without slice N-1
 (`QuantumAction._head_blocks`) serve a caller that handles slice N-1
 itself: the constraint's boundary appends the 1 x d bra <q'|V for it,
-and the spacetime state's trace-power step folds psi0 and <omega|
-into the end blocks.
+and the spacetime state's trace-power step contracts psi0 into the
+first block's column slice 0 and <omega| into the last one's last row
+slice.
 
 The group blocks hold every entry of E·(⊗_t F_t), so a read that needs
 only some entries takes them from the blocks, with no matrix product.
@@ -135,8 +136,8 @@ class QuantumAction:
 
     Complete once constructed: the fused slice groups (`_slices`), the
     all-V blocks V, V ⊗ V, ..., V^{⊗g} (`_powers`) and the head groups'
-    blocks (`_head_blocks`) are set in `__post_init__`, and no read of E
-    adds to them.
+    blocks (`_head_blocks`) are set in `__post_init__`, every block
+    write-protected, and no read of E adds to them or writes into them.
     """
 
     layout: SliceLayout
@@ -160,6 +161,7 @@ class QuantumAction:
         powers = [V.mat]  # V, V ⊗ V, ... while the `_slices` rule allows: g is their count
         while len(powers) < N and d ** (len(powers) + 1) <= _GROUP_DIM_MAX:
             powers.append(_block_kron(powers[-1], V.mat))
+            powers[-1].flags.writeable = False  # read-only, as V's buffer, powers[0], is
         g = len(powers)
         slices = tuple(range(s, min(s + g, N)) for s in range(0, N, g))
         heads = [len(group) for group in slices[:-1]] + [len(slices[-1]) - 1]

@@ -99,20 +99,20 @@ MUTANTS = {
         lambda f: lambda factors, M: f([F.conj() for F in factors], M),
         ["constraint-theorem"],
     ),
-    # each step of the trace-power chain is T_1·T through T_1's Kronecker
-    # factors: conjugated, T_1 becomes its conjugate beyond the first power
+    # each step of the trace-power chain is S·T through S's Kronecker
+    # factors: conjugated, S becomes its conjugate beyond the first power
     "Kronecker apply with conjugated factors in the trace powers": (
         spacetime, "_kron_apply",
         lambda f: lambda factors, M: f([F.conj() for F in factors], M),
         ["pseudo-entropy"],
     ),
-    # Tr R^k sums (R^a)_ij (R^b)_ji; the untransposed sum of (R^a)_ij (R^b)_ij misses 1
+    # Tr R^k sums (S^a)_ij (S^b)_ji; the untransposed sum of (S^a)_ij (S^b)_ij misses 1
     "trace of product without its transpose": (
         spacetime, "_trace_of_product",
         lambda f: lambda A, B: f(A, B.T),
         ["st-state-marginals"],
     ),
-    # T_1's first Kronecker factor is the first head group's block times
+    # S's first Kronecker factor is the first head group's block times
     # |psi0> ⊗ I: psi0 contracted with its first column slice, the slice
     # that R's row slice 0 carries to; folded onto the block's last column
     # slice instead, every step moves, and with it Tr R^k for k >= 3 on the
@@ -123,14 +123,14 @@ MUTANTS = {
             [_last_column_slice_first(blocks[0], len(psi0)), *blocks[1:]], psi0, omega),
         ["st-state-marginals"],
     ),
-    # T_1's last Kronecker factor is the last head group's block ⊗ <omega|,
-    # the stored bra, not its conjugate
+    # S's last Kronecker factor is the last head group's block with <omega|,
+    # the stored bra, not its conjugate, contracted into its last row slice
     "omega conjugated": (
         spacetime, "_step_factors",
         lambda f: lambda blocks, psi0, omega: f(blocks, psi0, omega.conj()),
         ["pseudo-entropy"],
     ),
-    # R's rows lie on psi0 in slice 0, so T_1 = P†·R·P, the start of every
+    # R's rows lie on psi0 in slice 0, so S = F·R·G, the start of every
     # trace power, contracts psi0 with R's column slice 0; the last column
     # slice is another slice
     "psi0 paired with the partner's last column slice": (
@@ -138,12 +138,20 @@ MUTANTS = {
         lambda f: lambda st, M: f(st, _last_column_slice_first(M, st.action.layout.d)),
         ["st-state-marginals"],
     ),
-    # the bra of T_1 = P†·R·P is <psi0|: psi0 in place of psi0* on the row
-    # contraction, as psi0 = (psi0 / psi0*) psi0* entrywise
-    "bra of T_1 left unconjugated": (
+    # the bra of S = F·R·G on row slice 0 is <psi0|: psi0 in place of psi0*
+    # on the row contraction, as psi0 = (psi0 / psi0*) psi0* entrywise
+    "bra of S left unconjugated": (
         spacetime, "_compress",
         lambda f: lambda st, M: f(st, _row_slice_0_scaled(M, st.psi0.vec / st.psi0.vec.conj())),
         ["pseudo-entropy"],
+    ),
+    # R's columns lie on <omega| in slice N-1, so F contracts R's row slice
+    # N-1 with <omega|, the stored bra; conjugated there, as omega* =
+    # (omega* / omega) omega entrywise, S moves at every N >= 2
+    "omega conjugated on the compression's row side": (
+        spacetime, "_compress",
+        lambda f: lambda st, M: f(st, _last_row_slice_scaled(M, st.omega.conj() / st.omega)),
+        ["st-state-marginals"],
     ),
     # every read of R onto cells goes through one reduction; its transpose
     # flips the sign of the witness's antihermitian part against the oracle
@@ -211,6 +219,11 @@ def _last_column_slice_first(M, d):
 def _row_slice_0_scaled(M, v):
     """(diag(v) ⊗ I)·M: row slice 0 of M scaled entry by entry by v."""
     return (v[:, None, None] * M.reshape(len(v), -1, M.shape[1])).reshape(M.shape)
+
+
+def _last_row_slice_scaled(M, v):
+    """(I ⊗ diag(v))·M: the last row slice of M scaled entry by entry by v."""
+    return (v[:, None] * M.reshape(-1, len(v), M.shape[1])).reshape(M.shape)
 
 
 def _bare_create(self, leg, v):

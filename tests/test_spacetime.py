@@ -52,16 +52,33 @@ def test_state_and_constraint_set_expose_their_fields_alone():
     assert _public(cs) == {"gaps", "second_class"}
 
 
+def test_every_array_kept_on_an_action_or_a_state_refuses_writes():
+    # the trace-power step reads the action's head blocks and every power
+    # reads the kept S, so none of them may change under a later read
+    st_state = _state(73, d=2, N=5)
+    power_and_pseudoentropy(st_state, 1)  # forms the kept S
+    qa = st_state.action
+    assert len(qa._powers) > 1 and qa._head_blocks  # V ⊗ V, ... and a head block beside V
+    kept = [qa.V.mat, *qa._powers, *qa._head_blocks, st_state.R.mat, st_state.omega,
+            st_state.psi0.vec, st_state._S]
+    for array in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0.0
+
+
 # (d, N, site_dims): two states at D <= 256 and two at D >= 512; then N = 1,
 # slice N-1 alone in its fused group (d = 2, N = 5; d = 3, N = 3; and d = 4,
 # N = 3 above) and sharing it (d = 2, N = 6), for R·M through <omega|; and
 # N = 2.  N = 1 and 2 leave zero and one head slice: at N = 1 <omega|
-# contracts the very slice that psi0 sits on
+# contracts the very slice that psi0 sits on, and at N = 2 S is 1 x 1.
+# d = 3, N = 5 compresses R in bands of 5 of S's 27 rows, the last one
+# shorter; d = 2, N = 9 in 16 bands of 8
 POWER_STATES = [(2, 3, None), (4, 3, (2, 2)), (2, 9, None), (8, 3, (2, 4)),
-                (2, 1, None), (2, 5, None), (3, 3, None), (2, 6, None), (3, 2, None)]
-# every k sums T_a against T_b on one chain from T_1 = P†·R·P: k = 1 its
-# trace, 2 T_1 against itself, 3..8 the chain up to T_4, T_b met on the
-# way to T_a (k = 7 and 8 reach b >= 3)
+                (2, 1, None), (2, 5, None), (3, 3, None), (2, 6, None), (3, 2, None),
+                (3, 5, None)]
+# every k sums S_a against S_b on one chain from S = F·R·G: k = 1 its
+# trace, 2 S against itself, 3..8 the chain up to S_4, S_b met on the
+# way to S_a (k = 7 and 8 reach b >= 3)
 POWERS = range(1, 9)
 
 
@@ -94,6 +111,17 @@ class TestMarginals:
             # the trace sums the half powers' product, not R^k's diagonal
             assert abs(tr - np.trace(Rk.mat)) <= 1e-12 * np.max(np.abs(Rk.mat))
 
+    @staticmethod
+    def _ends(psi, omega, D):
+        """F = <psi0| ⊗ I ⊗ <omega| and G = |psi0> ⊗ I ⊗ |u>, dense; <psi0| and |psi0> at N = 1."""
+        d = len(psi)
+        if D == d:
+            return psi.conj()[None, :], psi[:, None]
+        u = omega.conj() / np.sum(np.abs(omega) ** 2)
+        eye = np.eye(D // d**2)
+        return (np.kron(psi.conj()[None, :], np.kron(eye, omega[None, :])),
+                np.kron(psi[:, None], np.kron(eye, u[:, None])))
+
     @pytest.mark.parametrize("d, N, site_dims", POWER_STATES)
     def test_step_matches_the_dense_reference(self, d, N, site_dims):
         rng = np.random.default_rng(40 + N)
@@ -101,23 +129,26 @@ class TestMarginals:
         st_state = build_R(psi, H, 0.29, N, site_dims=site_dims)
         R = spacetime_state(psi, H, 0.29, N)
         D = d**N
-        # the trace powers start from the compression T_1 = P†·X·P with
-        # P = |psi0> ⊗ I, and each step is T ↦ T_1·T through the Kronecker
-        # factors of T_1, psi0 and <omega| folded into the end ones
-        P = np.kron(psi.vec[:, None], np.eye(D // d))
+        # the trace powers start from the compression S = F·X·G with
+        # F = <psi0| ⊗ I ⊗ <omega| and G = |psi0> ⊗ I ⊗ |u>, <omega|u> = 1,
+        # and each step is T ↦ S·T through the Kronecker factors of S, psi0
+        # and <omega| contracted into the end ones
+        F, G = self._ends(psi.vec, st_state.omega, D)
+        n = len(F)
+        assert n == (1 if N < 3 else D // d**2)
         X = rng.standard_normal((D, D)) + 1j * rng.standard_normal((D, D))
-        ref = P.conj().T @ X @ P
+        ref = F @ X @ G
         np.testing.assert_allclose(_compress(st_state, X), ref, rtol=0,
                                    atol=1e-12 * np.abs(ref).max())
-        T1 = P.conj().T @ R @ P
+        S = F @ R @ G
         factors = _step_factors(st_state.action._head_blocks, psi.vec, st_state.omega)
-        for m in (1, 3, D // d, 2 * D):
-            T = rng.standard_normal((D // d, m)) + 1j * rng.standard_normal((D // d, m))
+        for m in (1, 3, n, 2 * D):
+            T = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
             step = _kron_apply(factors, T)
-            assert step.shape == (D // d, m)
-            np.testing.assert_allclose(step, T1 @ T, rtol=0, atol=1e-12 * np.abs(T1 @ T).max())
+            assert step.shape == (n, m)
+            np.testing.assert_allclose(step, S @ T, rtol=0, atol=1e-12 * np.abs(S @ T).max())
             np.testing.assert_allclose(step, _compress(st_state, st_state.R.mat) @ T, rtol=0,
-                                       atol=1e-12 * np.abs(T1 @ T).max())
+                                       atol=1e-12 * np.abs(S @ T).max())
 
     @pytest.mark.parametrize("d, N, site_dims", POWER_STATES)
     def test_rescaled_state_has_geometric_trace_powers(self, d, N, site_dims):
@@ -134,6 +165,30 @@ class TestMarginals:
     def test_power_states_span_small_and_large_dims(self):
         dims = [d**N for d, N, _ in POWER_STATES]
         assert min(dims) <= 256 and max(dims) >= 512
+
+    @pytest.mark.parametrize("d, N, site_dims", [state for state in POWER_STATES if state[1] > 1])
+    def test_fault_that_G_annihilates_leaves_the_powers_and_moves_the_last_marginal(
+            self, d, N, site_dims):
+        # S = F·R·G sees a fault only through F·fault·G: a term on psi0 in
+        # row slice 0 whose column slice N-1 is a bra annihilated by |u>
+        # leaves every Tr R^k as read; the marginal of slice N-1, read from
+        # all of R, sees it
+        st_state = _state(80 + N, d=d, N=N, site_dims=site_dims)
+        rng, D = np.random.default_rng(80 + N), d**N
+        x = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        omega = st_state.omega
+        bra = x - (np.vdot(omega, x) / np.vdot(omega, omega)) * omega  # sum_c bra_c omega_c* = 0
+        assert abs(bra @ (omega.conj() / np.vdot(omega, omega))) <= 1e-14 * np.linalg.norm(x)
+        Y = rand_ginibre(rng, D // d)
+        fault = np.kron(st_state.psi0.vec[:, None], Y @ np.kron(np.eye(D // d), bra[None, :]))
+        R_bad = st_state.R.mat + 1e-6 * fault / np.linalg.norm(fault)
+        bad = dataclasses.replace(st_state, R=Operator(R_bad))
+        tols = DEFAULTS["st-state-marginals"]
+        for k in POWERS:
+            assert power_and_pseudoentropy(bad, k)[1] == pytest.approx(
+                power_and_pseudoentropy(st_state, k)[1], abs=1e-13)
+        moved = marginal(bad, N - 1).mat - bad.evolved(N - 1).outer().mat
+        assert np.max(np.abs(moved)) > tols["tol"]
 
     @pytest.mark.parametrize("d, N, site_dims", POWER_STATES)
     def test_perturbed_R_moves_the_trace_powers(self, d, N, site_dims):
@@ -163,15 +218,15 @@ class TestMarginals:
             tr = power_and_pseudoentropy(st_state, k)[1]
             assert tr == power_and_pseudoentropy(scaled(), k)[1]
             assert tr == pytest.approx(c**k, rel=1e-12)
-        # the chain to T_2 serves k = 3 and k = 4, and the state keeps their
-        # traces and T_1, the compression of its stored R, never T_2
+        # the chain to S_2 serves k = 3 and k = 4, and the state keeps their
+        # traces and S, the compression of its stored R, never S_2
         st_state = scaled()
         power_and_pseudoentropy(st_state, 3)
         assert st_state._trace_powers.keys() == {3, 4}
         assert all(isinstance(v, complex) for v in st_state._trace_powers.values())
-        assert np.array_equal(st_state._T1, _compress(st_state, st_state.R.mat))
+        assert np.array_equal(st_state._S, _compress(st_state, st_state.R.mat))
         replaced = dataclasses.replace(st_state)
-        assert replaced._trace_powers == {} and "_T1" not in vars(replaced)
+        assert replaced._trace_powers == {} and "_S" not in vars(replaced)
 
     @staticmethod
     def _count_compressions(monkeypatch) -> list:
@@ -197,32 +252,33 @@ class TestMarginals:
         calls = self._count_compressions(monkeypatch)
         st_state, c = _state(70, d=2, N=5), 1.25
         assert power_and_pseudoentropy(st_state, 1)[1] == pytest.approx(1.0, rel=1e-12)
-        # only R scales, <omega| stays: T_1 and so Tr R = Tr T_1 scale by c
+        # only R scales, <omega| stays: S and so Tr R = Tr S scale by c
         scaled = dataclasses.replace(st_state, R=Operator(c * st_state.R.mat))
-        assert "_T1" not in vars(scaled)
+        assert "_S" not in vars(scaled)
         assert power_and_pseudoentropy(scaled, 1)[1] == pytest.approx(c, rel=1e-12)
         assert len(calls) == 2 and calls[0] is st_state and calls[1] is scaled
-        np.testing.assert_allclose(scaled._T1, c * st_state._T1, rtol=1e-14)
+        np.testing.assert_allclose(scaled._S, c * st_state._S, rtol=1e-14)
 
-    def test_kept_T1_refuses_writes(self):
+    def test_kept_S_refuses_writes(self):
         st_state = _state(71, d=3, N=3)
         power_and_pseudoentropy(st_state, 2)
         with pytest.raises(ValueError):
-            st_state._T1[0, 0] = 0.0
+            st_state._S[0, 0] = 0.0
 
     @pytest.mark.parametrize("d, N", [(2, 10), (3, 6), (4, 5)])
     def test_compression_transient_stays_within_three_T(self, d, N):
-        # row bands of D/d^2 rows: one band's d x D/d^2 x D/d contraction
-        # beside the D/d x D/d result, never the D x D/d product R·P
+        # row bands of D/d^4 rows (one at d = 4, N = 5): a band's
+        # contractions beside the D/d^2 x D/d^2 result S, never the D/d x D/d
+        # compression P†·R·P, which alone is d^2 >= 4 times S
         st_state = _state(72, d=d, N=N)
-        n = st_state.action.layout.total_dim // d
+        n = st_state.action.layout.total_dim // d**2
         tracemalloc.start()
         try:
             _compress(st_state, st_state.R.mat)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * n * n * 16  # T_1 is (D/d)^2 complex128
+        assert peak <= 3 * n * n * 16  # S is (D/d^2)^2 complex128
 
     def test_stored_R_refuses_writes_and_is_the_one_buffer_built(self):
         _state(9, d=2, N=10)  # the action's kept blocks, outside the traced build
@@ -239,18 +295,19 @@ class TestMarginals:
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_trace_power_chain_stays_within_a_few_T(self, k):
-        # T_1 = P†·R·P and one step T_1·T_2 through the Kronecker factors:
-        # no D-row broadcast of psi0 ⊗ T, so the peak is T_1 and T_2 beside
-        # the step's own transient, or _compress's one band beside T_1
+        # S = F·R·G and one step S·S through the Kronecker factors: the peak
+        # is S and S_2 beside the step's own transient, or _compress's band
+        # transients beside S, all on the D/d^2 square; the D/d square
+        # P†·R·P alone would be 4 S here
         st_state = _state(9, d=2, N=10)
-        n = st_state.action.layout.total_dim // 2
+        n = st_state.action.layout.total_dim // 4
         tracemalloc.start()
         try:
             power_and_pseudoentropy(st_state, k)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * n * n * 16  # T is (D/d)^2 complex128
+        assert peak <= 3 * n * n * 16  # S is (D/d^2)^2 complex128
 
     def test_renyi_vanishes(self):
         st_state = _state(2, d=2, N=4)
