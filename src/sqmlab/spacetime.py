@@ -41,10 +41,11 @@ one reduction, `_reduce`, which checks the cells against the N x sites
 grid, maps them to factors and takes one partial trace (an einsum that
 reads only the traced factors' diagonal).  The witness is then one einsum of A ⊗ B
 against the antihermitian part of R's reduction onto slices 0 and t.
-Powers are never multiplied out densely.  V carries V†|psi0> back to
-|psi0> on slice N-1, which C moves to slice 0, so every row of R lies
-on |psi0> in slice 0; and R = E·embed(V†|psi0><omega|, N-1), so every
-column of R lies on <omega| in slice N-1.  psi0 is normalized, and
+The trace powers never multiply R out densely (only the `power` thunk
+of `power_and_pseudoentropy`, which no run calls, does).  V carries
+V†|psi0> back to |psi0> on slice N-1, which C moves to slice 0, so
+every row of R lies on |psi0> in slice 0; and R = E·embed(V†|psi0><omega|,
+N-1), so every column of R lies on <omega| in slice N-1.  psi0 is normalized, and
 u = omega* / sum_c |omega_c|^2 has <omega|u> = 1, so R = P·P†·R with
 P = |psi0> ⊗ I on slice 0, and R = R·(I ⊗ |u><omega|) on column slice
 N-1.  For N >= 2 the two slices are distinct, and
@@ -93,11 +94,8 @@ slice marginals, which read all of R, do.
 The chain to S_a gives two powers, k = 2a - 1 (S_a against S_{a-1})
 and k = 2a (S_a against itself); the state keeps both traces beside S,
 so asking for k = 1..6 compresses R once and builds three chains from
-the kept S.
-The sum reads its second factor transposed, so it runs over t x t
-tiles (t the largest divisor of D/d^2 up to 32): tile (I, J) of one
-half meets tile (J, I) of the other, and the transposed read walks
-rows of t entries instead of striding a whole row per entry.
+the kept S.  The sum itself is one einsum over both halves
+(`_trace_of_product`).
 """
 
 from __future__ import annotations
@@ -110,8 +108,6 @@ import numpy as np
 
 from .linalg import Ket, Operator, partial_trace, unitary
 from .timeslab import QuantumAction, SliceLayout, _kron_apply, build_action
-
-_TILE = 32  # largest tile edge in the tiled Tr[A·B] of the trace powers
 
 
 @dataclass(frozen=True)
@@ -167,14 +163,14 @@ def build_R(
     buffer is write-protected and becomes R's Operator without a copy;
     the state keeps <omega|, all that its powers read of the boundary.
     Without `site_dims` a slice is one site, stored as (d,); every split
-    must multiply out to d.
+    must have positive entries that multiply out to d.
     """
     if abs(np.linalg.norm(psi0.vec) - 1.0) > 1e-12:
         raise ValueError("psi0 must be normalized")
     layout = SliceLayout(d=len(psi0.vec), N=N, eps=eps)
     site_dims = (layout.d,) if site_dims is None else tuple(int(s) for s in site_dims)
-    if int(np.prod(site_dims)) != layout.d:
-        raise ValueError("site_dims must factorize the slice dimension")
+    if any(s < 1 for s in site_dims) or int(np.prod(site_dims)) != layout.d:
+        raise ValueError("site_dims must be positive and factorize the slice dimension")
     qa = build_action(layout, H)
     # embed(b, 0)·E = E·embed(V†·b·V, N-1), as C carries slice N-1 to 0
     ket, bra = qa.V.mat.conj().T @ psi0.vec, psi0.vec.conj() @ unitary(H, -eps * N).mat @ qa.V.mat
@@ -247,7 +243,7 @@ def power_and_pseudoentropy(
     every row of R lies on psi0 in slice 0 and every column on <omega| in
     slice N-1.  One chain S_{j+1} = S·S_j (`_kron_apply` of the Kronecker
     factors of `_step_factors`) gives its powers up to a = ceil(k/2), and
-    the trace sums S_a against S_b, b = floor(k/2), tile by tile
+    the trace sums S_a against S_b, b = floor(k/2), in one einsum
     (`_trace_of_product`).  S is the state's cached property `_S`, read
     from the stored R by `_compress` once per state, at the first k
     asked; both halves are powers of it, so a fault X in R with
@@ -256,24 +252,16 @@ def power_and_pseudoentropy(
     S_{a-1}, or Tr S at a = 1) and k = 2a (S_a against itself): both
     values go into the state's `_trace_powers`, and a k found there is
     not read again.  Of the chain the state keeps S alone, never
-    S_2..S_a.  The first element is a zero-argument callable that builds
-    R^k when called: G·F acts as the identity between two factors of R
-    (R·G·F·R = R·R), so for k >= 2 R^k = (R·G)·S^{k-2}·(F·R), k - 2 steps
-    of the same chain on the D/d^2 x D matrix F·R, then one product with
-    the D x D/d^2 matrix R·G.
+    S_2..S_a.  The first element is a zero-argument callable that
+    returns the dense R^k (numpy's `matrix_power` of the stored R) when
+    called; no run calls it.
     """
     if k < 1:
         raise ValueError("need k >= 1")
     psi, blocks = st.psi0.vec, st.action._head_blocks
 
     def power() -> Operator:
-        R, d, n, factors = st.R.mat, len(psi), len(st._S), _step_factors(blocks, psi, st.omega)
-        w = st.omega if st.action.layout.N > 1 else np.ones(1)  # as in `_compress`
-        M = np.einsum("aicx,a,c->ix", R.reshape(d, n, len(w), -1), psi.conj(), w)  # F·R
-        for _ in range(k - 2):
-            M = _kron_apply(factors, M)
-        RG = np.einsum("xajc,a,c->xj", R.reshape(-1, d, n, len(w)), psi, w.conj() / np.vdot(w, w).real)
-        return Operator(RG @ M) if k > 1 else st.R
+        return Operator(np.linalg.matrix_power(st.R.mat, k))
 
     if k not in st._trace_powers:
         a = (k + 1) // 2
@@ -336,20 +324,8 @@ def _compress(st: SpacetimeState, M: np.ndarray) -> np.ndarray:
 
 
 def _trace_of_product(A: np.ndarray, B: np.ndarray) -> complex:
-    """Tr[A·B] = sum_ij A_ij B_ji for two n x n matrices, read tile by tile.
-
-    Both are viewed as grids of t x t tiles, t the largest divisor of
-    n up to _TILE, and tile (I, J) of A meets tile (J, I) of B: the
-    transposed read of B then walks rows of t entries instead of
-    jumping a whole row of B per entry.  Each tile pair is summed on
-    its own and the partial sums pairwise, which keeps the rounding
-    near that of the untiled sum.
-    """
-    n = len(A)
-    t = max(s for s in range(1, min(n, _TILE) + 1) if n % s == 0)
-    m = n // t
-    tiles = np.einsum("IiJj,JjIi->IJ", A.reshape(m, t, m, t), B.reshape(m, t, m, t))
-    return complex(tiles.sum())
+    """Tr[A·B] = sum_ij A_ij B_ji for two n x n matrices, in one einsum."""
+    return complex(np.einsum("ij,ji->", A, B))
 
 
 def renyi_pseudoentropy(st: SpacetimeState, k: int) -> complex:

@@ -17,7 +17,7 @@ import sqmlab
 
 SRC = Path(sqmlab.__file__).resolve().parent
 
-CODE_LINES_MAX = 1752
+CODE_LINES_MAX = 1741
 FUNCTIONS_MAX = 163
 
 _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
